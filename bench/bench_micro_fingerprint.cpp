@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): the primitives behind every
 // disclosure decision — normalization, n-gram hashing, winnowing, HashDb
-// lookups and full Algorithm 1 queries.
+// lookups, Algorithm 1's candidate scoring and full queries.
 
 #include <benchmark/benchmark.h>
 
+#include "corpus/datasets.h"
 #include "corpus/text_generator.h"
 #include "flow/snapshot.h"
 #include "flow/tracker.h"
@@ -129,6 +130,42 @@ void BM_DisclosureQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DisclosureQuery)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_CandidateScoring(benchmark::State& state) {
+  // Diagnostic for Algorithm 1's candidate scoring alone: a ~3.4 KB target
+  // (consecutive paragraphs of one book, then fresh prose) against six
+  // quick-scale books — the shape of one multi-KB paste lookup. The target
+  // is fingerprinted once, outside the loop, so the series is candidate
+  // discovery plus scoring; "candidates" is the sources scored per query.
+  corpus::EbooksConfig cfg = corpus::EbooksConfig::quickScale();
+  cfg.books = 6;
+  const corpus::EbooksDataset ds = corpus::buildEbooks(cfg);
+  util::LogicalClock clock;
+  flow::FlowTracker tracker(flow::TrackerConfig{}, &clock);
+  for (const corpus::VersionedDoc& book : ds.books) {
+    tracker.observeDocument(book.id, "svc", book.render());
+  }
+  std::string target;
+  const auto& paras = ds.books[2].paragraphs;
+  for (std::size_t i = 10; target.size() < 1700 && i < paras.size(); ++i) {
+    target += sec::declassifyForTest(paras[i].render()) + " ";
+  }
+  util::Rng rng(8);
+  corpus::TextGenerator gen(&rng);
+  while (target.size() < 3400) target += gen.paragraph() + " ";
+  const text::Fingerprint fp = tracker.fingerprintOf(target);
+
+  const std::uint64_t before = tracker.stats().candidatesInspected;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tracker.disclosedSources(
+        fp, flow::SegmentKind::kParagraph, flow::kInvalidSegment, "probe"));
+  }
+  state.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(tracker.stats().candidatesInspected - before),
+      benchmark::Counter::kAvgIterations);
+  state.counters["target_hashes"] = static_cast<double>(fp.size());
+}
+BENCHMARK(BM_CandidateScoring);
 
 void BM_KeystrokeCachedDecision(benchmark::State& state) {
   // The hot path of S6.2: re-querying a segment whose fingerprint did not

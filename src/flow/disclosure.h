@@ -22,7 +22,10 @@ namespace bf::flow {
 [[nodiscard]] std::vector<std::uint64_t> authoritativeHashes(
     const SegmentRecord& source, const HashDb& hashDb);
 
-/// |F_auth(source) ∩ target|, computed without materialising F_auth.
+/// |F_auth(source) ∩ target|, computed without materialising F_auth by
+/// walking the source's fingerprint. The pairwise routine (one source, one
+/// target: pairwise disclosure, attribution) and the reference oracle for
+/// Algorithm 1's queries, which count the same set from the target's side.
 [[nodiscard]] std::size_t authoritativeOverlap(const SegmentRecord& source,
                                                const text::Fingerprint& target,
                                                const HashDb& hashDb);

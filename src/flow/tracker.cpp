@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 #include "flow/wal.h"
 #include "obs/stage.h"
@@ -338,61 +337,9 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
   obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().queries->inc();
-  std::vector<DisclosureHit> hits;
-  if (target.empty()) return hits;
-
-  // Candidate discovery (Algorithm 1's main loop over fpar). With
-  // authoritative fingerprints only the OLDEST owner of each shared hash
-  // can score a non-zero overlap — "p <- oldestParagraphWith(h, DBhash)" —
-  // so the candidate set is bounded by |F(target)| regardless of database
-  // size. This is what makes response time scale sub-linearly with the
-  // hash count (paper Fig. 13).
-  const HashDb& db = st.hashes[idx(sourceKind)];
-  std::unordered_set<SegmentId> candidates;
-  if (config_.useAuthoritative) {
-    for (std::uint64_t h : target.hashes()) {
-      if (const auto owner = db.oldestSegmentWith(h)) {
-        candidates.insert(*owner);
-      }
-    }
-  } else {
-    // Naive containment (ablation): every segment sharing a hash competes.
-    for (std::uint64_t h : target.hashes()) {
-      for (SegmentId s : db.segmentsWith(h)) candidates.insert(s);
-    }
-  }
-
-  for (SegmentId c : candidates) {
-    if (c == self) continue;  // "if p = P then continue"
-    const SegmentRecord* rec = st.segments.find(c);
-    if (rec == nullptr || rec->kind != sourceKind) continue;
-    if (config_.excludeSameDocument && !selfDocument.empty() &&
-        rec->document == selfDocument) {
-      continue;
-    }
-    stats_.candidatesInspected.fetch_add(1, std::memory_order_relaxed);
-    trackerMetrics().candidates->inc();
-    const std::size_t sourceSize = rec->fingerprint.size();
-    if (sourceSize == 0) continue;
-    // Early discard (Algorithm 1): a source needing more overlapping hashes
-    // than the target has cannot meet its threshold.
-    if (static_cast<double>(sourceSize) * rec->threshold >
-        static_cast<double>(target.size())) {
-      continue;
-    }
-    std::size_t overlap;
-    if (config_.useAuthoritative) {
-      overlap = authoritativeOverlap(*rec, target, db);
-    } else {
-      overlap = text::Fingerprint::intersectionSize(rec->fingerprint, target);
-    }
-    const double score =
-        static_cast<double>(overlap) / static_cast<double>(sourceSize);
-    if (isDisclosed(score, overlap, rec->threshold)) {
-      hits.push_back(makeHit(*rec, score, overlap));
-    }
-  }
-
+  std::vector<DisclosureHit> hits =
+      scoreCandidatesIn(st, target, sourceKind, self, selfDocument,
+                        std::nullopt);
   std::sort(hits.begin(), hits.end(),
             [](const DisclosureHit& a, const DisclosureHit& b) {
               if (a.score != b.score) return a.score > b.score;
@@ -407,53 +354,82 @@ std::vector<DisclosureHit> FlowTracker::partialHits(
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().queries->inc();
   util::LeftRightReadGuard guard(lr_);
-  return partialHitsIn(readerStores(guard), target, sourceKind, self,
-                       selfDocument, tenant);
+  return scoreCandidatesIn(readerStores(guard), target, sourceKind, self,
+                           selfDocument, tenant);
 }
 
-std::vector<DisclosureHit> FlowTracker::partialHitsIn(
+std::vector<DisclosureHit> FlowTracker::scoreCandidatesIn(
     const Stores& st, const text::Fingerprint& target, SegmentKind sourceKind,
-    SegmentId self, std::string_view selfDocument, TenantId tenant) const {
+    SegmentId self, std::string_view selfDocument,
+    std::optional<TenantId> tenant) const {
   std::vector<DisclosureHit> hits;
   if (target.empty()) return hits;
 
-  // Candidate discovery is identical to disclosedSourcesIn — but scoring is
-  // NOT: this shard only sees a partial fingerprint, so it reports raw
-  // overlaps and leaves thresholds/early-discard to the facade, which
-  // decides on cross-shard totals.
+  // Candidate discovery (Algorithm 1's main loop over fpar) records each
+  // target hash under the segment that may claim it. With authoritative
+  // fingerprints only the OLDEST owner of a hash can count it —
+  // "p <- oldestParagraphWith(h, DBhash)" — so the candidate set is bounded
+  // by |F(target)| regardless of database size. This is what makes
+  // response time scale sub-linearly with the hash count (paper Fig. 13).
+  // The naive containment ablation lets every segment sharing a hash
+  // compete instead.
   const HashDb& db = st.hashes[idx(sourceKind)];
-  std::unordered_set<SegmentId> candidates;
-  if (config_.useAuthoritative) {
-    for (std::uint64_t h : target.hashes()) {
-      if (const auto owner = db.oldestSegmentWith(h)) {
-        candidates.insert(*owner);
-      }
-    }
-  } else {
-    for (std::uint64_t h : target.hashes()) {
-      for (SegmentId s : db.segmentsWith(h)) candidates.insert(s);
+  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+  claims.reserve(target.size());
+  for (std::uint64_t h : target.hashes()) {
+    if (!config_.useAuthoritative) {
+      for (SegmentId s : db.segmentsWith(h)) claims.emplace_back(s, h);
+    } else if (const auto owner = db.oldestSegmentWith(h)) {
+      claims.emplace_back(*owner, h);
     }
   }
+  std::sort(claims.begin(), claims.end());
 
-  for (SegmentId c : candidates) {
-    if (c == self) continue;
+  for (auto next = claims.begin(); next != claims.end();) {
+    const SegmentId c = next->first;
+    const auto first = next;  // [first, next) are c's claims
+    next = std::find_if(first, claims.end(),
+                        [c](const auto& claim) { return claim.first != c; });
+    if (c == self) continue;  // "if p = P then continue"
     const SegmentRecord* rec = st.segments.find(c);
     if (rec == nullptr || rec->kind != sourceKind) continue;
-    if (rec->tenant != tenant) continue;  // hard cross-tenant isolation
+    if (tenant && rec->tenant != *tenant) continue;  // cross-tenant isolation
     if (config_.excludeSameDocument && !selfDocument.empty() &&
         rec->document == selfDocument) {
       continue;
     }
     stats_.candidatesInspected.fetch_add(1, std::memory_order_relaxed);
     trackerMetrics().candidates->inc();
-    std::size_t overlap;
-    if (config_.useAuthoritative) {
-      overlap = authoritativeOverlap(*rec, target, db);
-    } else {
-      overlap = text::Fingerprint::intersectionSize(rec->fingerprint, target);
+    const std::size_t sourceSize = rec->fingerprint.size();
+    // Early discard (Algorithm 1): a source needing more overlapping hashes
+    // than the target has cannot meet its threshold. A partial query leaves
+    // this and the thresholds to the facade's cross-shard totals.
+    if (!tenant &&
+        (sourceSize == 0 || static_cast<double>(sourceSize) * rec->threshold >
+                                static_cast<double>(target.size()))) {
+      continue;
     }
-    if (overlap == 0) continue;
-    hits.push_back(makeHit(*rec, 0.0, overlap));
+    // Authoritative overlap counted from the target side: the hashes this
+    // source owns that its CURRENT fingerprint still contains (DBhash keeps
+    // the associations of overwritten fingerprints) — the set
+    // authoritativeOverlap counts, without walking all of F(source).
+    const std::size_t overlap =
+        config_.useAuthoritative
+            ? static_cast<std::size_t>(std::count_if(
+                  first, next,
+                  [rec](const auto& claim) {
+                    return rec->fingerprint.contains(claim.second);
+                  }))
+            : text::Fingerprint::intersectionSize(rec->fingerprint, target);
+    if (tenant) {
+      if (overlap > 0) hits.push_back(makeHit(*rec, 0.0, overlap));
+      continue;
+    }
+    const double score =
+        static_cast<double>(overlap) / static_cast<double>(sourceSize);
+    if (isDisclosed(score, overlap, rec->threshold)) {
+      hits.push_back(makeHit(*rec, score, overlap));
+    }
   }
   return hits;
 }
@@ -464,8 +440,8 @@ std::vector<DisclosureHit> FlowTracker::partialHitsForSegment(
   const Stores& st = readerStores(guard);
   const SegmentRecord* rec = st.segments.find(id);
   if (rec == nullptr) return {};
-  return partialHitsIn(st, rec->fingerprint, rec->kind, id, rec->document,
-                       rec->tenant);
+  return scoreCandidatesIn(st, rec->fingerprint, rec->kind, id,
+                           rec->document, rec->tenant);
 }
 
 std::size_t FlowTracker::segmentFingerprintSize(SegmentId id) const {

@@ -495,12 +495,15 @@ class FlowTracker {
   void removeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentId id)
       BF_REQUIRES(mutex_);
 
-  /// Pure read of one replica: partial per-shard overlaps (no thresholds,
-  /// no early discard), tenant-filtered. See partialHits.
-  [[nodiscard]] std::vector<DisclosureHit> partialHitsIn(
+  /// Pure read of one replica: Algorithm 1's candidate discovery and
+  /// scoring in one pass over the target's hashes, unsorted. Without a
+  /// `tenant` it applies thresholds and the early discard (the full
+  /// query); with one it is a shard's partial query — tenant-filtered raw
+  /// overlaps, no thresholds, no early discard (see partialHits).
+  [[nodiscard]] std::vector<DisclosureHit> scoreCandidatesIn(
       const Stores& s, const text::Fingerprint& target,
       SegmentKind sourceKind, SegmentId self, std::string_view selfDocument,
-      TenantId tenant) const;
+      std::optional<TenantId> tenant) const;
 
   /// Pure read of one replica: Algorithm 1 over `s`. Runs under a
   /// left-right read guard (query paths) or the writer mutex

@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -104,11 +103,11 @@ LockRankViolationHandler setLockRankViolationHandler(
   return BF_LOCK_RANK_CHECKS != 0;
 }
 
-/// Process-wide count of ranked-mutex acquisitions of `rank` (shared and
-/// exclusive alike) since start-up. Always 0 when lockRankChecksEnabled()
-/// is false. Test hook: proving a code path is lock-free at a given rank
-/// means running it and asserting this count did not move (e.g. the
-/// tracker's read path never takes kRankTracker).
+/// Process-wide count of ranked-mutex acquisitions of `rank` since
+/// start-up. Always 0 when lockRankChecksEnabled() is false. Test hook:
+/// proving a code path is lock-free at a given rank means running it and
+/// asserting this count did not move (e.g. the tracker's read path never
+/// takes kRankTracker).
 [[nodiscard]] std::uint64_t lockRankAcquireCount(int rank) noexcept;
 
 namespace detail {
@@ -171,98 +170,6 @@ class BF_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Annotated reader-writer mutex (std::shared_mutex wrapper). Shared
-/// ("reader") acquisitions run concurrently with each other; exclusive
-/// ("writer") acquisitions serialise with everything. Both modes
-/// participate in the rank hierarchy: acquiring a SharedMutex — shared or
-/// exclusive — while holding any mutex of equal or greater rank is a
-/// violation, and recursive shared acquisition on one thread (legal-looking
-/// but deadlock-prone once a writer queues between the two reads) is caught
-/// the same way.
-class BF_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() noexcept = default;
-  explicit SharedMutex(int rank, const char* name = "") noexcept
-      : rank_(rank), name_(name) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() BF_ACQUIRE() {
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    m_.lock();
-  }
-
-  void unlock() BF_RELEASE() {
-    m_.unlock();
-#if BF_LOCK_RANK_CHECKS
-    detail::noteRelease(this, rank_);
-#endif
-  }
-
-  void lock_shared() BF_ACQUIRE_SHARED() {
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    m_.lock_shared();
-  }
-
-  void unlock_shared() BF_RELEASE_SHARED() {
-    m_.unlock_shared();
-#if BF_LOCK_RANK_CHECKS
-    detail::noteRelease(this, rank_);
-#endif
-  }
-
-  bool try_lock() BF_TRY_ACQUIRE(true) {
-    if (!m_.try_lock()) return false;
-#if BF_LOCK_RANK_CHECKS
-    detail::noteAcquire(this, rank_, name_);
-#endif
-    return true;
-  }
-
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-  [[nodiscard]] const char* name() const noexcept { return name_; }
-
- private:
-  std::shared_mutex m_;
-  int rank_ = kRankUnranked;
-  const char* name_ = "";
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class BF_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) BF_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexLock() BF_RELEASE_GENERIC() { mu_.unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class BF_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex& mu) BF_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~SharedReaderLock() BF_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable usable with Mutex. Waiting releases and re-acquires

@@ -3,11 +3,34 @@
 #include <gtest/gtest.h>
 
 #include "corpus/text_generator.h"
+#include "flow/disclosure.h"
 #include "flow/tracker.h"
 #include "util/clock.h"
 
 namespace bf::flow {
 namespace {
+
+text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
+  std::vector<text::HashedGram> grams;
+  std::uint32_t pos = 0;
+  for (auto h : hashes) grams.push_back({h, pos++});
+  return text::Fingerprint::fromSelected(std::move(grams));
+}
+
+/// Observes segment `id` (its own document, threshold 0) with exactly
+/// `hashes`, through the routed path that takes a ready fingerprint.
+void observeHashes(FlowTracker& tracker, SegmentId id, std::string_view name,
+                   std::initializer_list<std::uint64_t> hashes) {
+  const text::Fingerprint fp = fpOf(hashes);
+  FlowTracker::RoutedObserve op;
+  op.id = id;
+  op.name = name;
+  op.document = name;
+  op.service = "svc";
+  op.fingerprint = &fp;
+  op.createThreshold = 0.0;
+  tracker.observeRoutedBatch({op});
+}
 
 class TrackerTest : public ::testing::Test {
  protected:
@@ -351,6 +374,46 @@ TEST_F(TrackerTest, StatsCountFingerprints) {
                           paragraph());
   (void)tracker_.checkText(paragraph(), "b");
   EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u);
+}
+
+TEST_F(TrackerTest, StaleOwnerCountsOnlyItsCurrentHashes) {
+  // DBhash keeps the associations of an overwritten fingerprint, so S is
+  // still the oldest owner of hashes 1-3 after its rewrite to {4, 5, 6}.
+  // Only the hashes S still contains may count towards its overlap.
+  observeHashes(tracker_, 1, "S", {1, 2, 3});
+  observeHashes(tracker_, 1, "S", {4, 5, 6});
+  ASSERT_EQ(tracker_.hashDb().oldestSegmentWith(1), SegmentId{1});
+  const text::Fingerprint target = fpOf({1, 2, 3, 4});
+  const auto hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].sourceName, "S");
+  EXPECT_EQ(hits[0].overlap, 1u);
+  EXPECT_EQ(hits[0].overlap, authoritativeOverlap(*tracker_.segment(1), target,
+                                                  tracker_.hashDb()));
+  EXPECT_DOUBLE_EQ(hits[0].score, 1.0 / 3.0);
+}
+
+TEST_F(TrackerTest, RemovedOwnerPassesAuthorityToNextLiveOwner) {
+  observeHashes(tracker_, 1, "A", {1, 2});
+  observeHashes(tracker_, 2, "B", {1, 2, 3});
+  const text::Fingerprint target = fpOf({1, 2, 3});
+  auto hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].sourceName, "A");
+  EXPECT_EQ(hits[0].overlap, 2u);
+  EXPECT_EQ(hits[1].sourceName, "B");
+  EXPECT_EQ(hits[1].overlap, 1u);
+
+  // A's associations stay in DBhash until compaction; lookups skip them.
+  tracker_.removeSegment(1);
+  ASSERT_EQ(tracker_.hashDb().deadSegmentCount(), 1u);
+  hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].sourceName, "B");
+  EXPECT_EQ(hits[0].overlap, 3u);
+  EXPECT_EQ(hits[0].overlap, authoritativeOverlap(*tracker_.segment(2), target,
+                                                  tracker_.hashDb()));
+  EXPECT_DOUBLE_EQ(hits[0].score, 1.0);
 }
 
 }  // namespace
