@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "core/decision_engine.h"
 #include "corpus/text_generator.h"
-#include "flow/sharded_tracker.h"
 #include "flow/wal.h"
 #include "obs/stage.h"
 #include "text/winnower.h"
@@ -115,113 +114,6 @@ void runMultiReaderSweep(bf::flow::FlowTracker& tracker,
   }
 }
 
-/// Sharded-writer sweep: `writers` threads push observeDocument mutations
-/// into a ShardedFlowTracker at shard counts {1, 2, 4, 8}. Observations
-/// touching distinct documents land on distinct writer mutexes once the
-/// shard count grows, so aggregate throughput should scale with cores
-/// (bench_gate.py asserts 8-shard >= 2x 1-shard on >= 8-core hosts; on
-/// smaller hosts the writers time-slice the same core and the sweep only
-/// documents single-core routing overhead). Ends with a merged-query
-/// attribution check so a routing bug fails the bench, not just slows it.
-int runShardedWriterSweep() {
-  using namespace bf;
-  bench::printHeader("Shards", "sharded-writer observe throughput");
-  std::size_t writers = bench::paperScale() ? 8 : 4;
-  std::size_t docsEach = bench::paperScale() ? 120 : 40;
-  if (const char* env = std::getenv("BF_SHARD_WRITERS"); env != nullptr) {
-    writers = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("BF_SHARD_DOCS"); env != nullptr) {
-    docsEach = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-
-  // Pre-generate every document so the sweep measures tracker writes, not
-  // corpus generation. A couple of shared secrets salt the content so the
-  // post-sweep queries have something to find.
-  util::Rng rng(4242);
-  corpus::TextGenerator gen(&rng);
-  const std::string secret = gen.paragraph(6, 8);
-  // The canary must be lexically disjoint from the generated corpus —
-  // shared-vocabulary n-grams get associated with whichever corpus
-  // segment saw them first, which would shave its overlap below 1.0.
-  std::string canary;
-  for (int i = 0; i < 48; ++i) {
-    canary += "cnrytok" + std::to_string(i * 7919) + " ";
-  }
-  std::vector<std::string> docs;
-  docs.reserve(writers * docsEach);
-  for (std::size_t i = 0; i < writers * docsEach; ++i) {
-    std::string d = gen.paragraph(4, 6);
-    d += "\n\n";
-    d += (i % 7 == 0) ? secret : gen.paragraph(4, 6);
-    d += "\n\n";
-    d += gen.paragraph(4, 6);
-    docs.push_back(std::move(d));
-  }
-
-  const unsigned cores = std::thread::hardware_concurrency();
-  double s1Qps = 0.0;
-  int failures = 0;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    flow::ShardedTrackerConfig cfg;
-    cfg.shards = shards;
-    util::LogicalClock clock;
-    flow::ShardedFlowTracker tracker(cfg, &clock);
-
-    util::Stopwatch watch;
-    std::vector<std::thread> threads;
-    threads.reserve(writers);
-    for (std::size_t w = 0; w < writers; ++w) {
-      threads.emplace_back([&, w] {
-        for (std::size_t i = 0; i < docsEach; ++i) {
-          const std::size_t at = w * docsEach + i;
-          (void)tracker.observeDocument(
-              "w" + std::to_string(w) + "/d" + std::to_string(i), "svc",
-              docs[at]);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    const double seconds = watch.elapsedMillis() / 1000.0;
-    const double qps = static_cast<double>(writers * docsEach) /
-                       (seconds > 0 ? seconds : 1e-9);
-    if (shards == 1) s1Qps = qps;
-    const double speedup = s1Qps > 0 ? qps / s1Qps : 0.0;
-    std::printf(
-        "shards: %zu  writers: %zu  observes/s: %10.0f  speedup vs s1: "
-        "%.2fx\n",
-        shards, writers, qps, speedup);
-    bench::result("{\"bench\":\"shard_scaling\",\"shards\":" +
-                  std::to_string(shards) +
-                  ",\"writers\":" + std::to_string(writers) +
-                  ",\"observes_per_s\":" + std::to_string(qps) +
-                  ",\"speedup_vs_s1\":" + std::to_string(speedup) +
-                  ",\"hw_cores\":" + std::to_string(cores) + "}");
-
-    // Merged queries must still work after the concurrent phase. The
-    // racing duplicate copies of `secret` split hash ownership between
-    // themselves nondeterministically, so the deterministic check is on a
-    // unique canary observed once afterwards: full-score attribution to
-    // its document at every shard count, plus the raced secret being
-    // detectable at all.
-    (void)tracker.observeDocument("canary/doc", "svc", canary);
-    const auto canaryHits = tracker.checkText(canary, "probe");
-    if (canaryHits.empty() || canaryHits[0].score < 0.99 ||
-        canaryHits[0].sourceDocument != "canary/doc") {
-      std::printf("FAIL shards=%zu: canary misattributed (%s)\n", shards,
-                  canaryHits.empty()
-                      ? "no hits"
-                      : canaryHits[0].sourceDocument.c_str());
-      ++failures;
-    }
-    if (tracker.checkText(secret, "probe").empty()) {
-      std::printf("FAIL shards=%zu: raced secret not detected\n", shards);
-      ++failures;
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,17 +140,6 @@ int main(int argc, char** argv) {
     runMultiReaderSweep(mrTracker, mrSecrets);
     bench::dumpMetrics();
     return 0;
-  }
-
-  // --sharded-writer: run ONLY the sharded-writer observe sweep — the
-  // fast feedback loop for write-path sharding work (and the mode
-  // bench_gate.py's shard-scaling check documents).
-  const bool shardedWriterOnly =
-      argc > 1 && std::string(argv[1]) == "--sharded-writer";
-  if (shardedWriterOnly) {
-    const int rc = runShardedWriterSweep();
-    bench::dumpMetrics();
-    return rc;
   }
 
   bench::printHeader("Stress", "concurrent async decisions");
@@ -472,8 +353,6 @@ int main(int argc, char** argv) {
                 std::to_string(provOnMs) + ",\"overhead_pct\":" +
                 std::to_string(provOverheadPct) + "}");
 
-  const int shardRc = runShardedWriterSweep();
-
   bench::dumpMetrics();
-  return (misattributed == 0 && shardRc == 0) ? 0 : 1;
+  return misattributed == 0 ? 0 : 1;
 }

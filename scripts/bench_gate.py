@@ -15,12 +15,6 @@ decision path got slower:
     shared_r1 on hosts with >= 8 hardware threads (on smaller hosts the
     reader threads time-slice the same cores and the ratio measures the
     scheduler, so the check passes with a logged skip);
-  * sharded-writer scaling: 8-shard observe throughput must reach at
-    least 2x the 1-shard tracker under the same core-count proviso, plus
-    a presence check that every shard count {1,2,4,8} reported (the
-    sweep's merged-query attribution check fails the bench binary
-    itself, so a passing sweep also certifies shard-count-independent
-    results);
   * provenance overhead (the stress bench's interleaved on/off comparison)
     at or above --max-overhead percent of the decision path;
   * the durability-fault sweep (bench_recovery's FaultVfs phase) missing a
@@ -165,42 +159,6 @@ def scaling_check(report: dict, min_speedup: float, min_cores: int) -> dict:
     return check
 
 
-def shard_scaling_rows(report: dict) -> dict:
-    out = {}
-    for r in report.get("stress_concurrency", {}).get("results", []):
-        if r.get("bench") == "shard_scaling":
-            out[r.get("shards")] = r
-    return out
-
-
-def shard_scaling_check(report: dict, min_speedup: float,
-                        min_cores: int) -> dict:
-    """Sharded-writer scaling: 8-shard observe throughput must reach
-    min_speedup x the 1-shard tracker — but only on hosts with at least
-    min_cores hardware threads. On smaller boxes the writer threads
-    time-slice the same core(s), the per-shard mutexes never contend in
-    parallel, and the ratio measures the scheduler, not the shard split,
-    so the check passes with a logged skip instead."""
-    rows = shard_scaling_rows(report)
-    cores = rows[min(rows)].get("hw_cores") if rows else None
-    s1 = rows.get(1, {}).get("observes_per_s")
-    s8 = rows.get(8, {}).get("observes_per_s")
-    speedup = round(s8 / s1, 2) if s1 and s8 is not None else None
-    check = {"name": "shard_scaling:s8_vs_s1",
-             "fresh": speedup, "required": min_speedup, "hw_cores": cores}
-    if cores is None or cores < min_cores:
-        check.update(passed=True,
-                     note=f"skipped: host has {cores} core(s) "
-                          f"(< {min_cores}); writer threads time-slice one "
-                          "core, so s8/s1 scaling is not measurable here")
-    elif speedup is None:
-        check.update(passed=False,
-                     note="shards=1/shards=8 missing from fresh report")
-    else:
-        check.update(passed=speedup >= min_speedup)
-    return check
-
-
 def durability_fault_rates(report: dict) -> list:
     return sorted(
         r.get("rate")
@@ -275,19 +233,6 @@ def main() -> int:
             args.max_regression))
 
     reader_scaling = scaling_check(fresh, min_speedup=2.0, min_cores=8)
-    writer_scaling = shard_scaling_check(fresh, min_speedup=2.0, min_cores=8)
-
-    # Presence, like the durability sweep: the sharded-writer sweep must
-    # have reported every shard count — a silently missing series would
-    # otherwise read as "nothing regressed".
-    shard_counts = sorted(k for k in shard_scaling_rows(fresh))
-    shard_presence = {
-        "name": "shard_scaling_sweep",
-        "fresh": shard_counts,
-        "passed": shard_counts == [1, 2, 4, 8],
-        "note": "presence: every shard count reported with a clean "
-                "merged-query check",
-    }
 
     overhead = provenance_overhead_pct(fresh)
     overhead_check = {
@@ -317,14 +262,9 @@ def main() -> int:
             failures.append("provenance_overhead_pct")
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
-        if not shard_presence["passed"]:
-            failures.append(shard_presence["name"])
         if reader_scaling["fresh"] is None \
                 and "skipped" not in reader_scaling.get("note", ""):
             failures.append(reader_scaling["name"])
-        if writer_scaling["fresh"] is None \
-                and "skipped" not in writer_scaling.get("note", ""):
-            failures.append(writer_scaling["name"])
         gate_pass = not failures
         for c in checks:
             c["passed"] = c["fresh"] is not None
@@ -335,22 +275,14 @@ def main() -> int:
             reader_scaling["passed"] = reader_scaling["fresh"] is not None
             reader_scaling["note"] = \
                 "smoke: presence only, ratio not gated"
-        if "skipped" not in writer_scaling.get("note", ""):
-            writer_scaling["passed"] = writer_scaling["fresh"] is not None
-            writer_scaling["note"] = \
-                "smoke: presence only, ratio not gated"
     else:
         failures = [c["name"] for c in checks if not c["passed"]]
         if not overhead_check["passed"]:
             failures.append(overhead_check["name"])
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
-        if not shard_presence["passed"]:
-            failures.append(shard_presence["name"])
         if not reader_scaling["passed"]:
             failures.append(reader_scaling["name"])
-        if not writer_scaling["passed"]:
-            failures.append(writer_scaling["name"])
         gate_pass = not failures
 
     # The artifact IS a bf-bench-report-v1 (fresh numbers at the top level,
@@ -364,8 +296,6 @@ def main() -> int:
             "max_provenance_overhead_pct": args.max_overhead,
             "provenance_overhead": overhead_check,
             "multi_reader_scaling": reader_scaling,
-            "shard_scaling": writer_scaling,
-            "shard_scaling_sweep": shard_presence,
             "durability_fault_sweep": durability_check,
             "checks": checks,
             "pass": gate_pass,
@@ -376,17 +306,13 @@ def main() -> int:
         f.write("\n")
     print(f"==> wrote {out_path}")
 
-    for c in checks + [reader_scaling, writer_scaling, shard_presence,
-                       overhead_check, durability_check]:
+    for c in checks + [reader_scaling, overhead_check, durability_check]:
         status = "ok  " if c["passed"] else "FAIL"
         if "regression_pct" in c:
             detail = f"{c.get('regression_pct')}% regression"
         elif c["name"] == "durability_fault_sweep":
             detail = f"rates {c.get('fresh')}"
-        elif c["name"] == "shard_scaling_sweep":
-            detail = f"shard counts {c.get('fresh')}"
-        elif c["name"].startswith(("multi_reader_scaling",
-                                   "shard_scaling:")):
+        elif c["name"].startswith("multi_reader_scaling"):
             detail = (f"{c.get('fresh')}x vs required "
                       f"{c.get('required')}x ({c.get('note', 'gated')})"
                       if "note" in c else

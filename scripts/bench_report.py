@@ -124,25 +124,19 @@ def run_micro(build_dir, quick, repeats=1):
 def recompute_speedups(merged):
     """Rebuilds cross-row ratios after a best-of-N merge.
 
-    The bench prints speedup_vs_r1 / speedup_vs_s1 relative to the
-    baseline row of its OWN run; per-row maxing can pick rows from
-    different runs, leaving those printed ratios inconsistent with the
-    merged throughputs. Recompute them from the merged series.
+    The bench prints speedup_vs_r1 relative to the baseline row of its
+    OWN run; per-row maxing can pick rows from different runs, leaving
+    those printed ratios inconsistent with the merged throughputs.
+    Recompute them from the merged series.
     """
     reader_base = {}
-    shard_base = {}
     for m in merged:
         if m.get("bench") == "multi_reader" and m.get("readers") == 1:
             reader_base[m.get("mode")] = m.get("queries_per_s", 0)
-        if m.get("bench") == "shard_scaling" and m.get("shards") == 1:
-            shard_base[m.get("writers")] = m.get("observes_per_s", 0)
     for m in merged:
         if m.get("bench") == "multi_reader" and "speedup_vs_r1" in m:
             base = reader_base.get(m.get("mode"), 0)
             m["speedup_vs_r1"] = m["queries_per_s"] / base if base else 0.0
-        if m.get("bench") == "shard_scaling" and "speedup_vs_s1" in m:
-            base = shard_base.get(m.get("writers"), 0)
-            m["speedup_vs_s1"] = m["observes_per_s"] / base if base else 0.0
 
 
 def run_results_bench(binary, env, quick_env, repeats=1):
@@ -158,11 +152,9 @@ def run_results_bench(binary, env, quick_env, repeats=1):
     """
     def result_key(r):
         # Every dimension a bench sweeps must appear here or rows from
-        # different sweep points merge into one (shards/writers joined
-        # when the sharded-writer sweep landed).
+        # different sweep points merge into one.
         return (r.get("bench"), r.get("mode"), r.get("readers"),
-                r.get("users"), r.get("rate"), r.get("shards"),
-                r.get("writers"))
+                r.get("users"), r.get("rate"))
 
     runs = []
     for _ in range(max(1, repeats)):
@@ -214,19 +206,6 @@ def summarize(report):
             for r in readers
         }
         summary["hw_cores"] = readers[0].get("hw_cores")
-    shards = [
-        r
-        for r in report.get("stress_concurrency", {}).get("results", [])
-        if r.get("bench") == "shard_scaling"
-    ]
-    if shards:
-        # Sharded-writer observe throughput vs shard count: the headline
-        # series for the per-shard writer-domain split.
-        summary["shard_scaling"] = {
-            f"s{r['shards']}_w{r['writers']}": round(r["observes_per_s"])
-            for r in shards
-        }
-        summary.setdefault("hw_cores", shards[0].get("hw_cores"))
     faults = [
         r
         for r in report.get("recovery", {}).get("results", [])

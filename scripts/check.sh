@@ -56,19 +56,6 @@ for preset in $PRESETS; do
     BF_STORAGE_FUZZ_SEED=20260809 BF_STORAGE_FUZZ_TRIALS=300 \
       "build/tests/recovery_fuzz_test" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
-    # Sharded recovery fuzz at a pinned seed, across the shard-count
-    # envelope: 1 (degenerate single-writer), 4 (default fan-out), 16
-    # (kMaxTrackerShards). Each trial crashes mid-workload, corrupts at
-    # most one shard directory, and demands every shard recover a
-    # byte-equal prefix of its own history — undamaged shards losing
-    # nothing (per-shard WAL isolation).
-    for shards in 1 4 16; do
-      echo "==> [default] sharded recovery fuzz, fixed seed, shards=$shards"
-      BF_SHARDED_FUZZ_SEED=20260810 BF_SHARDED_FUZZ_TRIALS=120 \
-        BF_SHARDED_FUZZ_SHARDS="$shards" \
-        "build/tests/recovery_fuzz_test" \
-        --gtest_filter='ShardedRecoveryFuzzTest.EveryShardRecoversAPrefixOfItsOwnHistory'
-    done
   fi
 done
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "flow/tracker.h"
 
@@ -55,16 +54,6 @@ struct BrowserFlowConfig {
   /// evaluation (S6.1): 32-bit hashes, 15-char n-grams, 30-char windows,
   /// T_par = 0.5.
   flow::TrackerConfig tracker;
-  /// Tracker shard count for deployments built on flow::ShardedFlowTracker
-  /// (1 = the classic single-writer tracker; clamped to
-  /// [1, util::kMaxTrackerShards]). Each shard owns an independent writer
-  /// mutex, store replica pair and WAL generation chain.
-  std::size_t trackerShards = 1;
-  /// Per-shard checkpoint cadence overrides for the sharded durability
-  /// manager (flow/sharded_wal.h): entry k replaces the base
-  /// checkpointEveryRecords for shard k; 0 / missing entries keep the base
-  /// cadence. Ignored by unsharded deployments.
-  std::vector<std::uint64_t> shardCheckpointEveryRecords;
   EnforcementMode mode = EnforcementMode::kWarn;
   /// Key material for EnforcementMode::kEncrypt.
   std::string orgSecret = "browserflow-org-secret";

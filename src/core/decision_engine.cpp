@@ -1,7 +1,5 @@
 #include "core/decision_engine.h"
 
-#include "flow/sharded_tracker.h"
-#include "flow/sharded_wal.h"
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -120,14 +118,6 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
   util::warmFastTicks();
 }
 
-DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
-                               flow::ShardedFlowTracker* tracker,
-                               tdm::TdmPolicy* policy)
-    : DecisionEngine(config, static_cast<flow::FlowTracker*>(nullptr),
-                     policy) {
-  shardedTracker_ = tracker;
-}
-
 DecisionEngine::~DecisionEngine() {
   {
     util::MutexLock lock(queueMutex_);
@@ -228,14 +218,9 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request) {
   // ---- Policy lookup module -------------------------------------------------
   // 1. The text now exists in this segment of this service: observe it.
   //    First observation assigns the service's Lc as explicit tags.
-  const flow::SegmentId id =
-      shardedTracker_ != nullptr
-          ? shardedTracker_->observeSegment(
-                request.kind, request.segmentName, request.documentName,
-                request.serviceId, request.text, std::nullopt, request.tenant)
-          : tracker_->observeSegment(request.kind, request.segmentName,
-                                     request.documentName, request.serviceId,
-                                     request.text);
+  const flow::SegmentId id = tracker_->observeSegment(
+      request.kind, request.segmentName, request.documentName,
+      request.serviceId, request.text);
   {
     obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
     policy_->onSegmentObserved(request.segmentName, request.serviceId);
@@ -244,9 +229,7 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request) {
   // 2. Find the sources this text discloses (cached when the fingerprint
   //    is unchanged — the per-keystroke fast path).
   util::Stopwatch lookupWatch;
-  decision.hits = shardedTracker_ != nullptr
-                      ? shardedTracker_->sourcesForSegment(id)
-                      : tracker_->sourcesForSegment(id);
+  decision.hits = tracker_->sourcesForSegment(id);
   if (breakerEnabled) {
     const bool slow = lookupWatch.elapsedMillis() > res.breakerLatencyBudgetMs;
     if (breakerIsOpen_) {
@@ -341,15 +324,9 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request) {
   // regardless. Each boolean health flip writes exactly one audit record,
   // and every decision made inside a degraded window is flagged so the
   // flight recorder retains it.
-  if (durability_ != nullptr || shardedDurability_ != nullptr) {
-    bool durable;
-    if (shardedDurability_ != nullptr) {
-      (void)shardedDurability_->maintain(*shardedTracker_);
-      durable = shardedDurability_->healthy();
-    } else {
-      (void)durability_->maintain(*tracker_);
-      durable = durability_->healthy();
-    }
+  if (durability_ != nullptr) {
+    (void)durability_->maintain(*tracker_);
+    const bool durable = durability_->healthy();
     decision.durabilityDegraded = !durable;
     if (durable != lastDurabilityHealthy_) {
       lastDurabilityHealthy_ = durable;
@@ -366,20 +343,8 @@ void DecisionEngine::setDurability(flow::DurabilityManager* durability) {
   durability_ = durability;
 }
 
-void DecisionEngine::setDurability(flow::ShardedDurabilityManager* durability) {
-  util::MutexLock lock(stateMutex_);
-  shardedDurability_ = durability;
-}
-
-void DecisionEngine::setDurability(std::nullptr_t) {
-  util::MutexLock lock(stateMutex_);
-  durability_ = nullptr;
-  shardedDurability_ = nullptr;
-}
-
 bool DecisionEngine::durabilityHealthy() const {
   util::MutexLock lock(stateMutex_);
-  if (shardedDurability_ != nullptr) return shardedDurability_->healthy();
   return durability_ == nullptr || durability_->healthy();
 }
 
@@ -490,14 +455,11 @@ void DecisionEngine::workerLoop() {
 }
 
 tdm::Label DecisionEngine::lookupLabelForText(
-    sec::SensitiveView text, const std::string& excludeDocument,
-    flow::TenantId tenant) const {
+    sec::SensitiveView text, const std::string& excludeDocument) const {
   util::MutexLock lock(stateMutex_);
   tdm::Label label;
   const std::vector<flow::DisclosureHit> hits =
-      shardedTracker_ != nullptr
-          ? shardedTracker_->checkText(text, excludeDocument, tenant)
-          : tracker_->checkText(text, excludeDocument);
+      tracker_->checkText(text, excludeDocument);
   for (const auto& hit : hits) {
     const tdm::Label* src = policy_->labelOf(hit.sourceName);
     if (src != nullptr) label.addImplicitAll(src->propagatableTags());

@@ -43,8 +43,6 @@
 
 namespace bf::flow {
 class DurabilityManager;
-class ShardedDurabilityManager;
-class ShardedFlowTracker;
 }  // namespace bf::flow
 
 namespace bf::core {
@@ -69,11 +67,6 @@ struct DecisionRequest {
   /// fingerprint, hash or redact it, but cannot log/audit/export it whole.
   sec::SensitiveText text;
   flow::SegmentKind kind = flow::SegmentKind::kParagraph;
-  /// Owning tenant (flow/ids.h). Only honoured by engines built on a
-  /// ShardedFlowTracker: the observation and every disclosure lookup are
-  /// scoped to this tenant (salted hashes, hard query filtering, quotas).
-  /// kDefaultTenant (0) is the single-tenant fast path.
-  flow::TenantId tenant = flow::kDefaultTenant;
   /// Causal trace identity. Invalid (default) means the engine adopts the
   /// caller's ambient trace, or starts a fresh root at this ingress.
   obs::TraceContext trace;
@@ -143,15 +136,6 @@ class DecisionEngine {
   /// `tracker` and `policy` are shared with the plug-in; not owned.
   DecisionEngine(const BrowserFlowConfig& config, flow::FlowTracker* tracker,
                  tdm::TdmPolicy* policy);
-
-  /// Sharded deployment: the engine routes every tracker call through the
-  /// facade's fan-out/merge paths and honours DecisionRequest::tenant.
-  /// Decision outcomes are byte-identical to the unsharded engine for any
-  /// shard count (the facade's merge contract, flow/sharded_tracker.h) —
-  /// except that findSegmentWithFingerprint-style label reuse is not
-  /// available on this path yet (DESIGN.md §16).
-  DecisionEngine(const BrowserFlowConfig& config,
-                 flow::ShardedFlowTracker* tracker, tdm::TdmPolicy* policy);
   ~DecisionEngine();
 
   DecisionEngine(const DecisionEngine&) = delete;
@@ -171,8 +155,7 @@ class DecisionEngine {
   /// the label similarity implies, without registering any segment. Used
   /// for form submissions where the text only exists in an <input>.
   [[nodiscard]] tdm::Label lookupLabelForText(
-      sec::SensitiveView text, const std::string& excludeDocument = {},
-      flow::TenantId tenant = flow::kDefaultTenant) const
+      sec::SensitiveView text, const std::string& excludeDocument = {}) const
       BF_EXCLUDES(stateMutex_);
 
   /// Latency statistics over every decision made so far, derived from the
@@ -242,19 +225,9 @@ class DecisionEngine {
   /// Decision::durabilityDegraded, and each health flip writes one
   /// kDecisionDegraded audit record (kDurabilityDegraded /
   /// kDurabilityRestored) — but the pipeline keeps answering.
+  /// Pass nullptr to detach.
   void setDurability(flow::DurabilityManager* durability)
       BF_EXCLUDES(stateMutex_);
-
-  /// Sharded counterpart: per-shard WAL/checkpoint maintenance driven from
-  /// the decision path, same availability-over-durability contract.
-  /// Requires the engine to have been constructed with a
-  /// ShardedFlowTracker.
-  void setDurability(flow::ShardedDurabilityManager* durability)
-      BF_EXCLUDES(stateMutex_);
-
-  /// Detaches whichever durability manager is attached (disambiguates the
-  /// pointer overloads for literal nullptr callers).
-  void setDurability(std::nullptr_t) BF_EXCLUDES(stateMutex_);
 
   /// False when the attached durability manager stopped persisting
   /// (WAL append failures or a failed checkpoint). True when healthy or
@@ -306,15 +279,10 @@ class DecisionEngine {
   std::atomic<int> maxQueueDepth_;
   std::atomic<double> decisionDeadlineMs_;
   std::atomic<DegradedMode> degradedMode_;
-  // Exactly one of tracker_ / shardedTracker_ is non-null, fixed at
-  // construction; every pipeline tracker call branches on it.
-  flow::FlowTracker* tracker_ = nullptr;
-  flow::ShardedFlowTracker* shardedTracker_ = nullptr;
+  flow::FlowTracker* tracker_;
   tdm::TdmPolicy* policy_;
   SecretGuard* guard_ = nullptr;
   flow::DurabilityManager* durability_ BF_GUARDED_BY(stateMutex_) = nullptr;
-  flow::ShardedDurabilityManager* shardedDurability_
-      BF_GUARDED_BY(stateMutex_) = nullptr;
   /// Last durability health observed on the decision path; a flip in
   /// either direction writes one audit record (not one per decision).
   bool lastDurabilityHealthy_ BF_GUARDED_BY(stateMutex_) = true;

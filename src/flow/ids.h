@@ -14,11 +14,4 @@ inline constexpr SegmentId kInvalidSegment = 0;
 /// tracked independently.
 enum class SegmentKind : std::uint8_t { kParagraph = 0, kDocument = 1 };
 
-/// Tenant (user/org) namespace for multi-tenant deployments. Tenant 0 is
-/// the default tenant: its behaviour is byte-identical to the pre-tenant
-/// single-namespace tracker (no hash salting, no name prefixing).
-using TenantId = std::uint64_t;
-
-inline constexpr TenantId kDefaultTenant = 0;
-
 }  // namespace bf::flow

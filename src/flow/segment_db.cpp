@@ -6,8 +6,7 @@ namespace bf::flow {
 
 SegmentId SegmentDb::create(SegmentKind kind, std::string name,
                             std::string document, std::string service,
-                            double threshold, util::Timestamp now,
-                            TenantId tenant) {
+                            double threshold, util::Timestamp now) {
   assert(byName_.find(name) == byName_.end() && "segment name must be unique");
   const SegmentId id = nextId_++;
   SegmentRecord rec;
@@ -17,7 +16,6 @@ SegmentId SegmentDb::create(SegmentKind kind, std::string name,
   rec.document = std::move(document);
   rec.service = std::move(service);
   rec.threshold = threshold;
-  rec.tenant = tenant;
   rec.createdAt = now;
   rec.updatedAt = now;
   byName_.emplace(std::move(name), id);

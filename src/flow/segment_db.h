@@ -34,9 +34,6 @@ struct SegmentRecord {
   std::string service;
   /// Disclosure threshold for this segment (T_par or T_doc).
   double threshold = 0.5;
-  /// Owning tenant; kDefaultTenant (0) for single-tenant deployments.
-  /// Queries filter on this for hard cross-tenant isolation.
-  TenantId tenant = kDefaultTenant;
   text::Fingerprint fingerprint;
   util::Timestamp createdAt = 0;
   util::Timestamp updatedAt = 0;
@@ -47,8 +44,7 @@ class SegmentDb {
   /// Creates a segment; name must be unique among live segments.
   /// Returns the new id.
   SegmentId create(SegmentKind kind, std::string name, std::string document,
-                   std::string service, double threshold, util::Timestamp now,
-                   TenantId tenant = kDefaultTenant);
+                   std::string service, double threshold, util::Timestamp now);
 
   /// Replaces a segment's fingerprint ("the last fingerprint calculated").
   void updateFingerprint(SegmentId id, text::Fingerprint fp,

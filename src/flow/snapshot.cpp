@@ -22,10 +22,11 @@ constexpr std::string_view kPlainMagic = "BFSNAPP1";
 constexpr std::string_view kEncMagic = "BFSNAPE1";
 constexpr std::string_view kPlainMagicV2 = "BFSNAPP2";
 constexpr std::string_view kEncMagicV2 = "BFSNAPE2";
-// v3 bodies add the tenant id per segment and the lastSeen retention stamp
-// per association. BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 =
-// sequenced + CRC trailer (exportStateV2/checkpoints). v1/v2 blobs still
-// import: their records get tenant 0 and lastSeen = firstSeen.
+// v3 bodies add a u64 tenant slot per segment (always 0: the tracker has
+// one namespace) and the lastSeen retention stamp per association.
+// BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 = sequenced + CRC
+// trailer (exportStateV2/checkpoints). v1/v2 blobs still import, with
+// lastSeen = firstSeen.
 constexpr std::string_view kPlainMagicV3 = "BFSNAPP3";
 constexpr std::string_view kSeqMagicV3 = "BFSNAPS3";
 
@@ -58,7 +59,7 @@ crypto::Key256 deriveMacKey(std::string_view secret) {
 }
 
 /// Serialises the v3 state body (everything after the magic / sequence
-/// header): segment records carry their tenant, associations their
+/// header): segment records carry the zero tenant slot, associations their
 /// lastSeen retention stamp.
 void appendStateBody(const FlowTracker& tracker, std::string& out) {
   // Segments, ordered by id for determinism.
@@ -77,7 +78,7 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
     util::putStr(out, rec->document);
     util::putStr(out, rec->service);
     util::putF64(out, rec->threshold);
-    util::putU64(out, rec->tenant);
+    util::putU64(out, 0);  // tenant slot
     util::putU64(out, rec->createdAt);
     util::putU64(out, rec->updatedAt);
     const auto& grams = rec->fingerprint.grams();
@@ -166,7 +167,11 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
     if (r.ok() && !validThreshold(rec.threshold)) {
       return "threshold out of range for segment '" + rec.name + "'";
     }
-    if (version >= 3) rec.tenant = r.u64();
+    // v3 tenant slot: 0 is the only namespace there is; anything else
+    // names state this tracker cannot honour.
+    if (version >= 3 && r.u64() != 0) {
+      return "nonzero tenant for segment '" + rec.name + "'";
+    }
     rec.createdAt = r.u64();
     rec.updatedAt = r.u64();
     staged.maxTs = std::max({staged.maxTs, rec.createdAt, rec.updatedAt});

@@ -19,9 +19,9 @@
 //    masked CRC32C over everything before the trailer. The sequence links
 //    a checkpoint to the write-ahead log that continues it (flow/wal.h).
 //    Still readable; no longer written.
-//  - v3 plain "BFSNAPP3": magic + v3 body (segment records carry their
-//    tenant id, associations their lastSeen retention stamp). Written by
-//    exportState().
+//  - v3 plain "BFSNAPP3": magic + v3 body (segment records carry a u64
+//    tenant slot, always 0, associations their lastSeen retention stamp).
+//    Written by exportState().
 //  - v3 sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
 //    trailing masked CRC32C. Written by exportStateV2()/saveSnapshot().
 //  - v1 encrypted "BFSNAPE1": magic + nonce + ChaCha20(blob). Readable for
@@ -32,12 +32,12 @@
 //    verified BEFORE decryption (encrypt-then-MAC). The envelope wraps the
 //    inner blob opaquely, so it carries v2 or v3 bodies unchanged.
 //
-// v1/v2 bodies import with tenant 0 and lastSeen = firstSeen — the exact
-// pre-tenant behaviour.
+// v1/v2 bodies import with lastSeen = firstSeen.
 //
 // Every import validates untrusted bytes before they become live records:
-// unknown SegmentKind values and non-finite / out-of-range thresholds
-// reject the whole blob (all-or-nothing, tracker left empty).
+// unknown SegmentKind values, non-finite / out-of-range thresholds and a
+// nonzero v3 tenant slot reject the whole blob (all-or-nothing, tracker
+// left empty).
 #pragma once
 
 #include <cstdint>

@@ -67,10 +67,6 @@ constexpr std::size_t kMaxFingerprintWorkers = 8;
 FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock)
     : config_(config), tape_(clock) {}
 
-FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock,
-                         int lockRank, const char* lockName)
-    : config_(config), mutex_(lockRank, lockName), tape_(clock) {}
-
 void FlowTracker::refreshStoreGauges() const noexcept {
   const Stores& s = stores_[static_cast<std::size_t>(lr_.activeInstance())];
   const TrackerMetrics& m = trackerMetrics();
@@ -165,63 +161,6 @@ SegmentId FlowTracker::observeSegmentIn(Stores& s, WriteAheadLog* wal,
     }
   }
   return id;
-}
-
-void FlowTracker::observeRoutedBatch(const std::vector<RoutedObserve>& ops) {
-  if (ops.empty()) return;
-  const std::uint64_t lockWait = obs::stageStart();
-  util::MutexLock lock(mutex_);
-  obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
-  mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    for (const RoutedObserve& op : ops) observeRoutedIn(s, wal, op);
-  });
-  refreshStoreGauges();
-}
-
-void FlowTracker::observeRoutedIn(Stores& s, WriteAheadLog* wal,
-                                  const RoutedObserve& op) {
-  const SegmentRecord* existing = s.segments.find(op.id);
-  if (existing == nullptr) {
-    SegmentRecord rec;
-    rec.id = op.id;
-    rec.kind = op.kind;
-    rec.name = std::string(op.name);
-    rec.document = std::string(op.document);
-    rec.service = std::string(op.service);
-    rec.threshold = op.overrideThreshold.value_or(op.createThreshold);
-    rec.tenant = op.tenant;
-    const util::Timestamp created = tape_.now();
-    rec.createdAt = created;
-    rec.updatedAt = created;
-    s.segments.restore(std::move(rec));  // explicit id; advances nextId_
-  } else {
-    if (op.overrideThreshold) {
-      s.segments.setThreshold(op.id, *op.overrideThreshold);
-    }
-    // Unchanged partial fingerprint: same per-keystroke fast path as
-    // observeSegmentIn — only an explicit threshold change is durable.
-    if (existing->fingerprint.sameHashes(*op.fingerprint)) {
-      if (wal != nullptr && op.overrideThreshold) {
-        wal->logThresholdChanged(op.name, *op.overrideThreshold);
-      }
-      return;
-    }
-  }
-
-  const util::Timestamp now = tape_.now();
-  HashDb& db = s.hashes[idx(op.kind)];
-  for (std::uint64_t h : op.fingerprint->hashes()) {
-    db.recordObservation(h, op.id, now);
-  }
-  s.segments.updateFingerprint(op.id, *op.fingerprint, now);
-  if (auto it = s.cache.find(op.id); it != s.cache.end()) {
-    it->second.valid = false;
-  }
-  if (wal != nullptr) {
-    if (const SegmentRecord* rec = s.segments.find(op.id); rec != nullptr) {
-      wal->logSegmentObserved(*rec);
-    }
-  }
 }
 
 FlowTracker::DocumentObservation FlowTracker::observeDocument(
@@ -337,31 +276,6 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
   obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().queries->inc();
-  std::vector<DisclosureHit> hits =
-      scoreCandidatesIn(st, target, sourceKind, self, selfDocument,
-                        std::nullopt);
-  std::sort(hits.begin(), hits.end(),
-            [](const DisclosureHit& a, const DisclosureHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.source < b.source;
-            });
-  return hits;
-}
-
-std::vector<DisclosureHit> FlowTracker::partialHits(
-    const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
-    std::string_view selfDocument, TenantId tenant) const {
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  trackerMetrics().queries->inc();
-  util::LeftRightReadGuard guard(lr_);
-  return scoreCandidatesIn(readerStores(guard), target, sourceKind, self,
-                           selfDocument, tenant);
-}
-
-std::vector<DisclosureHit> FlowTracker::scoreCandidatesIn(
-    const Stores& st, const text::Fingerprint& target, SegmentKind sourceKind,
-    SegmentId self, std::string_view selfDocument,
-    std::optional<TenantId> tenant) const {
   std::vector<DisclosureHit> hits;
   if (target.empty()) return hits;
 
@@ -393,7 +307,6 @@ std::vector<DisclosureHit> FlowTracker::scoreCandidatesIn(
     if (c == self) continue;  // "if p = P then continue"
     const SegmentRecord* rec = st.segments.find(c);
     if (rec == nullptr || rec->kind != sourceKind) continue;
-    if (tenant && rec->tenant != *tenant) continue;  // cross-tenant isolation
     if (config_.excludeSameDocument && !selfDocument.empty() &&
         rec->document == selfDocument) {
       continue;
@@ -402,11 +315,9 @@ std::vector<DisclosureHit> FlowTracker::scoreCandidatesIn(
     trackerMetrics().candidates->inc();
     const std::size_t sourceSize = rec->fingerprint.size();
     // Early discard (Algorithm 1): a source needing more overlapping hashes
-    // than the target has cannot meet its threshold. A partial query leaves
-    // this and the thresholds to the facade's cross-shard totals.
-    if (!tenant &&
-        (sourceSize == 0 || static_cast<double>(sourceSize) * rec->threshold >
-                                static_cast<double>(target.size()))) {
+    // than the target has cannot meet its threshold.
+    if (sourceSize == 0 || static_cast<double>(sourceSize) * rec->threshold >
+                               static_cast<double>(target.size())) {
       continue;
     }
     // Authoritative overlap counted from the target side: the hashes this
@@ -421,70 +332,18 @@ std::vector<DisclosureHit> FlowTracker::scoreCandidatesIn(
                     return rec->fingerprint.contains(claim.second);
                   }))
             : text::Fingerprint::intersectionSize(rec->fingerprint, target);
-    if (tenant) {
-      if (overlap > 0) hits.push_back(makeHit(*rec, 0.0, overlap));
-      continue;
-    }
     const double score =
         static_cast<double>(overlap) / static_cast<double>(sourceSize);
     if (isDisclosed(score, overlap, rec->threshold)) {
       hits.push_back(makeHit(*rec, score, overlap));
     }
   }
+  std::sort(hits.begin(), hits.end(),
+            [](const DisclosureHit& a, const DisclosureHit& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.source < b.source;
+            });
   return hits;
-}
-
-std::vector<DisclosureHit> FlowTracker::partialHitsForSegment(
-    SegmentId id) const {
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  const SegmentRecord* rec = st.segments.find(id);
-  if (rec == nullptr) return {};
-  return scoreCandidatesIn(st, rec->fingerprint, rec->kind, id,
-                           rec->document, rec->tenant);
-}
-
-std::size_t FlowTracker::segmentFingerprintSize(SegmentId id) const {
-  util::LeftRightReadGuard guard(lr_);
-  const SegmentRecord* rec = readerStores(guard).segments.find(id);
-  return rec == nullptr ? 0 : rec->fingerprint.size();
-}
-
-std::pair<std::size_t, std::size_t> FlowTracker::partialPairwise(
-    SegmentId source, SegmentId target) const {
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  const SegmentRecord* src = st.segments.find(source);
-  const SegmentRecord* tgt = st.segments.find(target);
-  if (src == nullptr || tgt == nullptr) return {0, 0};
-  std::size_t overlap;
-  if (config_.useAuthoritative) {
-    overlap =
-        authoritativeOverlap(*src, tgt->fingerprint, st.hashes[idx(src->kind)]);
-  } else {
-    overlap = text::Fingerprint::intersectionSize(src->fingerprint,
-                                                  tgt->fingerprint);
-  }
-  return {overlap, src->fingerprint.size()};
-}
-
-std::vector<std::size_t> FlowTracker::matchedGramPositions(
-    SegmentId source, const text::Fingerprint& target) const {
-  std::vector<std::size_t> positions;
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  const SegmentRecord* rec = st.segments.find(source);
-  if (rec == nullptr || target.empty()) return positions;
-  const HashDb& db = st.hashes[idx(rec->kind)];
-  for (const auto& gram : rec->fingerprint.grams()) {
-    if (!target.contains(gram.hash)) continue;
-    if (config_.useAuthoritative) {
-      const auto oldest = db.oldestSegmentWith(gram.hash);
-      if (!oldest || *oldest != source) continue;
-    }
-    positions.push_back(gram.pos);
-  }
-  return positions;
 }
 
 FlowTracker::StoreSizes FlowTracker::storeSizes() const {
@@ -493,13 +352,6 @@ FlowTracker::StoreSizes FlowTracker::storeSizes() const {
   return {st.hashes[idx(SegmentKind::kParagraph)].distinctHashCount(),
           st.hashes[idx(SegmentKind::kDocument)].distinctHashCount(),
           st.segments.size()};
-}
-
-std::optional<SegmentRecord> FlowTracker::segmentCopy(SegmentId id) const {
-  util::LeftRightReadGuard guard(lr_);
-  const SegmentRecord* rec = readerStores(guard).segments.find(id);
-  if (rec == nullptr) return std::nullopt;
-  return *rec;
 }
 
 std::vector<DisclosureHit> FlowTracker::checkText(

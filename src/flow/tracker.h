@@ -110,14 +110,6 @@ class FlowTracker {
   /// even with concurrent observers.
   FlowTracker(TrackerConfig config, util::Clock* clock);
 
-  /// Shard constructor (flow/sharded_tracker.h): same tracker, but the
-  /// writer mutex takes an explicit lock rank so shard i can use
-  /// util::kRankTracker + i — rank-distinct per shard, keeping the lock
-  /// hierarchy honest even though shard mutexes are never nested.
-  /// `lockName` must outlive the tracker (pass a string literal).
-  FlowTracker(TrackerConfig config, util::Clock* clock, int lockRank,
-              const char* lockName);
-
   // ---- Observation (feeding the tracker) ----------------------------------
 
   /// Creates or updates a segment identified by its unique `name` with the
@@ -145,33 +137,6 @@ class FlowTracker {
       sec::SensitiveView fullText,
       std::optional<double> paragraphThreshold = std::nullopt,
       std::optional<double> documentThreshold = std::nullopt)
-      BF_EXCLUDES(mutex_);
-
-  /// One pre-routed observation applied by a sharded facade
-  /// (flow/sharded_tracker.h): the segment id was assigned by the facade
-  /// (the same id is fanned out to every shard, so SegmentIds stay in
-  /// lockstep across shards) and `fingerprint` holds only the grams whose
-  /// hashes route to this shard. Create-or-update semantics mirror
-  /// observeSegment: on create the threshold is
-  /// overrideThreshold.value_or(createThreshold); on update only an
-  /// explicit overrideThreshold changes it.
-  struct RoutedObserve {
-    SegmentId id = kInvalidSegment;
-    SegmentKind kind = SegmentKind::kParagraph;
-    std::string_view name;
-    std::string_view document;
-    std::string_view service;
-    const text::Fingerprint* fingerprint = nullptr;
-    double createThreshold = 0.5;
-    std::optional<double> overrideThreshold;
-    TenantId tenant = kDefaultTenant;
-  };
-
-  /// Applies a batch of pre-routed observations under ONE writer section
-  /// (this shard's mutex only — never another shard's). Used by
-  /// ShardedFlowTracker::observeDocument to apply a document's per-shard
-  /// bucket with a single lock acquisition.
-  void observeRoutedBatch(const std::vector<RoutedObserve>& ops)
       BF_EXCLUDES(mutex_);
 
   /// Removes a segment (and its hash associations, lazily).
@@ -226,52 +191,6 @@ class FlowTracker {
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   attributeDisclosure(SegmentId source, const text::Fingerprint& target) const;
 
-  // ---- Partial (per-shard) queries -----------------------------------------
-  // Used by ShardedFlowTracker's fan-out/merge: each shard reports raw
-  // per-shard overlaps with NO threshold filtering and NO early discard
-  // (a shard only sees a partial fingerprint, so per-shard sizes cannot
-  // decide disclosure); the facade sums overlaps and total fingerprint
-  // sizes across shards and applies thresholds on the totals. All
-  // lock-free left-right reads.
-
-  /// Candidate sources of kind `sourceKind` sharing at least one hash with
-  /// `target` in THIS shard, with per-shard (authoritative) overlaps.
-  /// `hit.score` is left 0 and `hit.sourceFingerprintSize` holds only this
-  /// shard's partial size — both are resolved by the facade at merge time.
-  /// Hits are filtered to `tenant` (hard cross-tenant isolation: salted
-  /// hashes make cross-tenant collisions unlikely; this filter makes them
-  /// impossible).
-  [[nodiscard]] std::vector<DisclosureHit> partialHits(
-      const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
-      std::string_view selfDocument, TenantId tenant) const;
-
-  /// partialHits against this shard's stored partial fingerprint of
-  /// segment `id` (self-excluding, same-document-excluding, tenant taken
-  /// from the record). Empty if the segment is unknown in this shard.
-  [[nodiscard]] std::vector<DisclosureHit> partialHitsForSegment(
-      SegmentId id) const;
-
-  /// Size of this shard's stored partial fingerprint of `id` (0 if
-  /// unknown). Facades sum this across shards for |F(source)|.
-  [[nodiscard]] std::size_t segmentFingerprintSize(SegmentId id) const;
-
-  /// Per-shard {overlap, |F_shard(source)|} between two registered
-  /// segments, honouring useAuthoritative. {0, 0} if either is unknown.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> partialPairwise(
-      SegmentId source, SegmentId target) const;
-
-  /// Byte positions (ascending) of the source grams, stored in this shard,
-  /// that also appear in `target` (with the authority check when
-  /// configured). The facade merge-sorts positions from all shards and
-  /// coalesces them into ranges.
-  [[nodiscard]] std::vector<std::size_t> matchedGramPositions(
-      SegmentId source, const text::Fingerprint& target) const;
-
-  /// Copy of a segment record (nullopt if unknown). Unlike segment(), the
-  /// copy stays valid after the read guard drops, so sharded facades can
-  /// consult metadata without holding anything.
-  [[nodiscard]] std::optional<SegmentRecord> segmentCopy(SegmentId id) const;
-
   /// The registered segment of `document` whose fingerprint has exactly the
   /// same hash set as `fp` (nullopt if none, or if fp is empty). Lets the
   /// upload path recognise "this outgoing text IS that tracked paragraph"
@@ -314,8 +233,7 @@ class FlowTracker {
     return config_;
   }
   /// Store sizes read under a left-right guard — safe against concurrent
-  /// writers, unlike hashDb()/segmentDb(). The sharded facade polls this
-  /// for its per-shard bf_shard_* gauges.
+  /// writers, unlike hashDb()/segmentDb().
   struct StoreSizes {
     std::size_t paragraphHashes = 0;
     std::size_t documentHashes = 0;
@@ -487,26 +405,12 @@ class FlowTracker {
                              std::optional<double> threshold)
       BF_REQUIRES(mutex_);
 
-  /// Routed create-or-update with a facade-assigned explicit id; mirrors
-  /// observeSegmentIn otherwise (WAL-once, cache invalidation, tape time).
-  void observeRoutedIn(Stores& s, WriteAheadLog* wal, const RoutedObserve& op)
-      BF_REQUIRES(mutex_);
-
   void removeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentId id)
       BF_REQUIRES(mutex_);
 
-  /// Pure read of one replica: Algorithm 1's candidate discovery and
-  /// scoring in one pass over the target's hashes, unsorted. Without a
-  /// `tenant` it applies thresholds and the early discard (the full
-  /// query); with one it is a shard's partial query — tenant-filtered raw
-  /// overlaps, no thresholds, no early discard (see partialHits).
-  [[nodiscard]] std::vector<DisclosureHit> scoreCandidatesIn(
-      const Stores& s, const text::Fingerprint& target,
-      SegmentKind sourceKind, SegmentId self, std::string_view selfDocument,
-      std::optional<TenantId> tenant) const;
-
-  /// Pure read of one replica: Algorithm 1 over `s`. Runs under a
-  /// left-right read guard (query paths) or the writer mutex
+  /// Pure read of one replica: Algorithm 1 over `s` — candidate discovery
+  /// and scoring in one pass over the target's hashes, sorted by score.
+  /// Runs under a left-right read guard (query paths) or the writer mutex
   /// (sourcesForSegment's recompute) — either way the replica is quiescent.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSourcesIn(
       const Stores& s, const text::Fingerprint& target,

@@ -296,9 +296,9 @@ void WriteAheadLog::logSegmentObserved(const SegmentRecord& rec) {
     util::putU64(body, g.hash);
     util::putU32(body, g.pos);
   }
-  // Optional trailing field (multi-tenant): absent in pre-tenant logs,
-  // which replay as tenant 0 — the byte-identical legacy behaviour.
-  util::putU64(body, rec.tenant);
+  // Trailing tenant slot, always 0 (the tracker has one namespace). Older
+  // logs omit it; both layouts replay identically.
+  util::putU64(body, 0);
   append(WalRecordType::kSegmentObserved, body);
 }
 
@@ -427,9 +427,9 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
         grams.push_back({hash, pos});
       }
       rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
-      // Optional trailing tenant id: pre-tenant records end here and replay
-      // as tenant 0.
-      if (r.ok() && !r.atEnd()) rec.tenant = r.u64();
+      // Optional trailing tenant slot: older records end here. Only 0 is
+      // honourable; anything else names a namespace this tracker lacks.
+      if (r.ok() && !r.atEnd() && r.u64() != 0) return false;
       if (!r.ok() || !r.atEnd()) return false;
       maxTs = std::max({maxTs, rec.createdAt, rec.updatedAt});
       tracker.replaySegmentObserved(std::move(rec));

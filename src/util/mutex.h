@@ -18,17 +18,7 @@
 //   kRankEngineState   (10)  core::DecisionEngine::stateMutex_
 //   kRankEngineQueue   (20)  core::DecisionEngine::queueMutex_
 //   kRankPendingAudits (30)  core::DecisionEngine::pendingAuditsMutex_
-//   kRankShardStripe   (34)  flow::ShardedFlowTracker per-document stripes
-//                            (held across the whole shard fan-out of one
-//                            document's mutation, so they rank above the
-//                            briefly-held facade mutex acquired inside)
-//   kRankShardedTracker(36)  flow::ShardedFlowTracker::mutex_ (facade
-//                            bookkeeping: name→id index, tenant quotas)
-//   kRankTracker       (40)  flow::FlowTracker::mutex_ — shard i of a
-//                            sharded tracker uses kRankTracker + i, so the
-//                            band [40, 40 + kMaxTrackerShards) is reserved
-//                            (shards are never acquired nested; distinct
-//                            ranks keep the hierarchy honest if they were)
+//   kRankTracker       (40)  flow::FlowTracker::mutex_
 //   kRankWal           (60)  flow::WriteAheadLog::mutex_ (appends run under
 //                            the tracker's exclusive sections)
 //   kRankFaultInjector (62)  cloud::FaultInjector::mutex_
@@ -69,13 +59,7 @@ inline constexpr int kRankUnranked = -1;  ///< exempt from hierarchy checks
 inline constexpr int kRankEngineState = 10;
 inline constexpr int kRankEngineQueue = 20;
 inline constexpr int kRankPendingAudits = 30;
-inline constexpr int kRankShardStripe = 34;
-inline constexpr int kRankShardedTracker = 36;
 inline constexpr int kRankTracker = 40;
-/// Upper bound on tracker shards: shard i's mutex uses kRankTracker + i,
-/// and the band [kRankTracker, kRankTracker + kMaxTrackerShards) must stay
-/// below kRankWal.
-inline constexpr int kMaxTrackerShards = 16;
 inline constexpr int kRankWal = 60;
 inline constexpr int kRankFaultInjector = 62;
 inline constexpr int kRankStorageFault = 65;

@@ -3,13 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <set>
 
 #include "corpus/text_generator.h"
 #include "flow/disclosure.h"
-#include "flow/sharded_tracker.h"
 #include "flow/tracker.h"
 #include "text/segmenter.h"
 #include "util/clock.h"
@@ -367,8 +364,7 @@ ReferenceAnswer referenceQuery(const FlowTracker& tracker,
   return out;
 }
 
-/// Same sources, overlaps, scores and order. Sources are compared by name
-/// so a sharded facade's ids can be checked against a reference tracker's.
+/// Same sources, overlaps, scores and order.
 void expectSameHits(const std::vector<DisclosureHit>& actual,
                     const std::vector<DisclosureHit>& expected,
                     const std::string& where) {
@@ -508,7 +504,7 @@ std::size_t expectTrackerMatchesReference(
   EXPECT_FALSE(ids.empty()) << where;
   std::size_t disclosing = 0;
   for (SegmentId id : ids) {
-    const SegmentRecord rec = *tracker.segmentCopy(id);
+    const SegmentRecord rec = *tracker.segment(id);
     const std::string at = where + " segment=" + rec.name;
     const ReferenceAnswer own =
         referenceQuery(tracker, rec.fingerprint, rec.kind, id, rec.document);
@@ -597,100 +593,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.0, 0.2, 0.5, 1.0),
                        ::testing::Values(std::size_t{20}, std::size_t{150}),
                        ::testing::Bool()));
-
-class ShardedScoringMatchesOracle
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ShardedScoringMatchesOracle, EveryTenantMatchesItsOwnReference) {
-  // Three tenants share one sharded store; each tenant's answers must equal
-  // the oracle over an unsharded tracker holding only that tenant's
-  // history.
-  const std::size_t shards = GetParam();
-  TrackerConfig config;
-  config.defaultParagraphThreshold = 0.2;
-  config.defaultDocumentThreshold = 0.2;
-  ShardedTrackerConfig sharded;
-  sharded.tracker = config;
-  sharded.shards = shards;
-  util::LogicalClock clock;
-  ShardedFlowTracker facade(sharded, &clock);
-
-  constexpr TenantId kTenants = 3;
-  std::vector<std::unique_ptr<util::LogicalClock>> clocks;
-  std::vector<std::unique_ptr<FlowTracker>> references;
-  std::vector<std::vector<StoreOp>> histories;
-  std::vector<std::map<std::string, SegmentId>> facadeIds(kTenants);
-  for (TenantId t = 0; t < kTenants; ++t) {
-    clocks.push_back(std::make_unique<util::LogicalClock>());
-    references.push_back(
-        std::make_unique<FlowTracker>(config, clocks.back().get()));
-    histories.push_back(randomHistory(100 + t, t == 0 ? 90 : 20));
-  }
-
-  // Interleave the tenants' histories step by step.
-  for (std::size_t i = 0;; ++i) {
-    bool any = false;
-    for (TenantId t = 0; t < kTenants; ++t) {
-      if (i >= histories[t].size()) continue;
-      any = true;
-      const StoreOp& op = histories[t][i];
-      apply(*references[t], op);
-      switch (op.kind) {
-        case StoreOp::kObserve:
-          facadeIds[t][op.name] = facade.observeSegment(
-              SegmentKind::kParagraph, op.name, op.document, "svc", op.text,
-              op.threshold, t);
-          break;
-        case StoreOp::kRemove:
-          facade.removeSegmentByName(op.name, t);
-          facadeIds[t].erase(op.name);
-          break;
-        case StoreOp::kObserveDocument: {
-          const auto obs = facade.observeDocument(
-              op.document, "svc", op.text, op.threshold, op.threshold, t);
-          facadeIds[t][op.document] = obs.document;
-          for (std::size_t p = 0; p < obs.paragraphs.size(); ++p) {
-            facadeIds[t][op.document + "#p" + std::to_string(p)] =
-                obs.paragraphs[p];
-          }
-          break;
-        }
-      }
-    }
-    if (!any) break;
-  }
-
-  std::size_t disclosing = 0;
-  for (TenantId t = 0; t < kTenants; ++t) {
-    const FlowTracker& reference = *references[t];
-    const std::string where =
-        "shards=" + std::to_string(shards) + " tenant=" + std::to_string(t);
-    ASSERT_EQ(facadeIds[t].size(), reference.segmentDb().size()) << where;
-    for (const auto& [name, id] : facadeIds[t]) {
-      const SegmentRecord* rec = reference.segmentByName(name);
-      ASSERT_NE(rec, nullptr) << where << " " << name;
-      const ReferenceAnswer expected = referenceQuery(
-          reference, rec->fingerprint, rec->kind, rec->id, rec->document);
-      expectSameHits(facade.sourcesForSegment(id), expected.hits,
-                     where + " segment=" + name);
-      disclosing += expected.hits.empty() ? 0 : 1;
-    }
-    for (const std::string& probe : randomProbes(100 + t)) {
-      for (std::string_view exclude : kExcludes) {
-        const ReferenceAnswer expected =
-            referenceQuery(reference, reference.fingerprintOf(probe),
-                           SegmentKind::kParagraph, kInvalidSegment, exclude);
-        expectSameHits(facade.checkText(probe, exclude, t), expected.hits,
-                       where + " probe exclude=" + std::string(exclude));
-      }
-    }
-  }
-  EXPECT_GT(disclosing, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardSweep, ShardedScoringMatchesOracle,
-                         ::testing::Values(std::size_t{1}, std::size_t{4},
-                                           std::size_t{16}));
 
 }  // namespace
 }  // namespace bf::flow

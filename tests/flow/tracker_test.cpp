@@ -18,18 +18,21 @@ text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
 }
 
 /// Observes segment `id` (its own document, threshold 0) with exactly
-/// `hashes`, through the routed path that takes a ready fingerprint.
+/// `hashes` at time `at`, through the WAL replay path that takes a ready
+/// fingerprint.
 void observeHashes(FlowTracker& tracker, SegmentId id, std::string_view name,
-                   std::initializer_list<std::uint64_t> hashes) {
-  const text::Fingerprint fp = fpOf(hashes);
-  FlowTracker::RoutedObserve op;
-  op.id = id;
-  op.name = name;
-  op.document = name;
-  op.service = "svc";
-  op.fingerprint = &fp;
-  op.createThreshold = 0.0;
-  tracker.observeRoutedBatch({op});
+                   std::initializer_list<std::uint64_t> hashes,
+                   util::Timestamp at) {
+  SegmentRecord rec;
+  rec.id = id;
+  rec.name = std::string(name);
+  rec.document = std::string(name);
+  rec.service = "svc";
+  rec.threshold = 0.0;
+  rec.fingerprint = fpOf(hashes);
+  rec.createdAt = at;
+  rec.updatedAt = at;
+  tracker.replaySegmentObserved(std::move(rec));
 }
 
 class TrackerTest : public ::testing::Test {
@@ -380,8 +383,8 @@ TEST_F(TrackerTest, StaleOwnerCountsOnlyItsCurrentHashes) {
   // DBhash keeps the associations of an overwritten fingerprint, so S is
   // still the oldest owner of hashes 1-3 after its rewrite to {4, 5, 6}.
   // Only the hashes S still contains may count towards its overlap.
-  observeHashes(tracker_, 1, "S", {1, 2, 3});
-  observeHashes(tracker_, 1, "S", {4, 5, 6});
+  observeHashes(tracker_, 1, "S", {1, 2, 3}, 1);
+  observeHashes(tracker_, 1, "S", {4, 5, 6}, 2);
   ASSERT_EQ(tracker_.hashDb().oldestSegmentWith(1), SegmentId{1});
   const text::Fingerprint target = fpOf({1, 2, 3, 4});
   const auto hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
@@ -394,8 +397,8 @@ TEST_F(TrackerTest, StaleOwnerCountsOnlyItsCurrentHashes) {
 }
 
 TEST_F(TrackerTest, RemovedOwnerPassesAuthorityToNextLiveOwner) {
-  observeHashes(tracker_, 1, "A", {1, 2});
-  observeHashes(tracker_, 2, "B", {1, 2, 3});
+  observeHashes(tracker_, 1, "A", {1, 2}, 1);
+  observeHashes(tracker_, 2, "B", {1, 2, 3}, 2);
   const text::Fingerprint target = fpOf({1, 2, 3});
   auto hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
   ASSERT_EQ(hits.size(), 2u);
