@@ -61,8 +61,16 @@ int scanText(core::BrowserFlowPlugin& plugin, const std::string& text,
   }
 
   if (!serviceId.empty()) {
-    const core::Decision d =
-        plugin.decideUploadText(text, "bfscan-input", serviceId);
+    // The same probe the plug-in runs on an XHR upload: every paragraph
+    // and, for a multi-paragraph text, the whole text.
+    core::DecisionRequest probe;
+    probe.segmentName = "bfscan-input/upload";
+    probe.documentName = "bfscan-input";
+    probe.serviceId = serviceId;
+    probe.text = text;
+    probe.requestKind = core::RequestKind::kProbe;
+    probe.ingress = "bfscan";
+    const core::Decision d = plugin.engine().decideText(probe);
     std::printf("\nupload to %s: %s\n", serviceId.c_str(),
                 d.violation() ? "VIOLATION" : "allowed");
     for (const auto& tag : d.violatingTags) {

@@ -1,8 +1,11 @@
 #include "core/decision_engine.h"
 
+#include <algorithm>
+
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "text/segmenter.h"
 #include "util/clock.h"
 #include "util/stopwatch.h"
 
@@ -24,14 +27,33 @@ const char* actionName(Decision::Action action) {
   return "unknown";
 }
 
+/// The action a violation gets under `mode`: the one place the enforcement
+/// mode becomes a verdict.
+Decision::Action violationAction(EnforcementMode mode) {
+  switch (mode) {
+    case EnforcementMode::kWarn:
+      return Decision::Action::kWarn;
+    case EnforcementMode::kBlock:
+      return Decision::Action::kBlock;
+    case EnforcementMode::kEncrypt:
+      return Decision::Action::kEncrypt;
+  }
+  return Decision::Action::kWarn;
+}
+
 /// The trace a decision runs under: the request's own if the ingress set
 /// one, else a child of the caller's ambient trace, else a fresh root.
 obs::TraceContext resolveTrace(const obs::TraceContext& requested) {
   return requested.valid() ? requested : obs::ingressTrace();
 }
 
-}  // namespace
-
+/// Stamps `decision` with provenance ids and reports a DecisionTrace to the
+/// process-wide FlightRecorder (which retains it per its sampling policy;
+/// unretained decisions only consume an id). Called after every decision
+/// WITHOUT stateMutex_ held — the recorder's mutex ranks above the
+/// pipeline locks, and record construction has no business inside the
+/// serialised section. `content` is the checked text; only its redact()
+/// preview is retained in the trace (declassification gate, DESIGN.md §14).
 void recordDecisionProvenance(const char* ingress,
                               std::string_view segmentName,
                               std::string_view documentName,
@@ -78,6 +100,33 @@ void recordDecisionProvenance(const char* ingress,
   record.secretHits = decision.secretHits;
   decision.decisionId = recorder.record(std::move(record));
 }
+
+/// Folds one unit of a decideText() call into the merged decision. The
+/// first unit, and any later one with a more restrictive action, sets the
+/// action and the provenance ids.
+void mergeUnit(Decision& total, Decision&& unit, bool first) {
+  if (first || unit.action > total.action) {
+    total.action = unit.action;
+    total.decisionId = unit.decisionId;
+    total.traceId = unit.traceId;
+  }
+  for (auto& hit : unit.hits) total.hits.push_back(std::move(hit));
+  for (auto& name : unit.secretHits) total.secretHits.push_back(std::move(name));
+  for (auto& tag : unit.violatingTags) {
+    if (std::find(total.violatingTags.begin(), total.violatingTags.end(),
+                  tag) == total.violatingTags.end()) {
+      total.violatingTags.push_back(std::move(tag));
+    }
+  }
+  total.responseTimeMs += unit.responseTimeMs;
+  if (unit.degraded && !total.degraded) {
+    total.degraded = true;
+    total.degradedReason = std::move(unit.degradedReason);
+  }
+  total.durabilityDegraded = total.durabilityDegraded || unit.durabilityDegraded;
+}
+
+}  // namespace
 
 DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
                                flow::FlowTracker* tracker,
@@ -138,15 +187,57 @@ Decision DecisionEngine::decide(const DecisionRequest& request) {
   Decision decision;
   {
     util::MutexLock lock(stateMutex_);
-    decision = decideLocked(request);
+    decision = decideLocked(
+        request, Unit{request.segmentName, request.text, request.kind});
   }
-  // Provenance is reported after the pipeline lock is released: the
-  // recorder's mutex ranks above it, and record construction has no
-  // business inside the serialised section.
   recordDecisionProvenance(request.ingress, request.segmentName,
                            request.documentName, request.serviceId,
                            request.text, trace, stages, decision);
   return decision;
+}
+
+Decision DecisionEngine::decideText(const DecisionRequest& request) {
+  const obs::TraceContext trace = resolveTrace(request.trace);
+  obs::ScopedTraceContext traceScope(trace);
+  const std::vector<text::ParagraphSpan> paragraphs =
+      text::segmentParagraphs(request.text.raw());
+  std::vector<Unit> units;
+  units.reserve(paragraphs.size() + 1);
+  for (const auto& para : paragraphs) {
+    units.push_back(Unit{request.segmentName + "#p" + std::to_string(para.index),
+                         para.text, flow::SegmentKind::kParagraph});
+  }
+  if (paragraphs.size() > 1) {
+    units.push_back(
+        Unit{request.segmentName, request.text, flow::SegmentKind::kDocument});
+  }
+
+  std::vector<Decision> decisions(units.size());
+  std::vector<obs::StageBreakdown> stages(units.size());
+  {
+    util::MutexLock lock(stateMutex_);
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      obs::ScopedStageCollector collector(&stages[i]);
+      decisions[i] = decideLocked(request, units[i]);
+    }
+    if (request.requestKind == RequestKind::kObserve) {
+      // Drop paragraphs left over from an earlier, longer text.
+      for (std::size_t i = paragraphs.size();; ++i) {
+        const std::string name = request.segmentName + "#p" + std::to_string(i);
+        if (tracker_->segmentByName(name) == nullptr) break;
+        tracker_->removeSegmentByName(name);
+        policy_->forgetSegment(name);
+      }
+    }
+  }
+  Decision total;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    recordDecisionProvenance(request.ingress, units[i].segmentName,
+                             request.documentName, request.serviceId,
+                             units[i].text, trace, stages[i], decisions[i]);
+    mergeUnit(total, std::move(decisions[i]), i == 0);
+  }
+  return total;
 }
 
 Decision DecisionEngine::buildDegraded(const char* reason) {
@@ -162,13 +253,13 @@ Decision DecisionEngine::buildDegraded(const char* reason) {
   return decision;
 }
 
-Decision DecisionEngine::makeDegradedLocked(const DecisionRequest& request,
+Decision DecisionEngine::makeDegradedLocked(std::string_view segmentName,
+                                            std::string_view serviceId,
                                             const char* reason) {
   // Degradation is never silent: every degraded answer leaves an audit
   // record, so fail-open windows can be reviewed after the fact.
   Decision decision = buildDegraded(reason);
-  policy_->recordDegradedDecision(request.segmentName, request.serviceId,
-                                  reason);
+  policy_->recordDegradedDecision(segmentName, serviceId, reason);
   return decision;
 }
 
@@ -197,116 +288,47 @@ void DecisionEngine::setResilience(const ResilienceConfig& resilience) {
   degradedMode_.store(resilience.degradedMode, std::memory_order_relaxed);
 }
 
-Decision DecisionEngine::decideLocked(const DecisionRequest& request) {
+Decision DecisionEngine::decideLocked(const DecisionRequest& request,
+                                      const Unit& unit) {
   obs::ScopedSpan span("engine.decide");
-  span.addAttr("bytes", request.text.size());
-  const ResilienceConfig& res = config_.resilience;
-  const bool breakerEnabled = res.breakerLatencyBudgetMs > 0.0;
+  span.addAttr("bytes", unit.text.size());
 
   // While the breaker is open the disclosure lookup is presumed unhealthy:
   // skip the pipeline entirely and answer degraded, until the skip
   // allowance is spent — then fall through once as a half-open probe.
-  if (breakerEnabled && breakerIsOpen_ && breakerSkipsRemaining_ > 0) {
+  if (config_.resilience.breakerLatencyBudgetMs > 0.0 && breakerIsOpen_ &&
+      breakerSkipsRemaining_ > 0) {
     --breakerSkipsRemaining_;
     span.addAttr("degraded", 1);
-    return makeDegradedLocked(request, "breaker-open: lookup skipped");
+    return makeDegradedLocked(unit.segmentName, request.serviceId,
+                              "breaker-open: lookup skipped");
   }
 
   util::Stopwatch watch;
   Decision decision;
-
   // ---- Policy lookup module -------------------------------------------------
-  // 1. The text now exists in this segment of this service: observe it.
-  //    First observation assigns the service's Lc as explicit tags.
-  const flow::SegmentId id = tracker_->observeSegment(
-      request.kind, request.segmentName, request.documentName,
-      request.serviceId, request.text);
-  {
-    obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
-    policy_->onSegmentObserved(request.segmentName, request.serviceId);
+  const tdm::UploadDecision check =
+      request.requestKind == RequestKind::kObserve
+          ? observeLocked(request, unit, decision)
+          : probeLocked(request, unit, decision);
+
+  // ---- Policy enforcement module ---------------------------------------------
+  if (!check.allowed) {
+    decision.violatingTags = check.violatingTags;
+    decision.action = violationAction(mode_.load(std::memory_order_relaxed));
   }
-
-  // 2. Find the sources this text discloses (cached when the fingerprint
-  //    is unchanged — the per-keystroke fast path).
-  util::Stopwatch lookupWatch;
-  decision.hits = tracker_->sourcesForSegment(id);
-  if (breakerEnabled) {
-    const bool slow = lookupWatch.elapsedMillis() > res.breakerLatencyBudgetMs;
-    if (breakerIsOpen_) {
-      // Half-open probe: one healthy lookup closes the breaker, a slow one
-      // re-arms the skip allowance.
-      if (slow) {
-        breakerSkipsRemaining_ = res.breakerOpenDecisions;
-      } else {
-        breakerIsOpen_ = false;
-        consecutiveSlowLookups_ = 0;
-        breakerOpenGauge_->set(0.0);
-      }
-    } else if (slow) {
-      if (++consecutiveSlowLookups_ >= res.breakerTripThreshold) {
-        breakerIsOpen_ = true;
-        breakerSkipsRemaining_ = res.breakerOpenDecisions;
-        breakerTrips_->inc();
-        breakerOpenGauge_->set(1.0);
-      }
-    } else {
-      consecutiveSlowLookups_ = 0;
+  // Capture the labels the check consulted, but only when the flight
+  // recorder will retain this decision — the TagSet copies are wasted work
+  // otherwise.
+  if (obs::provenanceEnabled() &&
+      (obs::currentTrace().sampled || decision.violation())) {
+    for (const auto& tag : check.label.effectiveTags()) {
+      decision.labelsConsulted.push_back("segment:" + tag);
     }
-  }
-
-  // 3. The segment's implicit tags become exactly the explicit tags of its
-  //    CURRENT disclosing sources (paper S3.2): new disclosure attaches
-  //    taint, and edits that removed all resemblance shed it.
-  {
-    obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
-    std::vector<std::string> sourceNames;
-    sourceNames.reserve(decision.hits.size());
-    for (const auto& hit : decision.hits) sourceNames.push_back(hit.sourceName);
-    policy_->refreshImplicitTags(request.segmentName, sourceNames);
-
-    // 3b. Exact-match pass for short secrets (S4.4): each hit attaches the
-    //     secret's tag as an implicit tag, sharing the refresh lifecycle —
-    //     deleting the secret from the text sheds the tag on the next edit.
-    if (guard_ != nullptr) {
-      for (const auto& hit : guard_->scan(request.text)) {
-        policy_->addImplicitTag(request.segmentName, hit.tag);
-        decision.secretHits.push_back(hit.name);
-      }
-    }
-
-    // ---- Policy enforcement module -------------------------------------------
-    const tdm::UploadDecision check =
-        policy_->checkUpload(request.segmentName, request.serviceId);
-    if (check.allowed) {
-      decision.action = Decision::Action::kAllow;
-    } else {
-      decision.violatingTags = check.violatingTags;
-      switch (mode_.load(std::memory_order_relaxed)) {
-        case EnforcementMode::kWarn:
-          decision.action = Decision::Action::kWarn;
-          break;
-        case EnforcementMode::kBlock:
-          decision.action = Decision::Action::kBlock;
-          break;
-        case EnforcementMode::kEncrypt:
-          decision.action = Decision::Action::kEncrypt;
-          break;
-      }
-    }
-
-    // Capture the labels the check consulted, but only when the flight
-    // recorder will retain this decision — the TagSet copies are wasted
-    // work otherwise.
-    if (obs::provenanceEnabled() &&
-        (obs::currentTrace().sampled || decision.violation())) {
-      for (const auto& tag : check.label.effectiveTags()) {
-        decision.labelsConsulted.push_back("segment:" + tag);
-      }
-      if (const tdm::ServiceInfo* svc =
-              policy_->services().find(request.serviceId)) {
-        for (const auto& tag : svc->privilege) {
-          decision.labelsConsulted.push_back("privilege:" + tag);
-        }
+    if (const tdm::ServiceInfo* svc =
+            policy_->services().find(request.serviceId)) {
+      for (const auto& tag : svc->privilege) {
+        decision.labelsConsulted.push_back("privilege:" + tag);
       }
     }
   }
@@ -331,11 +353,127 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request) {
     if (durable != lastDurabilityHealthy_) {
       lastDurabilityHealthy_ = durable;
       policy_->recordDegradedDecision(
-          request.segmentName, request.serviceId,
+          unit.segmentName, request.serviceId,
           durable ? kDurabilityRestored : kDurabilityDegraded);
     }
   }
   return decision;
+}
+
+tdm::UploadDecision DecisionEngine::observeLocked(const DecisionRequest& request,
+                                                  const Unit& unit,
+                                                  Decision& decision) {
+  // 1. The text now exists in this segment of this service: observe it.
+  //    First observation assigns the service's Lc as explicit tags.
+  const flow::SegmentId id =
+      tracker_->observeSegment(unit.kind, unit.segmentName,
+                               request.documentName, request.serviceId,
+                               unit.text);
+  {
+    obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
+    policy_->onSegmentObserved(unit.segmentName, request.serviceId);
+  }
+
+  // 2. Find the sources this text discloses (cached when the fingerprint
+  //    is unchanged — the per-keystroke fast path).
+  util::Stopwatch lookupWatch;
+  decision.hits = tracker_->sourcesForSegment(id);
+  noteLookupLocked(lookupWatch.elapsedMillis());
+
+  // 3. The segment's implicit tags become exactly the explicit tags of its
+  //    CURRENT disclosing sources (paper S3.2): new disclosure attaches
+  //    taint, and edits that removed all resemblance shed it.
+  obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
+  std::vector<std::string> sourceNames;
+  sourceNames.reserve(decision.hits.size());
+  for (const auto& hit : decision.hits) sourceNames.push_back(hit.sourceName);
+  policy_->refreshImplicitTags(unit.segmentName, sourceNames);
+
+  // 3b. Exact-match pass for short secrets (S4.4): each hit attaches the
+  //     secret's tag as an implicit tag, sharing the refresh lifecycle —
+  //     deleting the secret from the text sheds the tag on the next edit.
+  if (guard_ != nullptr) {
+    for (const auto& hit : guard_->scan(unit.text)) {
+      policy_->addImplicitTag(unit.segmentName, hit.tag);
+      decision.secretHits.push_back(hit.name);
+    }
+  }
+  return policy_->checkUpload(unit.segmentName, request.serviceId);
+}
+
+tdm::UploadDecision DecisionEngine::probeLocked(const DecisionRequest& request,
+                                                const Unit& unit,
+                                                Decision& decision) {
+  if (unit.text.empty()) {
+    // By name: a registered segment (e.g. a page's document segment, kept
+    // fresh by the mutation path) decides with its own label.
+    obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
+    return policy_->checkUpload(unit.segmentName, request.serviceId);
+  }
+  text::Fingerprint fp;
+  {
+    obs::StageTimer fpTimer(obs::Stage::kFingerprint);
+    fp = tracker_->fingerprintOf(unit.text);
+  }
+  util::Stopwatch lookupWatch;
+  decision.hits = tracker_->disclosedSources(fp, unit.kind, flow::kInvalidSegment,
+                                             request.documentName);
+  noteLookupLocked(lookupWatch.elapsedMillis());
+
+  obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
+  if (const std::optional<flow::SegmentRecord> seg =
+          tracker_->findSegmentWithFingerprint(request.documentName, fp,
+                                               unit.kind)) {
+    // The outgoing text is a tracked segment of this document: its
+    // registered label (implicit tags, user suppressions) decides.
+    return policy_->checkUpload(seg->name, request.serviceId);
+  }
+  // Unregistered text: build the label the text would get — the disclosing
+  // sources' explicit tags as implicit, plus the destination's Lc for text
+  // being created there.
+  tdm::Label label;
+  for (const auto& hit : decision.hits) {
+    if (const tdm::Label* src = policy_->labelOf(hit.sourceName)) {
+      label.addImplicitAll(src->propagatableTags());
+    }
+  }
+  if (const tdm::ServiceInfo* svc = policy_->services().find(request.serviceId)) {
+    for (const tdm::Tag& t : svc->confidentiality) label.addExplicit(t);
+  }
+  // Exact-match pass for short secrets (S4.4).
+  if (guard_ != nullptr) {
+    for (const auto& hit : guard_->scan(unit.text)) {
+      label.addImplicit(hit.tag);
+      decision.secretHits.push_back(hit.name);
+    }
+  }
+  return policy_->checkLabel(label, request.serviceId);
+}
+
+void DecisionEngine::noteLookupLocked(double lookupMs) {
+  const ResilienceConfig& res = config_.resilience;
+  if (res.breakerLatencyBudgetMs <= 0.0) return;
+  const bool slow = lookupMs > res.breakerLatencyBudgetMs;
+  if (breakerIsOpen_) {
+    // Half-open probe: one healthy lookup closes the breaker, a slow one
+    // re-arms the skip allowance.
+    if (slow) {
+      breakerSkipsRemaining_ = res.breakerOpenDecisions;
+    } else {
+      breakerIsOpen_ = false;
+      consecutiveSlowLookups_ = 0;
+      breakerOpenGauge_->set(0.0);
+    }
+  } else if (slow) {
+    if (++consecutiveSlowLookups_ >= res.breakerTripThreshold) {
+      breakerIsOpen_ = true;
+      breakerSkipsRemaining_ = res.breakerOpenDecisions;
+      breakerTrips_->inc();
+      breakerOpenGauge_->set(1.0);
+    }
+  } else {
+    consecutiveSlowLookups_ = 0;
+  }
 }
 
 void DecisionEngine::setDurability(flow::DurabilityManager* durability) {
@@ -431,20 +569,23 @@ void DecisionEngine::workerLoop() {
     obs::StageBreakdown stages;
     obs::ScopedStageCollector collector(&stages);
     obs::recordStage(obs::Stage::kQueueWait, waitedNanos);
+    const DecisionRequest& request = item.request;
     Decision d;
     {
       util::MutexLock lock(stateMutex_);
       flushPendingAuditsLocked();
       if (expired) {
         deadlineTotal_->inc();
-        d = makeDegradedLocked(item.request, "deadline: queued past budget");
+        d = makeDegradedLocked(request.segmentName, request.serviceId,
+                               "deadline: queued past budget");
       } else {
-        d = decideLocked(item.request);
+        d = decideLocked(
+            request, Unit{request.segmentName, request.text, request.kind});
       }
     }
-    recordDecisionProvenance(item.request.ingress, item.request.segmentName,
-                             item.request.documentName, item.request.serviceId,
-                             item.request.text, trace, stages, d);
+    recordDecisionProvenance(request.ingress, request.segmentName,
+                             request.documentName, request.serviceId,
+                             request.text, trace, stages, d);
     item.promise.set_value(std::move(d));
     {
       util::MutexLock lock(queueMutex_);
@@ -452,19 +593,6 @@ void DecisionEngine::workerLoop() {
     }
     idleCv_.notifyAll();
   }
-}
-
-tdm::Label DecisionEngine::lookupLabelForText(
-    sec::SensitiveView text, const std::string& excludeDocument) const {
-  util::MutexLock lock(stateMutex_);
-  tdm::Label label;
-  const std::vector<flow::DisclosureHit> hits =
-      tracker_->checkText(text, excludeDocument);
-  for (const auto& hit : hits) {
-    const tdm::Label* src = policy_->labelOf(hit.sourceName);
-    if (src != nullptr) label.addImplicitAll(src->propagatableTags());
-  }
-  return label;
 }
 
 DecisionEngine::LatencySummary DecisionEngine::latencySummary() const {

@@ -1,12 +1,19 @@
 // DecisionEngine — BrowserFlow's two in-plugin modules (paper Fig. 1):
 //
 //  - the POLICY LOOKUP module "extracts the security label associated with
-//    the text segment being uploaded": it observes the text in the flow
-//    tracker, finds disclosing sources by similarity, and folds their
-//    explicit tags into the segment's label as implicit tags;
+//    the text segment being uploaded": it finds the sources the text
+//    discloses by similarity and folds their explicit tags into the label
+//    as implicit tags;
 //  - the POLICY ENFORCEMENT module "uses the security label to reason about
 //    the compliance of the data propagation": the Li ⊆ Lp check plus the
 //    configured action (warn / block / encrypt).
+//
+// Every verdict of the plug-in is made here, whatever the ingress (DOM
+// mutation, form submit, XHR send): each text unit runs the same mode →
+// action mapping, circuit breaker, latency and action counters,
+// durability flag and flight-recorder record. A request either OBSERVES
+// text (registers it as a segment and refreshes its label) or PROBES it
+// (decides without changing the tracker or the policy).
 //
 // Decisions can run synchronously or on a worker thread; either way each
 // decision's response time is recorded, which is what Figs. 12/13 measure.
@@ -54,8 +61,22 @@ namespace bf::core {
 inline constexpr const char kDurabilityDegraded[] = "durability-degraded";
 inline constexpr const char kDurabilityRestored[] = "durability-restored";
 
+/// What a request asks of the engine.
+enum class RequestKind : std::uint8_t {
+  /// The text now exists in segment `segmentName`: register it, refresh
+  /// its implicit tags, check the flow rule (DOM mutations, form drafts).
+  kObserve,
+  /// May this text leave for `serviceId`? Changes neither tracker nor
+  /// policy. A registered segment of `documentName` with the same
+  /// fingerprint decides with its own label (suppressions included); else
+  /// the label comes from the disclosing sources' propagatable tags, the
+  /// destination's Lc and secret hits. Empty text checks the registered
+  /// segment `segmentName` by name (XHR uploads, offline tools).
+  kProbe,
+};
+
 /// One unit of work: "this text now exists in segment X of service Y; may
-/// it be uploaded there?"
+/// it be uploaded there?" (observe), or "may it go to Y?" (probe).
 struct DecisionRequest {
   /// Stable segment name, e.g. "https://docs.google.com/d/1#n4".
   std::string segmentName;
@@ -73,10 +94,13 @@ struct DecisionRequest {
   /// Ingress label recorded in the flight recorder ("plugin.paragraph",
   /// "dlp.appliance", ...). Must be a string literal.
   const char* ingress = "engine.decide";
+  RequestKind requestKind = RequestKind::kObserve;
 };
 
 struct Decision {
-  enum class Action { kAllow, kWarn, kBlock, kEncrypt };
+  /// Ordered from least to most restrictive: enforcing several decisions
+  /// at once means enforcing their std::max.
+  enum class Action { kAllow, kWarn, kEncrypt, kBlock };
   Action action = Action::kAllow;
   [[nodiscard]] bool violation() const noexcept {
     return action != Action::kAllow;
@@ -114,23 +138,6 @@ struct Decision {
   std::vector<std::string> labelsConsulted;
 };
 
-/// Stamps `decision` with provenance ids and reports a DecisionTrace to the
-/// process-wide FlightRecorder (which retains it per its sampling policy;
-/// unretained decisions only consume an id). Used by the engine after every
-/// decision, and by plugin paths that bypass decide() (XHR upload checks).
-/// Call WITHOUT stateMutex_ held — the recorder's mutex ranks above the
-/// pipeline locks, but record construction should stay off the serialised
-/// section. `content` is the checked text; only its redact() preview is
-/// retained in the trace (declassification gate, DESIGN.md §14).
-void recordDecisionProvenance(const char* ingress,
-                              std::string_view segmentName,
-                              std::string_view documentName,
-                              std::string_view serviceId,
-                              sec::SensitiveView content,
-                              const obs::TraceContext& trace,
-                              const obs::StageBreakdown& stages,
-                              Decision& decision);
-
 class DecisionEngine {
  public:
   /// `tracker` and `policy` are shared with the plug-in; not owned.
@@ -141,8 +148,19 @@ class DecisionEngine {
   DecisionEngine(const DecisionEngine&) = delete;
   DecisionEngine& operator=(const DecisionEngine&) = delete;
 
-  /// Runs the full lookup + enforcement pipeline inline.
+  /// Decides one unit of `request.kind` granularity inline.
   Decision decide(const DecisionRequest& request) BF_EXCLUDES(stateMutex_);
+
+  /// Decides a text inline under one stateMutex_ acquisition: each
+  /// paragraph is a unit "<segmentName>#p<i>" and, when there are several,
+  /// the whole text is a document unit `segmentName` (paper S4.1's two
+  /// granularities; `request.kind` is ignored). Observe also removes
+  /// "#p<i>" segments left by an earlier, longer text. Each unit is a full
+  /// decision with its own flight-recorder record; the result has the
+  /// most restrictive action (and that unit's provenance ids), every hit
+  /// and secret hit, the violating tags once each, and is degraded /
+  /// durabilityDegraded if any unit was.
+  Decision decideText(const DecisionRequest& request) BF_EXCLUDES(stateMutex_);
 
   /// Queues the request for the worker thread (started lazily).
   std::future<Decision> decideAsync(DecisionRequest request)
@@ -150,13 +168,6 @@ class DecisionEngine {
 
   /// Blocks until the worker queue is empty (test/bench synchronisation).
   void drain() BF_EXCLUDES(queueMutex_, stateMutex_);
-
-  /// Lookup-only path for text that is not (yet) hosted anywhere: builds
-  /// the label similarity implies, without registering any segment. Used
-  /// for form submissions where the text only exists in an <input>.
-  [[nodiscard]] tdm::Label lookupLabelForText(
-      sec::SensitiveView text, const std::string& excludeDocument = {}) const
-      BF_EXCLUDES(stateMutex_);
 
   /// Latency statistics over every decision made so far, derived from the
   /// bf_decision_latency_ms histogram — what Figs. 12/13 measure.
@@ -200,8 +211,9 @@ class DecisionEngine {
 
   /// Serialises direct tracker/policy access with the engine's worker
   /// thread. Any caller that touches the shared stores WITHOUT going
-  /// through decide()/decideAsync() must hold this while doing so.
-  /// Never hold it across a decide() call — that deadlocks.
+  /// through decide()/decideText()/decideAsync() must hold this while
+  /// doing so (administration: removals, bulk observation, suppression).
+  /// Never hold it across a decide call — that deadlocks.
   /// Thread-safety analysis cannot track a capability through the returned
   /// handle, so the acquisition is deliberately unchecked here; the
   /// runtime lock-rank assertion still applies.
@@ -250,16 +262,36 @@ class DecisionEngine {
     std::uint64_t enqueuedTicks = 0;  ///< util::fastTicks() at enqueue
   };
 
+  /// One text unit of a request: the request's own text, or a paragraph
+  /// or the whole of a decideText() text.
+  struct Unit {
+    std::string segmentName;
+    sec::SensitiveView text;
+    flow::SegmentKind kind;
+  };
+
   void workerLoop() BF_EXCLUDES(queueMutex_, stateMutex_);
-  Decision decideLocked(const DecisionRequest& request)
+  /// Breaker, lookup, enforcement, counters and durability for one unit.
+  Decision decideLocked(const DecisionRequest& request, const Unit& unit)
       BF_REQUIRES(stateMutex_);
+  /// The lookup halves: fill `decision`'s hits and secret hits and return
+  /// the flow check of the unit's label.
+  tdm::UploadDecision observeLocked(const DecisionRequest& request,
+                                    const Unit& unit, Decision& decision)
+      BF_REQUIRES(stateMutex_);
+  tdm::UploadDecision probeLocked(const DecisionRequest& request,
+                                  const Unit& unit, Decision& decision)
+      BF_REQUIRES(stateMutex_);
+  /// Feeds one disclosure-lookup latency to the circuit breaker.
+  void noteLookupLocked(double lookupMs) BF_REQUIRES(stateMutex_);
   /// Builds a degraded decision (action per ResilienceConfig::degradedMode)
   /// and bumps bf_decision_degraded_total. Takes no locks.
   Decision buildDegraded(const char* reason);
   /// buildDegraded + the kDecisionDegraded audit record (the audit log is
   /// part of the shared policy state).
-  Decision makeDegradedLocked(const DecisionRequest& request,
-                              const char* reason) BF_REQUIRES(stateMutex_);
+  Decision makeDegradedLocked(std::string_view segmentName,
+                              std::string_view serviceId, const char* reason)
+      BF_REQUIRES(stateMutex_);
   /// Writes buffered shed-audit records to the policy. The shed path itself
   /// cannot audit inline: shedding exists because the pipeline (and its
   /// mutex) is saturated, so it buffers the record and the next stateMutex_

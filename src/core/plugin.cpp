@@ -5,14 +5,11 @@
 #include "browser/forms.h"
 #include "browser/readability.h"
 #include "obs/metrics.h"
-#include "obs/stage.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "text/segmenter.h"
 #include "util/hashing.h"
 #include "util/json_text.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace bf::core {
@@ -141,8 +138,8 @@ void BrowserFlowPlugin::handleMutations(
   }
 }
 
-Decision BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
-                                               browser::Node* paragraph) {
+void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
+                                           browser::Node* paragraph) {
   // Ingress point: the mutation path is where a decision's causal story
   // starts, so the trace context is created before the span that uses it.
   const obs::TraceContext trace = obs::ingressTrace();
@@ -173,11 +170,10 @@ Decision BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
     // Paper S6.2: the user keeps typing; the decision arrives off the main
     // path and the highlight is applied at the next idle point.
     hooks.pending.emplace_back(paragraph, engine_.decideAsync(req));
-    return Decision{};
+    return;
   }
-  const Decision d = engine_.decide(req);
-  applyParagraphDecision(paragraph, req.segmentName, req.serviceId, d);
-  return d;
+  applyParagraphDecision(paragraph, req.segmentName, req.serviceId,
+                         engine_.decide(req));
 }
 
 void BrowserFlowPlugin::applyParagraphDecision(browser::Node* paragraph,
@@ -252,33 +248,43 @@ void BrowserFlowPlugin::installFormListener(PageHooks& hooks,
         "bf_plugin_form_submissions_total",
         "Form submissions intercepted with user text");
     formsCounter.inc();
-    const Decision d = decideFormDraft(page, combined);
+    // The form content becomes the page's draft segments (text in a
+    // service's tab is "observed in" that service): "<url>/draft#p<i>" per
+    // paragraph plus the "<url>/draft" document, which is what
+    // suppressTag() takes to declassify form content.
+    DecisionRequest draft;
+    draft.segmentName = page.url() + "/draft";
+    draft.documentName = draft.segmentName;
+    draft.serviceId = page.origin();
+    draft.text = std::move(combined);
+    draft.ingress = "plugin.form";
+    const Decision d = engine_.decideText(draft);
     if (!d.violation()) {
       return;  // default submission proceeds; drafts are already tracked
     }
 
-    recordViolation(page.url() + "/draft", page.origin(), d, combined);
-    const std::string preview = sec::redact(combined).text;
-    switch (config_.mode) {
-      case EnforcementMode::kWarn:
+    recordViolation(draft.segmentName, page.origin(), d, draft.text);
+    switch (d.action) {
+      case Decision::Action::kAllow:
+      case Decision::Action::kWarn:
         // Advisory model: surface the warning, let the upload proceed.
         break;
-      case EnforcementMode::kBlock:
+      case Decision::Action::kBlock:
         event.preventDefault();
-        policy_.audit().append(
-            {tdm::AuditRecord::Kind::kUploadBlocked, clock_->now(), "",
-             tdm::Tag{}, page.url() + "/form", page.origin(), preview});
+        appendAudit({tdm::AuditRecord::Kind::kUploadBlocked, clock_->now(), "",
+                     tdm::Tag{}, page.url() + "/form", page.origin(),
+                     sec::redact(draft.text).text});
         break;
-      case EnforcementMode::kEncrypt:
+      case Decision::Action::kEncrypt:
         // Seal every non-hidden value; the default submission then carries
         // ciphertext only.
         for (browser::Node* input : inputs) {
           const std::string v = input->attribute("value");
           if (!v.empty()) input->setAttribute("value", sealer_.seal(v));
         }
-        policy_.audit().append(
-            {tdm::AuditRecord::Kind::kUploadEncrypted, clock_->now(), "",
-             tdm::Tag{}, page.url() + "/form", page.origin(), preview});
+        appendAudit({tdm::AuditRecord::Kind::kUploadEncrypted, clock_->now(),
+                     "", tdm::Tag{}, page.url() + "/form", page.origin(),
+                     sec::redact(draft.text).text});
         break;
     }
   });
@@ -316,240 +322,70 @@ void BrowserFlowPlugin::installXhrInterceptor(browser::Page& page) {
     // below branch child spans off it.
     const obs::TraceContext trace = obs::ingressTrace();
     obs::ScopedTraceContext traceScope(trace);
+    obs::ScopedSpan span("plugin.upload_check");
 
-    bool anyViolation = false;
+    // Each field is probed (paragraphs, and the whole field when it has
+    // several); the most restrictive verdict is enforced.
+    const std::string& url = pagePtr->url();
+    const std::string& origin = pagePtr->origin();
+    Decision::Action action = Decision::Action::kAllow;
     std::vector<bool> violates(fields.size(), false);
     for (std::size_t i = 0; i < fields.size(); ++i) {
-      Decision d =
-          decideUploadText(fields[i].text, pagePtr->url(), pagePtr->origin());
+      DecisionRequest probe;
+      probe.segmentName = url + "/xhr";
+      probe.documentName = url;
+      probe.serviceId = origin;
+      probe.text = fields[i].text;
+      probe.requestKind = RequestKind::kProbe;
+      probe.ingress = "plugin.upload";
+      const Decision d = engine_.decideText(probe);
+      action = std::max(action, d.action);
       if (d.violation()) {
-        anyViolation = true;
         violates[i] = true;
-        recordViolation(pagePtr->url() + "/xhr", pagePtr->origin(), d,
-                        fields[i].text);
+        recordViolation(probe.segmentName, origin, d, fields[i].text);
       }
     }
     // Cumulative document-level check: the page's document segment (kept
-    // fresh by the mutation path) may violate even when the single
-    // uploaded paragraph does not.
-    if (!anyViolation &&
-        policy_.labelOf(pagePtr->url()) != nullptr) {
-      obs::StageBreakdown docStages;
-      tdm::UploadDecision docCheck;
-      {
-        obs::ScopedStageCollector docCollector(&docStages);
-        obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
-        const auto stateLock = engine_.lockState();
-        docCheck = policy_.checkUpload(pagePtr->url(), pagePtr->origin());
-      }
-      if (!docCheck.allowed) {
-        anyViolation = true;
-        Decision d;
-        d.violatingTags = docCheck.violatingTags;
-        d.action = config_.mode == EnforcementMode::kBlock
-                       ? Decision::Action::kBlock
-                   : config_.mode == EnforcementMode::kEncrypt
-                       ? Decision::Action::kEncrypt
-                       : Decision::Action::kWarn;
-        recordDecisionProvenance("plugin.upload_document", pagePtr->url(),
-                                 pagePtr->url(), pagePtr->origin(),
-                                 req.body, obs::ingressTrace(),
-                                 docStages, d);
-        recordViolation(pagePtr->url() + "/xhr(document)", pagePtr->origin(),
-                        d, req.body);
+    // fresh by the mutation path) may violate even when the uploaded
+    // paragraphs do not.
+    if (action == Decision::Action::kAllow) {
+      DecisionRequest document;
+      document.segmentName = url;
+      document.documentName = url;
+      document.serviceId = origin;
+      document.kind = flow::SegmentKind::kDocument;
+      document.requestKind = RequestKind::kProbe;
+      document.ingress = "plugin.upload_document";
+      const Decision d = engine_.decide(document);
+      action = d.action;
+      if (d.violation()) {
+        recordViolation(url + "/xhr(document)", origin, d, req.body);
       }
     }
-    if (!anyViolation) return original(xhr, req);
 
-    switch (config_.mode) {
-      case EnforcementMode::kWarn:
+    switch (action) {
+      case Decision::Action::kAllow:
+      case Decision::Action::kWarn:
         return original(xhr, req);
-      case EnforcementMode::kBlock:
-        policy_.audit().append(
-            {tdm::AuditRecord::Kind::kUploadBlocked, clock_->now(), "",
-             tdm::Tag{}, pagePtr->url() + "/xhr", pagePtr->origin(),
-             sec::redact(req.body).text});
+      case Decision::Action::kBlock:
+        appendAudit({tdm::AuditRecord::Kind::kUploadBlocked, clock_->now(), "",
+                     tdm::Tag{}, url + "/xhr", origin,
+                     sec::redact(req.body).text});
         return {403, "BrowserFlow: upload blocked by data disclosure policy"};
-      case EnforcementMode::kEncrypt: {
+      case Decision::Action::kEncrypt: {
         for (std::size_t i = 0; i < fields.size(); ++i) {
           if (violates[i]) fields[i].text = sealer_.seal(fields[i].text);
         }
         browser::HttpRequest sealed = req;
         sealed.body = adapter.rebuildBody(req, fields);
-        policy_.audit().append(
-            {tdm::AuditRecord::Kind::kUploadEncrypted, clock_->now(), "",
-             tdm::Tag{}, pagePtr->url() + "/xhr", pagePtr->origin(),
-             sec::redact(req.body).text});
+        appendAudit({tdm::AuditRecord::Kind::kUploadEncrypted, clock_->now(),
+                     "", tdm::Tag{}, url + "/xhr", origin,
+                     sec::redact(req.body).text});
         return original(xhr, sealed);
       }
     }
     return original(xhr, req);
   };
-}
-
-namespace {
-
-/// Merges hits/tags of a sub-check into the aggregate decision.
-void mergeInto(Decision& total, std::vector<flow::DisclosureHit> hits,
-               std::vector<tdm::Tag> tags, bool violated) {
-  for (auto& h : hits) total.hits.push_back(std::move(h));
-  if (violated) {
-    for (auto& t : tags) {
-      if (std::find(total.violatingTags.begin(), total.violatingTags.end(),
-                    t) == total.violatingTags.end()) {
-        total.violatingTags.push_back(std::move(t));
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Decision BrowserFlowPlugin::decideUploadText(sec::SensitiveView text,
-                                             const std::string& documentName,
-                                             const std::string& serviceId) {
-  // This path bypasses engine_.decide(), so it builds its own provenance:
-  // trace context, stage breakdown, and flight-recorder record.
-  const obs::TraceContext trace = obs::ingressTrace();
-  obs::ScopedTraceContext traceScope(trace);
-  obs::StageBreakdown stages;
-  obs::ScopedStageCollector stageScope(&stages);
-  obs::ScopedSpan span("plugin.upload_check");
-  span.addAttr("doc", util::fnv1a64(documentName));
-  span.addAttr("origin", util::fnv1a64(serviceId));
-  span.addAttr("bytes", text.size());
-  util::Stopwatch watch;
-  Decision decision;
-  bool violated = false;
-  {
-    // Reads the tracker/policy directly (no engine_.decide call), so it
-    // must serialise with the async decision worker.
-    const auto stateLock = engine_.lockState();
-
-    // Checks one granularity of one text unit.
-    auto checkUnit = [&](sec::SensitiveView unit, flow::SegmentKind kind) {
-      text::Fingerprint fp;
-      {
-        obs::StageTimer fpTimer(obs::Stage::kFingerprint);
-        fp = tracker_.fingerprintOf(unit);
-      }
-      std::vector<flow::DisclosureHit> hits = tracker_.disclosedSources(
-          fp, kind, flow::kInvalidSegment, documentName);
-
-      obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
-      tdm::UploadDecision check;
-      if (const std::optional<flow::SegmentRecord> seg =
-              tracker_.findSegmentWithFingerprint(documentName, fp, kind)) {
-        // The outgoing text is a tracked segment of this document: its
-        // registered label (implicit tags, user suppressions) decides.
-        check = policy_.checkUpload(seg->name, serviceId);
-      } else {
-        // Unregistered text: synthesize the label — the disclosing sources'
-        // explicit tags as implicit, plus the destination's Lc for text
-        // being created there.
-        tdm::Label label;
-        for (const auto& hit : hits) {
-          const tdm::Label* src = policy_.labelOf(hit.sourceName);
-          if (src != nullptr) label.addImplicitAll(src->propagatableTags());
-        }
-        if (const tdm::ServiceInfo* svc = policy_.services().find(serviceId)) {
-          for (const tdm::Tag& t : svc->confidentiality) label.addExplicit(t);
-        }
-        // Exact-match pass for short secrets (S4.4).
-        for (const auto& secretHit : secretGuard_.scan(unit)) {
-          label.addImplicit(secretHit.tag);
-          decision.secretHits.push_back(secretHit.name);
-        }
-        check = policy_.checkLabel(label, serviceId);
-      }
-      if (!check.allowed) violated = true;
-      mergeInto(decision, std::move(hits), std::move(check.violatingTags),
-                !check.allowed);
-    };
-
-    // Paragraph granularity: each paragraph of the upload individually.
-    const auto paragraphs = text::segmentParagraphs(text.raw());
-    for (const auto& para : paragraphs) {
-      checkUnit(para.text, flow::SegmentKind::kParagraph);
-    }
-    // Document granularity for multi-paragraph uploads: catches "one
-    // sentence from each paragraph" aggregation leaks (paper S4.1).
-    if (paragraphs.size() > 1) {
-      checkUnit(text, flow::SegmentKind::kDocument);
-    }
-  }
-
-  decision.action =
-      !violated ? Decision::Action::kAllow
-      : config_.mode == EnforcementMode::kBlock   ? Decision::Action::kBlock
-      : config_.mode == EnforcementMode::kEncrypt ? Decision::Action::kEncrypt
-                                                  : Decision::Action::kWarn;
-  decision.responseTimeMs = watch.elapsedMillis();
-  span.addAttr("segments_matched", decision.hits.size());
-  recordDecisionProvenance("plugin.upload", documentName + "#upload",
-                           documentName, serviceId, text, trace, stages,
-                           decision);
-  return decision;
-}
-
-Decision BrowserFlowPlugin::decideFormDraft(browser::Page& page,
-                                            sec::SensitiveView text) {
-  // One ingress trace covers the whole draft; every per-paragraph decide
-  // below inherits it (the engine adopts the ambient trace as parent).
-  const obs::TraceContext trace = obs::ingressTrace();
-  obs::ScopedTraceContext traceScope(trace);
-  const std::string draftDoc = page.url() + "/draft";
-  const std::string service = page.origin();
-  Decision decision;
-  bool violated = false;
-
-  // Each paragraph of the draft runs the full engine pipeline: it is
-  // observed as a segment of this service (Lc assignment), disclosure is
-  // looked up, implicit tags refresh, and the flow rule is checked.
-  const auto paragraphs = text::segmentParagraphs(text.raw());
-  for (const auto& para : paragraphs) {
-    DecisionRequest req;
-    req.segmentName = draftDoc + "#p" + std::to_string(para.index);
-    req.documentName = draftDoc;
-    req.serviceId = service;
-    req.text = para.text;
-    req.kind = flow::SegmentKind::kParagraph;
-    req.ingress = "plugin.form";
-    Decision d = engine_.decide(req);
-    if (d.violation()) violated = true;
-    mergeInto(decision, std::move(d.hits), std::move(d.violatingTags),
-              d.violation());
-  }
-
-  // Prune paragraphs left over from an earlier, longer draft.
-  for (std::size_t i = paragraphs.size();; ++i) {
-    const std::string name = draftDoc + "#p" + std::to_string(i);
-    if (tracker_.segmentByName(name) == nullptr) break;
-    tracker_.removeSegmentByName(name);
-    policy_.forgetSegment(name);
-  }
-
-  // Document granularity.
-  if (paragraphs.size() > 1) {
-    DecisionRequest req;
-    req.segmentName = draftDoc;
-    req.documentName = draftDoc;
-    req.serviceId = service;
-    req.text = sec::SensitiveText(text);
-    req.kind = flow::SegmentKind::kDocument;
-    req.ingress = "plugin.form";
-    Decision d = engine_.decide(req);
-    if (d.violation()) violated = true;
-    mergeInto(decision, std::move(d.hits), std::move(d.violatingTags),
-              d.violation());
-  }
-
-  decision.action =
-      !violated ? Decision::Action::kAllow
-      : config_.mode == EnforcementMode::kBlock   ? Decision::Action::kBlock
-      : config_.mode == EnforcementMode::kEncrypt ? Decision::Action::kEncrypt
-                                                  : Decision::Action::kWarn;
-  return decision;
 }
 
 void BrowserFlowPlugin::recordViolation(const std::string& segmentName,
@@ -562,12 +398,17 @@ void BrowserFlowPlugin::recordViolation(const std::string& segmentName,
   violationsCounter.inc();
   // Only the redacted preview crosses into the audit trail; redact() is a
   // declassification gate (first/last few chars + length, DESIGN.md §14).
-  policy_.audit().append({tdm::AuditRecord::Kind::kViolationWarned,
-                          clock_->now(), "", tdm::Tag{}, segmentName,
-                          serviceId, sec::redact(content).text});
+  appendAudit({tdm::AuditRecord::Kind::kViolationWarned, clock_->now(), "",
+               tdm::Tag{}, segmentName, serviceId, sec::redact(content).text});
   warnings_.push_back(Warning{segmentName, serviceId, d});
   BF_LOG(util::LogLevel::kInfo, "browserflow")
       << "violation: segment " << segmentName << " -> " << serviceId;
+}
+
+void BrowserFlowPlugin::appendAudit(tdm::AuditRecord record) {
+  // The audit log is policy state the engine's worker appends to as well.
+  const auto stateLock = engine_.lockState();
+  policy_.audit().append(std::move(record));
 }
 
 void BrowserFlowPlugin::scanPage(browser::Page& page) {
@@ -604,12 +445,10 @@ util::Status BrowserFlowPlugin::suppressTag(const std::string& user,
   // document-level check does not silently re-block the same tag.
   const std::size_t hash = segmentName.rfind('#');
   if (hash != std::string::npos) {
-    const std::string docName = segmentName.substr(0, hash);
-    if (policy_.labelOf(docName) != nullptr) {
-      // Best-effort: the tag may not be active at document level.
-      (void)policy_.suppressTag(user, docName, tag,
-                                justification + " (document granularity)");
-    }
+    // Best-effort: the document may be untracked, or the tag not active
+    // at document level; either way suppressTag changes nothing.
+    (void)policy_.suppressTag(user, segmentName.substr(0, hash), tag,
+                              justification + " (document granularity)");
   }
   return status;
 }

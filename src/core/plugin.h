@@ -8,9 +8,13 @@
 //      (Google-Docs-style paragraph divs);
 //   4. a patched XMLHttpRequest prototype `send` for AJAX uploads.
 //
-// Violations are surfaced the way the paper's plug-in does — by colouring
-// the paragraph background (a data-bf-state attribute plus inline style) —
-// and enforced per the configured mode (warn / block / encrypt).
+// The plug-in makes no verdict itself: every interception is one
+// DecisionEngine request — observe for DOM mutations and form drafts,
+// probe for XHR uploads — and the plug-in enforces the Decision::action it
+// gets back. Violations are surfaced the way the paper's plug-in does — by
+// colouring the paragraph background (a data-bf-state attribute plus
+// inline style) — and enforced per that action (warn / block / encrypt; a
+// fail-closed degraded decision blocks whatever the configured mode).
 #pragma once
 
 #include <map>
@@ -108,16 +112,6 @@ class BrowserFlowPlugin final : public browser::Extension {
   /// (empty if untracked).
   [[nodiscard]] std::string segmentNameOf(browser::Node* paragraph) const;
 
-  /// Decide whether `text` may be uploaded to `serviceId`. Used by the XHR
-  /// interception path and by offline tools (bfscan). Checks every
-  /// paragraph of `text` and, for multi-paragraph uploads, the document
-  /// granularity too (paper S4.1 tracks both independently). When a
-  /// paragraph matches a registered segment of `documentName`, that
-  /// segment's label — with any user suppressions — is authoritative.
-  Decision decideUploadText(sec::SensitiveView text,
-                            const std::string& documentName,
-                            const std::string& serviceId);
-
   /// With config.asyncParagraphChecks, paragraph decisions run on the
   /// engine's worker thread ("asynchronously to the main request
   /// processing", paper S6.2) and their DOM highlights are applied when
@@ -150,27 +144,23 @@ class BrowserFlowPlugin final : public browser::Extension {
   void installXhrInterceptor(browser::Page& page);
   void installFormListener(PageHooks& hooks, browser::Node* form);
 
-  /// Decides for one paragraph node and applies the highlight.
-  Decision checkParagraphNode(PageHooks& hooks, browser::Node* paragraph);
+  /// Decides for one paragraph node and applies the highlight (at the next
+  /// idle point in async mode).
+  void checkParagraphNode(PageHooks& hooks, browser::Node* paragraph);
 
   /// Is `node` (or an ancestor) a tracked paragraph container? Returns the
   /// container or nullptr.
   [[nodiscard]] static browser::Node* paragraphContainerOf(
       browser::Node* node);
 
-  /// Form path: registers the form content as the page's draft segments
-  /// (text in a service's tab is "observed in" that service), runs the full
-  /// per-paragraph + document-level decision pipeline, and prunes stale
-  /// draft paragraphs from earlier, longer drafts. Draft segment names are
-  /// "<url>/draft#p<i>", which is what suppressTag() takes to declassify
-  /// form content.
-  Decision decideFormDraft(browser::Page& page, sec::SensitiveView text);
-
   /// `content` is the violating text; only its redact() preview reaches
   /// the audit trail (justification field) — never the raw characters.
   void recordViolation(const std::string& segmentName,
                        const std::string& serviceId, const Decision& d,
                        sec::SensitiveView content);
+
+  /// Appends to the policy's audit log under the engine's state lock.
+  void appendAudit(tdm::AuditRecord record);
 
   /// Adapter used for a request to `origin`: the registered one, else a
   /// generic adapter chosen by body shape.

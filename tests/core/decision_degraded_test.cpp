@@ -6,10 +6,17 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "cloud/docs_backend.h"
+#include "cloud/docs_client.h"
+#include "cloud/form_backend.h"
+#include "cloud/network.h"
+#include "cloud/wiki_client.h"
 #include "core/decision_engine.h"
+#include "core/plugin.h"
 #include "corpus/text_generator.h"
 #include "obs/flight_recorder.h"
 #include "obs/stage.h"
@@ -308,6 +315,98 @@ TEST_F(DegradedTest, BreakerDecisionsResolveInFlightRecorder) {
     EXPECT_EQ(record->traceId, d.traceId);
     EXPECT_EQ(record->serviceId, "gdocs");
   }
+}
+
+// ---- Uploads and forms through the plug-in ------------------------------------
+//
+// Every ingress path gets the same degraded behaviour: with the breaker
+// open, XHR probes and form drafts are answered degraded and audited, and
+// the plug-in enforces the decision's action rather than its configured
+// (warn) mode.
+
+class PluginDegradedTest : public ::testing::Test {
+ protected:
+  PluginDegradedTest() : rng_(9), gen_(&rng_), network_(&rng_) {
+    network_.registerService("https://docs.google.com", &docsBackend_);
+    network_.registerService("https://wiki.corp", &wikiBackend_);
+  }
+
+  /// A warn-mode plug-in whose circuit breaker is open for the whole test.
+  void startWithOpenBreaker(DegradedMode degradedMode) {
+    BrowserFlowConfig config;
+    config.resilience.breakerLatencyBudgetMs = 1e-12;
+    config.resilience.breakerTripThreshold = 1;
+    config.resilience.breakerOpenDecisions = 1000;
+    config.resilience.degradedMode = degradedMode;
+    plugin_ = std::make_unique<BrowserFlowPlugin>(config, &clock_);
+    browser_ = std::make_unique<browser::Browser>(&network_);
+    browser_->addExtension(plugin_.get());
+    DecisionRequest trip;
+    trip.segmentName = "setup#p0";
+    trip.documentName = "setup";
+    trip.serviceId = "https://docs.google.com";
+    trip.text = gen_.paragraph(3, 5);
+    (void)plugin_->engine().decide(trip);  // one slow lookup trips it
+    ASSERT_TRUE(plugin_->engine().breakerOpen());
+  }
+
+  /// kDecisionDegraded audit records for segments under `prefix`.
+  std::size_t degradedAuditsUnder(const std::string& prefix) const {
+    std::size_t n = 0;
+    for (const auto& r : plugin_->policy().audit().byKind(
+             tdm::AuditRecord::Kind::kDecisionDegraded)) {
+      if (r.segment.rfind(prefix, 0) == 0) ++n;
+    }
+    return n;
+  }
+
+  util::LogicalClock clock_;
+  util::Rng rng_;
+  corpus::TextGenerator gen_;
+  cloud::SimNetwork network_;
+  cloud::DocsBackend docsBackend_;
+  cloud::FormBackend wikiBackend_;
+  std::unique_ptr<BrowserFlowPlugin> plugin_;
+  // Declared last: its tabs hold plug-in hooks, so it goes first.
+  std::unique_ptr<browser::Browser> browser_;
+};
+
+TEST_F(PluginDegradedTest, FailClosedBlocksXhrUploadInWarnMode) {
+  startWithOpenBreaker(DegradedMode::kFailClosed);
+  browser::Page& page = browser_->openTab("https://docs.google.com/d/deg1");
+  cloud::DocsClient docs(page, "deg1");
+  docs.openDocument();
+  EXPECT_EQ(docs.insertParagraph(0, gen_.paragraph(6, 9)), 403);
+  EXPECT_TRUE(docsBackend_.paragraphsOf("deg1").empty());
+  EXPECT_GE(degradedAuditsUnder("https://docs.google.com/d/deg1/xhr"), 1u);
+  EXPECT_EQ(plugin_->policy()
+                .audit()
+                .byKind(tdm::AuditRecord::Kind::kUploadBlocked)
+                .size(),
+            1u);
+}
+
+TEST_F(PluginDegradedTest, FailOpenLetsXhrUploadThroughAndAudits) {
+  startWithOpenBreaker(DegradedMode::kFailOpen);
+  browser::Page& page = browser_->openTab("https://docs.google.com/d/deg2");
+  cloud::DocsClient docs(page, "deg2");
+  docs.openDocument();
+  EXPECT_EQ(docs.insertParagraph(0, gen_.paragraph(6, 9)), 200);
+  EXPECT_EQ(docsBackend_.paragraphsOf("deg2").size(), 1u);
+  EXPECT_GE(degradedAuditsUnder("https://docs.google.com/d/deg2/xhr"), 1u)
+      << "a fail-open upload is still audited";
+  EXPECT_TRUE(plugin_->warnings().empty());
+}
+
+TEST_F(PluginDegradedTest, FailClosedSuppressesFormSubmitInWarnMode) {
+  startWithOpenBreaker(DegradedMode::kFailClosed);
+  browser::Page& page = browser_->openTab("https://wiki.corp/edit/deg3");
+  cloud::WikiClient wiki(page, "deg3");
+  wiki.openEditor();
+  wiki.setContent(gen_.paragraph(6, 9));
+  EXPECT_EQ(wiki.save(), 0) << "fail-closed degraded draft must not submit";
+  EXPECT_EQ(wikiBackend_.postCount(), 0u);
+  EXPECT_GE(degradedAuditsUnder("https://wiki.corp/edit/deg3/draft"), 1u);
 }
 
 }  // namespace

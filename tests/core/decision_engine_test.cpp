@@ -166,18 +166,64 @@ TEST_F(EngineTest, PerKeystrokeDecisionsHitTrackerCache) {
   EXPECT_GT(tracker_.stats().cacheHits, 5u);
 }
 
-TEST_F(EngineTest, LookupLabelForTextSynthesisesImplicitTags) {
-  const std::string secret = seedSensitive();
-  const tdm::Label label = engine_.lookupLabelForText(secret);
-  EXPECT_TRUE(label.implicitTags().contains("ti"));
-  const tdm::Label clean = engine_.lookupLabelForText(gen_.paragraph(6, 9));
-  EXPECT_TRUE(clean.effectiveTags().empty());
+DecisionRequest probeFor(const std::string& text,
+                         const std::string& document = "gdocs/target",
+                         const std::string& service = "gdocs") {
+  DecisionRequest req;
+  req.segmentName = document + "/upload";
+  req.documentName = document;
+  req.serviceId = service;
+  req.text = text;
+  req.requestKind = RequestKind::kProbe;
+  return req;
 }
 
-TEST_F(EngineTest, LookupLabelExcludesOwnDocument) {
+TEST_F(EngineTest, ProbeSynthesisesLabelFromDisclosedSources) {
   const std::string secret = seedSensitive();
-  const tdm::Label label = engine_.lookupLabelForText(secret, "itool/eval");
-  EXPECT_TRUE(label.effectiveTags().empty());
+  const Decision d = engine_.decideText(probeFor(secret));
+  EXPECT_EQ(d.action, Decision::Action::kWarn);
+  EXPECT_EQ(d.violatingTags, std::vector<tdm::Tag>{"ti"});
+  ASSERT_FALSE(d.hits.empty());
+  EXPECT_EQ(d.hits[0].sourceName, "itool/eval#p0");
+  // A probe registers nothing: the text stays untracked and unlabelled.
+  EXPECT_EQ(tracker_.segmentByName("gdocs/target/upload#p0"), nullptr);
+  EXPECT_EQ(policy_.labelOf("gdocs/target/upload#p0"), nullptr);
+
+  const Decision clean = engine_.decideText(probeFor(gen_.paragraph(6, 9)));
+  EXPECT_EQ(clean.action, Decision::Action::kAllow);
+  EXPECT_TRUE(clean.violatingTags.empty());
+}
+
+TEST_F(EngineTest, ProbeExcludesOwnDocument) {
+  const std::string secret = seedSensitive();
+  const Decision d =
+      engine_.decideText(probeFor(secret, "itool/eval", "itool"));
+  EXPECT_TRUE(d.hits.empty());
+  EXPECT_EQ(d.action, Decision::Action::kAllow);
+}
+
+TEST_F(EngineTest, ProbeOfRegisteredSegmentUsesItsLabel) {
+  // The outgoing text IS the tracked paragraph of its document: that
+  // segment's label decides, user suppressions included.
+  const std::string secret = seedSensitive();
+  EXPECT_EQ(engine_.decideText(probeFor(secret, "itool/eval")).action,
+            Decision::Action::kWarn);
+  ASSERT_TRUE(
+      policy_.suppressTag("alice", "itool/eval#p0", "ti", "approved").ok());
+  EXPECT_EQ(engine_.decideText(probeFor(secret, "itool/eval")).action,
+            Decision::Action::kAllow);
+}
+
+TEST_F(EngineTest, ProbeAttachesSecretHits) {
+  SecretGuard guard;
+  guard.addSecret("vpn-password", "correct horse battery", "vpn");
+  engine_.setSecretGuard(&guard);
+  const Decision d = engine_.decideText(
+      probeFor(gen_.paragraph(5, 6) + " the vpn uses CorrectHorseBattery."));
+  EXPECT_EQ(d.action, Decision::Action::kWarn);
+  EXPECT_EQ(d.secretHits, std::vector<std::string>{"vpn-password"});
+  EXPECT_EQ(d.violatingTags, std::vector<tdm::Tag>{"vpn"});
+  engine_.setSecretGuard(nullptr);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 // Concurrency regression tests for the DecisionEngine.
 //
+// UploadConcurrencyTest drives the plug-in's XHR probes and form re-submits
+// on the caller thread while the engine's worker decides async paragraphs:
+// every tracker/policy access on either side must be serialised by the
+// engine (the tsan preset runs it).
+//
 // EnforcementModeFlips... is the regression test for a real data race the
 // thread-safety migration surfaced: setMode() used to write config_.mode
 // unlocked while the worker thread read it inside decideLocked(), a torn
@@ -12,7 +17,13 @@
 #include <thread>
 #include <vector>
 
+#include "cloud/docs_backend.h"
+#include "cloud/docs_client.h"
+#include "cloud/form_backend.h"
+#include "cloud/network.h"
+#include "cloud/wiki_client.h"
 #include "core/decision_engine.h"
+#include "core/plugin.h"
 #include "corpus/text_generator.h"
 #include "util/clock.h"
 
@@ -155,6 +166,62 @@ TEST_F(EngineConcurrencyTest, SyncAndAsyncDecisionsInterleaveSafely) {
   asyncSide.join();
   engine_.drain();
   for (auto& f : futures) (void)f.get();
+}
+
+TEST(UploadConcurrencyTest, UploadsAndDraftPruningRaceAsyncParagraphs) {
+  util::LogicalClock clock;
+  util::Rng rng(33);
+  corpus::TextGenerator gen(&rng);
+  cloud::SimNetwork network(&rng);
+  cloud::DocsBackend docsBackend;
+  cloud::FormBackend wikiBackend;
+  network.registerService("https://docs.google.com", &docsBackend);
+  network.registerService("https://wiki.corp", &wikiBackend);
+  BrowserFlowConfig config;
+  config.asyncParagraphChecks = true;
+  BrowserFlowPlugin plugin(config, &clock);
+  plugin.policy().services().upsert({"https://itool.corp", "Interview Tool",
+                                     tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
+  const std::string secret = gen.paragraph(6, 9);
+  plugin.observeServiceDocument("https://itool.corp",
+                                "https://itool.corp/eval", secret);
+  browser::Browser browser(&network);
+  browser.addExtension(&plugin);
+
+  browser::Page& docsTab = browser.openTab("https://docs.google.com/d/race");
+  cloud::DocsClient docs(docsTab, "race");
+  docs.openDocument();
+  browser::Page& wikiTab = browser.openTab("https://wiki.corp/edit/race");
+  cloud::WikiClient wiki(wikiTab, "race");
+  wiki.openEditor();
+
+  constexpr int kRounds = 40;
+  for (int i = 0; i < kRounds; ++i) {
+    // Each Docs edit queues paragraph and document decisions for the
+    // worker, then sends an XHR the caller thread probes at once.
+    EXPECT_EQ(docs.insertParagraph(docs.paragraphCount(),
+                                   i % 3 == 0 ? secret : gen.paragraph(4, 6)),
+              200);
+    // Drafts alternate between three paragraphs and one: every short
+    // re-submit prunes the two stale draft paragraphs.
+    std::string draft = gen.paragraph(3, 4);
+    if (i % 2 == 0) {
+      draft += "\n\n" + gen.paragraph(3, 4) + "\n\n" + gen.paragraph(3, 4);
+    }
+    wiki.setContent(draft);
+    EXPECT_EQ(wiki.save(), 200);  // warn mode: the submit proceeds
+  }
+  plugin.drainPendingDecisions();
+
+  // The last draft was short: its stale paragraphs are gone.
+  EXPECT_NE(plugin.tracker().segmentByName(
+                "https://wiki.corp/edit/race/draft#p0"),
+            nullptr);
+  EXPECT_EQ(plugin.tracker().segmentByName(
+                "https://wiki.corp/edit/race/draft#p2"),
+            nullptr);
+  EXPECT_EQ(docs.paragraphNode(0)->attribute(BrowserFlowPlugin::kStateAttr),
+            BrowserFlowPlugin::kViolation);
 }
 
 }  // namespace

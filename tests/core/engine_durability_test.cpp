@@ -7,13 +7,18 @@
 #include <cstdlib>
 #include <string>
 
+#include "cloud/docs_backend.h"
+#include "cloud/docs_client.h"
+#include "cloud/network.h"
 #include "core/decision_engine.h"
+#include "core/plugin.h"
 #include "corpus/text_generator.h"
 #include "flow/snapshot.h"
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
+#include "tdm/policy_snapshot.h"
 #include "util/clock.h"
 
 namespace bf::core {
@@ -224,6 +229,95 @@ TEST_F(EngineDurabilityTest, FlightRecorderRetainsDurabilityDegradedWindow) {
   EXPECT_EQ(record->action, "allow");
 
   obs::setTraceSampleEvery(16);  // restore the default for other tests
+  engine_.setDurability(nullptr);
+  tracker_.attachWal(nullptr);
+}
+
+TEST_F(EngineDurabilityTest, XhrUploadCarriesDurabilityDegradedFlag) {
+  // Uploads run through the engine like every other verdict, so a decision
+  // made while the WAL is poisoned is flagged and always-keep.
+  obs::setTraceSampleEvery(1u << 30);  // head sampling off: keep rule only
+  cloud::SimNetwork network(&rng_);
+  cloud::DocsBackend docsBackend;
+  network.registerService("https://docs.google.com", &docsBackend);
+  flow::DurabilityConfig cfg = configFor(1u << 30);
+  cfg.repairBaseDelayMs = 3600000.0;  // stay degraded for the whole test
+  cfg.repairMaxDelayMs = 3600000.0;
+  flow::DurabilityManager mgr(cfg);
+  BrowserFlowPlugin plugin(BrowserFlowConfig{}, &clock_);
+  ASSERT_TRUE(mgr.recoverAndAttach(plugin.tracker()).ok());
+  plugin.engine().setDurability(&mgr);
+  mgr.wal().failNextAppends(1);
+  plugin.observeServiceDocument("https://itool.corp", "https://itool.corp/a",
+                                gen_.paragraph(4, 6));
+  {
+    browser::Browser browser(&network);
+    browser.addExtension(&plugin);
+    browser::Page& page = browser.openTab("https://docs.google.com/d/wal");
+    cloud::DocsClient docs(page, "wal");
+    docs.openDocument();
+    EXPECT_EQ(docs.insertParagraph(0, gen_.paragraph(6, 9)), 200);
+  }
+
+  bool found = false;
+  for (const auto& record : obs::FlightRecorder::instance().recent()) {
+    if (record.ingress != "plugin.upload" ||
+        record.segmentName != "https://docs.google.com/d/wal/xhr#p0") {
+      continue;
+    }
+    found = true;
+    EXPECT_TRUE(record.durabilityDegraded);
+    EXPECT_FALSE(record.degraded);
+  }
+  EXPECT_TRUE(found) << "the upload decision must be retained";
+
+  obs::setTraceSampleEvery(16);  // restore the default for other tests
+  plugin.engine().setDurability(nullptr);
+  plugin.tracker().attachWal(nullptr);
+}
+
+TEST_F(EngineDurabilityTest, ProbesLeaveTrackerPolicyAndWalUntouched) {
+  flow::DurabilityManager mgr(configFor(1u << 30));
+  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+  engine_.setDurability(&mgr);
+  const std::string secret = gen_.paragraph(6, 9);
+  tracker_.observeSegment(flow::SegmentKind::kParagraph, "itool/eval#p0",
+                          "itool/eval", "itool", secret);
+  policy_.onSegmentObserved("itool/eval#p0", "itool");
+  (void)engine_.decide(requestFor("draft", secret));  // a labelled copy
+
+  const std::string trackerBefore = flow::exportState(tracker_);
+  const std::string policyBefore = tdm::exportPolicy(policy_);
+  const std::uint64_t walBefore = mgr.wal().stats().appended;
+
+  auto probe = [&](const std::string& text, const std::string& document,
+                   flow::SegmentKind kind = flow::SegmentKind::kParagraph) {
+    DecisionRequest req;
+    req.segmentName = document + "/xhr";
+    req.documentName = document;
+    req.serviceId = "gdocs";
+    req.text = text;
+    req.kind = kind;
+    req.requestKind = RequestKind::kProbe;
+    return req;
+  };
+  // Unregistered text that discloses a source (a violation), clean text, a
+  // multi-paragraph text (paragraph and document units), the registered
+  // copy by fingerprint, and a registered segment by name.
+  EXPECT_TRUE(engine_.decideText(probe(secret, "gdocs/other")).violation());
+  EXPECT_FALSE(
+      engine_.decideText(probe(gen_.paragraph(4, 6), "gdocs/other"))
+          .violation());
+  (void)engine_.decideText(
+      probe(gen_.paragraph(4, 6) + "\n\n" + secret, "gdocs/other"));
+  EXPECT_TRUE(engine_.decideText(probe(secret, "gdocs/draft")).violation());
+  DecisionRequest byName = probe("", "gdocs/draft");
+  byName.segmentName = "gdocs/draft#p0";
+  EXPECT_TRUE(engine_.decide(byName).violation());
+
+  EXPECT_EQ(flow::exportState(tracker_), trackerBefore);
+  EXPECT_EQ(tdm::exportPolicy(policy_), policyBefore);
+  EXPECT_EQ(mgr.wal().stats().appended, walBefore) << "probes write no WAL";
   engine_.setDurability(nullptr);
   tracker_.attachWal(nullptr);
 }
