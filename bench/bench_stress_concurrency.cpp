@@ -1,14 +1,9 @@
 // Concurrency stress: N simulated users hammer one decision engine with
-// async per-keystroke decisions while a main thread runs synchronous
-// upload checks. Reports sustained decision throughput and verifies the
-// engine's serialisation kept the stores coherent.
-//
-// A second phase measures multi-reader QUERY throughput against a loaded
-// tracker, comparing the lock-free left-right read path (no shared mutex
-// per query; see flow/tracker.h and DESIGN.md section 15) against an emulation
-// of the pre-PR exclusive mutex (every query gated through one bench-side
-// mutex). Run with --multi-reader to execute only this sweep. RESULT
-// lines feed scripts/bench_report.py.
+// async per-keystroke decisions. Reports sustained decision throughput and
+// verifies the engine's serialisation kept the stores coherent (every
+// seeded secret still attributes to its source). Two further phases
+// measure the decision-path overhead of a write-ahead log and of
+// provenance. RESULT lines feed scripts/bench_report.py.
 //
 // (Beyond the paper: its prototype serves one user per browser; an
 // enterprise proxy deployment would multiplex users over one store.)
@@ -27,120 +22,10 @@
 #include "corpus/text_generator.h"
 #include "flow/wal.h"
 #include "obs/stage.h"
-#include "text/winnower.h"
-#include "util/mutex.h"
 #include "util/stopwatch.h"
 
-namespace {
-
-/// Multi-reader query phase: `readers` threads issue `queriesEach`
-/// disclosure queries with precomputed fingerprints. With serialise=true,
-/// every query first takes one bench-side mutex, emulating the pre-PR
-/// tracker whose single exclusive mutex serialised all readers; with
-/// serialise=false the queries go straight to the tracker's lock-free
-/// left-right read path. Returns sustained queries/second.
-double runReaderPhase(bf::flow::FlowTracker& tracker,
-                      const std::vector<bf::text::Fingerprint>& queries,
-                      std::size_t readers, std::size_t queriesEach,
-                      bool serialise) {
+int main() {
   using namespace bf;
-  util::Mutex gate;  // unranked: a bench fixture, not part of the hierarchy
-  util::Stopwatch watch;
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  for (std::size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&, r] {
-      for (std::size_t i = 0; i < queriesEach; ++i) {
-        const text::Fingerprint& fp = queries[(r * 31 + i) % queries.size()];
-        if (serialise) {
-          util::MutexLock lock(gate);
-          auto hits = tracker.disclosedSources(
-              fp, flow::SegmentKind::kParagraph, flow::kInvalidSegment,
-              "probe");
-          if (hits.size() > queries.size()) std::abort();  // keep hits live
-        } else {
-          auto hits = tracker.disclosedSources(
-              fp, flow::SegmentKind::kParagraph, flow::kInvalidSegment,
-              "probe");
-          if (hits.size() > queries.size()) std::abort();
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const double seconds = watch.elapsedMillis() / 1000.0;
-  return static_cast<double>(readers * queriesEach) /
-         (seconds > 0 ? seconds : 1e-9);
-}
-
-/// The multi-reader query sweep: precomputed fingerprints, pure
-/// Algorithm-1 queries — this isolates the tracker's read-path
-/// synchronisation from fingerprinting cost. "exclusive" gates every
-/// query through one bench-side mutex (the pre-PR behaviour: a single
-/// exclusive tracker mutex serialised all readers); "shared" exercises
-/// the left-right lock-free read path. Reports per-width speedup vs r1 so
-/// the scaling claim is machine-checkable (bench_gate.py asserts
-/// shared_r8 >= 2x shared_r1 on >= 8-core hosts).
-void runMultiReaderSweep(bf::flow::FlowTracker& tracker,
-                         const std::vector<std::string>& secrets) {
-  using namespace bf;
-  bench::printHeader("Readers", "multi-reader query throughput");
-  std::vector<text::Fingerprint> queries;
-  queries.reserve(secrets.size());
-  for (const std::string& s : secrets) {
-    queries.push_back(tracker.fingerprintOf(s));
-  }
-  const std::size_t queriesEach = bench::paperScale() ? 2000 : 500;
-  const unsigned cores = std::thread::hardware_concurrency();
-  for (const bool serialise : {true, false}) {
-    double r1Qps = 0.0;
-    for (const std::size_t readers : {1u, 2u, 4u, 8u}) {
-      const double qps =
-          runReaderPhase(tracker, queries, readers, queriesEach, serialise);
-      const char* mode = serialise ? "exclusive" : "shared";
-      if (readers == 1) r1Qps = qps;
-      const double speedup = r1Qps > 0 ? qps / r1Qps : 0.0;
-      std::printf(
-          "mode: %-9s readers: %zu  queries/s: %10.0f  speedup vs r1: "
-          "%.2fx\n",
-          mode, readers, qps, speedup);
-      bench::result("{\"bench\":\"multi_reader\",\"mode\":\"" +
-                    std::string(mode) +
-                    "\",\"readers\":" + std::to_string(readers) +
-                    ",\"queries_per_s\":" + std::to_string(qps) +
-                    ",\"speedup_vs_r1\":" + std::to_string(speedup) +
-                    ",\"hw_cores\":" + std::to_string(cores) + "}");
-    }
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace bf;
-
-  // --multi-reader: run ONLY the reader-count sweep against a freshly
-  // seeded tracker — the fast feedback loop for read-path work (and the
-  // mode bench_gate.py's scaling check documents).
-  const bool multiReaderOnly =
-      argc > 1 && std::string(argv[1]) == "--multi-reader";
-  if (multiReaderOnly) {
-    util::LogicalClock mrClock;
-    flow::FlowTracker mrTracker(flow::TrackerConfig{}, &mrClock);
-    util::Rng mrRng(99);
-    corpus::TextGenerator mrGen(&mrRng);
-    std::vector<std::string> mrSecrets;
-    for (int i = 0; i < 50; ++i) {
-      mrSecrets.push_back(mrGen.paragraph(6, 8));
-      mrTracker.observeSegment(flow::SegmentKind::kParagraph,
-                               "secret" + std::to_string(i) + "#p0",
-                               "secret" + std::to_string(i), "internal",
-                               mrSecrets.back());
-    }
-    runMultiReaderSweep(mrTracker, mrSecrets);
-    bench::dumpMetrics();
-    return 0;
-  }
 
   bench::printHeader("Stress", "concurrent async decisions");
 
@@ -236,9 +121,6 @@ int main(int argc, char** argv) {
                 std::to_string(static_cast<double>(latency.count) / seconds) +
                 ",\"p50_ms\":" + std::to_string(latency.p50Ms) +
                 ",\"p99_ms\":" + std::to_string(latency.p99Ms) + "}");
-
-  // ---- Multi-reader query scaling ------------------------------------------
-  runMultiReaderSweep(tracker, secrets);
 
   // ---- WAL append overhead -------------------------------------------------
   // The stress workload's decision loop (keystroke edits + periodic secret

@@ -9,12 +9,6 @@ decision path got slower:
 
   * micro-fingerprint throughput (BM_FingerprintTextFusedWorkspace/16384
     MB/s) regressing by more than --max-regression percent;
-  * multi-reader scaling (each multi_reader mode/reader-count QPS)
-    regressing by more than --max-regression percent;
-  * lock-free read-path scaling: shared_r8 QPS must reach at least 2x
-    shared_r1 on hosts with >= 8 hardware threads (on smaller hosts the
-    reader threads time-slice the same cores and the ratio measures the
-    scheduler, so the check passes with a logged skip);
   * provenance overhead (the stress bench's interleaved on/off comparison)
     at or above --max-overhead percent of the decision path;
   * the durability-fault sweep (bench_recovery's FaultVfs phase) missing a
@@ -119,46 +113,6 @@ def micro_mb_per_s(report: dict, name: str):
     return None
 
 
-def multi_reader_qps(report: dict) -> dict:
-    out = {}
-    for r in report.get("stress_concurrency", {}).get("results", []):
-        if r.get("bench") == "multi_reader":
-            out[f"{r['mode']}_r{r['readers']}"] = r.get("queries_per_s")
-    return out
-
-
-def multi_reader_hw_cores(report: dict):
-    for r in report.get("stress_concurrency", {}).get("results", []):
-        if r.get("bench") == "multi_reader":
-            return r.get("hw_cores")
-    return None
-
-
-def scaling_check(report: dict, min_speedup: float, min_cores: int) -> dict:
-    """Lock-free read-path scaling: shared_r8 must reach min_speedup x the
-    shared_r1 QPS — but only on hosts with at least min_cores hardware
-    threads. On smaller boxes the reader threads time-slice the same
-    core(s) and the ratio measures the scheduler, not the tracker, so the
-    check passes with a logged skip instead."""
-    readers = multi_reader_qps(report)
-    cores = multi_reader_hw_cores(report)
-    r1, r8 = readers.get("shared_r1"), readers.get("shared_r8")
-    speedup = round(r8 / r1, 2) if r1 and r8 is not None else None
-    check = {"name": "multi_reader_scaling:shared_r8_vs_r1",
-             "fresh": speedup, "required": min_speedup, "hw_cores": cores}
-    if cores is None or cores < min_cores:
-        check.update(passed=True,
-                     note=f"skipped: host has {cores} core(s) "
-                          f"(< {min_cores}); reader threads time-slice one "
-                          "core, so r8/r1 scaling is not measurable here")
-    elif speedup is None:
-        check.update(passed=False,
-                     note="shared_r1/shared_r8 missing from fresh report")
-    else:
-        check.update(passed=speedup >= min_speedup)
-    return check
-
-
 def durability_fault_rates(report: dict) -> list:
     return sorted(
         r.get("rate")
@@ -224,16 +178,6 @@ def main() -> int:
             micro_mb_per_s(fresh, MICRO_HEADLINE),
             args.max_regression),
     ]
-    base_readers = multi_reader_qps(baseline)
-    fresh_readers = multi_reader_qps(fresh)
-    for key in sorted(base_readers):
-        checks.append(regression_check(
-            f"multi_reader:{key}:queries_per_s",
-            base_readers.get(key), fresh_readers.get(key),
-            args.max_regression))
-
-    reader_scaling = scaling_check(fresh, min_speedup=2.0, min_cores=8)
-
     overhead = provenance_overhead_pct(fresh)
     overhead_check = {
         "name": "provenance_overhead_pct",
@@ -262,27 +206,18 @@ def main() -> int:
             failures.append("provenance_overhead_pct")
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
-        if reader_scaling["fresh"] is None \
-                and "skipped" not in reader_scaling.get("note", ""):
-            failures.append(reader_scaling["name"])
         gate_pass = not failures
         for c in checks:
             c["passed"] = c["fresh"] is not None
             c["note"] = "smoke: presence only, percentage not gated"
         overhead_check["passed"] = overhead is not None
         overhead_check["note"] = "smoke: presence only, percentage not gated"
-        if "skipped" not in reader_scaling.get("note", ""):
-            reader_scaling["passed"] = reader_scaling["fresh"] is not None
-            reader_scaling["note"] = \
-                "smoke: presence only, ratio not gated"
     else:
         failures = [c["name"] for c in checks if not c["passed"]]
         if not overhead_check["passed"]:
             failures.append(overhead_check["name"])
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
-        if not reader_scaling["passed"]:
-            failures.append(reader_scaling["name"])
         gate_pass = not failures
 
     # The artifact IS a bf-bench-report-v1 (fresh numbers at the top level,
@@ -295,7 +230,6 @@ def main() -> int:
             "max_regression_pct": args.max_regression,
             "max_provenance_overhead_pct": args.max_overhead,
             "provenance_overhead": overhead_check,
-            "multi_reader_scaling": reader_scaling,
             "durability_fault_sweep": durability_check,
             "checks": checks,
             "pass": gate_pass,
@@ -306,17 +240,12 @@ def main() -> int:
         f.write("\n")
     print(f"==> wrote {out_path}")
 
-    for c in checks + [reader_scaling, overhead_check, durability_check]:
+    for c in checks + [overhead_check, durability_check]:
         status = "ok  " if c["passed"] else "FAIL"
         if "regression_pct" in c:
             detail = f"{c.get('regression_pct')}% regression"
         elif c["name"] == "durability_fault_sweep":
             detail = f"rates {c.get('fresh')}"
-        elif c["name"].startswith("multi_reader_scaling"):
-            detail = (f"{c.get('fresh')}x vs required "
-                      f"{c.get('required')}x ({c.get('note', 'gated')})"
-                      if "note" in c else
-                      f"{c.get('fresh')}x vs required {c.get('required')}x")
         else:
             detail = f"{c.get('fresh')}%"
         print(f"gate {status} {c['name']}: {detail}")

@@ -121,29 +121,11 @@ def run_micro(build_dir, quick, repeats=1):
     }
 
 
-def recompute_speedups(merged):
-    """Rebuilds cross-row ratios after a best-of-N merge.
-
-    The bench prints speedup_vs_r1 relative to the baseline row of its
-    OWN run; per-row maxing can pick rows from different runs, leaving
-    those printed ratios inconsistent with the merged throughputs.
-    Recompute them from the merged series.
-    """
-    reader_base = {}
-    for m in merged:
-        if m.get("bench") == "multi_reader" and m.get("readers") == 1:
-            reader_base[m.get("mode")] = m.get("queries_per_s", 0)
-    for m in merged:
-        if m.get("bench") == "multi_reader" and "speedup_vs_r1" in m:
-            base = reader_base.get(m.get("mode"), 0)
-            m["speedup_vs_r1"] = m["queries_per_s"] / base if base else 0.0
-
-
 def run_results_bench(binary, env, quick_env, repeats=1):
     """Runs a RESULT-line bench, optionally `repeats` times.
 
     With repeats > 1 the runs are merged per metric: throughput-style
-    numbers (queries_per_s, decisions_per_s, goodput_per_s) keep their
+    numbers (decisions_per_s, goodput_per_s, observes_per_s) keep their
     MAX across runs, measured-overhead percentages keep their MIN — the
     least-interference estimate of what the machine can actually do.
     On a single-core container a lone sample swings ±30% with scheduler
@@ -153,8 +135,7 @@ def run_results_bench(binary, env, quick_env, repeats=1):
     def result_key(r):
         # Every dimension a bench sweeps must appear here or rows from
         # different sweep points merge into one.
-        return (r.get("bench"), r.get("mode"), r.get("readers"),
-                r.get("users"), r.get("rate"))
+        return (r.get("bench"), r.get("users"), r.get("rate"))
 
     runs = []
     for _ in range(max(1, repeats)):
@@ -167,13 +148,12 @@ def run_results_bench(binary, env, quick_env, repeats=1):
             r = by_key.get(result_key(m))
             if r is None:
                 continue
-            for field in ("queries_per_s", "decisions_per_s",
-                          "goodput_per_s", "observes_per_s"):
+            for field in ("decisions_per_s", "goodput_per_s",
+                          "observes_per_s"):
                 if field in m and field in r:
                     m[field] = max(m[field], r[field])
             if "overhead_pct" in m and "overhead_pct" in r:
                 m["overhead_pct"] = min(m["overhead_pct"], r["overhead_pct"])
-    recompute_speedups(merged)
     return {
         "results": merged,
         "wall_s": round(sum(w for _, w, _ in runs), 2),
@@ -195,17 +175,7 @@ def summarize(report):
         summary["fingerprint_speedup_vs_reference_16k"] = round(
             fused["mb_per_s"] / ref["mb_per_s"], 2
         )
-    readers = [
-        r
-        for r in report.get("stress_concurrency", {}).get("results", [])
-        if r.get("bench") == "multi_reader"
-    ]
-    if readers:
-        summary["multi_reader"] = {
-            f"{r['mode']}_r{r['readers']}": round(r["queries_per_s"])
-            for r in readers
-        }
-        summary["hw_cores"] = readers[0].get("hw_cores")
+    summary["hw_cores"] = os.cpu_count()
     faults = [
         r
         for r in report.get("recovery", {}).get("results", [])

@@ -33,8 +33,12 @@ crypto::Key256 deriveKey(std::string_view secret) {
 util::Status saveDeployment(BrowserFlowPlugin& plugin, const std::string& path,
                             std::string_view secret) {
   std::string payload;
-  util::putStr(payload, flow::exportState(plugin.tracker()));
-  util::putStr(payload, tdm::exportPolicy(plugin.policy()));
+  {
+    // The async decision worker mutates both stores under the same lock.
+    const auto lock = plugin.engine().lockState();
+    util::putStr(payload, flow::exportState(plugin.tracker()));
+    util::putStr(payload, tdm::exportPolicy(plugin.policy()));
+  }
 
   std::string fileData;
   if (secret.empty()) {
@@ -97,6 +101,7 @@ util::Result<util::Timestamp> loadDeployment(BrowserFlowPlugin& plugin,
   const std::string policyBlob = r.str();
   if (!r.ok() || !r.atEnd()) return R::error("deployment payload corrupt");
 
+  const auto lock = plugin.engine().lockState();
   const auto maxTs = flow::importState(plugin.tracker(), trackerBlob);
   if (!maxTs.ok()) return maxTs;
   const auto st = tdm::importPolicy(plugin.policy(), policyBlob);

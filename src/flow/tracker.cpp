@@ -65,16 +65,15 @@ constexpr std::size_t kMaxFingerprintWorkers = 8;
 }  // namespace
 
 FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock)
-    : config_(config), tape_(clock) {}
+    : config_(config), clock_(clock) {}
 
 void FlowTracker::refreshStoreGauges() const noexcept {
-  const Stores& s = stores_[static_cast<std::size_t>(lr_.activeInstance())];
   const TrackerMetrics& m = trackerMetrics();
   m.dbhashParagraphHashes->set(static_cast<double>(
-      s.hashes[idx(SegmentKind::kParagraph)].distinctHashCount()));
+      stores_.hashes[idx(SegmentKind::kParagraph)].distinctHashCount()));
   m.dbhashDocumentHashes->set(static_cast<double>(
-      s.hashes[idx(SegmentKind::kDocument)].distinctHashCount()));
-  m.dbparSegments->set(static_cast<double>(s.segments.size()));
+      stores_.hashes[idx(SegmentKind::kDocument)].distinctHashCount()));
+  m.dbparSegments->set(static_cast<double>(stores_.segments.size()));
 }
 
 std::uint64_t FlowTracker::digestOf(const text::Fingerprint& fp) {
@@ -92,8 +91,7 @@ SegmentId FlowTracker::observeSegment(SegmentKind kind, std::string_view name,
                                       std::optional<double> threshold) {
   BF_SPAN("flow.observe");
   // Fingerprinting is pure CPU over immutable config: do it before taking
-  // the writer mutex so concurrent observers only serialise on the store
-  // update.
+  // the mutex so concurrent observers only serialise on the store update.
   text::Fingerprint fp;
   {
     obs::StageTimer fpTimer(obs::Stage::kFingerprint);
@@ -104,60 +102,59 @@ SegmentId FlowTracker::observeSegment(SegmentKind kind, std::string_view name,
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
-  const SegmentId id = mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    return observeSegmentIn(s, wal, kind, name, document, service, fp,
-                            threshold);
-  });
+  const SegmentId id =
+      observeSegmentLocked(kind, name, document, service, fp, threshold);
   refreshStoreGauges();
   return id;
 }
 
-SegmentId FlowTracker::observeSegmentIn(Stores& s, WriteAheadLog* wal,
-                                        SegmentKind kind,
-                                        std::string_view name,
-                                        std::string_view document,
-                                        std::string_view service,
-                                        const text::Fingerprint& fp,
-                                        std::optional<double> threshold) {
+SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
+                                            std::string_view name,
+                                            std::string_view document,
+                                            std::string_view service,
+                                            const text::Fingerprint& fp,
+                                            std::optional<double> threshold) {
   const double defaultThreshold = kind == SegmentKind::kParagraph
                                       ? config_.defaultParagraphThreshold
                                       : config_.defaultDocumentThreshold;
-  const SegmentRecord* existing = s.segments.findByName(name);
+  const SegmentRecord* existing = stores_.segments.findByName(name);
   SegmentId id;
   if (existing == nullptr) {
-    id = s.segments.create(kind, std::string(name), std::string(document),
-                           std::string(service),
-                           threshold.value_or(defaultThreshold), tape_.now());
+    id = stores_.segments.create(kind, std::string(name),
+                                 std::string(document), std::string(service),
+                                 threshold.value_or(defaultThreshold),
+                                 clock_->now());
   } else {
     id = existing->id;
-    if (threshold) s.segments.setThreshold(id, *threshold);
+    if (threshold) stores_.segments.setThreshold(id, *threshold);
     // Unchanged fingerprint: nothing to record and the cached disclosure
     // answer stays valid (the per-keystroke fast path of S6.2). A threshold
     // change is still durable state, so it is the one thing logged.
     if (existing->fingerprint.sameHashes(fp)) {
-      if (wal != nullptr && threshold) {
-        wal->logThresholdChanged(name, *threshold);
+      if (wal_ != nullptr && threshold) {
+        wal_->logThresholdChanged(name, *threshold);
       }
       return id;
     }
   }
 
-  const util::Timestamp now = tape_.now();
-  HashDb& db = s.hashes[idx(kind)];
+  const util::Timestamp now = clock_->now();
+  HashDb& db = stores_.hashes[idx(kind)];
   for (std::uint64_t h : fp.hashes()) {
     db.recordObservation(h, id, now);
   }
-  s.segments.updateFingerprint(id, fp, now);
-  if (auto it = s.cache.find(id); it != s.cache.end()) {
+  stores_.segments.updateFingerprint(id, fp, now);
+  if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
     it->second.valid = false;
   }
-  if (wal != nullptr) {
+  if (wal_ != nullptr) {
     // Log the POST-mutation record: replaying it recreates the segment with
     // its effective threshold and timestamps, and re-records its hash
     // associations at updatedAt (HashDb idempotency keeps earlier
     // first-seen timestamps, exactly as the live path did).
-    if (const SegmentRecord* rec = s.segments.find(id); rec != nullptr) {
-      wal->logSegmentObserved(*rec);
+    if (const SegmentRecord* rec = stores_.segments.find(id);
+        rec != nullptr) {
+      wal_->logSegmentObserved(*rec);
     }
   }
   return id;
@@ -206,72 +203,63 @@ FlowTracker::DocumentObservation FlowTracker::observeDocument(
   trackerMetrics().fingerprints->inc(paras.size() + 1);
   obs::stageEnd(obs::Stage::kFingerprint, fpStart);
 
-  // One writer section applies every store update (to both replicas), then
-  // refreshes the gauges once — the lock is taken once, not once per
-  // paragraph.
+  // One lock section applies every store update, then refreshes the gauges
+  // once — the lock is taken once, not once per paragraph.
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
-  DocumentObservation out = mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    DocumentObservation o;
-    o.paragraphs.reserve(paras.size());
-    o.document = observeSegmentIn(s, wal, SegmentKind::kDocument, docName,
-                                  docName, service, docFp, documentThreshold);
-    for (std::size_t i = 0; i < paras.size(); ++i) {
-      std::string pname =
-          std::string(docName) + "#p" + std::to_string(paras[i].index);
-      o.paragraphs.push_back(observeSegmentIn(s, wal, SegmentKind::kParagraph,
-                                              pname, docName, service,
-                                              paraFps[i], paragraphThreshold));
-    }
-    return o;
-  });
+  DocumentObservation out;
+  out.paragraphs.reserve(paras.size());
+  out.document = observeSegmentLocked(SegmentKind::kDocument, docName, docName,
+                                      service, docFp, documentThreshold);
+  for (std::size_t i = 0; i < paras.size(); ++i) {
+    std::string pname =
+        std::string(docName) + "#p" + std::to_string(paras[i].index);
+    out.paragraphs.push_back(observeSegmentLocked(SegmentKind::kParagraph,
+                                                  pname, docName, service,
+                                                  paraFps[i],
+                                                  paragraphThreshold));
+  }
   refreshStoreGauges();
   return out;
 }
 
 void FlowTracker::removeSegmentByName(std::string_view name) {
   util::MutexLock lock(mutex_);
-  mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    const SegmentRecord* rec = s.segments.findByName(name);
-    if (rec != nullptr) removeSegmentIn(s, wal, rec->id);
-  });
+  const SegmentRecord* rec = stores_.segments.findByName(name);
+  if (rec != nullptr) removeSegmentLocked(rec->id);
   refreshStoreGauges();
 }
 
 void FlowTracker::removeSegment(SegmentId id) {
   util::MutexLock lock(mutex_);
-  mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    removeSegmentIn(s, wal, id);
-  });
+  removeSegmentLocked(id);
   refreshStoreGauges();
 }
 
-void FlowTracker::removeSegmentIn(Stores& s, WriteAheadLog* wal,
-                                  SegmentId id) {
-  const SegmentRecord* rec = s.segments.find(id);
+void FlowTracker::removeSegmentLocked(SegmentId id) {
+  const SegmentRecord* rec = stores_.segments.find(id);
   if (rec != nullptr) {
-    s.hashes[idx(rec->kind)].removeSegment(id);
+    stores_.hashes[idx(rec->kind)].removeSegment(id);
   } else {
-    s.hashes[idx(SegmentKind::kParagraph)].removeSegment(id);
-    s.hashes[idx(SegmentKind::kDocument)].removeSegment(id);
+    stores_.hashes[idx(SegmentKind::kParagraph)].removeSegment(id);
+    stores_.hashes[idx(SegmentKind::kDocument)].removeSegment(id);
   }
-  s.segments.remove(id);
-  s.cache.erase(id);
-  if (wal != nullptr) wal->logSegmentRemoved(id);
+  stores_.segments.remove(id);
+  stores_.cache.erase(id);
+  if (wal_ != nullptr) wal_->logSegmentRemoved(id);
 }
 
 std::vector<DisclosureHit> FlowTracker::disclosedSources(
     const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
     std::string_view selfDocument) const {
-  util::LeftRightReadGuard guard(lr_);
-  return disclosedSourcesIn(readerStores(guard), target, sourceKind, self,
-                            selfDocument);
+  util::MutexLock lock(mutex_);
+  return disclosedSourcesLocked(target, sourceKind, self, selfDocument);
 }
 
-std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
-    const Stores& st, const text::Fingerprint& target, SegmentKind sourceKind,
-    SegmentId self, std::string_view selfDocument) const {
+std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
+    const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
+    std::string_view selfDocument) const {
   BF_SPAN("flow.query");
   obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
@@ -287,7 +275,7 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
   // response time scale sub-linearly with the hash count (paper Fig. 13).
   // The naive containment ablation lets every segment sharing a hash
   // compete instead.
-  const HashDb& db = st.hashes[idx(sourceKind)];
+  const HashDb& db = stores_.hashes[idx(sourceKind)];
   std::vector<std::pair<SegmentId, std::uint64_t>> claims;
   claims.reserve(target.size());
   for (std::uint64_t h : target.hashes()) {
@@ -305,7 +293,7 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
     next = std::find_if(first, claims.end(),
                         [c](const auto& claim) { return claim.first != c; });
     if (c == self) continue;  // "if p = P then continue"
-    const SegmentRecord* rec = st.segments.find(c);
+    const SegmentRecord* rec = stores_.segments.find(c);
     if (rec == nullptr || rec->kind != sourceKind) continue;
     if (config_.excludeSameDocument && !selfDocument.empty() &&
         rec->document == selfDocument) {
@@ -347,11 +335,10 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesIn(
 }
 
 FlowTracker::StoreSizes FlowTracker::storeSizes() const {
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  return {st.hashes[idx(SegmentKind::kParagraph)].distinctHashCount(),
-          st.hashes[idx(SegmentKind::kDocument)].distinctHashCount(),
-          st.segments.size()};
+  util::MutexLock lock(mutex_);
+  return {stores_.hashes[idx(SegmentKind::kParagraph)].distinctHashCount(),
+          stores_.hashes[idx(SegmentKind::kDocument)].distinctHashCount(),
+          stores_.segments.size()};
 }
 
 std::vector<DisclosureHit> FlowTracker::checkText(
@@ -363,52 +350,28 @@ std::vector<DisclosureHit> FlowTracker::checkText(
   obs::stageEnd(obs::Stage::kFingerprint, fpStart);
   stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
-  util::LeftRightReadGuard guard(lr_);
-  return disclosedSourcesIn(readerStores(guard), fp, SegmentKind::kParagraph,
-                            kInvalidSegment, excludeDocument);
+  util::MutexLock lock(mutex_);
+  return disclosedSourcesLocked(fp, SegmentKind::kParagraph, kInvalidSegment,
+                                excludeDocument);
 }
 
 std::vector<DisclosureHit> FlowTracker::sourcesForSegment(SegmentId id) {
-  if (config_.enableCache) {
-    // Fast path: a lock-free left-right read — an unchanged fingerprint
-    // serves the cached answer without any mutex, so concurrent cached
-    // queries neither serialise nor wait for writers (the per-keystroke
-    // common case of S6.2).
-    obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
-    util::LeftRightReadGuard guard(lr_);
-    const Stores& st = readerStores(guard);
-    const SegmentRecord* rec = st.segments.find(id);
-    if (rec == nullptr) return {};
-    const auto it = st.cache.find(id);
-    if (it != st.cache.end() && it->second.valid &&
-        it->second.fingerprintDigest == digestOf(rec->fingerprint) &&
-        it->second.removalGeneration ==
-            st.hashes[idx(rec->kind)].removalGeneration()) {
-      stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
-      trackerMetrics().cacheHits->inc();
-      return it->second.hits;
-    }
-  }
-
-  // Miss (or cache disabled): recompute from the active replica under the
-  // writer mutex, then install the entry into both replicas. The stores may
-  // have changed since the guard was dropped, so everything is re-read —
-  // including the cache entry another thread may just have filled.
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
-  const Stores& active =
-      stores_[static_cast<std::size_t>(lr_.activeInstance())];
-  const SegmentRecord* rec = active.segments.find(id);
+  const SegmentRecord* rec = stores_.segments.find(id);
   if (rec == nullptr) return {};
-
-  const std::uint64_t digest = digestOf(rec->fingerprint);
-  const std::uint64_t removalGen =
-      active.hashes[idx(rec->kind)].removalGeneration();
-  if (config_.enableCache) {
-    const auto it = active.cache.find(id);
-    if (it != active.cache.end() && it->second.valid &&
-        it->second.fingerprintDigest == digest &&
+  std::uint64_t digest = 0;
+  std::uint64_t removalGen = 0;
+  {
+    // Cache probe: an unchanged fingerprint serves the cached answer (the
+    // per-keystroke common case of S6.2). A miss is timed by the query.
+    obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
+    digest = digestOf(rec->fingerprint);
+    removalGen = stores_.hashes[idx(rec->kind)].removalGeneration();
+    const auto it = stores_.cache.find(id);
+    if (config_.enableCache && it != stores_.cache.end() &&
+        it->second.valid && it->second.fingerprintDigest == digest &&
         it->second.removalGeneration == removalGen) {
       stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
       trackerMetrics().cacheHits->inc();
@@ -417,29 +380,25 @@ std::vector<DisclosureHit> FlowTracker::sourcesForSegment(SegmentId id) {
   }
   stats_.cacheMisses.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().cacheMisses->inc();
-  std::vector<DisclosureHit> hits = disclosedSourcesIn(
-      active, rec->fingerprint, rec->kind, id, rec->document);
-  // The fill only touches the replicated cache maps, never the segment and
-  // hash tables `rec` points into, so `rec`/`active` stay valid across it.
-  mutateStores([&](Stores& s, WriteAheadLog*) {
-    CacheEntry& entry = s.cache[id];
-    entry.hits = hits;
-    entry.fingerprintDigest = digest;
-    entry.removalGeneration = removalGen;
-    entry.valid = true;
-  });
+  std::vector<DisclosureHit> hits =
+      disclosedSourcesLocked(rec->fingerprint, rec->kind, id, rec->document);
+  CacheEntry& entry = stores_.cache[id];
+  entry.hits = hits;
+  entry.fingerprintDigest = digest;
+  entry.removalGeneration = removalGen;
+  entry.valid = true;
   return hits;
 }
 
 double FlowTracker::pairwiseDisclosure(SegmentId source,
                                        SegmentId target) const {
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  const SegmentRecord* src = st.segments.find(source);
-  const SegmentRecord* tgt = st.segments.find(target);
+  util::MutexLock lock(mutex_);
+  const SegmentRecord* src = stores_.segments.find(source);
+  const SegmentRecord* tgt = stores_.segments.find(target);
   if (src == nullptr || tgt == nullptr) return 0.0;
   if (config_.useAuthoritative) {
-    return disclosureScore(*src, tgt->fingerprint, st.hashes[idx(src->kind)]);
+    return disclosureScore(*src, tgt->fingerprint,
+                           stores_.hashes[idx(src->kind)]);
   }
   const std::size_t total = src->fingerprint.size();
   if (total == 0) return 0.0;
@@ -451,38 +410,30 @@ double FlowTracker::pairwiseDisclosure(SegmentId source,
 bool FlowTracker::setSegmentThreshold(std::string_view name,
                                       double threshold) {
   util::MutexLock lock(mutex_);
-  return mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    const SegmentRecord* rec = s.segments.findByName(name);
-    if (rec == nullptr) return false;
-    s.segments.setThreshold(rec->id, threshold);
-    // A source's threshold changes every other segment's query outcome.
-    s.cache.clear();
-    if (wal != nullptr) wal->logThresholdChanged(name, threshold);
-    return true;
-  });
+  const SegmentRecord* rec = stores_.segments.findByName(name);
+  if (rec == nullptr) return false;
+  stores_.segments.setThreshold(rec->id, threshold);
+  // A source's threshold changes every other segment's query outcome.
+  stores_.cache.clear();
+  if (wal_ != nullptr) wal_->logThresholdChanged(name, threshold);
+  return true;
 }
 
 std::size_t FlowTracker::evictAssociationsOlderThan(util::Timestamp cutoff) {
   util::MutexLock lock(mutex_);
   const std::size_t dropped =
-      mutateStores([&](Stores& s, WriteAheadLog* wal) {
-        std::size_t n = 0;
-        n += s.hashes[idx(SegmentKind::kParagraph)].evictOlderThan(cutoff);
-        n += s.hashes[idx(SegmentKind::kDocument)].evictOlderThan(cutoff);
-        s.cache.clear();  // authority may have shifted wholesale
-        if (wal != nullptr) wal->logAssociationsEvicted(cutoff);
-        return n;
-      });
+      stores_.hashes[idx(SegmentKind::kParagraph)].evictOlderThan(cutoff) +
+      stores_.hashes[idx(SegmentKind::kDocument)].evictOlderThan(cutoff);
+  stores_.cache.clear();  // authority may have shifted wholesale
+  if (wal_ != nullptr) wal_->logAssociationsEvicted(cutoff);
   refreshStoreGauges();
   return dropped;
 }
 
 void FlowTracker::restoreSegment(SegmentRecord record) {
   util::MutexLock lock(mutex_);
-  mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    if (wal != nullptr) wal->logSegmentObserved(record);
-    s.segments.restore(record);  // by-value copy; applied to both replicas
-  });
+  if (wal_ != nullptr) wal_->logSegmentObserved(record);
+  stores_.segments.restore(std::move(record));
   refreshStoreGauges();
 }
 
@@ -493,12 +444,11 @@ void FlowTracker::restoreAssociation(SegmentKind kind, std::uint64_t hash,
   // Called once per association during snapshot import; the store gauges
   // are refreshed by restoreSegment / the next observation instead of here.
   util::MutexLock lock(mutex_);
-  mutateStores([&](Stores& s, WriteAheadLog* wal) {
-    s.hashes[idx(kind)].recordObservation(hash, segment, firstSeen, lastSeen);
-    if (wal != nullptr) {
-      wal->logAssociationAdded(kind, hash, segment, firstSeen, lastSeen);
-    }
-  });
+  stores_.hashes[idx(kind)].recordObservation(hash, segment, firstSeen,
+                                              lastSeen);
+  if (wal_ != nullptr) {
+    wal_->logAssociationAdded(kind, hash, segment, firstSeen, lastSeen);
+  }
 }
 
 void FlowTracker::attachWal(WriteAheadLog* wal) {
@@ -508,26 +458,24 @@ void FlowTracker::attachWal(WriteAheadLog* wal) {
 
 void FlowTracker::replaySegmentObserved(SegmentRecord record) {
   util::MutexLock lock(mutex_);
-  // Replay runs with the WAL detached (see attachWal); the record already
-  // carries its timestamps, so the closure draws nothing from the tape and
-  // both replica applications are trivially identical.
-  mutateStores([&](Stores& s, WriteAheadLog*) {
-    const SegmentRecord* existing = s.segments.findByName(record.name);
-    const SegmentId id = existing != nullptr ? existing->id : record.id;
-    HashDb& db = s.hashes[idx(record.kind)];
-    for (std::uint64_t h : record.fingerprint.hashes()) {
-      db.recordObservation(h, id, record.updatedAt);
-    }
-    if (existing == nullptr) {
-      s.segments.restore(record);
-    } else {
-      s.segments.setThreshold(id, record.threshold);
-      s.segments.updateFingerprint(id, record.fingerprint, record.updatedAt);
-    }
-    if (auto it = s.cache.find(id); it != s.cache.end()) {
-      it->second.valid = false;
-    }
-  });
+  // Replay runs with the WAL detached (see attachWal) and the record
+  // carries its own timestamps, so nothing is logged or drawn from clock_.
+  const SegmentRecord* existing = stores_.segments.findByName(record.name);
+  const SegmentId id = existing != nullptr ? existing->id : record.id;
+  HashDb& db = stores_.hashes[idx(record.kind)];
+  for (std::uint64_t h : record.fingerprint.hashes()) {
+    db.recordObservation(h, id, record.updatedAt);
+  }
+  if (existing == nullptr) {
+    stores_.segments.restore(std::move(record));
+  } else {
+    stores_.segments.setThreshold(id, record.threshold);
+    stores_.segments.updateFingerprint(id, record.fingerprint,
+                                       record.updatedAt);
+  }
+  if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
+    it->second.valid = false;
+  }
   refreshStoreGauges();
 }
 
@@ -535,11 +483,10 @@ std::vector<std::pair<std::size_t, std::size_t>>
 FlowTracker::attributeDisclosure(SegmentId source,
                                  const text::Fingerprint& target) const {
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  util::LeftRightReadGuard guard(lr_);
-  const Stores& st = readerStores(guard);
-  const SegmentRecord* rec = st.segments.find(source);
+  util::MutexLock lock(mutex_);
+  const SegmentRecord* rec = stores_.segments.find(source);
   if (rec == nullptr || target.empty()) return ranges;
-  const HashDb& db = st.hashes[idx(rec->kind)];
+  const HashDb& db = stores_.hashes[idx(rec->kind)];
   // Each matched gram covers roughly one n-gram of source text; adjacent
   // matches merge into readable passages. The window guarantee means a
   // copied passage of >= windowChars yields at least one gram here.
@@ -567,9 +514,9 @@ std::optional<SegmentRecord> FlowTracker::findSegmentWithFingerprint(
     std::string_view document, const text::Fingerprint& fp,
     SegmentKind kind) const {
   if (fp.empty()) return std::nullopt;
-  util::LeftRightReadGuard guard(lr_);
+  util::MutexLock lock(mutex_);
   std::optional<SegmentRecord> found;
-  readerStores(guard).segments.forEach([&](const SegmentRecord& rec) {
+  stores_.segments.forEach([&](const SegmentRecord& rec) {
     if (!found && rec.kind == kind && rec.document == document &&
         rec.fingerprint.sameHashes(fp)) {
       found = rec;

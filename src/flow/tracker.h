@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "sec/sensitive.h"
 #include "text/winnower.h"
 #include "util/clock.h"
-#include "util/left_right.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -71,9 +69,9 @@ struct DisclosureHit {
 };
 
 /// Point-in-time view of this tracker's counters, for tests and benches.
-/// The live counters are atomics (queries run concurrently from the async
-/// DecisionEngine worker and direct callers) and are mirrored into the
-/// process-wide obs registry as bf_tracker_* metrics.
+/// The live counters are atomics (stats() reads them without the tracker
+/// mutex) and are mirrored into the process-wide obs registry as
+/// bf_tracker_* metrics.
 struct TrackerStats {
   std::uint64_t queries = 0;
   std::uint64_t cacheHits = 0;
@@ -82,32 +80,24 @@ struct TrackerStats {
   std::uint64_t fingerprintsComputed = 0;
 };
 
-/// Thread safety — left-right replication (util/left_right.h, DESIGN.md
-/// §15). The stores live in TWO complete replicas (stores_[2]); a
-/// LeftRightControl arbitrates which replica readers see. Queries
-/// (disclosedSources, checkText, pairwiseDisclosure, attributeDisclosure,
-/// findSegmentWithFingerprint, and sourcesForSegment's
-/// unchanged-fingerprint fast path) take NO mutex at all: they register on
-/// a striped read indicator (wait-free, never retried) and read the
-/// quiescent active replica with plain loads. Mutations serialise on one
-/// writer mutex (util::Mutex, rank util::kRankTracker) and apply every
-/// change twice — first to the replica no reader can see, then, after the
-/// flip-and-drain step, to the other — so readers never observe a store
-/// mid-mutation and never block behind a writer.
+/// Thread safety — one store, one mutex (DESIGN.md §10). DBhash, DBpar and
+/// the decision cache live in one Stores guarded by mutex_
+/// (util::kRankTracker). Every query and every mutation holds it, so each
+/// write is applied once and a reader never sees a store mid-mutation. On
+/// the decision path the engine's stateMutex_ (taken before it) already
+/// serialises all callers, so the tracker mutex is uncontended there.
 ///
 /// Accessors that hand out pointers or references into the stores
-/// (segment, segmentByName — hashDb, segmentDb) are only stable while no
-/// concurrent mutation runs; callers that keep them across operations must
-/// serialise externally (the engine's stateMutex_ provides this on the
-/// decision path). Fingerprinting runs OUTSIDE all synchronisation: it is
-/// pure CPU on immutable config, so concurrent observers only serialise on
-/// store updates, not on hashing.
+/// (segment, segmentByName, hashDb, segmentDb) outlive the lock; callers
+/// that keep them across operations must serialise externally (the
+/// engine's stateMutex_ provides this on the decision path). Fingerprinting
+/// runs OUTSIDE the mutex: it is pure CPU on immutable config, so
+/// concurrent observers only serialise on store updates, not on hashing.
 class FlowTracker {
  public:
   /// `clock` provides observation timestamps; not owned, must outlive the
-  /// tracker. The clock is only invoked under the tracker's writer mutex
-  /// (through the replay tape), so a non-thread-safe LogicalClock is fine
-  /// even with concurrent observers.
+  /// tracker. The clock is only invoked under the tracker mutex, so a
+  /// non-thread-safe LogicalClock is fine even with concurrent observers.
   FlowTracker(TrackerConfig config, util::Clock* clock);
 
   // ---- Observation (feeding the tracker) ----------------------------------
@@ -126,7 +116,7 @@ class FlowTracker {
   /// Observes a whole document: one document-kind segment named `docName`
   /// plus one paragraph-kind segment "docName#p<i>" per paragraph.
   /// Batched: all fingerprints are computed outside the lock (in parallel
-  /// for large documents), then applied under ONE writer section with a
+  /// for large documents), then applied under ONE lock section with a
   /// single gauge refresh — the lock is taken once, not N+1 times.
   struct DocumentObservation {
     SegmentId document = kInvalidSegment;
@@ -155,91 +145,91 @@ class FlowTracker {
   /// Disclosing sources of kind `sourceKind` for an arbitrary fingerprint.
   /// `self` / `selfDocument` exclude the queried segment (Algorithm 1's
   /// "if p = P then continue") and, if configured, its document.
-  /// Lock-free: reads the active replica under a left-right read guard.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSources(
       const text::Fingerprint& target, SegmentKind sourceKind,
       SegmentId self = kInvalidSegment,
-      std::string_view selfDocument = {}) const;
+      std::string_view selfDocument = {}) const BF_EXCLUDES(mutex_);
 
   /// Fingerprints `text` and queries paragraph-kind sources without
-  /// registering anything — the "would uploading this leak?" path.
-  /// Lock-free, like disclosedSources.
+  /// registering anything — the "would uploading this leak?" path. The
+  /// text is fingerprinted before the mutex is taken.
   [[nodiscard]] std::vector<DisclosureHit> checkText(
-      sec::SensitiveView text, std::string_view excludeDocument = {}) const;
+      sec::SensitiveView text, std::string_view excludeDocument = {}) const
+      BF_EXCLUDES(mutex_);
 
   /// Cached per-segment query: disclosing sources of the segment's current
   /// fingerprint. Serves the cached answer when the fingerprint is
-  /// unchanged since the last call — that fast path is a lock-free
-  /// left-right read, so concurrent cached queries never serialise and
-  /// never wait for writers; only a cache miss takes the writer mutex to
-  /// recompute and install the answer in both replicas. Returns a copy of
-  /// the hits (the cache entry itself may be invalidated by a concurrent
-  /// observation the moment the guard is released).
+  /// unchanged since the last call (the per-keystroke common case of S6.2);
+  /// otherwise recomputes and fills the cache, all under one hold of the
+  /// mutex. Returns a copy of the hits (the cache entry itself may be
+  /// invalidated by a concurrent observation once the mutex is released).
   [[nodiscard]] std::vector<DisclosureHit> sourcesForSegment(SegmentId id)
       BF_EXCLUDES(mutex_);
 
   /// Pairwise disclosure score D(source, target) between two registered
-  /// segments (used by effectiveness benches). Lock-free read.
+  /// segments (used by effectiveness benches).
   [[nodiscard]] double pairwiseDisclosure(SegmentId source,
-                                          SegmentId target) const;
+                                          SegmentId target) const
+      BF_EXCLUDES(mutex_);
 
   /// Attribution (paper S4.1): which passages of the SOURCE segment does
   /// `target` disclose? Returns merged [begin, end) byte ranges into the
   /// source's original text, covering every authoritative source hash that
   /// also appears in the target. Empty if either side is unknown/empty.
-  /// Lock-free read.
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
-  attributeDisclosure(SegmentId source, const text::Fingerprint& target) const;
+  attributeDisclosure(SegmentId source, const text::Fingerprint& target) const
+      BF_EXCLUDES(mutex_);
 
   /// The registered segment of `document` whose fingerprint has exactly the
   /// same hash set as `fp` (nullopt if none, or if fp is empty). Lets the
   /// upload path recognise "this outgoing text IS that tracked paragraph"
   /// and reuse its label — including user suppressions. Returns a COPY of
   /// the record: a pointer into the store would dangle the moment a
-  /// concurrent observation re-applied to this replica. Lock-free read.
+  /// concurrent observation updated that segment.
   [[nodiscard]] std::optional<SegmentRecord> findSegmentWithFingerprint(
       std::string_view document, const text::Fingerprint& fp,
-      SegmentKind kind = SegmentKind::kParagraph) const;
+      SegmentKind kind = SegmentKind::kParagraph) const BF_EXCLUDES(mutex_);
 
   // ---- Introspection -------------------------------------------------------
-  // The pointer/reference accessors below escape all synchronisation by
-  // design (snapshot export, tests, benches, the plug-in's lockState()
-  // sections). They read the active replica and are safe only while no
-  // concurrent mutation runs; the external-serialisation contract is
-  // documented in the class comment.
+  // The pointer/reference accessors below escape the mutex by design
+  // (snapshot export, tests, benches, the plug-in's lockState() sections).
+  // They are safe only while no concurrent mutation runs; the
+  // external-serialisation contract is documented in the class comment.
 
-  [[nodiscard]] const SegmentRecord* segment(SegmentId id) const {
-    util::LeftRightReadGuard guard(lr_);
-    return readerStores(guard).segments.find(id);
+  [[nodiscard]] const SegmentRecord* segment(SegmentId id) const
+      BF_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    return stores_.segments.find(id);
   }
-  [[nodiscard]] const SegmentRecord* segmentByName(
-      std::string_view name) const {
-    util::LeftRightReadGuard guard(lr_);
-    return readerStores(guard).segments.findByName(name);
+  [[nodiscard]] const SegmentRecord* segmentByName(std::string_view name) const
+      BF_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    return stores_.segments.findByName(name);
   }
   /// The hash store for one tracking granularity. Paragraphs and documents
   /// are tracked independently (paper S4.1), so provenance ("oldest segment
   /// with hash h") is kind-local: a document fingerprint never steals
   /// authority from its own paragraphs.
   [[nodiscard]] const HashDb& hashDb(
-      SegmentKind kind = SegmentKind::kParagraph) const noexcept {
-    return stores_[static_cast<std::size_t>(lr_.activeInstance())]
-        .hashes[static_cast<std::size_t>(kind)];
+      SegmentKind kind = SegmentKind::kParagraph) const noexcept
+      BF_NO_THREAD_SAFETY_ANALYSIS {
+    return stores_.hashes[idx(kind)];
   }
-  [[nodiscard]] const SegmentDb& segmentDb() const noexcept {
-    return stores_[static_cast<std::size_t>(lr_.activeInstance())].segments;
+  [[nodiscard]] const SegmentDb& segmentDb() const noexcept
+      BF_NO_THREAD_SAFETY_ANALYSIS {
+    return stores_.segments;
   }
   [[nodiscard]] const TrackerConfig& config() const noexcept {
     return config_;
   }
-  /// Store sizes read under a left-right guard — safe against concurrent
-  /// writers, unlike hashDb()/segmentDb().
+  /// Store sizes read under the mutex — safe against concurrent writers,
+  /// unlike hashDb()/segmentDb().
   struct StoreSizes {
     std::size_t paragraphHashes = 0;
     std::size_t documentHashes = 0;
     std::size_t segments = 0;
   };
-  [[nodiscard]] StoreSizes storeSizes() const;
+  [[nodiscard]] StoreSizes storeSizes() const BF_EXCLUDES(mutex_);
 
   /// Snapshot of this tracker's counters (the registry's bf_tracker_*
   /// metrics keep accumulating process-wide and are not reset by
@@ -292,12 +282,10 @@ class FlowTracker {
   // ---- Durability (flow/wal.h) ----------------------------------------------
 
   /// Attaches a write-ahead log: every subsequent mutation appends one
-  /// record inside the same writer section that applies it (on the FIRST
-  /// of its two replica applications), so the log order is exactly the
-  /// mutation order and each mutation is logged exactly once. Pass nullptr
-  /// to detach (the recovery path replays with the WAL detached so replay
-  /// is not re-logged). The log is not owned and must outlive the
-  /// attachment.
+  /// record inside the same mutex section that applies it, so the log
+  /// order is exactly the mutation order. Pass nullptr to detach (the
+  /// recovery path replays with the WAL detached so replay is not
+  /// re-logged). The log is not owned and must outlive the attachment.
   void attachWal(WriteAheadLog* wal) BF_EXCLUDES(mutex_);
 
   /// Applies one WAL kSegmentObserved record: create-or-update the segment
@@ -315,41 +303,12 @@ class FlowTracker {
     bool valid = false;
   };
 
-  /// One complete replica of the tracker's mutable state. Left-right keeps
-  /// two of these; every mutation is applied to both (one at a time, with
-  /// a reader drain in between), so either replica alone answers any
-  /// query. The decision cache is replicated too: a cache fill is a store
-  /// mutation like any other.
+  /// The tracker's mutable state: DBhash per kind, DBpar, and the
+  /// decision cache.
   struct Stores {
     HashDb hashes[2];  // indexed by SegmentKind
     SegmentDb segments;
     std::unordered_map<SegmentId, CacheEntry> cache;
-  };
-
-  /// Deterministic clock for double-applied mutations. The first
-  /// application records every now() it draws; rewind() makes the second
-  /// application replay the identical timestamps, keeping the two replicas
-  /// bit-identical even though the underlying clock moved on between the
-  /// applications.
-  class ClockTape {
-   public:
-    explicit ClockTape(util::Clock* clock) noexcept : clock_(clock) {}
-    [[nodiscard]] util::Timestamp now() {
-      if (pos_ < tape_.size()) return tape_[pos_++];
-      tape_.push_back(clock_->now());
-      pos_ = tape_.size();
-      return tape_.back();
-    }
-    void reset() noexcept {
-      tape_.clear();
-      pos_ = 0;
-    }
-    void rewind() noexcept { pos_ = 0; }
-
-   private:
-    util::Clock* clock_;
-    std::vector<util::Timestamp> tape_;
-    std::size_t pos_ = 0;
   };
 
   [[nodiscard]] static std::uint64_t digestOf(const text::Fingerprint& fp);
@@ -360,70 +319,30 @@ class FlowTracker {
     return static_cast<std::size_t>(kind);
   }
 
-  /// The replica a left-right reader may touch.
-  [[nodiscard]] const Stores& readerStores(
-      const util::LeftRightReadGuard& guard) const noexcept {
-    return stores_[static_cast<std::size_t>(guard.instance())];
-  }
-
-  /// Writer protocol: applies `fn(Stores&, WriteAheadLog*)` to BOTH
-  /// replicas. The first application runs on the replica no reader is
-  /// directed at, with the attached WAL (so each mutation is logged exactly
-  /// once); then flipAndWait() publishes it and drains every reader from
-  /// the old replica; then the second application re-converges that replica
-  /// with a null WAL. tape_ replays the first application's clock draws
-  /// into the second, so the replicas stay identical. Returns the FIRST
-  /// application's result. Must run under mutex_ (single writer).
-  template <typename Fn>
-  auto mutateStores(Fn&& fn) BF_REQUIRES(mutex_) {
-    tape_.reset();
-    using R = std::invoke_result_t<Fn&, Stores&, WriteAheadLog*>;
-    if constexpr (std::is_void_v<R>) {
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], wal_);
-      lr_.flipAndWait();
-      tape_.rewind();
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], nullptr);
-    } else {
-      R out = fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())],
-                 wal_);
-      lr_.flipAndWait();
-      tape_.rewind();
-      fn(stores_[static_cast<std::size_t>(lr_.inactiveInstance())], nullptr);
-      return out;
-    }
-  }
-
-  /// Registers `fp` (already computed, OUTSIDE the lock) for the segment in
-  /// replica `s`, logging to `wal` when non-null. Runs once per replica via
-  /// mutateStores; draws timestamps from tape_ so both runs agree. Does NOT
-  /// refresh the store gauges — callers batch mutations and refresh once
-  /// per writer section.
-  SegmentId observeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentKind kind,
-                             std::string_view name, std::string_view document,
-                             std::string_view service,
-                             const text::Fingerprint& fp,
-                             std::optional<double> threshold)
+  /// Registers `fp` (already computed, OUTSIDE the lock) for the segment,
+  /// logging to the attached WAL. Does NOT refresh the store gauges —
+  /// callers batch mutations and refresh once per lock section.
+  SegmentId observeSegmentLocked(SegmentKind kind, std::string_view name,
+                                 std::string_view document,
+                                 std::string_view service,
+                                 const text::Fingerprint& fp,
+                                 std::optional<double> threshold)
       BF_REQUIRES(mutex_);
 
-  void removeSegmentIn(Stores& s, WriteAheadLog* wal, SegmentId id)
+  void removeSegmentLocked(SegmentId id) BF_REQUIRES(mutex_);
+
+  /// Algorithm 1: candidate discovery and scoring in one pass over the
+  /// target's hashes, sorted by score.
+  [[nodiscard]] std::vector<DisclosureHit> disclosedSourcesLocked(
+      const text::Fingerprint& target, SegmentKind sourceKind,
+      SegmentId self, std::string_view selfDocument) const
       BF_REQUIRES(mutex_);
 
-  /// Pure read of one replica: Algorithm 1 over `s` — candidate discovery
-  /// and scoring in one pass over the target's hashes, sorted by score.
-  /// Runs under a left-right read guard (query paths) or the writer mutex
-  /// (sourcesForSegment's recompute) — either way the replica is quiescent.
-  [[nodiscard]] std::vector<DisclosureHit> disclosedSourcesIn(
-      const Stores& s, const text::Fingerprint& target,
-      SegmentKind sourceKind, SegmentId self,
-      std::string_view selfDocument) const;
-
-  /// Pushes the active replica's DBhash/DBpar sizes into the registry
-  /// gauges. Writer-side (the active replica is stable under mutex_).
+  /// Pushes the DBhash/DBpar sizes into the registry gauges.
   void refreshStoreGauges() const noexcept BF_REQUIRES(mutex_);
 
-  /// Live per-instance counters behind the TrackerStats view. Incremented
-  /// with relaxed atomics from const query paths, which the async decision
-  /// worker and direct callers reach concurrently.
+  /// Live per-instance counters behind the TrackerStats view. Relaxed
+  /// atomics, so stats() and resetStats() need not take mutex_.
   struct AtomicStats {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> cacheHits{0};
@@ -433,24 +352,13 @@ class FlowTracker {
   };
 
   TrackerConfig config_;  // immutable after construction
-  /// Writer-side mutex: serialises mutations (and the clock tape and WAL
-  /// they use). Readers never touch it — the left-right protocol keeps
-  /// them out of the replica being mutated. Ranked below the engine's
-  /// stateMutex_ in the documented hierarchy, like the reader-writer lock
-  /// it replaced.
-  util::Mutex mutex_{util::kRankTracker, "FlowTracker.mutex_"};
-  /// Left-right switch over stores_ (which replica readers see, reader
-  /// presence indicators, writer flip-and-drain).
-  util::LeftRightControl lr_;
-  /// The two store replicas. NOT mutex-guarded by design: readers access
-  /// the active replica with no lock at all; the left-right protocol (not
-  /// the mutex) is what keeps reads race-free. Writers touch replicas only
-  /// through mutateStores under mutex_.
-  Stores stores_[2];
-  ClockTape tape_ BF_GUARDED_BY(mutex_);
-  /// Optional durability log; the first replica application of each
-  /// mutation appends to it while holding the writer mutex (flow/wal.h),
-  /// so log order is mutation order. Not owned.
+  /// Serialises every query and mutation (and the clock and WAL they use).
+  /// Ranked below the engine's stateMutex_ in the documented hierarchy.
+  mutable util::Mutex mutex_{util::kRankTracker, "FlowTracker.mutex_"};
+  Stores stores_ BF_GUARDED_BY(mutex_);
+  util::Clock* clock_ BF_PT_GUARDED_BY(mutex_);
+  /// Optional durability log; each mutation appends to it while holding
+  /// mutex_ (flow/wal.h), so log order is mutation order. Not owned.
   WriteAheadLog* wal_ BF_GUARDED_BY(mutex_) = nullptr;
   mutable AtomicStats stats_;
 };

@@ -41,12 +41,6 @@ HeldLocks& heldLocks() noexcept {
   thread_local HeldLocks held;
   return held;
 }
-
-/// Per-rank acquisition counters behind lockRankAcquireCount(). Ranks are
-/// small constants (< 100, see the hierarchy in mutex.h); anything outside
-/// the table is simply not counted.
-constexpr int kMaxCountedRank = 128;
-std::atomic<std::uint64_t> g_rankAcquires[kMaxCountedRank];
 #endif  // BF_LOCK_RANK_CHECKS
 
 }  // namespace
@@ -56,26 +50,12 @@ LockRankViolationHandler setLockRankViolationHandler(
   return g_handler.exchange(handler != nullptr ? handler : &abortOnViolation);
 }
 
-std::uint64_t lockRankAcquireCount(int rank) noexcept {
-#if BF_LOCK_RANK_CHECKS
-  if (rank >= 0 && rank < kMaxCountedRank) {
-    return g_rankAcquires[rank].load(std::memory_order_relaxed);
-  }
-#else
-  (void)rank;
-#endif
-  return 0;
-}
-
 namespace detail {
 
 #if BF_LOCK_RANK_CHECKS
 
 void noteAcquire(const void* mutex, int rank, const char* name) noexcept {
   if (rank == kRankUnranked) return;
-  if (rank >= 0 && rank < kMaxCountedRank) {
-    g_rankAcquires[rank].fetch_add(1, std::memory_order_relaxed);
-  }
   HeldLocks& held = heldLocks();
   // The deepest-ranked held mutex is not necessarily the most recent entry
   // (out-of-order releases are legal), so check against all of them.

@@ -87,13 +87,6 @@ LockRankViolationHandler setLockRankViolationHandler(
   return BF_LOCK_RANK_CHECKS != 0;
 }
 
-/// Process-wide count of ranked-mutex acquisitions of `rank` since
-/// start-up. Always 0 when lockRankChecksEnabled() is false. Test hook:
-/// proving a code path is lock-free at a given rank means running it and
-/// asserting this count did not move (e.g. the tracker's read path never
-/// takes kRankTracker).
-[[nodiscard]] std::uint64_t lockRankAcquireCount(int rank) noexcept;
-
 namespace detail {
 /// Bookkeeping hooks behind Mutex; no-ops unless BF_LOCK_RANK_CHECKS.
 void noteAcquire(const void* mutex, int rank, const char* name) noexcept;

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <vector>
 
 #include "core/deployment.h"
 #include "corpus/text_generator.h"
@@ -131,6 +133,40 @@ TEST_F(DeploymentTest, MissingFileAndGarbageRejected) {
   const std::string path = tempPath("garbage");
   std::ofstream(path) << "this is not a deployment file";
   EXPECT_FALSE(loadDeployment(plugin, path, "").ok());
+}
+
+TEST_F(DeploymentTest, ConcurrencySaveWhileAsyncDecisionsRun) {
+  // Saves export tracker and policy state while the async decision worker
+  // keeps observing segments into both; under TSan this catches a save
+  // that reads either store without the engine's state lock.
+  const std::string path = tempPath("concurrent");
+  const std::string secret = gen_.paragraph(6, 8);
+  util::LogicalClock clock;
+  BrowserFlowPlugin plugin(blockConfig(), &clock);
+  plugin.policy().services().upsert({"itool", "Interview Tool",
+                                     tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
+  plugin.observeServiceDocument("itool", "itool/eval", secret);
+
+  std::vector<std::future<Decision>> futures;
+  for (int i = 0; i < 300; ++i) {
+    DecisionRequest req;
+    req.segmentName = "gdocs/live#p" + std::to_string(i);
+    req.documentName = "gdocs/live";
+    req.serviceId = "gdocs";
+    req.text = i % 3 == 0 ? secret : gen_.paragraph(3, 5);
+    futures.push_back(plugin.engine().decideAsync(std::move(req)));
+    if (i % 10 == 0) {
+      ASSERT_TRUE(saveDeployment(plugin, path, "k").ok());
+    }
+  }
+  for (auto& f : futures) (void)f.get();
+  ASSERT_TRUE(saveDeployment(plugin, path, "k").ok());
+
+  util::LogicalClock clock2;
+  BrowserFlowPlugin restored(blockConfig(), &clock2);
+  ASSERT_TRUE(loadDeployment(restored, path, "k").ok());
+  EXPECT_EQ(restored.tracker().segmentDb().size(),
+            plugin.tracker().segmentDb().size());
 }
 
 }  // namespace

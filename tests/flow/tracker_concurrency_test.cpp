@@ -1,14 +1,9 @@
 // Concurrency tests for the FlowTracker's internal synchronisation.
 //
-// Before the thread-safety migration the tracker was only safe when
-// externally serialised (the engine's stateMutex_); it then carried its
-// own ranked reader-writer lock, and now uses left-right replication
-// (util/left_right.h, DESIGN.md §15): queries are lock-free reads of a
-// quiescent store replica, mutations serialise on a writer mutex and
-// double-apply. These tests are the regression suite for that contract —
-// concurrent observe/query/remove coherence, no torn reads, and a reader
-// path that provably never takes the rank-40 tracker mutex — and run
-// under the tsan preset.
+// The tracker keeps one copy of its stores behind one ranked mutex that
+// every query and mutation holds (DESIGN.md §10). These tests are the
+// regression suite for that contract — concurrent observe/query/remove
+// coherence and no torn reads — and run under the tsan preset.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +15,6 @@
 #include "corpus/text_generator.h"
 #include "flow/tracker.h"
 #include "util/clock.h"
-#include "util/mutex.h"
 #include "util/rng.h"
 
 namespace bf::flow {
@@ -132,8 +126,8 @@ TEST_F(TrackerConcurrencyTest, RemovalsRaceQueriesWithoutCorruption) {
 
 TEST_F(TrackerConcurrencyTest, DocumentObserversRaceReadersCoherently) {
   // observeDocument's batched path (fingerprints outside the lock, one
-  // exclusive apply) racing shared-mode readers: queries must never see a
-  // half-applied document, and every document must land intact.
+  // locked apply) racing readers: queries must never see a half-applied
+  // document, and every document must land intact.
   util::Rng seedRng(11);
   corpus::TextGenerator seedGen(&seedRng);
   const std::string secret = seedGen.paragraph(7, 8);
@@ -147,9 +141,8 @@ TEST_F(TrackerConcurrencyTest, DocumentObserversRaceReadersCoherently) {
 
   // Readers run a BOUNDED number of queries rather than spinning until the
   // writers finish: a precomputed-fingerprint query spends its whole
-  // iteration inside the shared hold, and pthread's reader-preferring
-  // rwlock would let an unbounded reader stream starve the writers'
-  // exclusive acquisitions (pathological on one core).
+  // iteration inside the tracker mutex, so an unbounded reader stream
+  // could starve the writers' acquisitions (pathological on one core).
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
@@ -224,7 +217,7 @@ TEST_F(TrackerConcurrencyTest, SourcesForSegmentReturnsStableCopies) {
 }
 
 TEST_F(TrackerConcurrencyTest, CheckTextRacesChurnWithoutTornResults) {
-  // The lock-free read path under full churn: N readers hammer checkText
+  // The read path under full churn: N readers hammer checkText
   // while writers interleave observeDocument and removeSegment. Every
   // returned hit must correspond to a state that actually existed — a hit
   // can only name the permanent secret or one of the churned documents'
@@ -293,49 +286,6 @@ TEST_F(TrackerConcurrencyTest, CheckTextRacesChurnWithoutTornResults) {
   const auto hits = tracker_.checkText(secret, "probe");
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].sourceName, "secret#p0");
-}
-
-TEST_F(TrackerConcurrencyTest, ReadPathsNeverAcquireTrackerLockRank) {
-  // The acceptance check for the lock-free read path: with lock-rank
-  // bookkeeping compiled in, the process-wide acquisition counter for
-  // rank kRankTracker must not move across any query-path call. Writer
-  // paths (observe, remove) must still move it — proving the counter is
-  // live and the reader paths genuinely take no tracker mutex.
-  if (!util::lockRankChecksEnabled()) {
-    GTEST_SKIP() << "BF_LOCK_RANK_CHECKS disabled in this build";
-  }
-  util::Rng rng(29);
-  corpus::TextGenerator gen(&rng);
-  const std::string secret = gen.paragraph(6, 8);
-  const SegmentId src = tracker_.observeSegment(
-      SegmentKind::kParagraph, "src#p0", "src", "internal", secret);
-  const SegmentId copy = tracker_.observeSegment(
-      SegmentKind::kParagraph, "copy#p0", "copy", "ext", secret);
-  const text::Fingerprint fp = tracker_.fingerprintOf(secret);
-  // Warm the decision cache so sourcesForSegment takes its lock-free fast
-  // path below (the first call is a miss and takes the writer mutex).
-  ASSERT_FALSE(tracker_.sourcesForSegment(copy).empty());
-
-  const std::uint64_t before =
-      util::lockRankAcquireCount(util::kRankTracker);
-  (void)tracker_.checkText(secret, "probe");
-  (void)tracker_.disclosedSources(fp, SegmentKind::kParagraph);
-  (void)tracker_.sourcesForSegment(copy);  // cached: lock-free fast path
-  (void)tracker_.pairwiseDisclosure(src, copy);
-  (void)tracker_.attributeDisclosure(src, fp);
-  (void)tracker_.findSegmentWithFingerprint("copy", fp);
-  (void)tracker_.segment(src);
-  (void)tracker_.segmentByName("src#p0");
-  (void)tracker_.segmentDb().size();
-  (void)tracker_.hashDb().distinctHashCount();
-  EXPECT_EQ(util::lockRankAcquireCount(util::kRankTracker), before)
-      << "a query path acquired the rank-40 tracker mutex";
-
-  // Control: a mutation DOES take the writer mutex, so the counter is not
-  // simply dead.
-  tracker_.observeSegment(SegmentKind::kParagraph, "w#p0", "w", "ext",
-                          gen.paragraph(3, 5));
-  EXPECT_GT(util::lockRankAcquireCount(util::kRankTracker), before);
 }
 
 }  // namespace
