@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "corpus/datasets.h"
 #include "corpus/text_generator.h"
 #include "flow/snapshot.h"
@@ -108,6 +111,54 @@ void BM_HashDbLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashDbLookup)->Arg(100000)->Arg(1000000);
+
+void BM_HashDbRecordFingerprint(benchmark::State& state) {
+  // Re-records fingerprint-sized batches of already-stored hashes under a
+  // rotating set of segments (the re-observe path) into a DB preloaded
+  // with `range(0)` hashes, either one recordObservation per hash
+  // (range(1) == 0) or through the prefetched recordFingerprint batch.
+  // Diagnostic only: the gate is e2ebench's paste_upload events_per_s.
+  constexpr std::size_t kBatchHashes = 700;
+  constexpr std::size_t kBatches = 512;
+  flow::HashDb db;
+  util::Rng rng(4);
+  const std::size_t preload = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> stored(preload);
+  for (std::size_t i = 0; i < preload; ++i) {
+    stored[i] = rng.next() & 0xffffffff;
+    db.recordObservation(stored[i], (i % 512) + 1, i);
+  }
+  std::vector<std::vector<std::uint64_t>> batches(kBatches);
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < kBatchHashes; ++i) {
+      batch.push_back(stored[rng.next() % preload]);
+    }
+    std::sort(batch.begin(), batch.end());
+  }
+  const bool batched = state.range(1) != 0;
+  std::size_t next = 0;
+  util::Timestamp ts = preload;
+  for (auto _ : state) {
+    const std::vector<std::uint64_t>& batch = batches[next % kBatches];
+    const flow::SegmentId segment = 1000 + next % kBatches;
+    ++next;
+    ++ts;
+    if (batched) {
+      db.recordFingerprint(batch, segment, ts);
+    } else {
+      for (std::uint64_t h : batch) db.recordObservation(h, segment, ts);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatchHashes));
+}
+BENCHMARK(BM_HashDbRecordFingerprint)
+    ->ArgNames({"preload", "batched"})
+    ->Args({100000, 0})
+    ->Args({100000, 1})
+    ->Args({1000000, 0})
+    ->Args({1000000, 1});
 
 void BM_DisclosureQuery(benchmark::State& state) {
   // Full Algorithm 1 query against a DB of `range(0)` paragraphs, where the

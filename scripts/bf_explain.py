@@ -25,7 +25,7 @@ import sys
 
 STAGE_ORDER = [
     "normalize", "fingerprint", "tracker_lock_wait", "tracker_lookup",
-    "policy_eval", "wal_append", "queue_wait",
+    "tracker_record", "policy_eval", "wal_append", "queue_wait",
 ]
 
 

@@ -1,6 +1,7 @@
 #include "flow/hash_db.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/hashing.h"
 
@@ -10,10 +11,18 @@ namespace {
 constexpr std::size_t kInitialSlots = 16;  // power of two
 }  // namespace
 
-std::size_t HashDb::probe(std::uint64_t hash) const noexcept {
+std::size_t HashDb::homeSlot(std::uint64_t hash) const noexcept {
   // Stored hashes are often truncated to 32 bits; re-mix so high slots of
   // large tables stay uniformly used under linear probing.
-  std::size_t idx = static_cast<std::size_t>(util::mix64(hash)) & mask_;
+  return static_cast<std::size_t>(util::mix64(hash)) & mask_;
+}
+
+void HashDb::prefetchSlot(std::uint64_t hash) const noexcept {
+  if (!slots_.empty()) __builtin_prefetch(&slots_[homeSlot(hash)]);
+}
+
+std::size_t HashDb::probe(std::uint64_t hash) const noexcept {
+  std::size_t idx = homeSlot(hash);
   while (slots_[idx].used() && slots_[idx].hash != hash) {
     idx = (idx + 1) & mask_;
   }
@@ -32,8 +41,12 @@ void HashDb::reserveForInsert() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(old.size() * 2, Slot{});
   mask_ = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.used()) slots_[probe(s.hash)] = s;
+  for (std::size_t i = 0; i < old.size(); ++i) {
+    if (i + kSlotPrefetchDistance < old.size() &&
+        old[i + kSlotPrefetchDistance].used()) {
+      prefetchSlot(old[i + kSlotPrefetchDistance].hash);
+    }
+    if (old[i].used()) slots_[probe(old[i].hash)] = old[i];
   }
 }
 
@@ -60,9 +73,12 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
     return;
   }
   if (s.overflow != kNoOverflow) {
-    for (Association& a : overflow_[s.overflow]) {
-      if (a.segment == segment) {
-        a.lastSeen = std::max(a.lastSeen, seen);
+    // Newest first: a segment appears at most once per history, and a
+    // re-observed segment's entry is usually among the most recent.
+    std::vector<Association>& rest = overflow_[s.overflow];
+    for (auto it = rest.rbegin(); it != rest.rend(); ++it) {
+      if (it->segment == segment) {
+        it->lastSeen = std::max(it->lastSeen, seen);
         return;
       }
     }
@@ -102,10 +118,48 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
   ++storedAssociations_;
 }
 
-std::optional<SegmentId> HashDb::oldestSegmentWith(std::uint64_t hash) const {
-  if (slots_.empty()) return std::nullopt;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return std::nullopt;
+void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
+                               SegmentId segment, util::Timestamp ts) {
+  const std::size_t n = hashes.size();
+  // Overflow index of hash j's slot, found at the header stage and read
+  // back at the buffer stage; kNoOverflow when there is nothing to fetch.
+  constexpr std::size_t kRing = 8;
+  static_assert(
+      kHistoryHeaderPrefetchDistance - kHistoryBufferPrefetchDistance < kRing);
+  std::array<std::uint32_t, kRing> history;
+  history.fill(kNoOverflow);
+
+  for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
+    prefetchSlot(hashes[j]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kSlotPrefetchDistance < n) {
+      prefetchSlot(hashes[i + kSlotPrefetchDistance]);
+    }
+    if (const std::size_t j = i + kHistoryHeaderPrefetchDistance; j < n) {
+      // The slot was prefetched a stage ago. Its history is needed only
+      // when the segment does not hold the inline seat. Overflow indices
+      // are stable across the inserts in between (growth moves slots, not
+      // histories).
+      std::uint32_t& o = history[j % kRing];
+      o = kNoOverflow;
+      if (!slots_.empty()) {
+        const Slot& s = slots_[probe(hashes[j])];
+        if (s.used() && s.segment != segment) o = s.overflow;
+      }
+      if (o != kNoOverflow) __builtin_prefetch(&overflow_[o]);
+    }
+    if (const std::size_t j = i + kHistoryBufferPrefetchDistance; j < n) {
+      if (const std::uint32_t o = history[j % kRing]; o != kNoOverflow) {
+        const std::vector<Association>& rest = overflow_[o];
+        if (!rest.empty()) __builtin_prefetch(&rest.back());
+      }
+    }
+    recordObservation(hashes[i], segment, ts);
+  }
+}
+
+std::optional<SegmentId> HashDb::oldestLive(const Slot& s) const {
   // The inline association IS the oldest owner — the common single-owner
   // case answers from this one slot.
   if (!isDead(s.segment)) return s.segment;
@@ -115,6 +169,35 @@ std::optional<SegmentId> HashDb::oldestSegmentWith(std::uint64_t hash) const {
     }
   }
   return std::nullopt;
+}
+
+void HashDb::oldestOwners(
+    std::span<const std::uint64_t> hashes,
+    std::vector<std::pair<SegmentId, std::uint64_t>>& claims) const {
+  if (slots_.empty()) return;
+  const std::size_t n = hashes.size();
+  for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
+    prefetchSlot(hashes[j]);
+  }
+  // Only the slot is prefetched: the history is read only when the inline
+  // owner is dead, which removal compaction keeps rare.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kSlotPrefetchDistance < n) {
+      prefetchSlot(hashes[i + kSlotPrefetchDistance]);
+    }
+    const Slot& s = slots_[probe(hashes[i])];
+    if (!s.used()) continue;
+    if (const auto owner = oldestLive(s)) {
+      claims.emplace_back(*owner, hashes[i]);
+    }
+  }
+}
+
+std::optional<SegmentId> HashDb::oldestSegmentWith(std::uint64_t hash) const {
+  if (slots_.empty()) return std::nullopt;
+  const Slot& s = slots_[probe(hash)];
+  if (!s.used()) return std::nullopt;
+  return oldestLive(s);
 }
 
 std::vector<SegmentId> HashDb::segmentsWith(std::uint64_t hash) const {

@@ -16,6 +16,20 @@
 // without chasing node pointers. Hashes with multiple owners spill the rest
 // of their history into a pooled overflow vector.
 //
+// Writes and the candidate loop go through two batch entry points that take
+// a whole fingerprint: recordFingerprint (every hash of an observed
+// segment) and oldestOwners (Algorithm 1's discovery over a target). Each
+// is a software-pipelined loop over the hashes, since every probe is a
+// likely cache miss in a table far beyond L2: it prefetches the home slot
+// kSlotPrefetchDistance hashes ahead; the record loop also probes the hash
+// kHistoryHeaderPrefetchDistance ahead and, if its slot already spills
+// into an overflow history, prefetches that history's header, then its
+// newest entries kHistoryBufferPrefetchDistance ahead. A re-record scans
+// the history newest-first: a segment appears at most once per history,
+// so the scan finds the same entry, but a re-observed segment usually sits
+// near the end. Growth stays a per-insert 70% load check, so the batch
+// leaves the table bit-for-bit as the per-hash loop would.
+//
 // Segment removal is lazy (a dead set consulted by lookups) but bounded:
 // once the dead set exceeds a threshold, the store physically compacts the
 // dead associations and clears the set, so neither the tombstones nor the
@@ -24,7 +38,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "flow/ids.h"
@@ -57,6 +73,20 @@ class HashDb {
   /// 0 means "same as ts".
   void recordObservation(std::uint64_t hash, SegmentId segment,
                          util::Timestamp ts, util::Timestamp lastSeen = 0);
+
+  /// recordObservation(h, segment, ts) for every h in `hashes`, in order,
+  /// with the probes prefetched ahead of the inserts. The table ends up
+  /// exactly as the per-hash loop leaves it (capacity, slot order,
+  /// histories, timestamps).
+  void recordFingerprint(std::span<const std::uint64_t> hashes,
+                         SegmentId segment, util::Timestamp ts);
+
+  /// For every h in `hashes` (in order) that has a live owner, appends
+  /// (oldestSegmentWith(h), h) to `claims`; the slot probes are prefetched
+  /// ahead. This is Algorithm 1's candidate discovery over a target.
+  void oldestOwners(
+      std::span<const std::uint64_t> hashes,
+      std::vector<std::pair<SegmentId, std::uint64_t>>& claims) const;
 
   /// The oldest live segment associated with `hash`, or nullopt.
   /// This is "oldestParagraphWith(h, DBhash)" from Algorithm 1.
@@ -198,9 +228,25 @@ class HashDb {
                 "Slot is the per-query cache footprint; keep it at two "
                 "slots per cache line");
 
+  /// How far ahead of the insert/lookup the batch loops prefetch: the
+  /// home slot first, then (record only) the overflow-history header of a
+  /// slot that already holds the hash, then that history's newest entries.
+  static constexpr std::size_t kSlotPrefetchDistance = 16;
+  static constexpr std::size_t kHistoryHeaderPrefetchDistance = 8;
+  static constexpr std::size_t kHistoryBufferPrefetchDistance = 4;
+
   [[nodiscard]] bool isDead(SegmentId s) const {
     return !dead_.empty() && dead_.count(s) != 0;
   }
+
+  /// Index of `hash`'s home slot (where its probe starts).
+  [[nodiscard]] std::size_t homeSlot(std::uint64_t hash) const noexcept;
+
+  /// Prefetches `hash`'s home slot. No-op on an empty table.
+  void prefetchSlot(std::uint64_t hash) const noexcept;
+
+  /// The oldest live association of an occupied slot, or nullopt.
+  [[nodiscard]] std::optional<SegmentId> oldestLive(const Slot& s) const;
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.

@@ -126,7 +126,12 @@ SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
                                  clock_->now());
   } else {
     id = existing->id;
-    if (threshold) stores_.segments.setThreshold(id, *threshold);
+    if (threshold && *threshold != existing->threshold) {
+      stores_.segments.setThreshold(id, *threshold);
+      // A source's threshold changes every other segment's query outcome
+      // (as in setSegmentThreshold).
+      stores_.cache.clear();
+    }
     // Unchanged fingerprint: nothing to record and the cached disclosure
     // answer stays valid (the per-keystroke fast path of S6.2). A threshold
     // change is still durable state, so it is the one thing logged.
@@ -139,11 +144,11 @@ SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
   }
 
   const util::Timestamp now = clock_->now();
-  HashDb& db = stores_.hashes[idx(kind)];
-  for (std::uint64_t h : fp.hashes()) {
-    db.recordObservation(h, id, now);
+  {
+    obs::StageTimer recordTimer(obs::Stage::kTrackerRecord);
+    stores_.hashes[idx(kind)].recordFingerprint(fp.hashes(), id, now);
+    stores_.segments.updateFingerprint(id, fp, now);
   }
-  stores_.segments.updateFingerprint(id, fp, now);
   if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
     it->second.valid = false;
   }
@@ -278,11 +283,11 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
   const HashDb& db = stores_.hashes[idx(sourceKind)];
   std::vector<std::pair<SegmentId, std::uint64_t>> claims;
   claims.reserve(target.size());
-  for (std::uint64_t h : target.hashes()) {
-    if (!config_.useAuthoritative) {
+  if (config_.useAuthoritative) {
+    db.oldestOwners(target.hashes(), claims);
+  } else {
+    for (std::uint64_t h : target.hashes()) {
       for (SegmentId s : db.segmentsWith(h)) claims.emplace_back(s, h);
-    } else if (const auto owner = db.oldestSegmentWith(h)) {
-      claims.emplace_back(*owner, h);
     }
   }
   std::sort(claims.begin(), claims.end());
@@ -462,10 +467,8 @@ void FlowTracker::replaySegmentObserved(SegmentRecord record) {
   // carries its own timestamps, so nothing is logged or drawn from clock_.
   const SegmentRecord* existing = stores_.segments.findByName(record.name);
   const SegmentId id = existing != nullptr ? existing->id : record.id;
-  HashDb& db = stores_.hashes[idx(record.kind)];
-  for (std::uint64_t h : record.fingerprint.hashes()) {
-    db.recordObservation(h, id, record.updatedAt);
-  }
+  stores_.hashes[idx(record.kind)].recordFingerprint(
+      record.fingerprint.hashes(), id, record.updatedAt);
   if (existing == nullptr) {
     stores_.segments.restore(std::move(record));
   } else {

@@ -104,7 +104,9 @@ class FlowTracker {
 
   /// Creates or updates a segment identified by its unique `name` with the
   /// given text. Fingerprints the text, records new hashes in DBhash, and
-  /// stores the fingerprint in DBpar. Returns the segment id.
+  /// stores the fingerprint in DBpar. Returns the segment id. A
+  /// `threshold` that differs from the segment's current one invalidates
+  /// cached decisions, as setSegmentThreshold does.
   /// `text` is raw document content: it enters as sec::SensitiveView and
   /// only its fingerprint (a declassification gate) is ever stored.
   SegmentId observeSegment(SegmentKind kind, std::string_view name,

@@ -56,6 +56,8 @@ const char* stageName(Stage stage) noexcept {
       return "tracker_lock_wait";
     case Stage::kTrackerLookup:
       return "tracker_lookup";
+    case Stage::kTrackerRecord:
+      return "tracker_record";
     case Stage::kPolicyEval:
       return "policy_eval";
     case Stage::kWalAppend:

@@ -1,16 +1,17 @@
 // Per-stage latency attribution for the decision path.
 //
 // Every decision passes through a fixed set of stages (normalize,
-// fingerprint, tracker lock wait, tracker lookup, policy eval, WAL append,
-// queue wait). recordStage() accumulates a stage duration into the
-// thread's ScopedStageCollector (the per-decision StageBreakdown that ends
-// up in the flight recorder); when the collector scope closes it flushes
-// each touched stage into the matching process-wide `bf_stage_*_us`
-// histogram — attaching the trace id as the bucket's exemplar, so a p99
-// spike points at a concrete recorded trace. Collector flushes are
-// head-sampled along with the trace (an unbiased subsample, and every
-// exemplar then resolves in the flight recorder); recordStage() calls made
-// with no collector installed observe their histogram directly.
+// fingerprint, tracker lock wait, tracker lookup, tracker record, policy
+// eval, WAL append, queue wait). recordStage() accumulates a stage
+// duration into the thread's ScopedStageCollector (the per-decision
+// StageBreakdown that ends up in the flight recorder); when the collector
+// scope closes it flushes each touched stage into the matching
+// process-wide `bf_stage_*_us` histogram — attaching the trace id as the
+// bucket's exemplar, so a p99 spike points at a concrete recorded trace.
+// Collector flushes are head-sampled along with the trace (an unbiased
+// subsample, and every exemplar then resolves in the flight recorder);
+// recordStage() calls made with no collector installed observe their
+// histogram directly.
 //
 // Timing uses util::fastTicks() (rdtsc on x86-64): a StageTimer costs two
 // tick reads plus one thread-local add, and the tick reads are skipped
@@ -34,11 +35,12 @@ enum class Stage : std::uint8_t {
   kFingerprint,
   kTrackerLockWait,
   kTrackerLookup,
+  kTrackerRecord,
   kPolicyEval,
   kWalAppend,
   kQueueWait,
 };
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 8;
 
 /// Stable lowercase stage name ("normalize", "tracker_lock_wait", ...).
 [[nodiscard]] const char* stageName(Stage stage) noexcept;

@@ -1,7 +1,14 @@
 // Tests for HashDb ("DBhash", paper S4.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "flow/hash_db.h"
+#include "util/rng.h"
 
 namespace bf::flow {
 namespace {
@@ -232,6 +239,139 @@ TEST(HashDb, ManyHashesSurviveRehashing) {
     ASSERT_TRUE(db.oldestSegmentWith(h).has_value()) << h;
     EXPECT_EQ(*db.oldestSegmentWith(h), (h % 7) + 1) << h;
     EXPECT_EQ(db.segmentsWith(h).size(), h % 3 == 0 ? 2u : 1u) << h;
+  }
+}
+
+// ---- Batch entry points against the per-hash loops ------------------------
+
+using AssociationRow =
+    std::tuple<std::uint64_t, SegmentId, util::Timestamp, util::Timestamp>;
+
+std::vector<AssociationRow> exportOrder(const HashDb& db) {
+  std::vector<AssociationRow> rows;
+  db.forEachAssociation(
+      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+        rows.emplace_back(h, s, f, l);
+      });
+  return rows;
+}
+
+std::vector<std::pair<SegmentId, std::uint64_t>> ownersOneByOne(
+    const HashDb& db, const std::vector<std::uint64_t>& hashes) {
+  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+  for (std::uint64_t h : hashes) {
+    if (const auto owner = db.oldestSegmentWith(h)) {
+      claims.emplace_back(*owner, h);
+    }
+  }
+  return claims;
+}
+
+std::vector<std::pair<SegmentId, std::uint64_t>> ownersBatched(
+    const HashDb& db, const std::vector<std::uint64_t>& hashes) {
+  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+  db.oldestOwners(hashes, claims);
+  return claims;
+}
+
+void expectSameStore(const HashDb& batched, const HashDb& looped,
+                     const std::vector<std::uint64_t>& probes,
+                     SegmentId maxSegment) {
+  ASSERT_EQ(exportOrder(batched), exportOrder(looped));
+  EXPECT_EQ(batched.associationCount(), looped.associationCount());
+  EXPECT_EQ(batched.distinctHashCount(), looped.distinctHashCount());
+  EXPECT_EQ(batched.deadSegmentCount(), looped.deadSegmentCount());
+  for (std::uint64_t h : probes) {
+    for (SegmentId s = 1; s <= maxSegment; ++s) {
+      ASSERT_EQ(batched.firstSeen(h, s), looped.firstSeen(h, s)) << h;
+      ASSERT_EQ(batched.lastSeen(h, s), looped.lastSeen(h, s)) << h;
+    }
+  }
+  EXPECT_EQ(ownersBatched(batched, probes), ownersOneByOne(looped, probes));
+  EXPECT_EQ(ownersBatched(batched, probes), ownersOneByOne(batched, probes));
+}
+
+TEST(HashDbBatch, EmptyTableAndShortBatches) {
+  HashDb batched;
+  HashDb looped;
+  const std::vector<std::uint64_t> none;
+  EXPECT_TRUE(ownersBatched(batched, {1, 2, 3}).empty());
+  batched.recordFingerprint(none, 1, 5);
+  expectSameStore(batched, looped, {1, 2, 3}, 3);
+  // Shorter than every prefetch distance, with a repeated hash.
+  const std::vector<std::uint64_t> shortBatch = {7, 3, 7};
+  batched.recordFingerprint(shortBatch, 2, 6);
+  for (std::uint64_t h : shortBatch) looped.recordObservation(h, 2, 6);
+  expectSameStore(batched, looped, {3, 7, 9}, 3);
+  EXPECT_TRUE(ownersBatched(batched, none).empty());
+}
+
+TEST(HashDbBatch, OwnersSkipADeadInlineOwner) {
+  HashDb db;
+  db.setDeadCompactionThreshold(1000);
+  const std::vector<std::uint64_t> hashes = {11, 12, 13};
+  const std::vector<std::uint64_t> laterCopy = {12, 13};
+  db.recordFingerprint(hashes, 1, 10);
+  db.recordFingerprint(laterCopy, 2, 20);
+  db.removeSegment(1);  // lazy: segment 1 still holds the inline seats
+  ASSERT_EQ(db.deadSegmentCount(), 1u);
+  const std::vector<std::pair<SegmentId, std::uint64_t>> want = {{2, 12},
+                                                                 {2, 13}};
+  EXPECT_EQ(ownersBatched(db, hashes), want);
+}
+
+TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
+  // Seeded sessions of overlapping segments: re-observes, equal and
+  // out-of-order timestamps, removals on both sides of the compaction
+  // threshold and growth through several doublings. After every step the
+  // batched store must equal the per-hash one, down to export order.
+  constexpr SegmentId kSegments = 24;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    HashDb batched;
+    HashDb looped;
+    batched.setDeadCompactionThreshold(3);
+    looped.setDeadCompactionThreshold(3);
+    // A shared pool makes segments overlap; fresh hashes drive growth.
+    std::vector<std::uint64_t> pool(1500);
+    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    util::Timestamp clock = 100;
+    for (int step = 0; step < 160; ++step) {
+      if (rng.chance(0.12)) {
+        const SegmentId victim = rng.uniform(1, kSegments);
+        batched.removeSegment(victim);
+        looped.removeSegment(victim);
+      } else {
+        const SegmentId segment = rng.uniform(1, kSegments);
+        std::size_t n = rng.uniform(0, 120);
+        if (rng.chance(0.2)) n = rng.uniform(0, 20);  // around the distances
+        std::vector<std::uint64_t> hashes;
+        for (std::size_t i = 0; i < n; ++i) {
+          hashes.push_back(rng.chance(0.7) ? rng.pick(pool) : rng.next());
+        }
+        if (rng.chance(0.8)) {  // fingerprints are sorted and distinct
+          std::sort(hashes.begin(), hashes.end());
+          hashes.erase(std::unique(hashes.begin(), hashes.end()),
+                       hashes.end());
+        }
+        util::Timestamp ts = clock;
+        if (rng.chance(0.7)) {
+          ts = ++clock;
+        } else if (rng.chance(0.5)) {
+          ts = clock - rng.uniform(1, 50);  // out of order
+        }  // else: equal to the previous stamp
+        batched.recordFingerprint(hashes, segment, ts);
+        for (std::uint64_t h : hashes) looped.recordObservation(h, segment, ts);
+      }
+      if (step % 20 == 19) {
+        std::vector<std::uint64_t> probes(pool.begin(), pool.begin() + 300);
+        probes.push_back(rng.next());  // never stored
+        expectSameStore(batched, looped, probes, kSegments);
+      }
+    }
+    EXPECT_GT(batched.distinctHashCount(), 2000u);  // >= 8 doublings from 16
+    expectSameStore(batched, looped, pool, kSegments);
   }
 }
 

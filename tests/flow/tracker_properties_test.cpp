@@ -280,6 +280,31 @@ TEST(TrackerProperties, SetSegmentThresholdChangesDetectionAndDropsCache) {
   EXPECT_FALSE(tracker.setSegmentThreshold("ghost", 0.5));
 }
 
+TEST(TrackerProperties, ReobserveThresholdChangeOnUnchangedTextDropsCache) {
+  util::LogicalClock clock;
+  FlowTracker tracker(TrackerConfig{}, &clock);
+  util::Rng rng(21);
+  corpus::TextGenerator gen(&rng);
+  const std::string sensitive = gen.paragraph(8, 8);
+  tracker.observeDocument("src", "svc", sensitive);
+  const SegmentId probe = tracker.observeSegment(
+      SegmentKind::kParagraph, "probe#p0", "probe", "svc",
+      sensitive.substr(0, sensitive.size() / 3) + " " + gen.paragraph(8, 8));
+
+  // A one-third slice is below the default 0.5 threshold.
+  EXPECT_TRUE(tracker.sourcesForSegment(probe).empty());
+  // Re-observing the unchanged source with a tighter paragraph threshold
+  // changes the probe's answer, so the cached empty answer must go.
+  tracker.observeDocument("src", "svc", sensitive, /*paragraphThreshold=*/0.0);
+  EXPECT_FALSE(tracker.sourcesForSegment(probe).empty())
+      << "cached empty answer must not survive the threshold change";
+  // The same threshold again changes nothing and keeps the cache warm.
+  const std::uint64_t hitsBefore = tracker.stats().cacheHits;
+  tracker.observeDocument("src", "svc", sensitive, /*paragraphThreshold=*/0.0);
+  EXPECT_FALSE(tracker.sourcesForSegment(probe).empty());
+  EXPECT_EQ(tracker.stats().cacheHits, hitsBefore + 1);
+}
+
 TEST(TrackerProperties, CacheDisabledStillCorrect) {
   util::LogicalClock clock;
   TrackerConfig config;
