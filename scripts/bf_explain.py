@@ -25,7 +25,8 @@ import sys
 
 STAGE_ORDER = [
     "normalize", "fingerprint", "tracker_lock_wait", "tracker_lookup",
-    "tracker_record", "policy_eval", "wal_append", "queue_wait",
+    "tracker_record", "policy_eval", "secret_scan", "wal_append",
+    "queue_wait",
 ]
 
 

@@ -365,10 +365,9 @@ tdm::UploadDecision DecisionEngine::observeLocked(const DecisionRequest& request
                                                   Decision& decision) {
   // 1. The text now exists in this segment of this service: observe it.
   //    First observation assigns the service's Lc as explicit tags.
-  const flow::SegmentId id =
-      tracker_->observeSegment(unit.kind, unit.segmentName,
-                               request.documentName, request.serviceId,
-                               unit.text);
+  const flow::SegmentId id = tracker_->observeFingerprint(
+      unit.kind, unit.segmentName, request.documentName, request.serviceId,
+      fingerprintLocked(unit.text));
   {
     obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
     policy_->onSegmentObserved(unit.segmentName, request.serviceId);
@@ -379,6 +378,7 @@ tdm::UploadDecision DecisionEngine::observeLocked(const DecisionRequest& request
   util::Stopwatch lookupWatch;
   decision.hits = tracker_->sourcesForSegment(id);
   noteLookupLocked(lookupWatch.elapsedMillis());
+  const std::vector<SecretGuard::Hit>& secrets = secretHitsLocked(unit.text);
 
   // 3. The segment's implicit tags become exactly the explicit tags of its
   //    CURRENT disclosing sources (paper S3.2): new disclosure attaches
@@ -392,11 +392,9 @@ tdm::UploadDecision DecisionEngine::observeLocked(const DecisionRequest& request
   // 3b. Exact-match pass for short secrets (S4.4): each hit attaches the
   //     secret's tag as an implicit tag, sharing the refresh lifecycle —
   //     deleting the secret from the text sheds the tag on the next edit.
-  if (guard_ != nullptr) {
-    for (const auto& hit : guard_->scan(unit.text)) {
-      policy_->addImplicitTag(unit.segmentName, hit.tag);
-      decision.secretHits.push_back(hit.name);
-    }
+  for (const auto& hit : secrets) {
+    policy_->addImplicitTag(unit.segmentName, hit.tag);
+    decision.secretHits.push_back(hit.name);
   }
   return policy_->checkUpload(unit.segmentName, request.serviceId);
 }
@@ -410,27 +408,33 @@ tdm::UploadDecision DecisionEngine::probeLocked(const DecisionRequest& request,
     obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
     return policy_->checkUpload(unit.segmentName, request.serviceId);
   }
-  text::Fingerprint fp;
+  const text::Fingerprint& fp = fingerprintLocked(unit.text);
+  std::optional<flow::SegmentRecord> seg;
   {
-    obs::StageTimer fpTimer(obs::Stage::kFingerprint);
-    fp = tracker_->fingerprintOf(unit.text);
+    obs::StageTimer findTimer(obs::Stage::kTrackerLookup);
+    seg = tracker_->findSegmentWithFingerprint(request.documentName, fp,
+                                               unit.kind);
+  }
+  if (seg) {
+    // The outgoing text is a tracked segment of this document: the answer
+    // the observe cached for it, and its registered label (implicit tags,
+    // user suppressions), decide.
+    util::Stopwatch lookupWatch;
+    decision.hits = tracker_->sourcesForProbe(seg->id);
+    noteLookupLocked(lookupWatch.elapsedMillis());
+    obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
+    return policy_->checkUpload(seg->name, request.serviceId);
   }
   util::Stopwatch lookupWatch;
   decision.hits = tracker_->disclosedSources(fp, unit.kind, flow::kInvalidSegment,
                                              request.documentName);
   noteLookupLocked(lookupWatch.elapsedMillis());
+  const std::vector<SecretGuard::Hit>& secrets = secretHitsLocked(unit.text);
 
-  obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
-  if (const std::optional<flow::SegmentRecord> seg =
-          tracker_->findSegmentWithFingerprint(request.documentName, fp,
-                                               unit.kind)) {
-    // The outgoing text is a tracked segment of this document: its
-    // registered label (implicit tags, user suppressions) decides.
-    return policy_->checkUpload(seg->name, request.serviceId);
-  }
   // Unregistered text: build the label the text would get — the disclosing
   // sources' explicit tags as implicit, plus the destination's Lc for text
   // being created there.
+  obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
   tdm::Label label;
   for (const auto& hit : decision.hits) {
     if (const tdm::Label* src = policy_->labelOf(hit.sourceName)) {
@@ -441,13 +445,45 @@ tdm::UploadDecision DecisionEngine::probeLocked(const DecisionRequest& request,
     for (const tdm::Tag& t : svc->confidentiality) label.addExplicit(t);
   }
   // Exact-match pass for short secrets (S4.4).
-  if (guard_ != nullptr) {
-    for (const auto& hit : guard_->scan(unit.text)) {
-      label.addImplicit(hit.tag);
-      decision.secretHits.push_back(hit.name);
-    }
+  for (const auto& hit : secrets) {
+    label.addImplicit(hit.tag);
+    decision.secretHits.push_back(hit.name);
   }
   return policy_->checkLabel(label, request.serviceId);
+}
+
+void DecisionEngine::memoizeLocked(sec::SensitiveView text) {
+  if (memo_.text == text) return;
+  memo_.text.assign(text);
+  memo_.hasFingerprint = false;
+  memo_.hasSecretHits = false;
+}
+
+const text::Fingerprint& DecisionEngine::fingerprintLocked(
+    sec::SensitiveView text) {
+  memoizeLocked(text);
+  if (!memo_.hasFingerprint) {
+    obs::StageTimer fpTimer(obs::Stage::kFingerprint);
+    memo_.fingerprint = tracker_->fingerprintOf(text);
+    memo_.hasFingerprint = true;
+  }
+  return memo_.fingerprint;
+}
+
+const std::vector<SecretGuard::Hit>& DecisionEngine::secretHitsLocked(
+    sec::SensitiveView text) {
+  static const std::vector<SecretGuard::Hit> kNoGuard;
+  if (guard_ == nullptr) return kNoGuard;
+  memoizeLocked(text);
+  if (!memo_.hasSecretHits || memo_.guard != guard_ ||
+      memo_.guardGeneration != guard_->generation()) {
+    obs::StageTimer scanTimer(obs::Stage::kSecretScan);
+    memo_.secretHits = guard_->scan(text);
+    memo_.guard = guard_;
+    memo_.guardGeneration = guard_->generation();
+    memo_.hasSecretHits = true;
+  }
+  return memo_.secretHits;
 }
 
 void DecisionEngine::noteLookupLocked(double lookupMs) {

@@ -68,10 +68,14 @@ enum class RequestKind : std::uint8_t {
   kObserve,
   /// May this text leave for `serviceId`? Changes neither tracker nor
   /// policy. A registered segment of `documentName` with the same
-  /// fingerprint decides with its own label (suppressions included); else
-  /// the label comes from the disclosing sources' propagatable tags, the
-  /// destination's Lc and secret hits. Empty text checks the registered
-  /// segment `segmentName` by name (XHR uploads, offline tools).
+  /// fingerprint decides with its own label (suppressions included), and
+  /// its hits come from that segment's decision-cache entry when no other
+  /// document changed since the observe filled it
+  /// (FlowTracker::sourcesForProbe) — the same hits a fresh query gives,
+  /// since both exclude the document. Otherwise the label comes from the
+  /// disclosing sources' propagatable tags, the destination's Lc and
+  /// secret hits. Empty text checks the registered segment `segmentName`
+  /// by name (XHR uploads, offline tools).
   kProbe,
 };
 
@@ -282,6 +286,17 @@ class DecisionEngine {
   tdm::UploadDecision probeLocked(const DecisionRequest& request,
                                   const Unit& unit, Decision& decision)
       BF_REQUIRES(stateMutex_);
+  /// The unit text's fingerprint and secret hits, computed at most once
+  /// per distinct text: served from memo_ when the text is byte-equal to
+  /// the previous unit's (and, for secret hits, the guard and its
+  /// generation are unchanged; no guard means no hits). The references
+  /// stay valid until a call with another text.
+  const text::Fingerprint& fingerprintLocked(sec::SensitiveView text)
+      BF_REQUIRES(stateMutex_);
+  const std::vector<SecretGuard::Hit>& secretHitsLocked(sec::SensitiveView text)
+      BF_REQUIRES(stateMutex_);
+  /// Points memo_ at `text`, forgetting what it held for another text.
+  void memoizeLocked(sec::SensitiveView text) BF_REQUIRES(stateMutex_);
   /// Feeds one disclosure-lookup latency to the circuit breaker.
   void noteLookupLocked(double lookupMs) BF_REQUIRES(stateMutex_);
   /// Builds a degraded decision (action per ResilienceConfig::degradedMode)
@@ -318,6 +333,22 @@ class DecisionEngine {
   /// Last durability health observed on the decision path; a flip in
   /// either direction writes one audit record (not one per decision).
   bool lastDurabilityHealthy_ BF_GUARDED_BY(stateMutex_) = true;
+
+  /// One text and the work already done on it. An event decides the same
+  /// text several times in a row (the paragraph observe, the document
+  /// observe of a one-paragraph page, the upload probe), so one slot is
+  /// enough; a byte-for-byte compare, not a hash, decides a hit.
+  struct TextMemo {
+    sec::SensitiveText text;
+    bool hasFingerprint = false;
+    text::Fingerprint fingerprint;
+    bool hasSecretHits = false;
+    /// The guard and generation the secret hits were scanned with.
+    const SecretGuard* guard = nullptr;
+    std::uint64_t guardGeneration = 0;
+    std::vector<SecretGuard::Hit> secretHits;
+  };
+  TextMemo memo_ BF_GUARDED_BY(stateMutex_);
 
   // One mutex serialises tracker/policy access between the caller thread
   // and the worker; the paper's engine likewise processes decisions one at

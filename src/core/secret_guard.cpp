@@ -1,7 +1,5 @@
 #include "core/secret_guard.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "text/normalizer.h"
 
@@ -18,7 +16,17 @@ obs::Counter& hitsCounter() {
       "bf_secret_hits_total", "Registered secrets found verbatim in texts");
   return c;
 }
+
+/// This thread's "already reported by scan number `epoch`" stamp per secret
+/// index: scan() reports each secret once without a per-call allocation.
+struct ReportedStamps {
+  std::vector<std::uint64_t> stamp;
+  std::uint64_t epoch = 0;
+};
+thread_local ReportedStamps t_reported;
 }  // namespace
+
+SecretGuard::SecretGuard() : automaton_(text::kNormTable) {}
 
 bool SecretGuard::addSecret(std::string name, std::string_view value,
                             tdm::Tag tag) {
@@ -26,6 +34,7 @@ bool SecretGuard::addSecret(std::string name, std::string_view value,
   if (normalized.size() < kMinLength) return false;
   automaton_.addPattern(normalized.text, secrets_.size());
   secrets_.push_back(Secret{std::move(name), std::move(tag)});
+  ++generation_;
   return true;
 }
 
@@ -33,21 +42,23 @@ std::vector<SecretGuard::Hit> SecretGuard::scan(sec::SensitiveView text) {
   std::vector<Hit> out;
   if (secrets_.empty()) return out;
   scansCounter().inc();
-  const text::NormalizedText normalized = text::normalize(text.raw());
-  std::vector<bool> seen(secrets_.size(), false);
-  for (const auto& match : automaton_.findAll(normalized.text)) {
-    if (match.id < seen.size() && !seen[match.id]) {
-      seen[match.id] = true;
-      out.push_back(Hit{secrets_[match.id].name, secrets_[match.id].tag});
-    }
+  ReportedStamps& reported = t_reported;
+  if (reported.stamp.size() < secrets_.size()) {
+    reported.stamp.resize(secrets_.size(), 0);
   }
+  const std::uint64_t epoch = ++reported.epoch;
+  automaton_.forEachMatch(text.raw(), [&](std::uint64_t id) {
+    if (reported.stamp[id] == epoch) return;
+    reported.stamp[id] = epoch;
+    out.push_back(Hit{secrets_[id].name, secrets_[id].tag});
+  });
   hitsCounter().inc(out.size());
   return out;
 }
 
 bool SecretGuard::containsSecret(sec::SensitiveView text) {
   if (secrets_.empty()) return false;
-  return automaton_.containsAny(text::normalize(text.raw()).text);
+  return automaton_.containsAny(text.raw());
 }
 
 }  // namespace bf::core

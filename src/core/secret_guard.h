@@ -9,9 +9,11 @@
 //
 // SecretGuard is that specialised system, integrated: administrators
 // register short secrets (passwords, API keys, account numbers); every
-// outgoing text is scanned with one Aho-Corasick pass over its normalized
-// form, so matching is insensitive to case, spacing and punctuation and
-// costs O(text) regardless of how many secrets are registered.
+// outgoing text is scanned with one Aho-Corasick pass that normalizes as it
+// walks (text::kNormTable folded into the automaton's byte classes), so
+// matching is insensitive to case, spacing and punctuation, costs O(text)
+// regardless of how many secrets are registered, and allocates nothing but
+// the hits.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,8 @@ namespace bf::core {
 
 class SecretGuard {
  public:
+  SecretGuard();
+
   /// One registered secret.
   struct Secret {
     std::string name;  ///< human-readable label for warnings/audit
@@ -37,8 +41,14 @@ class SecretGuard {
   /// "Hunter-2 42" and "hunter242" are the same secret. Values whose
   /// normalized form is shorter than `minLength` (default 6) are rejected
   /// to avoid false positives on trivial strings. Returns false if
-  /// rejected.
+  /// rejected. A registered secret bumps generation().
   bool addSecret(std::string name, std::string_view value, tdm::Tag tag);
+
+  /// Changes whenever the set of secrets does, so a caller that keeps a
+  /// text's scan result can tell when it has gone stale.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
+  }
 
   /// One hit in a scanned text.
   struct Hit {
@@ -46,9 +56,10 @@ class SecretGuard {
     tdm::Tag tag;
   };
 
-  /// Scans `text` (normalized internally) for all registered secrets.
-  /// Distinct secrets are reported once each. Only the registered secret
-  /// NAMES ever leave this call — never the scanned content.
+  /// Scans `text` (normalized as it is read) for all registered secrets.
+  /// Distinct secrets are reported once each, in the order of their first
+  /// match in the normalized text. Only the registered secret NAMES ever
+  /// leave this call — never the scanned content.
   [[nodiscard]] std::vector<Hit> scan(sec::SensitiveView text);
 
   /// True if any secret occurs in `text`.
@@ -62,6 +73,7 @@ class SecretGuard {
  private:
   text::AhoCorasick automaton_;
   std::vector<Secret> secrets_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace bf::core

@@ -84,21 +84,34 @@ std::uint64_t FlowTracker::digestOf(const text::Fingerprint& fp) {
   return d ^ fp.size();
 }
 
+text::Fingerprint FlowTracker::fingerprintOf(sec::SensitiveView text) const {
+  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
+  trackerMetrics().fingerprints->inc();
+  return text::fingerprintText(text.raw(), config_.fingerprint);
+}
+
 SegmentId FlowTracker::observeSegment(SegmentKind kind, std::string_view name,
                                       std::string_view document,
                                       std::string_view service,
                                       sec::SensitiveView text,
                                       std::optional<double> threshold) {
-  BF_SPAN("flow.observe");
   // Fingerprinting is pure CPU over immutable config: do it before taking
   // the mutex so concurrent observers only serialise on the store update.
   text::Fingerprint fp;
   {
     obs::StageTimer fpTimer(obs::Stage::kFingerprint);
-    fp = text::fingerprintText(text.raw(), config_.fingerprint);
+    fp = fingerprintOf(text);
   }
-  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
-  trackerMetrics().fingerprints->inc();
+  return observeFingerprint(kind, name, document, service, fp, threshold);
+}
+
+SegmentId FlowTracker::observeFingerprint(SegmentKind kind,
+                                          std::string_view name,
+                                          std::string_view document,
+                                          std::string_view service,
+                                          const text::Fingerprint& fp,
+                                          std::optional<double> threshold) {
+  BF_SPAN("flow.observe");
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
@@ -152,6 +165,8 @@ SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
   if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
     it->second.valid = false;
   }
+  stores_.changeLogs[idx(kind)].note(++stores_.changes,
+                                     stores_.segments.find(id)->document);
   if (wal_ != nullptr) {
     // Log the POST-mutation record: replaying it recreates the segment with
     // its effective threshold and timestamps, and re-records its hash
@@ -300,10 +315,7 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
     if (c == self) continue;  // "if p = P then continue"
     const SegmentRecord* rec = stores_.segments.find(c);
     if (rec == nullptr || rec->kind != sourceKind) continue;
-    if (config_.excludeSameDocument && !selfDocument.empty() &&
-        rec->document == selfDocument) {
-      continue;
-    }
+    if (!selfDocument.empty() && rec->document == selfDocument) continue;
     stats_.candidatesInspected.fetch_add(1, std::memory_order_relaxed);
     trackerMetrics().candidates->inc();
     const std::size_t sourceSize = rec->fingerprint.size();
@@ -391,8 +403,37 @@ std::vector<DisclosureHit> FlowTracker::sourcesForSegment(SegmentId id) {
   entry.hits = hits;
   entry.fingerprintDigest = digest;
   entry.removalGeneration = removalGen;
+  entry.filledAt = stores_.changes;
   entry.valid = true;
   return hits;
+}
+
+std::vector<DisclosureHit> FlowTracker::sourcesForProbe(SegmentId id) const {
+  const std::uint64_t lockWait = obs::stageStart();
+  util::MutexLock lock(mutex_);
+  obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
+  const SegmentRecord* rec = stores_.segments.find(id);
+  if (rec == nullptr) return {};
+  // With an empty document the cached query excluded only the segment
+  // itself, and a probe excludes nothing: no reuse.
+  if (config_.enableCache && !rec->document.empty()) {
+    obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
+    const auto it = stores_.cache.find(id);
+    if (it != stores_.cache.end() && it->second.valid &&
+        it->second.fingerprintDigest == digestOf(rec->fingerprint) &&
+        it->second.removalGeneration ==
+            stores_.hashes[idx(rec->kind)].removalGeneration() &&
+        stores_.changeLogs[idx(rec->kind)].newestOutside(rec->document) <=
+            it->second.filledAt) {
+      stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
+      trackerMetrics().cacheHits->inc();
+      return it->second.hits;
+    }
+  }
+  stats_.cacheMisses.fetch_add(1, std::memory_order_relaxed);
+  trackerMetrics().cacheMisses->inc();
+  return disclosedSourcesLocked(rec->fingerprint, rec->kind, kInvalidSegment,
+                                rec->document);
 }
 
 double FlowTracker::pairwiseDisclosure(SegmentId source,
@@ -435,10 +476,16 @@ std::size_t FlowTracker::evictAssociationsOlderThan(util::Timestamp cutoff) {
   return dropped;
 }
 
+void FlowTracker::noteChangeEverywhereLocked() {
+  ++stores_.changes;
+  for (ChangeLog& log : stores_.changeLogs) log.noteEverywhere(stores_.changes);
+}
+
 void FlowTracker::restoreSegment(SegmentRecord record) {
   util::MutexLock lock(mutex_);
   if (wal_ != nullptr) wal_->logSegmentObserved(record);
   stores_.segments.restore(std::move(record));
+  noteChangeEverywhereLocked();
   refreshStoreGauges();
 }
 
@@ -451,6 +498,7 @@ void FlowTracker::restoreAssociation(SegmentKind kind, std::uint64_t hash,
   util::MutexLock lock(mutex_);
   stores_.hashes[idx(kind)].recordObservation(hash, segment, firstSeen,
                                               lastSeen);
+  noteChangeEverywhereLocked();
   if (wal_ != nullptr) {
     wal_->logAssociationAdded(kind, hash, segment, firstSeen, lastSeen);
   }
@@ -479,6 +527,7 @@ void FlowTracker::replaySegmentObserved(SegmentRecord record) {
   if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
     it->second.valid = false;
   }
+  noteChangeEverywhereLocked();
   refreshStoreGauges();
 }
 

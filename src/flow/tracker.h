@@ -43,8 +43,6 @@ struct TrackerConfig {
   text::FingerprintConfig fingerprint;
   double defaultParagraphThreshold = 0.5;
   double defaultDocumentThreshold = 0.5;
-  /// Skip sources living in the same document as the queried segment.
-  bool excludeSameDocument = true;
   /// Use authoritative fingerprints (S4.3). Off only for ablation benches.
   bool useAuthoritative = true;
   /// Reuse the previous answer when a segment's fingerprint is unchanged.
@@ -115,6 +113,16 @@ class FlowTracker {
                            std::optional<double> threshold = std::nullopt)
       BF_EXCLUDES(mutex_);
 
+  /// observeSegment with the text's fingerprint already computed (by
+  /// fingerprintOf): the decision engine fingerprints a text once and
+  /// reuses it across the units and requests that carry the same text.
+  SegmentId observeFingerprint(SegmentKind kind, std::string_view name,
+                               std::string_view document,
+                               std::string_view service,
+                               const text::Fingerprint& fp,
+                               std::optional<double> threshold = std::nullopt)
+      BF_EXCLUDES(mutex_);
+
   /// Observes a whole document: one document-kind segment named `docName`
   /// plus one paragraph-kind segment "docName#p<i>" per paragraph.
   /// Batched: all fingerprints are computed outside the lock (in parallel
@@ -145,8 +153,9 @@ class FlowTracker {
   // ---- Queries (Algorithm 1) ----------------------------------------------
 
   /// Disclosing sources of kind `sourceKind` for an arbitrary fingerprint.
-  /// `self` / `selfDocument` exclude the queried segment (Algorithm 1's
-  /// "if p = P then continue") and, if configured, its document.
+  /// `self` excludes the queried segment (Algorithm 1's "if p = P then
+  /// continue"); a non-empty `selfDocument` excludes every source of that
+  /// document.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSources(
       const text::Fingerprint& target, SegmentKind sourceKind,
       SegmentId self = kInvalidSegment,
@@ -166,6 +175,16 @@ class FlowTracker {
   /// mutex. Returns a copy of the hits (the cache entry itself may be
   /// invalidated by a concurrent observation once the mutex is released).
   [[nodiscard]] std::vector<DisclosureHit> sourcesForSegment(SegmentId id)
+      BF_EXCLUDES(mutex_);
+
+  /// What disclosedSources(F(id), kind(id), kInvalidSegment, document(id))
+  /// answers — a probe of a text that IS registered segment `id` — without
+  /// changing any state. Serves the decision cache's answer when the entry
+  /// is valid and no segment of another document changed its fingerprint
+  /// since the entry was filled (the cached query excluded the segment's
+  /// own document, so nothing else can have moved it); otherwise runs
+  /// Algorithm 1 and leaves the cache as it was. Empty for unknown ids.
+  [[nodiscard]] std::vector<DisclosureHit> sourcesForProbe(SegmentId id) const
       BF_EXCLUDES(mutex_);
 
   /// Pairwise disclosure score D(source, target) between two registered
@@ -255,11 +274,10 @@ class FlowTracker {
     stats_.fingerprintsComputed.store(0, std::memory_order_relaxed);
   }
 
-  /// Fingerprint helper using this tracker's configuration. A declassification
-  /// gate (sec/sensitive.h): the winnowed hash set is non-invertible.
-  [[nodiscard]] text::Fingerprint fingerprintOf(sec::SensitiveView text) const {
-    return text::fingerprintText(text.raw(), config_.fingerprint);
-  }
+  /// Fingerprint helper using this tracker's configuration; counts in
+  /// stats().fingerprintsComputed. A declassification gate
+  /// (sec/sensitive.h): the winnowed hash set is non-invertible.
+  [[nodiscard]] text::Fingerprint fingerprintOf(sec::SensitiveView text) const;
 
   // ---- Maintenance & snapshot support ---------------------------------------
 
@@ -301,8 +319,41 @@ class FlowTracker {
   struct CacheEntry {
     std::uint64_t fingerprintDigest = 0;
     std::uint64_t removalGeneration = 0;
+    /// Stores::changes when the entry was filled.
+    std::uint64_t filledAt = 0;
     std::vector<DisclosureHit> hits;
     bool valid = false;
+  };
+
+  /// The newest fingerprint changes of one segment kind, for
+  /// sourcesForProbe's freshness test. The newest change, and the newest
+  /// change outside that change's document, answer "when did a segment
+  /// outside document D last change?" for every D.
+  struct ChangeLog {
+    std::uint64_t newest = 0;
+    /// Newest change outside `newestDocument`.
+    std::uint64_t newestElsewhere = 0;
+    std::string newestDocument;
+    /// The newest change may concern any document (restores, replays).
+    bool newestEverywhere = false;
+
+    void note(std::uint64_t stamp, std::string_view document) {
+      if (newestEverywhere || document != newestDocument) {
+        newestElsewhere = newest;
+        newestDocument.assign(document);
+        newestEverywhere = false;
+      }
+      newest = stamp;
+    }
+    void noteEverywhere(std::uint64_t stamp) {
+      newest = newestElsewhere = stamp;
+      newestEverywhere = true;
+    }
+    [[nodiscard]] std::uint64_t newestOutside(
+        std::string_view document) const {
+      return newestEverywhere || document != newestDocument ? newest
+                                                            : newestElsewhere;
+    }
   };
 
   /// The tracker's mutable state: DBhash per kind, DBpar, and the
@@ -311,6 +362,9 @@ class FlowTracker {
     HashDb hashes[2];  // indexed by SegmentKind
     SegmentDb segments;
     std::unordered_map<SegmentId, CacheEntry> cache;
+    /// Counts fingerprint changes; the logs hold stamps of this count.
+    std::uint64_t changes = 0;
+    ChangeLog changeLogs[2];  // indexed by SegmentKind
   };
 
   [[nodiscard]] static std::uint64_t digestOf(const text::Fingerprint& fp);
@@ -332,6 +386,10 @@ class FlowTracker {
       BF_REQUIRES(mutex_);
 
   void removeSegmentLocked(SegmentId id) BF_REQUIRES(mutex_);
+
+  /// Records a change that may move any cached answer (snapshot restore,
+  /// WAL replay).
+  void noteChangeEverywhereLocked() BF_REQUIRES(mutex_);
 
   /// Algorithm 1: candidate discovery and scoring in one pass over the
   /// target's hashes, sorted by score.

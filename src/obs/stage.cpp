@@ -60,6 +60,8 @@ const char* stageName(Stage stage) noexcept {
       return "tracker_record";
     case Stage::kPolicyEval:
       return "policy_eval";
+    case Stage::kSecretScan:
+      return "secret_scan";
     case Stage::kWalAppend:
       return "wal_append";
     case Stage::kQueueWait:

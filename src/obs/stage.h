@@ -2,7 +2,7 @@
 //
 // Every decision passes through a fixed set of stages (normalize,
 // fingerprint, tracker lock wait, tracker lookup, tracker record, policy
-// eval, WAL append, queue wait). recordStage() accumulates a stage
+// eval, secret scan, WAL append, queue wait). recordStage() accumulates a stage
 // duration into the thread's ScopedStageCollector (the per-decision
 // StageBreakdown that ends up in the flight recorder); when the collector
 // scope closes it flushes each touched stage into the matching
@@ -37,10 +37,11 @@ enum class Stage : std::uint8_t {
   kTrackerLookup,
   kTrackerRecord,
   kPolicyEval,
+  kSecretScan,
   kWalAppend,
   kQueueWait,
 };
-inline constexpr std::size_t kStageCount = 8;
+inline constexpr std::size_t kStageCount = 9;
 
 /// Stable lowercase stage name ("normalize", "tracker_lock_wait", ...).
 [[nodiscard]] const char* stageName(Stage stage) noexcept;

@@ -94,6 +94,8 @@ class SensitiveText {
   [[nodiscard]] std::size_t size() const noexcept { return text_.size(); }
   [[nodiscard]] bool empty() const noexcept { return text_.empty(); }
   void clear() noexcept { text_.clear(); }
+  /// Replaces the content, reusing the buffer (memo slots).
+  void assign(SensitiveView text) { text_.assign(text.raw()); }
 
   /// Sensitive + sensitive stays sensitive (document assembly).
   SensitiveText& operator+=(SensitiveView more) {

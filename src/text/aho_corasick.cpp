@@ -2,99 +2,122 @@
 
 namespace bf::text {
 
-AhoCorasick::AhoCorasick() { nodes_.emplace_back(); }
+AhoCorasick::AhoCorasick() {
+  for (int b = 0; b < 256; ++b) {
+    inputMap_[static_cast<std::size_t>(b)] = static_cast<unsigned char>(b);
+  }
+}
+
+AhoCorasick::AhoCorasick(const std::array<unsigned char, 256>& inputMap)
+    : inputMap_(inputMap), skipZero_(true) {}
 
 void AhoCorasick::addPattern(std::string_view pattern, std::uint64_t id) {
   if (pattern.empty()) return;
   patternList_.emplace_back(std::string(pattern), id);
-  ++patterns_;
   built_ = false;
 }
 
-void AhoCorasick::insertIntoTrie(std::string_view pattern, std::uint64_t id) {
-  std::int32_t node = 0;
-  for (unsigned char c : pattern) {
-    std::int32_t& slot = nodes_[static_cast<std::size_t>(node)].next[c];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    node = slot;
-  }
-  nodes_[static_cast<std::size_t>(node)].outputs.emplace_back(id,
-                                                              pattern.size());
-}
-
 void AhoCorasick::build() {
-  // Rebuild the trie from the pattern list (the previous DFA conversion
-  // overwrote absent edges, so it cannot be extended incrementally)...
-  nodes_.clear();
-  nodes_.emplace_back();
-  for (const auto& [pattern, id] : patternList_) insertIntoTrie(pattern, id);
+  // Byte classes: one symbol per distinct pattern byte, symbol 0 for every
+  // byte no pattern contains (it always leads back towards the root).
+  std::array<std::uint32_t, 256> symbolOf{};
+  std::uint32_t symbols = 1;
+  for (const auto& entry : patternList_) {
+    for (unsigned char c : entry.first) {
+      if (symbolOf[c] == 0) symbolOf[c] = symbols++;
+    }
+  }
 
-  // ...then the standard BFS: convert the trie into a DFA where every byte
-  // transition is defined, and fold suffix outputs into each node. Every
-  // node enters the queue exactly once, so a flat vector with a read
-  // cursor is the whole queue — no deque chunking.
-  std::vector<std::int32_t> queue;
-  queue.reserve(nodes_.size());
-  for (int c = 0; c < kAlphabet; ++c) {
-    const std::int32_t child = nodes_[0].next[static_cast<std::size_t>(c)];
+  // The trie over symbols; -1 = no child yet.
+  std::vector<std::int32_t> next(symbols, -1);
+  std::vector<std::vector<Output>> outs(1);
+  for (const auto& [pattern, id] : patternList_) {
+    std::size_t node = 0;
+    for (unsigned char c : pattern) {
+      std::int32_t& slot = next[node * symbols + symbolOf[c]];
+      if (slot < 0) {
+        slot = static_cast<std::int32_t>(outs.size());
+        outs.emplace_back();
+        next.resize(outs.size() * symbols, -1);
+      }
+      node = static_cast<std::size_t>(next[node * symbols + symbolOf[c]]);
+    }
+    outs[node].push_back(Output{id, pattern.size()});
+  }
+
+  // The standard BFS: define every transition (the DFA conversion) and
+  // fold each state's suffix outputs into its own. Every state enters the
+  // queue once, so a flat vector with a read cursor is the whole queue.
+  const std::size_t states = outs.size();
+  std::vector<std::size_t> fail(states, 0);
+  std::vector<std::size_t> queue;
+  queue.reserve(states);
+  for (std::uint32_t s = 0; s < symbols; ++s) {
+    std::int32_t& child = next[s];
     if (child < 0) {
-      nodes_[0].next[static_cast<std::size_t>(c)] = 0;
+      child = 0;
     } else {
-      nodes_[static_cast<std::size_t>(child)].fail = 0;
-      queue.push_back(child);
+      queue.push_back(static_cast<std::size_t>(child));
     }
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::int32_t u = queue[head];
-    Node& nu = nodes_[static_cast<std::size_t>(u)];
-    // Inherit outputs reachable through the failure link.
-    const auto& failOutputs =
-        nodes_[static_cast<std::size_t>(nu.fail)].outputs;
-    nu.outputs.insert(nu.outputs.end(), failOutputs.begin(),
-                      failOutputs.end());
-    for (int c = 0; c < kAlphabet; ++c) {
-      const std::int32_t child = nu.next[static_cast<std::size_t>(c)];
-      const std::int32_t failNext =
-          nodes_[static_cast<std::size_t>(nu.fail)]
-              .next[static_cast<std::size_t>(c)];
+    const std::size_t u = queue[head];
+    outs[u].insert(outs[u].end(), outs[fail[u]].begin(), outs[fail[u]].end());
+    for (std::uint32_t s = 0; s < symbols; ++s) {
+      const std::int32_t failNext = next[fail[u] * symbols + s];
+      std::int32_t& child = next[u * symbols + s];
       if (child < 0) {
-        nu.next[static_cast<std::size_t>(c)] = failNext;
+        child = failNext;
       } else {
-        nodes_[static_cast<std::size_t>(child)].fail = failNext;
-        queue.push_back(child);
+        fail[static_cast<std::size_t>(child)] =
+            static_cast<std::size_t>(failNext);
+        queue.push_back(static_cast<std::size_t>(child));
       }
     }
+  }
+
+  // Flatten: the symbol columns, plus a self-loop column for skipped bytes.
+  const std::uint32_t skipColumn = symbols;
+  columns_ = skipZero_ ? symbols + 1 : symbols;
+  for (int b = 0; b < 256; ++b) {
+    const unsigned char mapped = inputMap_[static_cast<std::size_t>(b)];
+    columnOf_[static_cast<std::size_t>(b)] =
+        skipZero_ && mapped == 0 ? skipColumn : symbolOf[mapped];
+  }
+  delta_.assign(states * columns_, 0);
+  outputStart_.assign(states + 1, 0);
+  outputs_.clear();
+  for (std::size_t u = 0; u < states; ++u) {
+    const auto row = static_cast<std::uint32_t>(u * columns_);
+    for (std::uint32_t s = 0; s < symbols; ++s) {
+      const auto target = static_cast<std::size_t>(next[u * symbols + s]);
+      delta_[row + s] =
+          static_cast<std::uint32_t>(target * columns_) << 1 |
+          (outs[target].empty() ? 0U : 1U);
+    }
+    if (skipZero_) delta_[row + skipColumn] = row << 1;
+    outputs_.insert(outputs_.end(), outs[u].begin(), outs[u].end());
+    outputStart_[u + 1] = static_cast<std::uint32_t>(outputs_.size());
   }
   built_ = true;
 }
 
 std::vector<AhoCorasick::Match> AhoCorasick::findAll(std::string_view text) {
-  if (!built_) build();
   std::vector<Match> out;
-  std::int32_t node = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    node = nodes_[static_cast<std::size_t>(node)]
-               .next[static_cast<unsigned char>(text[i])];
-    for (const auto& [id, length] :
-         nodes_[static_cast<std::size_t>(node)].outputs) {
-      out.push_back(Match{id, i + 1, length});
-    }
-  }
+  walk(text, [&](std::size_t end, const Output& output) {
+    out.push_back(Match{output.id, end, output.length});
+    return true;
+  });
   return out;
 }
 
 bool AhoCorasick::containsAny(std::string_view text) {
-  if (!built_) build();
-  if (patterns_ == 0) return false;
-  std::int32_t node = 0;
-  for (unsigned char c : text) {
-    node = nodes_[static_cast<std::size_t>(node)].next[c];
-    if (!nodes_[static_cast<std::size_t>(node)].outputs.empty()) return true;
-  }
-  return false;
+  bool found = false;
+  walk(text, [&](std::size_t, const Output&) {
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 }  // namespace bf::text

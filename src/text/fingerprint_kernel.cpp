@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 
+#include "text/normalizer.h"
 #include "text/simd/kernel.h"
 #include "util/hashing.h"
 
@@ -17,28 +18,6 @@ std::size_t roundPow2(std::size_t v) {
   while (p < v) p <<= 1;
   return p;
 }
-
-/// Normalization as a 256-entry table: 0 means "drop this byte", anything
-/// else is the normalized character. One load + one predictable branch per
-/// byte instead of a compare chain (the SIMD kernels evaluate the same
-/// classification with compare/shuffle masks; detail::normTable() shares
-/// this table with their scalar head/tail code).
-constexpr std::array<unsigned char, 256> kNormTab = [] {
-  std::array<unsigned char, 256> t{};
-  for (int c = 0; c < 256; ++c) {
-    if (c >= 'a' && c <= 'z') {
-      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
-    } else if (c >= 'A' && c <= 'Z') {
-      t[static_cast<std::size_t>(c)] =
-          static_cast<unsigned char>(c - 'A' + 'a');
-    } else if (c >= '0' && c <= '9') {
-      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
-    } else if (c >= 0x80) {
-      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
-    }
-  }
-  return t;
-}();
 
 /// Monotone bucket remap for finalizeSelectedFingerprint's MSD pass.
 /// Index = top 13 bits of the (range-spread) hash; value = one of 2048
@@ -60,8 +39,6 @@ constexpr std::array<std::uint16_t, 8192> kMinCdfBucket = [] {
 }  // namespace
 
 namespace detail {
-
-const std::array<unsigned char, 256>& normTable() noexcept { return kNormTab; }
 
 Fingerprint finalizeSelectedFingerprint(FingerprintWorkspace& ws) {
   // Winnowing emits strictly increasing pick indices, so selected_ is
@@ -266,7 +243,8 @@ Fingerprint fingerprintTextFusedScalar(std::string_view input,
     util::KarpRabin roller(n);
     std::size_t normCount = 0;  // normalized characters consumed so far
     for (std::size_t i = 0; i < input.size(); ++i) {
-      const unsigned char keep = kNormTab[static_cast<unsigned char>(input[i])];
+      const unsigned char keep =
+          kNormTable[static_cast<unsigned char>(input[i])];
       if (keep == 0) continue;  // punctuation, whitespace, control: drop
 
       // Read the character leaving the n-gram window BEFORE overwriting

@@ -40,13 +40,6 @@ struct BatchPipeline;
 }  // namespace simd
 
 namespace detail {
-/// The 256-entry normalization table shared by the scalar and SIMD
-/// kernels: 0 means "drop this byte", anything else is the normalized
-/// character. Must match text::normalize exactly (lowercase letters and
-/// digits kept, uppercase folded, non-ASCII bytes kept verbatim,
-/// everything else dropped) — the differential tests pin this.
-[[nodiscard]] const std::array<unsigned char, 256>& normTable() noexcept;
-
 /// Shared epilogue: turns the workspace's winnow-selected grams into a
 /// Fingerprint (position-ordered grams + LSD-radix-sorted deduplicated
 /// hash set). Used by the scalar kernel and the SIMD batch pipeline.

@@ -11,6 +11,7 @@
 // its n-gram, and the map converts that to a user-visible source range.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -33,5 +34,27 @@ struct NormalizedText {
 /// (lowercased); every other byte is dropped. Bytes >= 0x80 (non-ASCII) are
 /// kept verbatim so that non-English text still fingerprints stably.
 [[nodiscard]] NormalizedText normalize(std::string_view input);
+
+/// normalize() as a 256-entry byte table: 0 means "drop this byte",
+/// anything else is the normalized character. The fused fingerprint
+/// kernels and the secret guard's automaton walk read text through it
+/// instead of materialising a normalized copy; the differential tests pin
+/// it to normalize().
+inline constexpr std::array<unsigned char, 256> kNormTable = [] {
+  std::array<unsigned char, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    if (c >= 'a' && c <= 'z') {
+      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
+    } else if (c >= 'A' && c <= 'Z') {
+      t[static_cast<std::size_t>(c)] =
+          static_cast<unsigned char>(c - 'A' + 'a');
+    } else if (c >= '0' && c <= '9') {
+      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
+    } else if (c >= 0x80) {
+      t[static_cast<std::size_t>(c)] = static_cast<unsigned char>(c);
+    }
+  }
+  return t;
+}();
 
 }  // namespace bf::text

@@ -26,6 +26,7 @@
 #include <array>
 #include <cstring>
 
+#include "text/normalizer.h"
 #include "text/simd/batch_pipeline.h"
 #include "util/hashing.h"
 
@@ -158,7 +159,7 @@ std::size_t normalizeSse42(const unsigned char* in, std::size_t len,
     }
   }
 
-  const auto& tab = text::detail::normTable();
+  const auto& tab = text::kNormTable;
   for (; i < len; ++i) {
     const unsigned char keep = tab[in[i]];
     if (keep == 0) continue;

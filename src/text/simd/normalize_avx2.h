@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "text/fingerprint_kernel.h"
+#include "text/normalizer.h"
 
 namespace bf::text::simd::detail {
 
@@ -80,7 +81,7 @@ inline std::size_t normalizeAvx2(const unsigned char* in, std::size_t len,
     }
   }
 
-  const auto& tab = text::detail::normTable();
+  const auto& tab = text::kNormTable;
   for (; i < len; ++i) {
     const unsigned char keep = tab[in[i]];
     if (keep == 0) continue;

@@ -226,5 +226,159 @@ TEST_F(EngineTest, ProbeAttachesSecretHits) {
   engine_.setSecretGuard(nullptr);
 }
 
+// ---- One fingerprint, one scan, one Algorithm 1 per text ------------------
+
+/// A probe of `text` by document `document` must report exactly the hits a
+/// fresh Algorithm 1 query excluding that document gives — source, score,
+/// overlap and order — whether it reused the observe's cached answer or not.
+void expectProbeMatchesFreshQuery(DecisionEngine& engine,
+                                  flow::FlowTracker& tracker,
+                                  const std::string& text,
+                                  const std::string& document) {
+  DecisionRequest probe = probeFor(text, document);
+  const Decision d = engine.decide(probe);
+  const std::vector<flow::DisclosureHit> fresh = tracker.disclosedSources(
+      tracker.fingerprintOf(text), flow::SegmentKind::kParagraph,
+      flow::kInvalidSegment, document);
+  ASSERT_EQ(d.hits.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(d.hits[i].source, fresh[i].source) << i;
+    EXPECT_EQ(d.hits[i].sourceName, fresh[i].sourceName) << i;
+    EXPECT_EQ(d.hits[i].score, fresh[i].score) << i;
+    EXPECT_EQ(d.hits[i].overlap, fresh[i].overlap) << i;
+    EXPECT_EQ(d.hits[i].threshold, fresh[i].threshold) << i;
+  }
+}
+
+TEST_F(EngineTest, ProbeOfRegisteredSegmentReusesItsExactAnswer) {
+  // Two sources in other documents; the target quotes most of the first
+  // and half of the second, so both disclose with different scores.
+  const std::string a = gen_.paragraph(8, 10);
+  const std::string b = gen_.paragraph(8, 10);
+  tracker_.observeSegment(flow::SegmentKind::kParagraph, "itool/a#p0",
+                          "itool/a", "itool", a);
+  tracker_.observeSegment(flow::SegmentKind::kParagraph, "wiki/b#p0", "wiki/b",
+                          "wiki", b);
+  const std::string target = a + " " + b.substr(0, b.size() / 2);
+  const std::string doc = "gdocs/target";
+  auto observeTarget = [&] { (void)engine_.decide(requestFor(target)); };
+  auto probeIsServedFromCache = [&] {
+    const std::uint64_t before = tracker_.stats().cacheHits;
+    expectProbeMatchesFreshQuery(engine_, tracker_, target, doc);
+    return tracker_.stats().cacheHits == before + 1;
+  };
+
+  observeTarget();
+  ASSERT_FALSE(engine_.decide(probeFor(target, doc)).hits.empty());
+  EXPECT_TRUE(probeIsServedFromCache());
+
+  // Another segment of the target's own document changing cannot move
+  // the answer (the query excludes that document): still reused.
+  DecisionRequest sibling = requestFor(gen_.paragraph(6, 8));
+  sibling.segmentName = doc + "#p1";
+  (void)engine_.decide(sibling);
+  EXPECT_TRUE(probeIsServedFromCache());
+
+  // A threshold change drops the cache: recomputed, still exact.
+  ASSERT_TRUE(tracker_.setSegmentThreshold("itool/a#p0", 0.95));
+  EXPECT_FALSE(probeIsServedFromCache());
+  observeTarget();
+  EXPECT_TRUE(probeIsServedFromCache());
+
+  // Another segment's observe that changes its threshold drops the
+  // target's cache entry too.
+  tracker_.observeSegment(flow::SegmentKind::kParagraph, "itool/a#p0",
+                          "itool/a", "itool", a, 0.2);
+  EXPECT_FALSE(probeIsServedFromCache());
+  observeTarget();
+
+  // A source rewritten in another document: the observe's cache keeps its
+  // old answer (paper S6.2 serves an unchanged fingerprint's answer), but
+  // the probe must not — it recomputes.
+  const std::vector<flow::DisclosureHit> cachedBefore =
+      tracker_.sourcesForSegment(tracker_.segmentByName("gdocs/target#p0")->id);
+  tracker_.observeSegment(flow::SegmentKind::kParagraph, "itool/a#p0",
+                          "itool/a", "itool", gen_.paragraph(8, 10));
+  ASSERT_NE(tracker_
+                .disclosedSources(tracker_.fingerprintOf(target),
+                                  flow::SegmentKind::kParagraph,
+                                  flow::kInvalidSegment, doc)
+                .size(),
+            cachedBefore.size())
+      << "the rewrite must move the answer for this check to mean anything";
+  EXPECT_EQ(
+      tracker_.sourcesForSegment(tracker_.segmentByName("gdocs/target#p0")->id)
+          .size(),
+      cachedBefore.size());
+  EXPECT_FALSE(probeIsServedFromCache());
+  // A later change inside the target's own document does not hide the
+  // earlier change elsewhere.
+  sibling.text = gen_.paragraph(6, 8);
+  (void)engine_.decide(sibling);
+  EXPECT_FALSE(probeIsServedFromCache());
+  EXPECT_FALSE(probeIsServedFromCache())
+      << "a probe leaves the cache as it was";
+
+  // A removal: recomputed, still exact.
+  observeTarget();
+  tracker_.removeSegmentByName("wiki/b#p0");
+  EXPECT_FALSE(probeIsServedFromCache());
+}
+
+TEST_F(EngineTest, MemoizedSecretHitsFollowTheGuard) {
+  // Deciding T, registering a secret T contains, then deciding T again
+  // must report the new secret: the memo is keyed on the guard's
+  // generation, not on the text alone.
+  SecretGuard guard;
+  ASSERT_TRUE(guard.addSecret("unrelated", "nothing-like-this-99", "t0"));
+  engine_.setSecretGuard(&guard);
+  const std::string text =
+      gen_.paragraph(4, 5) + " the vpn uses CorrectHorseBattery.";
+  EXPECT_TRUE(engine_.decide(requestFor(text)).secretHits.empty());
+  EXPECT_TRUE(engine_.decide(probeFor(text, "gdocs/other")).secretHits.empty());
+  ASSERT_TRUE(guard.addSecret("vpn-password", "correct horse battery", "vpn"));
+  EXPECT_EQ(engine_.decide(requestFor(text)).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  EXPECT_EQ(engine_.decide(probeFor(text, "gdocs/other")).secretHits,
+            std::vector<std::string>{"vpn-password"});
+
+  // Swapping in another guard is a different secret set too.
+  SecretGuard other;
+  ASSERT_TRUE(other.addSecret("unrelated", "nothing-like-this-99", "t0"));
+  engine_.setSecretGuard(&other);
+  EXPECT_TRUE(engine_.decide(probeFor(text, "gdocs/other")).secretHits.empty());
+  engine_.setSecretGuard(nullptr);
+}
+
+TEST_F(EngineTest, MemoRecomputesAOneByteDifferentText) {
+  SecretGuard guard;
+  ASSERT_TRUE(guard.addSecret("vpn-password", "correct horse battery", "vpn"));
+  engine_.setSecretGuard(&guard);
+  const std::string text =
+      gen_.paragraph(4, 5) + " the vpn uses CorrectHorseBattery.";
+  std::string changed = text;
+  changed[changed.find("Battery")] = 'X';  // same length, secret broken
+  const std::string longer = text + "!";   // one extra byte, secret kept
+
+  tracker_.resetStats();
+  EXPECT_EQ(engine_.decide(requestFor(text)).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 1u);
+  // The same text again (e.g. the document unit of a one-paragraph page):
+  // nothing recomputed.
+  EXPECT_EQ(engine_.decide(probeFor(text, "gdocs/other")).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 1u);
+
+  EXPECT_TRUE(engine_.decide(requestFor(changed)).secretHits.empty());
+  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u);
+  EXPECT_TRUE(tracker_.segmentByName("gdocs/target#p0")
+                  ->fingerprint.sameHashes(tracker_.fingerprintOf(changed)));
+
+  EXPECT_EQ(engine_.decide(probeFor(longer, "gdocs/other")).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  engine_.setSecretGuard(nullptr);
+}
+
 }  // namespace
 }  // namespace bf::core

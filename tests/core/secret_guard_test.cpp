@@ -7,6 +7,9 @@
 #include "cloud/network.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
+#include "text/aho_corasick.h"
+#include "text/normalizer.h"
+#include "util/rng.h"
 
 namespace bf::core {
 namespace {
@@ -42,6 +45,123 @@ TEST(SecretGuard, EmptyGuardScansNothing) {
   SecretGuard guard;
   EXPECT_TRUE(guard.scan("any text").empty());
   EXPECT_FALSE(guard.containsSecret("any text"));
+}
+
+// ---- The fused scan against normalize + findAll ----------------------------
+
+/// Re-cases, punctuates and pads a secret value the way a user might type
+/// it: the normalized form is unchanged.
+std::string disguise(util::Rng& rng, const std::string& value) {
+  static const char kNoise[] = " -_.,:;!?/\t\n()'\"";
+  std::string out;
+  for (char c : value) {
+    if (rng.uniform(0, 3) == 0) {
+      out.push_back(kNoise[rng.uniform(0, sizeof(kNoise) - 2)]);
+    }
+    out.push_back(c >= 'a' && c <= 'z' && rng.uniform(0, 1) == 0
+                      ? static_cast<char>(c - 'a' + 'A')
+                      : c);
+  }
+  return out;
+}
+
+/// Filler: lowercase/uppercase words, punctuation, and non-ASCII bytes.
+std::string filler(util::Rng& rng, std::size_t bytes) {
+  std::string out;
+  while (out.size() < bytes) {
+    switch (rng.uniform(0, 5)) {
+      case 0:
+        out.push_back(static_cast<char>(rng.uniform(0x80, 0xff)));
+        break;
+      case 1:
+        out.push_back(" .,;-\n"[rng.uniform(0, 5)]);
+        break;
+      case 2:
+        out.push_back(static_cast<char>('A' + rng.uniform(0, 25)));
+        break;
+      default:
+        out.push_back(static_cast<char>('a' + rng.uniform(0, 5)));  // tiny
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(SecretGuard, FusedScanMatchesNormalizeThenFindAll) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    SecretGuard guard;
+    text::AhoCorasick oracle;  // verbatim bytes, fed normalized text
+    std::vector<std::string> values;
+    std::vector<SecretGuard::Secret> accepted;
+    // Nested and overlapping secrets over a tiny alphabet, non-ASCII
+    // bytes inside secrets, and values that normalize too short.
+    const std::string base = "abcab" + filler(rng, 6) + "cabca";
+    values.push_back(base);
+    values.push_back(base.substr(2));                  // suffix
+    values.push_back(base.substr(0, base.size() - 2));  // prefix
+    values.push_back(base + "bcabc");                  // extension
+    for (int i = 0; i < 8; ++i) {
+      values.push_back(filler(rng, rng.uniform(3, 14)));
+    }
+    values.push_back("ab-1");  // too short once normalized
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::string name = "s" + std::to_string(i);
+      const std::string tag = "t" + std::to_string(i % 3);
+      const std::string normalized = text::normalize(values[i]).text;
+      ASSERT_EQ(guard.addSecret(name, values[i], tag),
+                normalized.size() >= SecretGuard::kMinLength);
+      if (normalized.size() < SecretGuard::kMinLength) continue;
+      oracle.addPattern(normalized, accepted.size());
+      accepted.push_back(SecretGuard::Secret{name, tag});
+    }
+
+    for (int t = 0; t < 25; ++t) {
+      // Secrets at either end, disguised secrets in the middle, and an
+      // empty text now and then.
+      std::string text;
+      if (t % 10 == 9) {
+        text.clear();
+      } else {
+        if (rng.uniform(0, 1) == 0) text += disguise(rng, rng.pick(values));
+        for (int k = 0; k < 4; ++k) {
+          text += filler(rng, rng.uniform(0, 40));
+          if (rng.uniform(0, 1) == 0) text += disguise(rng, rng.pick(values));
+        }
+        if (rng.uniform(0, 1) == 0) text += disguise(rng, rng.pick(values));
+      }
+
+      std::vector<std::string> expectedNames;
+      std::vector<tdm::Tag> expectedTags;
+      std::vector<bool> seen(accepted.size(), false);
+      const auto matches = oracle.findAll(text::normalize(text).text);
+      for (const auto& match : matches) {
+        if (seen[match.id]) continue;
+        seen[match.id] = true;
+        expectedNames.push_back(accepted[match.id].name);
+        expectedTags.push_back(accepted[match.id].tag);
+      }
+      std::vector<std::string> names;
+      std::vector<tdm::Tag> tags;
+      for (const auto& hit : guard.scan(text)) {
+        names.push_back(hit.name);
+        tags.push_back(hit.tag);
+      }
+      EXPECT_EQ(names, expectedNames) << "seed " << seed << " text " << t;
+      EXPECT_EQ(tags, expectedTags) << "seed " << seed << " text " << t;
+      EXPECT_EQ(guard.containsSecret(text), !matches.empty())
+          << "seed " << seed << " text " << t;
+    }
+  }
+}
+
+TEST(SecretGuard, GenerationChangesOnlyWithTheSecretSet) {
+  SecretGuard guard;
+  const std::uint64_t initial = guard.generation();
+  EXPECT_FALSE(guard.addSecret("too-short", "ab1", "t"));
+  EXPECT_EQ(guard.generation(), initial);
+  ASSERT_TRUE(guard.addSecret("db-password", "Hunter-2 42!", "secret"));
+  EXPECT_NE(guard.generation(), initial);
 }
 
 // ---- Integration with the plug-in ---------------------------------------------

@@ -355,10 +355,7 @@ ReferenceAnswer referenceQuery(const FlowTracker& tracker,
     if (c == self) continue;
     const SegmentRecord* rec = tracker.segment(c);
     if (rec == nullptr || rec->kind != kind) continue;
-    if (config.excludeSameDocument && !selfDocument.empty() &&
-        rec->document == selfDocument) {
-      continue;
-    }
+    if (!selfDocument.empty() && rec->document == selfDocument) continue;
     ++out.candidates;
     const std::size_t size = rec->fingerprint.size();
     if (size == 0 || static_cast<double>(size) * rec->threshold >

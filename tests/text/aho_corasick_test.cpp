@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "text/aho_corasick.h"
+#include "text/normalizer.h"
 #include "util/rng.h"
 
 namespace bf::text {
@@ -106,6 +107,51 @@ TEST(AhoCorasick, ManyPatternsStressAgainstNaiveSearch) {
     }
   }
   EXPECT_EQ(ac.findAll(hay).size(), naive);
+}
+
+TEST(AhoCorasick, MappedWalkMatchesNormalizedText) {
+  // An automaton over kNormTable reads raw text and must report exactly
+  // the matches a verbatim automaton reports on the normalized text, in
+  // the same order, ending at the raw byte that completed each one.
+  util::Rng rng(29);
+  AhoCorasick mapped(kNormTable);
+  AhoCorasick verbatim;
+  for (int i = 0; i < 40; ++i) {
+    std::string p;
+    const std::size_t len = rng.uniform(1, 6);
+    for (std::size_t k = 0; k < len; ++k) {
+      p.push_back(rng.uniform(0, 7) == 0
+                      ? static_cast<char>(rng.uniform(0x80, 0x82))
+                      : static_cast<char>('a' + rng.uniform(0, 2)));
+    }
+    mapped.addPattern(p, static_cast<std::uint64_t>(i));
+    verbatim.addPattern(p, static_cast<std::uint64_t>(i));
+  }
+  for (int t = 0; t < 50; ++t) {
+    std::string raw;
+    const std::size_t len = rng.uniform(0, 300);
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::uint64_t r = rng.uniform(0, 9);
+      raw.push_back(r < 5   ? static_cast<char>('a' + rng.uniform(0, 2))
+                    : r < 7 ? static_cast<char>('A' + rng.uniform(0, 2))
+                    : r < 8 ? static_cast<char>(rng.uniform(0x80, 0x82))
+                            : " .\t-\0"[rng.uniform(0, 4)]);
+    }
+    const NormalizedText norm = normalize(raw);
+    const auto expected = verbatim.findAll(norm.text);
+    const auto got = mapped.findAll(raw);
+    ASSERT_EQ(got.size(), expected.size()) << "text " << t;
+    std::vector<std::uint64_t> ids;
+    mapped.forEachMatch(raw, [&](std::uint64_t id) { ids.push_back(id); });
+    ASSERT_EQ(ids.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id);
+      EXPECT_EQ(ids[i], expected[i].id);
+      EXPECT_EQ(got[i].length, expected[i].length);
+      EXPECT_EQ(got[i].end, norm.originalOffset[expected[i].end - 1] + 1);
+    }
+    EXPECT_EQ(mapped.containsAny(raw), !expected.empty());
+  }
 }
 
 }  // namespace
