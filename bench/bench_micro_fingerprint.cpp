@@ -13,6 +13,7 @@
 #include "flow/tracker.h"
 #include "text/aho_corasick.h"
 #include "text/fingerprint_kernel.h"
+#include "text/simd/kernel.h"
 #include "text/winnower.h"
 #include "util/clock.h"
 
@@ -87,6 +88,33 @@ BENCHMARK(BM_FingerprintTextFusedWorkspace)
     ->Arg(1 << 10)
     ->Arg(1 << 14)
     ->Arg(1 << 18);
+
+void BM_FingerprintTextTier(benchmark::State& state) {
+  // The fused kernel pinned to one dispatch tier, at the event sizes the
+  // end-to-end workloads send (docs_typing ~0.4 KB, paste_upload ~3.4 KB)
+  // and at 16 KiB. These rows re-check the rule that a SIMD tier stays
+  // only while it beats scalar by at least 1.5x (DESIGN.md §15).
+  const auto tier = static_cast<text::simd::KernelTier>(state.range(0));
+  if (!text::simd::setKernelTierOverrideForTest(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  const std::string text = makeText(static_cast<std::size_t>(state.range(1)));
+  const text::FingerprintConfig config;
+  text::FingerprintWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(text::fingerprintTextFused(text, config, ws));
+  }
+  text::simd::restoreAutoKernelTier();
+  state.SetLabel(text::simd::kernelTierName(tier));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_FingerprintTextTier)
+    ->ArgNames({"tier", "bytes"})
+    ->ArgsProduct({{static_cast<int64_t>(text::simd::KernelTier::kScalar),
+                    static_cast<int64_t>(text::simd::KernelTier::kAvx512)},
+                   {400, 3400, 16384}});
 
 void BM_FingerprintIntersection(benchmark::State& state) {
   const text::FingerprintConfig config;

@@ -18,15 +18,11 @@ namespace bf::flow {
 
 namespace {
 
-constexpr std::string_view kPlainMagic = "BFSNAPP1";
-constexpr std::string_view kEncMagic = "BFSNAPE1";
-constexpr std::string_view kPlainMagicV2 = "BFSNAPP2";
 constexpr std::string_view kEncMagicV2 = "BFSNAPE2";
-// v3 bodies add a u64 tenant slot per segment (always 0: the tracker has
+// v3 bodies carry a u64 tenant slot per segment (always 0: the tracker has
 // one namespace) and the lastSeen retention stamp per association.
 // BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 = sequenced + CRC
-// trailer (exportStateV2/checkpoints). v1/v2 blobs still import, with
-// lastSeen = firstSeen.
+// trailer (exportStateV2/checkpoints).
 constexpr std::string_view kPlainMagicV3 = "BFSNAPP3";
 constexpr std::string_view kSeqMagicV3 = "BFSNAPS3";
 
@@ -144,13 +140,12 @@ bool validKindByte(std::uint8_t k) noexcept {
          k == static_cast<std::uint8_t>(SegmentKind::kDocument);
 }
 
-/// Parses the state body from `r` into `staged`. Returns an empty string on
-/// success, an error message otherwise. Untrusted bytes are validated here,
-/// BEFORE anything touches the tracker: enum bytes must name a known
+/// Parses the v3 state body from `r` into `staged`. Returns an empty string
+/// on success, an error message otherwise. Untrusted bytes are validated
+/// here, BEFORE anything touches the tracker: enum bytes must name a known
 /// SegmentKind and thresholds must be finite and in range — a corrupt blob
 /// must never static_cast its way into live records.
-std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
-                           int version) {
+std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
   const std::uint64_t segmentCount = r.u64();
   for (std::uint64_t i = 0; i < segmentCount && r.ok(); ++i) {
     SegmentRecord rec;
@@ -167,9 +162,9 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
     if (r.ok() && !validThreshold(rec.threshold)) {
       return "threshold out of range for segment '" + rec.name + "'";
     }
-    // v3 tenant slot: 0 is the only namespace there is; anything else
-    // names state this tracker cannot honour.
-    if (version >= 3 && r.u64() != 0) {
+    // Tenant slot: 0 is the only namespace there is; anything else names
+    // state this tracker cannot honour.
+    if (r.u64() != 0) {
       return "nonzero tenant for segment '" + rec.name + "'";
     }
     rec.createdAt = r.u64();
@@ -198,7 +193,7 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged,
       const std::uint64_t hash = r.u64();
       const SegmentId segment = r.u64();
       const util::Timestamp ts = r.u64();
-      const util::Timestamp lastSeen = version >= 3 ? r.u64() : ts;
+      const util::Timestamp lastSeen = r.u64();
       staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
       staged.assocs.push_back({kind, hash, segment, ts, lastSeen});
     }
@@ -281,11 +276,8 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
 
   SnapshotInfo info;
   std::string_view body;
-  int version = 0;
-  const bool sequencedV3 = blob.substr(0, kSeqMagicV3.size()) == kSeqMagicV3;
-  if (sequencedV3 || blob.substr(0, kPlainMagicV2.size()) == kPlainMagicV2) {
+  if (blob.substr(0, kSeqMagicV3.size()) == kSeqMagicV3) {
     // Sequenced: magic + u64 sequence + body + u32 masked CRC trailer.
-    version = sequencedV3 ? 3 : 2;
     constexpr std::size_t kHeader = 8 + 8;
     if (blob.size() < kHeader + 4) return R::error("snapshot truncated");
     const std::string_view trailer = blob.substr(blob.size() - 4);
@@ -305,12 +297,7 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
     body = blob.substr(kHeader, blob.size() - kHeader - 4);
   } else if (blob.substr(0, kPlainMagicV3.size()) == kPlainMagicV3) {
     // v3 plain: magic + body, no trailer, sequence 0.
-    version = 3;
     body = blob.substr(kPlainMagicV3.size());
-  } else if (blob.substr(0, kPlainMagic.size()) == kPlainMagic) {
-    // v1: magic + body, no trailer, sequence 0.
-    version = 1;
-    body = blob.substr(kPlainMagic.size());
   } else {
     return R::error("not a BrowserFlow snapshot (bad magic)");
   }
@@ -320,7 +307,7 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
   // nothing) instead of half-restored.
   util::BinaryReader r(body);
   StagedState staged;
-  if (std::string err = parseStateBody(r, staged, version); !err.empty()) {
+  if (std::string err = parseStateBody(r, staged); !err.empty()) {
     return R::error(err);
   }
   info.maxTimestamp = staged.maxTs;
@@ -414,21 +401,6 @@ util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
         std::string_view(fileData).substr(header + 12,
                                           tagOffset - header - 12),
         deriveKey(secret), nonce);
-    return importStateEx(tracker, blob);
-  }
-
-  if (fileData.substr(0, kEncMagic.size()) == kEncMagic) {
-    // Legacy v1 encrypted snapshot: unauthenticated (migration path only).
-    if (secret.empty()) return R::error("snapshot is encrypted; secret needed");
-    const std::size_t header = kEncMagic.size();
-    if (fileData.size() < header + 12) return R::error("snapshot truncated");
-    crypto::Nonce96 nonce{};
-    for (std::size_t i = 0; i < 12; ++i) {
-      nonce[i] = static_cast<std::uint8_t>(fileData[header + i]);
-    }
-    const std::string blob = crypto::chacha20Xor(
-        std::string_view(fileData).substr(header + 12), deriveKey(secret),
-        nonce);
     return importStateEx(tracker, blob);
   }
 

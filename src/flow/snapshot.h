@@ -12,27 +12,23 @@
 // little-endian binary blob. saveSnapshot()/loadSnapshot() add the at-rest
 // encryption layer and file I/O.
 //
-// Formats (DESIGN.md §11):
-//  - v1 plain "BFSNAPP1": magic + body. No integrity check beyond the
-//    bounds-checked parse. Still readable; no longer written.
-//  - v2 plain "BFSNAPP2": magic + u64 checkpoint sequence + body + trailing
-//    masked CRC32C over everything before the trailer. The sequence links
-//    a checkpoint to the write-ahead log that continues it (flow/wal.h).
-//    Still readable; no longer written.
-//  - v3 plain "BFSNAPP3": magic + v3 body (segment records carry a u64
+// Formats (DESIGN.md §11), the only three this code reads or writes:
+//  - plain "BFSNAPP3": magic + v3 body (segment records carry a u64
 //    tenant slot, always 0, associations their lastSeen retention stamp).
 //    Written by exportState().
-//  - v3 sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
-//    trailing masked CRC32C. Written by exportStateV2()/saveSnapshot().
-//  - v1 encrypted "BFSNAPE1": magic + nonce + ChaCha20(blob). Readable for
-//    migration; unauthenticated, so a flipped ciphertext bit could import
-//    as wrong hashes — which is why it is no longer written.
-//  - v2 encrypted "BFSNAPE2": magic + nonce + ChaCha20(plain blob) +
+//  - sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
+//    trailing masked CRC32C over everything before the trailer. The
+//    sequence links a checkpoint to the write-ahead log that continues it
+//    (flow/wal.h). Written by exportStateV2()/saveSnapshot().
+//  - encrypted "BFSNAPE2": magic + nonce + ChaCha20(BFSNAPS3 blob) +
 //    16-byte keyed tag over magic||nonce||ciphertext (crypto/mac.h),
-//    verified BEFORE decryption (encrypt-then-MAC). The envelope wraps the
-//    inner blob opaquely, so it carries v2 or v3 bodies unchanged.
+//    verified BEFORE decryption (encrypt-then-MAC). Written by
+//    saveSnapshot() when given a secret.
 //
-// v1/v2 bodies import with lastSeen = firstSeen.
+// Any other magic is rejected, including the retired v1/v2 formats
+// (BFSNAPP1, BFSNAPP2 and the untagged BFSNAPE1 envelope): accepting an
+// untagged envelope would let anyone strip a BFSNAPE2 file's tag and
+// relabel it, bypassing authentication.
 //
 // Every import validates untrusted bytes before they become live records:
 // unknown SegmentKind values, non-finite / out-of-range thresholds and a
@@ -55,8 +51,8 @@ struct SnapshotInfo {
   /// tracker's clock past it so new observations sort after restored ones
   /// (LogicalClock::advanceTo).
   util::Timestamp maxTimestamp = 0;
-  /// Checkpoint sequence number recorded at save time (0 for v1 blobs and
-  /// plain saves outside the durability manager). WAL records with
+  /// Checkpoint sequence number recorded at save time (0 for BFSNAPP3
+  /// blobs and saves outside the durability manager). WAL records with
   /// sequence > this continue the state (flow/wal.h).
   std::uint64_t sequence = 0;
 };
@@ -72,8 +68,8 @@ struct SnapshotInfo {
                                         std::uint64_t sequence);
 
 /// Restores state exported by exportState()/exportStateV2() into `tracker`,
-/// which must be EMPTY (freshly constructed). Accepts v1, v2 and v3 blobs;
-/// sequenced blobs are rejected on CRC mismatch.
+/// which must be EMPTY (freshly constructed). Accepts BFSNAPP3 and
+/// BFSNAPS3 blobs; sequenced blobs are rejected on CRC mismatch.
 [[nodiscard]] util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
                                                        std::string_view blob);
 
@@ -81,8 +77,8 @@ struct SnapshotInfo {
 [[nodiscard]] util::Result<util::Timestamp> importState(FlowTracker& tracker,
                                                         std::string_view blob);
 
-/// Writes the tracker state to `path` in v2 format, encrypted with a key
-/// derived from `secret` (empty secret = plaintext snapshot). Crash-safe:
+/// Writes the tracker state to `path` as a BFSNAPS3 blob, encrypted with a
+/// key derived from `secret` (empty secret = plaintext snapshot). Crash-safe:
 /// full temp-file write + fsync + atomic rename — on ANY failure the temp
 /// file is removed and the previous snapshot at `path` is untouched.
 /// `sequence` is the checkpoint sequence stored in the blob (0 outside the
@@ -93,9 +89,9 @@ struct SnapshotInfo {
                                         std::uint64_t sequence = 0,
                                         io::Vfs* vfs = nullptr);
 
-/// Loads a snapshot written by saveSnapshot() — any format version — into
-/// an empty tracker. Encrypted v2 files are authenticated before parsing:
-/// a bit-flipped blob fails the tag check and is rejected. `vfs` routes
+/// Loads a snapshot written by saveSnapshot() (or a bare exportState()
+/// blob) into an empty tracker. Encrypted files are authenticated before
+/// parsing: a bit-flipped or tag-stripped file is rejected. `vfs` routes
 /// the read (null = defaultVfs()).
 [[nodiscard]] util::Result<SnapshotInfo> loadSnapshotEx(
     FlowTracker& tracker, const std::string& path, std::string_view secret,

@@ -8,7 +8,7 @@
 //  - every tracker mutation appends one CRC32C-framed record to an
 //    append-only WAL file (the append runs inside the tracker's exclusive
 //    lock section, so the log order IS the mutation order);
-//  - recovery loads the newest valid checkpoint (snapshot v2), then
+//  - recovery loads the newest valid checkpoint (snapshot v3), then
 //    replays the WAL tail in sequence order, discarding the first torn or
 //    corrupt frame and everything after it — the recovered state is always
 //    a prefix of the pre-crash history, never a mix;

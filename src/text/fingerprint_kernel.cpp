@@ -207,15 +207,8 @@ Fingerprint fingerprintTextFused(std::string_view input,
                                  const FingerprintConfig& config,
                                  FingerprintWorkspace& ws) {
 #if defined(BF_TEXT_SIMD_X86)
-  switch (simd::activeKernelTier()) {
-    case simd::KernelTier::kAvx512:
-      return simd::fingerprintTextAvx512(input, config, ws);
-    case simd::KernelTier::kAvx2:
-      return simd::fingerprintTextAvx2(input, config, ws);
-    case simd::KernelTier::kSse42:
-      return simd::fingerprintTextSse42(input, config, ws);
-    case simd::KernelTier::kScalar:
-      break;
+  if (simd::activeKernelTier() == simd::KernelTier::kAvx512) {
+    return simd::fingerprintTextAvx512(input, config, ws);
   }
 #endif
   return fingerprintTextFusedScalar(input, config, ws);

@@ -15,11 +15,11 @@
 // typically thread-local, so steady-state fingerprinting performs no
 // scratch allocation at all.
 //
-// fingerprintTextFused is a runtime dispatcher: on x86-64 hosts with AVX2
-// or SSE4.2 it routes to the batch SIMD kernels in src/text/simd/ (cpuid
+// fingerprintTextFused is a runtime dispatcher: on x86-64 hosts with
+// AVX-512 it routes to the batch SIMD kernel in src/text/simd/ (cpuid
 // selection modeled on util/crc32c; see text/simd/kernel.h), falling back
 // to the portable scalar kernel fingerprintTextFusedScalar everywhere
-// else. Every dispatch target is differentially tested to be
+// else. Both dispatch targets are differentially tested to be
 // byte-identical (hashes AND original-offset positions) to the staged
 // reference in tests/text/fused_kernel_test and tests/text/simd_kernel_test.
 #pragma once
@@ -141,9 +141,9 @@ class FingerprintWorkspace {
 
 /// Computes the winnowed fingerprint of `input` under `config` in a single
 /// streaming pass using `ws` for all scratch. Dispatches to the best
-/// kernel the host supports (AVX2 → SSE4.2 → scalar; see
-/// text/simd/kernel.h for forcing and introspection). Every target
-/// produces a fingerprint byte-identical to the reference
+/// kernel the host supports (AVX-512 → scalar; see text/simd/kernel.h
+/// for forcing and introspection). Both targets produce a fingerprint
+/// byte-identical to the reference
 /// fingerprintTextReference (same hashes, same original-offset positions,
 /// same tie-breaks).
 [[nodiscard]] Fingerprint fingerprintTextFused(std::string_view input,
@@ -151,7 +151,7 @@ class FingerprintWorkspace {
                                                FingerprintWorkspace& ws);
 
 /// The portable scalar kernel — fingerprintTextFused's fallback dispatch
-/// target, and the baseline the SIMD kernels are differentially tested
+/// target, and the baseline the SIMD kernel is differentially tested
 /// against. Exposed so tests and benches can pin the scalar path
 /// regardless of host capabilities.
 [[nodiscard]] Fingerprint fingerprintTextFusedScalar(

@@ -1,6 +1,6 @@
-// Shared scalar machinery of the SIMD batch kernels (kernel.h).
+// Scalar machinery of the AVX-512 batch kernel (kernel.h).
 //
-// Both vector kernels decompose fingerprinting into rounds over a fixed
+// The vector kernel decomposes fingerprinting into rounds over a fixed
 // chunk of input:
 //
 //   1. vector-normalize a chunk of input bytes, compacting the kept
@@ -12,11 +12,12 @@
 //      (packed van Herk / Gil-Werman block minima, or the monotonic ring
 //      for >32-bit hashes).
 //
-// Step 3 plus all the chunk/carry bookkeeping is tier-independent and
-// lives here, compiled WITHOUT vector flags; the kernels only implement
-// steps 1-2. Chunking bounds the flat buffers by the chunk size (not the
-// input), preserving the workspace's O(n + w + chunk) scratch guarantee,
-// and keeps the hash buffer hot in cache for the winnow pass.
+// The scalar half of step 3 plus all the chunk/carry bookkeeping lives
+// here, compiled WITHOUT vector flags; the kernel implements steps 1-2
+// and the whole-block part of step 3. Chunking bounds the flat buffers by
+// the chunk size (not the input), preserving the workspace's O(n + w +
+// chunk) scratch guarantee, and keeps the hash buffer hot in cache for
+// the winnow pass.
 //
 // An inter-round carryover of the last n + w normalized characters keeps
 // every index a later step needs addressable: the hash recurrence looks

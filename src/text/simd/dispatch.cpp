@@ -14,13 +14,12 @@ namespace bf::text::simd {
 namespace {
 
 /// The `bf_kernel_dispatch` gauge: which fingerprint kernel dispatches
-/// (0 = scalar, 1 = sse42, 2 = avx2, 3 = avx512). Resolved once; re-set
-/// whenever a test override changes the active tier.
+/// (0 = scalar, 3 = avx512). Resolved once; re-set whenever a test
+/// override changes the active tier.
 obs::Gauge& dispatchGauge() {
   static obs::Gauge& g = obs::registry().gauge(
       "bf_kernel_dispatch",
-      "Fingerprint kernel tier in use (0=scalar, 1=sse42, 2=avx2, "
-      "3=avx512)");
+      "Fingerprint kernel tier in use (0=scalar, 3=avx512)");
   return g;
 }
 
@@ -28,30 +27,13 @@ bool cpuHasAvx512() noexcept {
 #if defined(BF_TEXT_SIMD_X86)
   // F: the 512-bit core ops (VPMINUQ, VALIGNQ, VPERMT2Q); DQ: VPMULLQ
   // in the hash advance and mix64; BW/VL round out the tier so future
-  // kernels can mix vector widths. The AVX-512 kernel reuses the AVX2
-  // tier's normalize, so its requirements apply too.
+  // kernels can mix vector widths. AVX2 + BMI2: the kernel normalizes
+  // with AVX2 and compacts bytes with PEXT (normalize_avx2.h).
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512dq") &&
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512vl") &&
          __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
-#else
-  return false;
-#endif
-}
-
-bool cpuHasAvx2() noexcept {
-#if defined(BF_TEXT_SIMD_X86)
-  // The AVX2 kernel compacts bytes with PEXT, so BMI2 is part of the tier.
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
-#else
-  return false;
-#endif
-}
-
-bool cpuHasSse42() noexcept {
-#if defined(BF_TEXT_SIMD_X86)
-  return __builtin_cpu_supports("sse4.2");
 #else
   return false;
 #endif
@@ -64,8 +46,7 @@ bool envForcesScalar() noexcept {
 }
 
 KernelTier resolveAutoTier() noexcept {
-  return detail::chooseKernelTier(envForcesScalar(), cpuHasAvx512(),
-                                  cpuHasAvx2(), cpuHasSse42());
+  return detail::chooseKernelTier(envForcesScalar(), cpuHasAvx512());
 }
 
 /// Test override; -1 means "no override, use the resolved auto tier".
@@ -75,13 +56,8 @@ std::atomic<int> g_override{-1};
 
 namespace detail {
 
-KernelTier chooseKernelTier(bool forceScalar, bool haveAvx512, bool haveAvx2,
-                            bool haveSse42) noexcept {
-  if (forceScalar) return KernelTier::kScalar;
-  if (haveAvx512) return KernelTier::kAvx512;
-  if (haveAvx2) return KernelTier::kAvx2;
-  if (haveSse42) return KernelTier::kSse42;
-  return KernelTier::kScalar;
+KernelTier chooseKernelTier(bool forceScalar, bool haveAvx512) noexcept {
+  return !forceScalar && haveAvx512 ? KernelTier::kAvx512 : KernelTier::kScalar;
 }
 
 }  // namespace detail
@@ -90,10 +66,6 @@ const char* kernelTierName(KernelTier tier) noexcept {
   switch (tier) {
     case KernelTier::kScalar:
       return "scalar";
-    case KernelTier::kSse42:
-      return "sse42";
-    case KernelTier::kAvx2:
-      return "avx2";
     case KernelTier::kAvx512:
       return "avx512";
   }
@@ -104,10 +76,6 @@ bool kernelTierSupported(KernelTier tier) noexcept {
   switch (tier) {
     case KernelTier::kScalar:
       return true;
-    case KernelTier::kSse42:
-      return cpuHasSse42();
-    case KernelTier::kAvx2:
-      return cpuHasAvx2();
     case KernelTier::kAvx512:
       return cpuHasAvx512();
   }

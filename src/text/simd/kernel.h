@@ -1,17 +1,16 @@
-// Runtime-dispatched SIMD fingerprint kernels (ROADMAP item 4).
+// Runtime-dispatched SIMD fingerprint kernel.
 //
-// Batch implementations of the fused normalize → Karp-Rabin → winnow
-// pipeline (text/fingerprint_kernel.h):
+// Batch implementation of the fused normalize → Karp-Rabin → winnow
+// pipeline (text/fingerprint_kernel.h), in two tiers:
 //
-//   kAvx512 AVX-512 F/DQ/BW/VL (+ the AVX2 tier's normalize): 8-lane
+//   kAvx512 AVX-512 F/DQ/BW/VL + AVX2/BMI2: 32-byte vector normalization
+//           with PEXT byte compaction (normalize_avx2.h), 8-lane
 //           block-evaluated rolling hashes, in-register block winnowing
 //           (VPMINUQ scans + compare-mask dedup).
-//   kAvx2   AVX2 + BMI2: 32-byte vector normalization with PEXT byte
-//           compaction, 4-lane block-evaluated rolling hashes.
-//   kSse42  SSE4.2: 16-byte vector normalization with PSHUFB compaction
-//           (the 256-entry normalization LUT reinterpreted as
-//           compare/shuffle masks), 2-lane block-evaluated hashes.
 //   kScalar the portable fused kernel (fingerprintTextFusedScalar).
+//
+// A vector tier stays only while it beats scalar by at least 1.5x at the
+// event sizes users send (DESIGN.md §15; SSE4.2 and AVX2 did not).
 //
 // Selection is cpuid-based and resolved once per process, modeled on
 // util/crc32c's SSE4.2 dispatch. Overrides, strongest first:
@@ -19,17 +18,17 @@
 //   1. setKernelTierOverrideForTest()      (tests/benches, reversible)
 //   2. BF_FORCE_SCALAR_KERNEL=1 in the env (CI fallback coverage on any
 //                                           host)
-//   3. cpuid: AVX-512 → AVX2+BMI2 → SSE4.2 → scalar
+//   3. cpuid: AVX-512 → scalar
 //
 // The resolved tier is exported as the `bf_kernel_dispatch` gauge
-// (0 = scalar, 1 = sse42, 2 = avx2, 3 = avx512) so a deployment can
-// verify which kernel actually dispatched (README "Troubleshooting").
+// (0 = scalar, 3 = avx512) so a deployment can verify which kernel
+// actually dispatched (README "Troubleshooting").
 //
-// Every tier is bit-exact: the same normalization classification, the
+// Both tiers are bit-exact: the same normalization classification, the
 // same Karp-Rabin polynomial mod 2^64, the same mix64 finalizer, the same
 // robust-winnow tie-breaks. fingerprintTextReference remains the oracle
-// for all of them (tests/text/simd_kernel_test.cpp sweeps tiers ×
-// lengths × alignments × hash widths × UTF-8 content).
+// for both (tests/text/simd_kernel_test.cpp sweeps tiers × lengths ×
+// alignments × hash widths × UTF-8 content).
 #pragma once
 
 #include <string_view>
@@ -43,15 +42,14 @@ class FingerprintWorkspace;
 namespace bf::text::simd {
 
 /// Dispatch tiers, weakest to strongest. Values are stable: they are the
-/// `bf_kernel_dispatch` gauge values.
+/// `bf_kernel_dispatch` gauge values (1 and 2 were the removed SSE4.2 and
+/// AVX2 tiers and stay unused).
 enum class KernelTier : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
   kAvx512 = 3,
 };
 
-/// Human-readable tier name ("scalar" / "sse42" / "avx2" / "avx512").
+/// Human-readable tier name ("scalar" / "avx512").
 [[nodiscard]] const char* kernelTierName(KernelTier tier) noexcept;
 
 /// True when this build AND this host can execute `tier` (compile-time
@@ -71,24 +69,17 @@ void restoreAutoKernelTier() noexcept;
 
 namespace detail {
 /// Pure selection policy, unit-testable without touching cpuid or the
-/// environment: BF_FORCE_SCALAR_KERNEL beats everything, then the
-/// strongest supported tier wins.
-[[nodiscard]] KernelTier chooseKernelTier(bool forceScalar, bool haveAvx512,
-                                          bool haveAvx2,
-                                          bool haveSse42) noexcept;
+/// environment: BF_FORCE_SCALAR_KERNEL beats everything, then AVX-512
+/// wins when the host has it.
+[[nodiscard]] KernelTier chooseKernelTier(bool forceScalar,
+                                          bool haveAvx512) noexcept;
 }  // namespace detail
 
 #if defined(BF_TEXT_SIMD_X86)
-/// The batch kernels. Only callable when the corresponding tier is
-/// supported (fingerprintTextFused guarantees this via dispatch; direct
-/// callers must check kernelTierSupported themselves). Compiled only on
-/// x86-64 GNU/Clang builds.
-[[nodiscard]] Fingerprint fingerprintTextSse42(std::string_view input,
-                                               const FingerprintConfig& config,
-                                               FingerprintWorkspace& ws);
-[[nodiscard]] Fingerprint fingerprintTextAvx2(std::string_view input,
-                                              const FingerprintConfig& config,
-                                              FingerprintWorkspace& ws);
+/// The batch kernel. Only callable when kAvx512 is supported
+/// (fingerprintTextFused guarantees this via dispatch; direct callers must
+/// check kernelTierSupported themselves). Compiled only on x86-64
+/// GNU/Clang builds.
 [[nodiscard]] Fingerprint fingerprintTextAvx512(std::string_view input,
                                                 const FingerprintConfig& config,
                                                 FingerprintWorkspace& ws);

@@ -121,8 +121,8 @@ struct HashConsts {
 ///
 ///   H(g+1) = H(g)*B - c[g]*B^n + c[g+n]   (mod 2^64)
 ///
-/// Consecutive-gram lane layouts (the AVX2 kernel's stride-4, or a
-/// stride-8 block recurrence) pay 7+ byte-tap multiplies per vector
+/// Consecutive-gram lane layouts (a stride-4 or stride-8 block
+/// recurrence) pay 7+ byte-tap multiplies per vector
 /// because each lane taps a DIFFERENT byte; with blocked lanes a step
 /// needs exactly one in-byte and one out-byte per lane. Those bytes are
 /// strided in memory, so each group of 8 steps loads one 8-byte run per

@@ -1,7 +1,7 @@
-// AVX2 + BMI2 vector normalization, shared by the AVX2 and AVX-512
-// kernels (the AVX-512 tier implies AVX2, and VBMI2 — which a native
-// 512-bit byte compaction would need — is not part of the kAvx512
-// feature set). Include ONLY from TUs compiled with -mavx2 -mbmi2.
+// AVX2 + BMI2 vector normalization for the AVX-512 kernel (the kAvx512
+// feature set includes AVX2 and BMI2, but not VBMI2, which a native
+// 512-bit byte compaction would need). Include ONLY from TUs compiled
+// with -mavx2 -mbmi2.
 #pragma once
 
 #include <immintrin.h>

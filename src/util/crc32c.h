@@ -1,5 +1,5 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the checksum framing every
-// durable disclosure-state file uses (flow/wal.cpp frames, snapshot v2
+// durable disclosure-state file uses (flow/wal.cpp frames, snapshot v3
 // trailers). CRC32C is the standard choice for storage framing (iSCSI,
 // ext4, LevelDB/RocksDB log records): it detects all burst errors up to 32
 // bits and any odd number of bit flips, which is exactly the torn-write /

@@ -10,12 +10,10 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
-#include "crypto/chacha20.h"
 #include "flow/snapshot.h"
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "util/binary_io.h"
-#include "util/hashing.h"
 
 namespace bf::flow {
 namespace {
@@ -387,10 +385,10 @@ TEST_F(SnapshotTest, EncryptedSnapshotBitFlipFailsAuthentication) {
   EXPECT_EQ(restored.segmentDb().size(), 0u);
 }
 
-/// Hand-builds a v1 blob holding one segment with the given kind byte and
-/// threshold (no grams, no associations).
+/// Hand-builds a BFSNAPP3 blob holding one segment with the given kind byte
+/// and threshold (tenant slot 0, no grams, no associations).
 std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
-  std::string blob = "BFSNAPP1";
+  std::string blob = "BFSNAPP3";
   util::putU64(blob, 1);  // segment count
   util::putU64(blob, 1);  // id
   util::putU8(blob, kindByte);
@@ -398,6 +396,7 @@ std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
   util::putStr(blob, "x");
   util::putStr(blob, "svc");
   util::putF64(blob, threshold);
+  util::putU64(blob, 0);  // tenant slot
   util::putU64(blob, 1);  // createdAt
   util::putU64(blob, 1);  // updatedAt
   util::putU64(blob, 0);  // gram count
@@ -430,59 +429,30 @@ TEST_F(SnapshotTest, ImportRejectsOutOfRangeThresholds) {
   EXPECT_TRUE(importStateEx(restored, blobWithSegment(0, 0.5)).ok());
 }
 
-TEST_F(SnapshotTest, LegacyV1PlainFileStillLoads) {
-  const std::string probe = populate();
-  const std::string path = tempPath("v1plain");
-  {  // A pre-durability deployment wrote the bare v1 blob to disk.
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const std::string blob = exportState(tracker_);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
+TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
+  // Downgrade attack on the encrypted envelope: relabel a BFSNAPE2 file as
+  // the retired, untagged BFSNAPE1 (same key derivation and header layout)
+  // and drop its 16-byte tag. Only a tag-checked envelope may load.
+  populate();
+  const std::string path = tempPath("tagstrip");
+  ASSERT_TRUE(saveSnapshot(tracker_, path, "org-secret", 7).ok());
+
+  std::ifstream in(path, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(data.substr(0, 8), "BFSNAPE2");
+  data.replace(0, 8, "BFSNAPE1");
+  data.resize(data.size() - 16);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  out.close();
+
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = loadSnapshotEx(restored, path, "");
-  ASSERT_TRUE(info.ok()) << info.errorMessage();
-  EXPECT_EQ(info.value().sequence, 0u);  // v1 has no sequence
-  clock2.advanceTo(info.value().maxTimestamp + 1);
-  EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
-}
-
-TEST_F(SnapshotTest, LegacyV1EncryptedFileStillLoads) {
-  // Byte-for-byte replica of the retired v1 encrypted writer ("BFSNAPE1" +
-  // nonce + ChaCha20(v1 blob), no tag), using the same frozen key
-  // derivation. Migration contract: these files must keep loading.
-  const std::string probe = populate();
-  const std::string_view secret = "org-secret";
-
-  crypto::Key256 key{};
-  std::uint64_t h = util::fnv1a64(secret);
-  for (int i = 0; i < 4; ++i) {
-    h = util::mix64(h + static_cast<std::uint64_t>(i) + 0xB0F1ULL);
-    for (int b = 0; b < 8; ++b) {
-      key[static_cast<std::size_t>(i * 8 + b)] =
-          static_cast<std::uint8_t>(h >> (8 * b));
-    }
-  }
-  crypto::Nonce96 nonce{};
-  for (std::size_t i = 0; i < nonce.size(); ++i) {
-    nonce[i] = static_cast<std::uint8_t>(0x30 + i);
-  }
-  const std::string blob = exportState(tracker_);
-  std::string fileData = "BFSNAPE1";
-  fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
-  fileData += crypto::chacha20Xor(blob, key, nonce);
-
-  const std::string path = tempPath("v1enc");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(fileData.data(), static_cast<std::streamsize>(fileData.size()));
-  }
-  util::LogicalClock clock2;
-  FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = loadSnapshotEx(restored, path, std::string(secret));
-  ASSERT_TRUE(info.ok()) << info.errorMessage();
-  clock2.advanceTo(info.value().maxTimestamp + 1);
-  EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
+  const auto result = loadSnapshotEx(restored, path, "org-secret");
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(restored.segmentDb().size(), 0u);
 }
 
 TEST_F(SnapshotTest, EvictionDropsOldAssociations) {

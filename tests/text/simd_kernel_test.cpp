@@ -1,4 +1,4 @@
-// Differential sweep for the runtime-dispatched SIMD fingerprint kernels
+// Differential sweep for the runtime-dispatched SIMD fingerprint kernel
 // (text/simd/kernel.h): every dispatch tier this host supports must be
 // bit-identical to fingerprintTextReference — same hashes AND same
 // original-offset positions — across input lengths around the window
@@ -36,9 +36,8 @@ class ScopedTier {
 };
 
 const std::vector<KernelTier>& allTiers() {
-  static const std::vector<KernelTier> tiers = {
-      KernelTier::kScalar, KernelTier::kSse42, KernelTier::kAvx2,
-      KernelTier::kAvx512};
+  static const std::vector<KernelTier> tiers = {KernelTier::kScalar,
+                                                KernelTier::kAvx512};
   return tiers;
 }
 
@@ -249,18 +248,12 @@ TEST(SimdKernelDifferential, LongCorpusTexts) {
 
 TEST(SimdKernelDispatch, ChooseKernelTierPolicy) {
   using simd::detail::chooseKernelTier;
-  // BF_FORCE_SCALAR_KERNEL beats every capability.
-  EXPECT_EQ(chooseKernelTier(true, true, true, true), KernelTier::kScalar);
-  EXPECT_EQ(chooseKernelTier(true, false, false, true), KernelTier::kScalar);
-  // Strongest supported tier wins.
-  EXPECT_EQ(chooseKernelTier(false, true, true, true), KernelTier::kAvx512);
-  EXPECT_EQ(chooseKernelTier(false, false, true, true), KernelTier::kAvx2);
-  EXPECT_EQ(chooseKernelTier(false, false, false, true), KernelTier::kSse42);
-  EXPECT_EQ(chooseKernelTier(false, false, false, false),
-            KernelTier::kScalar);
-  // Tiers are independent probes: AVX-512 without the lower bits set still
-  // selects AVX-512 (the cpuid helpers gate the full requirement set).
-  EXPECT_EQ(chooseKernelTier(false, true, false, false), KernelTier::kAvx512);
+  // BF_FORCE_SCALAR_KERNEL beats AVX-512.
+  EXPECT_EQ(chooseKernelTier(true, true), KernelTier::kScalar);
+  EXPECT_EQ(chooseKernelTier(true, false), KernelTier::kScalar);
+  // Otherwise AVX-512 wins where the host has it, scalar everywhere else.
+  EXPECT_EQ(chooseKernelTier(false, true), KernelTier::kAvx512);
+  EXPECT_EQ(chooseKernelTier(false, false), KernelTier::kScalar);
 }
 
 TEST(SimdKernelDispatch, ScalarTierAlwaysSupported) {
@@ -272,8 +265,7 @@ TEST(SimdKernelDispatch, ScalarTierAlwaysSupported) {
 TEST(SimdKernelDispatch, GaugeTracksOverrides) {
   obs::Gauge& gauge = obs::registry().gauge(
       "bf_kernel_dispatch",
-      "Fingerprint kernel tier in use (0=scalar, 1=sse42, 2=avx2, "
-      "3=avx512)");
+      "Fingerprint kernel tier in use (0=scalar, 3=avx512)");
   for (KernelTier tier : allTiers()) {
     if (!simd::setKernelTierOverrideForTest(tier)) continue;
     EXPECT_EQ(gauge.value(), static_cast<double>(static_cast<int>(tier)))
@@ -291,6 +283,14 @@ TEST(SimdKernelDispatch, OverrideRejectsUnsupportedTiers) {
   const KernelTier before = simd::activeKernelTier();
   for (KernelTier tier : allTiers()) {
     if (simd::kernelTierSupported(tier)) continue;
+    EXPECT_FALSE(simd::setKernelTierOverrideForTest(tier));
+    EXPECT_EQ(simd::activeKernelTier(), before);
+  }
+  // Gauge values 1 and 2 (the removed SSE4.2 and AVX2 tiers) name no
+  // kernel on any host.
+  for (int removed : {1, 2}) {
+    const auto tier = static_cast<KernelTier>(removed);
+    EXPECT_FALSE(simd::kernelTierSupported(tier));
     EXPECT_FALSE(simd::setKernelTierOverrideForTest(tier));
     EXPECT_EQ(simd::activeKernelTier(), before);
   }
