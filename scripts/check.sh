@@ -39,22 +39,25 @@ for preset in $PRESETS; do
     BF_STRESS_USERS=8 BF_STRESS_DECISIONS=50 \
       "build-tsan/bench/bench_stress_concurrency"
   fi
-  if [ "$preset" = "default" ]; then
+  if [ "$preset" = "default" ] || [ "$preset" = "asan" ]; then
     # Crash-recovery fuzz at a pinned seed: the same 500 corruption trials
     # on every machine and every run, so a red leg is a real regression in
     # the WAL/checkpoint recovery path, never fuzz luck (ctest already runs
-    # the default configuration; this leg pins it explicitly).
-    echo "==> [default] recovery fuzz, fixed seed"
+    # the default configuration; this leg pins it explicitly). Under asan
+    # too: replay and compaction rebuild HashDb's spilled histories.
+    bin="build/tests/recovery_fuzz_test"
+    if [ "$preset" = "asan" ]; then bin="build-asan/tests/recovery_fuzz_test"; fi
+    echo "==> [$preset] recovery fuzz, fixed seed"
     BF_RECOVERY_FUZZ_SEED=20260805 BF_RECOVERY_FUZZ_TRIALS=500 \
-      "build/tests/recovery_fuzz_test" \
+      "$bin" \
       --gtest_filter='RecoveryFuzzTest.RecoveredStateIsAlwaysAPrefixOfHistory'
     # Storage chaos at a pinned seed: 300 trials that open a runtime fault
     # window (ENOSPC / torn writes / fsync failures via FaultVfs) mid-run,
     # require the WAL health state machine to self-heal, then crash and
     # demand byte-equal recovery at the last durable sequence.
-    echo "==> [default] storage chaos, fixed seed"
+    echo "==> [$preset] storage chaos, fixed seed"
     BF_STORAGE_FUZZ_SEED=20260809 BF_STORAGE_FUZZ_TRIALS=300 \
-      "build/tests/recovery_fuzz_test" \
+      "$bin" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
   fi
 done

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "util/hashing.h"
 
@@ -36,84 +37,92 @@ void HashDb::reserveForInsert() {
     return;
   }
   // Grow at ~70% load. Rehashing moves only the flat Slot structs; the
-  // overflow pool is index-stable and untouched.
+  // history pool is index-stable and untouched.
   if ((occupied_ + 1) * 10 < slots_.size() * 7) return;
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(old.size() * 2, Slot{});
   mask_ = slots_.size() - 1;
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    if (i + kSlotPrefetchDistance < old.size() &&
-        old[i + kSlotPrefetchDistance].used()) {
-      prefetchSlot(old[i + kSlotPrefetchDistance].hash);
-    }
-    if (old[i].used()) slots_[probe(old[i].hash)] = old[i];
+  for (const Slot& s : old) {
+    if (s.used()) slots_[probe(s.hash)] = s;
   }
+}
+
+void HashDb::spill(Slot& s, std::vector<Association>&& history) {
+  assert(histories_.size() < Slot::kSpilled);
+  s.owner = cachedOwner(history.front().segment);
+  s.word = Slot::kSpilled | static_cast<std::uint32_t>(histories_.size());
+  histories_.push_back(std::move(history));
 }
 
 void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
                                util::Timestamp ts, util::Timestamp lastSeen) {
-  const util::Timestamp seen = lastSeen != 0 ? lastSeen : ts;
+  assert(segment != kInvalidSegment);
+  const Association assoc{segment, ts,
+                          std::max(lastSeen != 0 ? lastSeen : ts, ts)};
   reserveForInsert();
   Slot& s = slots_[probe(hash)];
   if (!s.used()) {
     s.hash = hash;
-    s.segment = segment;
-    s.firstSeen = ts;
-    s.setLastSeen(seen);
-    s.overflow = kNoOverflow;
+    if (fitsCompact(assoc)) {
+      s.owner = static_cast<std::uint32_t>(segment);
+      s.word = static_cast<std::uint32_t>(ts);
+    } else {
+      spill(s, {assoc});
+    }
     ++occupied_;
     ++storedAssociations_;
     return;
   }
-  // Idempotent per (hash, segment): keep the original first-seen timestamp
-  // (provenance never changes retroactively) but advance the retention
-  // stamp — re-observation marks the association hot.
-  if (s.segment == segment) {
-    s.setLastSeen(std::max(s.lastSeen(), seen));
+  if (!s.spilled()) {
+    const Association only{s.owner, s.word, s.word};
+    if (only.segment == segment) {
+      // Idempotent per (hash, segment): keep the original first-seen
+      // timestamp (provenance never changes retroactively) but advance the
+      // retention stamp — re-observation marks the association hot.
+      if (assoc.lastSeen > only.lastSeen) {
+        spill(s, {Association{segment, only.firstSeen, assoc.lastSeen}});
+      }
+      return;
+    }
+    // A second owner; a strictly older one becomes the front.
+    spill(s, ts < only.firstSeen ? std::vector<Association>{assoc, only}
+                                 : std::vector<Association>{only, assoc});
+    ++storedAssociations_;
     return;
   }
-  if (s.overflow != kNoOverflow) {
-    // Newest first: a segment appears at most once per history, and a
-    // re-observed segment's entry is usually among the most recent.
-    std::vector<Association>& rest = overflow_[s.overflow];
-    for (auto it = rest.rbegin(); it != rest.rend(); ++it) {
+
+  std::vector<Association>& history = histories_[s.historyIndex()];
+  // A segment appears at most once per history. The cached owner finds the
+  // front directly; otherwise scan newest first, since a re-observed
+  // segment's entry is usually among the most recent.
+  Association* held = nullptr;
+  if (segment < kOwnerInHistory && s.owner == segment) {
+    held = &history.front();
+  } else {
+    for (auto it = history.rbegin(); it != history.rend(); ++it) {
       if (it->segment == segment) {
-        it->lastSeen = std::max(it->lastSeen, seen);
-        return;
+        held = &*it;
+        break;
       }
     }
   }
-
-  if (s.overflow == kNoOverflow) {
-    if (!overflowFree_.empty()) {
-      s.overflow = overflowFree_.back();
-      overflowFree_.pop_back();
-      overflow_[s.overflow].clear();
-    } else {
-      s.overflow = static_cast<std::uint32_t>(overflow_.size());
-      overflow_.emplace_back();
-    }
+  if (held != nullptr) {
+    held->lastSeen = std::max(held->lastSeen, assoc.lastSeen);
+    return;
   }
-  std::vector<Association>& rest = overflow_[s.overflow];
-  Association assoc{segment, ts, seen};
-  if (ts < s.firstSeen) {
-    // New oldest: it takes the inline seat; the previous oldest re-enters
-    // the history at the front (it precedes everything in the overflow).
-    const Association prev = s.inlineAssoc();
-    s.setInlineAssoc(assoc);
-    rest.insert(rest.begin(), prev);
+  // Timestamps come from a monotonic clock, so appends keep the history
+  // sorted; guard anyway against out-of-order callers. Equal stamps keep
+  // arrival order.
+  if (history.back().firstSeen <= ts) {
+    history.push_back(assoc);
   } else {
-    // Timestamps come from a monotonic clock, so appends keep the history
-    // sorted; guard anyway against out-of-order callers.
-    if (!rest.empty() && rest.back().firstSeen > ts) {
-      auto it = std::upper_bound(rest.begin(), rest.end(), ts,
-                                 [](util::Timestamp t, const Association& a) {
-                                   return t < a.firstSeen;
-                                 });
-      rest.insert(it, assoc);
-    } else {
-      rest.push_back(assoc);
-    }
+    const auto it = std::upper_bound(
+        history.begin(), history.end(), ts,
+        [](util::Timestamp t, const Association& a) {
+          return t < a.firstSeen;
+        });
+    if (it == history.begin()) s.owner = cachedOwner(segment);
+    history.insert(it, assoc);
   }
   ++storedAssociations_;
 }
@@ -121,13 +130,14 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
 void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
                                SegmentId segment, util::Timestamp ts) {
   const std::size_t n = hashes.size();
-  // Overflow index of hash j's slot, found at the header stage and read
-  // back at the buffer stage; kNoOverflow when there is nothing to fetch.
+  // History index of hash j's slot, found at the header stage and read
+  // back at the buffer stage; kNone when there is nothing to fetch.
+  constexpr std::uint32_t kNone = 0xffffffffu;
   constexpr std::size_t kRing = 8;
   static_assert(
       kHistoryHeaderPrefetchDistance - kHistoryBufferPrefetchDistance < kRing);
   std::array<std::uint32_t, kRing> history;
-  history.fill(kNoOverflow);
+  history.fill(kNone);
 
   for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
     prefetchSlot(hashes[j]);
@@ -137,22 +147,20 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
       prefetchSlot(hashes[i + kSlotPrefetchDistance]);
     }
     if (const std::size_t j = i + kHistoryHeaderPrefetchDistance; j < n) {
-      // The slot was prefetched a stage ago. Its history is needed only
-      // when the segment does not hold the inline seat. Overflow indices
-      // are stable across the inserts in between (growth moves slots, not
-      // histories).
-      std::uint32_t& o = history[j % kRing];
-      o = kNoOverflow;
+      // The slot was prefetched a stage ago. Only a spilled slot has a
+      // history to fetch. History indices are stable across the inserts
+      // in between (growth moves slots, not histories).
+      std::uint32_t& h = history[j % kRing];
+      h = kNone;
       if (!slots_.empty()) {
         const Slot& s = slots_[probe(hashes[j])];
-        if (s.used() && s.segment != segment) o = s.overflow;
+        if (s.used() && s.spilled()) h = s.historyIndex();
       }
-      if (o != kNoOverflow) __builtin_prefetch(&overflow_[o]);
+      if (h != kNone) __builtin_prefetch(&histories_[h]);
     }
     if (const std::size_t j = i + kHistoryBufferPrefetchDistance; j < n) {
-      if (const std::uint32_t o = history[j % kRing]; o != kNoOverflow) {
-        const std::vector<Association>& rest = overflow_[o];
-        if (!rest.empty()) __builtin_prefetch(&rest.back());
+      if (const std::uint32_t h = history[j % kRing]; h != kNone) {
+        __builtin_prefetch(&histories_[h].back());
       }
     }
     recordObservation(hashes[i], segment, ts);
@@ -160,13 +168,27 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
 }
 
 std::optional<SegmentId> HashDb::oldestLive(const Slot& s) const {
-  // The inline association IS the oldest owner — the common single-owner
-  // case answers from this one slot.
-  if (!isDead(s.segment)) return s.segment;
-  if (s.overflow != kNoOverflow) {
-    for (const Association& a : overflow_[s.overflow]) {
-      if (!isDead(a.segment)) return a.segment;
-    }
+  // The slot's owner IS the oldest — the common case answers from this one
+  // slot, spilled or not.
+  if (s.owner != kOwnerInHistory && !isDead(s.owner)) return s.owner;
+  if (!s.spilled()) return std::nullopt;
+  for (const Association& a : histories_[s.historyIndex()]) {
+    if (!isDead(a.segment)) return a.segment;
+  }
+  return std::nullopt;
+}
+
+std::optional<HashDb::Association> HashDb::find(std::uint64_t hash,
+                                                SegmentId segment) const {
+  if (slots_.empty() || isDead(segment)) return std::nullopt;
+  const Slot& s = slots_[probe(hash)];
+  if (!s.used()) return std::nullopt;
+  if (!s.spilled()) {
+    if (s.owner != segment) return std::nullopt;
+    return Association{segment, s.word, s.word};
+  }
+  for (const Association& a : histories_[s.historyIndex()]) {
+    if (a.segment == segment) return a;
   }
   return std::nullopt;
 }
@@ -179,8 +201,8 @@ void HashDb::oldestOwners(
   for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
     prefetchSlot(hashes[j]);
   }
-  // Only the slot is prefetched: the history is read only when the inline
-  // owner is dead, which removal compaction keeps rare.
+  // Only the slot is prefetched: the history is read only when the cached
+  // owner is dead or does not fit, which removal compaction keeps rare.
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kSlotPrefetchDistance < n) {
       prefetchSlot(hashes[i + kSlotPrefetchDistance]);
@@ -205,79 +227,65 @@ std::vector<SegmentId> HashDb::segmentsWith(std::uint64_t hash) const {
   if (slots_.empty()) return out;
   const Slot& s = slots_[probe(hash)];
   if (!s.used()) return out;
-  if (!isDead(s.segment)) out.push_back(s.segment);
-  if (s.overflow != kNoOverflow) {
-    const std::vector<Association>& rest = overflow_[s.overflow];
-    out.reserve(out.size() + rest.size());
-    for (const Association& a : rest) {
-      if (!isDead(a.segment)) out.push_back(a.segment);
-    }
+  if (!s.spilled()) {
+    if (!isDead(s.owner)) out.push_back(s.owner);
+    return out;
+  }
+  const std::vector<Association>& history = histories_[s.historyIndex()];
+  out.reserve(history.size());
+  for (const Association& a : history) {
+    if (!isDead(a.segment)) out.push_back(a.segment);
   }
   return out;
 }
 
 std::optional<util::Timestamp> HashDb::firstSeen(std::uint64_t hash,
                                                  SegmentId segment) const {
-  if (slots_.empty() || isDead(segment)) return std::nullopt;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return std::nullopt;
-  if (s.segment == segment) return s.firstSeen;
-  if (s.overflow != kNoOverflow) {
-    for (const Association& a : overflow_[s.overflow]) {
-      if (a.segment == segment) return a.firstSeen;
-    }
-  }
+  if (const auto a = find(hash, segment)) return a->firstSeen;
   return std::nullopt;
 }
 
 std::optional<util::Timestamp> HashDb::lastSeen(std::uint64_t hash,
                                                 SegmentId segment) const {
-  if (slots_.empty() || isDead(segment)) return std::nullopt;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return std::nullopt;
-  if (s.segment == segment) return s.lastSeen();
-  if (s.overflow != kNoOverflow) {
-    for (const Association& a : overflow_[s.overflow]) {
-      if (a.segment == segment) return a.lastSeen;
-    }
-  }
+  if (const auto a = find(hash, segment)) return a->lastSeen;
   return std::nullopt;
 }
 
 template <typename Keep>
 std::size_t HashDb::rebuildFiltered(Keep&& keep) {
   std::vector<Slot> oldSlots = std::move(slots_);
-  std::vector<std::vector<Association>> oldOverflow = std::move(overflow_);
+  std::vector<std::vector<Association>> oldHistories = std::move(histories_);
   const std::size_t before = storedAssociations_;
   slots_.clear();
-  overflow_.clear();
-  overflowFree_.clear();
+  histories_.clear();
   mask_ = 0;
   occupied_ = 0;
   storedAssociations_ = 0;
 
-  std::vector<Association> hist;
   for (const Slot& s : oldSlots) {
     if (!s.used()) continue;
-    hist.clear();
-    if (keep(s.inlineAssoc())) hist.push_back(s.inlineAssoc());
-    if (s.overflow != kNoOverflow) {
-      for (const Association& a : oldOverflow[s.overflow]) {
-        if (keep(a)) hist.push_back(a);
-      }
+    if (!s.spilled()) {
+      if (!keep(Association{s.owner, s.word, s.word})) continue;
+      reserveForInsert();
+      slots_[probe(s.hash)] = s;
+      ++occupied_;
+      ++storedAssociations_;
+      continue;
     }
-    if (hist.empty()) continue;
+    std::vector<Association>& history = oldHistories[s.historyIndex()];
+    std::erase_if(history, [&](const Association& a) { return !keep(a); });
+    if (history.empty()) continue;
     reserveForInsert();
+    ++occupied_;
+    storedAssociations_ += history.size();
     Slot& dst = slots_[probe(s.hash)];
     dst.hash = s.hash;
-    dst.setInlineAssoc(hist.front());
-    dst.overflow = kNoOverflow;
-    if (hist.size() > 1) {
-      dst.overflow = static_cast<std::uint32_t>(overflow_.size());
-      overflow_.emplace_back(hist.begin() + 1, hist.end());
+    if (history.size() == 1 && fitsCompact(history.front())) {
+      dst.owner = static_cast<std::uint32_t>(history.front().segment);
+      dst.word = static_cast<std::uint32_t>(history.front().firstSeen);
+    } else {
+      spill(dst, std::move(history));
     }
-    ++occupied_;
-    storedAssociations_ += hist.size();
   }
   return before - storedAssociations_;
 }
@@ -302,7 +310,7 @@ std::size_t HashDb::evictOlderThan(util::Timestamp cutoff) {
   const std::size_t dropped = rebuildFiltered([&](const Association& a) {
     return a.lastSeen >= cutoff && !isDead(a.segment);
   });
-  dead_.clear();  // every dead association was just physically purged
+  dead_.clear();
   ++removalGeneration_;
   return dropped;
 }

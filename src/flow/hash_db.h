@@ -10,11 +10,15 @@
 // authoritative-fingerprint computation and Algorithm 1 rely on.
 //
 // Storage is an open-addressing hash table (linear probing, power-of-two
-// capacity) whose slots hold the FIRST association inline: most hashes have
-// exactly one owner, so the Algorithm-1 candidate loop — one
-// oldestSegmentWith probe per target hash — resolves in a single cache line
-// without chasing node pointers. Hashes with multiple owners spill the rest
-// of their history into a pooled overflow vector.
+// capacity) of 16-byte slots, four per cache line. DBhash only grows
+// between removals, so the table is the tracker's memory. Most hashes have
+// exactly one owner, seen once, at a small logical-clock stamp: such a
+// hash is a compact slot holding its segment and firstSeen inline, and the
+// Algorithm-1 candidate loop — one oldestSegmentWith probe per target
+// hash — resolves in that slot. Every other hash spills: its slot points
+// into a pool of per-hash histories that hold every association with full
+// 64-bit stamps, and caches the oldest owner so candidate discovery still
+// answers from the slot while that owner is live.
 //
 // Writes and the candidate loop go through two batch entry points that take
 // a whole fingerprint: recordFingerprint (every hash of an observed
@@ -22,13 +26,13 @@
 // is a software-pipelined loop over the hashes, since every probe is a
 // likely cache miss in a table far beyond L2: it prefetches the home slot
 // kSlotPrefetchDistance hashes ahead; the record loop also probes the hash
-// kHistoryHeaderPrefetchDistance ahead and, if its slot already spills
-// into an overflow history, prefetches that history's header, then its
-// newest entries kHistoryBufferPrefetchDistance ahead. A re-record scans
-// the history newest-first: a segment appears at most once per history,
-// so the scan finds the same entry, but a re-observed segment usually sits
-// near the end. Growth stays a per-insert 70% load check, so the batch
-// leaves the table bit-for-bit as the per-hash loop would.
+// kHistoryHeaderPrefetchDistance ahead and, if its slot spills, prefetches
+// that history's header, then its newest entries
+// kHistoryBufferPrefetchDistance ahead. A re-record scans the history
+// newest-first: a segment appears at most once per history, so the scan
+// finds the same entry, but a re-observed segment usually sits near the
+// end. Growth stays a per-insert 70% load check, so the batch leaves the
+// table bit-for-bit as the per-hash loop would.
 //
 // Segment removal is lazy (a dead set consulted by lookups) but bounded:
 // once the dead set exceeds a threshold, the store physically compacts the
@@ -70,7 +74,9 @@ class HashDb {
   /// timestamp (provenance ordering never changes retroactively) but
   /// advances the association's lastSeen stamp to max(lastSeen, ts).
   /// Restore paths (snapshot/WAL replay) pass an explicit `lastSeen`;
-  /// 0 means "same as ts".
+  /// 0 means "same as ts". A lastSeen below `ts` is raised to `ts`, so
+  /// every association keeps lastSeen >= firstSeen. `segment` must not be
+  /// kInvalidSegment.
   void recordObservation(std::uint64_t hash, SegmentId segment,
                          util::Timestamp ts, util::Timestamp lastSeen = 0);
 
@@ -161,75 +167,79 @@ class HashDb {
   void forEachAssociation(Fn&& fn) const {
     for (const Slot& slot : slots_) {
       if (!slot.used()) continue;
-      if (!isDead(slot.segment)) {
-        fn(slot.hash, slot.segment, slot.firstSeen, slot.lastSeen());
+      if (!slot.spilled()) {
+        if (!isDead(slot.owner)) {
+          fn(slot.hash, slot.owner, slot.word, slot.word);
+        }
+        continue;
       }
-      if (slot.overflow != kNoOverflow) {
-        for (const Association& a : overflow_[slot.overflow]) {
-          if (!isDead(a.segment)) {
-            fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
-          }
+      for (const Association& a : histories_[slot.historyIndex()]) {
+        if (!isDead(a.segment)) {
+          fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
         }
       }
     }
   }
 
  private:
-  static constexpr std::uint32_t kNoOverflow = 0xffffffffu;
-
-  /// One open-addressing slot: the hash, its oldest association inline,
-  /// and (rarely) an index into the overflow pool for the rest of the
-  /// history, kept sorted by firstSeen ascending.
+  /// One open-addressing slot. The slot is the hot probe target of every
+  /// query (one per target hash), so its size IS the read path's cache
+  /// footprint and, at ~50% load after each doubling, most of the
+  /// tracker's memory: 16 bytes, four slots per cache line.
   ///
-  /// The slot is the hot probe target of every query (one per target
-  /// hash), so its size IS the read path's cache footprint — exactly 32
-  /// bytes, two slots per cache line. That budget is held by packing the
-  /// inline association: `segment == kInvalidSegment` doubles as the
-  /// empty-slot marker (slots are never individually vacated; only full
-  /// rebuilds reclaim them), and lastSeen is a saturating 32-bit delta
-  /// from firstSeen. A delta that overflows pins the association hot
-  /// (lastSeen() reports the max timestamp, so retention never evicts
-  /// it) — erring on retention is safe; the overflow-pool Associations
-  /// keep full 64-bit stamps.
+  /// `owner == kInvalidSegment` marks an empty slot (slots are never
+  /// individually vacated; only full rebuilds reclaim them). A used slot
+  /// takes one of two shapes, told apart by the high bit of `word`:
+  ///  - compact (bit clear): the hash's only association, with
+  ///    lastSeen == firstSeen. `owner` is the segment and `word` its
+  ///    firstSeen. It requires firstSeen < 2^31 and a segment below
+  ///    kOwnerInHistory; the tracker's logical clock and segment counter
+  ///    stay far below both in practice.
+  ///  - spilled (bit set): the low 31 bits index histories_, which holds
+  ///    every association of the hash, oldest first, with full 64-bit
+  ///    stamps. `owner` caches the oldest association's segment, or
+  ///    kOwnerInHistory when that id does not fit in 32 bits.
+  /// A compact slot spills on its second association, on a re-observation
+  /// that advances lastSeen, or when a stamp or id does not fit. Spilled
+  /// slots return to compact only through a rebuild (compaction/eviction).
   struct Slot {
-    static constexpr std::uint32_t kDeltaSaturated = 0xffffffffu;
+    static constexpr std::uint32_t kSpilled = 0x80000000u;
 
     std::uint64_t hash = 0;
-    SegmentId segment = kInvalidSegment;
-    util::Timestamp firstSeen = 0;
-    std::uint32_t lastSeenDelta = 0;
-    std::uint32_t overflow = kNoOverflow;
+    std::uint32_t owner = 0;
+    std::uint32_t word = 0;
 
     [[nodiscard]] bool used() const noexcept {
-      return segment != kInvalidSegment;
+      return owner != kInvalidSegment;
     }
-    [[nodiscard]] util::Timestamp lastSeen() const noexcept {
-      return lastSeenDelta == kDeltaSaturated
-                 ? ~util::Timestamp{0}
-                 : firstSeen + lastSeenDelta;
+    [[nodiscard]] bool spilled() const noexcept {
+      return (word & kSpilled) != 0;
     }
-    /// Requires firstSeen to be set already (the delta is relative).
-    void setLastSeen(util::Timestamp seen) noexcept {
-      const util::Timestamp delta = seen > firstSeen ? seen - firstSeen : 0;
-      lastSeenDelta = delta >= kDeltaSaturated
-                          ? kDeltaSaturated
-                          : static_cast<std::uint32_t>(delta);
-    }
-    [[nodiscard]] Association inlineAssoc() const noexcept {
-      return Association{segment, firstSeen, lastSeen()};
-    }
-    void setInlineAssoc(const Association& a) noexcept {
-      segment = a.segment;
-      firstSeen = a.firstSeen;
-      setLastSeen(a.lastSeen);
+    [[nodiscard]] std::uint32_t historyIndex() const noexcept {
+      return word & ~kSpilled;
     }
   };
-  static_assert(sizeof(Slot) == 32,
-                "Slot is the per-query cache footprint; keep it at two "
-                "slots per cache line");
+  static_assert(sizeof(Slot) == 16,
+                "Slot is the per-query cache footprint and the bulk of the "
+                "tracker's memory; keep it at four slots per cache line");
+
+  /// Spilled-slot `owner` when the oldest segment id needs the history.
+  static constexpr std::uint32_t kOwnerInHistory = 0xffffffffu;
+
+  /// True when `a`, as a hash's only association, fits a compact slot.
+  [[nodiscard]] static bool fitsCompact(const Association& a) noexcept {
+    return a.segment < kOwnerInHistory && a.firstSeen < Slot::kSpilled &&
+           a.lastSeen == a.firstSeen;
+  }
+
+  /// The `owner` a spilled slot caches for its oldest segment.
+  [[nodiscard]] static std::uint32_t cachedOwner(SegmentId oldest) noexcept {
+    return oldest < kOwnerInHistory ? static_cast<std::uint32_t>(oldest)
+                                    : kOwnerInHistory;
+  }
 
   /// How far ahead of the insert/lookup the batch loops prefetch: the
-  /// home slot first, then (record only) the overflow-history header of a
+  /// home slot first, then (record only) the history header of a spilled
   /// slot that already holds the hash, then that history's newest entries.
   static constexpr std::size_t kSlotPrefetchDistance = 16;
   static constexpr std::size_t kHistoryHeaderPrefetchDistance = 8;
@@ -248,6 +258,14 @@ class HashDb {
   /// The oldest live association of an occupied slot, or nullopt.
   [[nodiscard]] std::optional<SegmentId> oldestLive(const Slot& s) const;
 
+  /// The association of live `segment` with `hash`, or nullopt.
+  [[nodiscard]] std::optional<Association> find(std::uint64_t hash,
+                                                SegmentId segment) const;
+
+  /// Turns `s` into a spilled slot over `history` (non-empty, oldest
+  /// first), appended to histories_.
+  void spill(Slot& s, std::vector<Association>&& history);
+
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
   [[nodiscard]] std::size_t probe(std::uint64_t hash) const noexcept;
@@ -264,8 +282,7 @@ class HashDb {
   std::vector<Slot> slots_;  // power-of-two size; empty until first insert
   std::size_t mask_ = 0;     // slots_.size() - 1
   std::size_t occupied_ = 0;
-  std::vector<std::vector<Association>> overflow_;
-  std::vector<std::uint32_t> overflowFree_;  // recyclable overflow_ indices
+  std::vector<std::vector<Association>> histories_;  // of spilled slots
   std::unordered_set<SegmentId> dead_;
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
   std::size_t storedAssociations_ = 0;

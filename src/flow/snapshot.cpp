@@ -6,6 +6,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/chacha20.h"
@@ -144,8 +147,13 @@ bool validKindByte(std::uint8_t k) noexcept {
 /// on success, an error message otherwise. Untrusted bytes are validated
 /// here, BEFORE anything touches the tracker: enum bytes must name a known
 /// SegmentKind and thresholds must be finite and in range — a corrupt blob
-/// must never static_cast its way into live records.
+/// must never static_cast its way into live records. Segment references
+/// must be consistent: ids are nonzero (0 is the empty-slot marker of
+/// HashDb) and unique, names unique, and every association names a listed
+/// segment of its own kind with lastSeen >= firstSeen.
 std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
+  std::unordered_map<SegmentId, SegmentKind> kindOf;
+  std::unordered_set<std::string> names;
   const std::uint64_t segmentCount = r.u64();
   for (std::uint64_t i = 0; i < segmentCount && r.ok(); ++i) {
     SegmentRecord rec;
@@ -183,6 +191,15 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
     }
     rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
     if (!r.ok()) break;
+    if (rec.id == kInvalidSegment) {
+      return "segment id 0 for segment '" + rec.name + "'";
+    }
+    if (!kindOf.emplace(rec.id, rec.kind).second) {
+      return "duplicate segment id " + std::to_string(rec.id);
+    }
+    if (!names.insert(rec.name).second) {
+      return "duplicate segment name '" + rec.name + "'";
+    }
     staged.segments.push_back(std::move(rec));
   }
 
@@ -194,6 +211,16 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
       const SegmentId segment = r.u64();
       const util::Timestamp ts = r.u64();
       const util::Timestamp lastSeen = r.u64();
+      if (!r.ok()) break;
+      const auto owner = kindOf.find(segment);
+      if (owner == kindOf.end() || owner->second != kind) {
+        return "association names segment " + std::to_string(segment) +
+               ", not a listed segment of its kind";
+      }
+      if (lastSeen < ts) {
+        return "association lastSeen precedes firstSeen for segment " +
+               std::to_string(segment);
+      }
       staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
       staged.assocs.push_back({kind, hash, segment, ts, lastSeen});
     }

@@ -312,8 +312,9 @@ void WriteAheadLog::logAssociationAdded(SegmentKind kind, std::uint64_t hash,
   util::putU64(body, segment);
   util::putU64(body, firstSeen);
   // Optional trailing field (retention stamp): absent in older logs, which
-  // replay with lastSeen = firstSeen.
-  util::putU64(body, lastSeen != 0 ? lastSeen : firstSeen);
+  // replay with lastSeen = firstSeen. HashDb raises a lastSeen below
+  // firstSeen (0 included) to firstSeen, and replay rejects one below it.
+  util::putU64(body, std::max(lastSeen, firstSeen));
   append(WalRecordType::kAssociationAdded, body);
 }
 
@@ -431,6 +432,7 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       // honourable; anything else names a namespace this tracker lacks.
       if (r.ok() && !r.atEnd() && r.u64() != 0) return false;
       if (!r.ok() || !r.atEnd()) return false;
+      if (rec.id == kInvalidSegment) return false;
       maxTs = std::max({maxTs, rec.createdAt, rec.updatedAt});
       tracker.replaySegmentObserved(std::move(rec));
       return true;
@@ -446,6 +448,7 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       util::Timestamp lastSeen = ts;
       if (r.ok() && !r.atEnd()) lastSeen = r.u64();
       if (!r.ok() || !r.atEnd()) return false;
+      if (segment == kInvalidSegment || lastSeen < ts) return false;
       maxTs = std::max({maxTs, ts, lastSeen});
       tracker.restoreAssociation(static_cast<SegmentKind>(kindByte), hash,
                                  segment, ts, lastSeen);

@@ -113,9 +113,9 @@ class WriteAheadLog {
   // ---- Emission (called from the tracker's exclusive sections) ------------
 
   void logSegmentObserved(const SegmentRecord& rec) BF_EXCLUDES(mutex_);
-  /// `lastSeen` 0 means "same as firstSeen" (the retention stamp is an
-  /// optional trailing field: logs written before it existed replay with
-  /// lastSeen = firstSeen).
+  /// A `lastSeen` below firstSeen (0 included) is logged as firstSeen (the
+  /// retention stamp is an optional trailing field: logs written before it
+  /// existed replay with lastSeen = firstSeen).
   void logAssociationAdded(SegmentKind kind, std::uint64_t hash,
                            SegmentId segment, util::Timestamp firstSeen,
                            util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);

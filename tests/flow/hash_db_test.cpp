@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -12,6 +15,9 @@
 
 namespace bf::flow {
 namespace {
+
+using AssociationRowValue =
+    std::tuple<SegmentId, util::Timestamp, util::Timestamp>;
 
 TEST(HashDb, OldestSegmentIsFirstObserver) {
   HashDb db;
@@ -228,7 +234,7 @@ TEST(HashDb, ObservationAfterCompactionRebuildsHistory) {
 
 TEST(HashDb, ManyHashesSurviveRehashing) {
   // Growth past several load-factor doublings must keep every history
-  // intact (the rehash moves slots; overflow indices must stay valid).
+  // intact (the rehash moves slots; history indices must stay valid).
   HashDb db;
   for (std::uint64_t h = 0; h < 5000; ++h) {
     db.recordObservation(h, (h % 7) + 1, h);
@@ -239,6 +245,289 @@ TEST(HashDb, ManyHashesSurviveRehashing) {
     ASSERT_TRUE(db.oldestSegmentWith(h).has_value()) << h;
     EXPECT_EQ(*db.oldestSegmentWith(h), (h % 7) + 1) << h;
     EXPECT_EQ(db.segmentsWith(h).size(), h % 3 == 0 ? 2u : 1u) << h;
+  }
+}
+
+TEST(HashDb, LastSeenIsExactAcrossLargeDeltas) {
+  // Regression: lastSeen used to be a 32-bit delta from firstSeen that
+  // saturated to "forever" (2^64 - 1), which leaked into the snapshot's
+  // maxTimestamp and wrapped a clock advanced past it.
+  constexpr util::Timestamp kFar = 10 + (std::uint64_t{1} << 32) + 5;
+  HashDb db;
+  db.recordObservation(42, 1, 10);
+  db.recordObservation(42, 1, kFar);
+  EXPECT_EQ(*db.firstSeen(42, 1), 10u);
+  EXPECT_EQ(*db.lastSeen(42, 1), kFar);
+  db.recordObservation(42, 2, 20);  // a second owner keeps both exact
+  db.recordObservation(42, 2, 20 + (std::uint64_t{1} << 40));
+  EXPECT_EQ(*db.lastSeen(42, 1), kFar);
+  EXPECT_EQ(*db.lastSeen(42, 2), 20 + (std::uint64_t{1} << 40));
+  db.recordObservation(7, 3, 5, /*lastSeen=*/5 + (std::uint64_t{1} << 33));
+  EXPECT_EQ(*db.lastSeen(7, 3), 5 + (std::uint64_t{1} << 33));
+  // Retention sees the exact stamps: kFar + 1 evicts segment 1 only.
+  EXPECT_EQ(db.evictOlderThan(kFar + 1), 1u);
+  EXPECT_FALSE(db.lastSeen(42, 1).has_value());
+  EXPECT_EQ(*db.oldestSegmentWith(42), 2u);
+  EXPECT_EQ(*db.lastSeen(7, 3), 5 + (std::uint64_t{1} << 33));
+}
+
+TEST(HashDb, LastSeenIsRaisedToFirstSeen) {
+  HashDb db;
+  db.recordObservation(1, 1, 50, /*lastSeen=*/20);  // only association
+  db.recordObservation(2, 1, 10);
+  db.recordObservation(2, 2, 50, /*lastSeen=*/20);  // in a history
+  EXPECT_EQ(*db.lastSeen(1, 1), 50u);
+  EXPECT_EQ(*db.lastSeen(2, 2), 50u);
+}
+
+TEST(HashDb, WideIdsAndStampsStayExact) {
+  // Segment ids and stamps past 32 bits take the spilled slot shape; the
+  // answers must not depend on which shape holds them.
+  constexpr SegmentId kWide = (SegmentId{1} << 32) + 7;
+  constexpr util::Timestamp kLate = util::Timestamp{1} << 40;
+  HashDb db;
+  db.recordObservation(1, kWide, 30);
+  db.recordObservation(2, 0xffffffffu, 30);
+  db.recordObservation(3, 4, kLate);
+  db.recordObservation(4, 5, 40);
+  db.recordObservation(4, kWide, 35);  // wide id becomes the oldest
+  db.recordObservation(5, 6, (util::Timestamp{1} << 31) - 1);
+  db.recordObservation(6, 6, util::Timestamp{1} << 31);
+  db.recordObservation(7, 0xfffffffeu, 30);
+  EXPECT_EQ(*db.firstSeen(5, 6), (util::Timestamp{1} << 31) - 1);
+  EXPECT_EQ(*db.firstSeen(6, 6), util::Timestamp{1} << 31);
+  EXPECT_EQ(*db.oldestSegmentWith(7), 0xfffffffeu);
+  EXPECT_EQ(*db.oldestSegmentWith(1), kWide);
+  EXPECT_EQ(*db.oldestSegmentWith(2), 0xffffffffu);
+  EXPECT_EQ(*db.firstSeen(3, 4), kLate);
+  EXPECT_EQ(db.segmentsWith(4), (std::vector<SegmentId>{kWide, 5}));
+  db.removeSegment(kWide);
+  EXPECT_FALSE(db.oldestSegmentWith(1).has_value());
+  EXPECT_EQ(*db.oldestSegmentWith(4), 5u);
+}
+
+// ---- A naive reference model of the documented rules ----------------------
+
+/// DBhash as its documentation states it, with no layout at all: per hash,
+/// every association in firstSeen order (equal stamps in arrival order).
+class ReferenceHashDb {
+ public:
+  using Association = HashDb::Association;
+
+  explicit ReferenceHashDb(std::size_t threshold) : threshold_(threshold) {}
+
+  void record(std::uint64_t hash, SegmentId segment, util::Timestamp ts,
+              util::Timestamp lastSeen = 0) {
+    const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
+    std::vector<Association>& history = byHash_[hash];
+    for (Association& a : history) {
+      if (a.segment == segment) {
+        a.lastSeen = std::max(a.lastSeen, seen);
+        return;
+      }
+    }
+    const auto after = std::find_if(
+        history.begin(), history.end(),
+        [&](const Association& a) { return a.firstSeen > ts; });
+    history.insert(after, Association{segment, ts, seen});
+  }
+
+  void remove(SegmentId segment) {
+    dead_.insert(segment);
+    ++generation_;
+    if (dead_.size() > threshold_) compact();
+  }
+
+  std::size_t compact() {
+    if (dead_.empty()) return 0;
+    const std::size_t dropped =
+        dropIf([](const Association&) { return false; });
+    dead_.clear();
+    return dropped;
+  }
+
+  std::size_t evict(util::Timestamp cutoff) {
+    const std::size_t dropped = dropIf(
+        [&](const Association& a) { return a.lastSeen < cutoff; });
+    dead_.clear();
+    ++generation_;
+    return dropped;
+  }
+
+  /// Live associations per hash, oldest first.
+  [[nodiscard]] std::map<std::uint64_t, std::vector<AssociationRowValue>>
+  liveHistories() const {
+    std::map<std::uint64_t, std::vector<AssociationRowValue>> out;
+    for (const auto& [hash, history] : byHash_) {
+      for (const Association& a : history) {
+        if (!dead(a.segment)) {
+          out[hash].emplace_back(a.segment, a.firstSeen, a.lastSeen);
+        }
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::optional<SegmentId> oldest(std::uint64_t hash) const {
+    const auto segments = segmentsWith(hash);
+    if (segments.empty()) return std::nullopt;
+    return segments.front();
+  }
+
+  [[nodiscard]] std::vector<SegmentId> segmentsWith(std::uint64_t hash) const {
+    std::vector<SegmentId> out;
+    if (const auto it = byHash_.find(hash); it != byHash_.end()) {
+      for (const Association& a : it->second) {
+        if (!dead(a.segment)) out.push_back(a.segment);
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::optional<Association> find(std::uint64_t hash,
+                                                SegmentId segment) const {
+    const auto it = byHash_.find(hash);
+    if (dead(segment) || it == byHash_.end()) return std::nullopt;
+    for (const Association& a : it->second) {
+      if (a.segment == segment) return a;
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::size_t distinctHashes() const { return byHash_.size(); }
+  [[nodiscard]] std::size_t associations() const {
+    std::size_t n = 0;
+    for (const auto& [hash, history] : byHash_) n += history.size();
+    return n;
+  }
+  [[nodiscard]] std::size_t deadCount() const { return dead_.size(); }
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
+ private:
+  [[nodiscard]] bool dead(SegmentId s) const { return dead_.count(s) != 0; }
+
+  /// Drops every dead association and every one `alsoDrop` names; hashes
+  /// left without associations disappear.
+  template <typename Pred>
+  std::size_t dropIf(Pred alsoDrop) {
+    std::size_t dropped = 0;
+    for (auto it = byHash_.begin(); it != byHash_.end();) {
+      dropped += std::erase_if(it->second, [&](const Association& a) {
+        return dead(a.segment) || alsoDrop(a);
+      });
+      it = it->second.empty() ? byHash_.erase(it) : std::next(it);
+    }
+    return dropped;
+  }
+
+  std::map<std::uint64_t, std::vector<Association>> byHash_;
+  std::set<SegmentId> dead_;
+  std::size_t threshold_;
+  std::uint64_t generation_ = 0;
+};
+
+void expectMatchesModel(const HashDb& db, const ReferenceHashDb& model,
+                        const std::vector<std::uint64_t>& probes,
+                        const std::vector<SegmentId>& segments) {
+  std::map<std::uint64_t, std::vector<AssociationRowValue>> exported;
+  db.forEachAssociation(
+      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+        exported[h].emplace_back(s, f, l);
+      });
+  ASSERT_EQ(exported, model.liveHistories());
+  EXPECT_EQ(db.distinctHashCount(), model.distinctHashes());
+  EXPECT_EQ(db.associationCount(), model.associations());
+  EXPECT_EQ(db.deadSegmentCount(), model.deadCount());
+  EXPECT_EQ(db.removalGeneration(), model.generation());
+  std::vector<std::pair<SegmentId, std::uint64_t>> owners;
+  db.oldestOwners(probes, owners);
+  std::vector<std::pair<SegmentId, std::uint64_t>> wantOwners;
+  for (std::uint64_t h : probes) {
+    ASSERT_EQ(db.oldestSegmentWith(h), model.oldest(h)) << h;
+    ASSERT_EQ(db.segmentsWith(h), model.segmentsWith(h)) << h;
+    if (const auto owner = model.oldest(h)) wantOwners.emplace_back(*owner, h);
+    for (SegmentId s : segments) {
+      const auto want = model.find(h, s);
+      ASSERT_EQ(db.firstSeen(h, s),
+                want ? std::optional(want->firstSeen) : std::nullopt)
+          << h << " " << s;
+      ASSERT_EQ(db.lastSeen(h, s),
+                want ? std::optional(want->lastSeen) : std::nullopt)
+          << h << " " << s;
+    }
+  }
+  EXPECT_EQ(owners, wantOwners);
+}
+
+TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
+  // Seeded sessions over ids and stamps on both sides of every 32-bit
+  // boundary the slot layout has: ids up to and past 2^32 - 1, stamps past
+  // 2^31 and 2^32, lastSeen deltas past 2^32, out-of-order and
+  // lastSeen-below-firstSeen restores, removals on both sides of the
+  // compaction threshold, and eviction.
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const std::size_t threshold = rng.uniform(0, 5);
+    HashDb db;
+    db.setDeadCompactionThreshold(threshold);
+    ReferenceHashDb model(threshold);
+    std::vector<SegmentId> segments = {1,       2,       3,       17,
+                                       k32 - 2, k32 - 1, k32,     k32 + 9,
+                                       SegmentId{1} << 40};
+    std::vector<std::uint64_t> pool(300);
+    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    const util::Timestamp starts[] = {100, (util::Timestamp{1} << 31) - 40,
+                                      k32 - 40, util::Timestamp{1} << 40};
+    util::Timestamp clock = starts[rng.uniform(0, 3)];
+    for (int step = 0; step < 200; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.07) {
+        const SegmentId victim = rng.pick(segments);
+        db.removeSegment(victim);
+        model.remove(victim);
+      } else if (roll < 0.09) {
+        ASSERT_EQ(db.compactDead(), model.compact());
+      } else if (roll < 0.11) {
+        const util::Timestamp cutoff = clock - rng.uniform(0, 60);
+        ASSERT_EQ(db.evictOlderThan(cutoff), model.evict(cutoff));
+      } else if (roll < 0.14) {
+        clock += rng.chance(0.5) ? k32 : rng.uniform(k32, 4 * k32);
+      } else if (roll < 0.35) {
+        // Restore path: one association with an explicit lastSeen that may
+        // be 0, below firstSeen, just above it, or 2^32+ ticks later.
+        const std::uint64_t h = rng.chance(0.8) ? rng.pick(pool) : rng.next();
+        const SegmentId s = rng.pick(segments);
+        const util::Timestamp f = clock - rng.uniform(0, 80);
+        util::Timestamp l = 0;
+        switch (rng.uniform(0, 3)) {
+          case 0: break;
+          case 1: l = f - rng.uniform(1, 5); break;
+          case 2: l = f + rng.uniform(0, 100); break;
+          default: l = f + rng.uniform(k32 - 1, 2 * k32); break;
+        }
+        db.recordObservation(h, s, f, l);
+        model.record(h, s, f, l);
+      } else {
+        const SegmentId s = rng.pick(segments);
+        std::vector<std::uint64_t> hashes;
+        const std::size_t n = rng.uniform(0, 50);
+        for (std::size_t i = 0; i < n; ++i) {
+          hashes.push_back(rng.chance(0.75) ? rng.pick(pool) : rng.next());
+        }
+        const util::Timestamp ts =
+            rng.chance(0.7) ? ++clock : clock - rng.uniform(0, 40);
+        db.recordFingerprint(hashes, s, ts);
+        for (std::uint64_t h : hashes) model.record(h, s, ts);
+      }
+      if (step % 25 == 24) {
+        std::vector<std::uint64_t> probes(pool.begin(), pool.begin() + 60);
+        probes.push_back(rng.next());  // never stored
+        expectMatchesModel(db, model, probes, segments);
+      }
+    }
+    expectMatchesModel(db, model, pool, segments);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "util/binary_io.h"
+#include "util/crc32c.h"
 
 namespace bf::flow {
 namespace {
@@ -427,6 +428,157 @@ TEST_F(SnapshotTest, ImportRejectsOutOfRangeThresholds) {
   // Sanity: the same blob with a legal threshold imports fine.
   FlowTracker restored(TrackerConfig{}, &clock2);
   EXPECT_TRUE(importStateEx(restored, blobWithSegment(0, 0.5)).ok());
+}
+
+struct BlobSegment {
+  SegmentId id;
+  SegmentKind kind;
+  std::string name;
+};
+
+struct BlobRow {
+  std::uint64_t hash;
+  SegmentId segment;
+  util::Timestamp firstSeen;
+  util::Timestamp lastSeen;
+};
+
+/// Hand-builds a BFSNAPP3 blob holding `segments` (document "x", no grams)
+/// and `paragraphRows` as paragraph-kind associations.
+std::string stateBlob(const std::vector<BlobSegment>& segments,
+                      const std::vector<BlobRow>& paragraphRows) {
+  std::string blob = "BFSNAPP3";
+  util::putU64(blob, segments.size());
+  for (const BlobSegment& seg : segments) {
+    util::putU64(blob, seg.id);
+    util::putU8(blob, static_cast<std::uint8_t>(seg.kind));
+    util::putStr(blob, seg.name);
+    util::putStr(blob, "x");
+    util::putStr(blob, "svc");
+    util::putF64(blob, 0.5);
+    util::putU64(blob, 0);  // tenant slot
+    util::putU64(blob, 1);  // createdAt
+    util::putU64(blob, 1);  // updatedAt
+    util::putU64(blob, 0);  // gram count
+  }
+  util::putU64(blob, paragraphRows.size());
+  for (const BlobRow& row : paragraphRows) {
+    util::putU64(blob, row.hash);
+    util::putU64(blob, row.segment);
+    util::putU64(blob, row.firstSeen);
+    util::putU64(blob, row.lastSeen);
+  }
+  util::putU64(blob, 0);  // document associations
+  return blob;
+}
+
+TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
+  // Blobs whose rows disagree with their segment list used to import:
+  // segment 0 (HashDb's empty-slot marker) counted one hash twice, a
+  // duplicated id made segmentByName("x#p1") return x#p0's record, and a
+  // row for an unlisted segment made it the hash's oldest owner, which
+  // Algorithm 1 then attributes to no source.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  constexpr SegmentKind kDoc = SegmentKind::kDocument;
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"segment 0 beside segment 1",
+       stateBlob({{1, kPar, "x#p0"}}, {{42, 0, 1, 1}, {42, 1, 2, 2}})},
+      {"two segments with id 1",
+       stateBlob({{1, kPar, "x#p0"}, {1, kPar, "x#p1"}}, {})},
+      {"row for unlisted segment 77",
+       stateBlob({{1, kPar, "x#p0"}}, {{42, 77, 1, 1}})},
+      {"listed segment id 0", stateBlob({{0, kPar, "x#p0"}}, {})},
+      {"two segments named x#p0",
+       stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p0"}}, {})},
+      {"paragraph row for a document segment",
+       stateBlob({{1, kDoc, "x"}}, {{42, 1, 1, 1}})},
+      {"lastSeen before firstSeen",
+       stateBlob({{1, kPar, "x#p0"}}, {{42, 1, 5, 4}})},
+  };
+  util::LogicalClock clock2;
+  for (const auto& [what, blob] : cases) {
+    SCOPED_TRACE(what);
+    FlowTracker restored(TrackerConfig{}, &clock2);
+    EXPECT_FALSE(importStateEx(restored, blob).ok());
+    EXPECT_EQ(restored.segmentDb().size(), 0u);
+    EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
+  }
+  // Sanity: a consistent blob of the same shape imports.
+  FlowTracker restored(TrackerConfig{}, &clock2);
+  ASSERT_TRUE(importStateEx(restored,
+                            stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p1"}},
+                                      {{42, 1, 1, 1}, {42, 2, 2, 9}}))
+                  .ok());
+  EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 1u);
+  EXPECT_EQ(*restored.hashDb(kPar).lastSeen(42, 2), 9u);
+}
+
+TEST_F(SnapshotTest, ExportBytesArePinned) {
+  // The export is the byte contract of snapshots and checkpoints. This
+  // state covers what DBhash's storage layout must reproduce: multi-owner
+  // hashes, re-observations, out-of-order restored stamps, a removal that
+  // stays lazy beside a compaction, an eviction and segment ids past 2^32.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  clock_.advanceTo(100);  // leaves room for older restored stamps
+  const std::string shared =
+      "the quarterly merger terms remain strictly confidential until the "
+      "board approves the final valuation and the press release";
+  tracker_.observeSegment(kPar, "a#p0", "a", "svc", shared);
+  tracker_.observeSegment(kPar, "b#p0", "b", "svc",
+                          shared + " next tuesday morning");
+  tracker_.observeDocument("c", "svc",
+                           "an unrelated opening paragraph about lunch plans "
+                           "and the weather this week\n\n" +
+                               shared);
+  tracker_.observeSegment(kPar, "a#p0", "a", "svc",
+                          shared + " and not a day before");
+  const std::vector<std::uint64_t> hashes =
+      tracker_.segmentByName("a#p0")->fingerprint.hashes();
+  ASSERT_GE(hashes.size(), 8u);
+
+  constexpr SegmentId kWide = (SegmentId{1} << 32) + 5;
+  SegmentRecord wide;
+  wide.id = kWide;
+  wide.kind = kPar;
+  wide.name = "r#p0";
+  wide.document = "r";
+  wide.service = "svc";
+  wide.createdAt = 40;
+  wide.updatedAt = 50;
+  tracker_.restoreSegment(wide);
+  for (std::size_t i = 0; i < hashes.size(); i += 2) {
+    // Older than every observed owner: the wide id becomes the oldest.
+    tracker_.restoreAssociation(kPar, hashes[i], kWide, 50, 200 + i);
+  }
+  for (std::size_t i = 1; i < hashes.size(); i += 3) {
+    // Between the owners' stamps, and alone on a hash of its own.
+    tracker_.restoreAssociation(kPar, hashes[i], kWide, 101, 101);
+    tracker_.restoreAssociation(kPar, 0xabc00000 + i, kWide, 90 + i, 120);
+  }
+
+  // 66 removals: the 65th crosses the dead-set threshold and compacts, the
+  // 66th stays lazy. Their ids continue past kWide.
+  for (int i = 0; i < 66; ++i) {
+    tracker_.observeSegment(kPar, "t#p" + std::to_string(i), "t", "svc",
+                            "temporary note number " + std::to_string(i) +
+                                " about " + shared.substr(0, 40));
+  }
+  for (int i = 0; i < 66; ++i) {
+    tracker_.removeSegmentByName("t#p" + std::to_string(i));
+  }
+  tracker_.observeSegment(kPar, "d#p0", "d", "svc", shared);
+  // Drops a#p0's rows its re-observation did not refresh.
+  EXPECT_GT(tracker_.evictAssociationsOlderThan(101), 0u);
+
+  ASSERT_EQ(tracker_.segmentByName("r#p0")->id, kWide);
+  ASSERT_GT(tracker_.segmentByName("d#p0")->id, kWide);
+  ASSERT_EQ(tracker_.hashDb(kPar).segmentsWith(hashes[2]).front(), kWide);
+  ASSERT_GE(tracker_.hashDb(kPar).segmentsWith(hashes[2]).size(), 3u);
+  // Pinned from the 32-byte-slot HashDb: the slot layout must not change
+  // the bytes.
+  const std::string blob = exportState(tracker_);
+  EXPECT_EQ(blob.size(), 3248u);
+  EXPECT_EQ(util::crc32c(blob), 0xdcded538U);
 }
 
 TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
