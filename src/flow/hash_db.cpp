@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 
 #include "util/hashing.h"
@@ -47,19 +48,120 @@ void HashDb::reserveForInsert() {
   }
 }
 
-void HashDb::spill(Slot& s, std::vector<Association>&& history) {
-  assert(histories_.size() < Slot::kSpilled);
+HashDb::Entry HashDb::HistoryPool::encode(const Association& a) {
+  if (a.segment < Entry::kEscaped && a.firstSeen <= 0xffffffffu) {
+    return {static_cast<std::uint32_t>(a.segment),
+            static_cast<std::uint32_t>(a.firstSeen), a.lastSeen};
+  }
+  assert(escapes.size() < 0xffffffffu);
+  escapes.push_back({a.segment, a.firstSeen});
+  return {Entry::kEscaped, static_cast<std::uint32_t>(escapes.size() - 1),
+          a.lastSeen};
+}
+
+std::uint32_t HashDb::HistoryPool::allocate(std::uint32_t capacity) {
+  assert(std::has_single_bit(capacity));
+  std::uint32_t& head = freeHeads[std::countr_zero(capacity)];
+  if (head != kEndOfList) {
+    const std::uint32_t begin = head;
+    head = at(begin)->segment;
+    return begin;
+  }
+  if (capacity > kBlockEntries) {
+    // One allocation behind consecutive block-table entries, so pool
+    // indices stay contiguous across the run. The current block stays
+    // open for shorter runs.
+    assert(blocks.size() + capacity / kBlockEntries <=
+           (kEndOfList >> kBlockShift));
+    const auto begin = static_cast<std::uint32_t>(blocks.size() << kBlockShift);
+    chunks.push_back(std::make_unique_for_overwrite<Entry[]>(capacity));
+    for (std::uint32_t off = 0; off < capacity; off += kBlockEntries) {
+      blocks.push_back(chunks.back().get() + off);
+    }
+    return begin;
+  }
+  if (bumpEnd - bump < capacity) {
+    // Open a new block; what is left of the current one goes to the free
+    // lists in power-of-two pieces.
+    for (std::uint32_t left = bumpEnd - bump; left != 0;) {
+      const std::uint32_t piece = std::bit_floor(left);
+      release(bump, piece);
+      bump += piece;
+      left -= piece;
+    }
+    assert(blocks.size() < (kEndOfList >> kBlockShift));
+    chunks.push_back(std::make_unique_for_overwrite<Entry[]>(kBlockEntries));
+    blocks.push_back(chunks.back().get());
+    bump = static_cast<std::uint32_t>((blocks.size() - 1) << kBlockShift);
+    bumpEnd = bump + kBlockEntries;
+  }
+  const std::uint32_t begin = bump;
+  bump += capacity;
+  return begin;
+}
+
+void HashDb::HistoryPool::release(std::uint32_t begin,
+                                  std::uint32_t capacity) noexcept {
+  std::uint32_t& head = freeHeads[std::countr_zero(capacity)];
+  at(begin)->segment = head;
+  head = begin;
+}
+
+std::uint32_t HashDb::HistoryPool::addRun(
+    std::span<const Association> history) {
+  assert(!history.empty() && runs.size() < Slot::kSpilled);
+  const auto size = static_cast<std::uint32_t>(history.size());
+  const std::uint32_t begin = allocate(std::bit_ceil(size));
+  Entry* out = at(begin);
+  for (const Association& a : history) *out++ = encode(a);
+  runs.push_back({begin, size});
+  return static_cast<std::uint32_t>(runs.size() - 1);
+}
+
+void HashDb::HistoryPool::insert(std::uint32_t run, std::size_t pos,
+                                 const Association& a) {
+  const Entry entry = encode(a);
+  Run& r = runs[run];
+  Entry* base = at(r.begin);
+  if (std::has_single_bit(r.size)) {  // full: move to twice the space
+    assert(r.size < 0x80000000u);
+    const std::uint32_t grown = allocate(r.size * 2);
+    Entry* dst = at(grown);
+    std::copy(base, base + pos, dst);
+    std::copy(base + pos, base + r.size, dst + pos + 1);
+    release(r.begin, r.size);
+    r.begin = grown;
+    base = dst;
+  } else {
+    std::copy_backward(base + pos, base + r.size, base + r.size + 1);
+  }
+  base[pos] = entry;
+  ++r.size;
+}
+
+std::size_t HashDb::memoryBytes() const noexcept {
+  return slots_.capacity() * sizeof(Slot) +
+         pool_.runs.capacity() * sizeof(Run) +
+         pool_.blocks.size() * HistoryPool::kBlockEntries * sizeof(Entry) +
+         pool_.escapes.capacity() * sizeof(Wide);
+}
+
+void HashDb::spill(Slot& s, std::span<const Association> history) {
   s.owner = cachedOwner(history.front().segment);
-  s.word = Slot::kSpilled | static_cast<std::uint32_t>(histories_.size());
-  histories_.push_back(std::move(history));
+  s.word = Slot::kSpilled | pool_.addRun(history);
 }
 
 void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
                                util::Timestamp ts, util::Timestamp lastSeen) {
-  assert(segment != kInvalidSegment);
-  const Association assoc{segment, ts,
-                          std::max(lastSeen != 0 ? lastSeen : ts, ts)};
   reserveForInsert();
+  const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
+  recordReserved(hash, Association{segment, ts, seen});
+}
+
+void HashDb::recordReserved(std::uint64_t hash, const Association& assoc) {
+  const SegmentId segment = assoc.segment;
+  assert(segment != kInvalidSegment);
+  const util::Timestamp ts = assoc.firstSeen;
   Slot& s = slots_[probe(hash)];
   if (!s.used()) {
     s.hash = hash;
@@ -67,7 +169,7 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
       s.owner = static_cast<std::uint32_t>(segment);
       s.word = static_cast<std::uint32_t>(ts);
     } else {
-      spill(s, {assoc});
+      spill(s, {&assoc, 1});
     }
     ++occupied_;
     ++storedAssociations_;
@@ -80,27 +182,30 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
       // timestamp (provenance never changes retroactively) but advance the
       // retention stamp — re-observation marks the association hot.
       if (assoc.lastSeen > only.lastSeen) {
-        spill(s, {Association{segment, only.firstSeen, assoc.lastSeen}});
+        const Association advanced{segment, only.firstSeen, assoc.lastSeen};
+        spill(s, {&advanced, 1});
       }
       return;
     }
     // A second owner; a strictly older one becomes the front.
-    spill(s, ts < only.firstSeen ? std::vector<Association>{assoc, only}
-                                 : std::vector<Association>{only, assoc});
+    const std::array<Association, 2> pair =
+        ts < only.firstSeen ? std::array{assoc, only} : std::array{only, assoc};
+    spill(s, pair);
     ++storedAssociations_;
     return;
   }
 
-  std::vector<Association>& history = histories_[s.historyIndex()];
+  const std::uint32_t run = s.runIndex();
+  const std::span<Entry> history = pool_.entries(run);
   // A segment appears at most once per history. The cached owner finds the
   // front directly; otherwise scan newest first, since a re-observed
   // segment's entry is usually among the most recent.
-  Association* held = nullptr;
+  Entry* held = nullptr;
   if (segment < kOwnerInHistory && s.owner == segment) {
     held = &history.front();
   } else {
     for (auto it = history.rbegin(); it != history.rend(); ++it) {
-      if (it->segment == segment) {
+      if (pool_.segmentOf(*it) == segment) {
         held = &*it;
         break;
       }
@@ -113,31 +218,36 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
   // Timestamps come from a monotonic clock, so appends keep the history
   // sorted; guard anyway against out-of-order callers. Equal stamps keep
   // arrival order.
-  if (history.back().firstSeen <= ts) {
-    history.push_back(assoc);
-  } else {
-    const auto it = std::upper_bound(
-        history.begin(), history.end(), ts,
-        [](util::Timestamp t, const Association& a) {
-          return t < a.firstSeen;
-        });
-    if (it == history.begin()) s.owner = cachedOwner(segment);
-    history.insert(it, assoc);
+  std::size_t pos = history.size();
+  if (pool_.firstSeenOf(history.back()) > ts) {
+    pos = static_cast<std::size_t>(
+        std::upper_bound(history.begin(), history.end(), ts,
+                         [this](util::Timestamp t, const Entry& e) {
+                           return t < pool_.firstSeenOf(e);
+                         }) -
+        history.begin());
+    if (pos == 0) s.owner = cachedOwner(segment);
   }
+  pool_.insert(run, pos, assoc);
   ++storedAssociations_;
 }
 
 void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
                                SegmentId segment, util::Timestamp ts) {
   const std::size_t n = hashes.size();
-  // History index of hash j's slot, found at the header stage and read
-  // back at the buffer stage; kNone when there is nothing to fetch.
+  // Run index of hash j's slot, found at the header stage and read back at
+  // the entry stage; kNone when there is nothing to fetch.
   constexpr std::uint32_t kNone = 0xffffffffu;
   constexpr std::size_t kRing = 8;
-  static_assert(
-      kHistoryHeaderPrefetchDistance - kHistoryBufferPrefetchDistance < kRing);
-  std::array<std::uint32_t, kRing> history;
-  history.fill(kNone);
+  static_assert(kRunHeaderPrefetchDistance - kRunEntryPrefetchDistance < kRing);
+  std::array<std::uint32_t, kRing> runOf;
+  runOf.fill(kNone);
+  // When even n new hashes stay under the 70% point, no insert of this
+  // batch can grow the table, so the per-hash check is skipped; otherwise
+  // it runs per hash and growth lands on the same insert as in the
+  // per-hash loop.
+  const bool roomForBatch =
+      !slots_.empty() && (occupied_ + n + 1) * 10 < slots_.size() * 7;
 
   for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
     prefetchSlot(hashes[j]);
@@ -146,24 +256,26 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
     if (i + kSlotPrefetchDistance < n) {
       prefetchSlot(hashes[i + kSlotPrefetchDistance]);
     }
-    if (const std::size_t j = i + kHistoryHeaderPrefetchDistance; j < n) {
-      // The slot was prefetched a stage ago. Only a spilled slot has a
-      // history to fetch. History indices are stable across the inserts
-      // in between (growth moves slots, not histories).
-      std::uint32_t& h = history[j % kRing];
-      h = kNone;
+    if (const std::size_t j = i + kRunHeaderPrefetchDistance; j < n) {
+      // The slot was prefetched a stage ago. Only a spilled slot has a run
+      // to fetch. Run indices are stable across the inserts in between
+      // (growth moves slots, not runs).
+      std::uint32_t& r = runOf[j % kRing];
+      r = kNone;
       if (!slots_.empty()) {
         const Slot& s = slots_[probe(hashes[j])];
-        if (s.used() && s.spilled()) h = s.historyIndex();
+        if (s.used() && s.spilled()) r = s.runIndex();
       }
-      if (h != kNone) __builtin_prefetch(&histories_[h]);
+      if (r != kNone) __builtin_prefetch(&pool_.runs[r]);
     }
-    if (const std::size_t j = i + kHistoryBufferPrefetchDistance; j < n) {
-      if (const std::uint32_t h = history[j % kRing]; h != kNone) {
-        __builtin_prefetch(&histories_[h].back());
+    if (const std::size_t j = i + kRunEntryPrefetchDistance; j < n) {
+      if (const std::uint32_t r = runOf[j % kRing]; r != kNone) {
+        const Run& run = pool_.runs[r];
+        __builtin_prefetch(pool_.at(run.begin + run.size - 1));
       }
     }
-    recordObservation(hashes[i], segment, ts);
+    if (!roomForBatch) reserveForInsert();
+    recordReserved(hashes[i], Association{segment, ts, ts});
   }
 }
 
@@ -172,8 +284,9 @@ std::optional<SegmentId> HashDb::oldestLive(const Slot& s) const {
   // slot, spilled or not.
   if (s.owner != kOwnerInHistory && !isDead(s.owner)) return s.owner;
   if (!s.spilled()) return std::nullopt;
-  for (const Association& a : histories_[s.historyIndex()]) {
-    if (!isDead(a.segment)) return a.segment;
+  for (const Entry& e : pool_.entries(s.runIndex())) {
+    const SegmentId segment = pool_.segmentOf(e);
+    if (!isDead(segment)) return segment;
   }
   return std::nullopt;
 }
@@ -187,8 +300,8 @@ std::optional<HashDb::Association> HashDb::find(std::uint64_t hash,
     if (s.owner != segment) return std::nullopt;
     return Association{segment, s.word, s.word};
   }
-  for (const Association& a : histories_[s.historyIndex()]) {
-    if (a.segment == segment) return a;
+  for (const Entry& e : pool_.entries(s.runIndex())) {
+    if (pool_.segmentOf(e) == segment) return pool_.decode(e);
   }
   return std::nullopt;
 }
@@ -231,10 +344,11 @@ std::vector<SegmentId> HashDb::segmentsWith(std::uint64_t hash) const {
     if (!isDead(s.owner)) out.push_back(s.owner);
     return out;
   }
-  const std::vector<Association>& history = histories_[s.historyIndex()];
+  const std::span<const Entry> history = pool_.entries(s.runIndex());
   out.reserve(history.size());
-  for (const Association& a : history) {
-    if (!isDead(a.segment)) out.push_back(a.segment);
+  for (const Entry& e : history) {
+    const SegmentId segment = pool_.segmentOf(e);
+    if (!isDead(segment)) out.push_back(segment);
   }
   return out;
 }
@@ -253,15 +367,17 @@ std::optional<util::Timestamp> HashDb::lastSeen(std::uint64_t hash,
 
 template <typename Keep>
 std::size_t HashDb::rebuildFiltered(Keep&& keep) {
+  // The survivors are packed into a fresh pool; the old one is freed on
+  // return.
   std::vector<Slot> oldSlots = std::move(slots_);
-  std::vector<std::vector<Association>> oldHistories = std::move(histories_);
+  const HistoryPool old = std::exchange(pool_, HistoryPool{});
   const std::size_t before = storedAssociations_;
   slots_.clear();
-  histories_.clear();
   mask_ = 0;
   occupied_ = 0;
   storedAssociations_ = 0;
 
+  std::vector<Association> history;  // one hash's survivors
   for (const Slot& s : oldSlots) {
     if (!s.used()) continue;
     if (!s.spilled()) {
@@ -272,8 +388,11 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
       ++storedAssociations_;
       continue;
     }
-    std::vector<Association>& history = oldHistories[s.historyIndex()];
-    std::erase_if(history, [&](const Association& a) { return !keep(a); });
+    history.clear();
+    for (const Entry& e : old.entries(s.runIndex())) {
+      const Association a = old.decode(e);
+      if (keep(a)) history.push_back(a);
+    }
     if (history.empty()) continue;
     reserveForInsert();
     ++occupied_;
@@ -284,7 +403,7 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
       dst.owner = static_cast<std::uint32_t>(history.front().segment);
       dst.word = static_cast<std::uint32_t>(history.front().firstSeen);
     } else {
-      spill(dst, std::move(history));
+      spill(dst, history);
     }
   }
   return before - storedAssociations_;

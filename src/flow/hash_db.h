@@ -16,9 +16,10 @@
 // hash is a compact slot holding its segment and firstSeen inline, and the
 // Algorithm-1 candidate loop — one oldestSegmentWith probe per target
 // hash — resolves in that slot. Every other hash spills: its slot points
-// into a pool of per-hash histories that hold every association with full
-// 64-bit stamps, and caches the oldest owner so candidate discovery still
-// answers from the slot while that owner is live.
+// at a run header in the table's history pool, and caches the oldest owner
+// so candidate discovery still answers from the slot while that owner is
+// live. The pool holds every association of a spilled hash, oldest first,
+// as 16-byte entries in fixed 1 MiB blocks (see HistoryPool).
 //
 // Writes and the candidate loop go through two batch entry points that take
 // a whole fingerprint: recordFingerprint (every hash of an observed
@@ -26,13 +27,13 @@
 // is a software-pipelined loop over the hashes, since every probe is a
 // likely cache miss in a table far beyond L2: it prefetches the home slot
 // kSlotPrefetchDistance hashes ahead; the record loop also probes the hash
-// kHistoryHeaderPrefetchDistance ahead and, if its slot spills, prefetches
-// that history's header, then its newest entries
-// kHistoryBufferPrefetchDistance ahead. A re-record scans the history
-// newest-first: a segment appears at most once per history, so the scan
-// finds the same entry, but a re-observed segment usually sits near the
-// end. Growth stays a per-insert 70% load check, so the batch leaves the
-// table bit-for-bit as the per-hash loop would.
+// kRunHeaderPrefetchDistance ahead and, if its slot spills, prefetches
+// that run's header, then its newest entry kRunEntryPrefetchDistance
+// ahead. A re-record scans the run newest-first: a segment appears at most
+// once per history, so the scan finds the same entry, but a re-observed
+// segment usually sits near the end. Growth stays a per-insert 70% load
+// check, so the batch leaves the table bit-for-bit as the per-hash loop
+// would.
 //
 // Segment removal is lazy (a dead set consulted by lookups) but bounded:
 // once the dead set exceeds a threshold, the store physically compacts the
@@ -40,7 +41,9 @@
 // per-lookup isDead probes accumulate forever.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -155,6 +158,17 @@ class HashDb {
     return storedAssociations_;
   }
 
+  /// Bytes the store holds: slot table, run headers, history-pool blocks
+  /// and escaped wide ids/stamps (allocated capacity, not just what is in
+  /// use; the dead set is not counted). O(1).
+  [[nodiscard]] std::size_t memoryBytes() const noexcept;
+
+  /// 1 MiB blocks the history pool holds (a run longer than one block
+  /// counts every block it spans).
+  [[nodiscard]] std::size_t poolBlockCount() const noexcept {
+    return pool_.blocks.size();
+  }
+
   /// Monotone counter bumped by removeSegment/evictOlderThan. Callers cache
   /// authoritative fingerprints keyed by this generation.
   [[nodiscard]] std::uint64_t removalGeneration() const noexcept {
@@ -173,7 +187,8 @@ class HashDb {
         }
         continue;
       }
-      for (const Association& a : histories_[slot.historyIndex()]) {
+      for (const Entry& e : pool_.entries(slot.runIndex())) {
+        const Association a = pool_.decode(e);
         if (!isDead(a.segment)) {
           fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
         }
@@ -195,9 +210,9 @@ class HashDb {
   ///    firstSeen. It requires firstSeen < 2^31 and a segment below
   ///    kOwnerInHistory; the tracker's logical clock and segment counter
   ///    stay far below both in practice.
-  ///  - spilled (bit set): the low 31 bits index histories_, which holds
-  ///    every association of the hash, oldest first, with full 64-bit
-  ///    stamps. `owner` caches the oldest association's segment, or
+  ///  - spilled (bit set): the low 31 bits index the pool's run headers;
+  ///    the run holds every association of the hash, oldest first, with
+  ///    exact stamps. `owner` caches the oldest association's segment, or
   ///    kOwnerInHistory when that id does not fit in 32 bits.
   /// A compact slot spills on its second association, on a re-observation
   /// that advances lastSeen, or when a stamp or id does not fit. Spilled
@@ -215,13 +230,101 @@ class HashDb {
     [[nodiscard]] bool spilled() const noexcept {
       return (word & kSpilled) != 0;
     }
-    [[nodiscard]] std::uint32_t historyIndex() const noexcept {
+    [[nodiscard]] std::uint32_t runIndex() const noexcept {
       return word & ~kSpilled;
     }
   };
   static_assert(sizeof(Slot) == 16,
                 "Slot is the per-query cache footprint and the bulk of the "
                 "tracker's memory; keep it at four slots per cache line");
+
+  /// One association in the history pool. A segment id below kEscaped and
+  /// a firstSeen below 2^32 are stored inline; otherwise `segment` is
+  /// kEscaped and `firstSeen` indexes the pool's escapes, which hold the
+  /// wide pair. lastSeen is always inline, so a re-observation updates the
+  /// entry in place whatever its shape.
+  struct Entry {
+    static constexpr std::uint32_t kEscaped = 0xffffffffu;
+
+    std::uint32_t segment;
+    std::uint32_t firstSeen;
+    util::Timestamp lastSeen;
+  };
+  static_assert(sizeof(Entry) == 16, "four history entries per cache line");
+
+  /// A spilled hash's history: `size` entries from pool index `begin`, in
+  /// space of capacity std::bit_ceil(size).
+  struct Run {
+    std::uint32_t begin;
+    std::uint32_t size;
+  };
+
+  /// The segment and firstSeen of an escaped entry.
+  struct Wide {
+    SegmentId segment;
+    util::Timestamp firstSeen;
+  };
+
+  /// Every spilled history of one table: run headers in a flat vector and
+  /// entries in fixed blocks of kBlockEntries that never move. A pool
+  /// index i lives at blocks[i / kBlockEntries][i % kBlockEntries]. A run
+  /// has power-of-two capacity; one of at most a block is carved from the
+  /// current block, a longer one is a single allocation that takes
+  /// consecutive block-table entries, so a run's entries are always
+  /// contiguous. A run that outgrows its capacity moves to twice the space
+  /// and frees the old one onto the free list of its capacity class; the
+  /// list's link is stored in the freed space's first entry. Blocks are
+  /// small and fixed so that they fill the holes freed slot tables leave
+  /// in the heap, which ever-larger blocks could not reuse.
+  struct HistoryPool {
+    static constexpr unsigned kBlockShift = 16;  // 1 MiB of 16-byte entries
+    static constexpr std::uint32_t kBlockEntries = 1u << kBlockShift;
+    static constexpr std::uint32_t kEndOfList = 0xffffffffu;
+
+    std::vector<Run> runs;
+    std::vector<Entry*> blocks;
+    std::vector<std::unique_ptr<Entry[]>> chunks;  // owns what blocks point at
+    std::vector<Wide> escapes;
+    std::array<std::uint32_t, 32> freeHeads = [] {  // by log2(capacity)
+      std::array<std::uint32_t, 32> heads{};
+      heads.fill(kEndOfList);
+      return heads;
+    }();
+    std::uint32_t bump = 0;     // next free index of the current block
+    std::uint32_t bumpEnd = 0;  // end of the current block
+
+    [[nodiscard]] Entry* at(std::uint32_t index) const noexcept {
+      return blocks[index >> kBlockShift] + (index & (kBlockEntries - 1));
+    }
+    [[nodiscard]] std::span<Entry> entries(std::uint32_t run) const noexcept {
+      const Run& r = runs[run];
+      return {at(r.begin), r.size};
+    }
+    [[nodiscard]] SegmentId segmentOf(const Entry& e) const noexcept {
+      return e.segment != Entry::kEscaped ? e.segment
+                                          : escapes[e.firstSeen].segment;
+    }
+    [[nodiscard]] util::Timestamp firstSeenOf(const Entry& e) const noexcept {
+      return e.segment != Entry::kEscaped ? e.firstSeen
+                                          : escapes[e.firstSeen].firstSeen;
+    }
+    [[nodiscard]] Association decode(const Entry& e) const noexcept {
+      return {segmentOf(e), firstSeenOf(e), e.lastSeen};
+    }
+    [[nodiscard]] Entry encode(const Association& a);
+
+    /// Appends a run holding `history` (non-empty); returns its index.
+    std::uint32_t addRun(std::span<const Association> history);
+
+    /// Inserts `a` at position `pos` of run `run`, moving the run to twice
+    /// its capacity when it is full.
+    void insert(std::uint32_t run, std::size_t pos, const Association& a);
+
+    /// Index of free space for `capacity` (a power of two) entries.
+    std::uint32_t allocate(std::uint32_t capacity);
+    /// Returns `capacity` entries at `begin` to their class's free list.
+    void release(std::uint32_t begin, std::uint32_t capacity) noexcept;
+  };
 
   /// Spilled-slot `owner` when the oldest segment id needs the history.
   static constexpr std::uint32_t kOwnerInHistory = 0xffffffffu;
@@ -239,11 +342,11 @@ class HashDb {
   }
 
   /// How far ahead of the insert/lookup the batch loops prefetch: the
-  /// home slot first, then (record only) the history header of a spilled
-  /// slot that already holds the hash, then that history's newest entries.
+  /// home slot first, then (record only) the run header of a spilled slot
+  /// that already holds the hash, then that run's newest entry.
   static constexpr std::size_t kSlotPrefetchDistance = 16;
-  static constexpr std::size_t kHistoryHeaderPrefetchDistance = 8;
-  static constexpr std::size_t kHistoryBufferPrefetchDistance = 4;
+  static constexpr std::size_t kRunHeaderPrefetchDistance = 8;
+  static constexpr std::size_t kRunEntryPrefetchDistance = 4;
 
   [[nodiscard]] bool isDead(SegmentId s) const {
     return !dead_.empty() && dead_.count(s) != 0;
@@ -263,8 +366,11 @@ class HashDb {
                                                 SegmentId segment) const;
 
   /// Turns `s` into a spilled slot over `history` (non-empty, oldest
-  /// first), appended to histories_.
-  void spill(Slot& s, std::vector<Association>&& history);
+  /// first), a new run of the pool.
+  void spill(Slot& s, std::span<const Association> history);
+
+  /// recordObservation once the table has room for one more hash.
+  void recordReserved(std::uint64_t hash, const Association& assoc);
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
@@ -282,7 +388,7 @@ class HashDb {
   std::vector<Slot> slots_;  // power-of-two size; empty until first insert
   std::size_t mask_ = 0;     // slots_.size() - 1
   std::size_t occupied_ = 0;
-  std::vector<std::vector<Association>> histories_;  // of spilled slots
+  HistoryPool pool_;  // histories of spilled slots
   std::unordered_set<SegmentId> dead_;
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
   std::size_t storedAssociations_ = 0;

@@ -1,7 +1,6 @@
 #include "flow/tracker.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "flow/wal.h"
 #include "obs/stage.h"
@@ -25,6 +24,7 @@ struct TrackerMetrics {
   obs::Counter* fingerprints;
   obs::Gauge* dbhashParagraphHashes;
   obs::Gauge* dbhashDocumentHashes;
+  obs::Gauge* dbhashBytes;
   obs::Gauge* dbparSegments;
 };
 
@@ -50,17 +50,16 @@ const TrackerMetrics& trackerMetrics() {
     out.dbhashDocumentHashes =
         &r.gauge("bf_tracker_dbhash_document_hashes",
                  "Distinct document hashes in DBhash");
+    out.dbhashBytes =
+        &r.gauge("bf_tracker_dbhash_bytes",
+                 "Bytes held by DBhash (both tables: slots, run headers, "
+                 "history pool, escapes)");
     out.dbparSegments =
         &r.gauge("bf_tracker_dbpar_segments", "Live segments in DBpar");
     return out;
   }();
   return m;
 }
-
-/// observeDocument fans paragraph fingerprinting out across threads once a
-/// document is large enough to amortise thread start-up.
-constexpr std::size_t kMinParagraphsPerWorker = 4;
-constexpr std::size_t kMaxFingerprintWorkers = 8;
 
 }  // namespace
 
@@ -69,10 +68,14 @@ FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock)
 
 void FlowTracker::refreshStoreGauges() const noexcept {
   const TrackerMetrics& m = trackerMetrics();
-  m.dbhashParagraphHashes->set(static_cast<double>(
-      stores_.hashes[idx(SegmentKind::kParagraph)].distinctHashCount()));
-  m.dbhashDocumentHashes->set(static_cast<double>(
-      stores_.hashes[idx(SegmentKind::kDocument)].distinctHashCount()));
+  const HashDb& paragraphs = stores_.hashes[idx(SegmentKind::kParagraph)];
+  const HashDb& documents = stores_.hashes[idx(SegmentKind::kDocument)];
+  m.dbhashParagraphHashes->set(
+      static_cast<double>(paragraphs.distinctHashCount()));
+  m.dbhashDocumentHashes->set(
+      static_cast<double>(documents.distinctHashCount()));
+  m.dbhashBytes->set(
+      static_cast<double>(paragraphs.memoryBytes() + documents.memoryBytes()));
   m.dbparSegments->set(static_cast<double>(stores_.segments.size()));
 }
 
@@ -189,34 +192,13 @@ FlowTracker::DocumentObservation FlowTracker::observeDocument(
   const auto paras = text::segmentParagraphs(fullText.raw());
 
   // Fingerprint the document and every paragraph OUTSIDE the lock — pure
-  // CPU over immutable config. Large documents fan the paragraphs out over
-  // a few threads, each hashing through its own thread-local workspace.
+  // CPU over immutable config, on the calling thread.
   text::Fingerprint docFp =
       text::fingerprintText(fullText.raw(), config_.fingerprint);
-  std::vector<text::Fingerprint> paraFps(paras.size());
-  const std::size_t workers =
-      std::min({paras.size() / kMinParagraphsPerWorker,
-                static_cast<std::size_t>(std::thread::hardware_concurrency()),
-                kMaxFingerprintWorkers});
-  if (workers > 1) {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < paras.size();
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          paraFps[i] =
-              text::fingerprintText(paras[i].text, config_.fingerprint);
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  } else {
-    for (std::size_t i = 0; i < paras.size(); ++i) {
-      paraFps[i] = text::fingerprintText(paras[i].text, config_.fingerprint);
-    }
+  std::vector<text::Fingerprint> paraFps;
+  paraFps.reserve(paras.size());
+  for (const auto& para : paras) {
+    paraFps.push_back(text::fingerprintText(para.text, config_.fingerprint));
   }
   stats_.fingerprintsComputed.fetch_add(paras.size() + 1,
                                         std::memory_order_relaxed);

@@ -125,9 +125,9 @@ class FlowTracker {
 
   /// Observes a whole document: one document-kind segment named `docName`
   /// plus one paragraph-kind segment "docName#p<i>" per paragraph.
-  /// Batched: all fingerprints are computed outside the lock (in parallel
-  /// for large documents), then applied under ONE lock section with a
-  /// single gauge refresh — the lock is taken once, not N+1 times.
+  /// Batched: all fingerprints are computed outside the lock, on the
+  /// calling thread, then applied under ONE lock section with a single
+  /// gauge refresh — the lock is taken once, not N+1 times.
   struct DocumentObservation {
     SegmentId document = kInvalidSegment;
     std::vector<SegmentId> paragraphs;
@@ -281,10 +281,11 @@ class FlowTracker {
 
   // ---- Maintenance & snapshot support ---------------------------------------
 
-  /// Drops all hash associations first seen before `cutoff` (the paper's
-  /// "periodic removal of old fingerprints", S4.4). Segments themselves
-  /// stay; they regain associations when next observed. Returns the number
-  /// of associations dropped.
+  /// Drops all hash associations last seen before `cutoff` (the paper's
+  /// "periodic removal of old fingerprints", S4.4; see
+  /// HashDb::evictOlderThan). Segments themselves stay; they regain
+  /// associations when next observed. Returns the number of associations
+  /// dropped.
   std::size_t evictAssociationsOlderThan(util::Timestamp cutoff)
       BF_EXCLUDES(mutex_);
 

@@ -306,6 +306,67 @@ TEST(HashDb, WideIdsAndStampsStayExact) {
   EXPECT_EQ(*db.oldestSegmentWith(4), 5u);
 }
 
+TEST(HashDb, HistoryEntriesEscapeWideIdsAndStampsAtTheirBoundaries) {
+  // A history entry holds a segment id up to 2^32 - 2 and a firstSeen up to
+  // 2^32 - 1 inline; 2^32 - 1 as an id and 2^32 as a stamp are escaped.
+  // Both shapes must answer identically and update lastSeen in place.
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  HashDb db;
+  db.setDeadCompactionThreshold(1000);
+  db.recordObservation(1, k32 - 2, 10);      // narrow
+  db.recordObservation(1, k32 - 1, 11);      // escaped id
+  db.recordObservation(1, k32 + 7, 12);      // escaped id
+  db.recordObservation(2, 5, 20);
+  db.recordObservation(2, 6, k32 - 1);       // narrow stamp
+  db.recordObservation(2, 7, k32);           // escaped stamp
+  db.recordObservation(2, k32 + 7, k32 + 3); // both escaped
+  EXPECT_EQ(db.segmentsWith(1),
+            (std::vector<SegmentId>{k32 - 2, k32 - 1, k32 + 7}));
+  EXPECT_EQ(db.segmentsWith(2), (std::vector<SegmentId>{5, 6, 7, k32 + 7}));
+  EXPECT_EQ(*db.firstSeen(2, 6), k32 - 1);
+  EXPECT_EQ(*db.firstSeen(2, 7), k32);
+  EXPECT_EQ(*db.firstSeen(2, k32 + 7), k32 + 3);
+
+  // Re-observations advance lastSeen on escaped entries, not firstSeen.
+  db.recordObservation(1, k32 + 7, 50);
+  db.recordObservation(1, k32 - 1, 60);
+  db.recordObservation(2, 7, k32 + 100);
+  db.recordObservation(2, 7, k32 + 90);  // never moves lastSeen back
+  EXPECT_EQ(*db.firstSeen(1, k32 + 7), 12u);
+  EXPECT_EQ(*db.lastSeen(1, k32 + 7), 50u);
+  EXPECT_EQ(*db.lastSeen(1, k32 - 1), 60u);
+  EXPECT_EQ(*db.lastSeen(1, k32 - 2), 10u);
+  EXPECT_EQ(*db.firstSeen(2, 7), k32);
+  EXPECT_EQ(*db.lastSeen(2, 7), k32 + 100);
+
+  // An escaped entry inserted out of order becomes the oldest owner.
+  db.recordObservation(1, k32 + 9, 5);
+  EXPECT_EQ(*db.oldestSegmentWith(1), k32 + 9);
+  EXPECT_EQ(*db.firstSeen(1, k32 + 9), 5u);
+
+  // A rebuild re-escapes the survivors into its fresh pool.
+  db.removeSegment(k32 - 2);
+  db.removeSegment(5);
+  EXPECT_EQ(db.compactDead(), 2u);
+  using Row = std::tuple<std::uint64_t, SegmentId, util::Timestamp,
+                         util::Timestamp>;
+  std::vector<Row> rows;
+  db.forEachAssociation(
+      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+        rows.emplace_back(h, s, f, l);
+      });
+  std::sort(rows.begin(), rows.end());
+  const std::vector<Row> want = {
+      {1, k32 + 9, 5, 5},          {1, k32 - 1, 11, 60},
+      {1, k32 + 7, 12, 50},        {2, 6, k32 - 1, k32 - 1},
+      {2, 7, k32, k32 + 100},      {2, k32 + 7, k32 + 3, k32 + 3}};
+  std::vector<Row> sortedWant = want;
+  std::sort(sortedWant.begin(), sortedWant.end());
+  EXPECT_EQ(rows, sortedWant);
+  EXPECT_EQ(db.segmentsWith(1),
+            (std::vector<SegmentId>{k32 + 9, k32 - 1, k32 + 7}));
+}
+
 // ---- A naive reference model of the documented rules ----------------------
 
 /// DBhash as its documentation states it, with no layout at all: per hash,
@@ -320,16 +381,20 @@ class ReferenceHashDb {
               util::Timestamp lastSeen = 0) {
     const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
     std::vector<Association>& history = byHash_[hash];
-    for (Association& a : history) {
-      if (a.segment == segment) {
-        a.lastSeen = std::max(a.lastSeen, seen);
-        return;
+    if (!held_.emplace(hash, segment).second) {
+      for (Association& a : history) {
+        if (a.segment == segment) {
+          a.lastSeen = std::max(a.lastSeen, seen);
+          return;
+        }
       }
     }
-    const auto after = std::find_if(
-        history.begin(), history.end(),
-        [&](const Association& a) { return a.firstSeen > ts; });
-    history.insert(after, Association{segment, ts, seen});
+    // After the last association first seen at or before ts (the history
+    // is sorted, and the common append ends the search at once).
+    const auto last = std::find_if(
+        history.rbegin(), history.rend(),
+        [&](const Association& a) { return a.firstSeen <= ts; });
+    history.insert(last.base(), Association{segment, ts, seen});
   }
 
   void remove(SegmentId segment) {
@@ -413,7 +478,9 @@ class ReferenceHashDb {
     std::size_t dropped = 0;
     for (auto it = byHash_.begin(); it != byHash_.end();) {
       dropped += std::erase_if(it->second, [&](const Association& a) {
-        return dead(a.segment) || alsoDrop(a);
+        const bool drop = dead(a.segment) || alsoDrop(a);
+        if (drop) held_.erase({it->first, a.segment});
+        return drop;
       });
       it = it->second.empty() ? byHash_.erase(it) : std::next(it);
     }
@@ -421,6 +488,7 @@ class ReferenceHashDb {
   }
 
   std::map<std::uint64_t, std::vector<Association>> byHash_;
+  std::set<std::pair<std::uint64_t, SegmentId>> held_;  // keys of byHash_
   std::set<SegmentId> dead_;
   std::size_t threshold_;
   std::uint64_t generation_ = 0;
@@ -529,6 +597,92 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
     }
     expectMatchesModel(db, model, pool, segments);
   }
+}
+
+TEST(HashDbModel, HistoryLongerThanOnePoolBlock) {
+  // One hash held by more than 65,536 segments: its run outgrows a 1 MiB
+  // pool block and moves to one allocation behind several block-table
+  // entries. Out-of-order stamps insert into the middle of it, and a
+  // compaction packs it into a fresh pool.
+  constexpr SegmentId kSegments = 65536 + 300;
+  HashDb db;
+  ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
+  util::Timestamp clock = 100;
+  for (SegmentId s = 1; s <= kSegments; ++s) {
+    std::vector<std::uint64_t> hashes = {7};
+    if (s % 3 == 0) hashes.push_back(8);
+    const util::Timestamp ts = s % 1000 == 0 ? clock - 500 : ++clock;
+    db.recordFingerprint(hashes, s, ts);
+    for (std::uint64_t h : hashes) model.record(h, s, ts);
+  }
+  EXPECT_GE(db.poolBlockCount(), 2u);
+  const std::vector<SegmentId> sample = {1,     2,         999,
+                                         1000,  32768,     65535,
+                                         65536, 65537,     kSegments - 1,
+                                         kSegments, kSegments + 1};
+  for (SegmentId s : {SegmentId{1}, SegmentId{40000}, kSegments}) {
+    db.recordObservation(7, s, clock + s);
+    model.record(7, s, clock + s);
+  }
+  expectMatchesModel(db, model, {7, 8, 9}, sample);
+  for (SegmentId s : {SegmentId{1}, SegmentId{2}, SegmentId{1000}}) {
+    db.removeSegment(s);
+    model.remove(s);
+  }
+  ASSERT_EQ(db.compactDead(), model.compact());
+  expectMatchesModel(db, model, {7, 8, 9}, sample);
+}
+
+TEST(HashDbModel, ChurnReusesPoolSpace) {
+  // Groups of hashes grow one after another through every run capacity up
+  // to 64, so a group's freed runs serve the next group's growth. Half the
+  // groups are then removed past the compaction threshold, which packs the
+  // survivors into a fresh pool, and all but one of them regrow with new
+  // segments. Freed space is reused: the first phase peaks within a block
+  // of what its final runs occupy (without the free lists it would need
+  // about twice that), and the second phase needs no more blocks than the
+  // first did at its peak.
+  constexpr std::size_t kGroups = 16;
+  constexpr std::size_t kGroupHashes = 512;
+  constexpr SegmentId kPerGroup = 64;
+  util::Rng rng(21);
+  HashDb db;
+  ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
+  std::vector<std::vector<std::uint64_t>> groups(kGroups);
+  for (auto& group : groups) {
+    for (std::size_t i = 0; i < kGroupHashes; ++i) group.push_back(rng.next());
+    std::sort(group.begin(), group.end());
+  }
+  util::Timestamp clock = 100;
+  SegmentId next = 1;
+  const auto grow = [&](std::size_t firstGroup, std::size_t lastGroup) {
+    std::size_t peak = 0;
+    for (std::size_t g = firstGroup; g <= lastGroup; ++g) {
+      for (SegmentId i = 0; i < kPerGroup; ++i, ++next) {
+        db.recordFingerprint(groups[g], next, ++clock);
+        for (std::uint64_t h : groups[g]) model.record(h, next, clock);
+        peak = std::max(peak, db.poolBlockCount());
+      }
+    }
+    return peak;
+  };
+  const std::size_t firstPeak = grow(0, kGroups - 1);
+  constexpr std::size_t kEntriesPerBlock = 65536;  // 1 MiB of 16 bytes
+  EXPECT_LE(firstPeak,
+            kGroups * kGroupHashes * kPerGroup / kEntriesPerBlock + 1);
+  for (SegmentId s = 1; s <= kPerGroup * kGroups / 2; ++s) {
+    db.removeSegment(s);
+    model.remove(s);
+  }
+  EXPECT_LT(db.poolBlockCount(), firstPeak);
+  const std::size_t secondPeak = grow(0, kGroups / 2 - 2);
+  EXPECT_LE(secondPeak, firstPeak);
+
+  std::vector<std::uint64_t> probes;
+  for (const auto& group : groups) probes.push_back(group.front());
+  std::vector<SegmentId> sample;
+  for (SegmentId s = 1; s < next; s += 97) sample.push_back(s);
+  expectMatchesModel(db, model, probes, sample);
 }
 
 // ---- Batch entry points against the per-hash loops ------------------------
