@@ -11,6 +11,8 @@ decision path got slower:
     MB/s) regressing by more than --max-regression percent;
   * provenance overhead (the stress bench's interleaved on/off comparison)
     at or above --max-overhead percent of the decision path;
+  * WAL overhead (the stress bench's wal_overhead phase, WAL attached vs
+    not) at or above the 5% budget DESIGN.md §11 states for the log;
   * the durability-fault sweep (bench_recovery's FaultVfs phase) missing a
     rate or ending unhealed — a robustness presence check, not a
     percentage, since fault-injected goodput is environment-noisy.
@@ -26,10 +28,10 @@ Usage:
 
 --smoke (used by scripts/check.sh when BF_CHECK_BENCH=1) runs the quick
 bench configuration and only checks the wiring: the sweep must run, the
-RESULT channels must parse, the provenance phase must report, and the
-baseline must load. Quick-run numbers are far too noisy to gate on, so
-smoke mode never fails on a percentage and writes its artifact to the
-build tree instead of BENCH_PR6.json.
+RESULT channels must parse, the provenance and WAL phases must report,
+and the baseline must load. Quick-run numbers are far too noisy to gate
+on, so smoke mode never fails on a percentage and writes its artifact to
+the build tree instead of BENCH_PR6.json.
 
 Exit status: 0 when every check passes, 1 on any regression (or, in smoke
 mode, any wiring breakage).
@@ -51,6 +53,8 @@ sys.path.insert(0, SCRIPT_DIR)
 import bench_report  # noqa: E402  (sibling module, not a package)
 
 MICRO_HEADLINE = "BM_FingerprintTextFusedWorkspace/16384"
+# The WAL's decision-path budget (DESIGN.md §11, "Durability").
+MAX_WAL_OVERHEAD_PCT = 5.0
 
 
 def newest_baseline(exclude: str) -> str | None:
@@ -121,11 +125,17 @@ def durability_fault_rates(report: dict) -> list:
     )
 
 
-def provenance_overhead_pct(report: dict):
+def stress_overhead_pct(report: dict, bench: str):
     for r in report.get("stress_concurrency", {}).get("results", []):
-        if r.get("bench") == "provenance_overhead":
+        if r.get("bench") == bench:
             return r.get("overhead_pct")
     return None
+
+
+def overhead_check(name: str, fresh, budget: float) -> dict:
+    """Lower-is-better percentage: fails at or above its budget."""
+    return {"name": name, "fresh": fresh, "budget": budget,
+            "passed": fresh is not None and fresh < budget}
 
 
 def regression_check(name: str, baseline, fresh, max_regression: float) -> dict:
@@ -178,13 +188,13 @@ def main() -> int:
             micro_mb_per_s(fresh, MICRO_HEADLINE),
             args.max_regression),
     ]
-    overhead = provenance_overhead_pct(fresh)
-    overhead_check = {
-        "name": "provenance_overhead_pct",
-        "fresh": overhead,
-        "budget": args.max_overhead,
-        "passed": overhead is not None and overhead < args.max_overhead,
-    }
+    provenance_check = overhead_check(
+        "provenance_overhead_pct",
+        stress_overhead_pct(fresh, "provenance_overhead"), args.max_overhead)
+    wal_check = overhead_check(
+        "wal_overhead_pct", stress_overhead_pct(fresh, "wal_overhead"),
+        MAX_WAL_OVERHEAD_PCT)
+    overhead_checks = [provenance_check, wal_check]
 
     # Robustness, not a percentage: the durability-fault sweep must have
     # run every rate and healed (bench_recovery exits nonzero — aborting
@@ -201,21 +211,17 @@ def main() -> int:
     if args.smoke:
         # Wiring-only verdicts: every metric must be present and parseable;
         # quick-run percentages are noise, not signal.
-        failures = [c["name"] for c in checks if c["fresh"] is None]
-        if overhead is None:
-            failures.append("provenance_overhead_pct")
+        failures = [c["name"] for c in checks + overhead_checks
+                    if c["fresh"] is None]
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
         gate_pass = not failures
-        for c in checks:
+        for c in checks + overhead_checks:
             c["passed"] = c["fresh"] is not None
             c["note"] = "smoke: presence only, percentage not gated"
-        overhead_check["passed"] = overhead is not None
-        overhead_check["note"] = "smoke: presence only, percentage not gated"
     else:
-        failures = [c["name"] for c in checks if not c["passed"]]
-        if not overhead_check["passed"]:
-            failures.append(overhead_check["name"])
+        failures = [c["name"] for c in checks + overhead_checks
+                    if not c["passed"]]
         if not durability_check["passed"]:
             failures.append(durability_check["name"])
         gate_pass = not failures
@@ -229,7 +235,8 @@ def main() -> int:
             "baseline_file": os.path.basename(baseline_path),
             "max_regression_pct": args.max_regression,
             "max_provenance_overhead_pct": args.max_overhead,
-            "provenance_overhead": overhead_check,
+            "provenance_overhead": provenance_check,
+            "wal_overhead": wal_check,
             "durability_fault_sweep": durability_check,
             "checks": checks,
             "pass": gate_pass,
@@ -240,7 +247,7 @@ def main() -> int:
         f.write("\n")
     print(f"==> wrote {out_path}")
 
-    for c in checks + [overhead_check, durability_check]:
+    for c in checks + overhead_checks + [durability_check]:
         status = "ok  " if c["passed"] else "FAIL"
         if "regression_pct" in c:
             detail = f"{c.get('regression_pct')}% regression"

@@ -1,6 +1,7 @@
 #include "flow/tracker.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "flow/wal.h"
 #include "obs/stage.h"
@@ -255,7 +256,9 @@ void FlowTracker::removeSegmentLocked(SegmentId id) {
 std::vector<DisclosureHit> FlowTracker::disclosedSources(
     const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
     std::string_view selfDocument) const {
+  const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
+  obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
   return disclosedSourcesLocked(target, sourceKind, self, selfDocument);
 }
 
@@ -278,8 +281,8 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
   // The naive containment ablation lets every segment sharing a hash
   // compete instead.
   const HashDb& db = stores_.hashes[idx(sourceKind)];
-  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
-  claims.reserve(target.size());
+  auto& claims = workspace_.claims;
+  claims.clear();
   if (config_.useAuthoritative) {
     db.oldestOwners(target.hashes(), claims);
   } else {
@@ -287,19 +290,42 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
       for (SegmentId s : db.segmentsWith(h)) claims.emplace_back(s, h);
     }
   }
-  std::sort(claims.begin(), claims.end());
 
-  for (auto next = claims.begin(); next != claims.end();) {
-    const SegmentId c = next->first;
-    const auto first = next;  // [first, next) are c's claims
-    next = std::find_if(first, claims.end(),
-                        [c](const auto& claim) { return claim.first != c; });
-    if (c == self) continue;  // "if p = P then continue"
-    const SegmentRecord* rec = stores_.segments.find(c);
+  // Group the claims by owner in one pass. The hits are sorted at the end,
+  // so the groups need no order; each owner's chain keeps its claims in
+  // target order, which is ascending hash order.
+  auto& next = workspace_.next;
+  auto& groups = workspace_.groups;
+  auto& index = workspace_.index;
+  groups.clear();
+  next.resize(claims.size());
+  index.assign(std::bit_ceil(std::max<std::size_t>(16, 2 * claims.size())),
+               0);
+  const std::size_t mask = index.size() - 1;
+  for (std::uint32_t i = 0; i < claims.size(); ++i) {
+    const SegmentId owner = claims[i].first;
+    std::size_t slot = util::mix64(owner) & mask;
+    while (index[slot] != 0 && groups[index[slot] - 1].owner != owner) {
+      slot = (slot + 1) & mask;
+    }
+    if (index[slot] == 0) {
+      groups.push_back({owner, 1, i, i});
+      index[slot] = static_cast<std::uint32_t>(groups.size());
+    } else {
+      OwnerGroup& g = groups[index[slot] - 1];
+      next[g.last] = i;
+      g.last = i;
+      ++g.claims;
+    }
+  }
+
+  std::uint64_t inspected = 0;
+  for (const OwnerGroup& g : groups) {
+    if (g.owner == self) continue;  // "if p = P then continue"
+    const SegmentRecord* rec = stores_.segments.find(g.owner);
     if (rec == nullptr || rec->kind != sourceKind) continue;
     if (!selfDocument.empty() && rec->document == selfDocument) continue;
-    stats_.candidatesInspected.fetch_add(1, std::memory_order_relaxed);
-    trackerMetrics().candidates->inc();
+    ++inspected;
     const std::size_t sourceSize = rec->fingerprint.size();
     // Early discard (Algorithm 1): a source needing more overlapping hashes
     // than the target has cannot meet its threshold.
@@ -307,24 +333,40 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
                                static_cast<double>(target.size())) {
       continue;
     }
-    // Authoritative overlap counted from the target side: the hashes this
-    // source owns that its CURRENT fingerprint still contains (DBhash keeps
-    // the associations of overwritten fingerprints) — the set
-    // authoritativeOverlap counts, without walking all of F(source).
-    const std::size_t overlap =
-        config_.useAuthoritative
-            ? static_cast<std::size_t>(std::count_if(
-                  first, next,
-                  [rec](const auto& claim) {
-                    return rec->fingerprint.contains(claim.second);
-                  }))
-            : text::Fingerprint::intersectionSize(rec->fingerprint, target);
-    const double score =
-        static_cast<double>(overlap) / static_cast<double>(sourceSize);
+    const double size = static_cast<double>(sourceSize);
+    std::size_t overlap = 0;
+    if (config_.useAuthoritative) {
+      // The overlap counts a subset of the owner's claims, and dividing
+      // both counts by the same size keeps their order, so an owner whose
+      // claim count misses the threshold cannot be a hit: its fingerprint
+      // is never read.
+      if (!isDisclosed(g.claims / size, g.claims, rec->threshold)) continue;
+      // Authoritative overlap counted from the target side: the claimed
+      // hashes its CURRENT fingerprint still contains (DBhash keeps the
+      // associations of overwritten fingerprints) — the set
+      // authoritativeOverlap counts. Claims and fingerprint are both
+      // ascending, so one forward search walks both.
+      const std::vector<std::uint64_t>& own = rec->fingerprint.hashes();
+      auto at = own.begin();
+      for (std::uint32_t i = g.first, left = g.claims; left > 0;
+           --left, i = next[i]) {
+        at = std::lower_bound(at, own.end(), claims[i].second);
+        if (at == own.end()) break;
+        if (*at == claims[i].second) {
+          ++overlap;
+          ++at;
+        }
+      }
+    } else {
+      overlap = text::Fingerprint::intersectionSize(rec->fingerprint, target);
+    }
+    const double score = static_cast<double>(overlap) / size;
     if (isDisclosed(score, overlap, rec->threshold)) {
       hits.push_back(makeHit(*rec, score, overlap));
     }
   }
+  stats_.candidatesInspected.fetch_add(inspected, std::memory_order_relaxed);
+  trackerMetrics().candidates->inc(inspected);
   std::sort(hits.begin(), hits.end(),
             [](const DisclosureHit& a, const DisclosureHit& b) {
               if (a.score != b.score) return a.score > b.score;
@@ -349,7 +391,9 @@ std::vector<DisclosureHit> FlowTracker::checkText(
   obs::stageEnd(obs::Stage::kFingerprint, fpStart);
   stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
+  const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
+  obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
   return disclosedSourcesLocked(fp, SegmentKind::kParagraph, kInvalidSegment,
                                 excludeDocument);
 }

@@ -357,6 +357,26 @@ class FlowTracker {
     }
   };
 
+  /// One owner's claims in a query: the claims form a chain through
+  /// QueryWorkspace::next, in the order oldestOwners produced them.
+  struct OwnerGroup {
+    SegmentId owner;
+    std::uint32_t claims;  // chain length
+    std::uint32_t first;   // index into QueryWorkspace::claims
+    std::uint32_t last;
+  };
+
+  /// disclosedSourcesLocked's working memory, kept between queries so a
+  /// query allocates only its hits.
+  struct QueryWorkspace {
+    std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+    /// Per claim, the index of its owner's next claim.
+    std::vector<std::uint32_t> next;
+    std::vector<OwnerGroup> groups;
+    /// Open-addressed owner -> group index + 1; 0 marks an empty slot.
+    std::vector<std::uint32_t> index;
+  };
+
   /// The tracker's mutable state: DBhash per kind, DBpar, and the
   /// decision cache.
   struct Stores {
@@ -392,8 +412,8 @@ class FlowTracker {
   /// WAL replay).
   void noteChangeEverywhereLocked() BF_REQUIRES(mutex_);
 
-  /// Algorithm 1: candidate discovery and scoring in one pass over the
-  /// target's hashes, sorted by score.
+  /// Algorithm 1: candidate discovery in one pass over the target's
+  /// hashes, then scoring per owner, sorted by score.
   [[nodiscard]] std::vector<DisclosureHit> disclosedSourcesLocked(
       const text::Fingerprint& target, SegmentKind sourceKind,
       SegmentId self, std::string_view selfDocument) const
@@ -417,6 +437,7 @@ class FlowTracker {
   /// Ranked below the engine's stateMutex_ in the documented hierarchy.
   mutable util::Mutex mutex_{util::kRankTracker, "FlowTracker.mutex_"};
   Stores stores_ BF_GUARDED_BY(mutex_);
+  mutable QueryWorkspace workspace_ BF_GUARDED_BY(mutex_);
   util::Clock* clock_ BF_PT_GUARDED_BY(mutex_);
   /// Optional durability log; each mutation appends to it while holding
   /// mutex_ (flow/wal.h), so log order is mutation order. Not owned.

@@ -612,7 +612,7 @@ TEST_P(ScoringMatchesOracle, EveryQueryMatchesAuthoritativeOverlap) {
 
 INSTANTIATE_TEST_SUITE_P(
     StoreSweep, ScoringMatchesOracle,
-    ::testing::Combine(::testing::Values(0.0, 0.2, 0.5, 1.0),
+    ::testing::Combine(::testing::Values(0.0, 0.2, 0.3, 0.5, 1.0),
                        ::testing::Values(std::size_t{20}, std::size_t{150}),
                        ::testing::Bool()));
 

@@ -5,30 +5,30 @@
 #include "corpus/text_generator.h"
 #include "flow/disclosure.h"
 #include "flow/tracker.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace bf::flow {
 namespace {
 
-text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
+text::Fingerprint fpOf(const std::vector<std::uint64_t>& hashes) {
   std::vector<text::HashedGram> grams;
   std::uint32_t pos = 0;
   for (auto h : hashes) grams.push_back({h, pos++});
   return text::Fingerprint::fromSelected(std::move(grams));
 }
 
-/// Observes segment `id` (its own document, threshold 0) with exactly
-/// `hashes` at time `at`, through the WAL replay path that takes a ready
-/// fingerprint.
+/// Observes segment `id` (its own document) with exactly `hashes` at time
+/// `at`, through the WAL replay path that takes a ready fingerprint.
 void observeHashes(FlowTracker& tracker, SegmentId id, std::string_view name,
-                   std::initializer_list<std::uint64_t> hashes,
-                   util::Timestamp at) {
+                   const std::vector<std::uint64_t>& hashes,
+                   util::Timestamp at, double threshold = 0.0) {
   SegmentRecord rec;
   rec.id = id;
   rec.name = std::string(name);
   rec.document = std::string(name);
   rec.service = "svc";
-  rec.threshold = 0.0;
+  rec.threshold = threshold;
   rec.fingerprint = fpOf(hashes);
   rec.createdAt = at;
   rec.updatedAt = at;
@@ -417,6 +417,82 @@ TEST_F(TrackerTest, RemovedOwnerPassesAuthorityToNextLiveOwner) {
   EXPECT_EQ(hits[0].overlap, authoritativeOverlap(*tracker_.segment(2), target,
                                                   tracker_.hashDb()));
   EXPECT_DOUBLE_EQ(hits[0].score, 1.0);
+}
+
+TEST_F(TrackerTest, QueriesRecordTheirLockWait) {
+  const auto lockWaits = [] {
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const obs::MetricValue* m = snap.find("bf_stage_tracker_lock_wait_us");
+    return m == nullptr ? std::uint64_t{0} : m->histogram.count;
+  };
+  const std::uint64_t before = lockWaits();
+  (void)tracker_.disclosedSources(fpOf({1, 2}), SegmentKind::kParagraph);
+  EXPECT_EQ(lockWaits(), before + 1);
+  (void)tracker_.checkText(paragraph(), "b");
+  EXPECT_EQ(lockWaits(), before + 2);
+}
+
+TEST(TrackerBoundTest, SourceWithExactlyTheNeededClaimsIsAHit) {
+  // A query skips a source whose claim count cannot meet its threshold.
+  // Each case's source needs exactly `need` of its `size` hashes in the
+  // target. 0.28 * 25 rounds to just above 7 although 7 / 25 >= 0.28, so
+  // the bound must divide as the final score does.
+  struct Case {
+    double threshold;
+    std::uint64_t size;
+    std::uint64_t need;
+  };
+  for (const Case c : {Case{0.3, 10, 3}, Case{0.28, 25, 7}, Case{0.5, 4, 2},
+                       Case{1.0, 5, 5}, Case{0.0, 6, 1}}) {
+    for (const std::uint64_t claimed : {c.need, c.need - 1}) {
+      const std::string at = "threshold=" + std::to_string(c.threshold) +
+                             " claimed=" + std::to_string(claimed);
+      util::LogicalClock clock;
+      FlowTracker tracker(TrackerConfig{}, &clock);
+      std::vector<std::uint64_t> source;
+      std::vector<std::uint64_t> target;
+      for (std::uint64_t i = 0; i < c.size; ++i) {
+        source.push_back(100 + i);
+        if (i < claimed) target.push_back(100 + i);
+        // Unowned hashes keep the target past the early discard.
+        target.push_back(900 + i);
+      }
+      observeHashes(tracker, 1, "S", source, 1, c.threshold);
+      const auto hits =
+          tracker.disclosedSources(fpOf(target), SegmentKind::kParagraph);
+      EXPECT_EQ(tracker.stats().candidatesInspected, claimed > 0 ? 1u : 0u)
+          << at;
+      if (claimed < c.need) {
+        EXPECT_TRUE(hits.empty()) << at;
+        continue;
+      }
+      ASSERT_EQ(hits.size(), 1u) << at;
+      EXPECT_EQ(hits[0].overlap, c.need) << at;
+      EXPECT_EQ(hits[0].score,
+                static_cast<double>(c.need) / static_cast<double>(c.size))
+          << at;
+    }
+  }
+}
+
+TEST_F(TrackerTest, StaleClaimsClearTheBoundButDoNotScore) {
+  // S's first version leaves it the oldest owner of 1-10 after its rewrite
+  // to 11-20. Seven claims would meet S's 0.3 threshold, but only the two
+  // its current fingerprint holds count.
+  observeHashes(tracker_, 1, "S", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 1, 0.3);
+  observeHashes(tracker_, 1, "S", {11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
+                2, 0.3);
+  EXPECT_TRUE(tracker_
+                  .disclosedSources(fpOf({1, 2, 3, 4, 5, 11, 12}),
+                                    SegmentKind::kParagraph)
+                  .empty());
+  EXPECT_EQ(tracker_.stats().candidatesInspected, 1u);
+
+  const auto hits = tracker_.disclosedSources(
+      fpOf({1, 2, 3, 4, 5, 11, 12, 13}), SegmentKind::kParagraph);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].overlap, 3u);
+  EXPECT_EQ(hits[0].score, 0.3);
 }
 
 }  // namespace
