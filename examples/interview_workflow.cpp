@@ -111,6 +111,7 @@ int main() {
       case tdm::AuditRecord::Kind::kUploadBlocked:      kind = "upload-blocked"; break;
       case tdm::AuditRecord::Kind::kUploadEncrypted:    kind = "upload-encrypted"; break;
       case tdm::AuditRecord::Kind::kViolationWarned:    kind = "violation-warned"; break;
+      case tdm::AuditRecord::Kind::kDecisionDegraded:   kind = "decision-degraded"; break;
     }
     std::printf("  t=%llu %-17s user=%-6s tag=%-3s %s\n",
                 static_cast<unsigned long long>(rec.at), kind,

@@ -56,7 +56,6 @@ def explain_decision(d: dict, out) -> None:
         headline += "  [" + ", ".join(flags) + "]"
     print(headline, file=out)
     print(f"  trace   {fmt_trace_id(d.get('trace_id', 0))}"
-          f"  span 0x{d.get('span_id', 0):x}"
           f"  sampled={str(bool(d.get('sampled'))).lower()}", file=out)
     print(f"  ingress {d.get('ingress', '?')}", file=out)
     print(f"  what    segment={d.get('segment', '?')}"

@@ -16,13 +16,11 @@ cannot enforce:
                       and every sleep variant. The simulation is
                       deterministic; steady_clock (monotonic, measurement
                       only) is explicitly allowed.
-  raw-timing          Direct TraceLog::instance() or raw std::chrono timing
-                      inside src/core or src/flow. The decision pipeline
-                      reports time through obs (StageTimer / recordStage on
-                      util::fastTicks) and spans through obs::ScopedSpan, so
-                      per-stage attribution and trace propagation cannot be
-                      bypassed; src/obs and src/util/clock.h own the raw
-                      clocks.
+  raw-timing          Raw std::chrono timing inside src/core or src/flow.
+                      The decision pipeline reports time through obs
+                      (StageTimer / recordStage on util::fastTicks), so
+                      per-stage attribution cannot be bypassed; src/obs and
+                      src/util/clock.h own the raw clocks.
   deque-scratch       std::deque inside src/text. The fingerprint kernel is
                       the hottest loop in the system; its scratch structures
                       are flat rings/vectors in a reusable workspace
@@ -98,9 +96,6 @@ WALL_CLOCK_PATTERNS = [
 ]
 
 RAW_TIMING_PATTERNS = [
-    (re.compile(r"\bTraceLog\s*::\s*instance\b"),
-     "direct TraceLog access in the pipeline; emit spans via obs::ScopedSpan "
-     "so they parent-link to the ambient trace"),
     (re.compile(r"\bstd\s*::\s*chrono\b|#\s*include\s*<chrono>"),
      "raw std::chrono timing in the pipeline; use obs::StageTimer / "
      "obs::recordStage (util::fastTicks) so the time is attributed to a "

@@ -11,11 +11,11 @@ Sensitive-returning function) THROUGH assignments, aliases, concatenation
 and local helper calls, and fails the build when such a value reaches a
 sink that leaves the process:
 
-  sinks   BF_LOG streams, obs span attributes (addAttr), printf/fprintf/
-          puts and std::cout/std::cerr/std::clog streams, audit appends
-          (audit().append / AuditRecord{...}), flight-recorder previews
-          (.contentPreview =), and cloud transport payload setters
-          (.body =, .payload =, setBody().
+  sinks   BF_LOG streams, printf/fprintf/puts and std::cout/std::cerr/
+          std::clog streams, audit appends (audit().append / audit_.append)
+          and record literals (AuditRecord{...} / AuditRecord rec{...}),
+          flight-recorder previews (.contentPreview =), and cloud transport
+          payload setters (.body =, .payload =, setBody().
 
   gates   named declassifiers whose OUTPUT is safe by construction:
           sec::redact (edge chars + length), sec::contentHash /
@@ -34,6 +34,11 @@ helper that forwards its argument to a sink taints its call sites. That
 makes it deliberately imprecise in the safe direction for aliases it can
 see, and silent about flows it cannot (pointer indirection, cross-TU
 calls) — those are covered by the type layer itself.
+
+The selftest runs the fixtures in tests/lint/taint. A fixture that expects
+taint-to-sink names the sinks its findings hit (`bftaint-sinks:`), and
+every SINK_PATTERNS entry must be named by some fixture, so each sink has
+a fixture that fails without it.
 
 Usage:
   scripts/bftaint.py [root ...]      # analyze trees/files (default: src)
@@ -84,12 +89,13 @@ TAINT_RETURNING = (
 # A statement containing one of these sinks must not also carry taint.
 SINK_PATTERNS = [
     (re.compile(r"\bBF_LOG\s*\("), "BF_LOG stream"),
-    (re.compile(r"\.\s*addAttr\s*\("), "span attribute"),
     (re.compile(r"\b(?:std\s*::\s*)?(?:printf|fprintf|puts|fputs)\s*\("),
      "stdio output"),
     (re.compile(r"\bstd\s*::\s*(?:cout|cerr|clog)\b"), "std stream"),
-    (re.compile(r"\baudit\s*\(\s*\)\s*\.\s*append\s*\("), "audit record"),
-    (re.compile(r"\bAuditRecord\s*\{"), "audit record literal"),
+    (re.compile(r"\baudit(?:_|\s*\(\s*\))\s*\.\s*append\s*\("),
+     "audit record"),
+    (re.compile(r"\bAuditRecord\s*(?:[A-Za-z_]\w*\s*)?\{"),
+     "audit record literal"),
     (re.compile(r"\.\s*contentPreview\s*="), "flight-recorder preview"),
     (re.compile(r"\.\s*(?:body|payload)\s*=|\.\s*setBody\s*\("),
      "wire payload"),
@@ -121,9 +127,10 @@ def relpath(path: str) -> str:
 
 class Finding:
     def __init__(self, path: str, line: int, rule: str, message: str,
-                 severity: str = "error"):
+                 severity: str = "error", sinks: tuple[str, ...] = ()):
         self.path, self.line, self.rule = path, line, rule
         self.message, self.severity = message, severity
+        self.sinks = sinks  # every sink the flagged statement reaches
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -295,24 +302,58 @@ _RANGE_FOR_RE = re.compile(
     r"for\s*\(\s*[\w:<>,&*\s]+?\b(" + IDENT + r")\s*:\s*([^)]+)\)")
 
 
+# Words after which a `{` opens a block, not a brace-initialiser.
+_BLOCK_KEYWORDS = frozenset(
+    ("else", "do", "try", "mutable", "noexcept", "const", "override"))
+
+
+def _opens_initializer(body: str, brace: int) -> bool:
+    """True when the `{` at `brace` starts a brace-initialiser.
+
+    `T{`, `T name{`, `= {`, `({`, `, {` and `return {` sit inside an
+    expression; a `{` after `)`, `]`, `;`, `:`, another block brace or a
+    block keyword opens a block.
+    """
+    j = brace - 1
+    while j >= 0 and body[j].isspace():
+        j -= 1
+    if j < 0 or body[j] in ");{}:]":
+        return False
+    if body[j].isalnum() or body[j] == "_":
+        k = j
+        while k >= 0 and (body[k].isalnum() or body[k] == "_"):
+            k -= 1
+        return body[k + 1:j + 1] not in _BLOCK_KEYWORDS
+    return True
+
+
 def split_statements(body: str, base_line: int) -> list[tuple[int, str]]:
-    """Splits on ; { } while tracking line numbers."""
+    """Splits on `;` and block braces; a brace-initialiser stays inside its
+    statement. Each statement carries the line of its first character."""
     out: list[tuple[int, str]] = []
+    braces: list[bool] = []  # per open brace: is it an initialiser?
     start = 0
-    line = base_line
-    start_line = line
+
+    def emit(end: int) -> None:
+        text = body[start:end]
+        if text.strip():
+            first = start + len(text) - len(text.lstrip())
+            out.append((base_line + body.count("\n", 0, first), text.strip()))
+
     for i, ch in enumerate(body):
-        if ch == "\n":
-            line += 1
-        if ch in ";{}":
-            stmt = body[start:i].strip()
-            if stmt:
-                out.append((start_line, stmt))
-            start = i + 1
-            start_line = line
-    stmt = body[start:].strip()
-    if stmt:
-        out.append((start_line, stmt))
+        if ch == "{":
+            braces.append(bool(braces and braces[-1]) or
+                          _opens_initializer(body, i))
+            if braces[-1]:
+                continue
+        elif ch == "}":
+            if braces and braces.pop():
+                continue
+        elif ch != ";":
+            continue
+        emit(i)
+        start = i + 1
+    emit(len(body))
     return out
 
 
@@ -354,18 +395,18 @@ def analyze_function(fn: Function, taint_fns: set[str],
                         taint.add(m.group(1))
                         changed = True
         for line, stmt in statements:
-            for pattern, what in SINK_PATTERNS:
-                if pattern.search(stmt) and expr_is_tainted(
-                        stmt, taint, taint_fns):
-                    hits.append((line, what, stmt))
+            sinks = tuple(what for pattern, what in SINK_PATTERNS
+                          if pattern.search(stmt))
+            if sinks:
+                if expr_is_tainted(stmt, taint, taint_fns):
+                    hits.append((line, sinks[0], sinks))
+                continue
+            for sfn in sink_fns:
+                if re.search(r"\b" + re.escape(sfn) + r"\s*\(", stmt) \
+                        and expr_is_tainted(stmt, taint, taint_fns):
+                    hits.append((line, f"call to sink helper {sfn}()",
+                                 ("sink helper",)))
                     break
-            else:
-                for sfn in sink_fns:
-                    if re.search(r"\b" + re.escape(sfn) + r"\s*\(", stmt) \
-                            and expr_is_tainted(stmt, taint, taint_fns):
-                        hits.append((line, f"call to sink helper {sfn}()",
-                                     stmt))
-                        break
         return taint, hits
 
     _, hits = run(tainted)
@@ -373,8 +414,9 @@ def analyze_function(fn: Function, taint_fns: set[str],
         Finding(rel, line,
                 RULE,
                 f"sensitive data reaches {what} in {fn.name}(); emit "
-                "sec::redact()/contentHash()/fingerprint forms instead")
-        for line, what, _stmt in hits
+                "sec::redact()/contentHash()/fingerprint forms instead",
+                sinks=sinks)
+        for line, what, sinks in hits
     ]
 
     # Summary: would taint injected via ANY parameter reach a sink?
@@ -461,31 +503,47 @@ def sources_from_compdb(path: str) -> list[str]:
 
 EXPECT_RE = re.compile(
     r"//\s*bftaint-expect:\s*([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)")
+SINKS_RE = re.compile(r"//\s*bftaint-sinks:\s*([^\n]+)")
 
 
 def selftest() -> int:
-    """Every tests/lint/taint fixture must trigger exactly its rules."""
+    """Every tests/lint/taint fixture must trigger exactly its rules and
+    sinks, and every SINK_PATTERNS entry must be hit by some fixture."""
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint", "taint")
     fixtures = collect_sources([fixture_dir])
     if not fixtures:
         print(f"bftaint: no fixtures under {fixture_dir}", file=sys.stderr)
         return 1
     failures = 0
+    covered: set[str] = set()
     for path in fixtures:
         with open(path, encoding="utf-8") as f:
             raw = f.read()
         expected: set[str] = set()
         for m in EXPECT_RE.finditer(raw):
             expected.update(r.strip() for r in m.group(1).split(","))
-        got = {f.rule for f in analyze_file(path)}
-        if got != expected:
+        expected_sinks: set[str] = set()
+        for m in SINKS_RE.finditer(raw):
+            expected_sinks.update(s.strip() for s in m.group(1).split(","))
+        findings = analyze_file(path)
+        got = {f.rule for f in findings}
+        got_sinks = {s for f in findings for s in f.sinks}
+        if got != expected or got_sinks != expected_sinks:
             failures += 1
             print(f"selftest FAIL {relpath(path)}: expected "
-                  f"{sorted(expected) or '[]'}, got {sorted(got) or '[]'}")
+                  f"{sorted(expected) or '[]'} via "
+                  f"{sorted(expected_sinks) or '[]'}, got "
+                  f"{sorted(got) or '[]'} via {sorted(got_sinks) or '[]'}")
         else:
-            print(f"selftest ok   {relpath(path)}: {sorted(got) or 'clean'}")
+            covered |= got_sinks
+            print(f"selftest ok   {relpath(path)}: {sorted(got) or 'clean'}"
+                  + (f" via {sorted(got_sinks)}" if got_sinks else ""))
+    for _pattern, what in SINK_PATTERNS:
+        if what not in covered:
+            failures += 1
+            print(f"selftest FAIL sink '{what}': no passing fixture hits it")
     if failures:
-        print(f"bftaint selftest: {failures} fixture(s) failed")
+        print(f"bftaint selftest: {failures} check(s) failed")
         return 1
     print(f"bftaint selftest: {len(fixtures)} fixtures ok")
     return 0

@@ -4,8 +4,7 @@
 Each fixture in tests/negative_compile encodes one leak shape that
 src/sec/sensitive.h must make a COMPILE ERROR (streaming sensitive text
 into a log, converting it back to std::string/string_view, dropping it
-into an audit field or span attribute, calling the test declassifier from
-production code). For every fixture the harness asserts BOTH directions:
+into an audit field, calling the test declassifier from production code). For every fixture the harness asserts BOTH directions:
 
   1. compiled as-is, the fixture MUST FAIL — the type layer rejects the
      leak;

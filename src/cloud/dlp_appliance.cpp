@@ -4,7 +4,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "text/normalizer.h"
 #include "util/hashing.h"
@@ -88,8 +87,6 @@ browser::HttpResponse DlpAppliance::handle(const browser::HttpRequest& req) {
     obs::ScopedTraceContext traceScope(trace);
     obs::StageBreakdown stages;
     obs::ScopedStageCollector stageScope(&stages);
-    obs::ScopedSpan span("dlp.inspect");
-    span.addAttr("bytes", req.body.size());
     util::Stopwatch watch;
     // The appliance sees wire bytes; decode the urlencoded form body the
     // way commercial DLP reverse-engineers wire formats (paper S2.2).
@@ -113,7 +110,6 @@ browser::HttpResponse DlpAppliance::handle(const browser::HttpRequest& req) {
       } else {
         obs::DecisionTrace record;
         record.traceId = trace.traceId;
-        record.spanId = trace.spanId;
         record.sampled = trace.sampled;
         record.ingress = "dlp.appliance";
         record.segmentName = req.url;

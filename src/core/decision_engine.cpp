@@ -4,7 +4,6 @@
 
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "text/segmenter.h"
 #include "util/clock.h"
 #include "util/stopwatch.h"
@@ -42,7 +41,7 @@ Decision::Action violationAction(EnforcementMode mode) {
 }
 
 /// The trace a decision runs under: the request's own if the ingress set
-/// one, else a child of the caller's ambient trace, else a fresh root.
+/// one, else the caller's ambient trace, else a fresh root.
 obs::TraceContext resolveTrace(const obs::TraceContext& requested) {
   return requested.valid() ? requested : obs::ingressTrace();
 }
@@ -74,7 +73,6 @@ void recordDecisionProvenance(const char* ingress,
   }
   obs::DecisionTrace record;
   record.traceId = trace.traceId;
-  record.spanId = trace.spanId;
   record.sampled = trace.sampled;
   record.ingress = ingress;
   record.segmentName = segmentName;
@@ -290,16 +288,12 @@ void DecisionEngine::setResilience(const ResilienceConfig& resilience) {
 
 Decision DecisionEngine::decideLocked(const DecisionRequest& request,
                                       const Unit& unit) {
-  obs::ScopedSpan span("engine.decide");
-  span.addAttr("bytes", unit.text.size());
-
   // While the breaker is open the disclosure lookup is presumed unhealthy:
   // skip the pipeline entirely and answer degraded, until the skip
   // allowance is spent — then fall through once as a half-open probe.
   if (config_.resilience.breakerLatencyBudgetMs > 0.0 && breakerIsOpen_ &&
       breakerSkipsRemaining_ > 0) {
     --breakerSkipsRemaining_;
-    span.addAttr("degraded", 1);
     return makeDegradedLocked(unit.segmentName, request.serviceId,
                               "breaker-open: lookup skipped");
   }
@@ -333,7 +327,6 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request,
     }
   }
 
-  span.addAttr("segments_matched", decision.hits.size());
   decision.responseTimeMs = watch.elapsedMillis();
   latency_->observe(decision.responseTimeMs);
   actionCounters_[static_cast<int>(decision.action)]->inc();

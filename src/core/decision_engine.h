@@ -132,8 +132,8 @@ struct Decision {
   /// flight recorder retains these decisions (reason kDurabilityDegraded).
   bool durabilityDegraded = false;
   /// Provenance correlation ids (obs/flight_recorder.h): decisionId keys
-  /// FlightRecorder::explain(); traceId links spans and histogram
-  /// exemplars. Both 0 when provenance is disabled.
+  /// FlightRecorder::explain(); traceId links flight-recorder records and
+  /// histogram exemplars. Both 0 when provenance is disabled.
   std::uint64_t decisionId = 0;
   std::uint64_t traceId = 0;
   /// Policy labels the enforcement check consulted (the segment's
@@ -353,7 +353,7 @@ class DecisionEngine {
   // One mutex serialises tracker/policy access between the caller thread
   // and the worker; the paper's engine likewise processes decisions one at
   // a time in the extension's background page. Outermost rank: everything
-  // the pipeline touches (tracker, metrics, trace, logging) nests inside.
+  // the pipeline touches (tracker, WAL, metrics, logging) nests inside.
   mutable util::Mutex stateMutex_{util::kRankEngineState,
                                   "DecisionEngine.stateMutex_"};
 

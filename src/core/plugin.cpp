@@ -5,9 +5,7 @@
 #include "browser/forms.h"
 #include "browser/readability.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "util/hashing.h"
 #include "util/json_text.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -141,10 +139,9 @@ void BrowserFlowPlugin::handleMutations(
 void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
                                            browser::Node* paragraph) {
   // Ingress point: the mutation path is where a decision's causal story
-  // starts, so the trace context is created before the span that uses it.
+  // starts.
   const obs::TraceContext trace = obs::ingressTrace();
   obs::ScopedTraceContext traceScope(trace);
-  obs::ScopedSpan span("plugin.paragraph_check");
   static obs::Counter& checksCounter = obs::registry().counter(
       "bf_plugin_paragraph_checks_total",
       "Paragraph decisions triggered by DOM mutations");
@@ -162,9 +159,6 @@ void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
   req.text = paragraph->textContent();
   req.trace = trace;
   req.ingress = "plugin.paragraph";
-  span.addAttr("doc", util::fnv1a64(req.documentName));
-  span.addAttr("origin", util::fnv1a64(req.serviceId));
-  span.addAttr("bytes", req.text.size());
 
   if (config_.asyncParagraphChecks) {
     // Paper S6.2: the user keeps typing; the decision arrives off the main
@@ -318,11 +312,10 @@ void BrowserFlowPlugin::installXhrInterceptor(browser::Page& page) {
     static obs::Counter& xhrCounter = obs::registry().counter(
         "bf_plugin_xhr_uploads_total", "XHR uploads intercepted with user text");
     xhrCounter.inc();
-    // One trace spans the whole intercepted upload; the per-field checks
-    // below branch child spans off it.
+    // One trace covers the whole intercepted upload: every per-field
+    // decision below runs under it and carries its trace id.
     const obs::TraceContext trace = obs::ingressTrace();
     obs::ScopedTraceContext traceScope(trace);
-    obs::ScopedSpan span("plugin.upload_check");
 
     // Each field is probed (paragraphs, and the whole field when it has
     // several); the most restrictive verdict is enforced.

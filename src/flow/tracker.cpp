@@ -5,7 +5,6 @@
 
 #include "flow/wal.h"
 #include "obs/stage.h"
-#include "obs/trace.h"
 #include "text/segmenter.h"
 #include "util/hashing.h"
 
@@ -115,7 +114,6 @@ SegmentId FlowTracker::observeFingerprint(SegmentKind kind,
                                           std::string_view service,
                                           const text::Fingerprint& fp,
                                           std::optional<double> threshold) {
-  BF_SPAN("flow.observe");
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);
@@ -188,7 +186,6 @@ FlowTracker::DocumentObservation FlowTracker::observeDocument(
     std::string_view docName, std::string_view service,
     sec::SensitiveView fullText, std::optional<double> paragraphThreshold,
     std::optional<double> documentThreshold) {
-  BF_SPAN("flow.observe_document");
   const std::uint64_t fpStart = obs::stageStart();
   const auto paras = text::segmentParagraphs(fullText.raw());
 
@@ -265,7 +262,6 @@ std::vector<DisclosureHit> FlowTracker::disclosedSources(
 std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
     const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
     std::string_view selfDocument) const {
-  BF_SPAN("flow.query");
   obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().queries->inc();
@@ -384,7 +380,6 @@ FlowTracker::StoreSizes FlowTracker::storeSizes() const {
 
 std::vector<DisclosureHit> FlowTracker::checkText(
     sec::SensitiveView text, std::string_view excludeDocument) const {
-  BF_SPAN("flow.check_text");
   const std::uint64_t fpStart = obs::stageStart();
   const text::Fingerprint fp =
       text::fingerprintText(text.raw(), config_.fingerprint);

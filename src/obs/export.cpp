@@ -168,7 +168,7 @@ std::string toJson(const MetricsSnapshot& snapshot) {
 std::string toJson(const DecisionTrace& trace) {
   std::ostringstream os;
   os << "{\"decision_id\":" << trace.decisionId
-     << ",\"trace_id\":" << trace.traceId << ",\"span_id\":" << trace.spanId
+     << ",\"trace_id\":" << trace.traceId
      << ",\"sampled\":" << (trace.sampled ? "true" : "false")
      << ",\"ingress\":\"" << util::escapeJsonString(trace.ingress)
      << "\",\"segment\":\"" << util::escapeJsonString(trace.segmentName)

@@ -38,8 +38,7 @@ struct DecisionTraceHit {
 /// The complete causal record of one decision: ingress → stages → verdict.
 struct DecisionTrace {
   std::uint64_t decisionId = 0;  ///< key for explain(); recorder-assigned
-  std::uint64_t traceId = 0;     ///< links spans + histogram exemplars
-  std::uint64_t spanId = 0;
+  std::uint64_t traceId = 0;     ///< links records + histogram exemplars
   bool sampled = false;  ///< head-sampling verdict of the trace
 
   std::string ingress;  ///< "plugin.paragraph", "dlp.appliance", ...

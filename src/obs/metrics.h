@@ -90,7 +90,7 @@ struct HistogramData {
   std::vector<std::uint64_t> bucketCounts;
   /// Per bucket (incl. overflow): trace id of the most recent observation
   /// recorded with observeWithExemplar (0 = no exemplar). Links a slow
-  /// bucket to a concrete flight-recorder / span trace.
+  /// bucket to a concrete flight-recorder trace.
   std::vector<std::uint64_t> exemplars;
   std::uint64_t count = 0;
   double sum = 0.0;

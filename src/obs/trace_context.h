@@ -2,9 +2,8 @@
 //
 // A TraceContext is created at every ingress (plugin hooks, the DLP
 // appliance, DecisionEngine::decideAsync) and propagated explicitly through
-// the decision path. It carries a 64-bit trace id shared by every span and
-// flight-recorder record of one causal flow, the span id of the ingress
-// span (so spans on other threads can parent-link across the queue), and a
+// the decision path. It carries a 64-bit trace id shared by every
+// flight-recorder record and histogram exemplar of one causal flow, and a
 // head-sampling bit decided once at trace start.
 #pragma once
 
@@ -14,14 +13,9 @@ namespace bf::obs {
 
 struct TraceContext {
   std::uint64_t traceId = 0;  ///< 0 = no trace (invalid context)
-  std::uint64_t spanId = 0;   ///< span to parent-link children under
   bool sampled = false;       ///< head-sampling verdict, fixed at start()
 
   [[nodiscard]] bool valid() const noexcept { return traceId != 0; }
-
-  /// Same trace and sampling verdict, fresh span id: the context to install
-  /// for work that continues this flow in a new scope or on a new thread.
-  [[nodiscard]] TraceContext child() const noexcept;
 
   /// Fresh root trace. The trace id is a mixed monotonic counter (never 0);
   /// every traceSampleEvery()-th root is head-sampled.
@@ -44,9 +38,6 @@ extern thread_local TraceContext t_currentTrace;
   return detail::t_currentTrace;
 }
 
-/// Allocates a process-unique span id (shared id space with ScopedSpan).
-[[nodiscard]] std::uint64_t allocateSpanId() noexcept;
-
 /// Installs `ctx` as the thread's ambient trace for the scope's lifetime,
 /// restoring the previous context on destruction.
 class ScopedTraceContext {
@@ -60,9 +51,9 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// The context to install at an ingress: continues the ambient trace as a
-/// child when one exists (e.g. upload checks triggered inside a retrying
-/// transport send), otherwise starts a fresh root.
+/// The context to install at an ingress: the ambient trace when one exists
+/// (e.g. upload checks triggered inside a retrying transport send),
+/// otherwise a fresh root.
 [[nodiscard]] TraceContext ingressTrace() noexcept;
 
 }  // namespace bf::obs

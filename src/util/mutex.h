@@ -26,7 +26,6 @@
 //                            WAL mutex during appends/checkpoints)
 //   kRankRetryBudget   (70)  util::RetryBudget::mutex_
 //   kRankMetrics       (80)  obs::MetricsRegistry::mutex_
-//   kRankTrace         (85)  obs::TraceLog::mutex_ (spans close under any lock)
 //   kRankFlightRecorder(88)  obs::FlightRecorder::mutex_ (decision records
 //                            are retained after outer locks are released,
 //                            but explain() may run under engine read locks)
@@ -65,7 +64,6 @@ inline constexpr int kRankFaultInjector = 62;
 inline constexpr int kRankStorageFault = 65;
 inline constexpr int kRankRetryBudget = 70;
 inline constexpr int kRankMetrics = 80;
-inline constexpr int kRankTrace = 85;
 inline constexpr int kRankFlightRecorder = 88;
 inline constexpr int kRankLogging = 95;
 

@@ -7,10 +7,14 @@
 #include "cloud/docs_client.h"
 #include "cloud/form_backend.h"
 #include "cloud/network.h"
+#include "cloud/transport.h"
 #include "cloud/wiki_client.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
 #include "crypto/sealer.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace_context.h"
+#include "util/json_text.h"
 
 namespace bf::core {
 namespace {
@@ -355,6 +359,114 @@ TEST_F(EncryptModeTest, FormValuesSealedBeforeSubmission) {
     EXPECT_EQ(value.find(secret), std::string::npos);
   }
   EXPECT_TRUE(sawSealedContent);
+}
+
+// ---- Provenance: one trace per intercepted upload ---------------------------------
+
+class UploadProvenanceTest : public BlockModeTest {
+ protected:
+  UploadProvenanceTest() : savedSampleEvery_(obs::traceSampleEvery()) {
+    // Keep every decision, so the recorder holds each per-field record.
+    obs::setTraceSampleEvery(1);
+  }
+  ~UploadProvenanceTest() override {
+    obs::setTraceSampleEvery(savedSampleEvery_);
+  }
+
+  /// A JSON save with two text fields; the first has two paragraphs, one
+  /// of them leaked from the Interview Tool.
+  std::string multiFieldBody(const std::string& secret) {
+    return "{\"text\":\"" +
+           util::escapeJsonString(secret + "\n\n" + gen_.paragraph(6, 9)) +
+           "\",\"comment\":\"" +
+           util::escapeJsonString(gen_.paragraph(6, 9)) + "\"}";
+  }
+
+  static int sendJson(browser::Page& page, const std::string& body) {
+    browser::Xhr xhr = page.newXhr();
+    xhr.open("POST", page.url() + "/save");
+    xhr.setRequestHeader("content-type", "application/json");
+    return xhr.send(body).status;
+  }
+
+  /// Retained records made after `sinceDecisionId`, oldest first.
+  static std::vector<obs::DecisionTrace> recordsSince(
+      std::uint64_t sinceDecisionId) {
+    std::vector<obs::DecisionTrace> out;
+    for (auto& record : obs::FlightRecorder::instance().recent()) {
+      if (record.decisionId > sinceDecisionId) out.push_back(std::move(record));
+    }
+    return out;
+  }
+
+ private:
+  std::uint32_t savedSampleEvery_;
+};
+
+TEST_F(UploadProvenanceTest, EveryFieldDecisionCarriesTheUploadTrace) {
+  const std::string secret = seedInterviewData();
+  browser::Page& page = browser_.openTab("https://docs.google.com/d/prov1");
+
+  std::uint64_t before = obs::FlightRecorder::instance().lastDecisionId();
+  EXPECT_EQ(sendJson(page, multiFieldBody(secret)), 403);
+  const std::vector<obs::DecisionTrace> first = recordsSince(before);
+  // Two paragraphs and the whole of the first field, plus the second.
+  ASSERT_GE(first.size(), 4u);
+  const std::uint64_t traceId = first.front().traceId;
+  EXPECT_NE(traceId, 0u);
+  for (const auto& record : first) {
+    EXPECT_EQ(record.traceId, traceId) << record.segmentName;
+    EXPECT_EQ(record.ingress, "plugin.upload");
+  }
+  const auto newest = obs::FlightRecorder::instance().explainByTrace(traceId);
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->decisionId, first.back().decisionId);
+
+  // The next upload is a causal flow of its own.
+  before = obs::FlightRecorder::instance().lastDecisionId();
+  EXPECT_EQ(sendJson(page, multiFieldBody(secret)), 403);
+  const std::vector<obs::DecisionTrace> second = recordsSince(before);
+  ASSERT_FALSE(second.empty());
+  EXPECT_NE(second.front().traceId, traceId);
+}
+
+TEST_F(UploadProvenanceTest, DecisionsInsideARetriedSendKeepItsTrace) {
+  const std::string secret = seedInterviewData();
+  browser::Page& page = browser_.openTab("https://docs.google.com/d/prov2");
+  const std::string body = multiFieldBody(secret);
+
+  const std::uint64_t before =
+      obs::FlightRecorder::instance().lastDecisionId();
+  const obs::TraceContext ambient = obs::TraceContext::start();
+  cloud::TransportResult result;
+  {
+    obs::ScopedTraceContext scope(ambient);
+    // The first attempt reaches the plug-in, then reports a 503, so the
+    // transport retries once and annotates the trace it ran under.
+    int attempt = 0;
+    util::RetryPolicy policy;
+    policy.maxAttempts = 2;
+    util::Rng rng(7);
+    result = cloud::sendWithRetry(
+        [&] {
+          const int status = sendJson(page, body);
+          return browser::HttpResponse{++attempt == 1 ? 503 : status, ""};
+        },
+        policy, &rng, /*budget=*/nullptr, /*idempotent=*/true);
+  }
+  EXPECT_EQ(result.attempts, 2);
+  EXPECT_EQ(result.response.status, 403);
+
+  const std::vector<obs::DecisionTrace> records = recordsSince(before);
+  ASSERT_GE(records.size(), 8u) << "two attempts of four decisions each";
+  for (const auto& record : records) {
+    EXPECT_EQ(record.traceId, ambient.traceId) << record.segmentName;
+    EXPECT_EQ(record.retryAttempts, 2u) << record.segmentName;
+  }
+  EXPECT_EQ(
+      obs::FlightRecorder::instance().explainByTrace(ambient.traceId)
+          ->decisionId,
+      records.back().decisionId);
 }
 
 }  // namespace

@@ -1,15 +1,9 @@
-// Fixture: direct TraceLog access and raw std::chrono timing in pipeline
-// code (src/core, src/flow) must be flagged — spans go through
-// obs::ScopedSpan and stage time through obs::StageTimer. Not compiled;
+// Fixture: raw std::chrono timing in pipeline code (src/core, src/flow)
+// must be flagged — stage time goes through obs::StageTimer. Not compiled;
 // selftest input only.
 // bflint-expect: raw-timing
-#include "obs/trace.h"
 
 namespace bf::lintfixture {
-
-void emitSpanBehindTheTraceContextsBack() {
-  obs::TraceLog::instance();  // bypasses parent-linking via ScopedSpan
-}
 
 long timeAStageByHand() {
   // steady_clock passes wall-clock, but raw chrono in the pipeline evades

@@ -17,7 +17,7 @@ inline unsigned long long monotonicTicks() { return util::fastTicks(); }
 
 inline std::string bannedTokensInStrings() {
   return "std::mutex, std::condition_variable, rand(, system_clock, "
-         "std::chrono, TraceLog::instance";
+         "std::chrono";
 }
 
 class Guarded {

@@ -1,6 +1,7 @@
 // bftaint fixture: the raw text escapes through an alias — the sink
 // statement itself never mentions .raw().
 // bftaint-expect: taint-to-sink
+// bftaint-sinks: stdio output
 #include <cstdio>
 #include <string>
 

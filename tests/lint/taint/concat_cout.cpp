@@ -1,6 +1,7 @@
 // bftaint fixture: taint survives concatenation and a second hop before
 // reaching a std::cout stream.
 // bftaint-expect: taint-to-sink
+// bftaint-sinks: std stream
 #include <iostream>
 #include <string>
 

@@ -1,6 +1,7 @@
 // bftaint fixture: the simplest leak — unwrapped content streamed into a
 // log line. Not compiled; analyzed by scripts/bftaint.py --selftest.
 // bftaint-expect: taint-to-sink
+// bftaint-sinks: BF_LOG stream
 #include "sec/sensitive.h"
 #include "util/logging.h"
 

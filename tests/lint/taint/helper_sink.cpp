@@ -1,6 +1,7 @@
 // bftaint fixture: a local helper forwards its argument to BF_LOG, so the
 // helper is a sink at its call sites (per-function summaries).
 // bftaint-expect: taint-to-sink
+// bftaint-sinks: sink helper
 #include <string>
 
 #include "sec/sensitive.h"

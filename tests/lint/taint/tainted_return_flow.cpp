@@ -1,6 +1,7 @@
 // bftaint fixture: a Sensitive-returning function taints its call site
 // even with no visible .raw() in the leaking function.
 // bftaint-expect: taint-to-sink
+// bftaint-sinks: stdio output
 #include <cstdio>
 #include <string>
 

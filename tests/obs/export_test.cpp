@@ -203,7 +203,6 @@ TEST(Export, DecisionTraceJsonCarriesFullCausalRecord) {
   DecisionTrace t;
   t.decisionId = 9;
   t.traceId = 1234;
-  t.spanId = 5;
   t.sampled = true;
   t.ingress = "plugin.paragraph";
   t.segmentName = "doc#p1";

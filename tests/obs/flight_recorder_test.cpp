@@ -179,10 +179,11 @@ TEST(TraceContextTest, StartAssignsDistinctIdsAndChildKeepsTrace) {
   EXPECT_TRUE(b.valid());
   EXPECT_NE(a.traceId, b.traceId);
 
-  const TraceContext childOfA = a.child();
-  EXPECT_EQ(childOfA.traceId, a.traceId);
-  EXPECT_EQ(childOfA.sampled, a.sampled);
-  EXPECT_NE(childOfA.spanId, a.spanId);
+  // An ingress under `a` continues it: same trace, same sampling verdict.
+  ScopedTraceContext scope(a);
+  const TraceContext continued = ingressTrace();
+  EXPECT_EQ(continued.traceId, a.traceId);
+  EXPECT_EQ(continued.sampled, a.sampled);
 }
 
 TEST(TraceContextTest, SampleEveryControlsHeadSampling) {
@@ -200,10 +201,8 @@ TEST(TraceContextTest, ScopedContextInstallsAndRestores) {
   {
     ScopedTraceContext scope(root);
     EXPECT_EQ(currentTrace().traceId, root.traceId);
-    // An ingress inside an active trace continues it as a child.
-    const TraceContext nested = ingressTrace();
-    EXPECT_EQ(nested.traceId, root.traceId);
-    EXPECT_NE(nested.spanId, root.spanId);
+    // An ingress inside an active trace continues it.
+    EXPECT_EQ(ingressTrace().traceId, root.traceId);
   }
   EXPECT_FALSE(currentTrace().valid());
   // With no ambient trace, an ingress starts a fresh root.
