@@ -67,10 +67,13 @@ int main() {
                                             excerpts.size()];
       const std::string segment =
           "probe-" + std::to_string(step) + "-" + std::to_string(i) + "#p0";
+      core::DecisionRequest req;
+      req.segmentName = segment;
+      req.documentName = "probe-doc";
+      req.serviceId = "https://docs.google.com";
+      req.text = excerpt;
       util::Stopwatch watch;
-      const core::Decision d = engine.decide(
-          {segment, "probe-doc", "https://docs.google.com", excerpt,
-           flow::SegmentKind::kParagraph});
+      const core::Decision d = engine.decide(req);
       timesMs.push_back(watch.elapsedMillis());
       // A paragraph made mostly of popular passages can have its hashes
       // owned by older paragraphs, leaving the true source undetected —

@@ -141,52 +141,92 @@ void BM_HashDbLookup(benchmark::State& state) {
 BENCHMARK(BM_HashDbLookup)->Arg(100000)->Arg(1000000);
 
 void BM_HashDbRecordFingerprint(benchmark::State& state) {
-  // Re-records fingerprint-sized batches of already-stored hashes under a
-  // rotating set of segments (the re-observe path) into a DB preloaded
-  // with `range(0)` hashes, either one recordObservation per hash
-  // (range(1) == 0) or through the prefetched recordFingerprint batch.
-  // Diagnostic only: the gate is e2ebench's paste_upload events_per_s.
+  // Records fingerprint-sized batches into a DB preloaded with `range(0)`
+  // hashes, either one recordObservation per hash (range(1) == 0) or
+  // through the prefetched recordFingerprint batch. With first == 0 the
+  // batches re-record stored hashes under a rotating set of segments (the
+  // re-observe path). With first == 1 every batch is a new segment id's
+  // first record and draws on a shared pool of kPoolHashes, so histories
+  // hold hundreds of owners, as common n-grams do in a preload of books;
+  // the DB is rebuilt outside the timed region every kFirstRounds batches
+  // to keep them at that length.
+  // Diagnostic only: the gates are e2ebench's paste_upload events_per_s
+  // and docs_typing setup_s.
   constexpr std::size_t kBatchHashes = 700;
   constexpr std::size_t kBatches = 512;
-  flow::HashDb db;
-  util::Rng rng(4);
+  constexpr std::size_t kPoolHashes = 1024;
+  constexpr std::size_t kFirstRounds = 256;
   const std::size_t preload = static_cast<std::size_t>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  const bool first = state.range(2) != 0;
+  util::Rng rng(4);
   std::vector<std::uint64_t> stored(preload);
-  for (std::size_t i = 0; i < preload; ++i) {
-    stored[i] = rng.next() & 0xffffffff;
-    db.recordObservation(stored[i], (i % 512) + 1, i);
-  }
+  for (std::uint64_t& h : stored) h = rng.next() & 0xffffffff;
+  std::vector<std::uint64_t> shared(kPoolHashes);
+  for (std::uint64_t& h : shared) h = rng.next() & 0xffffffff;
   std::vector<std::vector<std::uint64_t>> batches(kBatches);
   for (auto& batch : batches) {
     for (std::size_t i = 0; i < kBatchHashes; ++i) {
-      batch.push_back(stored[rng.next() % preload]);
+      batch.push_back(first ? shared[rng.next() % kPoolHashes]
+                            : stored[rng.next() % preload]);
     }
     std::sort(batch.begin(), batch.end());
+    // A fingerprint holds each hash once; a new id's batch must too.
+    if (first) {
+      batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+    }
   }
-  const bool batched = state.range(1) != 0;
+
+  flow::HashDb db;
+  flow::SegmentId segment = 0;
+  util::Timestamp ts = 0;
   std::size_t next = 0;
-  util::Timestamp ts = preload;
-  for (auto _ : state) {
-    const std::vector<std::uint64_t>& batch = batches[next % kBatches];
-    const flow::SegmentId segment = 1000 + next % kBatches;
-    ++next;
-    ++ts;
+  std::int64_t items = 0;
+  const auto record = [&](const std::vector<std::uint64_t>& batch) {
     if (batched) {
       db.recordFingerprint(batch, segment, ts);
     } else {
       for (std::uint64_t h : batch) db.recordObservation(h, segment, ts);
     }
+  };
+  // The preload, then (first-record rows) kFirstRounds batches of the
+  // shared pool, so every timed round joins histories of hundreds.
+  const auto rebuild = [&] {
+    db = flow::HashDb{};
+    for (std::size_t i = 0; i < preload; ++i) {
+      db.recordObservation(stored[i], (i % 512) + 1, i);
+    }
+    segment = 1000;
+    ts = preload;
+    for (std::size_t i = 0; first && i < kFirstRounds; ++i, ++segment, ++ts) {
+      db.recordFingerprint(batches[i % kBatches], segment, ts);
+    }
+  };
+  rebuild();
+  for (auto _ : state) {
+    if (first && next % kFirstRounds == 0 && next != 0) {
+      state.PauseTiming();
+      rebuild();
+      state.ResumeTiming();
+    }
+    const std::vector<std::uint64_t>& batch = batches[next % kBatches];
+    segment = first ? segment + 1 : 1000 + next % kBatches;
+    ++next;
+    ++ts;
+    record(batch);
+    items += static_cast<std::int64_t>(batch.size());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatchHashes));
+  state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_HashDbRecordFingerprint)
-    ->ArgNames({"preload", "batched"})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1});
+    ->ArgNames({"preload", "batched", "first"})
+    ->Args({100000, 0, 0})
+    ->Args({100000, 1, 0})
+    ->Args({1000000, 0, 0})
+    ->Args({1000000, 1, 0})
+    ->Args({100000, 0, 1})
+    ->Args({100000, 1, 1});
 
 void BM_DisclosureQuery(benchmark::State& state) {
   // Full Algorithm 1 query against a DB of `range(0)` paragraphs, where the

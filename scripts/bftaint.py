@@ -292,10 +292,11 @@ def extract_functions(code: str) -> list[Function]:
 
 # ---- per-function analysis ---------------------------------------------------
 
+# Assigning to a member (`x.m = ...`, `x->m += ...`) taints the object `x`.
 _ASSIGN_RE = re.compile(
     r"(?:^|[;{}]|\bfor\s*\()\s*"
     r"(?:[\w:<>,&*\s]+?\s)?"          # optional decl type
-    r"[&*]?(" + IDENT + r")\s*"
+    r"[&*]?(" + IDENT + r")(?:\s*(?:\.|->)\s*" + IDENT + r")*\s*"
     r"(?:=(?!=)|\+=)\s*(.+)", re.DOTALL)
 
 _RANGE_FOR_RE = re.compile(

@@ -24,7 +24,11 @@ void HashDb::prefetchSlot(std::uint64_t hash) const noexcept {
 }
 
 std::size_t HashDb::probe(std::uint64_t hash) const noexcept {
-  std::size_t idx = homeSlot(hash);
+  return probeFrom(hash, homeSlot(hash));
+}
+
+std::size_t HashDb::probeFrom(std::uint64_t hash,
+                              std::size_t idx) const noexcept {
   while (slots_[idx].used() && slots_[idx].hash != hash) {
     idx = (idx + 1) & mask_;
   }
@@ -151,18 +155,27 @@ void HashDb::spill(Slot& s, std::span<const Association> history) {
   s.word = Slot::kSpilled | pool_.addRun(history);
 }
 
-void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
-                               util::Timestamp ts, util::Timestamp lastSeen) {
-  reserveForInsert();
-  const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
-  recordReserved(hash, Association{segment, ts, seen});
+void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
+  // Raised before any insert: should an insert throw partway, a later call
+  // for this segment must not take it for a first record.
+  scanFloor_ = segment > maxRecorded_ ? ts : 0;
+  maxRecorded_ = std::max(maxRecorded_, segment);
 }
 
-void HashDb::recordReserved(std::uint64_t hash, const Association& assoc) {
+void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
+                               util::Timestamp ts, util::Timestamp lastSeen) {
+  beginRecord(segment, ts);
+  reserveForInsert();
+  const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
+  recordReserved(hash, Association{segment, ts, seen}, homeSlot(hash));
+}
+
+void HashDb::recordReserved(std::uint64_t hash, const Association& assoc,
+                            std::size_t from) {
   const SegmentId segment = assoc.segment;
   assert(segment != kInvalidSegment);
   const util::Timestamp ts = assoc.firstSeen;
-  Slot& s = slots_[probe(hash)];
+  Slot& s = slots_[probeFrom(hash, from)];
   if (!s.used()) {
     s.hash = hash;
     if (fitsCompact(assoc)) {
@@ -199,12 +212,14 @@ void HashDb::recordReserved(std::uint64_t hash, const Association& assoc) {
   const std::span<Entry> history = pool_.entries(run);
   // A segment appears at most once per history. The cached owner finds the
   // front directly; otherwise scan newest first, since a re-observed
-  // segment's entry is usually among the most recent.
+  // segment's entry is usually among the most recent. The history is
+  // sorted by firstSeen, so the scan stops below scanFloor_.
   Entry* held = nullptr;
   if (segment < kOwnerInHistory && s.owner == segment) {
     held = &history.front();
   } else {
-    for (auto it = history.rbegin(); it != history.rend(); ++it) {
+    for (auto it = history.rbegin();
+         it != history.rend() && pool_.firstSeenOf(*it) >= scanFloor_; ++it) {
       if (pool_.segmentOf(*it) == segment) {
         held = &*it;
         break;
@@ -234,21 +249,39 @@ void HashDb::recordReserved(std::uint64_t hash, const Association& assoc) {
 
 void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
                                SegmentId segment, util::Timestamp ts) {
+  beginRecord(segment, ts);
+  // Cut the batch before the first insert at which the per-hash 70% check
+  // could fire: `room` more hashes fit even if all of them are new. The
+  // check then runs only between pieces, so growth lands on the same
+  // insert as in the per-hash loop.
+  for (std::size_t begin = 0; begin < hashes.size();) {
+    reserveForInsert();
+    assert((occupied_ + 1) * 10 < slots_.size() * 7);
+    const std::size_t room = (slots_.size() * 7 - 1) / 10 - occupied_;
+    const std::size_t end = std::min(hashes.size(), begin + room);
+    recordPiece(hashes.subspan(begin, end - begin), {segment, ts, ts});
+    begin = end;
+  }
+}
+
+void HashDb::recordPiece(std::span<const std::uint64_t> hashes,
+                         const Association& assoc) {
   const std::size_t n = hashes.size();
-  // Run index of hash j's slot, found at the header stage and read back at
-  // the entry stage; kNone when there is nothing to fetch.
+  // For hash j, the slot its probe reached at the header stage and the run
+  // index of that slot (kNone when there is nothing to fetch), read back
+  // at the entry and insert stages. The slot stays a valid start for the
+  // insert's probe: the table does not grow within a piece and slots are
+  // never vacated, so if another hash filled it since, every slot from the
+  // home slot up to it holds another hash.
   constexpr std::uint32_t kNone = 0xffffffffu;
-  constexpr std::size_t kRing = 8;
-  static_assert(kRunHeaderPrefetchDistance - kRunEntryPrefetchDistance < kRing);
+  constexpr std::size_t kRing = 16;
+  static_assert(kRunHeaderPrefetchDistance < kRing);
+  std::array<std::size_t, kRing> slotOf{};
   std::array<std::uint32_t, kRing> runOf;
   runOf.fill(kNone);
-  // When even n new hashes stay under the 70% point, no insert of this
-  // batch can grow the table, so the per-hash check is skipped; otherwise
-  // it runs per hash and growth lands on the same insert as in the
-  // per-hash loop.
-  const bool roomForBatch =
-      !slots_.empty() && (occupied_ + n + 1) * 10 < slots_.size() * 7;
-
+  for (std::size_t j = 0; j < std::min(n, kRunHeaderPrefetchDistance); ++j) {
+    slotOf[j] = homeSlot(hashes[j]);
+  }
   for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
     prefetchSlot(hashes[j]);
   }
@@ -258,14 +291,12 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
     }
     if (const std::size_t j = i + kRunHeaderPrefetchDistance; j < n) {
       // The slot was prefetched a stage ago. Only a spilled slot has a run
-      // to fetch. Run indices are stable across the inserts in between
-      // (growth moves slots, not runs).
+      // to fetch; run indices are stable across the inserts in between.
+      const std::size_t at = probe(hashes[j]);
+      const Slot& s = slots_[at];
+      slotOf[j % kRing] = at;
       std::uint32_t& r = runOf[j % kRing];
-      r = kNone;
-      if (!slots_.empty()) {
-        const Slot& s = slots_[probe(hashes[j])];
-        if (s.used() && s.spilled()) r = s.runIndex();
-      }
+      r = s.used() && s.spilled() ? s.runIndex() : kNone;
       if (r != kNone) __builtin_prefetch(&pool_.runs[r]);
     }
     if (const std::size_t j = i + kRunEntryPrefetchDistance; j < n) {
@@ -274,8 +305,7 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
         __builtin_prefetch(pool_.at(run.begin + run.size - 1));
       }
     }
-    if (!roomForBatch) reserveForInsert();
-    recordReserved(hashes[i], Association{segment, ts, ts});
+    recordReserved(hashes[i], assoc, slotOf[i % kRing]);
   }
 }
 

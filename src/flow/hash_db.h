@@ -29,11 +29,22 @@
 // kSlotPrefetchDistance hashes ahead; the record loop also probes the hash
 // kRunHeaderPrefetchDistance ahead and, if its slot spills, prefetches
 // that run's header, then its newest entry kRunEntryPrefetchDistance
-// ahead. A re-record scans the run newest-first: a segment appears at most
-// once per history, so the scan finds the same entry, but a re-observed
-// segment usually sits near the end. Growth stays a per-insert 70% load
-// check, so the batch leaves the table bit-for-bit as the per-hash loop
-// would.
+// ahead. The slot that the header-stage probe reached is kept, and the
+// insert continues linear probing from it, so each recorded hash is
+// probed once. Growth would invalidate kept slots, so the batch is cut
+// into pieces at the first insert where the per-hash 70% load check could
+// fire; the check runs between pieces, growth lands on the same insert,
+// and the batch leaves the table bit-for-bit as the per-hash loop would.
+//
+// A segment appears at most once per history, so an insert into a spilled
+// hash first scans its run newest-first for the segment (a re-observed
+// segment usually sits near the end). Common n-grams have histories of
+// thousands of owners, so the scan is bounded for a segment's first
+// record: ids come from an increasing counter, and a call whose segment
+// is above every id recorded so far can only meet entries it added
+// itself, all stamped with its `ts`. Histories are sorted by firstSeen,
+// so that scan stops at the first entry older than `ts`. Any other call
+// (a re-observation, a restore of a lower id) scans the whole run.
 //
 // Segment removal is lazy (a dead set consulted by lookups) but bounded:
 // once the dead set exceeds a threshold, the store physically compacts the
@@ -369,12 +380,29 @@ class HashDb {
   /// first), a new run of the pool.
   void spill(Slot& s, std::span<const Association> history);
 
-  /// recordObservation once the table has room for one more hash.
-  void recordReserved(std::uint64_t hash, const Association& assoc);
+  /// Starts a record call: sets scanFloor_ to `ts` when `segment` was
+  /// never recorded before (above maxRecorded_), else to 0, then raises
+  /// maxRecorded_.
+  void beginRecord(SegmentId segment, util::Timestamp ts) noexcept;
+
+  /// recordObservation once the table has room for one more hash, probing
+  /// from slot `from` (the home slot, or a slot the probe reaches later).
+  void recordReserved(std::uint64_t hash, const Association& assoc,
+                      std::size_t from);
+
+  /// The prefetched record loop over a piece of a batch that cannot grow
+  /// the table.
+  void recordPiece(std::span<const std::uint64_t> hashes,
+                   const Association& assoc);
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
   [[nodiscard]] std::size_t probe(std::uint64_t hash) const noexcept;
+
+  /// probe() continued from slot `idx`, which lies on `hash`'s probe path
+  /// at or before the slot probe() returns.
+  [[nodiscard]] std::size_t probeFrom(std::uint64_t hash,
+                                      std::size_t idx) const noexcept;
 
   /// Ensures capacity for one more distinct hash (grows + rehashes at
   /// ~70% load).
@@ -393,6 +421,8 @@ class HashDb {
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
   std::size_t storedAssociations_ = 0;
   std::uint64_t removalGeneration_ = 0;
+  SegmentId maxRecorded_ = kInvalidSegment;  // largest id any insert recorded
+  util::Timestamp scanFloor_ = 0;  // run scans of this record call stop below
 };
 
 }  // namespace bf::flow

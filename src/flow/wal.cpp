@@ -492,10 +492,9 @@ WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
     out.sawCorruption = true;
     return out;
   }
-  const std::string data = std::move(read.value());
+  const std::string& data = read.value();
 
-  if (data.size() < kWalHeaderBytes ||
-      std::string_view(data).substr(0, kWalMagic.size()) != kWalMagic) {
+  if (data.size() < kWalHeaderBytes || !data.starts_with(kWalMagic)) {
     out.sawCorruption = true;
     out.discardedBytes = data.size();
     return out;

@@ -144,7 +144,9 @@ TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
   std::size_t resolved = 0;
   for (auto& f : futures) {
     const Decision d = f.get();
-    if (d.degraded) EXPECT_FALSE(d.degradedReason.empty());
+    if (d.degraded) {
+      EXPECT_FALSE(d.degradedReason.empty());
+    }
     ++resolved;
   }
   EXPECT_EQ(resolved, futures.size());
@@ -161,7 +163,9 @@ TEST_F(EngineConcurrencyTest, SyncAndAsyncDecisionsInterleaveSafely) {
   });
   for (int i = 0; i < kPerSide; ++i) {
     const Decision d = engine_.decide(leakRequest(kPerSide + i));
-    if (!d.degraded) EXPECT_TRUE(d.violation());
+    if (!d.degraded) {
+      EXPECT_TRUE(d.violation());
+    }
   }
   asyncSide.join();
   engine_.drain();

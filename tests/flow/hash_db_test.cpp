@@ -685,6 +685,133 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
   expectMatchesModel(db, model, probes, sample);
 }
 
+TEST(HashDbModel, FirstRecordHoldsRepeatedHashesOnceInLongHistories) {
+  // 240 segments share hashes 1..40, so each of those histories has 240
+  // owners and a new segment's scans stop at its stamp. A new id then
+  // records one batch that repeats hashes next to each other and more than
+  // every prefetch distance apart, stamped like the newest owner so the
+  // scan meets an equal stamp of another segment before its own entry.
+  HashDb db;
+  ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
+  std::vector<std::uint64_t> shared;
+  for (std::uint64_t h = 1; h <= 40; ++h) shared.push_back(h);
+  util::Timestamp clock = 100;
+  for (SegmentId s = 1; s <= 240; ++s) {
+    db.recordFingerprint(shared, s, ++clock);
+    for (std::uint64_t h : shared) model.record(h, s, clock);
+  }
+  std::vector<std::uint64_t> batch = {5, 5, 7, 1000, 9, 7, 1000, 5};
+  for (std::uint64_t h = 11; h <= 30; ++h) batch.push_back(h);
+  for (std::uint64_t h : {5, 30, 1000, 9, 9}) batch.push_back(h);
+  db.recordFingerprint(batch, 241, clock);
+  for (std::uint64_t h : batch) model.record(h, 241, clock);
+
+  for (std::uint64_t h : batch) {
+    const std::vector<SegmentId> owners = db.segmentsWith(h);
+    EXPECT_EQ(std::count(owners.begin(), owners.end(), 241), 1) << h;
+  }
+  EXPECT_EQ(db.segmentsWith(5).size(), 241u);
+  std::vector<std::uint64_t> probes = shared;
+  probes.push_back(1000);
+  expectMatchesModel(db, model, probes, {1, 120, 239, 240, 241, 242});
+}
+
+TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
+  // Sessions shaped like a preload: most batches come from a new segment
+  // id, a first record whose run scans stop at its stamp, and draw on a
+  // small shared pool, so histories pass 100 owners. Mixed in: re-records
+  // of known ids, ids recorded below the largest one so far, first-time
+  // restores stamped older than the entries they join, re-records after
+  // compaction and eviction, and fresh hashes that grow the table in the
+  // middle of a batch.
+  // Occupancies at which the next new hash grows a table of 16 << k slots;
+  // a rebuild regrows from 16 slots, so the sequence holds throughout.
+  const std::vector<std::size_t> growthPoints = {11, 22, 44, 89, 179, 358};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const std::size_t threshold = rng.uniform(0, 6);
+    HashDb db;
+    db.setDeadCompactionThreshold(threshold);
+    ReferenceHashDb model(threshold);
+    std::vector<std::uint64_t> pool(32);
+    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    std::vector<SegmentId> known;
+    std::vector<SegmentId> skipped;  // ids left out, recorded later
+    SegmentId next = 1;
+    util::Timestamp clock = 1000;
+    std::size_t longestHistory = 0;
+    std::size_t midBatchGrowths = 0;
+    const auto newId = [&] {
+      if (!skipped.empty() && rng.chance(0.3)) {
+        const SegmentId id = skipped.back();
+        skipped.pop_back();
+        return id;
+      }
+      if (rng.chance(0.1)) skipped.push_back(next++);
+      return next++;
+    };
+    for (int step = 0; step < 500; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.04 && !known.empty()) {
+        const SegmentId victim = rng.pick(known);
+        db.removeSegment(victim);
+        model.remove(victim);
+      } else if (roll < 0.06) {
+        ASSERT_EQ(db.compactDead(), model.compact());
+      } else if (roll < 0.07) {
+        const util::Timestamp cutoff = clock - rng.uniform(150, 400);
+        ASSERT_EQ(db.evictOlderThan(cutoff), model.evict(cutoff));
+      } else if (roll < 0.13) {
+        // Restores of a first-time id, older than what they join, then
+        // again at other stamps (the id is known by then).
+        const SegmentId id = newId();
+        known.push_back(id);
+        for (std::size_t i = rng.uniform(1, 4); i > 0; --i) {
+          const std::uint64_t h = rng.pick(pool);
+          const util::Timestamp f = clock - rng.uniform(0, 500);
+          const util::Timestamp l = rng.chance(0.5) ? 0 : f + rng.uniform(0, 9);
+          db.recordObservation(h, id, f, l);
+          model.record(h, id, f, l);
+        }
+      } else {
+        const bool reRecord = roll < 0.3 && !known.empty();
+        const SegmentId id = reRecord ? rng.pick(known) : newId();
+        if (!reRecord) known.push_back(id);
+        std::vector<std::uint64_t> hashes;  // unsorted, with repeats
+        for (std::size_t i = rng.uniform(0, 60); i > 0; --i) {
+          hashes.push_back(rng.chance(0.12) ? rng.next() : rng.pick(pool));
+        }
+        util::Timestamp ts = clock;  // 10%: equal to the last stamp
+        if (const double when = rng.uniform01(); when < 0.8) {
+          ts = ++clock;
+        } else if (when < 0.9) {
+          ts = clock - rng.uniform(1, 30);
+        }
+        const std::size_t before = db.distinctHashCount();
+        db.recordFingerprint(hashes, id, ts);
+        for (std::uint64_t h : hashes) model.record(h, id, ts);
+        const std::size_t after = db.distinctHashCount();
+        for (std::size_t point : growthPoints) {
+          if (before < point && point < after) ++midBatchGrowths;
+        }
+      }
+      if (step % 50 == 49) {
+        for (std::uint64_t h : pool) {
+          longestHistory = std::max(longestHistory, db.segmentsWith(h).size());
+        }
+        std::vector<SegmentId> sample(known.begin(), known.end());
+        sample.push_back(next);  // never recorded
+        std::vector<std::uint64_t> probes = pool;
+        probes.push_back(rng.next());  // never stored
+        expectMatchesModel(db, model, probes, sample);
+      }
+    }
+    EXPECT_GT(longestHistory, 100u);
+    EXPECT_GT(midBatchGrowths, 0u);
+  }
+}
+
 // ---- Batch entry points against the per-hash loops ------------------------
 
 using AssociationRow =

@@ -116,7 +116,9 @@ TEST_P(TagSetLattice, UnionAndDifferenceLaws) {
   // (a − b) ∪ (a ∩ b-ish): a − b plus b covers a.
   EXPECT_TRUE(a.isSubsetOf(d.unionWith(b)));
   // Subset antisymmetry.
-  if (a.isSubsetOf(b) && b.isSubsetOf(a)) EXPECT_EQ(a, b);
+  if (a.isSubsetOf(b) && b.isSubsetOf(a)) {
+    EXPECT_EQ(a, b);
+  }
   // missingFrom agrees with minus.
   const auto missing = a.missingFrom(b);
   EXPECT_EQ(missing.size(), a.minus(b).size());
