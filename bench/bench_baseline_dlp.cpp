@@ -78,9 +78,10 @@ int main() {
   for (std::size_t i = 0; i < n; ++i) {
     exactDlp.registerSensitiveDocument(sensitive[i]);
     fingerprintDlp.registerSensitiveDocument(sensitive[i]);
-    tracker.observeSegment(flow::SegmentKind::kParagraph,
-                           "s" + std::to_string(i) + "#p0",
-                           "s" + std::to_string(i), "internal", sensitive[i]);
+    std::string doc = "s";
+    doc += std::to_string(i);
+    tracker.observeSegment(flow::SegmentKind::kParagraph, doc + "#p0", doc,
+                           "internal", sensitive[i]);
   }
 
   // Scenarios: each leaks every sensitive paragraph once.

@@ -240,9 +240,10 @@ void BM_DisclosureQuery(benchmark::State& state) {
   for (std::size_t i = 0; i < paragraphs; ++i) {
     const std::string text = gen.paragraph(5, 8);
     if (i == paragraphs / 2) probe = text;
-    tracker.observeSegment(flow::SegmentKind::kParagraph,
-                           "d" + std::to_string(i) + "#p0",
-                           "d" + std::to_string(i), "svc", text);
+    std::string doc = "d";
+    doc += std::to_string(i);
+    tracker.observeSegment(flow::SegmentKind::kParagraph, doc + "#p0", doc,
+                           "svc", text);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(tracker.checkText(probe, "probe-doc"));
@@ -308,10 +309,10 @@ void BM_SnapshotExport(benchmark::State& state) {
   util::Rng rng(5);
   corpus::TextGenerator gen(&rng);
   for (int i = 0; i < 200; ++i) {
-    tracker.observeSegment(flow::SegmentKind::kParagraph,
-                           "d" + std::to_string(i) + "#p0",
-                           "d" + std::to_string(i), "svc",
-                           gen.paragraph(5, 8));
+    std::string doc = "d";
+    doc += std::to_string(i);
+    tracker.observeSegment(flow::SegmentKind::kParagraph, doc + "#p0", doc,
+                           "svc", gen.paragraph(5, 8));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(flow::exportState(tracker));
@@ -325,10 +326,10 @@ void BM_SnapshotImport(benchmark::State& state) {
   util::Rng rng(6);
   corpus::TextGenerator gen(&rng);
   for (int i = 0; i < 200; ++i) {
-    tracker.observeSegment(flow::SegmentKind::kParagraph,
-                           "d" + std::to_string(i) + "#p0",
-                           "d" + std::to_string(i), "svc",
-                           gen.paragraph(5, 8));
+    std::string doc = "d";
+    doc += std::to_string(i);
+    tracker.observeSegment(flow::SegmentKind::kParagraph, doc + "#p0", doc,
+                           "svc", gen.paragraph(5, 8));
   }
   const std::string blob = flow::exportState(tracker);
   for (auto _ : state) {

@@ -232,9 +232,10 @@ int main() {
     util::Stopwatch watch;
     double repairMs = 0.0;
     for (std::size_t i = 0; i < faultTexts.size(); ++i) {
-      ft->observeSegment(flow::SegmentKind::kParagraph,
-                         "f" + std::to_string(i) + "#p0",
-                         "f" + std::to_string(i), "internal", faultTexts[i]);
+      std::string doc = "f";
+      doc += std::to_string(i);
+      ft->observeSegment(flow::SegmentKind::kParagraph, doc + "#p0", doc,
+                         "internal", faultTexts[i]);
       util::Stopwatch repairWatch;
       (void)fm->maintain(*ft);
       repairMs += repairWatch.elapsedMillis();

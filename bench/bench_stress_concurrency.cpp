@@ -82,10 +82,11 @@ int main() {
           text += static_cast<char>('a' + (i % 26));
         }
         core::DecisionRequest req;
-        req.segmentName =
-            "u" + std::to_string(u) + "/d" + std::to_string(i / 50) + "#p0";
-        req.documentName = "u" + std::to_string(u) + "/d" +
-                           std::to_string(i / 50);
+        req.documentName = "u";
+        req.documentName += std::to_string(u);
+        req.documentName += "/d";
+        req.documentName += std::to_string(i / 50);
+        req.segmentName = req.documentName + "#p0";
         req.serviceId = "https://ext.example";
         req.text = text;
         (void)engine.decideAsync(std::move(req));

@@ -29,12 +29,14 @@ cannot enforce:
   state-file-io       Direct file I/O (std::ofstream / std::ifstream /
                       std::fstream, bare ::open/::write/::fsync syscalls,
                       opendir/mkdir, std::rename/std::remove) anywhere in
-                      src/flow. ALL durable-state I/O flows through the
-                      bf::io VFS seam (src/io/vfs.h): snapshot.cpp and
-                      wal.cpp take an io::Vfs, which is what lets the
-                      storage-chaos suites inject ENOSPC / torn writes /
-                      fsync failures. A direct stream or syscall would
-                      bypass both the seam and the framing that makes
+                      src/core, src/flow or src/tdm. ALL durable-state I/O
+                      flows through the bf::io VFS seam (src/io/vfs.h):
+                      snapshot, checkpoint and deployment files through
+                      flow::writeSealedFile/readSealedFile, the WAL and
+                      policy config files through an io::Vfs, which is what
+                      lets the storage-chaos suites inject ENOSPC / torn
+                      writes / fsync failures. A direct stream or syscall
+                      would bypass both the seam and the framing that makes
                       crash recovery trustworthy.
   missing-pragma-once Headers must use `#pragma once`.
   include-hygiene     No `#include "../..."` / `#include "./..."` path
@@ -108,8 +110,10 @@ DEQUE_PATTERNS = [
      "FingerprintWorkspace (text/fingerprint_kernel.h)"),
 ]
 
-# Empty since the bf::io VFS seam landed: snapshot.cpp and wal.cpp now do
-# all their I/O through io::Vfs, so no file in src/flow is exempt.
+# Directories whose file I/O must go through io::Vfs, and the files among
+# them that are exempt (none: snapshots, checkpoints, deployments, the WAL
+# and policy config files all read and write through the seam).
+STATE_FILE_IO_DIRS = ("src/core/", "src/flow/", "src/tdm/")
 STATE_FILE_IO_ALLOWED = ()
 
 STATE_FILE_IO_PATTERNS = [
@@ -209,7 +213,7 @@ def lint_file(path: str, fixture_mode: bool = False) -> list[Finding]:
          (rel.startswith(SIMD_INTRINSICS_ALLOWED_PREFIXES) or
           rel in SIMD_INTRINSICS_ALLOWED))
     scan(STATE_FILE_IO_PATTERNS, "state-file-io",
-         not fixture_mode and (not rel.startswith("src/flow/") or
+         not fixture_mode and (not rel.startswith(STATE_FILE_IO_DIRS) or
                                rel in STATE_FILE_IO_ALLOWED))
 
     if path.endswith((".h", ".hpp")) and not re.search(
@@ -259,17 +263,26 @@ def collect_sources(roots: list[str]) -> list[str]:
     return out
 
 
+# Every rule lint_file() can report. The selftest fails when a rule is hit
+# by no passing fixture: a rule nothing exercises could be dead and nobody
+# would notice.
+RULES = ("raw-mutex", "wall-clock", "raw-timing", "deque-scratch",
+         "simd-intrinsics", "state-file-io", "missing-pragma-once",
+         "include-hygiene")
+
 EXPECT_RE = re.compile(r"//\s*bflint-expect:\s*([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)")
 
 
 def selftest() -> int:
-    """Every tests/lint fixture must trigger exactly its declared rules."""
+    """Every tests/lint fixture must trigger exactly its declared rules, and
+    every rule in RULES must be hit by some fixture."""
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint")
     fixtures = collect_sources([fixture_dir])
     if not fixtures:
         print(f"bflint: no fixtures under {fixture_dir}", file=sys.stderr)
         return 1
     failures = 0
+    covered: set[str] = set()
     for path in fixtures:
         with open(path, encoding="utf-8") as f:
             raw = f.read()
@@ -282,9 +295,14 @@ def selftest() -> int:
             print(f"selftest FAIL {relpath(path)}: expected "
                   f"{sorted(expected) or '[]'}, got {sorted(got) or '[]'}")
         else:
+            covered |= got
             print(f"selftest ok   {relpath(path)}: {sorted(got) or 'clean'}")
+    for rule in RULES:
+        if rule not in covered:
+            failures += 1
+            print(f"selftest FAIL rule '{rule}': no passing fixture hits it")
     if failures:
-        print(f"bflint selftest: {failures} fixture(s) failed")
+        print(f"bflint selftest: {failures} check(s) failed")
         return 1
     print(f"bflint selftest: {len(fixtures)} fixtures ok")
     return 0

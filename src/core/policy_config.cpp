@@ -1,7 +1,6 @@
 #include "core/policy_config.h"
 
-#include <fstream>
-
+#include "io/vfs.h"
 #include "util/strings.h"
 
 namespace bf::core {
@@ -197,11 +196,9 @@ util::Result<PolicyConfigSummary> loadPolicyConfig(
 util::Result<PolicyConfigSummary> loadPolicyConfigFile(
     BrowserFlowPlugin& plugin, const std::string& path) {
   using R = util::Result<PolicyConfigSummary>;
-  std::ifstream in(path);
-  if (!in) return R::error("cannot open: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return loadPolicyConfig(plugin, text);
+  const util::Result<std::string> text = io::defaultVfs().readFile(path);
+  if (!text.ok()) return R::error("cannot open: " + path);
+  return loadPolicyConfig(plugin, text.value());
 }
 
 }  // namespace bf::core

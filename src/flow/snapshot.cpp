@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -25,7 +24,7 @@ constexpr std::string_view kEncMagicV2 = "BFSNAPE2";
 // v3 bodies carry a u64 tenant slot per segment (always 0: the tracker has
 // one namespace) and the lastSeen retention stamp per association.
 // BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 = sequenced + CRC
-// trailer (exportStateV2/checkpoints).
+// trailer (saveSnapshot/checkpoints).
 constexpr std::string_view kPlainMagicV3 = "BFSNAPP3";
 constexpr std::string_view kSeqMagicV3 = "BFSNAPS3";
 
@@ -130,18 +129,6 @@ struct StagedState {
   std::vector<Assoc> assocs;
   util::Timestamp maxTs = 0;
 };
-
-/// True for a threshold a live record may legally carry: D(A,B) scores are
-/// ratios in [0, 1], so anything outside that range (or non-finite) is a
-/// corrupt or hostile blob, not a configuration.
-bool validThreshold(double t) noexcept {
-  return std::isfinite(t) && t >= 0.0 && t <= 1.0;
-}
-
-bool validKindByte(std::uint8_t k) noexcept {
-  return k == static_cast<std::uint8_t>(SegmentKind::kParagraph) ||
-         k == static_cast<std::uint8_t>(SegmentKind::kDocument);
-}
 
 /// Parses the v3 state body from `r` into `staged`. Returns an empty string
 /// on success, an error message otherwise. Untrusted bytes are validated
@@ -285,17 +272,8 @@ std::string exportState(const FlowTracker& tracker) {
   return out;
 }
 
-std::string exportStateV2(const FlowTracker& tracker, std::uint64_t sequence) {
-  std::string out;
-  out.append(kSeqMagicV3);
-  util::putU64(out, sequence);
-  appendStateBody(tracker, out);
-  util::putU32(out, util::maskCrc32c(util::crc32c(out)));
-  return out;
-}
-
-util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                         std::string_view blob) {
+util::Result<SnapshotInfo> importState(FlowTracker& tracker,
+                                       std::string_view blob) {
   using R = util::Result<SnapshotInfo>;
   if (tracker.segmentDb().size() != 0) {
     return R::error("importState requires an empty tracker");
@@ -307,16 +285,7 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
     // Sequenced: magic + u64 sequence + body + u32 masked CRC trailer.
     constexpr std::size_t kHeader = 8 + 8;
     if (blob.size() < kHeader + 4) return R::error("snapshot truncated");
-    const std::string_view trailer = blob.substr(blob.size() - 4);
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored |= static_cast<std::uint32_t>(
-                    static_cast<unsigned char>(trailer[static_cast<std::size_t>(i)]))
-                << (8 * i);
-    }
-    const std::uint32_t actual =
-        util::crc32c(blob.substr(0, blob.size() - 4));
-    if (util::unmaskCrc32c(stored) != actual) {
+    if (!util::crc32cTrailerValid(blob)) {
       return R::error("snapshot CRC mismatch");
     }
     util::BinaryReader seqReader(blob.substr(kHeader - 8, 8));
@@ -349,98 +318,85 @@ util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
   return info;
 }
 
-util::Result<util::Timestamp> importState(FlowTracker& tracker,
-                                          std::string_view blob) {
-  using R = util::Result<util::Timestamp>;
-  auto result = importStateEx(tracker, blob);
-  if (!result.ok()) return R::error(result.errorMessage());
-  return result.value().maxTimestamp;
+util::Status writeSealedFile(io::Vfs& vfs, const std::string& path,
+                             std::string_view payload,
+                             std::string_view secret) {
+  if (secret.empty()) return atomicWriteFile(vfs, path, payload);
+  std::string fileData;
+  fileData.append(kEncMagicV2);
+  // Nonce derived from content + secret: state files are whole-file
+  // rewrites, so nonce reuse would require identical (content, secret) —
+  // which produces identical ciphertext, leaking nothing new.
+  crypto::Nonce96 nonce{};
+  const std::uint64_t n1 = util::fnv1a64(payload);
+  const std::uint64_t n2 = util::mix64(n1 ^ util::fnv1a64(secret));
+  for (int i = 0; i < 8; ++i) {
+    nonce[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(n1 >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    nonce[static_cast<std::size_t>(8 + i)] =
+        static_cast<std::uint8_t>(n2 >> (8 * i));
+  }
+  fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
+  fileData += crypto::chacha20Xor(payload, deriveKey(secret), nonce);
+  // Encrypt-then-MAC: the tag covers magic, nonce and ciphertext, so any
+  // bit flip anywhere in the envelope fails verification BEFORE the
+  // malleable stream cipher could smuggle altered plaintext to the parser.
+  const crypto::Tag128 tag = crypto::keyedTag(deriveMacKey(secret), fileData);
+  fileData.append(reinterpret_cast<const char*>(tag.data()), tag.size());
+  return atomicWriteFile(vfs, path, fileData);
+}
+
+util::Result<std::string> readSealedFile(io::Vfs& vfs, const std::string& path,
+                                         std::string_view secret) {
+  using R = util::Result<std::string>;
+  util::Result<std::string> read = vfs.readFile(path);
+  if (!read.ok()) return R::error("cannot open: " + path);
+  std::string fileData = std::move(read.value());
+  if (fileData.substr(0, kEncMagicV2.size()) != kEncMagicV2) return fileData;
+
+  if (secret.empty()) return R::error("state file is encrypted; secret needed");
+  const std::size_t header = kEncMagicV2.size();
+  if (fileData.size() < header + 12 + sizeof(crypto::Tag128)) {
+    return R::error("state file truncated");
+  }
+  // Authenticate the whole envelope before decrypting anything.
+  const std::size_t tagOffset = fileData.size() - sizeof(crypto::Tag128);
+  crypto::Tag128 stored{};
+  std::memcpy(stored.data(), fileData.data() + tagOffset, stored.size());
+  const crypto::Tag128 actual = crypto::keyedTag(
+      deriveMacKey(secret), std::string_view(fileData).substr(0, tagOffset));
+  if (!crypto::tagEquals(stored, actual)) {
+    return R::error("state file authentication failed (corrupt or wrong key)");
+  }
+  crypto::Nonce96 nonce{};
+  std::memcpy(nonce.data(), fileData.data() + header, nonce.size());
+  return crypto::chacha20Xor(
+      std::string_view(fileData).substr(header + 12, tagOffset - header - 12),
+      deriveKey(secret), nonce);
 }
 
 util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
                           std::string_view secret, std::uint64_t sequence,
                           io::Vfs* vfs) {
-  std::string blob = exportStateV2(tracker, sequence);
-  std::string fileData;
-  if (secret.empty()) {
-    fileData = std::move(blob);
-  } else {
-    fileData.append(kEncMagicV2);
-    // Nonce derived from content + secret: snapshots are whole-file
-    // rewrites, so nonce reuse would require identical (content, secret) —
-    // which produces identical ciphertext, leaking nothing new.
-    crypto::Nonce96 nonce{};
-    const std::uint64_t n1 = util::fnv1a64(blob);
-    const std::uint64_t n2 =
-        util::mix64(n1 ^ util::fnv1a64(secret));
-    for (int i = 0; i < 8; ++i) {
-      nonce[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(n1 >> (8 * i));
-    }
-    for (int i = 0; i < 4; ++i) {
-      nonce[static_cast<std::size_t>(8 + i)] =
-          static_cast<std::uint8_t>(n2 >> (8 * i));
-    }
-    fileData.append(reinterpret_cast<const char*>(nonce.data()), nonce.size());
-    fileData += crypto::chacha20Xor(blob, deriveKey(secret), nonce);
-    // Encrypt-then-MAC: the tag covers magic, nonce and ciphertext, so any
-    // bit flip anywhere in the envelope fails verification BEFORE the
-    // malleable stream cipher could smuggle altered plaintext to the
-    // parser.
-    const crypto::Tag128 tag = crypto::keyedTag(deriveMacKey(secret), fileData);
-    fileData.append(reinterpret_cast<const char*>(tag.data()), tag.size());
-  }
-  return atomicWriteFile(vfs != nullptr ? *vfs : io::defaultVfs(), path,
-                         fileData);
+  std::string blob;
+  blob.append(kSeqMagicV3);
+  util::putU64(blob, sequence);
+  appendStateBody(tracker, blob);
+  util::appendCrc32cTrailer(blob);
+  return writeSealedFile(vfs != nullptr ? *vfs : io::defaultVfs(), path, blob,
+                         secret);
 }
 
-util::Result<SnapshotInfo> loadSnapshotEx(FlowTracker& tracker,
-                                          const std::string& path,
-                                          std::string_view secret,
-                                          io::Vfs* vfs) {
+util::Result<SnapshotInfo> loadSnapshot(FlowTracker& tracker,
+                                        const std::string& path,
+                                        std::string_view secret, io::Vfs* vfs) {
   using R = util::Result<SnapshotInfo>;
-  util::Result<std::string> read =
-      (vfs != nullptr ? *vfs : io::defaultVfs()).readFile(path);
-  if (!read.ok()) return R::error("cannot open: " + path);
-  const std::string fileData = std::move(read.value());
-
-  if (fileData.substr(0, kEncMagicV2.size()) == kEncMagicV2) {
-    if (secret.empty()) return R::error("snapshot is encrypted; secret needed");
-    const std::size_t header = kEncMagicV2.size();
-    if (fileData.size() < header + 12 + sizeof(crypto::Tag128)) {
-      return R::error("snapshot truncated");
-    }
-    // Authenticate the whole envelope before decrypting anything.
-    const std::size_t tagOffset = fileData.size() - sizeof(crypto::Tag128);
-    crypto::Tag128 stored{};
-    std::memcpy(stored.data(), fileData.data() + tagOffset, stored.size());
-    const crypto::Tag128 actual = crypto::keyedTag(
-        deriveMacKey(secret),
-        std::string_view(fileData).substr(0, tagOffset));
-    if (!crypto::tagEquals(stored, actual)) {
-      return R::error("snapshot authentication failed (corrupt or wrong key)");
-    }
-    crypto::Nonce96 nonce{};
-    for (std::size_t i = 0; i < 12; ++i) {
-      nonce[i] = static_cast<std::uint8_t>(fileData[header + i]);
-    }
-    const std::string blob = crypto::chacha20Xor(
-        std::string_view(fileData).substr(header + 12,
-                                          tagOffset - header - 12),
-        deriveKey(secret), nonce);
-    return importStateEx(tracker, blob);
-  }
-
-  return importStateEx(tracker, fileData);
-}
-
-util::Result<util::Timestamp> loadSnapshot(FlowTracker& tracker,
-                                           const std::string& path,
-                                           std::string_view secret) {
-  using R = util::Result<util::Timestamp>;
-  auto result = loadSnapshotEx(tracker, path, secret);
-  if (!result.ok()) return R::error(result.errorMessage());
-  return result.value().maxTimestamp;
+  const util::Result<std::string> blob =
+      readSealedFile(vfs != nullptr ? *vfs : io::defaultVfs(), path, secret);
+  if (!blob.ok()) return R::error(blob.errorMessage());
+  return importState(tracker, blob.value());
 }
 
 }  // namespace bf::flow

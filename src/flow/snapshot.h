@@ -9,21 +9,24 @@
 // exportState()/importState() serialise the tracker's segments (with their
 // fingerprints, thresholds and metadata) and all hash associations (with
 // first-seen timestamps, preserving authority ordering) into a portable
-// little-endian binary blob. saveSnapshot()/loadSnapshot() add the at-rest
-// encryption layer and file I/O.
+// little-endian binary blob. saveSnapshot()/loadSnapshot() add the file
+// I/O and at-rest encryption through writeSealedFile()/readSealedFile(),
+// the one sealed path every state file takes (deployment files too, see
+// core/deployment.h).
 //
 // Formats (DESIGN.md §11), the only three this code reads or writes:
 //  - plain "BFSNAPP3": magic + v3 body (segment records carry a u64
 //    tenant slot, always 0, associations their lastSeen retention stamp).
 //    Written by exportState().
 //  - sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
-//    trailing masked CRC32C over everything before the trailer. The
-//    sequence links a checkpoint to the write-ahead log that continues it
-//    (flow/wal.h). Written by exportStateV2()/saveSnapshot().
-//  - encrypted "BFSNAPE2": magic + nonce + ChaCha20(BFSNAPS3 blob) +
-//    16-byte keyed tag over magic||nonce||ciphertext (crypto/mac.h),
-//    verified BEFORE decryption (encrypt-then-MAC). Written by
-//    saveSnapshot() when given a secret.
+//    trailing masked CRC32C over everything before the trailer
+//    (util::appendCrc32cTrailer). The sequence links a checkpoint to the
+//    write-ahead log that continues it (flow/wal.h). Written by
+//    saveSnapshot().
+//  - encrypted "BFSNAPE2": magic + nonce + ChaCha20(payload) + 16-byte
+//    keyed tag over magic||nonce||ciphertext (crypto/mac.h), verified
+//    BEFORE decryption (encrypt-then-MAC). Written by writeSealedFile()
+//    when given a secret; the payload is a BFSNAPS3 blob for snapshots.
 //
 // Any other magic is rejected, including the retired v1/v2 formats
 // (BFSNAPP1, BFSNAPP2 and the untagged BFSNAPE1 envelope): accepting an
@@ -62,27 +65,34 @@ struct SnapshotInfo {
 /// segments ordered by id, associations by hash within kind).
 [[nodiscard]] std::string exportState(const FlowTracker& tracker);
 
-/// Serialises as a v3 sequenced blob: checkpoint `sequence` + body + CRC32C
-/// trailer. Deterministic like exportState().
-[[nodiscard]] std::string exportStateV2(const FlowTracker& tracker,
-                                        std::uint64_t sequence);
+/// Restores a BFSNAPP3 or BFSNAPS3 blob into `tracker`, which must be
+/// EMPTY (freshly constructed). Sequenced blobs are rejected on CRC
+/// mismatch.
+[[nodiscard]] util::Result<SnapshotInfo> importState(FlowTracker& tracker,
+                                                     std::string_view blob);
 
-/// Restores state exported by exportState()/exportStateV2() into `tracker`,
-/// which must be EMPTY (freshly constructed). Accepts BFSNAPP3 and
-/// BFSNAPS3 blobs; sequenced blobs are rejected on CRC mismatch.
-[[nodiscard]] util::Result<SnapshotInfo> importStateEx(FlowTracker& tracker,
-                                                       std::string_view blob);
+/// The one way a state file reaches disk. Writes `payload` to `path`
+/// through `vfs` crash-safely: full temp-file write + fsync + atomic rename
+/// + directory fsync; on ANY failure the temp file is removed and the
+/// previous file at `path` is untouched. A non-empty `secret` seals the
+/// payload in the BFSNAPE2 envelope (ChaCha20, then a keyed tag over
+/// magic||nonce||ciphertext).
+[[nodiscard]] util::Status writeSealedFile(io::Vfs& vfs,
+                                           const std::string& path,
+                                           std::string_view payload,
+                                           std::string_view secret);
 
-/// importStateEx() returning only the timestamp (compatibility shim).
-[[nodiscard]] util::Result<util::Timestamp> importState(FlowTracker& tracker,
-                                                        std::string_view blob);
+/// Reads a file written by writeSealedFile(). A BFSNAPE2 envelope is
+/// authenticated before anything is decrypted: a bit-flipped, truncated or
+/// wrong-key file is an error. Any other file is returned as is, for the
+/// caller's own magic and checksum to judge.
+[[nodiscard]] util::Result<std::string> readSealedFile(
+    io::Vfs& vfs, const std::string& path, std::string_view secret);
 
-/// Writes the tracker state to `path` as a BFSNAPS3 blob, encrypted with a
-/// key derived from `secret` (empty secret = plaintext snapshot). Crash-safe:
-/// full temp-file write + fsync + atomic rename — on ANY failure the temp
-/// file is removed and the previous snapshot at `path` is untouched.
-/// `sequence` is the checkpoint sequence stored in the blob (0 outside the
-/// durability manager). `vfs` routes the file I/O (null = defaultVfs()).
+/// Writes the tracker state to `path` as a BFSNAPS3 blob through
+/// writeSealedFile() (empty secret = plaintext snapshot). `sequence` is the
+/// checkpoint sequence stored in the blob (0 outside the durability
+/// manager). `vfs` routes the file I/O (null = defaultVfs()).
 [[nodiscard]] util::Status saveSnapshot(const FlowTracker& tracker,
                                         const std::string& path,
                                         std::string_view secret,
@@ -90,15 +100,10 @@ struct SnapshotInfo {
                                         io::Vfs* vfs = nullptr);
 
 /// Loads a snapshot written by saveSnapshot() (or a bare exportState()
-/// blob) into an empty tracker. Encrypted files are authenticated before
-/// parsing: a bit-flipped or tag-stripped file is rejected. `vfs` routes
-/// the read (null = defaultVfs()).
-[[nodiscard]] util::Result<SnapshotInfo> loadSnapshotEx(
+/// blob) into an empty tracker, through readSealedFile(). `vfs` routes the
+/// read (null = defaultVfs()).
+[[nodiscard]] util::Result<SnapshotInfo> loadSnapshot(
     FlowTracker& tracker, const std::string& path, std::string_view secret,
     io::Vfs* vfs = nullptr);
-
-/// loadSnapshotEx() returning only the timestamp (compatibility shim).
-[[nodiscard]] util::Result<util::Timestamp> loadSnapshot(
-    FlowTracker& tracker, const std::string& path, std::string_view secret);
 
 }  // namespace bf::flow

@@ -1,7 +1,6 @@
 #include "flow/wal.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -387,17 +386,6 @@ void WriteAheadLog::failNextAppends(int n) {
 
 namespace {
 
-/// True for a threshold a replayed record may carry — same bounds the
-/// snapshot importer enforces (flow/snapshot.cpp).
-bool validThreshold(double t) noexcept {
-  return std::isfinite(t) && t >= 0.0 && t <= 1.0;
-}
-
-bool validKindByte(std::uint8_t k) noexcept {
-  return k == static_cast<std::uint8_t>(SegmentKind::kParagraph) ||
-         k == static_cast<std::uint8_t>(SegmentKind::kDocument);
-}
-
 /// Applies one validated record payload (past sequence + type) to the
 /// tracker. Returns false when the body does not parse exactly or carries
 /// out-of-range values — the frame is then treated as corrupt.
@@ -696,8 +684,8 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
       listSeqFiles(vfs(), config_.directory, "checkpoint-", ".bfc");
   bool loaded = false;
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    auto info = loadSnapshotEx(tracker, checkpointPath(*it), config_.secret,
-                               config_.vfs);
+    auto info = loadSnapshot(tracker, checkpointPath(*it), config_.secret,
+                             config_.vfs);
     if (info.ok()) {
       stats.checkpointSequence = info.value().sequence;
       stats.maxTimestamp = info.value().maxTimestamp;

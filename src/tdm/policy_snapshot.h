@@ -4,8 +4,10 @@
 // together they let an enterprise deployment restart without losing
 // segment labels, user suppressions, custom-tag ownership, service
 // definitions or the audit trail. Serialization uses the same
-// little-endian format; encryption at rest is applied by the caller (see
-// core::saveDeployment), since labels alone rarely contain content.
+// little-endian format. The blob is not a file format of its own:
+// core::saveDeployment frames it beside the tracker's blob and writes both
+// through flow::writeSealedFile, which adds crash-safe replacement and
+// encryption + authentication at rest.
 #pragma once
 
 #include <string>

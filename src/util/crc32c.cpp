@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "util/binary_io.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define BF_CRC32C_HW_X86 1
 #include <nmmintrin.h>
@@ -98,6 +100,17 @@ std::uint32_t crc32c(std::string_view data, std::uint32_t seed) noexcept {
           (crc >> 8);
   }
   return ~crc;
+}
+
+void appendCrc32cTrailer(std::string& out) {
+  putU32(out, maskCrc32c(crc32c(out)));
+}
+
+bool crc32cTrailerValid(std::string_view framed) noexcept {
+  if (framed.size() < 4) return false;
+  const std::size_t body = framed.size() - 4;
+  BinaryReader trailer(framed.substr(body));
+  return unmaskCrc32c(trailer.u32()) == crc32c(framed.substr(0, body));
 }
 
 }  // namespace bf::util

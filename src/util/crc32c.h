@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace bf::util {
@@ -32,5 +33,13 @@ namespace bf::util {
   const std::uint32_t rot = masked - 0xa282ead8u;
   return (rot >> 17) | (rot << 15);
 }
+
+/// Appends maskCrc32c(crc32c(out)) to `out` as a 4-byte little-endian
+/// trailer: the framing of sequenced snapshots and deployment files.
+void appendCrc32cTrailer(std::string& out);
+
+/// True when `framed` ends in the trailer appendCrc32cTrailer() writes for
+/// the bytes before it.
+[[nodiscard]] bool crc32cTrailerValid(std::string_view framed) noexcept;
 
 }  // namespace bf::util

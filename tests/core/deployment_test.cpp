@@ -6,10 +6,13 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "core/deployment.h"
 #include "corpus/text_generator.h"
+#include "flow/snapshot.h"
+#include "tdm/policy_snapshot.h"
 
 namespace bf::core {
 namespace {
@@ -24,6 +27,17 @@ class DeploymentTest : public ::testing::Test {
   std::string tempPath(const char* name) {
     path_ = std::string("/tmp/bf_deployment_test_") + name;
     return path_;
+  }
+
+  static std::string readAll(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  static void writeAll(const std::string& path, const std::string& data) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
 
   static BrowserFlowConfig blockConfig() {
@@ -167,6 +181,75 @@ TEST_F(DeploymentTest, ConcurrencySaveWhileAsyncDecisionsRun) {
   ASSERT_TRUE(loadDeployment(restored, path, "k").ok());
   EXPECT_EQ(restored.tracker().segmentDb().size(),
             plugin.tracker().segmentDb().size());
+}
+
+TEST_F(DeploymentTest, EveryBitFlipIsRejected) {
+  // An encrypted file is authenticated and a plaintext one checksummed
+  // before anything is imported: one flipped bit anywhere must fail the
+  // load and leave the fresh plug-in as it was.
+  const std::string path = tempPath("bitflip");
+  util::LogicalClock freshClock;
+  const std::string freshPolicy =
+      tdm::exportPolicy(BrowserFlowPlugin(blockConfig(), &freshClock).policy());
+  for (const char* secret : {"org-secret", ""}) {
+    SCOPED_TRACE(*secret != '\0' ? "encrypted" : "plaintext");
+    {
+      util::LogicalClock clock;
+      BrowserFlowPlugin plugin(blockConfig(), &clock);
+      plugin.policy().services().upsert({"itool", "Interview Tool",
+                                         tdm::TagSet{"ti"},
+                                         tdm::TagSet{"ti"}});
+      plugin.observeServiceDocument("itool", "itool/eval", gen_.sentence());
+      ASSERT_TRUE(saveDeployment(plugin, path, secret).ok());
+    }
+    const std::string original = readAll(path);
+    ASSERT_GT(original.size(), 100u);
+
+    util::LogicalClock clock;
+    auto plugin = std::make_unique<BrowserFlowPlugin>(blockConfig(), &clock);
+    std::size_t loaded = 0;
+    std::size_t altered = 0;
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      std::string flipped = original;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << (i % 8)));
+      writeAll(path, flipped);
+      if (loadDeployment(*plugin, path, secret).ok()) ++loaded;
+      if (plugin->tracker().segmentDb().size() != 0 ||
+          tdm::exportPolicy(plugin->policy()) != freshPolicy) {
+        ++altered;
+        plugin = std::make_unique<BrowserFlowPlugin>(blockConfig(), &clock);
+      }
+    }
+    EXPECT_EQ(loaded, 0u) << "of " << original.size() << " flips";
+    EXPECT_EQ(altered, 0u) << "of " << original.size() << " flips";
+
+    // The unflipped file still loads.
+    writeAll(path, original);
+    EXPECT_TRUE(loadDeployment(*plugin, path, secret).ok());
+  }
+}
+
+TEST_F(DeploymentTest, SnapshotAndDeploymentFilesAreNotInterchangeable) {
+  // Checkpoints and deployment files share the sealed envelope and its
+  // keys; the payload magic keeps one from loading as the other.
+  const std::string path = tempPath("crosstype");
+  util::LogicalClock clock;
+  BrowserFlowPlugin plugin(blockConfig(), &clock);
+  plugin.observeServiceDocument("svc", "svc/doc", gen_.paragraph(6, 8));
+  for (const char* secret : {"k", ""}) {
+    SCOPED_TRACE(*secret != '\0' ? "encrypted" : "plaintext");
+    ASSERT_TRUE(flow::saveSnapshot(plugin.tracker(), path, secret, 3).ok());
+    util::LogicalClock clock2;
+    BrowserFlowPlugin fresh(blockConfig(), &clock2);
+    EXPECT_FALSE(loadDeployment(fresh, path, secret).ok());
+    EXPECT_EQ(fresh.tracker().segmentDb().size(), 0u);
+
+    ASSERT_TRUE(saveDeployment(plugin, path, secret).ok());
+    util::LogicalClock clock3;
+    flow::FlowTracker tracker(flow::TrackerConfig{}, &clock3);
+    EXPECT_FALSE(flow::loadSnapshot(tracker, path, secret).ok());
+    EXPECT_EQ(tracker.segmentDb().size(), 0u);
+  }
 }
 
 }  // namespace

@@ -92,9 +92,11 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
     corpus::TextGenerator gen(&rng);
     for (int i = 0; i < 25; ++i) {
       DecisionRequest req;
-      req.segmentName =
-          "t" + std::to_string(id) + "-" + std::to_string(i) + "#p0";
-      req.documentName = "t" + std::to_string(id) + "-" + std::to_string(i);
+      req.documentName = "t";
+      req.documentName += std::to_string(id);
+      req.documentName += "-";
+      req.documentName += std::to_string(i);
+      req.segmentName = req.documentName + "#p0";
       req.serviceId = "gdocs";
       req.text = (i % 2 == 0) ? base : gen.paragraph(5, 7);
       (void)engine_.decideAsync(req);

@@ -106,8 +106,10 @@ TEST(SecretGuard, FusedScanMatchesNormalizeThenFindAll) {
     }
     values.push_back("ab-1");  // too short once normalized
     for (std::size_t i = 0; i < values.size(); ++i) {
-      const std::string name = "s" + std::to_string(i);
-      const std::string tag = "t" + std::to_string(i % 3);
+      std::string name = "s";
+      name += std::to_string(i);
+      std::string tag = "t";
+      tag += std::to_string(i % 3);
       const std::string normalized = text::normalize(values[i]).text;
       ASSERT_EQ(guard.addSecret(name, values[i], tag),
                 normalized.size() >= SecretGuard::kMinLength);

@@ -29,16 +29,16 @@ TEST_P(SnapshotConfigSweep, RoundTripAgreesUnderConfig) {
   std::vector<std::string> texts;
   for (int i = 0; i < 8; ++i) {
     texts.push_back(gen.paragraph(6, 8));
-    tracker.observeSegment(SegmentKind::kParagraph,
-                           "s" + std::to_string(i) + "#p0",
-                           "d" + std::to_string(i), "svc", texts.back());
+    const std::string id = std::to_string(i);
+    tracker.observeSegment(SegmentKind::kParagraph, "s" + id + "#p0",
+                           "d" + id, "svc", texts.back());
   }
 
   util::LogicalClock clock2;
   FlowTracker restored(config, &clock2);
   const auto maxTs = importState(restored, exportState(tracker));
   ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
 
   for (const auto& probe : texts) {
     const auto a = tracker.checkText(probe, "elsewhere");

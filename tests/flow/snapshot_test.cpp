@@ -45,6 +45,16 @@ class SnapshotTest : public ::testing::Test {
     return path_;
   }
 
+  /// The BFSNAPS3 blob saveSnapshot() writes for `sequence`: a plaintext
+  /// save stores it as is.
+  std::string sequencedBlob(std::uint64_t sequence) {
+    const std::string path = tempPath("sequenced");
+    EXPECT_TRUE(saveSnapshot(tracker_, path, "", sequence).ok());
+    util::Result<std::string> blob = io::defaultVfs().readFile(path);
+    EXPECT_TRUE(blob.ok());
+    return blob.ok() ? std::move(blob.value()) : std::string();
+  }
+
   util::LogicalClock clock_;
   util::Rng rng_;
   corpus::TextGenerator gen_;
@@ -62,7 +72,7 @@ TEST_F(SnapshotTest, ExportImportRoundTripPreservesQueries) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = importState(restored, blob);
   ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
 
   const auto after = restored.checkText(probe, "elsewhere");
   ASSERT_EQ(after.size(), before.size());
@@ -92,7 +102,7 @@ TEST_F(SnapshotTest, AuthorityOrderSurvivesRoundTrip) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = importState(restored, exportState(tracker_));
   ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
 
   const auto hits = restored.checkText(shared, "probe");
   ASSERT_EQ(hits.size(), 1u);
@@ -108,7 +118,7 @@ TEST_F(SnapshotTest, NewObservationsAfterImportSortAfterRestored) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = importState(restored, exportState(tracker_));
   ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
 
   // A new copy of the text must NOT steal authority from the restored one.
   restored.observeSegment(SegmentKind::kParagraph, "copy#p0", "copy", "svc",
@@ -149,7 +159,7 @@ TEST_F(SnapshotTest, EncryptedFileRoundTrip) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = loadSnapshot(restored, path, "org-secret");
   ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
 }
 
@@ -191,7 +201,7 @@ TEST_F(SnapshotTest, PlaintextSnapshotWorksWithoutSecret) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = loadSnapshot(restored, path, "");
   ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "elsewhere").empty());
 }
 
@@ -329,17 +339,17 @@ TEST_F(SnapshotTest, SaveOverwritesExistingSnapshotAtomically) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = loadSnapshot(restored, path, "");
   ASSERT_TRUE(maxTs.ok());
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(extra, "probe").empty());
 }
 
 TEST_F(SnapshotTest, V2BlobCarriesSequenceAndRoundTrips) {
   const std::string probe = populate();
-  const std::string blob = exportStateV2(tracker_, /*sequence=*/42);
+  const std::string blob = sequencedBlob(/*sequence=*/42);
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = importStateEx(restored, blob);
+  const auto info = importState(restored, blob);
   ASSERT_TRUE(info.ok()) << info.errorMessage();
   EXPECT_EQ(info.value().sequence, 42u);
   clock2.advanceTo(info.value().maxTimestamp + 1);
@@ -350,12 +360,12 @@ TEST_F(SnapshotTest, V2BlobCarriesSequenceAndRoundTrips) {
 
 TEST_F(SnapshotTest, V2BlobBitFlipFailsCrc) {
   populate();
-  std::string blob = exportStateV2(tracker_, 7);
+  std::string blob = sequencedBlob(7);
   // Any single flipped bit anywhere in the blob must trip the trailer CRC.
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x01);
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto info = importStateEx(restored, blob);
+  const auto info = importState(restored, blob);
   ASSERT_FALSE(info.ok());
   EXPECT_NE(info.errorMessage().find("CRC"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
@@ -380,7 +390,7 @@ TEST_F(SnapshotTest, EncryptedSnapshotBitFlipFailsAuthentication) {
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto result = loadSnapshotEx(restored, path, "org-secret");
+  const auto result = loadSnapshot(restored, path, "org-secret");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("authentication"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
@@ -409,7 +419,7 @@ std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
 TEST_F(SnapshotTest, ImportRejectsUnknownSegmentKindByte) {
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto result = importStateEx(restored, blobWithSegment(7, 0.5));
+  const auto result = importState(restored, blobWithSegment(7, 0.5));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("SegmentKind"), std::string::npos);
   EXPECT_EQ(restored.segmentDb().size(), 0u);
@@ -420,14 +430,14 @@ TEST_F(SnapshotTest, ImportRejectsOutOfRangeThresholds) {
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(), 2.0, -0.25}) {
     FlowTracker restored(TrackerConfig{}, &clock2);
-    const auto result = importStateEx(restored, blobWithSegment(0, bad));
+    const auto result = importState(restored, blobWithSegment(0, bad));
     ASSERT_FALSE(result.ok()) << "threshold " << bad << " must be rejected";
     EXPECT_NE(result.errorMessage().find("threshold"), std::string::npos);
     EXPECT_EQ(restored.segmentDb().size(), 0u);
   }
   // Sanity: the same blob with a legal threshold imports fine.
   FlowTracker restored(TrackerConfig{}, &clock2);
-  EXPECT_TRUE(importStateEx(restored, blobWithSegment(0, 0.5)).ok());
+  EXPECT_TRUE(importState(restored, blobWithSegment(0, 0.5)).ok());
 }
 
 struct BlobSegment {
@@ -499,15 +509,15 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
   for (const auto& [what, blob] : cases) {
     SCOPED_TRACE(what);
     FlowTracker restored(TrackerConfig{}, &clock2);
-    EXPECT_FALSE(importStateEx(restored, blob).ok());
+    EXPECT_FALSE(importState(restored, blob).ok());
     EXPECT_EQ(restored.segmentDb().size(), 0u);
     EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
   }
   // Sanity: a consistent blob of the same shape imports.
   FlowTracker restored(TrackerConfig{}, &clock2);
-  ASSERT_TRUE(importStateEx(restored,
-                            stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p1"}},
-                                      {{42, 1, 1, 1}, {42, 2, 2, 9}}))
+  ASSERT_TRUE(importState(restored,
+                          stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p1"}},
+                                    {{42, 1, 1, 1}, {42, 2, 2, 9}}))
                   .ok());
   EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 1u);
   EXPECT_EQ(*restored.hashDb(kPar).lastSeen(42, 2), 9u);
@@ -581,6 +591,29 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
   EXPECT_EQ(util::crc32c(blob), 0xdcded538U);
 }
 
+TEST_F(SnapshotTest, EncryptedSaveBytesArePinned) {
+  // The sealed envelope is the byte contract of encrypted snapshot and
+  // checkpoint files: the same tracker, secret and sequence must give the
+  // same file, whichever code path writes it.
+  const std::string shared =
+      "the quarterly merger terms remain strictly confidential until the "
+      "board approves the final valuation and the press release";
+  tracker_.observeSegment(SegmentKind::kParagraph, "a#p0", "a", "svc",
+                          shared);
+  tracker_.observeDocument("b", "svc",
+                           "an unrelated opening paragraph about lunch plans "
+                           "and the weather this week\n\n" +
+                               shared);
+  const std::string path = tempPath("pinned_envelope");
+  ASSERT_TRUE(saveSnapshot(tracker_, path, "org-secret", 7).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(data.substr(0, 8), "BFSNAPE2");
+  EXPECT_EQ(data.size(), 1853u);
+  EXPECT_EQ(util::crc32c(data), 0xb91d50ceU);
+}
+
 TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
   // Downgrade attack on the encrypted envelope: relabel a BFSNAPE2 file as
   // the retired, untagged BFSNAPE1 (same key derivation and header layout)
@@ -602,7 +635,7 @@ TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
 
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
-  const auto result = loadSnapshotEx(restored, path, "org-secret");
+  const auto result = loadSnapshot(restored, path, "org-secret");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(restored.segmentDb().size(), 0u);
 }
@@ -646,7 +679,7 @@ TEST_F(SnapshotTest, SaveUnderEnospcLeavesNoOrphanAndKeepsOldSnapshot) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   const auto maxTs = loadSnapshot(restored, path, "");
   ASSERT_TRUE(maxTs.ok()) << maxTs.errorMessage();
-  clock2.advanceTo(maxTs.value() + 1);
+  clock2.advanceTo(maxTs.value().maxTimestamp + 1);
   EXPECT_FALSE(restored.checkText(probe, "probe").empty());
   EXPECT_EQ(restored.segmentDb().findByName("late#p0"), nullptr);
 }
@@ -706,10 +739,10 @@ TEST_F(SnapshotTest, LoadDetectsReadCorruptionViaVfs) {
   util::LogicalClock clock2;
   FlowTracker restored(TrackerConfig{}, &clock2);
   // Encrypt-then-MAC: the flipped byte fails authentication outright.
-  EXPECT_FALSE(loadSnapshotEx(restored, path, "sekrit", &fault).ok());
+  EXPECT_FALSE(loadSnapshot(restored, path, "sekrit", &fault).ok());
   EXPECT_EQ(restored.segmentDb().size(), 0u);
   // A clean read still round-trips.
-  EXPECT_TRUE(loadSnapshotEx(restored, path, "sekrit", &fault).ok());
+  EXPECT_TRUE(loadSnapshot(restored, path, "sekrit", &fault).ok());
 }
 
 }  // namespace

@@ -217,7 +217,7 @@ TEST_F(TenantSlotCompatTest, V3SnapshotWithZeroTenantImportsAndReexports) {
   const std::string blob = v3Blob({kFirst, kSecond}, {0, 0});
   util::LogicalClock clock;
   FlowTracker imported(TrackerConfig{}, &clock);
-  ASSERT_TRUE(importStateEx(imported, blob).ok());
+  ASSERT_TRUE(importState(imported, blob).ok());
   EXPECT_EQ(imported.segmentDb().size(), 2u);
   // Export writes the same zero slot back: the bytes round-trip exactly.
   EXPECT_EQ(exportState(imported), blob);
@@ -234,7 +234,7 @@ TEST_F(TenantSlotCompatTest, V3SnapshotWithNonzeroTenantFailsAllOrNothing) {
   util::LogicalClock clock;
   FlowTracker imported(TrackerConfig{}, &clock);
   const auto result =
-      importStateEx(imported, v3Blob({kFirst, kSecond}, {0, 5}));
+      importState(imported, v3Blob({kFirst, kSecond}, {0, 5}));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("tenant"), std::string::npos);
   // The valid first segment was not applied either.

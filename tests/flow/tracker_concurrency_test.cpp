@@ -66,10 +66,12 @@ TEST_F(TrackerConcurrencyTest, ConcurrentObserversKeepAttributionIntact) {
       util::Rng rng(static_cast<std::uint64_t>(w) * 31 + 1);
       corpus::TextGenerator gen(&rng);
       for (int i = 0; i < kEditsPerWriter; ++i) {
-        const std::string name = "w" + std::to_string(w) + "/d" +
-                                 std::to_string(i % 10) + "#p0";
+        std::string writer = "w";
+        writer += std::to_string(w);
+        const std::string name =
+            writer + "/d" + std::to_string(i % 10) + "#p0";
         const SegmentId id = tracker_.observeSegment(
-            SegmentKind::kParagraph, name, "w" + std::to_string(w), "ext",
+            SegmentKind::kParagraph, name, writer, "ext",
             i % 3 == 0 ? secrets[static_cast<std::size_t>(i) % secrets.size()]
                        : gen.paragraph(4, 6));
         // Exercise the cached query path concurrently with other writers.
@@ -164,10 +166,11 @@ TEST_F(TrackerConcurrencyTest, DocumentObserversRaceReadersCoherently) {
       for (int d = 0; d < kDocsPerWriter; ++d) {
         std::string doc = secret;  // every document embeds the secret...
         for (int p = 0; p < 8; ++p) {  // ...plus fresh paragraphs
-          doc += "\n\n" + gen.paragraph(3, 6);
+          doc += "\n\n";
+          doc += gen.paragraph(3, 6);
         }
-        const std::string name =
-            "w" + std::to_string(w) + "/doc" + std::to_string(d);
+        const std::string writerId = std::to_string(w);
+        const std::string name = "w" + writerId + "/doc" + std::to_string(d);
         const auto obs = tracker_.observeDocument(name, "ext", doc);
         EXPECT_EQ(obs.paragraphs.size(), 9u);
       }
@@ -179,8 +182,8 @@ TEST_F(TrackerConcurrencyTest, DocumentObserversRaceReadersCoherently) {
   // Every document landed whole: document segment plus all 9 paragraphs.
   for (int w = 0; w < kWriters; ++w) {
     for (int d = 0; d < kDocsPerWriter; ++d) {
-      const std::string name =
-          "w" + std::to_string(w) + "/doc" + std::to_string(d);
+      const std::string writerId = std::to_string(w);
+      const std::string name = "w" + writerId + "/doc" + std::to_string(d);
       ASSERT_NE(tracker_.segmentByName(name), nullptr) << name;
       for (int p = 0; p < 9; ++p) {
         EXPECT_NE(

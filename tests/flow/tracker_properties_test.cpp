@@ -95,15 +95,16 @@ TEST_P(ScoreBounds, ScoresAlwaysInUnitIntervalAndAboveThreshold) {
   std::vector<std::string> sources;
   for (int i = 0; i < 10; ++i) {
     sources.push_back(gen.paragraph(5, 8));
-    tracker.observeSegment(SegmentKind::kParagraph,
-                           "s" + std::to_string(i) + "#p0",
-                           "d" + std::to_string(i), "svc", sources.back());
+    const std::string id = std::to_string(i);
+    tracker.observeSegment(SegmentKind::kParagraph, "s" + id + "#p0",
+                           "d" + id, "svc", sources.back());
   }
   // Probes mixing slices of several sources.
   for (int t = 0; t < 10; ++t) {
     std::string probe = sources[static_cast<std::size_t>(t) % 10].substr(
         0, 40 + 15 * static_cast<std::size_t>(t));
-    probe += " " + gen.sentence();
+    probe += " ";
+    probe += gen.sentence();
     for (const auto& hit : tracker.checkText(probe, "probe")) {
       EXPECT_GE(hit.score, 0.0);
       EXPECT_LE(hit.score, 1.0);
@@ -129,7 +130,8 @@ TEST(TrackerProperties, AppendingTextKeepsFullDisclosureApproximately) {
                          secret);
   std::string probe = secret;
   for (int i = 0; i < 6; ++i) {
-    probe += " " + gen.sentence();
+    probe += " ";
+    probe += gen.sentence();
     const auto hits = tracker.checkText(probe, "probe");
     ASSERT_FALSE(hits.empty()) << "after " << i << " appended sentences";
     // Winnowing selections near the splice can shift; tolerate a small dip.
@@ -465,7 +467,8 @@ std::vector<StoreOp> randomHistory(std::uint64_t seed, std::size_t removals) {
       live.erase(it);
       ++removed;
     } else {
-      const std::string doc = "d" + std::to_string(rng.uniform(0, 7));
+      std::string doc = "d";
+      doc += std::to_string(rng.uniform(0, 7));
       op.name = doc + "#p" + std::to_string(rng.uniform(0, 9));
       op.document = doc;
       op.text = paragraphText();
@@ -586,7 +589,8 @@ TEST_P(ScoringMatchesOracle, EveryQueryMatchesAuthoritativeOverlap) {
     FlowTracker tracker(config, &clock);
     const std::vector<StoreOp> history = randomHistory(seed, removals);
     const std::vector<std::string> probes = randomProbes(seed);
-    const std::string where = "seed=" + std::to_string(seed);
+    std::string where = "seed=";
+    where += std::to_string(seed);
     // Check halfway through as well, before the second half's overwrites
     // and removals.
     for (std::size_t i = 0; i < history.size(); ++i) {

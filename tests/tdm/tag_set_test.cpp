@@ -91,7 +91,9 @@ class TagSetLattice : public ::testing::TestWithParam<std::uint64_t> {
     const int n = static_cast<int>(x % 6);
     for (int i = 0; i < n; ++i) {
       x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      s.insert("t" + std::to_string(x % 8));
+      std::string tag = "t";
+      tag += std::to_string(x % 8);
+      s.insert(std::move(tag));
     }
     return s;
   }
