@@ -13,6 +13,7 @@
 #include "flow/tracker.h"
 #include "text/aho_corasick.h"
 #include "text/fingerprint_kernel.h"
+#include "text/normalizer.h"
 #include "text/simd/kernel.h"
 #include "text/winnower.h"
 #include "util/clock.h"
@@ -131,11 +132,12 @@ void BM_HashDbLookup(benchmark::State& state) {
   util::Rng rng(2);
   const std::size_t hashes = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < hashes; ++i) {
-    db.recordObservation(rng.next() & 0xffffffff, (i % 512) + 1, i);
+    db.recordObservation(static_cast<text::Hash>(rng.next()), (i % 512) + 1,
+                         i);
   }
-  std::uint64_t probe = 0;
+  text::Hash probe = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db.oldestSegmentWith(probe++ & 0xffffffff));
+    benchmark::DoNotOptimize(db.oldestSegmentWith(probe++));
   }
 }
 BENCHMARK(BM_HashDbLookup)->Arg(100000)->Arg(1000000);
@@ -160,11 +162,11 @@ void BM_HashDbRecordFingerprint(benchmark::State& state) {
   const bool batched = state.range(1) != 0;
   const bool first = state.range(2) != 0;
   util::Rng rng(4);
-  std::vector<std::uint64_t> stored(preload);
-  for (std::uint64_t& h : stored) h = rng.next() & 0xffffffff;
-  std::vector<std::uint64_t> shared(kPoolHashes);
-  for (std::uint64_t& h : shared) h = rng.next() & 0xffffffff;
-  std::vector<std::vector<std::uint64_t>> batches(kBatches);
+  std::vector<text::Hash> stored(preload);
+  for (text::Hash& h : stored) h = static_cast<text::Hash>(rng.next());
+  std::vector<text::Hash> shared(kPoolHashes);
+  for (text::Hash& h : shared) h = static_cast<text::Hash>(rng.next());
+  std::vector<std::vector<text::Hash>> batches(kBatches);
   for (auto& batch : batches) {
     for (std::size_t i = 0; i < kBatchHashes; ++i) {
       batch.push_back(first ? shared[rng.next() % kPoolHashes]
@@ -182,11 +184,11 @@ void BM_HashDbRecordFingerprint(benchmark::State& state) {
   util::Timestamp ts = 0;
   std::size_t next = 0;
   std::int64_t items = 0;
-  const auto record = [&](const std::vector<std::uint64_t>& batch) {
+  const auto record = [&](const std::vector<text::Hash>& batch) {
     if (batched) {
       db.recordFingerprint(batch, segment, ts);
     } else {
-      for (std::uint64_t h : batch) db.recordObservation(h, segment, ts);
+      for (text::Hash h : batch) db.recordObservation(h, segment, ts);
     }
   };
   // The preload, then (first-record rows) kFirstRounds batches of the
@@ -209,7 +211,7 @@ void BM_HashDbRecordFingerprint(benchmark::State& state) {
       rebuild();
       state.ResumeTiming();
     }
-    const std::vector<std::uint64_t>& batch = batches[next % kBatches];
+    const std::vector<text::Hash>& batch = batches[next % kBatches];
     segment = first ? segment + 1 : 1000 + next % kBatches;
     ++next;
     ++ts;

@@ -4,14 +4,17 @@
 Each fixture in tests/negative_compile encodes one leak shape that
 src/sec/sensitive.h must make a COMPILE ERROR (streaming sensitive text
 into a log, converting it back to std::string/string_view, dropping it
-into an audit field, calling the test declassifier from production code). For every fixture the harness asserts BOTH directions:
+into an audit field, calling the test declassifier from production code).
+For every fixture the harness asserts BOTH directions:
 
-  1. compiled as-is, the fixture MUST FAIL — the type layer rejects the
-     leak;
+  1. compiled as-is, the fixture MUST FAIL, and its diagnostics MUST match
+     the fixture's `// nc-expect: <regex>` line (Python re.search over the
+     compiler's stderr) — the type layer rejects the leak for the reason
+     the fixture names, not for a typo elsewhere. A fixture without an
+     nc-expect line fails;
   2. compiled with its control flag (default -DBF_NC_CONTROL, overridable
      per fixture with a `// nc-control-flags: ...` comment), it MUST
-     SUCCEED — proving the fixture is otherwise well-formed C++ and the
-     failure in (1) is the guarded line, not a typo.
+     SUCCEED — proving the fixture is otherwise well-formed C++.
 
 Usage:
   scripts/negcompile.py --compiler g++ [--std c++20] [-I dir]... [fixture...]
@@ -30,6 +33,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE_DIR = os.path.join(REPO_ROOT, "tests", "negative_compile")
 
 CONTROL_RE = re.compile(r"//\s*nc-control-flags:\s*(.+)")
+EXPECT_RE = re.compile(r"//\s*nc-expect:\s*(.+)")
 
 
 def run_compiler(compiler: str, std: str, includes: list[str], path: str,
@@ -38,7 +42,9 @@ def run_compiler(compiler: str, std: str, includes: list[str], path: str,
     for inc in includes:
         cmd += ["-I", inc]
     cmd += extra + [path]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # The C locale keeps diagnostics in plain ASCII quotes for nc-expect.
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          env=dict(os.environ, LC_ALL="C"))
     return proc.returncode, proc.stderr
 
 
@@ -75,12 +81,25 @@ def main(argv: list[str]) -> int:
             source = f.read()
         m = CONTROL_RE.search(source)
         control = m.group(1).split() if m else ["-DBF_NC_CONTROL"]
+        m = EXPECT_RE.search(source)
+        if m is None:
+            failures += 1
+            print(f"FAIL {rel}: no `// nc-expect: <regex>` line naming the "
+                  "diagnostic the fixture must produce")
+            continue
+        expect = m.group(1).strip()
 
         code, stderr = run_compiler(compiler, std, includes, path, [])
         if code == 0:
             failures += 1
             print(f"FAIL {rel}: compiled cleanly — the leak shape is "
                   "no longer rejected by the type layer")
+            continue
+        if re.search(expect, stderr) is None:
+            failures += 1
+            print(f"FAIL {rel}: rejected, but no diagnostic matches "
+                  f"nc-expect /{expect}/ — the error is not the guarded "
+                  f"line:\n{stderr.strip()[:2000]}")
             continue
 
         code, stderr = run_compiler(compiler, std, includes, path, control)
@@ -91,7 +110,7 @@ def main(argv: list[str]) -> int:
                   f"{stderr.strip()[:2000]}")
             continue
 
-        print(f"ok   {rel}: rejected bare, accepted with "
+        print(f"ok   {rel}: rejected bare (/{expect}/), accepted with "
               f"{' '.join(control)}")
 
     if failures:

@@ -1,5 +1,7 @@
 #include "core/deployment.h"
 
+#include <utility>
+
 #include "flow/snapshot.h"
 #include "io/vfs.h"
 #include "tdm/policy_snapshot.h"
@@ -48,11 +50,16 @@ util::Result<util::Timestamp> loadDeployment(BrowserFlowPlugin& plugin,
   const std::string policyBlob = r.str();
   if (!r.ok() || !r.atEnd()) return R::error("deployment payload corrupt");
 
+  // All or nothing: the policy blob is staged in full before either store
+  // changes, importState changes the tracker only once its blob parses,
+  // and applying the staged policy cannot fail.
   const auto lock = plugin.engine().lockState();
+  util::Result<tdm::StagedPolicy> policy =
+      tdm::stagePolicy(plugin.policy(), policyBlob);
+  if (!policy.ok()) return R::error(policy.errorMessage());
   const auto info = flow::importState(plugin.tracker(), trackerBlob);
   if (!info.ok()) return R::error(info.errorMessage());
-  const auto st = tdm::importPolicy(plugin.policy(), policyBlob);
-  if (!st.ok()) return R::error(st.errorMessage());
+  tdm::applyPolicy(plugin.policy(), std::move(policy).value());
   return info.value().maxTimestamp;
 }
 

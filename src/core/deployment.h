@@ -24,9 +24,10 @@ namespace bf::core {
                                           std::string_view secret);
 
 /// Restores a file written by saveDeployment() into a freshly constructed
-/// plug-in (empty tracker and policy). A file that fails its tag or CRC,
-/// or a file of another kind (a snapshot, say), is rejected before
-/// anything is imported. Returns the largest timestamp in the snapshot;
+/// plug-in (empty tracker and policy). All or nothing: a file that fails
+/// its tag or CRC, a file of another kind (a snapshot, say) and a file
+/// whose tracker or policy blob does not parse in full all leave both
+/// stores unchanged. Returns the largest timestamp in the snapshot;
 /// the caller must advance the plug-in's clock past it.
 [[nodiscard]] util::Result<util::Timestamp> loadDeployment(
     BrowserFlowPlugin& plugin, const std::string& path,

@@ -2,12 +2,12 @@
 
 namespace bf::flow {
 
-std::vector<std::uint64_t> authoritativeHashes(const SegmentRecord& source,
+std::vector<text::Hash> authoritativeHashes(const SegmentRecord& source,
                                                const HashDb& hashDb) {
-  std::vector<std::uint64_t> out;
+  std::vector<text::Hash> out;
   const auto& hashes = source.fingerprint.hashes();
   out.reserve(hashes.size());
-  for (std::uint64_t h : hashes) {
+  for (text::Hash h : hashes) {
     const auto oldest = hashDb.oldestSegmentWith(h);
     if (oldest && *oldest == source.id) out.push_back(h);
   }
@@ -18,7 +18,7 @@ std::size_t authoritativeOverlap(const SegmentRecord& source,
                                  const text::Fingerprint& target,
                                  const HashDb& hashDb) {
   std::size_t overlap = 0;
-  for (std::uint64_t h : source.fingerprint.hashes()) {
+  for (text::Hash h : source.fingerprint.hashes()) {
     if (!target.contains(h)) continue;
     const auto oldest = hashDb.oldestSegmentWith(h);
     if (oldest && *oldest == source.id) ++overlap;

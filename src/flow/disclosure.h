@@ -19,7 +19,7 @@ namespace bf::flow {
 
 /// The subset of `source`'s fingerprint hashes for which `source` is the
 /// oldest associated segment ("F_authoritative", S4.3). Sorted ascending.
-[[nodiscard]] std::vector<std::uint64_t> authoritativeHashes(
+[[nodiscard]] std::vector<text::Hash> authoritativeHashes(
     const SegmentRecord& source, const HashDb& hashDb);
 
 /// |F_auth(source) ∩ target|, computed without materialising F_auth by

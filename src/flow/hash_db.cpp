@@ -13,21 +13,21 @@ namespace {
 constexpr std::size_t kInitialSlots = 16;  // power of two
 }  // namespace
 
-std::size_t HashDb::homeSlot(std::uint64_t hash) const noexcept {
-  // Stored hashes are often truncated to 32 bits; re-mix so high slots of
-  // large tables stay uniformly used under linear probing.
+std::size_t HashDb::homeSlot(text::Hash hash) const noexcept {
+  // Re-mix the 32-bit hash so every slot bit of a large table is uniformly
+  // used under linear probing.
   return static_cast<std::size_t>(util::mix64(hash)) & mask_;
 }
 
-void HashDb::prefetchSlot(std::uint64_t hash) const noexcept {
+void HashDb::prefetchSlot(text::Hash hash) const noexcept {
   if (!slots_.empty()) __builtin_prefetch(&slots_[homeSlot(hash)]);
 }
 
-std::size_t HashDb::probe(std::uint64_t hash) const noexcept {
+std::size_t HashDb::probe(text::Hash hash) const noexcept {
   return probeFrom(hash, homeSlot(hash));
 }
 
-std::size_t HashDb::probeFrom(std::uint64_t hash,
+std::size_t HashDb::probeFrom(text::Hash hash,
                               std::size_t idx) const noexcept {
   while (slots_[idx].used() && slots_[idx].hash != hash) {
     idx = (idx + 1) & mask_;
@@ -162,7 +162,7 @@ void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
   maxRecorded_ = std::max(maxRecorded_, segment);
 }
 
-void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
+void HashDb::recordObservation(text::Hash hash, SegmentId segment,
                                util::Timestamp ts, util::Timestamp lastSeen) {
   beginRecord(segment, ts);
   reserveForInsert();
@@ -170,7 +170,7 @@ void HashDb::recordObservation(std::uint64_t hash, SegmentId segment,
   recordReserved(hash, Association{segment, ts, seen}, homeSlot(hash));
 }
 
-void HashDb::recordReserved(std::uint64_t hash, const Association& assoc,
+void HashDb::recordReserved(text::Hash hash, const Association& assoc,
                             std::size_t from) {
   const SegmentId segment = assoc.segment;
   assert(segment != kInvalidSegment);
@@ -247,7 +247,7 @@ void HashDb::recordReserved(std::uint64_t hash, const Association& assoc,
   ++storedAssociations_;
 }
 
-void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
+void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
                                SegmentId segment, util::Timestamp ts) {
   beginRecord(segment, ts);
   // Cut the batch before the first insert at which the per-hash 70% check
@@ -264,7 +264,7 @@ void HashDb::recordFingerprint(std::span<const std::uint64_t> hashes,
   }
 }
 
-void HashDb::recordPiece(std::span<const std::uint64_t> hashes,
+void HashDb::recordPiece(std::span<const text::Hash> hashes,
                          const Association& assoc) {
   const std::size_t n = hashes.size();
   // For hash j, the slot its probe reached at the header stage and the run
@@ -321,7 +321,7 @@ std::optional<SegmentId> HashDb::oldestLive(const Slot& s) const {
   return std::nullopt;
 }
 
-std::optional<HashDb::Association> HashDb::find(std::uint64_t hash,
+std::optional<HashDb::Association> HashDb::find(text::Hash hash,
                                                 SegmentId segment) const {
   if (slots_.empty() || isDead(segment)) return std::nullopt;
   const Slot& s = slots_[probe(hash)];
@@ -337,8 +337,8 @@ std::optional<HashDb::Association> HashDb::find(std::uint64_t hash,
 }
 
 void HashDb::oldestOwners(
-    std::span<const std::uint64_t> hashes,
-    std::vector<std::pair<SegmentId, std::uint64_t>>& claims) const {
+    std::span<const text::Hash> hashes,
+    std::vector<std::pair<SegmentId, text::Hash>>& claims) const {
   if (slots_.empty()) return;
   const std::size_t n = hashes.size();
   for (std::size_t j = 0; j < std::min(n, kSlotPrefetchDistance); ++j) {
@@ -358,14 +358,14 @@ void HashDb::oldestOwners(
   }
 }
 
-std::optional<SegmentId> HashDb::oldestSegmentWith(std::uint64_t hash) const {
+std::optional<SegmentId> HashDb::oldestSegmentWith(text::Hash hash) const {
   if (slots_.empty()) return std::nullopt;
   const Slot& s = slots_[probe(hash)];
   if (!s.used()) return std::nullopt;
   return oldestLive(s);
 }
 
-std::vector<SegmentId> HashDb::segmentsWith(std::uint64_t hash) const {
+std::vector<SegmentId> HashDb::segmentsWith(text::Hash hash) const {
   std::vector<SegmentId> out;
   if (slots_.empty()) return out;
   const Slot& s = slots_[probe(hash)];
@@ -383,13 +383,13 @@ std::vector<SegmentId> HashDb::segmentsWith(std::uint64_t hash) const {
   return out;
 }
 
-std::optional<util::Timestamp> HashDb::firstSeen(std::uint64_t hash,
+std::optional<util::Timestamp> HashDb::firstSeen(text::Hash hash,
                                                  SegmentId segment) const {
   if (const auto a = find(hash, segment)) return a->firstSeen;
   return std::nullopt;
 }
 
-std::optional<util::Timestamp> HashDb::lastSeen(std::uint64_t hash,
+std::optional<util::Timestamp> HashDb::lastSeen(text::Hash hash,
                                                 SegmentId segment) const {
   if (const auto a = find(hash, segment)) return a->lastSeen;
   return std::nullopt;

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "flow/ids.h"
+#include "text/fingerprint.h"
 #include "util/clock.h"
 
 namespace bf::flow {
@@ -91,38 +92,38 @@ class HashDb {
   /// 0 means "same as ts". A lastSeen below `ts` is raised to `ts`, so
   /// every association keeps lastSeen >= firstSeen. `segment` must not be
   /// kInvalidSegment.
-  void recordObservation(std::uint64_t hash, SegmentId segment,
+  void recordObservation(text::Hash hash, SegmentId segment,
                          util::Timestamp ts, util::Timestamp lastSeen = 0);
 
   /// recordObservation(h, segment, ts) for every h in `hashes`, in order,
   /// with the probes prefetched ahead of the inserts. The table ends up
   /// exactly as the per-hash loop leaves it (capacity, slot order,
   /// histories, timestamps).
-  void recordFingerprint(std::span<const std::uint64_t> hashes,
+  void recordFingerprint(std::span<const text::Hash> hashes,
                          SegmentId segment, util::Timestamp ts);
 
   /// For every h in `hashes` (in order) that has a live owner, appends
   /// (oldestSegmentWith(h), h) to `claims`; the slot probes are prefetched
   /// ahead. This is Algorithm 1's candidate discovery over a target.
   void oldestOwners(
-      std::span<const std::uint64_t> hashes,
-      std::vector<std::pair<SegmentId, std::uint64_t>>& claims) const;
+      std::span<const text::Hash> hashes,
+      std::vector<std::pair<SegmentId, text::Hash>>& claims) const;
 
   /// The oldest live segment associated with `hash`, or nullopt.
   /// This is "oldestParagraphWith(h, DBhash)" from Algorithm 1.
   [[nodiscard]] std::optional<SegmentId> oldestSegmentWith(
-      std::uint64_t hash) const;
+      text::Hash hash) const;
 
   /// All live segments associated with `hash`, oldest first.
-  [[nodiscard]] std::vector<SegmentId> segmentsWith(std::uint64_t hash) const;
+  [[nodiscard]] std::vector<SegmentId> segmentsWith(text::Hash hash) const;
 
   /// First-seen timestamp of (hash, segment), or nullopt if unrecorded.
   [[nodiscard]] std::optional<util::Timestamp> firstSeen(
-      std::uint64_t hash, SegmentId segment) const;
+      text::Hash hash, SegmentId segment) const;
 
   /// Most recent observation timestamp of (hash, segment), or nullopt.
   [[nodiscard]] std::optional<util::Timestamp> lastSeen(
-      std::uint64_t hash, SegmentId segment) const;
+      text::Hash hash, SegmentId segment) const;
 
   /// Marks a segment dead: its associations are skipped by lookups and
   /// physically removed by the next compaction (automatic once the dead
@@ -231,7 +232,10 @@ class HashDb {
   struct Slot {
     static constexpr std::uint32_t kSpilled = 0x80000000u;
 
-    std::uint64_t hash = 0;
+    text::Hash hash = 0;
+    /// Unused. Keeps the 16-byte layout until a 12-byte slot and a split
+    /// hash array have been measured against it.
+    std::uint32_t spare = 0;
     std::uint32_t owner = 0;
     std::uint32_t word = 0;
 
@@ -364,16 +368,16 @@ class HashDb {
   }
 
   /// Index of `hash`'s home slot (where its probe starts).
-  [[nodiscard]] std::size_t homeSlot(std::uint64_t hash) const noexcept;
+  [[nodiscard]] std::size_t homeSlot(text::Hash hash) const noexcept;
 
   /// Prefetches `hash`'s home slot. No-op on an empty table.
-  void prefetchSlot(std::uint64_t hash) const noexcept;
+  void prefetchSlot(text::Hash hash) const noexcept;
 
   /// The oldest live association of an occupied slot, or nullopt.
   [[nodiscard]] std::optional<SegmentId> oldestLive(const Slot& s) const;
 
   /// The association of live `segment` with `hash`, or nullopt.
-  [[nodiscard]] std::optional<Association> find(std::uint64_t hash,
+  [[nodiscard]] std::optional<Association> find(text::Hash hash,
                                                 SegmentId segment) const;
 
   /// Turns `s` into a spilled slot over `history` (non-empty, oldest
@@ -387,21 +391,21 @@ class HashDb {
 
   /// recordObservation once the table has room for one more hash, probing
   /// from slot `from` (the home slot, or a slot the probe reaches later).
-  void recordReserved(std::uint64_t hash, const Association& assoc,
+  void recordReserved(text::Hash hash, const Association& assoc,
                       std::size_t from);
 
   /// The prefetched record loop over a piece of a batch that cannot grow
   /// the table.
-  void recordPiece(std::span<const std::uint64_t> hashes,
+  void recordPiece(std::span<const text::Hash> hashes,
                    const Association& assoc);
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
-  [[nodiscard]] std::size_t probe(std::uint64_t hash) const noexcept;
+  [[nodiscard]] std::size_t probe(text::Hash hash) const noexcept;
 
   /// probe() continued from slot `idx`, which lies on `hash`'s probe path
   /// at or before the slot probe() returns.
-  [[nodiscard]] std::size_t probeFrom(std::uint64_t hash,
+  [[nodiscard]] std::size_t probeFrom(text::Hash hash,
                                       std::size_t idx) const noexcept;
 
   /// Ensures capacity for one more distinct hash (grows + rehashes at

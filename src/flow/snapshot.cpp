@@ -91,14 +91,14 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
   for (SegmentKind kind :
        {SegmentKind::kParagraph, SegmentKind::kDocument}) {
     struct Assoc {
-      std::uint64_t hash;
+      text::Hash hash;
       SegmentId segment;
       util::Timestamp ts;
       util::Timestamp lastSeen;
     };
     std::vector<Assoc> assocs;
     tracker.hashDb(kind).forEachAssociation(
-        [&](std::uint64_t hash, SegmentId segment, util::Timestamp ts,
+        [&](text::Hash hash, SegmentId segment, util::Timestamp ts,
             util::Timestamp lastSeen) {
           assocs.push_back({hash, segment, ts, lastSeen});
         });
@@ -120,7 +120,7 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
 struct StagedState {
   struct Assoc {
     SegmentKind kind;
-    std::uint64_t hash;
+    text::Hash hash;
     SegmentId segment;
     util::Timestamp ts;
     util::Timestamp lastSeen;
@@ -137,7 +137,8 @@ struct StagedState {
 /// must never static_cast its way into live records. Segment references
 /// must be consistent: ids are nonzero (0 is the empty-slot marker of
 /// HashDb) and unique, names unique, and every association names a listed
-/// segment of its own kind with lastSeen >= firstSeen.
+/// segment of its own kind with lastSeen >= firstSeen. Every hash, gram or
+/// row, must fit a text::Hash.
 std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
   std::unordered_map<SegmentId, SegmentKind> kindOf;
   std::unordered_set<std::string> names;
@@ -174,7 +175,10 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
     for (std::uint64_t g = 0; g < gramCount && r.ok(); ++g) {
       const std::uint64_t hash = r.u64();
       const std::uint32_t pos = r.u32();
-      grams.push_back({hash, pos});
+      if (r.ok() && !validHashWord(hash)) {
+        return "gram hash wider than 32 bits in segment '" + rec.name + "'";
+      }
+      grams.push_back({static_cast<text::Hash>(hash), pos});
     }
     rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
     if (!r.ok()) break;
@@ -208,8 +212,13 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
         return "association lastSeen precedes firstSeen for segment " +
                std::to_string(segment);
       }
+      if (!validHashWord(hash)) {
+        return "association hash wider than 32 bits for segment " +
+               std::to_string(segment);
+      }
       staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
-      staged.assocs.push_back({kind, hash, segment, ts, lastSeen});
+      staged.assocs.push_back(
+          {kind, static_cast<text::Hash>(hash), segment, ts, lastSeen});
     }
   }
 

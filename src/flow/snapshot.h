@@ -34,9 +34,10 @@
 // relabel it, bypassing authentication.
 //
 // Every import validates untrusted bytes before they become live records:
-// unknown SegmentKind values, non-finite / out-of-range thresholds and a
-// nonzero v3 tenant slot reject the whole blob (all-or-nothing, tracker
-// left empty).
+// unknown SegmentKind values, non-finite / out-of-range thresholds, a
+// nonzero v3 tenant slot and a hash wider than 32 bits (rows store each
+// text::Hash in a u64) reject the whole blob (all-or-nothing, tracker left
+// empty).
 #pragma once
 
 #include <cstdint>

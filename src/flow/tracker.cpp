@@ -83,7 +83,7 @@ std::uint64_t FlowTracker::digestOf(const text::Fingerprint& fp) {
   // Order-independent-enough digest: hashes() is sorted, so a sequential
   // combine is deterministic for a given hash set.
   std::uint64_t d = 0x9e3779b97f4a7c15ULL;
-  for (std::uint64_t h : fp.hashes()) d = util::hashCombine(d, h);
+  for (text::Hash h : fp.hashes()) d = util::hashCombine(d, h);
   return d ^ fp.size();
 }
 
@@ -282,7 +282,7 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
   if (config_.useAuthoritative) {
     db.oldestOwners(target.hashes(), claims);
   } else {
-    for (std::uint64_t h : target.hashes()) {
+    for (text::Hash h : target.hashes()) {
       for (SegmentId s : db.segmentsWith(h)) claims.emplace_back(s, h);
     }
   }
@@ -342,7 +342,7 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
       // associations of overwritten fingerprints) — the set
       // authoritativeOverlap counts. Claims and fingerprint are both
       // ascending, so one forward search walks both.
-      const std::vector<std::uint64_t>& own = rec->fingerprint.hashes();
+      const std::vector<text::Hash>& own = rec->fingerprint.hashes();
       auto at = own.begin();
       for (std::uint32_t i = g.first, left = g.claims; left > 0;
            --left, i = next[i]) {
@@ -510,7 +510,7 @@ void FlowTracker::restoreSegment(SegmentRecord record) {
   refreshStoreGauges();
 }
 
-void FlowTracker::restoreAssociation(SegmentKind kind, std::uint64_t hash,
+void FlowTracker::restoreAssociation(SegmentKind kind, text::Hash hash,
                                      SegmentId segment,
                                      util::Timestamp firstSeen,
                                      util::Timestamp lastSeen) {

@@ -296,7 +296,7 @@ class FlowTracker {
   /// Restores one hash association with its original first-seen and
   /// last-seen timestamps (lastSeen 0 means "same as firstSeen" — the
   /// legacy snapshot/WAL formats predate the retention stamp).
-  void restoreAssociation(SegmentKind kind, std::uint64_t hash,
+  void restoreAssociation(SegmentKind kind, text::Hash hash,
                           SegmentId segment, util::Timestamp firstSeen,
                           util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);
 
@@ -369,7 +369,7 @@ class FlowTracker {
   /// disclosedSourcesLocked's working memory, kept between queries so a
   /// query allocates only its hits.
   struct QueryWorkspace {
-    std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+    std::vector<std::pair<SegmentId, text::Hash>> claims;
     /// Per claim, the index of its owner's next claim.
     std::vector<std::uint32_t> next;
     std::vector<OwnerGroup> groups;

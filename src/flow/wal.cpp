@@ -301,7 +301,7 @@ void WriteAheadLog::logSegmentObserved(const SegmentRecord& rec) {
   append(WalRecordType::kSegmentObserved, body);
 }
 
-void WriteAheadLog::logAssociationAdded(SegmentKind kind, std::uint64_t hash,
+void WriteAheadLog::logAssociationAdded(SegmentKind kind, text::Hash hash,
                                         SegmentId segment,
                                         util::Timestamp firstSeen,
                                         util::Timestamp lastSeen) {
@@ -413,7 +413,8 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       for (std::uint64_t g = 0; g < gramCount && r.ok(); ++g) {
         const std::uint64_t hash = r.u64();
         const std::uint32_t pos = r.u32();
-        grams.push_back({hash, pos});
+        if (!validHashWord(hash)) return false;
+        grams.push_back({static_cast<text::Hash>(hash), pos});
       }
       rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
       // Optional trailing tenant slot: older records end here. Only 0 is
@@ -437,9 +438,11 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       if (r.ok() && !r.atEnd()) lastSeen = r.u64();
       if (!r.ok() || !r.atEnd()) return false;
       if (segment == kInvalidSegment || lastSeen < ts) return false;
+      if (!validHashWord(hash)) return false;
       maxTs = std::max({maxTs, ts, lastSeen});
-      tracker.restoreAssociation(static_cast<SegmentKind>(kindByte), hash,
-                                 segment, ts, lastSeen);
+      tracker.restoreAssociation(static_cast<SegmentKind>(kindByte),
+                                 static_cast<text::Hash>(hash), segment, ts,
+                                 lastSeen);
       return true;
     }
     case WalRecordType::kSegmentRemoved: {

@@ -25,8 +25,9 @@
 // contain a valid frame image still fails verification when the framing
 // shifts. A frame is discarded — together with everything after it — when
 // it is torn (fewer bytes than the header promises), its CRC mismatches,
-// its type is unknown, its body does not parse exactly, or its sequence
-// breaks continuity.
+// its type is unknown, its body does not parse exactly or holds an
+// out-of-range value (e.g. a hash wider than text::Hash in its u64 field),
+// or its sequence breaks continuity.
 //
 // Durability levels: frames buffer in user space and reach the kernel once
 // 64 KiB accumulates, on sync()/rotate()/close(), or on every append with
@@ -116,7 +117,7 @@ class WriteAheadLog {
   /// A `lastSeen` below firstSeen (0 included) is logged as firstSeen (the
   /// retention stamp is an optional trailing field: logs written before it
   /// existed replay with lastSeen = firstSeen).
-  void logAssociationAdded(SegmentKind kind, std::uint64_t hash,
+  void logAssociationAdded(SegmentKind kind, text::Hash hash,
                            SegmentId segment, util::Timestamp firstSeen,
                            util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);
   void logSegmentRemoved(SegmentId id) BF_EXCLUDES(mutex_);

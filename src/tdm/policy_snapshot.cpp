@@ -91,15 +91,18 @@ std::string exportPolicy(const TdmPolicy& policy) {
   return out;
 }
 
-util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
+util::Result<StagedPolicy> stagePolicy(const TdmPolicy& policy,
+                                       std::string_view blob) {
+  using R = util::Result<StagedPolicy>;
   if (!policy.allLabels().empty() || policy.services().size() != 0 ||
       policy.audit().size() != 0) {
-    return util::Status::error("importPolicy requires an empty policy");
+    return R::error("a policy import requires an empty policy");
   }
   if (blob.substr(0, kMagic.size()) != kMagic) {
-    return util::Status::error("not a BrowserFlow policy snapshot");
+    return R::error("not a BrowserFlow policy snapshot");
   }
   util::BinaryReader r(blob.substr(kMagic.size()));
+  StagedPolicy staged;
 
   const std::uint64_t serviceCount = r.u64();
   for (std::uint64_t i = 0; i < serviceCount && r.ok(); ++i) {
@@ -108,7 +111,7 @@ util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
     svc.displayName = r.str();
     svc.privilege = readTagSet(r);
     svc.confidentiality = readTagSet(r);
-    if (r.ok()) policy.services().upsert(std::move(svc));
+    if (r.ok()) staged.services.push_back(std::move(svc));
   }
 
   const std::uint64_t labelCount = r.u64();
@@ -117,7 +120,7 @@ util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
     Label label = Label::fromExplicit(readTagSet(r));
     for (const Tag& t : readTagSet(r)) label.addImplicit(t);
     for (const Tag& t : readTagSet(r)) label.suppress(t);
-    if (r.ok()) policy.restoreLabel(std::move(name), std::move(label));
+    if (r.ok()) staged.labels.emplace_back(std::move(name), std::move(label));
   }
 
   const std::uint64_t presenceCount = r.u64();
@@ -126,14 +129,16 @@ util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
     std::set<std::string> services;
     const std::uint64_t n = r.u64();
     for (std::uint64_t k = 0; k < n && r.ok(); ++k) services.insert(r.str());
-    if (r.ok()) policy.restorePresence(std::move(name), std::move(services));
+    if (r.ok()) {
+      staged.presence.emplace_back(std::move(name), std::move(services));
+    }
   }
 
   const std::uint64_t customCount = r.u64();
   for (std::uint64_t i = 0; i < customCount && r.ok(); ++i) {
-    std::string tag = r.str();
+    Tag tag = r.str();
     std::string owner = r.str();
-    if (r.ok()) policy.restoreCustomTag(std::move(tag), std::move(owner));
+    if (r.ok()) staged.customTags.emplace_back(std::move(tag), std::move(owner));
   }
 
   const std::uint64_t auditCount = r.u64();
@@ -146,13 +151,29 @@ util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
     rec.segment = r.str();
     rec.service = r.str();
     rec.justification = r.str();
-    if (r.ok()) policy.audit().append(std::move(rec));
+    if (r.ok()) staged.audit.push_back(std::move(rec));
   }
 
   if (!r.ok() || !r.atEnd()) {
-    return util::Status::error("policy snapshot truncated or corrupt");
+    return R::error("policy snapshot truncated or corrupt");
   }
-  return {};
+  return staged;
+}
+
+void applyPolicy(TdmPolicy& policy, StagedPolicy staged) {
+  for (ServiceInfo& svc : staged.services) {
+    policy.services().upsert(std::move(svc));
+  }
+  for (auto& [name, label] : staged.labels) {
+    policy.restoreLabel(std::move(name), std::move(label));
+  }
+  for (auto& [name, services] : staged.presence) {
+    policy.restorePresence(std::move(name), std::move(services));
+  }
+  for (auto& [tag, owner] : staged.customTags) {
+    policy.restoreCustomTag(std::move(tag), std::move(owner));
+  }
+  for (AuditRecord& rec : staged.audit) policy.audit().append(std::move(rec));
 }
 
 }  // namespace bf::tdm

@@ -10,8 +10,11 @@
 // encryption + authentication at rest.
 #pragma once
 
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "tdm/policy.h"
 #include "util/result.h"
@@ -23,9 +26,25 @@ namespace bf::tdm {
 /// Deterministic: equal states produce equal blobs.
 [[nodiscard]] std::string exportPolicy(const TdmPolicy& policy);
 
-/// Restores a blob from exportPolicy() into `policy`, which must be empty
-/// (freshly constructed).
-[[nodiscard]] util::Status importPolicy(TdmPolicy& policy,
-                                        std::string_view blob);
+/// An exportPolicy() blob parsed in full and checked against an empty
+/// policy, not yet applied. A load that restores more than one store
+/// stages every blob before it changes any store (core::loadDeployment).
+struct StagedPolicy {
+  std::vector<ServiceInfo> services;
+  std::vector<std::pair<std::string, Label>> labels;
+  std::vector<std::pair<std::string, std::set<std::string>>> presence;
+  std::vector<std::pair<Tag, std::string>> customTags;
+  std::vector<AuditRecord> audit;
+};
+
+/// Parses `blob` for `policy`, which must be empty (freshly constructed).
+/// Fails on a non-empty policy and on anything but a complete
+/// exportPolicy() blob. Changes nothing.
+[[nodiscard]] util::Result<StagedPolicy> stagePolicy(const TdmPolicy& policy,
+                                                     std::string_view blob);
+
+/// Applies a stagePolicy() result to the policy it was staged for, which
+/// must still be empty.
+void applyPolicy(TdmPolicy& policy, StagedPolicy staged);
 
 }  // namespace bf::tdm

@@ -21,7 +21,7 @@ Fingerprint Fingerprint::fromSelected(std::vector<HashedGram> selected) {
 }
 
 Fingerprint Fingerprint::fromSortedParts(std::vector<HashedGram> grams,
-                                         std::vector<std::uint64_t> hashes) {
+                                         std::vector<Hash> hashes) {
   assert(std::is_sorted(grams.begin(), grams.end(),
                         [](const HashedGram& a, const HashedGram& b) {
                           return a.pos < b.pos;
@@ -34,7 +34,7 @@ Fingerprint Fingerprint::fromSortedParts(std::vector<HashedGram> grams,
   return fp;
 }
 
-bool Fingerprint::contains(std::uint64_t hash) const noexcept {
+bool Fingerprint::contains(Hash hash) const noexcept {
   return std::binary_search(hashes_.begin(), hashes_.end(), hash);
 }
 

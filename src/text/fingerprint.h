@@ -6,16 +6,26 @@
 // the set operations in the disclosure metrics, S4.2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "text/ngram_hasher.h"
-
 namespace bf::text {
 
-/// Configuration of the fingerprinting pipeline. Paper defaults (S6):
-/// "32-bit hashes over n-grams of 15 characters with a window size of 30
-/// characters".
+/// A fingerprint hash. The paper evaluates "32-bit hashes over n-grams of
+/// 15 characters with a window size of 30 characters" (S6.1); this alias is
+/// the one place that width is stated, from the kernels to DBhash.
+using Hash = std::uint32_t;
+
+/// One hashed n-gram: its hash and the index of the n-gram's first
+/// character (in the normalized text while hashing; an original byte
+/// offset once it is part of a Fingerprint).
+struct HashedGram {
+  Hash hash;
+  std::uint32_t pos;
+};
+
+/// Configuration of the fingerprinting pipeline. Paper defaults (S6.1).
 struct FingerprintConfig {
   /// Noise threshold: matches shorter than this many characters are never
   /// detected.
@@ -23,8 +33,6 @@ struct FingerprintConfig {
   /// Guarantee threshold: any shared substring of at least this many
   /// characters is always detected. Must be >= ngramChars.
   std::size_t windowChars = 30;
-  /// Width of stored hashes in bits (paper: 32).
-  unsigned hashBits = 32;
 
   /// Number of consecutive n-gram hashes per winnowing window
   /// (w = t - n + 1 in the winnowing paper's notation).
@@ -48,7 +56,7 @@ class Fingerprint {
   /// in position order and the kernel radix-sorts the hash set itself, so
   /// nothing is left for this factory to do but adopt the vectors.
   static Fingerprint fromSortedParts(std::vector<HashedGram> grams,
-                                     std::vector<std::uint64_t> hashes);
+                                     std::vector<Hash> hashes);
 
   /// Selected grams in normalized-text position order.
   [[nodiscard]] const std::vector<HashedGram>& grams() const noexcept {
@@ -57,7 +65,7 @@ class Fingerprint {
 
   /// Sorted, de-duplicated hash values. This is "F(A)" in the paper's
   /// disclosure equations.
-  [[nodiscard]] const std::vector<std::uint64_t>& hashes() const noexcept {
+  [[nodiscard]] const std::vector<Hash>& hashes() const noexcept {
     return hashes_;
   }
 
@@ -66,7 +74,7 @@ class Fingerprint {
   [[nodiscard]] bool empty() const noexcept { return hashes_.empty(); }
 
   /// O(log n) membership test.
-  [[nodiscard]] bool contains(std::uint64_t hash) const noexcept;
+  [[nodiscard]] bool contains(Hash hash) const noexcept;
 
   /// |F(A) ∩ F(B)|.
   [[nodiscard]] static std::size_t intersectionSize(
@@ -80,7 +88,7 @@ class Fingerprint {
 
  private:
   std::vector<HashedGram> grams_;
-  std::vector<std::uint64_t> hashes_;
+  std::vector<Hash> hashes_;
 };
 
 }  // namespace bf::text

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 
 #include "text/normalizer.h"
 #include "text/simd/kernel.h"
@@ -20,7 +19,7 @@ std::size_t roundPow2(std::size_t v) {
 }
 
 /// Monotone bucket remap for finalizeSelectedFingerprint's MSD pass.
-/// Index = top 13 bits of the (range-spread) hash; value = one of 2048
+/// Index = top 13 bits of the hash; value = one of 2048
 /// buckets placed along the CDF of a 16-window minimum, 1 - (1 - u)^16
 /// evaluated in 0.32 fixed point (four squarings). Winnow picks ARE
 /// window minima, so remapped keys land near-uniformly across buckets;
@@ -52,80 +51,56 @@ Fingerprint finalizeSelectedFingerprint(FingerprintWorkspace& ws) {
   std::vector<HashedGram> grams = std::move(ws.selected_);
   ws.selected_.clear();  // moved-from: make the state definite
   ws.selected_.reserve(grams.size() + grams.size() / 8 + 64);
-  std::vector<std::uint64_t> hashes;
   const std::size_t count = grams.size();
-  hashes.reserve(count);
-  std::uint64_t maxBits = 0;  // OR of all hashes: bounds the radix passes
-  for (const auto& g : grams) {
-    maxBits |= g.hash;
-  }
-  if (maxBits <= 0xFFFFFFFFULL) {
-    if (ws.radixTmp32_.size() < 2 * count) ws.radixTmp32_.resize(2 * count);
-    std::uint32_t* src = ws.radixTmp32_.data();
-    std::uint32_t* dst = src + count;
-    if (count <= 2048) {
-      // Small sets (every default-config call: ~2 picks per window of 30
-      // chars) sort with ONE MSD bucket pass + insertion repair instead
-      // of three LSD passes: with at least as many buckets as elements
-      // the scatter output is already globally ordered by bucket and
-      // buckets average under one element, so insertion sort only fixes
-      // local inversions. A third of the histogram traffic (the
-      // histogram clears are the radix bottleneck at this size) and one
-      // data pass instead of three. Buckets come from kMinCdfBucket so
-      // window-minimum-shaped values spread evenly; the spread shift
-      // widens narrow hashes (hashBits < 32) to the table's range. A
-      // crafted input (or a window width far from 16) could still pile
-      // picks into one bucket and make the insertion quadratic, so the
-      // histogram pass tracks the fullest bucket and falls through to
-      // the pass-count-oblivious LSD radix past 64.
-      const auto top = static_cast<std::uint32_t>(maxBits) | 1U;
-      const auto spread = static_cast<unsigned>(std::countl_zero(top));
-      std::uint16_t h[2049] = {0};
-      std::uint16_t maxBucket = 0;
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto x = static_cast<std::uint32_t>(grams[k].hash);
-        src[k] = x;
-        maxBucket =
-            std::max(maxBucket, ++h[kMinCdfBucket[(x << spread) >> 19] + 1]);
-      }
-      if (maxBucket <= 64) {
-        for (int b = 0; b < 2048; ++b) h[b + 1] += h[b];
-        for (std::size_t k = 0; k < count; ++k) {
-          dst[h[kMinCdfBucket[(src[k] << spread) >> 19]]++] = src[k];
-        }
-        for (std::size_t k = 1; k < count; ++k) {
-          const std::uint32_t x = dst[k];
-          std::size_t j = k;
-          while (j > 0 && dst[j - 1] > x) {
-            dst[j] = dst[j - 1];
-            --j;
-          }
-          dst[j] = x;
-        }
-        // Dedup while widening, branchless: duplicates are rare (random
-        // 32-bit values), so always store and advance conditionally
-        // instead of a per-element push_back.
-        hashes.resize(count);
-        std::uint64_t* out = hashes.data();
-        std::size_t m = 0;
-        std::uint64_t prev = ~0ULL;  // > any 32-bit hash: never matches
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::uint32_t x = dst[k];
-          out[m] = x;
-          m += static_cast<std::size_t>(x != prev);
-          prev = x;
-        }
-        hashes.resize(m);
-        return Fingerprint::fromSortedParts(std::move(grams),
-                                            std::move(hashes));
-      }
+  if (ws.sortTmp_.size() < 2 * count) ws.sortTmp_.resize(2 * count);
+  Hash* src = ws.sortTmp_.data();
+  Hash* dst = src + count;
+  const Hash* sorted = nullptr;  // the sorted hashes, src or dst
+  if (count <= 2048) {
+    // Small sets (every default-config call: ~2 picks per window of 30
+    // chars) sort with ONE MSD bucket pass + insertion repair instead
+    // of three LSD passes: with at least as many buckets as elements
+    // the scatter output is already globally ordered by bucket and
+    // buckets average under one element, so insertion sort only fixes
+    // local inversions. A third of the histogram traffic (the
+    // histogram clears are the radix bottleneck at this size) and one
+    // data pass instead of three. Buckets come from kMinCdfBucket, indexed
+    // by a hash's top 13 bits, so window-minimum-shaped values spread
+    // evenly. A crafted input (or a window width far from 16) could still
+    // pile picks into one bucket and make the insertion quadratic, so the
+    // histogram pass tracks the fullest bucket and falls through to the
+    // pass-count-oblivious LSD radix past 64.
+    std::uint16_t h[2049] = {0};
+    std::uint16_t maxBucket = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      const Hash x = grams[k].hash;
+      src[k] = x;
+      maxBucket = std::max(maxBucket, ++h[kMinCdfBucket[x >> 19] + 1]);
     }
+    if (maxBucket <= 64) {
+      for (int b = 0; b < 2048; ++b) h[b + 1] += h[b];
+      for (std::size_t k = 0; k < count; ++k) {
+        dst[h[kMinCdfBucket[src[k] >> 19]]++] = src[k];
+      }
+      for (std::size_t k = 1; k < count; ++k) {
+        const Hash x = dst[k];
+        std::size_t j = k;
+        while (j > 0 && dst[j - 1] > x) {
+          dst[j] = dst[j - 1];
+          --j;
+        }
+        dst[j] = x;
+      }
+      sorted = dst;
+    }
+  }
+  if (sorted == nullptr) {
     // All three 11-bit histograms in one data pass: the counter
     // read-modify-writes are the radix bottleneck, and interleaving three
     // independent streams gives the core parallel chains to retire.
     std::uint32_t h0[2049] = {0}, h1[2049] = {0}, h2[1025] = {0};
     for (std::size_t k = 0; k < count; ++k) {
-      const std::uint32_t x = static_cast<std::uint32_t>(grams[k].hash);
+      const Hash x = grams[k].hash;
       src[k] = x;
       ++h0[(x & 0x7FF) + 1];
       ++h1[((x >> 11) & 0x7FF) + 1];
@@ -137,43 +112,27 @@ Fingerprint finalizeSelectedFingerprint(FingerprintWorkspace& ws) {
     for (std::size_t k = 0; k < count; ++k) {
       dst[h0[src[k] & 0x7FF]++] = src[k];
     }
-    std::swap(src, dst);
     for (std::size_t k = 0; k < count; ++k) {
-      dst[h1[(src[k] >> 11) & 0x7FF]++] = src[k];
+      src[h1[(dst[k] >> 11) & 0x7FF]++] = dst[k];
     }
-    std::swap(src, dst);
     for (std::size_t k = 0; k < count; ++k) {
       dst[h2[src[k] >> 22]++] = src[k];
     }
-    std::swap(src, dst);
-    std::uint64_t prev = ~0ULL;  // > any 32-bit hash: never matches
-    for (std::size_t k = 0; k < count; ++k) {  // dedup while widening
-      const std::uint32_t h = src[k];
-      if (h != prev) hashes.push_back(h);
-      prev = h;
-    }
-    return Fingerprint::fromSortedParts(std::move(grams), std::move(hashes));
+    sorted = dst;
   }
-  for (const auto& g : grams) {
-    hashes.push_back(g.hash);
+  // Dedup branchless: duplicates are rare (random 32-bit values), so
+  // always store and advance conditionally instead of a per-element
+  // push_back.
+  std::vector<Hash> hashes(count);
+  std::size_t m = 0;
+  std::uint64_t prev = ~0ULL;  // > any Hash: never matches
+  for (std::size_t k = 0; k < count; ++k) {
+    const Hash x = sorted[k];
+    hashes[m] = x;
+    m += static_cast<std::size_t>(x != prev);
+    prev = x;
   }
-  if (ws.radixTmp_.size() < count) ws.radixTmp_.resize(count);
-  std::uint64_t* src = hashes.data();
-  std::uint64_t* dst = ws.radixTmp_.data();
-  for (unsigned shift = 0; shift < 64 && (maxBits >> shift) != 0;
-       shift += 8) {
-    std::uint32_t buckets[257] = {0};
-    for (std::size_t k = 0; k < count; ++k) {
-      ++buckets[((src[k] >> shift) & 0xFF) + 1];
-    }
-    for (int b = 0; b < 256; ++b) buckets[b + 1] += buckets[b];
-    for (std::size_t k = 0; k < count; ++k) {
-      dst[buckets[(src[k] >> shift) & 0xFF]++] = src[k];
-    }
-    std::swap(src, dst);
-  }
-  if (src != hashes.data()) std::copy(src, src + count, hashes.data());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  hashes.resize(m);
   return Fingerprint::fromSortedParts(std::move(grams), std::move(hashes));
 }
 
@@ -189,13 +148,6 @@ void FingerprintWorkspace::prepare(std::size_t n, std::size_t w) {
     charOff_.resize(charCap);
   }
   charMask_ = charCap - 1;
-  // Occupancy of the monotonic queue peaks at w + 1: up to w candidates of
-  // the current window plus one not-yet-expired candidate of the previous.
-  const std::size_t ringCap = roundPow2(w + 1);
-  if (ring_.size() < ringCap) ring_.resize(ringCap);
-  ringMask_ = ringCap - 1;
-  ringHead_ = 0;
-  ringTail_ = 0;
   if (blockKeys_.size() < w) {
     blockKeys_.resize(w);
     suffixMin_.resize(w);
@@ -224,133 +176,89 @@ Fingerprint fingerprintTextFusedScalar(std::string_view input,
   if (input.size() < config.windowChars) return Fingerprint{};
   if (n == 0) return Fingerprint{};  // no grams, as in hashNgrams
 
-  const std::uint64_t mask =
-      config.hashBits >= 64 ? ~0ULL : ((1ULL << config.hashBits) - 1);
   ws.prepare(n, w);
 
-  // Streams the input once: normalize each byte, keep the last n
+  // Streams the input once: normalize each byte, keep the last n + w
   // normalized chars in a flat ring feeding the Karp-Rabin roller, and
-  // hand every finished gram (index, masked hash, original byte offset of
-  // its first char) to `sink`. Returns the normalized length.
-  auto stream = [&](auto&& sink) -> std::size_t {
-    util::KarpRabin roller(n);
-    std::size_t normCount = 0;  // normalized characters consumed so far
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      const unsigned char keep =
-          kNormTable[static_cast<unsigned char>(input[i])];
-      if (keep == 0) continue;  // punctuation, whitespace, control: drop
-
-      // Read the character leaving the n-gram window BEFORE overwriting
-      // its slot: when n is a power of two the outgoing index maps to the
-      // same ring slot as the incoming one.
-      const char outgoing =
-          normCount >= n ? ws.chars_[(normCount - n) & ws.charMask_] : '\0';
-      const std::size_t slot = normCount & ws.charMask_;
-      ws.chars_[slot] = static_cast<char>(keep);
-      ws.charOff_[slot] = static_cast<std::uint32_t>(i);
-      ++normCount;
-
-      if (normCount < n) continue;
-      std::uint64_t kr;
-      if (normCount == n) {
-        // First gram: the ring has not wrapped yet (n <= capacity), so the
-        // first n characters are contiguous from slot 0.
-        kr = roller.init(std::string_view(ws.chars_.data(), n));
-      } else {
-        kr = roller.roll(outgoing, static_cast<char>(keep));
-      }
-
-      const std::size_t gram = normCount - n;  // index in the gram sequence
-      sink(gram, util::mix64(kr) & mask,
-           ws.charOff_[gram & ws.charMask_]);
-    }
-    return normCount;
-  };
-
+  // winnow every finished gram as it completes.
+  //
+  // Packed branchless winnow. Each gram becomes one sortable key
+  //
+  //     key = (hash << 32) | (0xFFFFFFFF - gramIndex)
+  //
+  // whose minimum over a window IS robust winnowing's pick: the smallest
+  // hash, ties broken towards the RIGHTMOST gram (larger index == smaller
+  // inverted low word). The sliding-window minimum then comes from the
+  // two-scan block decomposition (van Herk / Gil-Werman): grams are
+  // grouped into blocks of w; `pfx` carries the running minimum of the
+  // current block and suffixMin_[j] the backward minima of the previous
+  // block, so the window [s, s+w-1] minimum is min(suffixMin_[s % w], pfx)
+  // — about three branchless min ops per gram instead of a
+  // mispredict-prone monotonic-queue pop loop.
+  util::KarpRabin roller(n);
+  std::size_t normCount = 0;  // normalized characters consumed so far
+  std::uint64_t pfx = ~0ULL;
+  std::size_t r = 0;  // gram index modulo w, maintained incrementally
   // Sentinel distinct from any gram index.
   std::size_t lastSelected = static_cast<std::size_t>(-1);
-  std::size_t normCount;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const unsigned char keep = kNormTable[static_cast<unsigned char>(input[i])];
+    if (keep == 0) continue;  // punctuation, whitespace, control: drop
 
-  if (config.hashBits <= 32) {
-    // Packed branchless winnow. Each gram becomes one sortable key
-    //
-    //     key = (hash << 32) | (0xFFFFFFFF - gramIndex)
-    //
-    // whose minimum over a window IS robust winnowing's pick: the smallest
-    // hash, ties broken towards the RIGHTMOST gram (larger index ==
-    // smaller inverted low word). The sliding-window minimum then comes
-    // from the two-scan block decomposition (van Herk / Gil-Werman):
-    // grams are grouped into blocks of w; `pfx` carries the running
-    // minimum of the current block and suffixMin_[j] the backward minima
-    // of the previous block, so the window [s, s+w-1] minimum is
-    // min(suffixMin_[s % w], pfx) — about three branchless min ops per
-    // gram instead of a mispredict-prone monotonic-queue pop loop.
-    std::uint64_t pfx = ~0ULL;
-    std::size_t r = 0;  // gram index modulo w, maintained incrementally
-    normCount = stream([&](std::size_t gram, std::uint64_t h,
-                           std::uint32_t origPos) {
-      const std::uint64_t key =
-          (h << 32) |
-          (0xFFFFFFFFULL - static_cast<std::uint32_t>(gram));
-      (void)origPos;  // the pick's offset is read from charOff_ instead
-      pfx = r == 0 ? key : std::min(pfx, key);
-      ws.blockKeys_[r] = key;
+    // Read the character leaving the n-gram window BEFORE overwriting its
+    // slot: when n is a power of two the outgoing index maps to the same
+    // ring slot as the incoming one.
+    const char outgoing =
+        normCount >= n ? ws.chars_[(normCount - n) & ws.charMask_] : '\0';
+    const std::size_t slot = normCount & ws.charMask_;
+    ws.chars_[slot] = static_cast<char>(keep);
+    ws.charOff_[slot] = static_cast<std::uint32_t>(i);
+    ++normCount;
 
-      if (gram + 1 >= w) {
-        // Window start s = gram - w + 1, s % w == (r + 1) % w.
-        const std::size_t r2 = r + 1 == w ? 0 : r + 1;
-        const std::uint64_t winKey =
-            r2 == 0 ? pfx : std::min(ws.suffixMin_[r2], pfx);
-        const std::size_t pick =
-            0xFFFFFFFFULL - (winKey & 0xFFFFFFFFULL);
-        if (pick != lastSelected) {
-          // The char ring still holds the pick's start offset: the ring
-          // covers n + w positions and the pick is at most w - 1 grams
-          // behind the newest character's gram.
-          ws.selected_.push_back(
-              {winKey >> 32, ws.charOff_[pick & ws.charMask_]});
-          lastSelected = pick;
-        }
-      }
-      if (r + 1 == w) {
-        // Block complete: backward scan fixes its suffix minima (1 min
-        // per gram amortised) before the next block overwrites it.
-        ws.suffixMin_[w - 1] = ws.blockKeys_[w - 1];
-        for (std::size_t j = w - 1; j-- > 0;) {
-          ws.suffixMin_[j] = std::min(ws.blockKeys_[j], ws.suffixMin_[j + 1]);
-        }
-        r = 0;
-      } else {
-        ++r;
-      }
-    });
-  } else {
-    // Generic path (hashBits > 32): hashes do not fit the packed key, so
-    // winnow with the flat monotonic-queue ring.
-    normCount = stream([&](std::size_t gram, std::uint64_t h,
-                           std::uint32_t origPos) {
-      // Monotonic queue push: ">=" keeps the RIGHTMOST of equal hashes
-      // (robust winnowing tie-break, identical to the reference winnow()).
-      while (ws.ringTail_ != ws.ringHead_ &&
-             ws.ring_[(ws.ringTail_ - 1) & ws.ringMask_].hash >= h) {
-        --ws.ringTail_;
-      }
-      ws.ring_[ws.ringTail_ & ws.ringMask_] = {
-          h, static_cast<std::uint32_t>(gram), origPos};
-      ++ws.ringTail_;
+    if (normCount < n) continue;
+    std::uint64_t kr;
+    if (normCount == n) {
+      // First gram: the ring has not wrapped yet (n <= capacity), so the
+      // first n characters are contiguous from slot 0.
+      kr = roller.init(std::string_view(ws.chars_.data(), n));
+    } else {
+      kr = roller.roll(outgoing, static_cast<char>(keep));
+    }
 
-      if (gram + 1 < w) return;  // window not yet full
-      const std::size_t windowStart = gram + 1 - w;
-      while (ws.ring_[ws.ringHead_ & ws.ringMask_].gramIndex < windowStart) {
-        ++ws.ringHead_;
+    const std::size_t gram = normCount - n;  // index in the gram sequence
+    const Hash h = static_cast<Hash>(util::mix64(kr));
+    const std::uint64_t key =
+        (std::uint64_t{h} << 32) |
+        (0xFFFFFFFFULL - static_cast<std::uint32_t>(gram));
+    pfx = r == 0 ? key : std::min(pfx, key);
+    ws.blockKeys_[r] = key;
+
+    if (gram + 1 >= w) {
+      // Window start s = gram - w + 1, s % w == (r + 1) % w.
+      const std::size_t r2 = r + 1 == w ? 0 : r + 1;
+      const std::uint64_t winKey =
+          r2 == 0 ? pfx : std::min(ws.suffixMin_[r2], pfx);
+      const std::size_t pick = 0xFFFFFFFFULL - (winKey & 0xFFFFFFFFULL);
+      if (pick != lastSelected) {
+        // The char ring still holds the pick's start offset: the ring
+        // covers n + w positions and the pick is at most w - 1 grams
+        // behind the newest character's gram.
+        ws.selected_.push_back({static_cast<Hash>(winKey >> 32),
+                                ws.charOff_[pick & ws.charMask_]});
+        lastSelected = pick;
       }
-      const FingerprintWorkspace::Candidate& pick =
-          ws.ring_[ws.ringHead_ & ws.ringMask_];
-      if (pick.gramIndex != lastSelected) {
-        ws.selected_.push_back({pick.hash, pick.origPos});
-        lastSelected = pick.gramIndex;
+    }
+    if (r + 1 == w) {
+      // Block complete: backward scan fixes its suffix minima (1 min per
+      // gram amortised) before the next block overwrites it.
+      ws.suffixMin_[w - 1] = ws.blockKeys_[w - 1];
+      for (std::size_t j = w - 1; j-- > 0;) {
+        ws.suffixMin_[j] = std::min(ws.blockKeys_[j], ws.suffixMin_[j + 1]);
       }
-    });
+      r = 0;
+    } else {
+      ++r;
+    }
   }
 
   if (normCount < config.windowChars || ws.selected_.empty()) {

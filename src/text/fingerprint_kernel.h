@@ -3,17 +3,18 @@
 //
 // The reference pipeline (normalizer.h → ngram_hasher.h → winnower.h)
 // materialises three throwaway buffers per call: the normalized string +
-// offset map, the full n-gram hash sequence (16 bytes per character), and
+// offset map, the full n-gram hash sequence (8 bytes per character), and
 // the winnowing deque. The fused kernel streams the input once instead:
 // each byte is normalized via a 256-entry table, rolled into the
 // Karp-Rabin hash, and winnowed with a branchless block-minimum (van Herk
-// / Gil-Werman over packed (hash, ~index) keys; a flat monotonic-queue
-// ring serves configs whose hashes exceed 32 bits). The selected hash set
-// is radix-sorted, so the only allocations that survive a call are the two
-// vectors owned by the returned Fingerprint (~2/(w+1) of the input under
-// winnowing). All scratch lives in a reusable FingerprintWorkspace,
-// typically thread-local, so steady-state fingerprinting performs no
-// scratch allocation at all.
+// / Gil-Werman over packed (hash, ~index) keys: a 32-bit text::Hash and a
+// 32-bit gram index make one 64-bit key, so the minimum key is robust
+// winnowing's pick). The selected hash set is radix-sorted, so the only
+// allocations that survive a call are the two vectors owned by the
+// returned Fingerprint (~2/(w+1) of the input under winnowing). All
+// scratch lives in a reusable FingerprintWorkspace, typically
+// thread-local, so steady-state fingerprinting performs no scratch
+// allocation at all.
 //
 // fingerprintTextFused is a runtime dispatcher: on x86-64 hosts with
 // AVX-512 it routes to the batch SIMD kernel in src/text/simd/ (cpuid
@@ -41,7 +42,7 @@ struct BatchPipeline;
 
 namespace detail {
 /// Shared epilogue: turns the workspace's winnow-selected grams into a
-/// Fingerprint (position-ordered grams + LSD-radix-sorted deduplicated
+/// Fingerprint (position-ordered grams + radix-sorted deduplicated
 /// hash set). Used by the scalar kernel and the SIMD batch pipeline.
 [[nodiscard]] Fingerprint finalizeSelectedFingerprint(
     FingerprintWorkspace& ws);
@@ -65,11 +66,9 @@ class FingerprintWorkspace {
   [[nodiscard]] std::size_t scratchBytes() const noexcept {
     return chars_.capacity() * sizeof(char) +
            charOff_.capacity() * sizeof(std::uint32_t) +
-           ring_.capacity() * sizeof(Candidate) +
            blockKeys_.capacity() * sizeof(std::uint64_t) +
            suffixMin_.capacity() * sizeof(std::uint64_t) +
-           radixTmp_.capacity() * sizeof(std::uint64_t) +
-           radixTmp32_.capacity() * sizeof(std::uint32_t) +
+           sortTmp_.capacity() * sizeof(Hash) +
            selected_.capacity() * sizeof(HashedGram) +
            batchChars_.capacity() * sizeof(unsigned char) +
            batchOff_.capacity() * sizeof(std::uint32_t) +
@@ -85,15 +84,8 @@ class FingerprintWorkspace {
       FingerprintWorkspace& ws);
   friend struct simd::BatchPipeline;
 
-  /// One n-gram hash inside the winnowing window.
-  struct Candidate {
-    std::uint64_t hash;
-    std::uint32_t gramIndex;  ///< index in the gram sequence (tie-breaks)
-    std::uint32_t origPos;    ///< original byte offset of the gram's start
-  };
-
-  /// Ensures ring capacities for n-gram length `n` and window `w` and
-  /// resets per-call state.
+  /// Sizes the character ring and the winnow scratch for n-gram length
+  /// `n` and window `w`, and resets per-call state.
   void prepare(std::size_t n, std::size_t w);
 
   // Ring of the last n + w normalized characters (and their original byte
@@ -104,25 +96,15 @@ class FingerprintWorkspace {
   std::vector<std::uint32_t> charOff_;
   std::size_t charMask_ = 0;
 
-  // Flat ring buffer replacing the winnowing monotonic deque (the generic
-  // path, hashBits > 32). head_/tail_ are monotone counters; slots are
-  // tail_ & ringMask_. Occupancy never exceeds w + 1, so the ring never
-  // overflows.
-  std::vector<Candidate> ring_;
-  std::size_t ringMask_ = 0;
-  std::size_t ringHead_ = 0;
-  std::size_t ringTail_ = 0;
-
-  // Scratch for the branchless block-minimum winnow (the packed path,
-  // hashBits <= 32; see kernel comments): one w-gram block of packed
-  // (hash, ~index) keys and its suffix minima.
+  // Scratch for the branchless block-minimum winnow (see kernel
+  // comments): one w-gram block of packed (hash, ~index) keys and its
+  // suffix minima.
   std::vector<std::uint64_t> blockKeys_;
   std::vector<std::uint64_t> suffixMin_;
 
-  // Ping-pong buffers for the epilogue's LSD radix sort of the selected
-  // hash set (dword pair for hashes that fit 32 bits, qword otherwise).
-  std::vector<std::uint64_t> radixTmp_;
-  std::vector<std::uint32_t> radixTmp32_;
+  // Ping-pong buffer pair for the epilogue's radix sort of the selected
+  // hash set.
+  std::vector<Hash> sortTmp_;
 
   // Winnow-selected grams (original-offset positions). The only buffer
   // whose size scales with the fingerprint, not the input.
@@ -130,8 +112,9 @@ class FingerprintWorkspace {
 
   // SIMD batch-pipeline scratch (src/text/simd/batch_pipeline.h): one
   // chunk of normalized characters with a small inter-chunk carryover,
-  // their original byte offsets, the chunk's masked gram hashes, and the
-  // packed winnow's per-window winner keys.
+  // their original byte offsets, the chunk's gram hashes (one 64-bit lane
+  // each, as the vector hash writes them), and the packed winnow's
+  // per-window winner keys.
   // Chunk-bounded, reused across rounds and calls.
   std::vector<unsigned char> batchChars_;
   std::vector<std::uint32_t> batchOff_;

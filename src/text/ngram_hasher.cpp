@@ -5,25 +5,21 @@
 namespace bf::text {
 
 std::vector<HashedGram> hashNgrams(const NormalizedText& normalized,
-                                   std::size_t ngramChars,
-                                   unsigned hashBits) {
+                                   std::size_t ngramChars) {
   std::vector<HashedGram> out;
   const std::string& t = normalized.text;
   if (ngramChars == 0 || t.size() < ngramChars) return out;
-
-  const std::uint64_t mask =
-      hashBits >= 64 ? ~0ULL : ((1ULL << hashBits) - 1);
 
   out.reserve(t.size() - ngramChars + 1);
   util::KarpRabin roller(ngramChars);
   std::uint64_t h = roller.init(t);
   // Post-mix the rolling hash: raw Karp-Rabin values of similar strings are
-  // correlated in their low bits, which matters once truncated to 32 bits.
-  out.push_back({util::mix64(h) & mask, 0});
+  // correlated in their low bits, which the 32-bit truncation keeps.
+  out.push_back({static_cast<Hash>(util::mix64(h)), 0});
   for (std::size_t i = ngramChars; i < t.size(); ++i) {
     h = roller.roll(t[i - ngramChars], t[i]);
-    out.push_back(
-        {util::mix64(h) & mask, static_cast<std::uint32_t>(i - ngramChars + 1)});
+    out.push_back({static_cast<Hash>(util::mix64(h)),
+                   static_cast<std::uint32_t>(i - ngramChars + 1)});
   }
   return out;
 }

@@ -1,30 +1,24 @@
 // n-gram hashing — step S2 of the fingerprinting pipeline (paper S4.1).
 //
 // Hashes every character n-gram of a normalized text with a Karp-Rabin
-// rolling hash, so the whole pass is O(length). The paper evaluates with
-// 32-bit hashes over 15-character n-grams; the hash width is configurable
-// via a bit mask (see FingerprintConfig).
+// rolling hash, so the whole pass is O(length). Each gram's hash is the
+// low 32 bits of the mixed rolling value (text::Hash, the paper's 32-bit
+// width). Part of the staged reference pipeline the fused kernel is
+// differentially tested against.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
+#include "text/fingerprint.h"
 #include "text/normalizer.h"
 
 namespace bf::text {
 
-/// One hashed n-gram: the (possibly truncated) hash and the index of the
-/// n-gram's first character in the *normalized* text.
-struct HashedGram {
-  std::uint64_t hash;
-  std::uint32_t pos;
-};
-
-/// Hashes every n-gram of length `ngramChars` in `normalized`, truncating
-/// hashes to `hashBits` bits (1..64). Returns an empty vector when the text
-/// is shorter than one n-gram.
+/// Hashes every n-gram of length `ngramChars` in `normalized`; each gram's
+/// pos is its start index in the normalized text. Returns an empty vector
+/// when the text is shorter than one n-gram.
 [[nodiscard]] std::vector<HashedGram> hashNgrams(
-    const NormalizedText& normalized, std::size_t ngramChars,
-    unsigned hashBits);
+    const NormalizedText& normalized, std::size_t ngramChars);
 
 }  // namespace bf::text

@@ -6,11 +6,11 @@
 //   1. vector-normalize a chunk of input bytes, compacting the kept
 //      characters (and their original byte offsets) into flat buffers;
 //   2. vector-evaluate the Karp-Rabin hashes of every gram completed by
-//      the chunk (block recurrence, bit-exact mod 2^64), writing masked
-//      mix64 outputs to a flat hash buffer;
-//   3. winnow the hash buffer with EXACTLY the scalar kernel's logic
-//      (packed van Herk / Gil-Werman block minima, or the monotonic ring
-//      for >32-bit hashes).
+//      the chunk (block recurrence, bit-exact mod 2^64), writing each
+//      mix64 output's low 32 bits (the gram's text::Hash) to a flat
+//      buffer of 64-bit lanes;
+//   3. winnow the hash buffer with EXACTLY the scalar kernel's logic:
+//      packed (hash, ~index) keys and van Herk / Gil-Werman block minima.
 //
 // The scalar half of step 3 plus all the chunk/carry bookkeeping lives
 // here, compiled WITHOUT vector flags; the kernel implements steps 1-2
@@ -44,8 +44,6 @@ struct BatchPipeline {
   FingerprintWorkspace& ws;
   std::size_t n = 0;             ///< gram length
   std::size_t w = 0;             ///< window, in hashes
-  std::uint64_t mask = 0;        ///< hash-width mask
-  bool packed = true;            ///< hashBits <= 32 → packed winnow
 
   // Winnow state, carried across rounds (mirrors the scalar kernel).
   std::uint64_t pfx = ~0ULL;
@@ -73,7 +71,8 @@ struct BatchPipeline {
   [[nodiscard]] std::uint32_t* offAppend() noexcept {
     return ws.batchOff_.data() + carry;
   }
-  /// The round's hash output buffer (capacity kChunkChars).
+  /// The round's hash output buffer (capacity kChunkChars), one
+  /// text::Hash per 64-bit lane.
   [[nodiscard]] std::uint64_t* hashOut() noexcept {
     return ws.batchHashes_.data();
   }
@@ -97,7 +96,7 @@ struct BatchPipeline {
   [[nodiscard]] const std::uint32_t* offsBase() const noexcept {
     return ws.batchOff_.data();
   }
-  void pushSelected(std::uint64_t hash, std::uint32_t origPos) {
+  void pushSelected(Hash hash, std::uint32_t origPos) {
     ws.selected_.push_back({hash, origPos});
   }
 

@@ -28,7 +28,8 @@
 // same Karp-Rabin polynomial mod 2^64, the same mix64 finalizer, the same
 // robust-winnow tie-breaks. fingerprintTextReference remains the oracle
 // for both (tests/text/simd_kernel_test.cpp sweeps tiers × lengths ×
-// alignments × hash widths × UTF-8 content).
+// alignments × window shapes × UTF-8 content, plus tie-heavy periodic
+// text).
 #pragma once
 
 #include <string_view>

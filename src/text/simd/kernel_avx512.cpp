@@ -13,7 +13,8 @@
 //              eighth of the round's grams — stepped one gram at a time
 //              by the plain rolling recurrence (bit-exact mod 2^64):
 //                H(g+1) = H(g)*B - c[g]*B^n + c[g+n]
-//              with an 8-lane mix64 and the mask per step, and an 8x8
+//              with an 8-lane mix64 and the 32-bit text::Hash mask per
+//              step, and an 8x8
 //              transpose per 8 steps to restore gram order on output.
 //   winnow     whole w-gram blocks are winnowed in-register — VPMINUQ
 //              prefix/suffix scans via VALIGNQ log-steps, dedup recorded
@@ -31,6 +32,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "text/simd/batch_pipeline.h"
 #include "text/simd/normalize_avx2.h"
@@ -41,6 +43,9 @@ namespace bf::text::simd {
 namespace {
 
 constexpr std::size_t kLanes = 8;
+
+/// Keeps a mix64 output's low bits: the gram's text::Hash.
+constexpr std::uint64_t kHashMask = std::numeric_limits<Hash>::max();
 
 using text::simd::detail::normalizeAvx2;
 
@@ -112,7 +117,8 @@ struct HashConsts {
 }
 
 /// Hashes `count` grams of length n starting at chars[first], writing the
-/// masked mix64 outputs to out. Bit-exact with the scalar roller.
+/// mix64 outputs' text::Hash bits to out, one per 64-bit lane. Bit-exact
+/// with the scalar roller.
 ///
 /// Blocked-lane decomposition: lane j owns the CONTIGUOUS gram block
 /// [j*per, (j+1)*per), so each lane is its own rolling-hash stream and a
@@ -134,8 +140,8 @@ struct HashConsts {
 /// (mulSplat64) — ~8 cycles of chain per step versus ~15 for VPMULLQ.
 /// The out-tap product and the mix64 are off-chain.
 void hashRoundAvx512(const unsigned char* chars, std::size_t first,
-                     std::size_t count, std::size_t n, std::uint64_t mask,
-                     const HashConsts& hc, std::uint64_t* out) {
+                     std::size_t count, std::size_t n, const HashConsts& hc,
+                     std::uint64_t* out) {
   if (count == 0) return;
   const char* base = reinterpret_cast<const char*>(chars) + first;
   constexpr std::uint64_t B = util::KarpRabin::kBase;
@@ -145,11 +151,11 @@ void hashRoundAvx512(const unsigned char* chars, std::size_t first,
   if (per < kLanes) {
     util::KarpRabin roller(n);
     std::uint64_t h = roller.init(std::string_view(base, n));
-    out[0] = util::mix64(h) & mask;
+    out[0] = util::mix64(h) & kHashMask;
     for (std::size_t k = 1; k < count; ++k) {
       h -= hc.topPow * chars[first + k - 1];
       h = h * B + chars[first + k - 1 + n];
-      out[k] = util::mix64(h) & mask;
+      out[k] = util::mix64(h) & kHashMask;
     }
     return;
   }
@@ -164,7 +170,7 @@ void hashRoundAvx512(const unsigned char* chars, std::size_t first,
   const __m512i vBnLo =
       _mm512_set1_epi64(static_cast<long long>(bn & 0xFFFFFFFFULL));
   const __m512i vBnHi = _mm512_set1_epi64(static_cast<long long>(bn >> 32));
-  const __m512i vMask = _mm512_set1_epi64(static_cast<long long>(mask));
+  const __m512i vMask = _mm512_set1_epi64(static_cast<long long>(kHashMask));
   // VPSHUFB selector for "byte g of each qword, zero-extended": byte 0 of
   // qword j picks byte g (within the 128-bit lane: 8g for odd qwords),
   // all other bytes zero via the high bit. Adding 1 per qword advances g
@@ -247,7 +253,7 @@ void hashRoundAvx512(const unsigned char* chars, std::size_t first,
     std::uint64_t h = hs[j];
     for (std::size_t k = groups * kLanes; k < per; ++k) {
       const std::size_t g = j * per + k;
-      out[g] = util::mix64(h) & mask;
+      out[g] = util::mix64(h) & kHashMask;
       h -= hc.topPow * chars[first + g];
       h = h * B + chars[first + g + n];
     }
@@ -258,19 +264,19 @@ void hashRoundAvx512(const unsigned char* chars, std::size_t first,
   if (k < count) {
     util::KarpRabin roller(n);
     std::uint64_t h = roller.init(std::string_view(base + k, n));
-    out[k] = util::mix64(h) & mask;
+    out[k] = util::mix64(h) & kHashMask;
     for (++k; k < count; ++k) {
       h -= hc.topPow * chars[first + k - 1];
       h = h * B + chars[first + k - 1 + n];
-      out[k] = util::mix64(h) & mask;
+      out[k] = util::mix64(h) & kHashMask;
     }
   }
 }
 
 /// In-register winnow of whole w-gram blocks; everything else — the head
 /// grams up to the next block boundary, the tail after the last whole
-/// block, non-packed configs, w not a multiple of 8 — goes through the
-/// scalar consumeHashes. Bit-exact: identical packed keys
+/// block, any w that is not a multiple of 8 — goes through the scalar
+/// consumeHashes. Bit-exact: identical packed keys
 /// ((hash << 32) | ~gram), identical van Herk / Gil-Werman block
 /// decomposition, identical low-half dedup.
 ///
@@ -290,7 +296,7 @@ void hashRoundAvx512(const unsigned char* chars, std::size_t first,
 ///           path maintains, which is what lets the two paths interleave.
 void winnowRoundAvx512(BatchPipeline& bp, std::size_t count) {
   const std::size_t w = bp.w;
-  if (!bp.packed || w < kLanes || w % kLanes != 0 || w > 64) {
+  if (w < kLanes || w % kLanes != 0 || w > 64) {
     bp.consumeHashes(count);
     return;
   }
@@ -463,7 +469,7 @@ void winnowRoundAvx512(BatchPipeline& bp, std::size_t count) {
         const std::uint64_t key = winOut[j * kLanes + i];
         const std::size_t pick =
             0xFFFFFFFFULL - static_cast<std::uint32_t>(key);
-        bp.pushSelected(key >> 32, offs[pick - base]);
+        bp.pushSelected(static_cast<Hash>(key >> 32), offs[pick - base]);
       }
     }
     for (; j < vecs; ++j) {
@@ -474,7 +480,7 @@ void winnowRoundAvx512(BatchPipeline& bp, std::size_t count) {
         const std::uint64_t key = winOut[j * kLanes + i];
         const std::size_t pick =
             0xFFFFFFFFULL - static_cast<std::uint32_t>(key);
-        bp.pushSelected(key >> 32, offs[pick - base]);
+        bp.pushSelected(static_cast<Hash>(key >> 32), offs[pick - base]);
       }
     }
     k += blocks * w;
@@ -506,7 +512,7 @@ Fingerprint fingerprintTextAvx512(std::string_view input,
     const BatchPipeline::Round round = bp.beginRound(added);
     if (round.grams > 0) {
       hashRoundAvx512(bp.charsBase(), round.firstGramLocal, round.grams, n,
-                      bp.mask, hc, bp.hashOut());
+                      hc, bp.hashOut());
       winnowRoundAvx512(bp, round.grams);
     }
     bp.endRound();

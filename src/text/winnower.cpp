@@ -1,6 +1,7 @@
 #include "text/winnower.h"
 
 #include "text/fingerprint_kernel.h"
+#include "text/ngram_hasher.h"
 
 namespace bf::text {
 
@@ -59,7 +60,7 @@ Fingerprint fingerprintTextReference(std::string_view input,
   const NormalizedText norm = normalize(input);
   if (norm.size() < config.windowChars) return Fingerprint{};
   const std::vector<HashedGram> grams =
-      hashNgrams(norm, config.ngramChars, config.hashBits);
+      hashNgrams(norm, config.ngramChars);
   std::vector<HashedGram> selected = winnow(grams, config.windowHashes());
   // Translate normalized positions to ORIGINAL byte offsets, so disclosure
   // can be attributed to user-visible source passages (paper S4.1:

@@ -2,6 +2,7 @@
 // file, restored into a fresh plug-in that keeps enforcing — including
 // previously granted suppressions.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -12,7 +13,10 @@
 #include "core/deployment.h"
 #include "corpus/text_generator.h"
 #include "flow/snapshot.h"
+#include "io/vfs.h"
 #include "tdm/policy_snapshot.h"
+#include "util/binary_io.h"
+#include "util/crc32c.h"
 
 namespace bf::core {
 namespace {
@@ -21,12 +25,17 @@ class DeploymentTest : public ::testing::Test {
  protected:
   DeploymentTest() : rng_(13), gen_(&rng_) {}
   ~DeploymentTest() override {
-    if (!path_.empty()) std::remove(path_.c_str());
+    for (const std::string& path : paths_) std::remove(path.c_str());
   }
 
+  /// A /tmp path private to this process and test, removed when the test
+  /// ends: ctest runs tests as concurrent processes.
   std::string tempPath(const char* name) {
-    path_ = std::string("/tmp/bf_deployment_test_") + name;
-    return path_;
+    paths_.push_back(
+        "/tmp/bf_deployment_test_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + name);
+    return paths_.back();
   }
 
   static std::string readAll(const std::string& path) {
@@ -48,7 +57,7 @@ class DeploymentTest : public ::testing::Test {
 
   util::Rng rng_;
   corpus::TextGenerator gen_;
-  std::string path_;
+  std::vector<std::string> paths_;
 };
 
 TEST_F(DeploymentTest, FullRoundTripKeepsEnforcementAndSuppression) {
@@ -227,6 +236,46 @@ TEST_F(DeploymentTest, EveryBitFlipIsRejected) {
     writeAll(path, original);
     EXPECT_TRUE(loadDeployment(*plugin, path, secret).ok());
   }
+}
+
+TEST_F(DeploymentTest, TruncatedPolicyBlobLeavesBothStoresEmpty) {
+  // A file whose tag and CRC are valid but whose policy blob is cut short
+  // must fail the load without restoring the tracker or half the policy.
+  const std::string path = tempPath("truncpolicy");
+  std::string trackerBlob;
+  std::string policyBlob;
+  {
+    util::LogicalClock clock;
+    BrowserFlowPlugin plugin(blockConfig(), &clock);
+    plugin.policy().services().upsert({"itool", "Interview Tool",
+                                       tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
+    plugin.observeServiceDocument("itool", "itool/eval", gen_.paragraph(6, 8));
+    trackerBlob = flow::exportState(plugin.tracker());
+    policyBlob = tdm::exportPolicy(plugin.policy());
+  }
+  ASSERT_GT(policyBlob.size(), 16u);
+  policyBlob.resize(policyBlob.size() - 4);  // into the audit-log count
+  std::string payload = "BFDEPS2\n";
+  util::putStr(payload, trackerBlob);
+  util::putStr(payload, policyBlob);
+  util::appendCrc32cTrailer(payload);
+  ASSERT_TRUE(
+      flow::writeSealedFile(io::defaultVfs(), path, payload, "org-secret")
+          .ok());
+
+  util::LogicalClock clock;
+  BrowserFlowPlugin plugin(blockConfig(), &clock);
+  const std::string freshPolicy = tdm::exportPolicy(plugin.policy());
+  const auto loaded = loadDeployment(plugin, path, "org-secret");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.errorMessage().find("policy"), std::string::npos);
+  EXPECT_EQ(plugin.tracker().segmentDb().size(), 0u);
+  EXPECT_EQ(plugin.tracker().hashDb(flow::SegmentKind::kParagraph)
+                .distinctHashCount(),
+            0u);
+  EXPECT_EQ(plugin.policy().services().size(), 0u);
+  EXPECT_TRUE(plugin.policy().allLabels().empty());
+  EXPECT_EQ(tdm::exportPolicy(plugin.policy()), freshPolicy);
 }
 
 TEST_F(DeploymentTest, SnapshotAndDeploymentFilesAreNotInterchangeable) {

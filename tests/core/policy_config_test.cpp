@@ -1,5 +1,6 @@
 // Tests for the policy configuration loader.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -133,7 +134,8 @@ TEST_F(PolicyConfigTest, EmptyConfigIsFine) {
 }
 
 TEST_F(PolicyConfigTest, FileVariant) {
-  const std::string path = "/tmp/bf_policy_config_test.ini";
+  const std::string path = "/tmp/bf_policy_config_test_" +
+                           std::to_string(::getpid()) + "_FileVariant.ini";
   std::ofstream(path) << kFullConfig;
   const auto result = loadPolicyConfigFile(plugin_, path);
   EXPECT_TRUE(result.ok());

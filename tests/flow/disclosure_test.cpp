@@ -7,7 +7,7 @@
 namespace bf::flow {
 namespace {
 
-text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
+text::Fingerprint fpOf(std::initializer_list<text::Hash> hashes) {
   std::vector<text::HashedGram> grams;
   std::uint32_t pos = 0;
   for (auto h : hashes) grams.push_back({h, pos++});
@@ -16,7 +16,7 @@ text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
 
 /// Registers a segment with the given hashes at time `ts` in both stores.
 SegmentId addSegment(SegmentDb& segs, HashDb& hashes, const char* name,
-                     std::initializer_list<std::uint64_t> hs,
+                     std::initializer_list<text::Hash> hs,
                      util::Timestamp ts, double threshold = 0.5) {
   const SegmentId id =
       segs.create(SegmentKind::kParagraph, name, name, "svc", threshold, ts);
@@ -62,10 +62,10 @@ TEST(Disclosure, AuthoritativeHashesExcludeOlderOwners) {
   const SegmentId b = addSegment(segs, hashes, "B", {1, 2, 3, 4}, 20);
   // B's hashes 1,2 were first seen in A: only 3,4 are authoritative to B.
   const auto authB = authoritativeHashes(*segs.find(b), hashes);
-  EXPECT_EQ(authB, (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(authB, (std::vector<text::Hash>{3, 4}));
   // A is the oldest owner of everything it has.
   const auto authA = authoritativeHashes(*segs.find(a), hashes);
-  EXPECT_EQ(authA, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(authA, (std::vector<text::Hash>{1, 2}));
 }
 
 TEST(Disclosure, Figure7OverlappingDocuments) {

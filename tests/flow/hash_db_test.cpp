@@ -164,7 +164,7 @@ TEST(HashDb, CompactDeadShrinksStore) {
   // must shrink the store and clear the dead set, so lookups stop paying
   // the isDead probe for segments removed long ago.
   HashDb db;
-  for (std::uint64_t h = 0; h < 100; ++h) {
+  for (text::Hash h = 0; h < 100; ++h) {
     db.recordObservation(h, 1, 10);
     db.recordObservation(h, 2, 20);
   }
@@ -178,7 +178,7 @@ TEST(HashDb, CompactDeadShrinksStore) {
   EXPECT_EQ(dropped, 100u);
   EXPECT_EQ(db.associationCount(), 100u);  // store physically shrank
   EXPECT_EQ(db.deadSegmentCount(), 0u);    // tombstones cleared
-  for (std::uint64_t h = 0; h < 100; ++h) {
+  for (text::Hash h = 0; h < 100; ++h) {
     EXPECT_EQ(*db.oldestSegmentWith(h), 2u);
   }
   // Compacting an already-clean store is a no-op.
@@ -188,7 +188,7 @@ TEST(HashDb, CompactDeadShrinksStore) {
 TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   HashDb db;
   db.setDeadCompactionThreshold(2);
-  for (std::uint64_t h = 0; h < 10; ++h) {
+  for (text::Hash h = 0; h < 10; ++h) {
     db.recordObservation(h, 1, 10);
     db.recordObservation(h, 2, 20);
     db.recordObservation(h, 3, 30);
@@ -202,7 +202,7 @@ TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   EXPECT_EQ(db.deadSegmentCount(), 0u);
   EXPECT_EQ(db.associationCount(), 10u);   // only segment 4's remain
   EXPECT_EQ(db.distinctHashCount(), 10u);  // hashes 0..9 fully gone
-  for (std::uint64_t h = 0; h < 10; ++h) {
+  for (text::Hash h = 0; h < 10; ++h) {
     EXPECT_FALSE(db.oldestSegmentWith(h).has_value());
     EXPECT_EQ(*db.oldestSegmentWith(h + 100), 4u);
   }
@@ -236,12 +236,12 @@ TEST(HashDb, ManyHashesSurviveRehashing) {
   // Growth past several load-factor doublings must keep every history
   // intact (the rehash moves slots; history indices must stay valid).
   HashDb db;
-  for (std::uint64_t h = 0; h < 5000; ++h) {
+  for (text::Hash h = 0; h < 5000; ++h) {
     db.recordObservation(h, (h % 7) + 1, h);
     if (h % 3 == 0) db.recordObservation(h, (h % 7) + 2, h + 1);
   }
   EXPECT_EQ(db.distinctHashCount(), 5000u);
-  for (std::uint64_t h = 0; h < 5000; ++h) {
+  for (text::Hash h = 0; h < 5000; ++h) {
     ASSERT_TRUE(db.oldestSegmentWith(h).has_value()) << h;
     EXPECT_EQ(*db.oldestSegmentWith(h), (h % 7) + 1) << h;
     EXPECT_EQ(db.segmentsWith(h).size(), h % 3 == 0 ? 2u : 1u) << h;
@@ -348,11 +348,11 @@ TEST(HashDb, HistoryEntriesEscapeWideIdsAndStampsAtTheirBoundaries) {
   db.removeSegment(k32 - 2);
   db.removeSegment(5);
   EXPECT_EQ(db.compactDead(), 2u);
-  using Row = std::tuple<std::uint64_t, SegmentId, util::Timestamp,
+  using Row = std::tuple<text::Hash, SegmentId, util::Timestamp,
                          util::Timestamp>;
   std::vector<Row> rows;
   db.forEachAssociation(
-      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+      [&](text::Hash h, SegmentId s, util::Timestamp f, util::Timestamp l) {
         rows.emplace_back(h, s, f, l);
       });
   std::sort(rows.begin(), rows.end());
@@ -377,7 +377,7 @@ class ReferenceHashDb {
 
   explicit ReferenceHashDb(std::size_t threshold) : threshold_(threshold) {}
 
-  void record(std::uint64_t hash, SegmentId segment, util::Timestamp ts,
+  void record(text::Hash hash, SegmentId segment, util::Timestamp ts,
               util::Timestamp lastSeen = 0) {
     const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
     std::vector<Association>& history = byHash_[hash];
@@ -420,9 +420,9 @@ class ReferenceHashDb {
   }
 
   /// Live associations per hash, oldest first.
-  [[nodiscard]] std::map<std::uint64_t, std::vector<AssociationRowValue>>
+  [[nodiscard]] std::map<text::Hash, std::vector<AssociationRowValue>>
   liveHistories() const {
-    std::map<std::uint64_t, std::vector<AssociationRowValue>> out;
+    std::map<text::Hash, std::vector<AssociationRowValue>> out;
     for (const auto& [hash, history] : byHash_) {
       for (const Association& a : history) {
         if (!dead(a.segment)) {
@@ -433,13 +433,13 @@ class ReferenceHashDb {
     return out;
   }
 
-  [[nodiscard]] std::optional<SegmentId> oldest(std::uint64_t hash) const {
+  [[nodiscard]] std::optional<SegmentId> oldest(text::Hash hash) const {
     const auto segments = segmentsWith(hash);
     if (segments.empty()) return std::nullopt;
     return segments.front();
   }
 
-  [[nodiscard]] std::vector<SegmentId> segmentsWith(std::uint64_t hash) const {
+  [[nodiscard]] std::vector<SegmentId> segmentsWith(text::Hash hash) const {
     std::vector<SegmentId> out;
     if (const auto it = byHash_.find(hash); it != byHash_.end()) {
       for (const Association& a : it->second) {
@@ -449,7 +449,7 @@ class ReferenceHashDb {
     return out;
   }
 
-  [[nodiscard]] std::optional<Association> find(std::uint64_t hash,
+  [[nodiscard]] std::optional<Association> find(text::Hash hash,
                                                 SegmentId segment) const {
     const auto it = byHash_.find(hash);
     if (dead(segment) || it == byHash_.end()) return std::nullopt;
@@ -487,19 +487,19 @@ class ReferenceHashDb {
     return dropped;
   }
 
-  std::map<std::uint64_t, std::vector<Association>> byHash_;
-  std::set<std::pair<std::uint64_t, SegmentId>> held_;  // keys of byHash_
+  std::map<text::Hash, std::vector<Association>> byHash_;
+  std::set<std::pair<text::Hash, SegmentId>> held_;  // keys of byHash_
   std::set<SegmentId> dead_;
   std::size_t threshold_;
   std::uint64_t generation_ = 0;
 };
 
 void expectMatchesModel(const HashDb& db, const ReferenceHashDb& model,
-                        const std::vector<std::uint64_t>& probes,
+                        const std::vector<text::Hash>& probes,
                         const std::vector<SegmentId>& segments) {
-  std::map<std::uint64_t, std::vector<AssociationRowValue>> exported;
+  std::map<text::Hash, std::vector<AssociationRowValue>> exported;
   db.forEachAssociation(
-      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+      [&](text::Hash h, SegmentId s, util::Timestamp f, util::Timestamp l) {
         exported[h].emplace_back(s, f, l);
       });
   ASSERT_EQ(exported, model.liveHistories());
@@ -507,10 +507,10 @@ void expectMatchesModel(const HashDb& db, const ReferenceHashDb& model,
   EXPECT_EQ(db.associationCount(), model.associations());
   EXPECT_EQ(db.deadSegmentCount(), model.deadCount());
   EXPECT_EQ(db.removalGeneration(), model.generation());
-  std::vector<std::pair<SegmentId, std::uint64_t>> owners;
+  std::vector<std::pair<SegmentId, text::Hash>> owners;
   db.oldestOwners(probes, owners);
-  std::vector<std::pair<SegmentId, std::uint64_t>> wantOwners;
-  for (std::uint64_t h : probes) {
+  std::vector<std::pair<SegmentId, text::Hash>> wantOwners;
+  for (text::Hash h : probes) {
     ASSERT_EQ(db.oldestSegmentWith(h), model.oldest(h)) << h;
     ASSERT_EQ(db.segmentsWith(h), model.segmentsWith(h)) << h;
     if (const auto owner = model.oldest(h)) wantOwners.emplace_back(*owner, h);
@@ -544,8 +544,8 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
     std::vector<SegmentId> segments = {1,       2,       3,       17,
                                        k32 - 2, k32 - 1, k32,     k32 + 9,
                                        SegmentId{1} << 40};
-    std::vector<std::uint64_t> pool(300);
-    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    std::vector<text::Hash> pool(300);
+    for (text::Hash& h : pool) h = static_cast<text::Hash>(rng.next());
     const util::Timestamp starts[] = {100, (util::Timestamp{1} << 31) - 40,
                                       k32 - 40, util::Timestamp{1} << 40};
     util::Timestamp clock = starts[rng.uniform(0, 3)];
@@ -565,7 +565,7 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
       } else if (roll < 0.35) {
         // Restore path: one association with an explicit lastSeen that may
         // be 0, below firstSeen, just above it, or 2^32+ ticks later.
-        const std::uint64_t h = rng.chance(0.8) ? rng.pick(pool) : rng.next();
+        const text::Hash h = rng.chance(0.8) ? rng.pick(pool) : static_cast<text::Hash>(rng.next());
         const SegmentId s = rng.pick(segments);
         const util::Timestamp f = clock - rng.uniform(0, 80);
         util::Timestamp l = 0;
@@ -579,19 +579,19 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
         model.record(h, s, f, l);
       } else {
         const SegmentId s = rng.pick(segments);
-        std::vector<std::uint64_t> hashes;
+        std::vector<text::Hash> hashes;
         const std::size_t n = rng.uniform(0, 50);
         for (std::size_t i = 0; i < n; ++i) {
-          hashes.push_back(rng.chance(0.75) ? rng.pick(pool) : rng.next());
+          hashes.push_back(rng.chance(0.75) ? rng.pick(pool) : static_cast<text::Hash>(rng.next()));
         }
         const util::Timestamp ts =
             rng.chance(0.7) ? ++clock : clock - rng.uniform(0, 40);
         db.recordFingerprint(hashes, s, ts);
-        for (std::uint64_t h : hashes) model.record(h, s, ts);
+        for (text::Hash h : hashes) model.record(h, s, ts);
       }
       if (step % 25 == 24) {
-        std::vector<std::uint64_t> probes(pool.begin(), pool.begin() + 60);
-        probes.push_back(rng.next());  // never stored
+        std::vector<text::Hash> probes(pool.begin(), pool.begin() + 60);
+        probes.push_back(static_cast<text::Hash>(rng.next()));  // never stored
         expectMatchesModel(db, model, probes, segments);
       }
     }
@@ -609,11 +609,11 @@ TEST(HashDbModel, HistoryLongerThanOnePoolBlock) {
   ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
   util::Timestamp clock = 100;
   for (SegmentId s = 1; s <= kSegments; ++s) {
-    std::vector<std::uint64_t> hashes = {7};
+    std::vector<text::Hash> hashes = {7};
     if (s % 3 == 0) hashes.push_back(8);
     const util::Timestamp ts = s % 1000 == 0 ? clock - 500 : ++clock;
     db.recordFingerprint(hashes, s, ts);
-    for (std::uint64_t h : hashes) model.record(h, s, ts);
+    for (text::Hash h : hashes) model.record(h, s, ts);
   }
   EXPECT_GE(db.poolBlockCount(), 2u);
   const std::vector<SegmentId> sample = {1,     2,         999,
@@ -648,9 +648,9 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
   util::Rng rng(21);
   HashDb db;
   ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
-  std::vector<std::vector<std::uint64_t>> groups(kGroups);
+  std::vector<std::vector<text::Hash>> groups(kGroups);
   for (auto& group : groups) {
-    for (std::size_t i = 0; i < kGroupHashes; ++i) group.push_back(rng.next());
+    for (std::size_t i = 0; i < kGroupHashes; ++i) group.push_back(static_cast<text::Hash>(rng.next()));
     std::sort(group.begin(), group.end());
   }
   util::Timestamp clock = 100;
@@ -660,7 +660,7 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
     for (std::size_t g = firstGroup; g <= lastGroup; ++g) {
       for (SegmentId i = 0; i < kPerGroup; ++i, ++next) {
         db.recordFingerprint(groups[g], next, ++clock);
-        for (std::uint64_t h : groups[g]) model.record(h, next, clock);
+        for (text::Hash h : groups[g]) model.record(h, next, clock);
         peak = std::max(peak, db.poolBlockCount());
       }
     }
@@ -678,7 +678,7 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
   const std::size_t secondPeak = grow(0, kGroups / 2 - 2);
   EXPECT_LE(secondPeak, firstPeak);
 
-  std::vector<std::uint64_t> probes;
+  std::vector<text::Hash> probes;
   for (const auto& group : groups) probes.push_back(group.front());
   std::vector<SegmentId> sample;
   for (SegmentId s = 1; s < next; s += 97) sample.push_back(s);
@@ -693,25 +693,25 @@ TEST(HashDbModel, FirstRecordHoldsRepeatedHashesOnceInLongHistories) {
   // scan meets an equal stamp of another segment before its own entry.
   HashDb db;
   ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
-  std::vector<std::uint64_t> shared;
-  for (std::uint64_t h = 1; h <= 40; ++h) shared.push_back(h);
+  std::vector<text::Hash> shared;
+  for (text::Hash h = 1; h <= 40; ++h) shared.push_back(h);
   util::Timestamp clock = 100;
   for (SegmentId s = 1; s <= 240; ++s) {
     db.recordFingerprint(shared, s, ++clock);
-    for (std::uint64_t h : shared) model.record(h, s, clock);
+    for (text::Hash h : shared) model.record(h, s, clock);
   }
-  std::vector<std::uint64_t> batch = {5, 5, 7, 1000, 9, 7, 1000, 5};
-  for (std::uint64_t h = 11; h <= 30; ++h) batch.push_back(h);
-  for (std::uint64_t h : {5, 30, 1000, 9, 9}) batch.push_back(h);
+  std::vector<text::Hash> batch = {5, 5, 7, 1000, 9, 7, 1000, 5};
+  for (text::Hash h = 11; h <= 30; ++h) batch.push_back(h);
+  for (text::Hash h : {5, 30, 1000, 9, 9}) batch.push_back(h);
   db.recordFingerprint(batch, 241, clock);
-  for (std::uint64_t h : batch) model.record(h, 241, clock);
+  for (text::Hash h : batch) model.record(h, 241, clock);
 
-  for (std::uint64_t h : batch) {
+  for (text::Hash h : batch) {
     const std::vector<SegmentId> owners = db.segmentsWith(h);
     EXPECT_EQ(std::count(owners.begin(), owners.end(), 241), 1) << h;
   }
   EXPECT_EQ(db.segmentsWith(5).size(), 241u);
-  std::vector<std::uint64_t> probes = shared;
+  std::vector<text::Hash> probes = shared;
   probes.push_back(1000);
   expectMatchesModel(db, model, probes, {1, 120, 239, 240, 241, 242});
 }
@@ -734,8 +734,8 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
     HashDb db;
     db.setDeadCompactionThreshold(threshold);
     ReferenceHashDb model(threshold);
-    std::vector<std::uint64_t> pool(32);
-    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    std::vector<text::Hash> pool(32);
+    for (text::Hash& h : pool) h = static_cast<text::Hash>(rng.next());
     std::vector<SegmentId> known;
     std::vector<SegmentId> skipped;  // ids left out, recorded later
     SegmentId next = 1;
@@ -768,7 +768,7 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         const SegmentId id = newId();
         known.push_back(id);
         for (std::size_t i = rng.uniform(1, 4); i > 0; --i) {
-          const std::uint64_t h = rng.pick(pool);
+          const text::Hash h = rng.pick(pool);
           const util::Timestamp f = clock - rng.uniform(0, 500);
           const util::Timestamp l = rng.chance(0.5) ? 0 : f + rng.uniform(0, 9);
           db.recordObservation(h, id, f, l);
@@ -778,9 +778,9 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         const bool reRecord = roll < 0.3 && !known.empty();
         const SegmentId id = reRecord ? rng.pick(known) : newId();
         if (!reRecord) known.push_back(id);
-        std::vector<std::uint64_t> hashes;  // unsorted, with repeats
+        std::vector<text::Hash> hashes;  // unsorted, with repeats
         for (std::size_t i = rng.uniform(0, 60); i > 0; --i) {
-          hashes.push_back(rng.chance(0.12) ? rng.next() : rng.pick(pool));
+          hashes.push_back(rng.chance(0.12) ? static_cast<text::Hash>(rng.next()) : rng.pick(pool));
         }
         util::Timestamp ts = clock;  // 10%: equal to the last stamp
         if (const double when = rng.uniform01(); when < 0.8) {
@@ -790,20 +790,20 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         }
         const std::size_t before = db.distinctHashCount();
         db.recordFingerprint(hashes, id, ts);
-        for (std::uint64_t h : hashes) model.record(h, id, ts);
+        for (text::Hash h : hashes) model.record(h, id, ts);
         const std::size_t after = db.distinctHashCount();
         for (std::size_t point : growthPoints) {
           if (before < point && point < after) ++midBatchGrowths;
         }
       }
       if (step % 50 == 49) {
-        for (std::uint64_t h : pool) {
+        for (text::Hash h : pool) {
           longestHistory = std::max(longestHistory, db.segmentsWith(h).size());
         }
         std::vector<SegmentId> sample(known.begin(), known.end());
         sample.push_back(next);  // never recorded
-        std::vector<std::uint64_t> probes = pool;
-        probes.push_back(rng.next());  // never stored
+        std::vector<text::Hash> probes = pool;
+        probes.push_back(static_cast<text::Hash>(rng.next()));  // never stored
         expectMatchesModel(db, model, probes, sample);
       }
     }
@@ -815,21 +815,21 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
 // ---- Batch entry points against the per-hash loops ------------------------
 
 using AssociationRow =
-    std::tuple<std::uint64_t, SegmentId, util::Timestamp, util::Timestamp>;
+    std::tuple<text::Hash, SegmentId, util::Timestamp, util::Timestamp>;
 
 std::vector<AssociationRow> exportOrder(const HashDb& db) {
   std::vector<AssociationRow> rows;
   db.forEachAssociation(
-      [&](std::uint64_t h, SegmentId s, util::Timestamp f, util::Timestamp l) {
+      [&](text::Hash h, SegmentId s, util::Timestamp f, util::Timestamp l) {
         rows.emplace_back(h, s, f, l);
       });
   return rows;
 }
 
-std::vector<std::pair<SegmentId, std::uint64_t>> ownersOneByOne(
-    const HashDb& db, const std::vector<std::uint64_t>& hashes) {
-  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
-  for (std::uint64_t h : hashes) {
+std::vector<std::pair<SegmentId, text::Hash>> ownersOneByOne(
+    const HashDb& db, const std::vector<text::Hash>& hashes) {
+  std::vector<std::pair<SegmentId, text::Hash>> claims;
+  for (text::Hash h : hashes) {
     if (const auto owner = db.oldestSegmentWith(h)) {
       claims.emplace_back(*owner, h);
     }
@@ -837,21 +837,21 @@ std::vector<std::pair<SegmentId, std::uint64_t>> ownersOneByOne(
   return claims;
 }
 
-std::vector<std::pair<SegmentId, std::uint64_t>> ownersBatched(
-    const HashDb& db, const std::vector<std::uint64_t>& hashes) {
-  std::vector<std::pair<SegmentId, std::uint64_t>> claims;
+std::vector<std::pair<SegmentId, text::Hash>> ownersBatched(
+    const HashDb& db, const std::vector<text::Hash>& hashes) {
+  std::vector<std::pair<SegmentId, text::Hash>> claims;
   db.oldestOwners(hashes, claims);
   return claims;
 }
 
 void expectSameStore(const HashDb& batched, const HashDb& looped,
-                     const std::vector<std::uint64_t>& probes,
+                     const std::vector<text::Hash>& probes,
                      SegmentId maxSegment) {
   ASSERT_EQ(exportOrder(batched), exportOrder(looped));
   EXPECT_EQ(batched.associationCount(), looped.associationCount());
   EXPECT_EQ(batched.distinctHashCount(), looped.distinctHashCount());
   EXPECT_EQ(batched.deadSegmentCount(), looped.deadSegmentCount());
-  for (std::uint64_t h : probes) {
+  for (text::Hash h : probes) {
     for (SegmentId s = 1; s <= maxSegment; ++s) {
       ASSERT_EQ(batched.firstSeen(h, s), looped.firstSeen(h, s)) << h;
       ASSERT_EQ(batched.lastSeen(h, s), looped.lastSeen(h, s)) << h;
@@ -864,14 +864,14 @@ void expectSameStore(const HashDb& batched, const HashDb& looped,
 TEST(HashDbBatch, EmptyTableAndShortBatches) {
   HashDb batched;
   HashDb looped;
-  const std::vector<std::uint64_t> none;
+  const std::vector<text::Hash> none;
   EXPECT_TRUE(ownersBatched(batched, {1, 2, 3}).empty());
   batched.recordFingerprint(none, 1, 5);
   expectSameStore(batched, looped, {1, 2, 3}, 3);
   // Shorter than every prefetch distance, with a repeated hash.
-  const std::vector<std::uint64_t> shortBatch = {7, 3, 7};
+  const std::vector<text::Hash> shortBatch = {7, 3, 7};
   batched.recordFingerprint(shortBatch, 2, 6);
-  for (std::uint64_t h : shortBatch) looped.recordObservation(h, 2, 6);
+  for (text::Hash h : shortBatch) looped.recordObservation(h, 2, 6);
   expectSameStore(batched, looped, {3, 7, 9}, 3);
   EXPECT_TRUE(ownersBatched(batched, none).empty());
 }
@@ -879,13 +879,13 @@ TEST(HashDbBatch, EmptyTableAndShortBatches) {
 TEST(HashDbBatch, OwnersSkipADeadInlineOwner) {
   HashDb db;
   db.setDeadCompactionThreshold(1000);
-  const std::vector<std::uint64_t> hashes = {11, 12, 13};
-  const std::vector<std::uint64_t> laterCopy = {12, 13};
+  const std::vector<text::Hash> hashes = {11, 12, 13};
+  const std::vector<text::Hash> laterCopy = {12, 13};
   db.recordFingerprint(hashes, 1, 10);
   db.recordFingerprint(laterCopy, 2, 20);
   db.removeSegment(1);  // lazy: segment 1 still holds the inline seats
   ASSERT_EQ(db.deadSegmentCount(), 1u);
-  const std::vector<std::pair<SegmentId, std::uint64_t>> want = {{2, 12},
+  const std::vector<std::pair<SegmentId, text::Hash>> want = {{2, 12},
                                                                  {2, 13}};
   EXPECT_EQ(ownersBatched(db, hashes), want);
 }
@@ -904,8 +904,8 @@ TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
     batched.setDeadCompactionThreshold(3);
     looped.setDeadCompactionThreshold(3);
     // A shared pool makes segments overlap; fresh hashes drive growth.
-    std::vector<std::uint64_t> pool(1500);
-    for (std::uint64_t& h : pool) h = rng.next() & 0xffffffff;
+    std::vector<text::Hash> pool(1500);
+    for (text::Hash& h : pool) h = static_cast<text::Hash>(rng.next());
     util::Timestamp clock = 100;
     for (int step = 0; step < 160; ++step) {
       if (rng.chance(0.12)) {
@@ -916,9 +916,9 @@ TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
         const SegmentId segment = rng.uniform(1, kSegments);
         std::size_t n = rng.uniform(0, 120);
         if (rng.chance(0.2)) n = rng.uniform(0, 20);  // around the distances
-        std::vector<std::uint64_t> hashes;
+        std::vector<text::Hash> hashes;
         for (std::size_t i = 0; i < n; ++i) {
-          hashes.push_back(rng.chance(0.7) ? rng.pick(pool) : rng.next());
+          hashes.push_back(rng.chance(0.7) ? rng.pick(pool) : static_cast<text::Hash>(rng.next()));
         }
         if (rng.chance(0.8)) {  // fingerprints are sorted and distinct
           std::sort(hashes.begin(), hashes.end());
@@ -932,11 +932,11 @@ TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
           ts = clock - rng.uniform(1, 50);  // out of order
         }  // else: equal to the previous stamp
         batched.recordFingerprint(hashes, segment, ts);
-        for (std::uint64_t h : hashes) looped.recordObservation(h, segment, ts);
+        for (text::Hash h : hashes) looped.recordObservation(h, segment, ts);
       }
       if (step % 20 == 19) {
-        std::vector<std::uint64_t> probes(pool.begin(), pool.begin() + 300);
-        probes.push_back(rng.next());  // never stored
+        std::vector<text::Hash> probes(pool.begin(), pool.begin() + 300);
+        probes.push_back(static_cast<text::Hash>(rng.next()));  // never stored
         expectSameStore(batched, looped, probes, kSegments);
       }
     }

@@ -6,7 +6,7 @@
 namespace bf::flow {
 namespace {
 
-text::Fingerprint fpOf(std::initializer_list<std::uint64_t> hashes) {
+text::Fingerprint fpOf(std::initializer_list<text::Hash> hashes) {
   std::vector<text::HashedGram> grams;
   std::uint32_t pos = 0;
   for (auto h : hashes) grams.push_back({h, pos++});

@@ -1,6 +1,7 @@
 // Tests for snapshot export/import and encrypted persistence (paper S4.4).
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -24,7 +25,7 @@ class SnapshotTest : public ::testing::Test {
   SnapshotTest() : rng_(31), gen_(&rng_), tracker_(TrackerConfig{}, &clock_) {}
 
   ~SnapshotTest() override {
-    if (!path_.empty()) std::remove(path_.c_str());
+    for (const std::string& path : paths_) std::remove(path.c_str());
   }
 
   /// Populates the tracker with a few documents and returns one secret
@@ -40,9 +41,14 @@ class SnapshotTest : public ::testing::Test {
     return probe;
   }
 
+  /// A /tmp path private to this process and test, removed when the test
+  /// ends: ctest runs tests as concurrent processes.
   std::string tempPath(const char* name) {
-    path_ = std::string("/tmp/bf_snapshot_test_") + name;
-    return path_;
+    paths_.push_back(
+        "/tmp/bf_snapshot_test_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + name);
+    return paths_.back();
   }
 
   /// The BFSNAPS3 blob saveSnapshot() writes for `sequence`: a plaintext
@@ -59,7 +65,7 @@ class SnapshotTest : public ::testing::Test {
   util::Rng rng_;
   corpus::TextGenerator gen_;
   FlowTracker tracker_;
-  std::string path_;
+  std::vector<std::string> paths_;
 };
 
 TEST_F(SnapshotTest, ExportImportRoundTripPreservesQueries) {
@@ -523,6 +529,44 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
   EXPECT_EQ(*restored.hashDb(kPar).lastSeen(42, 2), 9u);
 }
 
+TEST_F(SnapshotTest, ImportRejectsHashesWiderThan32Bits) {
+  // Rows store each hash in a u64. A value no text::Hash can hold is an
+  // invalid row, whether it is a segment's gram or an association.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  constexpr std::uint64_t kWide = (std::uint64_t{1} << 32) + 42;
+  std::string gramBlob = "BFSNAPP3";
+  util::putU64(gramBlob, 1);  // segment count
+  util::putU64(gramBlob, 1);  // id
+  util::putU8(gramBlob, static_cast<std::uint8_t>(kPar));
+  util::putStr(gramBlob, "x#p0");
+  util::putStr(gramBlob, "x");
+  util::putStr(gramBlob, "svc");
+  util::putF64(gramBlob, 0.5);
+  util::putU64(gramBlob, 0);  // tenant slot
+  util::putU64(gramBlob, 1);  // createdAt
+  util::putU64(gramBlob, 1);  // updatedAt
+  util::putU64(gramBlob, 1);  // gram count
+  util::putU64(gramBlob, kWide);
+  util::putU32(gramBlob, 0);
+  util::putU64(gramBlob, 0);  // paragraph associations
+  util::putU64(gramBlob, 0);  // document associations
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"gram", gramBlob},
+      {"association row", stateBlob({{1, kPar, "x#p0"}}, {{kWide, 1, 1, 1}})},
+  };
+  util::LogicalClock clock2;
+  for (const auto& [what, blob] : cases) {
+    SCOPED_TRACE(what);
+    FlowTracker restored(TrackerConfig{}, &clock2);
+    const auto result = importState(restored, blob);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.errorMessage().find("wider than 32 bits"),
+              std::string::npos);
+    EXPECT_EQ(restored.segmentDb().size(), 0u);
+    EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
+  }
+}
+
 TEST_F(SnapshotTest, ExportBytesArePinned) {
   // The export is the byte contract of snapshots and checkpoints. This
   // state covers what DBhash's storage layout must reproduce: multi-owner
@@ -542,7 +586,7 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
                                shared);
   tracker_.observeSegment(kPar, "a#p0", "a", "svc",
                           shared + " and not a day before");
-  const std::vector<std::uint64_t> hashes =
+  const std::vector<text::Hash> hashes =
       tracker_.segmentByName("a#p0")->fingerprint.hashes();
   ASSERT_GE(hashes.size(), 8u);
 

@@ -26,7 +26,7 @@ namespace bf::flow {
 namespace {
 
 struct Gram {
-  std::uint64_t hash;
+  text::Hash hash;
   std::uint32_t pos;
 };
 

@@ -346,7 +346,7 @@ ReferenceAnswer referenceQuery(const FlowTracker& tracker,
   const TrackerConfig& config = tracker.config();
   const HashDb& db = tracker.hashDb(kind);
   std::set<SegmentId> candidates;
-  for (std::uint64_t h : target.hashes()) {
+  for (text::Hash h : target.hashes()) {
     if (config.useAuthoritative) {
       if (const auto owner = db.oldestSegmentWith(h)) candidates.insert(*owner);
     } else {

@@ -11,7 +11,7 @@
 namespace bf::flow {
 namespace {
 
-text::Fingerprint fpOf(const std::vector<std::uint64_t>& hashes) {
+text::Fingerprint fpOf(const std::vector<text::Hash>& hashes) {
   std::vector<text::HashedGram> grams;
   std::uint32_t pos = 0;
   for (auto h : hashes) grams.push_back({h, pos++});
@@ -21,7 +21,7 @@ text::Fingerprint fpOf(const std::vector<std::uint64_t>& hashes) {
 /// Observes segment `id` (its own document) with exactly `hashes` at time
 /// `at`, through the WAL replay path that takes a ready fingerprint.
 void observeHashes(FlowTracker& tracker, SegmentId id, std::string_view name,
-                   const std::vector<std::uint64_t>& hashes,
+                   const std::vector<text::Hash>& hashes,
                    util::Timestamp at, double threshold = 0.0) {
   SegmentRecord rec;
   rec.id = id;
@@ -449,9 +449,9 @@ TEST(TrackerBoundTest, SourceWithExactlyTheNeededClaimsIsAHit) {
                              " claimed=" + std::to_string(claimed);
       util::LogicalClock clock;
       FlowTracker tracker(TrackerConfig{}, &clock);
-      std::vector<std::uint64_t> source;
-      std::vector<std::uint64_t> target;
-      for (std::uint64_t i = 0; i < c.size; ++i) {
+      std::vector<text::Hash> source;
+      std::vector<text::Hash> target;
+      for (text::Hash i = 0; i < c.size; ++i) {
         source.push_back(100 + i);
         if (i < claimed) target.push_back(100 + i);
         // Unowned hashes keep the target past the early discard.

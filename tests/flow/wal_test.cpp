@@ -16,7 +16,9 @@
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
+#include "util/binary_io.h"
 #include "util/clock.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace bf::flow {
@@ -31,6 +33,35 @@ std::string readFile(const std::string& path) {
 void writeFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// The WAL image `log` with every u64 field holding `hash` raised by 2^32,
+/// each frame's CRC re-sealed: well-framed records carrying a hash that no
+/// text::Hash can hold.
+std::string widenHash(std::string log, text::Hash hash) {
+  std::string needle;
+  util::putU64(needle, hash);
+  std::size_t at = 16;  // past the magic and the base sequence
+  while (at + 8 <= log.size()) {
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(log[at + i]))
+             << (8 * i);
+    }
+    const std::size_t payload = at + 8;
+    for (std::size_t p = log.find(needle, payload);
+         p != std::string::npos && p + 8 <= payload + len;
+         p = log.find(needle, p + 8)) {
+      log[p + 4] = 1;
+    }
+    const std::uint32_t crc = util::maskCrc32c(
+        util::crc32c(std::string_view(log).substr(payload, len)));
+    for (int i = 0; i < 4; ++i) {
+      log[at + 4 + i] = static_cast<char>(crc >> (8 * i));
+    }
+    at = payload + len;
+  }
+  return log;
 }
 
 class WalTest : public ::testing::Test {
@@ -604,6 +635,86 @@ TEST_F(WalTest, TornAppendWriteIsCaughtByRecoveryCrc) {
   RecoveryStats stats;
   const std::string recovered = recoverFresh(&stats);
   EXPECT_EQ(recovered, durablePrefix);
+}
+
+TEST_F(WalTest, HashWiderThan32BitsIsACorruptFrame) {
+  // Records store each hash in a u64. A value no text::Hash can hold is
+  // corruption, in a segment's grams and in an association alike: replay
+  // stops at that frame.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  constexpr text::Hash kGram = 0x9abcdef0u;
+  constexpr text::Hash kRow = 0x9abcdef1u;
+  const std::string path = dir_ + "/wide.bfw";
+  {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.open(path, 0, false).ok());
+    wal.logAssociationAdded(kPar, 0x13572468u, 1, 1, 1);
+    SegmentRecord rec;
+    rec.id = 1;
+    rec.kind = kPar;
+    rec.name = "x#p0";
+    rec.document = "x";
+    rec.service = "svc";
+    rec.createdAt = 2;
+    rec.updatedAt = 2;
+    rec.fingerprint = text::Fingerprint::fromSelected(
+        std::vector<text::HashedGram>{{kGram, 0}});
+    wal.logSegmentObserved(rec);
+    wal.logAssociationAdded(kPar, kRow, 1, 3, 3);
+    wal.close();
+  }
+  const std::string log = readFile(path);
+  const auto replay = [&](const std::string& image) {
+    writeFile(path, image);
+    util::LogicalClock clock;
+    FlowTracker tracker(TrackerConfig{}, &clock);
+    return replayWalFile(tracker, path, 1);
+  };
+  const WalReplayResult intact = replay(log);
+  EXPECT_EQ(intact.applied, 3u);
+  EXPECT_FALSE(intact.sawCorruption);
+  const WalReplayResult wideGram = replay(widenHash(log, kGram));
+  EXPECT_EQ(wideGram.applied, 1u);
+  EXPECT_TRUE(wideGram.sawCorruption);
+  const WalReplayResult wideRow = replay(widenHash(log, kRow));
+  EXPECT_EQ(wideRow.applied, 2u);
+  EXPECT_TRUE(wideRow.sawCorruption);
+}
+
+TEST_F(WalTest, RecordBytesArePinned) {
+  // The log is a byte contract like the snapshot export: every record
+  // type, grams included, must encode to the same bytes whatever the
+  // in-memory representation of a hash.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  const std::string path = dir_ + "/pinned.bfw";
+  WriteAheadLog wal;
+  ASSERT_TRUE(wal.open(path, 5, false).ok());
+  tracker_.attachWal(&wal);
+  const std::string shared =
+      "the quarterly merger terms remain strictly confidential until the "
+      "board approves the final valuation and the press release";
+  tracker_.observeSegment(kPar, "a#p0", "a", "svc", shared);
+  tracker_.observeDocument("b", "svc",
+                           "an unrelated opening paragraph about lunch plans "
+                           "and the weather this week\n\n" +
+                               shared);
+  tracker_.observeSegment(kPar, "c#p0", "c", "svc",
+                          "a short note about the weekly team lunch order");
+  const SegmentId a = tracker_.segmentByName("a#p0")->id;
+  const auto hashes = tracker_.segmentByName("a#p0")->fingerprint.hashes();
+  ASSERT_GE(hashes.size(), 2u);
+  tracker_.restoreAssociation(kPar, hashes[1], a, 1, 9);
+  tracker_.restoreAssociation(kPar, 0xabc00001, a, 2, 2);
+  ASSERT_TRUE(tracker_.setSegmentThreshold("a#p0", 0.7));
+  tracker_.removeSegmentByName("c#p0");
+  (void)tracker_.evictAssociationsOlderThan(2);
+  tracker_.attachWal(nullptr);
+  wal.close();
+  // Pinned from the log that carried 64-bit hashes in memory.
+  const std::string data = readFile(path);
+  EXPECT_EQ(data.substr(0, 8), "BFWAL001");
+  EXPECT_EQ(data.size(), 1098u);
+  EXPECT_EQ(util::crc32c(data), 0x755ad3f2U);
 }
 
 }  // namespace

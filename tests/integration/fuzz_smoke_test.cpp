@@ -6,6 +6,7 @@
 #include "browser/html_parser.h"
 #include "browser/readability.h"
 #include "flow/snapshot.h"
+#include "text/normalizer.h"
 #include "text/winnower.h"
 #include "util/json_text.h"
 #include "util/rng.h"

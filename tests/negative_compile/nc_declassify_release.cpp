@@ -3,6 +3,7 @@
 // only the tests/ and bench/ targets define — so this fixture's control
 // flag is that define itself, not BF_NC_CONTROL.
 // nc-control-flags: -DBF_SEC_ENABLE_TEST_DECLASSIFY
+// nc-expect: .declassifyForTest. is not a member of .bf::sec.|no member named .declassifyForTest.
 #include <string>
 
 #include "sec/sensitive.h"

@@ -1,6 +1,7 @@
 // Leak shape 1: streaming sensitive content into a log line. There is no
 // operator<< for SensitiveText/SensitiveView, so the LogStream template
 // fails to instantiate. Control: log the redacted preview instead.
+// nc-expect: (no match for .operator<<.|invalid operands to binary expression).*SensitiveText
 #include "sec/sensitive.h"
 #include "util/logging.h"
 

@@ -1,11 +1,23 @@
 // Tests for TDM policy snapshot persistence.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+
 #include "tdm/policy_snapshot.h"
 #include "util/clock.h"
 
 namespace bf::tdm {
 namespace {
+
+/// Restores `blob` into `policy` the way a deployment load does: staged in
+/// full, then applied.
+util::Status importPolicy(TdmPolicy& policy, std::string_view blob) {
+  util::Result<StagedPolicy> staged = stagePolicy(policy, blob);
+  if (!staged.ok()) return util::Status::error(staged.errorMessage());
+  applyPolicy(policy, std::move(staged).value());
+  return {};
+}
 
 class PolicySnapshotTest : public ::testing::Test {
  protected:

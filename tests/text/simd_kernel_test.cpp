@@ -2,8 +2,8 @@
 // (text/simd/kernel.h): every dispatch tier this host supports must be
 // bit-identical to fingerprintTextReference — same hashes AND same
 // original-offset positions — across input lengths around the window
-// boundary, all 64 input alignments, every hash width, and multi-byte
-// UTF-8 content. Plus unit tests for the pure selection policy
+// boundary, all 64 input alignments, tie-heavy periodic text, and
+// multi-byte UTF-8 content. Plus unit tests for the pure selection policy
 // (chooseKernelTier) and the bf_kernel_dispatch gauge contract.
 #include <gtest/gtest.h>
 
@@ -142,19 +142,45 @@ TEST(SimdKernelDifferential, AllInputAlignments) {
   }
 }
 
-TEST(SimdKernelDifferential, HashWidthSweep) {
+/// Text whose windows hold many equal gram hashes: runs of a short random
+/// pattern (every gram at the same phase of a run hashes alike) of random
+/// length, each broken by a random letter and sometimes a space, so the
+/// ties fall at every lane of the vector winnow, in whole blocks and in
+/// the scalar head and tail, and across chunk boundaries.
+std::string tieHeavyText(util::Rng& rng, std::size_t length) {
+  std::string s;
+  while (s.size() < length) {
+    std::string unit(rng.uniform(1, 20), 'a');
+    for (char& c : unit) c = static_cast<char>('a' + rng.uniform(0, 25));
+    const std::size_t run = rng.uniform(20, 400);
+    for (std::size_t i = 0; i < run; ++i) s.push_back(unit[i % unit.size()]);
+    if (rng.uniform(0, 1) == 0) s.push_back(' ');
+    s.push_back(static_cast<char>('a' + rng.uniform(0, 25)));
+  }
+  s.resize(length);
+  return s;
+}
+
+TEST(SimdKernelDifferential, TieHeavyText) {
+  // Three chunks of the batch kernel per text; w = 16 (the paper's) and
+  // w = 32 both take the in-register block winnow.
   util::Rng rng(303);
-  const std::string text = mixedText(rng, 2048);
+  FingerprintConfig wide;
+  wide.ngramChars = 5;
+  wide.windowChars = 36;  // w = 32
+  std::vector<std::string> texts;
+  for (int i = 0; i < 3; ++i) texts.push_back(tieHeavyText(rng, 20000));
   for (KernelTier tier : allTiers()) {
     ScopedTier scoped(tier);
     if (!scoped.engaged()) continue;
-    for (unsigned bits : {8u, 16u, 32u, 64u}) {
-      FingerprintConfig config;
-      config.hashBits = bits;
-      checkAgainstReference(text, config,
-                            std::string("tier ") +
-                                simd::kernelTierName(tier) + " hashBits " +
-                                std::to_string(bits));
+    for (const FingerprintConfig& config : {FingerprintConfig{}, wide}) {
+      for (std::size_t i = 0; i < texts.size(); ++i) {
+        checkAgainstReference(
+            texts[i], config,
+            std::string("tier ") + simd::kernelTierName(tier) + " w=" +
+                std::to_string(config.windowHashes()) + " text " +
+                std::to_string(i));
+      }
     }
   }
 }

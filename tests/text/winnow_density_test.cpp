@@ -18,7 +18,6 @@ TEST_P(WinnowDensity, MatchesTheoreticalDensity) {
   FingerprintConfig config;
   config.ngramChars = ngram;
   config.windowChars = window;
-  config.hashBits = 64;  // avoid truncation-induced duplicate collapse
 
   util::Rng rng(ngram * 7919 + window);
   std::string text;
