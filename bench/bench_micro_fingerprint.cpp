@@ -92,9 +92,13 @@ BENCHMARK(BM_FingerprintTextFusedWorkspace)
 
 void BM_FingerprintTextTier(benchmark::State& state) {
   // The fused kernel pinned to one dispatch tier, at the event sizes the
-  // end-to-end workloads send (docs_typing ~0.4 KB, paste_upload ~3.4 KB)
-  // and at 16 KiB. These rows re-check the rule that a SIMD tier stays
-  // only while it beats scalar by at least 1.5x (DESIGN.md §15).
+  // end-to-end workloads send (docs_typing ~0.4 KB paragraphs and ~1.9 KB
+  // documents, paste_upload ~3.4 KB), at 16 KiB, and at 40 and 96 B: the
+  // slices a keystroke's spliced re-fingerprint runs the kernel on (about
+  // 35 B on average in docs_typing, where typing mostly appends, and two
+  // windows plus the edit in mid-text). These rows
+  // re-check the rule that a SIMD tier stays only while it beats scalar by
+  // at least 1.5x (DESIGN.md §15).
   const auto tier = static_cast<text::simd::KernelTier>(state.range(0));
   if (!text::simd::setKernelTierOverrideForTest(tier)) {
     state.SkipWithError("tier not supported on this host");
@@ -115,7 +119,38 @@ BENCHMARK(BM_FingerprintTextTier)
     ->ArgNames({"tier", "bytes"})
     ->ArgsProduct({{static_cast<int64_t>(text::simd::KernelTier::kScalar),
                     static_cast<int64_t>(text::simd::KernelTier::kAvx512)},
-                   {400, 3400, 16384}});
+                   {40, 96, 400, 1900, 3400, 16384}});
+
+void BM_Refingerprint(benchmark::State& state) {
+  // A keystroke: one letter inserted mid-text, re-fingerprinted by
+  // splicing from the previous text's fingerprint (text::refingerprint)
+  // on one dispatch tier. Compare with BM_FingerprintTextTier at the same
+  // size, the full kernel's cost for the same text.
+  const auto tier = static_cast<text::simd::KernelTier>(state.range(0));
+  if (!text::simd::setKernelTierOverrideForTest(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  const std::string before = makeText(static_cast<std::size_t>(state.range(1)));
+  std::string after = before;
+  after.insert(after.size() / 2, 1, 'x');
+  const text::FingerprintConfig config;
+  text::FingerprintWorkspace ws;
+  const text::Fingerprint fp = text::fingerprintTextFused(before, config, ws);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        text::refingerprint(before, fp, after, config, ws));
+  }
+  text::simd::restoreAutoKernelTier();
+  state.SetLabel(text::simd::kernelTierName(tier));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_Refingerprint)
+    ->ArgNames({"tier", "bytes"})
+    ->ArgsProduct({{static_cast<int64_t>(text::simd::KernelTier::kScalar),
+                    static_cast<int64_t>(text::simd::KernelTier::kAvx512)},
+                   {400, 1900}});
 
 void BM_FingerprintIntersection(benchmark::State& state) {
   const text::FingerprintConfig config;

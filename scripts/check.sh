@@ -59,6 +59,14 @@ for preset in $PRESETS; do
     BF_STORAGE_FUZZ_SEED=20260809 BF_STORAGE_FUZZ_TRIALS=300 \
       "$bin" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
+    # Spliced re-fingerprint at a pinned seed: 2000 edit scripts checked
+    # against the full kernel on every tier the host supports.
+    textBin="build/tests/text_test"
+    if [ "$preset" = "asan" ]; then textBin="build-asan/tests/text_test"; fi
+    echo "==> [$preset] spliced re-fingerprint differential, fixed seed"
+    BF_REFINGERPRINT_SEED=20261018 BF_REFINGERPRINT_TRIALS=2000 \
+      "$textBin" \
+      --gtest_filter='Refingerprint.MatchesFullKernelOnSeededEditScripts'
   fi
 done
 

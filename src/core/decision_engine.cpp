@@ -4,6 +4,7 @@
 
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
+#include "text/fingerprint_kernel.h"
 #include "text/segmenter.h"
 #include "util/clock.h"
 #include "util/stopwatch.h"
@@ -445,38 +446,66 @@ tdm::UploadDecision DecisionEngine::probeLocked(const DecisionRequest& request,
   return policy_->checkLabel(label, request.serviceId);
 }
 
-void DecisionEngine::memoizeLocked(sec::SensitiveView text) {
-  if (memo_.text == text) return;
-  memo_.text.assign(text);
-  memo_.hasFingerprint = false;
-  memo_.hasSecretHits = false;
+DecisionEngine::TextMemo& DecisionEngine::memoizeLocked(
+    sec::SensitiveView text) {
+  TextMemo* slot = &memo_[0];
+  for (TextMemo& m : memo_) {
+    if (m.text == text) {
+      slot = &m;
+      break;
+    }
+    if (m.lastUse < slot->lastUse) slot = &m;
+  }
+  if (slot->text != text) {
+    slot->text.assign(text);
+    slot->hasFingerprint = false;
+    slot->hasSecretHits = false;
+  }
+  slot->lastUse = ++memoUses_;
+  return *slot;
 }
 
 const text::Fingerprint& DecisionEngine::fingerprintLocked(
     sec::SensitiveView text) {
-  memoizeLocked(text);
-  if (!memo_.hasFingerprint) {
+  TextMemo& slot = memoizeLocked(text);
+  if (!slot.hasFingerprint) {
     obs::StageTimer fpTimer(obs::Stage::kFingerprint);
-    memo_.fingerprint = tracker_->fingerprintOf(text);
-    memo_.hasFingerprint = true;
+    // Splice from the memoized text that shares the most bytes at its ends
+    // with this one (a keystroke's previous version of the same unit).
+    const TextMemo* base = nullptr;
+    std::size_t baseShared = 0;
+    for (const TextMemo& m : memo_) {
+      if (&m == &slot || !m.hasFingerprint) continue;
+      const text::SharedEdges e = text::sharedEdges(
+          sec::SensitiveView(m.text).raw(), text.raw());
+      if (e.prefix + e.suffix > baseShared) {
+        base = &m;
+        baseShared = e.prefix + e.suffix;
+      }
+    }
+    slot.fingerprint =
+        base == nullptr
+            ? tracker_->fingerprintOf(text)
+            : tracker_->fingerprintOf(text, base->text, base->fingerprint);
+    slot.hasFingerprint = true;
   }
-  return memo_.fingerprint;
+  return slot.fingerprint;
 }
 
 const std::vector<SecretGuard::Hit>& DecisionEngine::secretHitsLocked(
     sec::SensitiveView text) {
   static const std::vector<SecretGuard::Hit> kNoGuard;
   if (guard_ == nullptr) return kNoGuard;
-  memoizeLocked(text);
-  if (!memo_.hasSecretHits || memo_.guard != guard_ ||
-      memo_.guardGeneration != guard_->generation()) {
+  TextMemo& slot = memoizeLocked(text);
+  if (!slot.hasSecretHits || slot.guard != guard_ ||
+      slot.guardGeneration != guard_->generation()) {
     obs::StageTimer scanTimer(obs::Stage::kSecretScan);
-    memo_.secretHits = guard_->scan(text);
-    memo_.guard = guard_;
-    memo_.guardGeneration = guard_->generation();
-    memo_.hasSecretHits = true;
+    slot.secretHits = guard_->scan(text);
+    slot.guard = guard_;
+    slot.guardGeneration = guard_->generation();
+    slot.hasSecretHits = true;
   }
-  return memo_.secretHits;
+  return slot.secretHits;
 }
 
 void DecisionEngine::noteLookupLocked(double lookupMs) {

@@ -28,6 +28,7 @@
 // above the tracker / obs / logging mutexes, never below them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <future>
@@ -287,16 +288,17 @@ class DecisionEngine {
                                   const Unit& unit, Decision& decision)
       BF_REQUIRES(stateMutex_);
   /// The unit text's fingerprint and secret hits, computed at most once
-  /// per distinct text: served from memo_ when the text is byte-equal to
-  /// the previous unit's (and, for secret hits, the guard and its
-  /// generation are unchanged; no guard means no hits). The references
-  /// stay valid until a call with another text.
+  /// per text while it stays in memo_: served from the slot whose text is
+  /// byte-equal (and, for secret hits, whose guard and generation are
+  /// unchanged; no guard means no hits). A fingerprint the memo lacks is
+  /// spliced from the memoized text sharing the most bytes at its ends
+  /// (FlowTracker::fingerprintOf's splice overload), which costs what the
+  /// edit costs. The references stay valid until a call with a text that
+  /// is not in the memo.
   const text::Fingerprint& fingerprintLocked(sec::SensitiveView text)
       BF_REQUIRES(stateMutex_);
   const std::vector<SecretGuard::Hit>& secretHitsLocked(sec::SensitiveView text)
       BF_REQUIRES(stateMutex_);
-  /// Points memo_ at `text`, forgetting what it held for another text.
-  void memoizeLocked(sec::SensitiveView text) BF_REQUIRES(stateMutex_);
   /// Feeds one disclosure-lookup latency to the circuit breaker.
   void noteLookupLocked(double lookupMs) BF_REQUIRES(stateMutex_);
   /// Builds a degraded decision (action per ResilienceConfig::degradedMode)
@@ -334,12 +336,17 @@ class DecisionEngine {
   /// either direction writes one audit record (not one per decision).
   bool lastDurabilityHealthy_ BF_GUARDED_BY(stateMutex_) = true;
 
-  /// One text and the work already done on it. An event decides the same
-  /// text several times in a row (the paragraph observe, the document
-  /// observe of a one-paragraph page, the upload probe), so one slot is
-  /// enough; a byte-for-byte compare, not a hash, decides a hit.
+  /// One text and the work already done on it. A keystroke decides three
+  /// texts in turn: the paragraph observe, the document observe, then the
+  /// upload probe of the paragraph again. kMemoSlots slots hold all three
+  /// and one more, so the probe hits even on a multi-paragraph page (where
+  /// the document text differs from the paragraph's), and the next
+  /// keystroke's paragraph and document each find their previous version
+  /// to splice from. A byte-for-byte compare, not a hash, decides a hit;
+  /// the least recently used slot makes room.
   struct TextMemo {
     sec::SensitiveText text;
+    std::uint64_t lastUse = 0;
     bool hasFingerprint = false;
     text::Fingerprint fingerprint;
     bool hasSecretHits = false;
@@ -348,7 +355,12 @@ class DecisionEngine {
     std::uint64_t guardGeneration = 0;
     std::vector<SecretGuard::Hit> secretHits;
   };
-  TextMemo memo_ BF_GUARDED_BY(stateMutex_);
+  static constexpr std::size_t kMemoSlots = 4;
+  /// The slot holding `text`: a hit, or the least recently used slot
+  /// emptied and pointed at `text`.
+  TextMemo& memoizeLocked(sec::SensitiveView text) BF_REQUIRES(stateMutex_);
+  std::array<TextMemo, kMemoSlots> memo_ BF_GUARDED_BY(stateMutex_);
+  std::uint64_t memoUses_ BF_GUARDED_BY(stateMutex_) = 0;
 
   // One mutex serialises tracker/policy access between the caller thread
   // and the worker; the paper's engine likewise processes decisions one at

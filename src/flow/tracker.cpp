@@ -5,6 +5,7 @@
 
 #include "flow/wal.h"
 #include "obs/stage.h"
+#include "text/fingerprint_kernel.h"
 #include "text/segmenter.h"
 #include "util/hashing.h"
 
@@ -91,6 +92,16 @@ text::Fingerprint FlowTracker::fingerprintOf(sec::SensitiveView text) const {
   stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
   return text::fingerprintText(text.raw(), config_.fingerprint);
+}
+
+text::Fingerprint FlowTracker::fingerprintOf(
+    sec::SensitiveView text, sec::SensitiveView previous,
+    const text::Fingerprint& previousFp) const {
+  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
+  trackerMetrics().fingerprints->inc();
+  return text::refingerprint(previous.raw(), previousFp, text.raw(),
+                             config_.fingerprint,
+                             text::threadLocalFingerprintWorkspace());
 }
 
 SegmentId FlowTracker::observeSegment(SegmentKind kind, std::string_view name,

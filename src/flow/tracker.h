@@ -278,6 +278,13 @@ class FlowTracker {
   /// stats().fingerprintsComputed. A declassification gate
   /// (sec/sensitive.h): the winnowed hash set is non-invertible.
   [[nodiscard]] text::Fingerprint fingerprintOf(sec::SensitiveView text) const;
+  /// fingerprintOf(text), spliced from an earlier text and its fingerprint
+  /// (text::refingerprint): `previousFp` must be fingerprintOf(previous).
+  /// Costs about what the edit between the two texts costs; counts in
+  /// stats().fingerprintsComputed like a full fingerprint.
+  [[nodiscard]] text::Fingerprint fingerprintOf(
+      sec::SensitiveView text, sec::SensitiveView previous,
+      const text::Fingerprint& previousFp) const;
 
   // ---- Maintenance & snapshot support ---------------------------------------
 

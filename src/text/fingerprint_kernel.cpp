@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cassert>
+#include <cstring>
 
 #include "text/normalizer.h"
 #include "text/simd/kernel.h"
@@ -35,6 +38,32 @@ constexpr std::array<std::uint16_t, 8192> kMinCdfBucket = [] {
   return t;
 }();
 
+/// The first 8 bytes at `p` as a word whose low byte is p[0].
+std::uint64_t loadLittle(const char* p) noexcept {
+  std::uint64_t x;
+  std::memcpy(&x, p, sizeof x);
+  if constexpr (std::endian::native == std::endian::big) {
+    x = __builtin_bswap64(x);
+  }
+  return x;
+}
+
+/// sharedEdges once the prefix is known: the common suffix of what the
+/// prefix leaves of each text.
+SharedEdges sharedEdgesFrom(std::string_view a, std::string_view b,
+                            std::size_t prefix) noexcept {
+  const std::size_t room = std::min(a.size(), b.size()) - prefix;
+  const char* ea = a.data() + a.size();
+  const char* eb = b.data() + b.size();
+  std::size_t q = 0;
+  for (; q + 8 <= room; q += 8) {
+    const std::uint64_t diff = loadLittle(ea - q - 8) ^ loadLittle(eb - q - 8);
+    if (diff != 0) return {prefix, q + std::countl_zero(diff) / 8};
+  }
+  while (q < room && *(ea - q - 1) == *(eb - q - 1)) ++q;
+  return {prefix, q};
+}
+
 }  // namespace
 
 namespace detail {
@@ -62,25 +91,30 @@ Fingerprint finalizeSelectedFingerprint(FingerprintWorkspace& ws) {
     // of three LSD passes: with at least as many buckets as elements
     // the scatter output is already globally ordered by bucket and
     // buckets average under one element, so insertion sort only fixes
-    // local inversions. A third of the histogram traffic (the
-    // histogram clears are the radix bottleneck at this size) and one
-    // data pass instead of three. Buckets come from kMinCdfBucket, indexed
-    // by a hash's top 13 bits, so window-minimum-shaped values spread
-    // evenly. A crafted input (or a window width far from 16) could still
-    // pile picks into one bucket and make the insertion quadratic, so the
-    // histogram pass tracks the fullest bucket and falls through to the
+    // local inversions. The bucket count is bit_ceil(count), at least 16,
+    // so a keystroke's handful of picks clears and prefix-sums 16
+    // counters. Buckets are the top bits of kMinCdfBucket,
+    // indexed by a hash's top 13 bits, so window-minimum-shaped values
+    // spread evenly and bucket order stays a valid sort order. A crafted
+    // input (or a window width far from 16) could still pile picks into
+    // one bucket and make the insertion quadratic, so the histogram pass
+    // tracks the fullest bucket and falls through to the
     // pass-count-oblivious LSD radix past 64.
-    std::uint16_t h[2049] = {0};
+    const std::size_t buckets = std::max<std::size_t>(std::bit_ceil(count), 16);
+    const int shift = 11 - std::countr_zero(buckets);  // kMinCdfBucket: 11 bits
+    std::uint16_t h[2049];
+    std::fill_n(h, buckets + 1, std::uint16_t{0});
     std::uint16_t maxBucket = 0;
     for (std::size_t k = 0; k < count; ++k) {
       const Hash x = grams[k].hash;
       src[k] = x;
-      maxBucket = std::max(maxBucket, ++h[kMinCdfBucket[x >> 19] + 1]);
+      maxBucket =
+          std::max(maxBucket, ++h[(kMinCdfBucket[x >> 19] >> shift) + 1]);
     }
     if (maxBucket <= 64) {
-      for (int b = 0; b < 2048; ++b) h[b + 1] += h[b];
+      for (std::size_t b = 0; b < buckets; ++b) h[b + 1] += h[b];
       for (std::size_t k = 0; k < count; ++k) {
-        dst[h[kMinCdfBucket[src[k] >> 19]]++] = src[k];
+        dst[h[kMinCdfBucket[src[k] >> 19] >> shift]++] = src[k];
       }
       for (std::size_t k = 1; k < count; ++k) {
         const Hash x = dst[k];
@@ -155,26 +189,26 @@ void FingerprintWorkspace::prepare(std::size_t n, std::size_t w) {
   selected_.clear();
 }
 
-Fingerprint fingerprintTextFused(std::string_view input,
-                                 const FingerprintConfig& config,
-                                 FingerprintWorkspace& ws) {
+namespace detail {
+
+bool selectGrams(std::string_view input, const FingerprintConfig& config,
+                 FingerprintWorkspace& ws) {
 #if defined(BF_TEXT_SIMD_X86)
   if (simd::activeKernelTier() == simd::KernelTier::kAvx512) {
-    return simd::fingerprintTextAvx512(input, config, ws);
+    return simd::selectGramsAvx512(input, config, ws);
   }
 #endif
-  return fingerprintTextFusedScalar(input, config, ws);
+  return selectGramsScalar(input, config, ws);
 }
 
-Fingerprint fingerprintTextFusedScalar(std::string_view input,
-                                       const FingerprintConfig& config,
-                                       FingerprintWorkspace& ws) {
+bool selectGramsScalar(std::string_view input, const FingerprintConfig& config,
+                       FingerprintWorkspace& ws) {
   const std::size_t n = config.ngramChars;
   const std::size_t w = config.windowHashes();
   // The normalized text is never longer than the input, so a short input
   // cannot fill a window (the reference checks norm.size() < windowChars).
-  if (input.size() < config.windowChars) return Fingerprint{};
-  if (n == 0) return Fingerprint{};  // no grams, as in hashNgrams
+  if (input.size() < config.windowChars) return false;
+  if (n == 0) return false;  // no grams, as in hashNgrams
 
   ws.prepare(n, w);
 
@@ -261,8 +295,106 @@ Fingerprint fingerprintTextFusedScalar(std::string_view input,
     }
   }
 
-  if (normCount < config.windowChars || ws.selected_.empty()) {
-    return Fingerprint{};
+  return normCount >= config.windowChars && !ws.selected_.empty();
+}
+
+}  // namespace detail
+
+Fingerprint fingerprintTextFused(std::string_view input,
+                                 const FingerprintConfig& config,
+                                 FingerprintWorkspace& ws) {
+  return detail::selectGrams(input, config, ws)
+             ? detail::finalizeSelectedFingerprint(ws)
+             : Fingerprint{};
+}
+
+Fingerprint fingerprintTextFusedScalar(std::string_view input,
+                                       const FingerprintConfig& config,
+                                       FingerprintWorkspace& ws) {
+  return detail::selectGramsScalar(input, config, ws)
+             ? detail::finalizeSelectedFingerprint(ws)
+             : Fingerprint{};
+}
+
+
+SharedEdges sharedEdges(std::string_view a, std::string_view b) noexcept {
+  // A word at a time: a keystroke leaves kilobytes of both texts equal.
+  // The first differing byte of a word pair is its lowest nonzero byte of
+  // the XOR from the front, its highest from the back.
+  const std::size_t limit = std::min(a.size(), b.size());
+  SharedEdges e;
+  std::size_t& p = e.prefix;
+  for (; p + 8 <= limit; p += 8) {
+    const std::uint64_t diff =
+        loadLittle(a.data() + p) ^ loadLittle(b.data() + p);
+    if (diff != 0) return sharedEdgesFrom(a, b, p + std::countr_zero(diff) / 8);
+  }
+  while (p < limit && a[p] == b[p]) ++p;
+  return sharedEdgesFrom(a, b, p);
+}
+
+Fingerprint refingerprint(std::string_view oldText, const Fingerprint& oldFp,
+                          std::string_view newText,
+                          const FingerprintConfig& config,
+                          FingerprintWorkspace& ws) {
+  // Normalization is per byte and stateless, so the texts' shared prefix
+  // and suffix normalize to the same characters in both, and every winnow
+  // window made only of those characters picks the same gram. Widen the
+  // edit by `span` kept characters (one window) on each side: the
+  // kernel's first window on the slice is then the last all-prefix window
+  // S0, and its last window the first all-suffix window S1. Picks are
+  // monotone in the window index (robust winnowing: window s + 1 keeps
+  // window s's pick unless it slid out, or takes the new gram), so the
+  // windows before S0 pick exactly the old grams left of the slice's first
+  // pick, and the windows after S1 exactly the old grams right of its last
+  // pick, moved by the length difference.
+  const std::size_t span = config.ngramChars + config.windowHashes() - 1;
+  if (config.ngramChars == 0) {
+    return fingerprintTextFused(newText, config, ws);
+  }
+  const SharedEdges shared = sharedEdges(oldText, newText);
+  std::size_t begin = shared.prefix;
+  std::size_t kept = 0;
+  while (begin > 0 && kept < span) {
+    kept += kNormTable[static_cast<unsigned char>(newText[--begin])] != 0;
+  }
+  const bool keepHead = kept == span;
+  std::size_t end = newText.size() - shared.suffix;
+  kept = 0;
+  while (end < newText.size() && kept < span) {
+    kept += kNormTable[static_cast<unsigned char>(newText[end++])] != 0;
+  }
+  const bool keepTail = kept == span;
+  if (end - begin >= newText.size()) {
+    return fingerprintTextFused(newText, config, ws);
+  }
+
+  // The slice holds at least one whole window, so it has picks. They stay
+  // in the workspace and the old picks are spliced around them there.
+  [[maybe_unused]] const bool picked =
+      detail::selectGrams(newText.substr(begin, end - begin), config, ws);
+  assert(picked);
+  std::vector<HashedGram>& picks = ws.selected_;
+  for (HashedGram& g : picks) g.pos += static_cast<std::uint32_t>(begin);
+  const std::vector<HashedGram>& old = oldFp.grams();
+  const auto byPos = [](const HashedGram& g, std::int64_t pos) {
+    return static_cast<std::int64_t>(g.pos) < pos;
+  };
+  const std::int64_t delta = static_cast<std::int64_t>(newText.size()) -
+                             static_cast<std::int64_t>(oldText.size());
+  const auto head =
+      keepHead ? std::lower_bound(old.begin(), old.end(),
+                                  std::int64_t{picks.front().pos}, byPos)
+               : old.begin();
+  const auto tail =
+      keepTail ? std::lower_bound(old.begin(), old.end(),
+                                  picks.back().pos - delta + 1, byPos)
+               : old.end();
+  picks.reserve(picks.size() + static_cast<std::size_t>(head - old.begin()) +
+                static_cast<std::size_t>(old.end() - tail));
+  picks.insert(picks.begin(), old.begin(), head);
+  for (auto it = tail; it != old.end(); ++it) {
+    picks.push_back({it->hash, static_cast<std::uint32_t>(it->pos + delta)});
   }
   return detail::finalizeSelectedFingerprint(ws);
 }

@@ -23,9 +23,15 @@
 // else. Both dispatch targets are differentially tested to be
 // byte-identical (hashes AND original-offset positions) to the staged
 // reference in tests/text/fused_kernel_test and tests/text/simd_kernel_test.
+//
+// refingerprint serves the live-editing case (paper S5, S6.2), where each
+// keystroke re-checks a text that differs from the last one by a few
+// bytes: it runs the kernel on the edit's neighbourhood only and splices
+// the result into the previous fingerprint.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -41,9 +47,21 @@ struct BatchPipeline;
 }  // namespace simd
 
 namespace detail {
+/// The kernel without its epilogue: normalizes, hashes and winnows
+/// `input` on the dispatched tier (AVX-512 → scalar), leaving the picks
+/// in `ws` in position order with original-offset positions. Returns
+/// false, leaving the pick buffer unspecified, when there are none.
+/// fingerprintTextFused is selectGrams + finalizeSelectedFingerprint.
+[[nodiscard]] bool selectGrams(std::string_view input,
+                               const FingerprintConfig& config,
+                               FingerprintWorkspace& ws);
+/// selectGrams pinned to the portable scalar kernel.
+[[nodiscard]] bool selectGramsScalar(std::string_view input,
+                                     const FingerprintConfig& config,
+                                     FingerprintWorkspace& ws);
 /// Shared epilogue: turns the workspace's winnow-selected grams into a
 /// Fingerprint (position-ordered grams + radix-sorted deduplicated
-/// hash set). Used by the scalar kernel and the SIMD batch pipeline.
+/// hash set). Used after either kernel tier and after a splice.
 [[nodiscard]] Fingerprint finalizeSelectedFingerprint(
     FingerprintWorkspace& ws);
 }  // namespace detail
@@ -77,11 +95,16 @@ class FingerprintWorkspace {
   }
 
  private:
-  friend Fingerprint fingerprintTextFusedScalar(
-      std::string_view input, const FingerprintConfig& config,
-      FingerprintWorkspace& ws);
+  friend bool detail::selectGramsScalar(std::string_view input,
+                                        const FingerprintConfig& config,
+                                        FingerprintWorkspace& ws);
   friend Fingerprint detail::finalizeSelectedFingerprint(
       FingerprintWorkspace& ws);
+  friend Fingerprint refingerprint(std::string_view oldText,
+                                   const Fingerprint& oldFp,
+                                   std::string_view newText,
+                                   const FingerprintConfig& config,
+                                   FingerprintWorkspace& ws);
   friend struct simd::BatchPipeline;
 
   /// Sizes the character ring and the winnow scratch for n-gram length
@@ -140,6 +163,31 @@ class FingerprintWorkspace {
 [[nodiscard]] Fingerprint fingerprintTextFusedScalar(
     std::string_view input, const FingerprintConfig& config,
     FingerprintWorkspace& ws);
+
+/// Bytes two texts share at their ends: the longest common prefix, then
+/// the longest common suffix of what the prefix leaves of each (so
+/// prefix + suffix never exceeds the shorter text).
+struct SharedEdges {
+  std::size_t prefix = 0;
+  std::size_t suffix = 0;
+};
+[[nodiscard]] SharedEdges sharedEdges(std::string_view a,
+                                      std::string_view b) noexcept;
+
+/// fingerprintTextFused(newText, config, ws), computed from an earlier
+/// text and its fingerprint: `oldFp` must be fingerprintTextFused(oldText,
+/// config) (or this function's result for oldText). Winnowing is local,
+/// so only the bytes between the texts' shared prefix and suffix, widened
+/// by one window of kept characters on each side, go through the kernel;
+/// the picks outside that slice are the old ones, shifted past the edit.
+/// Runs the full kernel when the slice would be the whole text. The result
+/// is identical to the full kernel's: grams, positions and hash set
+/// (tests/text/refingerprint_test.cpp).
+[[nodiscard]] Fingerprint refingerprint(std::string_view oldText,
+                                        const Fingerprint& oldFp,
+                                        std::string_view newText,
+                                        const FingerprintConfig& config,
+                                        FingerprintWorkspace& ws);
 
 /// The calling thread's workspace. Lets call sites that cannot thread a
 /// workspace through (FlowTracker's public fingerprint paths) still reuse

@@ -179,11 +179,8 @@ void BatchPipeline::endRound() noexcept {
   carry = keep;
 }
 
-Fingerprint BatchPipeline::finish(const FingerprintConfig& config) {
-  if (normTotal < config.windowChars || ws.selected_.empty()) {
-    return Fingerprint{};
-  }
-  return detail::finalizeSelectedFingerprint(ws);
+bool BatchPipeline::finish(const FingerprintConfig& config) const {
+  return normTotal >= config.windowChars && !ws.selected_.empty();
 }
 
 }  // namespace bf::text::simd

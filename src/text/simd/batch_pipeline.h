@@ -119,9 +119,10 @@ struct BatchPipeline {
   /// Slides the carryover window after a round's hashes are consumed.
   void endRound() noexcept;
 
-  /// Builds the Fingerprint (shared radix epilogue), applying the same
-  /// short-input guards as the scalar kernel.
-  [[nodiscard]] Fingerprint finish(const FingerprintConfig& config);
+  /// True when the input yielded picks, applying the same short-input
+  /// guards as the scalar kernel; the picks stay in the workspace for the
+  /// shared epilogue (or a splice).
+  [[nodiscard]] bool finish(const FingerprintConfig& config) const;
 };
 
 }  // namespace bf::text::simd

@@ -77,13 +77,14 @@ namespace detail {
 }  // namespace detail
 
 #if defined(BF_TEXT_SIMD_X86)
-/// The batch kernel. Only callable when kAvx512 is supported
-/// (fingerprintTextFused guarantees this via dispatch; direct callers must
-/// check kernelTierSupported themselves). Compiled only on x86-64
-/// GNU/Clang builds.
-[[nodiscard]] Fingerprint fingerprintTextAvx512(std::string_view input,
-                                                const FingerprintConfig& config,
-                                                FingerprintWorkspace& ws);
+/// The batch kernel, as text::detail::selectGrams's AVX-512 target: leaves
+/// `input`'s winnow picks in `ws` and returns false when there are none.
+/// Only callable when kAvx512 is supported (selectGrams guarantees this
+/// via dispatch; direct callers must check kernelTierSupported
+/// themselves). Compiled only on x86-64 GNU/Clang builds.
+[[nodiscard]] bool selectGramsAvx512(std::string_view input,
+                                     const FingerprintConfig& config,
+                                     FingerprintWorkspace& ws);
 #endif  // BF_TEXT_SIMD_X86
 
 }  // namespace bf::text::simd

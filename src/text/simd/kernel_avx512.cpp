@@ -491,15 +491,16 @@ void winnowRoundAvx512(BatchPipeline& bp, std::size_t count) {
 
 }  // namespace
 
-Fingerprint fingerprintTextAvx512(std::string_view input,
-                                  const FingerprintConfig& config,
-                                  FingerprintWorkspace& ws) {
+bool selectGramsAvx512(std::string_view input, const FingerprintConfig& config,
+                       FingerprintWorkspace& ws) {
   const std::size_t n = config.ngramChars;
-  if (input.size() < config.windowChars) return Fingerprint{};
-  if (n == 0) return Fingerprint{};
+  if (input.size() < config.windowChars) return false;
+  if (n == 0) return false;
 
   BatchPipeline bp(ws);
-  if (!bp.init(config)) return fingerprintTextFusedScalar(input, config, ws);
+  if (!bp.init(config)) {
+    return text::detail::selectGramsScalar(input, config, ws);
+  }
   const HashConsts hc(n);
 
   const auto* bytes = reinterpret_cast<const unsigned char*>(input.data());

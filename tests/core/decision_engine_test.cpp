@@ -380,5 +380,63 @@ TEST_F(EngineTest, MemoRecomputesAOneByteDifferentText) {
   engine_.setSecretGuard(nullptr);
 }
 
+/// Same hash set, and the same grams at the same positions.
+void expectSameFingerprint(const text::Fingerprint& got,
+                           const text::Fingerprint& want,
+                           const std::string& label) {
+  EXPECT_TRUE(got.sameHashes(want)) << label;
+  ASSERT_EQ(got.grams().size(), want.grams().size()) << label;
+  for (std::size_t i = 0; i < want.grams().size(); ++i) {
+    EXPECT_EQ(got.grams()[i].hash, want.grams()[i].hash) << label;
+    EXPECT_EQ(got.grams()[i].pos, want.grams()[i].pos) << label;
+  }
+}
+
+TEST_F(EngineTest, KeystrokeFingerprintsEachChangedTextOnce) {
+  // The plug-in's per-keystroke sequence on a three-paragraph page: the
+  // edited paragraph's observe, the document's observe, then the upload
+  // probe of the paragraph. The memo holds all three texts, so the probe
+  // recomputes nothing, and the two observes splice from the previous
+  // keystroke's paragraph and document.
+  std::vector<std::string> paras = {gen_.paragraph(3, 4), gen_.paragraph(3, 4),
+                                    gen_.paragraph(3, 4)};
+  const auto documentText = [&] {
+    return paras[0] + "\n\n" + paras[1] + "\n\n" + paras[2];
+  };
+  DecisionRequest doc = requestFor(documentText());
+  doc.segmentName = "gdocs/target";
+  doc.kind = flow::SegmentKind::kDocument;
+  for (std::size_t i = 0; i < paras.size(); ++i) {
+    DecisionRequest para = requestFor(paras[i]);
+    const std::string index = std::to_string(i);
+    para.segmentName = "gdocs/target#p" + index;
+    (void)engine_.decide(para);
+  }
+  (void)engine_.decide(doc);
+
+  // Letters only: each keystroke changes the hash set, so the tracker
+  // stores the new fingerprint whole (an unchanged hash set keeps the
+  // stored grams, positions included).
+  const std::string typed = "thequickbrownfox";
+  for (std::size_t k = 0; k < typed.size(); ++k) {
+    paras[1].insert(paras[1].size() / 2 + k, 1, typed[k]);
+    DecisionRequest para = requestFor(paras[1]);
+    para.segmentName = "gdocs/target#p1";
+    doc.text = documentText();
+    tracker_.resetStats();
+    (void)engine_.decide(para);
+    (void)engine_.decide(doc);
+    (void)engine_.decide(probeFor(paras[1]));
+    EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u) << "keystroke " << k;
+    const std::string step = std::to_string(k);
+    expectSameFingerprint(
+        tracker_.segmentByName("gdocs/target#p1")->fingerprint,
+        tracker_.fingerprintOf(paras[1]), "paragraph, keystroke " + step);
+    expectSameFingerprint(tracker_.segmentByName("gdocs/target")->fingerprint,
+                          tracker_.fingerprintOf(doc.text),
+                          "document, keystroke " + step);
+  }
+}
+
 }  // namespace
 }  // namespace bf::core
