@@ -67,6 +67,14 @@ for preset in $PRESETS; do
     BF_REFINGERPRINT_SEED=20261018 BF_REFINGERPRINT_TRIALS=2000 \
       "$textBin" \
       --gtest_filter='Refingerprint.MatchesFullKernelOnSeededEditScripts'
+    # Spliced secret scan at a pinned seed: 2000 edit scripts checked
+    # against the full scan, match for match.
+    coreBin="build/tests/core_test"
+    if [ "$preset" = "asan" ]; then coreBin="build-asan/tests/core_test"; fi
+    echo "==> [$preset] spliced secret-scan differential, fixed seed"
+    BF_SECRET_SPLICE_SEED=20261019 BF_SECRET_SPLICE_TRIALS=2000 \
+      "$coreBin" \
+      --gtest_filter='SecretGuard.RescanMatchesFullScanOnSeededEditScripts'
   fi
 done
 

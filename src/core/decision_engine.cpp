@@ -457,12 +457,35 @@ DecisionEngine::TextMemo& DecisionEngine::memoizeLocked(
     if (m.lastUse < slot->lastUse) slot = &m;
   }
   if (slot->text != text) {
+    // The splice base: the memoized text sharing the most bytes at its
+    // ends with this one (a keystroke's previous version of the same unit).
+    slot->base = nullptr;
+    std::size_t baseShared = 0;
+    for (const TextMemo& m : memo_) {
+      if (&m == slot || (!m.hasFingerprint && !m.hasSecretScan)) continue;
+      const text::SharedEdges e =
+          text::sharedEdges(sec::SensitiveView(m.text).raw(), text.raw());
+      if (e.prefix + e.suffix > baseShared) {
+        slot->base = &m;
+        slot->baseEntered = m.entered;
+        slot->baseEdges = e;
+        baseShared = e.prefix + e.suffix;
+      }
+    }
     slot->text.assign(text);
+    slot->entered = memoUses_ + 1;
     slot->hasFingerprint = false;
-    slot->hasSecretHits = false;
+    slot->hasSecretScan = false;
   }
   slot->lastUse = ++memoUses_;
   return *slot;
+}
+
+const DecisionEngine::TextMemo* DecisionEngine::spliceBase(
+    const TextMemo& slot) noexcept {
+  return slot.base != nullptr && slot.base->entered == slot.baseEntered
+             ? slot.base
+             : nullptr;
 }
 
 const text::Fingerprint& DecisionEngine::fingerprintLocked(
@@ -470,23 +493,12 @@ const text::Fingerprint& DecisionEngine::fingerprintLocked(
   TextMemo& slot = memoizeLocked(text);
   if (!slot.hasFingerprint) {
     obs::StageTimer fpTimer(obs::Stage::kFingerprint);
-    // Splice from the memoized text that shares the most bytes at its ends
-    // with this one (a keystroke's previous version of the same unit).
-    const TextMemo* base = nullptr;
-    std::size_t baseShared = 0;
-    for (const TextMemo& m : memo_) {
-      if (&m == &slot || !m.hasFingerprint) continue;
-      const text::SharedEdges e = text::sharedEdges(
-          sec::SensitiveView(m.text).raw(), text.raw());
-      if (e.prefix + e.suffix > baseShared) {
-        base = &m;
-        baseShared = e.prefix + e.suffix;
-      }
-    }
+    const TextMemo* base = spliceBase(slot);
     slot.fingerprint =
-        base == nullptr
-            ? tracker_->fingerprintOf(text)
-            : tracker_->fingerprintOf(text, base->text, base->fingerprint);
+        base != nullptr && base->hasFingerprint
+            ? tracker_->fingerprintOf(text, base->text, base->fingerprint,
+                                      slot.baseEdges)
+            : tracker_->fingerprintOf(text);
     slot.hasFingerprint = true;
   }
   return slot.fingerprint;
@@ -496,14 +508,23 @@ const std::vector<SecretGuard::Hit>& DecisionEngine::secretHitsLocked(
     sec::SensitiveView text) {
   static const std::vector<SecretGuard::Hit> kNoGuard;
   if (guard_ == nullptr) return kNoGuard;
+  const auto scannedHere = [this](const TextMemo& m) {
+    return m.hasSecretScan && m.guard == guard_ &&
+           m.guardGeneration == guard_->generation();
+  };
   TextMemo& slot = memoizeLocked(text);
-  if (!slot.hasSecretHits || slot.guard != guard_ ||
-      slot.guardGeneration != guard_->generation()) {
+  if (!scannedHere(slot)) {
     obs::StageTimer scanTimer(obs::Stage::kSecretScan);
-    slot.secretHits = guard_->scan(text);
+    const TextMemo* base = spliceBase(slot);
+    slot.secretMatches =
+        base != nullptr && scannedHere(*base)
+            ? guard_->rescan(base->text, base->secretMatches, text,
+                             slot.baseEdges)
+            : guard_->matches(text);
+    slot.secretHits = guard_->hitsOf(slot.secretMatches);
     slot.guard = guard_;
     slot.guardGeneration = guard_->generation();
-    slot.hasSecretHits = true;
+    slot.hasSecretScan = true;
   }
   return slot.secretHits;
 }

@@ -290,11 +290,11 @@ class DecisionEngine {
   /// The unit text's fingerprint and secret hits, computed at most once
   /// per text while it stays in memo_: served from the slot whose text is
   /// byte-equal (and, for secret hits, whose guard and generation are
-  /// unchanged; no guard means no hits). A fingerprint the memo lacks is
-  /// spliced from the memoized text sharing the most bytes at its ends
-  /// (FlowTracker::fingerprintOf's splice overload), which costs what the
-  /// edit costs. The references stay valid until a call with a text that
-  /// is not in the memo.
+  /// unchanged; no guard means no hits). Work the memo lacks is spliced
+  /// from the slot's splice base (FlowTracker::fingerprintOf's splice
+  /// overload, SecretGuard::rescan), which costs what the edit costs. The
+  /// references stay valid until a call with a text that is not in the
+  /// memo.
   const text::Fingerprint& fingerprintLocked(sec::SensitiveView text)
       BF_REQUIRES(stateMutex_);
   const std::vector<SecretGuard::Hit>& secretHitsLocked(sec::SensitiveView text)
@@ -343,22 +343,38 @@ class DecisionEngine {
   /// the document text differs from the paragraph's), and the next
   /// keystroke's paragraph and document each find their previous version
   /// to splice from. A byte-for-byte compare, not a hash, decides a hit;
-  /// the least recently used slot makes room.
+  /// the least recently used slot makes room. When a text enters, the
+  /// slot sharing the most bytes with it at its ends becomes its splice
+  /// base, for the fingerprint and the secret scan alike; a base whose
+  /// slot has taken another text since, or whose matches were scanned
+  /// under another guard or generation, is not spliced from.
   struct TextMemo {
     sec::SensitiveText text;
+    /// memoUses_ when the text entered the slot, and at its last use.
+    std::uint64_t entered = 0;
     std::uint64_t lastUse = 0;
+    /// The splice base, valid while base->entered == baseEntered, and
+    /// the bytes it shares with this text at their ends (both splices
+    /// take them rather than comparing the texts again).
+    const TextMemo* base = nullptr;
+    std::uint64_t baseEntered = 0;
+    text::SharedEdges baseEdges;
     bool hasFingerprint = false;
     text::Fingerprint fingerprint;
-    bool hasSecretHits = false;
-    /// The guard and generation the secret hits were scanned with.
+    bool hasSecretScan = false;
+    /// The guard and generation the secret matches were scanned with.
     const SecretGuard* guard = nullptr;
     std::uint64_t guardGeneration = 0;
+    std::vector<SecretGuard::Match> secretMatches;
     std::vector<SecretGuard::Hit> secretHits;
   };
   static constexpr std::size_t kMemoSlots = 4;
   /// The slot holding `text`: a hit, or the least recently used slot
-  /// emptied and pointed at `text`.
+  /// emptied and pointed at `text`, with its splice base chosen.
   TextMemo& memoizeLocked(sec::SensitiveView text) BF_REQUIRES(stateMutex_);
+  /// `slot`'s splice base, or null when it has none or the base's slot
+  /// holds another text now.
+  static const TextMemo* spliceBase(const TextMemo& slot) noexcept;
   std::array<TextMemo, kMemoSlots> memo_ BF_GUARDED_BY(stateMutex_);
   std::uint64_t memoUses_ BF_GUARDED_BY(stateMutex_) = 0;
 

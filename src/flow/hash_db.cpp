@@ -398,12 +398,26 @@ std::optional<util::Timestamp> HashDb::lastSeen(text::Hash hash,
 template <typename Keep>
 std::size_t HashDb::rebuildFiltered(Keep&& keep) {
   // The survivors are packed into a fresh pool; the old one is freed on
-  // return.
+  // return. The table is allocated once, at the size that inserting the
+  // surviving hashes one by one would grow it to.
+  const auto survives = [&](const Slot& s) {
+    if (!s.spilled()) return keep(Association{s.owner, s.word, s.word});
+    const std::span<const Entry> entries = pool_.entries(s.runIndex());
+    return std::any_of(entries.begin(), entries.end(), [&](const Entry& e) {
+      return keep(pool_.decode(e));
+    });
+  };
+  std::size_t survivors = 0;
+  for (const Slot& s : slots_) survivors += s.used() && survives(s);
+  std::size_t capacity = kInitialSlots;
+  while (survivors * 10 >= capacity * 7) capacity *= 2;
+
   std::vector<Slot> oldSlots = std::move(slots_);
   const HistoryPool old = std::exchange(pool_, HistoryPool{});
   const std::size_t before = storedAssociations_;
   slots_.clear();
-  mask_ = 0;
+  if (survivors > 0) slots_.resize(capacity);
+  mask_ = survivors > 0 ? capacity - 1 : 0;
   occupied_ = 0;
   storedAssociations_ = 0;
 
@@ -412,7 +426,6 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
     if (!s.used()) continue;
     if (!s.spilled()) {
       if (!keep(Association{s.owner, s.word, s.word})) continue;
-      reserveForInsert();
       slots_[probe(s.hash)] = s;
       ++occupied_;
       ++storedAssociations_;
@@ -424,7 +437,6 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
       if (keep(a)) history.push_back(a);
     }
     if (history.empty()) continue;
-    reserveForInsert();
     ++occupied_;
     storedAssociations_ += history.size();
     Slot& dst = slots_[probe(s.hash)];

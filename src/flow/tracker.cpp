@@ -96,12 +96,12 @@ text::Fingerprint FlowTracker::fingerprintOf(sec::SensitiveView text) const {
 
 text::Fingerprint FlowTracker::fingerprintOf(
     sec::SensitiveView text, sec::SensitiveView previous,
-    const text::Fingerprint& previousFp) const {
+    const text::Fingerprint& previousFp, text::SharedEdges shared) const {
   stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
   return text::refingerprint(previous.raw(), previousFp, text.raw(),
                              config_.fingerprint,
-                             text::threadLocalFingerprintWorkspace());
+                             text::threadLocalFingerprintWorkspace(), shared);
 }
 
 SegmentId FlowTracker::observeSegment(SegmentKind kind, std::string_view name,
@@ -158,12 +158,19 @@ SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
       // (as in setSegmentThreshold).
       stores_.cache.clear();
     }
-    // Unchanged fingerprint: nothing to record and the cached disclosure
+    // Unchanged hash set: nothing for DBhash and the cached disclosure
     // answer stays valid (the per-keystroke fast path of S6.2). A threshold
-    // change is still durable state, so it is the one thing logged.
+    // change is still durable state, so it is logged. Grams that moved (a
+    // space typed mid-paragraph shifts every later position) replace the
+    // stored ones at the unchanged updatedAt, so attribution ranges (S4.1)
+    // follow the text; replaySegmentObserved leaves DBhash alone for them.
     if (existing->fingerprint.sameHashes(fp)) {
       if (wal_ != nullptr && threshold) {
         wal_->logThresholdChanged(name, *threshold);
+      }
+      if (existing->fingerprint.grams() != fp.grams()) {
+        stores_.segments.updateFingerprint(id, fp, existing->updatedAt);
+        if (wal_ != nullptr) wal_->logSegmentObserved(*existing);
       }
       return id;
     }
@@ -547,8 +554,16 @@ void FlowTracker::replaySegmentObserved(SegmentRecord record) {
   // carries its own timestamps, so nothing is logged or drawn from clock_.
   const SegmentRecord* existing = stores_.segments.findByName(record.name);
   const SegmentId id = existing != nullptr ? existing->id : record.id;
-  stores_.hashes[idx(record.kind)].recordFingerprint(
-      record.fingerprint.hashes(), id, record.updatedAt);
+  // A record whose hash set is the stored one moved grams only: the live
+  // path left DBhash alone for it (observeSegmentLocked), so replay does
+  // too. Eviction may have dropped those hashes since they were recorded.
+  const bool movedGramsOnly =
+      existing != nullptr &&
+      existing->fingerprint.sameHashes(record.fingerprint);
+  if (!movedGramsOnly) {
+    stores_.hashes[idx(record.kind)].recordFingerprint(
+        record.fingerprint.hashes(), id, record.updatedAt);
+  }
   if (existing == nullptr) {
     stores_.segments.restore(std::move(record));
   } else {

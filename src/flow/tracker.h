@@ -7,8 +7,10 @@
 //
 // Performance behaviour mirrors the paper (S6.2):
 //  - observing an edit re-fingerprints only the edited segment;
-//  - if the fingerprint is unchanged (the common case for one keystroke)
-//    the previous disclosure answer is served from a per-segment cache;
+//  - if the fingerprint's hash set is unchanged (the common case for one
+//    keystroke) the previous disclosure answer is served from a
+//    per-segment cache; grams that only moved replace the stored ones, so
+//    attribution follows the text;
 //  - candidate sources are discovered only through shared hashes, so cost
 //    is linear in the number of segments sharing at least one hash.
 #pragma once
@@ -27,6 +29,7 @@
 #include "flow/segment_db.h"
 #include "obs/metrics.h"
 #include "sec/sensitive.h"
+#include "text/fingerprint_kernel.h"
 #include "text/winnower.h"
 #include "util/clock.h"
 #include "util/mutex.h"
@@ -279,12 +282,13 @@ class FlowTracker {
   /// (sec/sensitive.h): the winnowed hash set is non-invertible.
   [[nodiscard]] text::Fingerprint fingerprintOf(sec::SensitiveView text) const;
   /// fingerprintOf(text), spliced from an earlier text and its fingerprint
-  /// (text::refingerprint): `previousFp` must be fingerprintOf(previous).
-  /// Costs about what the edit between the two texts costs; counts in
+  /// (text::refingerprint): `previousFp` must be fingerprintOf(previous)
+  /// and `shared` text::sharedEdges(previous, text). Costs about what the
+  /// edit between the two texts costs; counts in
   /// stats().fingerprintsComputed like a full fingerprint.
   [[nodiscard]] text::Fingerprint fingerprintOf(
       sec::SensitiveView text, sec::SensitiveView previous,
-      const text::Fingerprint& previousFp) const;
+      const text::Fingerprint& previousFp, text::SharedEdges shared) const;
 
   // ---- Maintenance & snapshot support ---------------------------------------
 

@@ -1,5 +1,7 @@
 #include "text/aho_corasick.h"
 
+#include <algorithm>
+
 namespace bf::text {
 
 AhoCorasick::AhoCorasick() {
@@ -14,6 +16,7 @@ AhoCorasick::AhoCorasick(const std::array<unsigned char, 256>& inputMap)
 void AhoCorasick::addPattern(std::string_view pattern, std::uint64_t id) {
   if (pattern.empty()) return;
   patternList_.emplace_back(std::string(pattern), id);
+  maxPatternLength_ = std::max(maxPatternLength_, pattern.size());
   built_ = false;
 }
 
@@ -104,8 +107,8 @@ void AhoCorasick::build() {
 
 std::vector<AhoCorasick::Match> AhoCorasick::findAll(std::string_view text) {
   std::vector<Match> out;
-  walk(text, [&](std::size_t end, const Output& output) {
-    out.push_back(Match{output.id, end, output.length});
+  walk(text, Range{}, [&](const Match& match) {
+    out.push_back(match);
     return true;
   });
   return out;
@@ -113,7 +116,7 @@ std::vector<AhoCorasick::Match> AhoCorasick::findAll(std::string_view text) {
 
 bool AhoCorasick::containsAny(std::string_view text) {
   bool found = false;
-  walk(text, [&](std::size_t, const Output&) {
+  walk(text, Range{}, [&](const Match&) {
     found = true;
     return false;
   });

@@ -15,6 +15,7 @@
 // walk normalises as it goes without a branch or a copy.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -50,25 +51,61 @@ class AhoCorasick {
     std::size_t length = 0;
   };
 
-  /// All matches in `text`, in order of their end positions; matches
-  /// ending at the same byte come longest first (the state's own patterns
-  /// in insertion order, then its suffixes'). Allocates its result. On a
-  /// verbatim automaton fed text::normalize's output it is the test oracle
-  /// for the mapped walk that SecretGuard::scan runs.
-  [[nodiscard]] std::vector<Match> findAll(std::string_view text);
+  /// Bytes of one walk: it enters the root at byte `begin`, stops before
+  /// byte `end` (clamped to the text), and reports only the matches ending
+  /// after `reportAfter`. The defaults walk the whole text.
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t reportAfter = 0;
+    std::size_t end = std::string_view::npos;
+  };
 
-  /// Calls onMatch(id) for each match of findAll(text), in the same order,
-  /// without allocating.
+  /// Calls onMatch(match) for each match inside `range`, in order of end
+  /// positions; matches ending at the same byte come longest first (the
+  /// state's own patterns in insertion order, then its suffixes'). Stops
+  /// early when onMatch returns false. findAll and containsAny are this
+  /// walk over the whole text.
   template <typename OnMatch>
-  void forEachMatch(std::string_view text, OnMatch&& onMatch) {
-    walk(text, [&](std::size_t, const Output& out) {
-      onMatch(out.id);
-      return true;
-    });
+  void walk(std::string_view text, const Range& range, OnMatch&& onMatch) {
+    if (!built_) build();
+    const std::size_t end = std::min(range.end, text.size());
+    const std::uint32_t* delta = delta_.data();
+    std::uint32_t row = 0;  // the root's row
+    for (std::size_t i = range.begin; i < end; ++i) {
+      const std::uint32_t entry =
+          delta[row + columnOf_[static_cast<unsigned char>(text[i])]];
+      row = entry >> 1;
+      if ((entry & 1U) == 0 || i < range.reportAfter) continue;
+      const std::uint32_t state = row / columns_;
+      for (std::uint32_t k = outputStart_[state]; k < outputStart_[state + 1];
+           ++k) {
+        if (!onMatch(Match{outputs_[k].id, i + 1, outputs_[k].length})) {
+          return;
+        }
+      }
+    }
   }
+
+  /// All matches in `text`, in walk() order. Allocates its result. On a
+  /// verbatim automaton fed text::normalize's output it is the test oracle
+  /// for the mapped walk that SecretGuard runs.
+  [[nodiscard]] std::vector<Match> findAll(std::string_view text);
 
   /// True if any registered pattern occurs in `text` (early-outs).
   [[nodiscard]] bool containsAny(std::string_view text);
+
+  /// True if the walk consumes `byte` (false for bytes the input map
+  /// drops: they leave the state as it is).
+  [[nodiscard]] bool consumes(unsigned char byte) const noexcept {
+    return !skipZero_ || inputMap_[byte] != 0;
+  }
+
+  /// Length of the longest registered pattern, in consumed symbols. No
+  /// state is deeper, so a state depends only on the last this many
+  /// consumed symbols (SecretGuard::rescan rests on it).
+  [[nodiscard]] std::size_t maxPatternLength() const noexcept {
+    return maxPatternLength_;
+  }
 
   [[nodiscard]] std::size_t patternCount() const noexcept {
     return patternList_.size();
@@ -80,26 +117,6 @@ class AhoCorasick {
     std::size_t length = 0;
   };
 
-  /// Walks `text`, calling onOutput(end, output) for every output of every
-  /// state entered; stops early when onOutput returns false.
-  template <typename OnOutput>
-  void walk(std::string_view text, OnOutput&& onOutput) {
-    if (!built_) build();
-    const std::uint32_t* delta = delta_.data();
-    std::uint32_t row = 0;  // the root's row
-    for (std::size_t i = 0; i < text.size(); ++i) {
-      const std::uint32_t entry =
-          delta[row + columnOf_[static_cast<unsigned char>(text[i])]];
-      row = entry >> 1;
-      if ((entry & 1U) == 0) continue;
-      const std::uint32_t state = row / columns_;
-      for (std::uint32_t k = outputStart_[state]; k < outputStart_[state + 1];
-           ++k) {
-        if (!onOutput(i + 1, outputs_[k])) return;
-      }
-    }
-  }
-
   /// Maps text bytes to pattern symbols (identity for the verbatim
   /// automaton); `skipZero_` drops bytes mapped to 0.
   std::array<unsigned char, 256> inputMap_{};
@@ -107,6 +124,7 @@ class AhoCorasick {
   /// Source of truth: build() reconstructs the DFA from this list, so
   /// patterns can be added after a search.
   std::vector<std::pair<std::string, std::uint64_t>> patternList_;
+  std::size_t maxPatternLength_ = 0;
   bool built_ = false;
 
   // ---- The DFA (rebuilt by build()) ----------------------------------------

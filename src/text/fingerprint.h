@@ -23,6 +23,7 @@ using Hash = std::uint32_t;
 struct HashedGram {
   Hash hash;
   std::uint32_t pos;
+  bool operator==(const HashedGram&) const = default;
 };
 
 /// Configuration of the fingerprinting pipeline. Paper defaults (S6.1).

@@ -337,6 +337,14 @@ Fingerprint refingerprint(std::string_view oldText, const Fingerprint& oldFp,
                           std::string_view newText,
                           const FingerprintConfig& config,
                           FingerprintWorkspace& ws) {
+  return refingerprint(oldText, oldFp, newText, config, ws,
+                       sharedEdges(oldText, newText));
+}
+
+Fingerprint refingerprint(std::string_view oldText, const Fingerprint& oldFp,
+                          std::string_view newText,
+                          const FingerprintConfig& config,
+                          FingerprintWorkspace& ws, SharedEdges shared) {
   // Normalization is per byte and stateless, so the texts' shared prefix
   // and suffix normalize to the same characters in both, and every winnow
   // window made only of those characters picks the same gram. Widen the
@@ -352,7 +360,6 @@ Fingerprint refingerprint(std::string_view oldText, const Fingerprint& oldFp,
   if (config.ngramChars == 0) {
     return fingerprintTextFused(newText, config, ws);
   }
-  const SharedEdges shared = sharedEdges(oldText, newText);
   std::size_t begin = shared.prefix;
   std::size_t kept = 0;
   while (begin > 0 && kept < span) {

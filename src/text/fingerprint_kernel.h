@@ -41,6 +41,7 @@
 namespace bf::text {
 
 class FingerprintWorkspace;
+struct SharedEdges;
 
 namespace simd {
 struct BatchPipeline;
@@ -104,7 +105,8 @@ class FingerprintWorkspace {
                                    const Fingerprint& oldFp,
                                    std::string_view newText,
                                    const FingerprintConfig& config,
-                                   FingerprintWorkspace& ws);
+                                   FingerprintWorkspace& ws,
+                                   SharedEdges shared);
   friend struct simd::BatchPipeline;
 
   /// Sizes the character ring and the winnow scratch for n-gram length
@@ -188,6 +190,14 @@ struct SharedEdges {
                                         std::string_view newText,
                                         const FingerprintConfig& config,
                                         FingerprintWorkspace& ws);
+/// refingerprint(oldText, oldFp, newText, config, ws) for a caller that
+/// already holds `shared` == sharedEdges(oldText, newText).
+[[nodiscard]] Fingerprint refingerprint(std::string_view oldText,
+                                        const Fingerprint& oldFp,
+                                        std::string_view newText,
+                                        const FingerprintConfig& config,
+                                        FingerprintWorkspace& ws,
+                                        SharedEdges shared);
 
 /// The calling thread's workspace. Lets call sites that cannot thread a
 /// workspace through (FlowTracker's public fingerprint paths) still reuse

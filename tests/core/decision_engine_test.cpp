@@ -4,6 +4,7 @@
 
 #include "core/decision_engine.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace bf::core {
@@ -436,6 +437,83 @@ TEST_F(EngineTest, KeystrokeFingerprintsEachChangedTextOnce) {
                           tracker_.fingerprintOf(doc.text),
                           "document, keystroke " + step);
   }
+}
+
+// ---- Spliced secret scans ---------------------------------------------------
+
+TEST_F(EngineTest, SecretRegisteredBetweenKeystrokesIsFoundInTheUnchangedPart) {
+  // The second keystroke's text splices from the first's, but the first
+  // was scanned before the secret existed: its matches must not be reused
+  // for the bytes the keystroke left alone.
+  SecretGuard guard;
+  ASSERT_TRUE(guard.addSecret("unrelated", "nothing-like-this-99", "t0"));
+  engine_.setSecretGuard(&guard);
+  std::string text = "the vpn uses CorrectHorseBattery. " + gen_.paragraph(4, 5);
+  DecisionRequest req = requestFor(text);
+  EXPECT_TRUE(engine_.decide(req).secretHits.empty());
+  ASSERT_TRUE(guard.addSecret("vpn-password", "correct horse battery", "vpn"));
+  req.text = text + "s";
+  EXPECT_EQ(engine_.decide(req).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  // The next keystroke splices from a scan under the current generation.
+  req.text = text + "st";
+  EXPECT_EQ(engine_.decide(req).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  engine_.setSecretGuard(nullptr);
+}
+
+TEST_F(EngineTest, DeletingOneCharacterOfASecretClearsItsHitOnTheNextKeystroke) {
+  SecretGuard guard;
+  ASSERT_TRUE(guard.addSecret("vpn-password", "correct horse battery", "vpn"));
+  engine_.setSecretGuard(&guard);
+  const std::string text =
+      gen_.paragraph(3, 4) + " the vpn uses CorrectHorseBattery. " +
+      gen_.paragraph(3, 4);
+  DecisionRequest req = requestFor(text);
+  Decision d = engine_.decide(req);
+  EXPECT_EQ(d.secretHits, std::vector<std::string>{"vpn-password"});
+  EXPECT_EQ(d.violatingTags, std::vector<tdm::Tag>{"vpn"});
+
+  std::string broken = text;
+  broken.erase(broken.find("Horse") + 2, 1);
+  req.text = broken;
+  d = engine_.decide(req);
+  EXPECT_TRUE(d.secretHits.empty());
+  EXPECT_EQ(d.action, Decision::Action::kAllow) << "the tag is shed";
+
+  req.text = text;  // typed back
+  EXPECT_EQ(engine_.decide(req).secretHits,
+            std::vector<std::string>{"vpn-password"});
+  engine_.setSecretGuard(nullptr);
+}
+
+TEST_F(EngineTest, KeystrokeIntoALongParagraphScansTheEditOnly) {
+  // Each keystroke walks the edit and one window of the longest secret on
+  // each side, not the paragraph; its hits are still the full scan's.
+  SecretGuard guard;
+  ASSERT_TRUE(guard.addSecret("vpn-password", "correct horse battery", "vpn"));
+  engine_.setSecretGuard(&guard);
+  std::string text;
+  while (text.size() < 16000) text += gen_.paragraph(1, 1) + " ";
+  text.insert(text.size() / 4, " CorrectHorseBattery ");
+  DecisionRequest req = requestFor(text);
+  (void)engine_.decide(req);
+  obs::Counter& walked = obs::registry().counter("bf_secret_scanned_bytes_total");
+  const std::string typed = "the quick brown fox";
+  for (std::size_t k = 0; k < typed.size(); ++k) {
+    text.insert(text.size() / 2 + k, 1, typed[k]);
+    req.text = text;
+    const std::uint64_t before = walked.value();
+    const Decision d = engine_.decide(req);
+    const std::uint64_t bytes = walked.value() - before;
+    EXPECT_LE(bytes, 200u) << "keystroke " << k;
+    EXPECT_GT(bytes, 0u) << "keystroke " << k;
+    std::vector<std::string> names;
+    for (const auto& hit : guard.scan(text)) names.push_back(hit.name);
+    EXPECT_EQ(d.secretHits, names) << "keystroke " << k;
+    EXPECT_EQ(d.secretHits, std::vector<std::string>{"vpn-password"});
+  }
+  engine_.setSecretGuard(nullptr);
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Tests for SecretGuard and its integration with the decision pipeline
 // (paper S4.4's data-equality protection for short secrets).
+//
+// BF_SECRET_SPLICE_SEED and BF_SECRET_SPLICE_TRIALS widen the seeded
+// rescan differential; the defaults keep ctest quick.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "cloud/docs_backend.h"
 #include "cloud/docs_client.h"
 #include "cloud/network.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 #include "text/aho_corasick.h"
+#include "text/fingerprint_kernel.h"
 #include "text/normalizer.h"
 #include "util/rng.h"
 
@@ -155,6 +162,207 @@ TEST(SecretGuard, FusedScanMatchesNormalizeThenFindAll) {
           << "seed " << seed << " text " << t;
     }
   }
+}
+
+// ---- The spliced rescan against the full scan ------------------------------
+
+std::uint64_t envU64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return std::strtoull(v, nullptr, 10);
+}
+
+/// Secrets that stress the splice: written with case and skipped bytes,
+/// one a prefix and one a suffix of another, a run of one letter so that
+/// several matches end on one byte, and bytes >= 0x80.
+void addSpliceSecrets(SecretGuard& guard) {
+  ASSERT_TRUE(guard.addSecret("base", "AbC-aBc.aBd", "t0"));
+  ASSERT_TRUE(guard.addSecret("prefix", "abcabc", "t1"));
+  ASSERT_TRUE(guard.addSecret("suffix", "c abc abd", "t1"));
+  ASSERT_TRUE(guard.addSecret("run6", "aaaaaa", "t2"));
+  ASSERT_TRUE(guard.addSecret("run8", "aa-aa-aa-aa", "t2"));
+  ASSERT_TRUE(guard.addSecret("utf8", "caf\xc3\xa9 \xc3\xa9t\xc3\xa9", "t3"));
+  ASSERT_TRUE(guard.addSecret("long", "abdabcabdabcabdabcabd", "t3"));
+}
+
+/// Bytes an edit inserts or a text starts with: filler, a disguised
+/// secret or a piece of one, one letter, or skipped bytes only.
+std::string spliceChunk(util::Rng& rng) {
+  static const std::vector<std::string> kPieces = {
+      "abcabd", "AbC aBd", "aaaa", "a-a-a", "caf\xc3\xa9", "\xc3\xa9t\xc3\xa9",
+      "abdabcabdabc", "c ABC abd", "aaaaaaaaa", "abdabcabdabcabdabcabd",
+      "abdabcabd-abcabd abcabd"};
+  switch (rng.uniform(0, 5)) {
+    case 0:
+      return filler(rng, rng.uniform(1, 30));
+    case 1:
+      return disguise(rng, rng.pick(kPieces));
+    case 2:
+      return std::string(1, static_cast<char>('a' + rng.uniform(0, 3)));
+    case 3:
+      return std::string(rng.uniform(1, 4), " .-\n"[rng.uniform(0, 3)]);
+    default:
+      return disguise(rng, kPieces[rng.uniform(9, 10)]) + filler(rng, 3);
+  }
+}
+
+/// One edit: insert, delete or replace bytes, at either end or anywhere.
+std::string spliceEdit(const std::string& text, util::Rng& rng) {
+  std::string out = text;
+  const std::size_t n = out.size();
+  std::size_t pos;
+  switch (rng.uniform(0, 3)) {
+    case 0:
+      pos = 0;
+      break;
+    case 1:
+      pos = n;
+      break;
+    default:
+      pos = rng.uniform(0, n);
+      break;
+  }
+  const std::size_t room = n - pos;
+  switch (rng.uniform(0, 2)) {
+    case 0:
+      out.insert(pos, spliceChunk(rng));
+      break;
+    case 1:
+      if (room == 0) {
+        if (pos > 0) out.erase(pos - 1, 1);
+      } else {
+        out.erase(pos, rng.uniform(1, std::min<std::size_t>(room, 12)));
+      }
+      break;
+    default:
+      out.replace(pos, std::min<std::size_t>(room, rng.uniform(0, 6)),
+                  spliceChunk(rng));
+      break;
+  }
+  return out;
+}
+
+/// Rescans `next` from (`prev`, `prevMatches`), checks the result against
+/// the full scan match for match and hit for hit, and returns it for the
+/// next step.
+std::vector<SecretGuard::Match> checkRescan(
+    SecretGuard& guard, const std::string& prev,
+    const std::vector<SecretGuard::Match>& prevMatches,
+    const std::string& next, const std::string& label) {
+  std::vector<SecretGuard::Match> got = guard.rescan(
+      prev, prevMatches, next, text::sharedEdges(prev, next));
+  const std::vector<SecretGuard::Match> full = guard.matches(next);
+  EXPECT_EQ(got.size(), full.size()) << label;
+  const std::size_t n = std::min(got.size(), full.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (got[i] != full[i]) {
+      ADD_FAILURE() << label << ": match " << i << " is (" << got[i].secret
+                    << ", " << got[i].end << "), full scan ("
+                    << full[i].secret << ", " << full[i].end << ")";
+      break;
+    }
+  }
+  std::vector<std::string> gotNames;
+  for (const auto& hit : guard.hitsOf(got)) gotNames.push_back(hit.name);
+  std::vector<std::string> scanNames;
+  for (const auto& hit : guard.scan(next)) scanNames.push_back(hit.name);
+  EXPECT_EQ(gotNames, scanNames) << label;
+  return got;
+}
+
+TEST(SecretGuard, RescanMatchesFullScanOnSeededEditScripts) {
+  const std::uint64_t seed = envU64("BF_SECRET_SPLICE_SEED", 11);
+  const std::uint64_t trials = envU64("BF_SECRET_SPLICE_TRIALS", 40);
+  SecretGuard guard;
+  addSpliceSecrets(guard);
+  util::Rng rng(seed);
+  std::size_t matched = 0;
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    // Some scripts start empty and stay shorter than the window for a
+    // while; the rest start from a few hundred bytes.
+    std::string text;
+    if (rng.uniform(0, 3) != 0) {
+      while (text.size() < 300) text += spliceChunk(rng);
+    }
+    std::vector<SecretGuard::Match> found = guard.matches(text);
+    for (int step = 0; step < 30; ++step) {
+      const std::string next = spliceEdit(text, rng);
+      found = checkRescan(guard, text, found, next,
+                          "seed " + std::to_string(seed) + " trial " +
+                              std::to_string(trial) + " step " +
+                              std::to_string(step));
+      matched += found.size();
+      text = next;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(matched, trials) << "the scripts must plant secrets";
+}
+
+TEST(SecretGuard, RescanMatchesFullScanAcrossTheWindow) {
+  // Typing a text with secrets one byte at a time from empty, then
+  // deleting it from the front: every length below, at and above the
+  // longest secret, with the edit at either end.
+  SecretGuard guard;
+  addSpliceSecrets(guard);
+  const std::string full =
+      "x AbCaBc-aBd aaaaaaaa caf\xc3\xa9\xc3\xa9t\xc3\xa9 abdabcabdabcabdabcabd y";
+  std::string text;
+  std::vector<SecretGuard::Match> found;
+  for (std::size_t len = 1; len <= full.size(); ++len) {
+    const std::string next = full.substr(0, len);
+    found = checkRescan(guard, text, found, next,
+                        "typed " + std::to_string(len));
+    text = next;
+  }
+  EXPECT_EQ(guard.hitsOf(found).size(), 7u);
+  while (!text.empty()) {
+    const std::string next = text.substr(1);
+    found = checkRescan(guard, text, found, next,
+                        "cut to " + std::to_string(next.size()));
+    text = next;
+  }
+  EXPECT_TRUE(found.empty());
+}
+
+TEST(SecretGuard, RescanKeepsSeveralMatchesEndingOnOneByte) {
+  // "aaaaaaaa" completes run6 three times and run8 once; the last byte
+  // ends both, longest first. Editing far from them keeps all four.
+  SecretGuard guard;
+  addSpliceSecrets(guard);
+  const std::string before = std::string(40, 'x') + "aaaaaaaa" +
+                             std::string(40, 'y');
+  const std::string after = "z" + before + "z";
+  const auto old = guard.matches(before);
+  ASSERT_EQ(old.size(), 4u);
+  EXPECT_EQ(old[2].end, old[3].end);
+  const auto got = guard.rescan(before, old, after,
+                                  text::sharedEdges(before, after));
+  EXPECT_EQ(got, guard.matches(after));
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[3].end, old[3].end + 1);
+}
+
+TEST(SecretGuard, RescanWalksTheEditAndItsWindow) {
+  // One letter typed mid-way into 20 KB walks about two windows of the
+  // longest secret, not the text.
+  SecretGuard guard;
+  addSpliceSecrets(guard);
+  util::Rng rng(3);
+  const std::string before = filler(rng, 20000);
+  std::string after = before;
+  after.insert(10000, "q");
+  const auto old = guard.matches(before);
+  obs::Counter& walked = obs::registry().counter("bf_secret_scanned_bytes_total");
+  const std::uint64_t start = walked.value();
+  EXPECT_EQ(
+      guard.rescan(before, old, after, text::sharedEdges(before, after)),
+      guard.matches(after));
+  const std::uint64_t rescanned = walked.value() - start - after.size();
+  // 21 consumed symbols on each side of the edit, plus the bytes the
+  // walk skips between them.
+  EXPECT_LE(rescanned, 200u);
+  EXPECT_GE(rescanned, 43u);
 }
 
 TEST(SecretGuard, GenerationChangesOnlyWithTheSecretSet) {

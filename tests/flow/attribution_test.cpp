@@ -57,6 +57,46 @@ TEST_F(AttributionTest, PartialCopyPointsAtTheCopiedHalf) {
   }
 }
 
+TEST_F(AttributionTest, SameHashEditMovesTheRanges) {
+  // Spaces typed mid-paragraph leave the hash set as it was (normalization
+  // drops them) but move every later gram: attribution must follow the
+  // current text, as a fresh tracker's does, while updatedAt, DBhash and
+  // the cached disclosure answer stay as they were.
+  const std::string text = gen_.paragraph(7, 9);
+  const SegmentId src = tracker_.observeSegment(
+      SegmentKind::kParagraph, "src#p0", "src", "svc", text);
+  (void)tracker_.sourcesForSegment(src);
+  std::string edited = text;
+  edited.insert(edited.size() / 2, "   ");
+  edited.insert(edited.size() / 4, " ,");
+  const text::Fingerprint fp = tracker_.fingerprintOf(edited);
+  ASSERT_TRUE(fp.sameHashes(tracker_.fingerprintOf(text)));
+  const util::Timestamp updatedAt = tracker_.segmentByName("src#p0")->updatedAt;
+  const std::size_t associations = tracker_.hashDb(SegmentKind::kParagraph)
+                                       .associationCount();
+  tracker_.resetStats();
+  EXPECT_EQ(tracker_.observeSegment(SegmentKind::kParagraph, "src#p0", "src",
+                                    "svc", edited),
+            src);
+  (void)tracker_.sourcesForSegment(src);
+  EXPECT_EQ(tracker_.stats().cacheHits, 1u);
+  EXPECT_EQ(tracker_.segmentByName("src#p0")->updatedAt, updatedAt);
+  EXPECT_EQ(tracker_.hashDb(SegmentKind::kParagraph).associationCount(),
+            associations);
+  EXPECT_EQ(tracker_.segmentByName("src#p0")->fingerprint.grams(), fp.grams());
+
+  util::LogicalClock freshClock;
+  FlowTracker fresh(TrackerConfig{}, &freshClock);
+  const SegmentId freshSrc = fresh.observeSegment(
+      SegmentKind::kParagraph, "src#p0", "src", "svc", edited);
+  const std::string copied = edited.substr(edited.size() / 2);
+  const auto ranges =
+      tracker_.attributeDisclosure(src, tracker_.fingerprintOf(copied));
+  ASSERT_FALSE(ranges.empty());
+  EXPECT_EQ(ranges,
+            fresh.attributeDisclosure(freshSrc, fresh.fingerprintOf(copied)));
+}
+
 TEST_F(AttributionTest, NoOverlapNoRanges) {
   const SegmentId src = tracker_.observeSegment(
       SegmentKind::kParagraph, "src#p0", "src", "svc", gen_.paragraph(7, 9));

@@ -185,6 +185,32 @@ TEST(HashDb, CompactDeadShrinksStore) {
   EXPECT_EQ(db.compactDead(), 0u);
 }
 
+TEST(HashDb, CompactionAllocatesTheTableInsertsWouldGrow) {
+  // The rebuild allocates its table once, at the size inserting the
+  // surviving hashes one by one reaches (counts either side of each
+  // doubling, and none at all): memoryBytes() equals a store that only
+  // ever held the survivors.
+  for (const text::Hash survivors : {0u, 1u, 11u, 12u, 22u, 23u, 45u, 300u}) {
+    HashDb db;
+    HashDb fresh;
+    db.setDeadCompactionThreshold(1000);
+    for (text::Hash h = 0; h < survivors; ++h) {
+      db.recordObservation(h, 1, 10);
+      fresh.recordObservation(h, 1, 10);
+    }
+    for (text::Hash h = 0; h < 500; ++h) db.recordObservation(1000 + h, 2, 20);
+    db.removeSegment(2);
+    EXPECT_EQ(db.compactDead(), 500u);
+    EXPECT_EQ(db.distinctHashCount(), survivors);
+    EXPECT_EQ(db.memoryBytes(), fresh.memoryBytes()) << survivors;
+    for (text::Hash h = 0; h < survivors; ++h) {
+      EXPECT_EQ(*db.oldestSegmentWith(h), 1u);
+    }
+    db.recordObservation(7777, 3, 30);  // the rebuilt table takes inserts
+    EXPECT_EQ(*db.oldestSegmentWith(7777), 3u);
+  }
+}
+
 TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   HashDb db;
   db.setDeadCompactionThreshold(2);

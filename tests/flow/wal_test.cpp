@@ -142,6 +142,46 @@ TEST_F(WalTest, RecoverReplaysEveryMutationKind) {
   EXPECT_EQ(stats.discardedBytes, 0u);
 }
 
+TEST_F(WalTest, SameHashEditRecoversItsGramPositions) {
+  // An edit that moves grams without changing the hash set is logged, so
+  // recovery restores the moved positions; its replay at the unchanged
+  // updatedAt leaves DBhash as the live path left it.
+  DurabilityManager mgr(configFor());
+  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+  const std::string text = gen_.paragraph(7, 9);
+  tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", text);
+  tracker_.observeSegment(SegmentKind::kParagraph, "t#p0", "t", "svc",
+                          gen_.paragraph(5, 8));
+  std::string edited = text;
+  edited.insert(edited.size() / 2, "  ;");
+  ASSERT_TRUE(
+      tracker_.fingerprintOf(edited).sameHashes(tracker_.fingerprintOf(text)));
+  tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", edited);
+  EXPECT_EQ(tracker_.segmentByName("s#p0")->fingerprint.grams(),
+            tracker_.fingerprintOf(edited).grams());
+  const std::string live = canon(tracker_);
+  ASSERT_TRUE(mgr.wal().sync().ok());
+  EXPECT_EQ(recoverFresh(), live);
+}
+
+TEST_F(WalTest, SameHashEditAfterEvictionRecoversWithoutItsHashes) {
+  // Eviction drops the segment's hashes; a later edit that only moves its
+  // grams leaves DBhash without them live, and so must its replay.
+  DurabilityManager mgr(configFor());
+  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+  const std::string text = gen_.paragraph(7, 9);
+  tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", text);
+  EXPECT_GT(tracker_.evictAssociationsOlderThan(clock_.now() + 1), 0u);
+  std::string edited = text;
+  edited.insert(edited.size() / 2, "  ;");
+  ASSERT_TRUE(
+      tracker_.fingerprintOf(edited).sameHashes(tracker_.fingerprintOf(text)));
+  tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", edited);
+  const std::string live = canon(tracker_);
+  ASSERT_TRUE(mgr.wal().sync().ok());
+  EXPECT_EQ(recoverFresh(), live);
+}
+
 TEST_F(WalTest, RecoveredStateAnswersSameQueries) {
   DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
