@@ -59,6 +59,15 @@ for preset in $PRESETS; do
     BF_STORAGE_FUZZ_SEED=20260809 BF_STORAGE_FUZZ_TRIALS=300 \
       "$bin" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
+    # HashDb reference model at a pinned seed: 1000 seeded sessions of
+    # records, restores, re-observations and removals checked against the
+    # naive model.
+    flowBin="build/tests/flow_test"
+    if [ "$preset" = "asan" ]; then flowBin="build-asan/tests/flow_test"; fi
+    echo "==> [$preset] HashDb reference model, fixed seed"
+    BF_HASHDB_MODEL_SEED=20261020 BF_HASHDB_MODEL_TRIALS=1000 \
+      "$flowBin" \
+      --gtest_filter='HashDbModel.RandomSessionsMatchReferenceModel'
     # Spliced re-fingerprint at a pinned seed: 2000 edit scripts checked
     # against the full kernel on every tier the host supports.
     textBin="build/tests/text_test"

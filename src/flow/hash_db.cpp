@@ -35,17 +35,11 @@ std::size_t HashDb::probeFrom(text::Hash hash,
   return idx;
 }
 
-void HashDb::reserveForInsert() {
-  if (slots_.empty()) {
-    slots_.resize(kInitialSlots);
-    mask_ = kInitialSlots - 1;
-    return;
-  }
-  // Grow at ~70% load. Rehashing moves only the flat Slot structs; the
-  // history pool is index-stable and untouched.
-  if ((occupied_ + 1) * 10 < slots_.size() * 7) return;
+void HashDb::grow() {
+  // Rehashing moves only the flat Slot structs; the history pool is
+  // index-stable and untouched.
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
+  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
   mask_ = slots_.size() - 1;
   for (const Slot& s : old) {
     if (s.used()) slots_[probe(s.hash)] = s;
@@ -55,12 +49,11 @@ void HashDb::reserveForInsert() {
 HashDb::Entry HashDb::HistoryPool::encode(const Association& a) {
   if (a.segment < Entry::kEscaped && a.firstSeen <= 0xffffffffu) {
     return {static_cast<std::uint32_t>(a.segment),
-            static_cast<std::uint32_t>(a.firstSeen), a.lastSeen};
+            static_cast<std::uint32_t>(a.firstSeen)};
   }
   assert(escapes.size() < 0xffffffffu);
   escapes.push_back({a.segment, a.firstSeen});
-  return {Entry::kEscaped, static_cast<std::uint32_t>(escapes.size() - 1),
-          a.lastSeen};
+  return {Entry::kEscaped, static_cast<std::uint32_t>(escapes.size() - 1)};
 }
 
 std::uint32_t HashDb::HistoryPool::allocate(std::uint32_t capacity) {
@@ -163,20 +156,27 @@ void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
 }
 
 void HashDb::recordObservation(text::Hash hash, SegmentId segment,
-                               util::Timestamp ts, util::Timestamp lastSeen) {
+                               util::Timestamp ts) {
   beginRecord(segment, ts);
-  reserveForInsert();
-  const util::Timestamp seen = std::max(lastSeen != 0 ? lastSeen : ts, ts);
-  recordReserved(hash, Association{segment, ts, seen}, homeSlot(hash));
+  if (slots_.empty()) grow();
+  (void)recordFrom(hash, Association{segment, ts}, homeSlot(hash));
 }
 
-void HashDb::recordReserved(text::Hash hash, const Association& assoc,
-                            std::size_t from) {
+bool HashDb::recordFrom(text::Hash hash, const Association& assoc,
+                        std::size_t from) {
   const SegmentId segment = assoc.segment;
   assert(segment != kInvalidSegment);
   const util::Timestamp ts = assoc.firstSeen;
-  Slot& s = slots_[probeFrom(hash, from)];
-  if (!s.used()) {
+  std::size_t at = probeFrom(hash, from);
+  if (!slots_[at].used()) {
+    // A new hash. The table grows at ~70% load, and only here, so a
+    // call that adds no hash leaves the table as it was.
+    const bool grows = (occupied_ + 1) * 10 >= slots_.size() * 7;
+    if (grows) {
+      grow();
+      at = probe(hash);
+    }
+    Slot& s = slots_[at];
     s.hash = hash;
     if (fitsCompact(assoc)) {
       s.owner = static_cast<std::uint32_t>(segment);
@@ -186,49 +186,33 @@ void HashDb::recordReserved(text::Hash hash, const Association& assoc,
     }
     ++occupied_;
     ++storedAssociations_;
-    return;
+    return grows;
   }
+  Slot& s = slots_[at];
   if (!s.spilled()) {
-    const Association only{s.owner, s.word, s.word};
-    if (only.segment == segment) {
-      // Idempotent per (hash, segment): keep the original first-seen
-      // timestamp (provenance never changes retroactively) but advance the
-      // retention stamp — re-observation marks the association hot.
-      if (assoc.lastSeen > only.lastSeen) {
-        const Association advanced{segment, only.firstSeen, assoc.lastSeen};
-        spill(s, {&advanced, 1});
-      }
-      return;
-    }
+    // Idempotent per (hash, segment): the original first-seen timestamp
+    // stays, and so does the compact slot.
+    const Association only{s.owner, s.word};
+    if (only.segment == segment) return false;
     // A second owner; a strictly older one becomes the front.
     const std::array<Association, 2> pair =
         ts < only.firstSeen ? std::array{assoc, only} : std::array{only, assoc};
     spill(s, pair);
     ++storedAssociations_;
-    return;
+    return false;
   }
 
   const std::uint32_t run = s.runIndex();
   const std::span<Entry> history = pool_.entries(run);
-  // A segment appears at most once per history. The cached owner finds the
-  // front directly; otherwise scan newest first, since a re-observed
-  // segment's entry is usually among the most recent. The history is
-  // sorted by firstSeen, so the scan stops below scanFloor_.
-  Entry* held = nullptr;
-  if (segment < kOwnerInHistory && s.owner == segment) {
-    held = &history.front();
-  } else {
-    for (auto it = history.rbegin();
-         it != history.rend() && pool_.firstSeenOf(*it) >= scanFloor_; ++it) {
-      if (pool_.segmentOf(*it) == segment) {
-        held = &*it;
-        break;
-      }
-    }
-  }
-  if (held != nullptr) {
-    held->lastSeen = std::max(held->lastSeen, assoc.lastSeen);
-    return;
+  // A segment appears at most once per history, so a held one is left as
+  // it is. The cached owner finds the front directly; otherwise scan newest
+  // first, since a re-observed segment's entry is usually among the most
+  // recent. The history is sorted by firstSeen, so the scan stops below
+  // scanFloor_.
+  if (segment < kOwnerInHistory && s.owner == segment) return false;
+  for (auto it = history.rbegin();
+       it != history.rend() && pool_.firstSeenOf(*it) >= scanFloor_; ++it) {
+    if (pool_.segmentOf(*it) == segment) return false;
   }
   // Timestamps come from a monotonic clock, so appends keep the history
   // sorted; guard anyway against out-of-order callers. Equal stamps keep
@@ -245,34 +229,24 @@ void HashDb::recordReserved(text::Hash hash, const Association& assoc,
   }
   pool_.insert(run, pos, assoc);
   ++storedAssociations_;
+  return false;
 }
 
 void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
                                SegmentId segment, util::Timestamp ts) {
   beginRecord(segment, ts);
-  // Cut the batch before the first insert at which the per-hash 70% check
-  // could fire: `room` more hashes fit even if all of them are new. The
-  // check then runs only between pieces, so growth lands on the same
-  // insert as in the per-hash loop.
-  for (std::size_t begin = 0; begin < hashes.size();) {
-    reserveForInsert();
-    assert((occupied_ + 1) * 10 < slots_.size() * 7);
-    const std::size_t room = (slots_.size() * 7 - 1) / 10 - occupied_;
-    const std::size_t end = std::min(hashes.size(), begin + room);
-    recordPiece(hashes.subspan(begin, end - begin), {segment, ts, ts});
-    begin = end;
-  }
-}
-
-void HashDb::recordPiece(std::span<const text::Hash> hashes,
-                         const Association& assoc) {
   const std::size_t n = hashes.size();
+  if (n == 0) return;
+  if (slots_.empty()) grow();
+  const Association assoc{segment, ts};
   // For hash j, the slot its probe reached at the header stage and the run
   // index of that slot (kNone when there is nothing to fetch), read back
   // at the entry and insert stages. The slot stays a valid start for the
-  // insert's probe: the table does not grow within a piece and slots are
-  // never vacated, so if another hash filled it since, every slot from the
-  // home slot up to it holds another hash.
+  // insert's probe while the table keeps its size, since slots are never
+  // vacated: if another hash filled it since, every slot from the home
+  // slot up to it holds another hash. When an insert grows the table, the
+  // hashes whose header stage already ran start over from their home
+  // slots.
   constexpr std::uint32_t kNone = 0xffffffffu;
   constexpr std::size_t kRing = 16;
   static_assert(kRunHeaderPrefetchDistance < kRing);
@@ -305,7 +279,12 @@ void HashDb::recordPiece(std::span<const text::Hash> hashes,
         __builtin_prefetch(pool_.at(run.begin + run.size - 1));
       }
     }
-    recordReserved(hashes[i], assoc, slotOf[i % kRing]);
+    if (recordFrom(hashes[i], assoc, slotOf[i % kRing])) {
+      const std::size_t end = std::min(n, i + kRunHeaderPrefetchDistance + 1);
+      for (std::size_t j = i + 1; j < end; ++j) {
+        slotOf[j % kRing] = homeSlot(hashes[j]);
+      }
+    }
   }
 }
 
@@ -328,7 +307,7 @@ std::optional<HashDb::Association> HashDb::find(text::Hash hash,
   if (!s.used()) return std::nullopt;
   if (!s.spilled()) {
     if (s.owner != segment) return std::nullopt;
-    return Association{segment, s.word, s.word};
+    return Association{segment, s.word};
   }
   for (const Entry& e : pool_.entries(s.runIndex())) {
     if (pool_.segmentOf(e) == segment) return pool_.decode(e);
@@ -389,22 +368,22 @@ std::optional<util::Timestamp> HashDb::firstSeen(text::Hash hash,
   return std::nullopt;
 }
 
-std::optional<util::Timestamp> HashDb::lastSeen(text::Hash hash,
-                                                SegmentId segment) const {
-  if (const auto a = find(hash, segment)) return a->lastSeen;
-  return std::nullopt;
+void HashDb::removeSegment(SegmentId segment) {
+  dead_.insert(segment);
+  ++removalGeneration_;
+  if (dead_.size() > deadCompactionThreshold_) compactDead();
 }
 
-template <typename Keep>
-std::size_t HashDb::rebuildFiltered(Keep&& keep) {
+std::size_t HashDb::compactDead() {
+  if (dead_.empty()) return 0;
   // The survivors are packed into a fresh pool; the old one is freed on
   // return. The table is allocated once, at the size that inserting the
   // surviving hashes one by one would grow it to.
   const auto survives = [&](const Slot& s) {
-    if (!s.spilled()) return keep(Association{s.owner, s.word, s.word});
+    if (!s.spilled()) return !isDead(s.owner);
     const std::span<const Entry> entries = pool_.entries(s.runIndex());
     return std::any_of(entries.begin(), entries.end(), [&](const Entry& e) {
-      return keep(pool_.decode(e));
+      return !isDead(pool_.segmentOf(e));
     });
   };
   std::size_t survivors = 0;
@@ -425,7 +404,7 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
   for (const Slot& s : oldSlots) {
     if (!s.used()) continue;
     if (!s.spilled()) {
-      if (!keep(Association{s.owner, s.word, s.word})) continue;
+      if (isDead(s.owner)) continue;
       slots_[probe(s.hash)] = s;
       ++occupied_;
       ++storedAssociations_;
@@ -434,7 +413,7 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
     history.clear();
     for (const Entry& e : old.entries(s.runIndex())) {
       const Association a = old.decode(e);
-      if (keep(a)) history.push_back(a);
+      if (!isDead(a.segment)) history.push_back(a);
     }
     if (history.empty()) continue;
     ++occupied_;
@@ -448,32 +427,8 @@ std::size_t HashDb::rebuildFiltered(Keep&& keep) {
       spill(dst, history);
     }
   }
+  dead_.clear();
   return before - storedAssociations_;
-}
-
-void HashDb::removeSegment(SegmentId segment) {
-  dead_.insert(segment);
-  ++removalGeneration_;
-  if (dead_.size() > deadCompactionThreshold_) compactDead();
-}
-
-std::size_t HashDb::compactDead() {
-  if (dead_.empty()) return 0;
-  const std::size_t dropped =
-      rebuildFiltered([this](const Association& a) { return !isDead(a.segment); });
-  dead_.clear();
-  return dropped;
-}
-
-std::size_t HashDb::evictOlderThan(util::Timestamp cutoff) {
-  // Retention keys on lastSeen, NOT firstSeen: an association first seen
-  // before the cutoff but re-observed since is hot and must survive.
-  const std::size_t dropped = rebuildFiltered([&](const Association& a) {
-    return a.lastSeen >= cutoff && !isDead(a.segment);
-  });
-  dead_.clear();
-  ++removalGeneration_;
-  return dropped;
 }
 
 }  // namespace bf::flow

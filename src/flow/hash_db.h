@@ -7,19 +7,21 @@
 // For every fingerprint hash we keep the history of segments that were
 // observed to contain it, ordered by first-seen timestamp. The front of the
 // history answers oldestSegmentWith(h) in O(1) amortised, which both the
-// authoritative-fingerprint computation and Algorithm 1 rely on.
+// authoritative-fingerprint computation and Algorithm 1 rely on. That is
+// all an association holds: the segment and the stamp it was first seen
+// at. Re-observing a held (hash, segment) changes nothing.
 //
 // Storage is an open-addressing hash table (linear probing, power-of-two
 // capacity) of 16-byte slots, four per cache line. DBhash only grows
 // between removals, so the table is the tracker's memory. Most hashes have
-// exactly one owner, seen once, at a small logical-clock stamp: such a
-// hash is a compact slot holding its segment and firstSeen inline, and the
+// exactly one owner, at a small logical-clock stamp: such a hash is a
+// compact slot holding its segment and firstSeen inline, and the
 // Algorithm-1 candidate loop — one oldestSegmentWith probe per target
 // hash — resolves in that slot. Every other hash spills: its slot points
 // at a run header in the table's history pool, and caches the oldest owner
 // so candidate discovery still answers from the slot while that owner is
 // live. The pool holds every association of a spilled hash, oldest first,
-// as 16-byte entries in fixed 1 MiB blocks (see HistoryPool).
+// as 8-byte entries in fixed 512 KiB blocks (see HistoryPool).
 //
 // Writes and the candidate loop go through two batch entry points that take
 // a whole fingerprint: recordFingerprint (every hash of an observed
@@ -31,10 +33,11 @@
 // that run's header, then its newest entry kRunEntryPrefetchDistance
 // ahead. The slot that the header-stage probe reached is kept, and the
 // insert continues linear probing from it, so each recorded hash is
-// probed once. Growth would invalidate kept slots, so the batch is cut
-// into pieces at the first insert where the per-hash 70% load check could
-// fire; the check runs between pieces, growth lands on the same insert,
-// and the batch leaves the table bit-for-bit as the per-hash loop would.
+// probed once. The table grows at 70% load, checked only when a hash is
+// new, so growth lands on the same insert as in the per-hash loop, a call
+// that adds no hash leaves the table as it was, and the batch leaves the
+// table bit-for-bit as the per-hash loop would. Growth moves every slot:
+// the hashes whose probe already ran start over from their home slots.
 //
 // A segment appears at most once per history, so an insert into a spilled
 // hash first scans its run newest-first for the segment (a re-observed
@@ -70,14 +73,11 @@ namespace bf::flow {
 class HashDb {
  public:
   /// One observation: `segment` was first seen containing a hash at
-  /// `firstSeen` and most recently re-observed at `lastSeen`. Provenance
-  /// ordering keys on firstSeen (it never changes retroactively);
-  /// retention (evictOlderThan) keys on lastSeen so hot, re-observed
-  /// associations survive eviction sweeps.
+  /// `firstSeen`. Provenance ordering keys on it, and it never changes
+  /// retroactively.
   struct Association {
     SegmentId segment;
     util::Timestamp firstSeen;
-    util::Timestamp lastSeen;
   };
 
   /// Dead segments tolerated before removeSegment triggers a physical
@@ -86,14 +86,10 @@ class HashDb {
 
   /// Records that `segment` contains `hash`, observed at `ts`. Idempotent
   /// per (hash, segment): re-observing keeps the original first-seen
-  /// timestamp (provenance ordering never changes retroactively) but
-  /// advances the association's lastSeen stamp to max(lastSeen, ts).
-  /// Restore paths (snapshot/WAL replay) pass an explicit `lastSeen`;
-  /// 0 means "same as ts". A lastSeen below `ts` is raised to `ts`, so
-  /// every association keeps lastSeen >= firstSeen. `segment` must not be
+  /// timestamp and leaves the store as it was. `segment` must not be
   /// kInvalidSegment.
   void recordObservation(text::Hash hash, SegmentId segment,
-                         util::Timestamp ts, util::Timestamp lastSeen = 0);
+                         util::Timestamp ts);
 
   /// recordObservation(h, segment, ts) for every h in `hashes`, in order,
   /// with the probes prefetched ahead of the inserts. The table ends up
@@ -121,10 +117,6 @@ class HashDb {
   [[nodiscard]] std::optional<util::Timestamp> firstSeen(
       text::Hash hash, SegmentId segment) const;
 
-  /// Most recent observation timestamp of (hash, segment), or nullopt.
-  [[nodiscard]] std::optional<util::Timestamp> lastSeen(
-      text::Hash hash, SegmentId segment) const;
-
   /// Marks a segment dead: its associations are skipped by lookups and
   /// physically removed by the next compaction (automatic once the dead
   /// set exceeds the threshold). Increments the removal generation (used
@@ -149,14 +141,6 @@ class HashDb {
     deadCompactionThreshold_ = threshold;
   }
 
-  /// Drops all associations whose lastSeen < cutoff (and purges dead
-  /// ones). Implements the paper's "periodic removal of old fingerprints"
-  /// recommendation (S4.4). Retention keys on the most recent observation,
-  /// not firstSeen: a segment first seen long ago but re-observed seconds
-  /// ago is still hot and must survive the sweep. Returns the number of
-  /// associations dropped.
-  std::size_t evictOlderThan(util::Timestamp cutoff);
-
   /// Number of distinct hashes with at least one (possibly dead)
   /// association. Benches use this to size the store (paper Fig. 13).
   [[nodiscard]] std::size_t distinctHashCount() const noexcept {
@@ -175,35 +159,36 @@ class HashDb {
   /// use; the dead set is not counted). O(1).
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
 
-  /// 1 MiB blocks the history pool holds (a run longer than one block
+  /// Hashes whose slot spilled its associations into the history pool.
+  [[nodiscard]] std::size_t spilledHashCount() const noexcept {
+    return pool_.runs.size();
+  }
+
+  /// 512 KiB blocks the history pool holds (a run longer than one block
   /// counts every block it spans).
   [[nodiscard]] std::size_t poolBlockCount() const noexcept {
     return pool_.blocks.size();
   }
 
-  /// Monotone counter bumped by removeSegment/evictOlderThan. Callers cache
-  /// authoritative fingerprints keyed by this generation.
+  /// Monotone counter bumped by removeSegment. Callers cache authoritative
+  /// fingerprints keyed by this generation.
   [[nodiscard]] std::uint64_t removalGeneration() const noexcept {
     return removalGeneration_;
   }
 
-  /// Applies fn(hash, segment, firstSeen, lastSeen) to every LIVE
-  /// association, in per-hash oldest-first order. Used by snapshot export.
+  /// Applies fn(hash, segment, firstSeen) to every LIVE association, in
+  /// per-hash oldest-first order. Used by snapshot export.
   template <typename Fn>
   void forEachAssociation(Fn&& fn) const {
     for (const Slot& slot : slots_) {
       if (!slot.used()) continue;
       if (!slot.spilled()) {
-        if (!isDead(slot.owner)) {
-          fn(slot.hash, slot.owner, slot.word, slot.word);
-        }
+        if (!isDead(slot.owner)) fn(slot.hash, slot.owner, slot.word);
         continue;
       }
       for (const Entry& e : pool_.entries(slot.runIndex())) {
         const Association a = pool_.decode(e);
-        if (!isDead(a.segment)) {
-          fn(slot.hash, a.segment, a.firstSeen, a.lastSeen);
-        }
+        if (!isDead(a.segment)) fn(slot.hash, a.segment, a.firstSeen);
       }
     }
   }
@@ -217,18 +202,17 @@ class HashDb {
   /// `owner == kInvalidSegment` marks an empty slot (slots are never
   /// individually vacated; only full rebuilds reclaim them). A used slot
   /// takes one of two shapes, told apart by the high bit of `word`:
-  ///  - compact (bit clear): the hash's only association, with
-  ///    lastSeen == firstSeen. `owner` is the segment and `word` its
-  ///    firstSeen. It requires firstSeen < 2^31 and a segment below
+  ///  - compact (bit clear): the hash's only association. `owner` is the
+  ///    segment and `word` its firstSeen. It requires firstSeen < 2^31 and a segment below
   ///    kOwnerInHistory; the tracker's logical clock and segment counter
   ///    stay far below both in practice.
   ///  - spilled (bit set): the low 31 bits index the pool's run headers;
   ///    the run holds every association of the hash, oldest first, with
   ///    exact stamps. `owner` caches the oldest association's segment, or
   ///    kOwnerInHistory when that id does not fit in 32 bits.
-  /// A compact slot spills on its second association, on a re-observation
-  /// that advances lastSeen, or when a stamp or id does not fit. Spilled
-  /// slots return to compact only through a rebuild (compaction/eviction).
+  /// A compact slot spills on its second association, or when a stamp or
+  /// id does not fit. Spilled slots return to compact only through a
+  /// compaction's rebuild.
   struct Slot {
     static constexpr std::uint32_t kSpilled = 0x80000000u;
 
@@ -256,16 +240,14 @@ class HashDb {
   /// One association in the history pool. A segment id below kEscaped and
   /// a firstSeen below 2^32 are stored inline; otherwise `segment` is
   /// kEscaped and `firstSeen` indexes the pool's escapes, which hold the
-  /// wide pair. lastSeen is always inline, so a re-observation updates the
-  /// entry in place whatever its shape.
+  /// wide pair.
   struct Entry {
     static constexpr std::uint32_t kEscaped = 0xffffffffu;
 
     std::uint32_t segment;
     std::uint32_t firstSeen;
-    util::Timestamp lastSeen;
   };
-  static_assert(sizeof(Entry) == 16, "four history entries per cache line");
+  static_assert(sizeof(Entry) == 8, "eight history entries per cache line");
 
   /// A spilled hash's history: `size` entries from pool index `begin`, in
   /// space of capacity std::bit_ceil(size).
@@ -292,7 +274,7 @@ class HashDb {
   /// small and fixed so that they fill the holes freed slot tables leave
   /// in the heap, which ever-larger blocks could not reuse.
   struct HistoryPool {
-    static constexpr unsigned kBlockShift = 16;  // 1 MiB of 16-byte entries
+    static constexpr unsigned kBlockShift = 16;  // 512 KiB of 8-byte entries
     static constexpr std::uint32_t kBlockEntries = 1u << kBlockShift;
     static constexpr std::uint32_t kEndOfList = 0xffffffffu;
 
@@ -324,7 +306,7 @@ class HashDb {
                                           : escapes[e.firstSeen].firstSeen;
     }
     [[nodiscard]] Association decode(const Entry& e) const noexcept {
-      return {segmentOf(e), firstSeenOf(e), e.lastSeen};
+      return {segmentOf(e), firstSeenOf(e)};
     }
     [[nodiscard]] Entry encode(const Association& a);
 
@@ -346,8 +328,7 @@ class HashDb {
 
   /// True when `a`, as a hash's only association, fits a compact slot.
   [[nodiscard]] static bool fitsCompact(const Association& a) noexcept {
-    return a.segment < kOwnerInHistory && a.firstSeen < Slot::kSpilled &&
-           a.lastSeen == a.firstSeen;
+    return a.segment < kOwnerInHistory && a.firstSeen < Slot::kSpilled;
   }
 
   /// The `owner` a spilled slot caches for its oldest segment.
@@ -389,15 +370,11 @@ class HashDb {
   /// maxRecorded_.
   void beginRecord(SegmentId segment, util::Timestamp ts) noexcept;
 
-  /// recordObservation once the table has room for one more hash, probing
-  /// from slot `from` (the home slot, or a slot the probe reaches later).
-  void recordReserved(text::Hash hash, const Association& assoc,
-                      std::size_t from);
-
-  /// The prefetched record loop over a piece of a batch that cannot grow
-  /// the table.
-  void recordPiece(std::span<const text::Hash> hashes,
-                   const Association& assoc);
+  /// recordObservation on a non-empty table, probing from slot `from`
+  /// (the home slot, or a slot the probe reaches later). Returns true when
+  /// it grew the table, which moves every slot.
+  bool recordFrom(text::Hash hash, const Association& assoc,
+                  std::size_t from);
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
   /// Requires a non-empty table.
@@ -408,14 +385,8 @@ class HashDb {
   [[nodiscard]] std::size_t probeFrom(text::Hash hash,
                                       std::size_t idx) const noexcept;
 
-  /// Ensures capacity for one more distinct hash (grows + rehashes at
-  /// ~70% load).
-  void reserveForInsert();
-
-  /// Rebuilds the table keeping only associations for which `keep` returns
-  /// true. Returns the number of associations dropped.
-  template <typename Keep>
-  std::size_t rebuildFiltered(Keep&& keep);
+  /// Doubles the table (or allocates the first one) and rehashes.
+  void grow();
 
   std::vector<Slot> slots_;  // power-of-two size; empty until first insert
   std::size_t mask_ = 0;     // slots_.size() - 1

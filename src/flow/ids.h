@@ -3,9 +3,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
-
-#include "text/fingerprint.h"
 
 namespace bf::flow {
 
@@ -30,12 +27,6 @@ enum class SegmentKind : std::uint8_t { kParagraph = 0, kDocument = 1 };
 /// corrupt or hostile blob, not a configuration.
 [[nodiscard]] inline bool validThreshold(double t) noexcept {
   return std::isfinite(t) && t >= 0.0 && t <= 1.0;
-}
-
-/// True for a stored hash word that holds a text::Hash. Snapshot rows and
-/// WAL records keep 64 bits per hash, so a wider value is corruption.
-[[nodiscard]] constexpr bool validHashWord(std::uint64_t h) noexcept {
-  return h <= std::numeric_limits<text::Hash>::max();
 }
 
 }  // namespace bf::flow

@@ -17,6 +17,7 @@
 
 #include "flow/ids.h"
 #include "text/fingerprint.h"
+#include "util/binary_io.h"
 #include "util/clock.h"
 
 namespace bf::flow {
@@ -38,6 +39,17 @@ struct SegmentRecord {
   util::Timestamp createdAt = 0;
   util::Timestamp updatedAt = 0;
 };
+
+/// Appends `rec` as snapshot bodies and WAL kSegmentObserved records both
+/// store it: u64 id | u8 kind | name | document | service | f64 threshold |
+/// u64 createdAt | u64 updatedAt | u64 gram count | (u32 hash, u32 pos)*.
+void putSegmentRecord(std::string& out, const SegmentRecord& rec);
+
+/// Reads a record putSegmentRecord wrote into `rec`. Returns an error
+/// message for an unknown SegmentKind byte or a threshold out of range,
+/// else "" — the caller checks r.ok() for truncation.
+[[nodiscard]] std::string readSegmentRecord(util::BinaryReader& r,
+                                            SegmentRecord& rec);
 
 class SegmentDb {
  public:

@@ -21,12 +21,10 @@ namespace bf::flow {
 namespace {
 
 constexpr std::string_view kEncMagicV2 = "BFSNAPE2";
-// v3 bodies carry a u64 tenant slot per segment (always 0: the tracker has
-// one namespace) and the lastSeen retention stamp per association.
-// BFSNAPP3 = plain unsequenced (exportState), BFSNAPS3 = sequenced + CRC
-// trailer (saveSnapshot/checkpoints).
-constexpr std::string_view kPlainMagicV3 = "BFSNAPP3";
-constexpr std::string_view kSeqMagicV3 = "BFSNAPS3";
+// BFSNAPP4 = plain unsequenced (exportState), BFSNAPS4 = sequenced + CRC
+// trailer (saveSnapshot/checkpoints); both carry the v4 body.
+constexpr std::string_view kPlainMagic = "BFSNAPP4";
+constexpr std::string_view kSeqMagic = "BFSNAPS4";
 
 crypto::Key256 deriveKey(std::string_view secret) {
   crypto::Key256 key{};
@@ -56,9 +54,9 @@ crypto::Key256 deriveMacKey(std::string_view secret) {
   return key;
 }
 
-/// Serialises the v3 state body (everything after the magic / sequence
-/// header): segment records carry the zero tenant slot, associations their
-/// lastSeen retention stamp.
+/// Serialises the v4 state body (everything after the magic / sequence
+/// header): segment records with their (u32 hash, u32 pos) grams, then
+/// per kind the (u32 hash, u64 segment, u64 firstSeen) association rows.
 void appendStateBody(const FlowTracker& tracker, std::string& out) {
   // Segments, ordered by id for determinism.
   std::vector<const SegmentRecord*> segments;
@@ -69,23 +67,7 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
               return a->id < b->id;
             });
   util::putU64(out, segments.size());
-  for (const SegmentRecord* rec : segments) {
-    util::putU64(out, rec->id);
-    util::putU8(out, static_cast<std::uint8_t>(rec->kind));
-    util::putStr(out, rec->name);
-    util::putStr(out, rec->document);
-    util::putStr(out, rec->service);
-    util::putF64(out, rec->threshold);
-    util::putU64(out, 0);  // tenant slot
-    util::putU64(out, rec->createdAt);
-    util::putU64(out, rec->updatedAt);
-    const auto& grams = rec->fingerprint.grams();
-    util::putU64(out, grams.size());
-    for (const auto& g : grams) {
-      util::putU64(out, g.hash);
-      util::putU32(out, g.pos);
-    }
-  }
+  for (const SegmentRecord* rec : segments) putSegmentRecord(out, *rec);
 
   // Associations per granularity, sorted for determinism.
   for (SegmentKind kind :
@@ -94,13 +76,11 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
       text::Hash hash;
       SegmentId segment;
       util::Timestamp ts;
-      util::Timestamp lastSeen;
     };
     std::vector<Assoc> assocs;
     tracker.hashDb(kind).forEachAssociation(
-        [&](text::Hash hash, SegmentId segment, util::Timestamp ts,
-            util::Timestamp lastSeen) {
-          assocs.push_back({hash, segment, ts, lastSeen});
+        [&](text::Hash hash, SegmentId segment, util::Timestamp ts) {
+          assocs.push_back({hash, segment, ts});
         });
     std::sort(assocs.begin(), assocs.end(), [](const Assoc& a, const Assoc& b) {
       if (a.hash != b.hash) return a.hash < b.hash;
@@ -108,10 +88,9 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
     });
     util::putU64(out, assocs.size());
     for (const auto& a : assocs) {
-      util::putU64(out, a.hash);
+      util::putU32(out, a.hash);
       util::putU64(out, a.segment);
       util::putU64(out, a.ts);
-      util::putU64(out, a.lastSeen);
     }
   }
 }
@@ -123,65 +102,32 @@ struct StagedState {
     text::Hash hash;
     SegmentId segment;
     util::Timestamp ts;
-    util::Timestamp lastSeen;
   };
   std::vector<SegmentRecord> segments;
   std::vector<Assoc> assocs;
   util::Timestamp maxTs = 0;
 };
 
-/// Parses the v3 state body from `r` into `staged`. Returns an empty string
+/// Parses the v4 state body from `r` into `staged`. Returns an empty string
 /// on success, an error message otherwise. Untrusted bytes are validated
 /// here, BEFORE anything touches the tracker: enum bytes must name a known
-/// SegmentKind and thresholds must be finite and in range — a corrupt blob
-/// must never static_cast its way into live records. Segment references
+/// SegmentKind and thresholds must be finite and in range
+/// (readSegmentRecord) — a corrupt blob must never static_cast its way
+/// into live records. Segment references
 /// must be consistent: ids are nonzero (0 is the empty-slot marker of
 /// HashDb) and unique, names unique, and every association names a listed
-/// segment of its own kind with lastSeen >= firstSeen. Every hash, gram or
-/// row, must fit a text::Hash.
+/// segment of its own kind.
 std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
   std::unordered_map<SegmentId, SegmentKind> kindOf;
   std::unordered_set<std::string> names;
   const std::uint64_t segmentCount = r.u64();
   for (std::uint64_t i = 0; i < segmentCount && r.ok(); ++i) {
     SegmentRecord rec;
-    rec.id = r.u64();
-    const std::uint8_t kindByte = r.u8();
-    if (r.ok() && !validKindByte(kindByte)) {
-      return "unknown SegmentKind byte " + std::to_string(kindByte);
+    if (std::string err = readSegmentRecord(r, rec); !err.empty()) {
+      return err;
     }
-    rec.kind = static_cast<SegmentKind>(kindByte);
-    rec.name = r.str();
-    rec.document = r.str();
-    rec.service = r.str();
-    rec.threshold = r.f64();
-    if (r.ok() && !validThreshold(rec.threshold)) {
-      return "threshold out of range for segment '" + rec.name + "'";
-    }
-    // Tenant slot: 0 is the only namespace there is; anything else names
-    // state this tracker cannot honour.
-    if (r.u64() != 0) {
-      return "nonzero tenant for segment '" + rec.name + "'";
-    }
-    rec.createdAt = r.u64();
-    rec.updatedAt = r.u64();
-    staged.maxTs = std::max({staged.maxTs, rec.createdAt, rec.updatedAt});
-    const std::uint64_t gramCount = r.u64();
-    std::vector<text::HashedGram> grams;
-    // Cap the reserve: a corrupt length prefix must not force a huge
-    // allocation before the bounds-checked reads catch it.
-    grams.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(gramCount, 1u << 20)));
-    for (std::uint64_t g = 0; g < gramCount && r.ok(); ++g) {
-      const std::uint64_t hash = r.u64();
-      const std::uint32_t pos = r.u32();
-      if (r.ok() && !validHashWord(hash)) {
-        return "gram hash wider than 32 bits in segment '" + rec.name + "'";
-      }
-      grams.push_back({static_cast<text::Hash>(hash), pos});
-    }
-    rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
     if (!r.ok()) break;
+    staged.maxTs = std::max({staged.maxTs, rec.createdAt, rec.updatedAt});
     if (rec.id == kInvalidSegment) {
       return "segment id 0 for segment '" + rec.name + "'";
     }
@@ -198,27 +144,17 @@ std::string parseStateBody(util::BinaryReader& r, StagedState& staged) {
        {SegmentKind::kParagraph, SegmentKind::kDocument}) {
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint64_t hash = r.u64();
+      const text::Hash hash = r.u32();
       const SegmentId segment = r.u64();
       const util::Timestamp ts = r.u64();
-      const util::Timestamp lastSeen = r.u64();
       if (!r.ok()) break;
       const auto owner = kindOf.find(segment);
       if (owner == kindOf.end() || owner->second != kind) {
         return "association names segment " + std::to_string(segment) +
                ", not a listed segment of its kind";
       }
-      if (lastSeen < ts) {
-        return "association lastSeen precedes firstSeen for segment " +
-               std::to_string(segment);
-      }
-      if (!validHashWord(hash)) {
-        return "association hash wider than 32 bits for segment " +
-               std::to_string(segment);
-      }
-      staged.maxTs = std::max({staged.maxTs, ts, lastSeen});
-      staged.assocs.push_back(
-          {kind, static_cast<text::Hash>(hash), segment, ts, lastSeen});
+      staged.maxTs = std::max(staged.maxTs, ts);
+      staged.assocs.push_back({kind, hash, segment, ts});
     }
   }
 
@@ -276,7 +212,7 @@ util::Status atomicWriteFile(io::Vfs& vfs, const std::string& path,
 
 std::string exportState(const FlowTracker& tracker) {
   std::string out;
-  out.append(kPlainMagicV3);
+  out.append(kPlainMagic);
   appendStateBody(tracker, out);
   return out;
 }
@@ -287,10 +223,16 @@ util::Result<SnapshotInfo> importState(FlowTracker& tracker,
   if (tracker.segmentDb().size() != 0) {
     return R::error("importState requires an empty tracker");
   }
+  // Restores are not logged: replaying a log of them would re-record each
+  // segment's hashes at its updatedAt before the earlier first-seen stamps
+  // that follow, and recover a different authority order.
+  if (tracker.walAttached()) {
+    return R::error("importState requires a tracker without a WAL attached");
+  }
 
   SnapshotInfo info;
   std::string_view body;
-  if (blob.substr(0, kSeqMagicV3.size()) == kSeqMagicV3) {
+  if (blob.substr(0, kSeqMagic.size()) == kSeqMagic) {
     // Sequenced: magic + u64 sequence + body + u32 masked CRC trailer.
     constexpr std::size_t kHeader = 8 + 8;
     if (blob.size() < kHeader + 4) return R::error("snapshot truncated");
@@ -300,9 +242,9 @@ util::Result<SnapshotInfo> importState(FlowTracker& tracker,
     util::BinaryReader seqReader(blob.substr(kHeader - 8, 8));
     info.sequence = seqReader.u64();
     body = blob.substr(kHeader, blob.size() - kHeader - 4);
-  } else if (blob.substr(0, kPlainMagicV3.size()) == kPlainMagicV3) {
-    // v3 plain: magic + body, no trailer, sequence 0.
-    body = blob.substr(kPlainMagicV3.size());
+  } else if (blob.substr(0, kPlainMagic.size()) == kPlainMagic) {
+    // Plain: magic + body, no trailer, sequence 0.
+    body = blob.substr(kPlainMagic.size());
   } else {
     return R::error("not a BrowserFlow snapshot (bad magic)");
   }
@@ -322,7 +264,7 @@ util::Result<SnapshotInfo> importState(FlowTracker& tracker,
     tracker.restoreSegment(std::move(rec));
   }
   for (const StagedState::Assoc& a : staged.assocs) {
-    tracker.restoreAssociation(a.kind, a.hash, a.segment, a.ts, a.lastSeen);
+    tracker.restoreAssociation(a.kind, a.hash, a.segment, a.ts);
   }
   return info;
 }
@@ -390,7 +332,7 @@ util::Status saveSnapshot(const FlowTracker& tracker, const std::string& path,
                           std::string_view secret, std::uint64_t sequence,
                           io::Vfs* vfs) {
   std::string blob;
-  blob.append(kSeqMagicV3);
+  blob.append(kSeqMagic);
   util::putU64(blob, sequence);
   appendStateBody(tracker, blob);
   util::appendCrc32cTrailer(blob);

@@ -15,10 +15,10 @@
 // core/deployment.h).
 //
 // Formats (DESIGN.md §11), the only three this code reads or writes:
-//  - plain "BFSNAPP3": magic + v3 body (segment records carry a u64
-//    tenant slot, always 0, associations their lastSeen retention stamp).
-//    Written by exportState().
-//  - sequenced "BFSNAPS3": magic + u64 checkpoint sequence + v3 body +
+//  - plain "BFSNAPP4": magic + v4 body (segment records with their
+//    (u32 hash, u32 pos) grams, then per kind the (u32 hash, u64 segment,
+//    u64 firstSeen) association rows). Written by exportState().
+//  - sequenced "BFSNAPS4": magic + u64 checkpoint sequence + v4 body +
 //    trailing masked CRC32C over everything before the trailer
 //    (util::appendCrc32cTrailer). The sequence links a checkpoint to the
 //    write-ahead log that continues it (flow/wal.h). Written by
@@ -26,18 +26,17 @@
 //  - encrypted "BFSNAPE2": magic + nonce + ChaCha20(payload) + 16-byte
 //    keyed tag over magic||nonce||ciphertext (crypto/mac.h), verified
 //    BEFORE decryption (encrypt-then-MAC). Written by writeSealedFile()
-//    when given a secret; the payload is a BFSNAPS3 blob for snapshots.
+//    when given a secret; the payload is a BFSNAPS4 blob for snapshots.
 //
-// Any other magic is rejected, including the retired v1/v2 formats
-// (BFSNAPP1, BFSNAPP2 and the untagged BFSNAPE1 envelope): accepting an
+// Any other magic is rejected, including the retired v1-v3 formats
+// (BFSNAPP1-3, BFSNAPS3 and the untagged BFSNAPE1 envelope): accepting an
 // untagged envelope would let anyone strip a BFSNAPE2 file's tag and
 // relabel it, bypassing authentication.
 //
 // Every import validates untrusted bytes before they become live records:
-// unknown SegmentKind values, non-finite / out-of-range thresholds, a
-// nonzero v3 tenant slot and a hash wider than 32 bits (rows store each
-// text::Hash in a u64) reject the whole blob (all-or-nothing, tracker left
-// empty).
+// unknown SegmentKind values, non-finite / out-of-range thresholds and
+// rows that name no listed segment of their kind reject the whole blob
+// (all-or-nothing, tracker left empty).
 #pragma once
 
 #include <cstdint>
@@ -55,20 +54,21 @@ struct SnapshotInfo {
   /// tracker's clock past it so new observations sort after restored ones
   /// (LogicalClock::advanceTo).
   util::Timestamp maxTimestamp = 0;
-  /// Checkpoint sequence number recorded at save time (0 for BFSNAPP3
+  /// Checkpoint sequence number recorded at save time (0 for BFSNAPP4
   /// blobs and saves outside the durability manager). WAL records with
   /// sequence > this continue the state (flow/wal.h).
   std::uint64_t sequence = 0;
 };
 
-/// Serialises the tracker's full state as a v3 plain blob (the
+/// Serialises the tracker's full state as a BFSNAPP4 blob (the
 /// deterministic canonical form: equal states produce equal blobs —
 /// segments ordered by id, associations by hash within kind).
 [[nodiscard]] std::string exportState(const FlowTracker& tracker);
 
-/// Restores a BFSNAPP3 or BFSNAPS3 blob into `tracker`, which must be
-/// EMPTY (freshly constructed). Sequenced blobs are rejected on CRC
-/// mismatch.
+/// Restores a BFSNAPP4 or BFSNAPS4 blob into `tracker`, which must be
+/// EMPTY (freshly constructed) and have no WAL attached: restores are not
+/// logged, so recovery attaches the log after it imports. Sequenced blobs
+/// are rejected on CRC mismatch.
 [[nodiscard]] util::Result<SnapshotInfo> importState(FlowTracker& tracker,
                                                      std::string_view blob);
 
@@ -90,7 +90,7 @@ struct SnapshotInfo {
 [[nodiscard]] util::Result<std::string> readSealedFile(
     io::Vfs& vfs, const std::string& path, std::string_view secret);
 
-/// Writes the tracker state to `path` as a BFSNAPS3 blob through
+/// Writes the tracker state to `path` as a BFSNAPS4 blob through
 /// writeSealedFile() (empty secret = plaintext snapshot). `sequence` is the
 /// checkpoint sequence stored in the blob (0 outside the durability
 /// manager). `vfs` routes the file I/O (null = defaultVfs()).

@@ -504,17 +504,6 @@ bool FlowTracker::setSegmentThreshold(std::string_view name,
   return true;
 }
 
-std::size_t FlowTracker::evictAssociationsOlderThan(util::Timestamp cutoff) {
-  util::MutexLock lock(mutex_);
-  const std::size_t dropped =
-      stores_.hashes[idx(SegmentKind::kParagraph)].evictOlderThan(cutoff) +
-      stores_.hashes[idx(SegmentKind::kDocument)].evictOlderThan(cutoff);
-  stores_.cache.clear();  // authority may have shifted wholesale
-  if (wal_ != nullptr) wal_->logAssociationsEvicted(cutoff);
-  refreshStoreGauges();
-  return dropped;
-}
-
 void FlowTracker::noteChangeEverywhereLocked() {
   ++stores_.changes;
   for (ChangeLog& log : stores_.changeLogs) log.noteEverywhere(stores_.changes);
@@ -522,7 +511,6 @@ void FlowTracker::noteChangeEverywhereLocked() {
 
 void FlowTracker::restoreSegment(SegmentRecord record) {
   util::MutexLock lock(mutex_);
-  if (wal_ != nullptr) wal_->logSegmentObserved(record);
   stores_.segments.restore(std::move(record));
   noteChangeEverywhereLocked();
   refreshStoreGauges();
@@ -530,22 +518,22 @@ void FlowTracker::restoreSegment(SegmentRecord record) {
 
 void FlowTracker::restoreAssociation(SegmentKind kind, text::Hash hash,
                                      SegmentId segment,
-                                     util::Timestamp firstSeen,
-                                     util::Timestamp lastSeen) {
+                                     util::Timestamp firstSeen) {
   // Called once per association during snapshot import; the store gauges
   // are refreshed by restoreSegment / the next observation instead of here.
   util::MutexLock lock(mutex_);
-  stores_.hashes[idx(kind)].recordObservation(hash, segment, firstSeen,
-                                              lastSeen);
+  stores_.hashes[idx(kind)].recordObservation(hash, segment, firstSeen);
   noteChangeEverywhereLocked();
-  if (wal_ != nullptr) {
-    wal_->logAssociationAdded(kind, hash, segment, firstSeen, lastSeen);
-  }
 }
 
 void FlowTracker::attachWal(WriteAheadLog* wal) {
   util::MutexLock lock(mutex_);
   wal_ = wal;
+}
+
+bool FlowTracker::walAttached() const {
+  util::MutexLock lock(mutex_);
+  return wal_ != nullptr;
 }
 
 void FlowTracker::replaySegmentObserved(SegmentRecord record) {
@@ -556,7 +544,7 @@ void FlowTracker::replaySegmentObserved(SegmentRecord record) {
   const SegmentId id = existing != nullptr ? existing->id : record.id;
   // A record whose hash set is the stored one moved grams only: the live
   // path left DBhash alone for it (observeSegmentLocked), so replay does
-  // too. Eviction may have dropped those hashes since they were recorded.
+  // too. An imported state need not hold every hash of a fingerprint.
   const bool movedGramsOnly =
       existing != nullptr &&
       existing->fingerprint.sameHashes(record.fingerprint);

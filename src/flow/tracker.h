@@ -292,24 +292,16 @@ class FlowTracker {
 
   // ---- Maintenance & snapshot support ---------------------------------------
 
-  /// Drops all hash associations last seen before `cutoff` (the paper's
-  /// "periodic removal of old fingerprints", S4.4; see
-  /// HashDb::evictOlderThan). Segments themselves stay; they regain
-  /// associations when next observed. Returns the number of associations
-  /// dropped.
-  std::size_t evictAssociationsOlderThan(util::Timestamp cutoff)
-      BF_EXCLUDES(mutex_);
-
   /// Restores a segment exported by flow::exportState(). The id and name
-  /// must be unused.
+  /// must be unused. Not logged: flow::importState() refuses a tracker
+  /// with a WAL attached, and a checkpoint covers what it restores.
   void restoreSegment(SegmentRecord record) BF_EXCLUDES(mutex_);
 
-  /// Restores one hash association with its original first-seen and
-  /// last-seen timestamps (lastSeen 0 means "same as firstSeen" — the
-  /// legacy snapshot/WAL formats predate the retention stamp).
+  /// Restores one hash association with its original first-seen
+  /// timestamp. Not logged, like restoreSegment.
   void restoreAssociation(SegmentKind kind, text::Hash hash,
-                          SegmentId segment, util::Timestamp firstSeen,
-                          util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);
+                          SegmentId segment, util::Timestamp firstSeen)
+      BF_EXCLUDES(mutex_);
 
   // ---- Durability (flow/wal.h) ----------------------------------------------
 
@@ -319,6 +311,9 @@ class FlowTracker {
   /// recovery path replays with the WAL detached so replay is not
   /// re-logged). The log is not owned and must outlive the attachment.
   void attachWal(WriteAheadLog* wal) BF_EXCLUDES(mutex_);
+
+  /// True while a write-ahead log is attached.
+  [[nodiscard]] bool walAttached() const BF_EXCLUDES(mutex_);
 
   /// Applies one WAL kSegmentObserved record: create-or-update the segment
   /// with the exact recorded ids, timestamps and fingerprint, recording the

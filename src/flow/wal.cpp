@@ -16,7 +16,7 @@ namespace bf::flow {
 
 namespace {
 
-constexpr std::string_view kWalMagic = "BFWAL001";
+constexpr std::string_view kWalMagic = "BFWAL002";
 constexpr std::size_t kWalHeaderBytes = 8 + 8;  // magic + baseSequence
 /// Frames larger than this cannot have been written by us: treat the length
 /// prefix itself as corrupt instead of trusting it.
@@ -279,42 +279,10 @@ bool WriteAheadLog::flushLocked() {
 
 void WriteAheadLog::logSegmentObserved(const SegmentRecord& rec) {
   std::string body;
-  body.reserve(75 + rec.name.size() + rec.document.size() +
-               rec.service.size() + rec.fingerprint.grams().size() * 12);
-  util::putU64(body, rec.id);
-  util::putU8(body, static_cast<std::uint8_t>(rec.kind));
-  util::putStr(body, rec.name);
-  util::putStr(body, rec.document);
-  util::putStr(body, rec.service);
-  util::putF64(body, rec.threshold);
-  util::putU64(body, rec.createdAt);
-  util::putU64(body, rec.updatedAt);
-  const auto& grams = rec.fingerprint.grams();
-  util::putU64(body, grams.size());
-  for (const auto& g : grams) {
-    util::putU64(body, g.hash);
-    util::putU32(body, g.pos);
-  }
-  // Trailing tenant slot, always 0 (the tracker has one namespace). Older
-  // logs omit it; both layouts replay identically.
-  util::putU64(body, 0);
+  body.reserve(65 + rec.name.size() + rec.document.size() +
+               rec.service.size() + rec.fingerprint.grams().size() * 8);
+  putSegmentRecord(body, rec);
   append(WalRecordType::kSegmentObserved, body);
-}
-
-void WriteAheadLog::logAssociationAdded(SegmentKind kind, text::Hash hash,
-                                        SegmentId segment,
-                                        util::Timestamp firstSeen,
-                                        util::Timestamp lastSeen) {
-  std::string body;
-  util::putU8(body, static_cast<std::uint8_t>(kind));
-  util::putU64(body, hash);
-  util::putU64(body, segment);
-  util::putU64(body, firstSeen);
-  // Optional trailing field (retention stamp): absent in older logs, which
-  // replay with lastSeen = firstSeen. HashDb raises a lastSeen below
-  // firstSeen (0 included) to firstSeen, and replay rejects one below it.
-  util::putU64(body, std::max(lastSeen, firstSeen));
-  append(WalRecordType::kAssociationAdded, body);
 }
 
 void WriteAheadLog::logSegmentRemoved(SegmentId id) {
@@ -329,12 +297,6 @@ void WriteAheadLog::logThresholdChanged(std::string_view name,
   util::putStr(body, name);
   util::putF64(body, threshold);
   append(WalRecordType::kThresholdChanged, body);
-}
-
-void WriteAheadLog::logAssociationsEvicted(util::Timestamp cutoff) {
-  std::string body;
-  util::putU64(body, cutoff);
-  append(WalRecordType::kAssociationsEvicted, body);
 }
 
 util::Status WriteAheadLog::sync() {
@@ -395,54 +357,11 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
   switch (type) {
     case WalRecordType::kSegmentObserved: {
       SegmentRecord rec;
-      rec.id = r.u64();
-      const std::uint8_t kindByte = r.u8();
-      if (!validKindByte(kindByte)) return false;
-      rec.kind = static_cast<SegmentKind>(kindByte);
-      rec.name = r.str();
-      rec.document = r.str();
-      rec.service = r.str();
-      rec.threshold = r.f64();
-      if (r.ok() && !validThreshold(rec.threshold)) return false;
-      rec.createdAt = r.u64();
-      rec.updatedAt = r.u64();
-      const std::uint64_t gramCount = r.u64();
-      std::vector<text::HashedGram> grams;
-      grams.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(gramCount, 1u << 20)));
-      for (std::uint64_t g = 0; g < gramCount && r.ok(); ++g) {
-        const std::uint64_t hash = r.u64();
-        const std::uint32_t pos = r.u32();
-        if (!validHashWord(hash)) return false;
-        grams.push_back({static_cast<text::Hash>(hash), pos});
-      }
-      rec.fingerprint = text::Fingerprint::fromSelected(std::move(grams));
-      // Optional trailing tenant slot: older records end here. Only 0 is
-      // honourable; anything else names a namespace this tracker lacks.
-      if (r.ok() && !r.atEnd() && r.u64() != 0) return false;
+      if (!readSegmentRecord(r, rec).empty()) return false;
       if (!r.ok() || !r.atEnd()) return false;
       if (rec.id == kInvalidSegment) return false;
       maxTs = std::max({maxTs, rec.createdAt, rec.updatedAt});
       tracker.replaySegmentObserved(std::move(rec));
-      return true;
-    }
-    case WalRecordType::kAssociationAdded: {
-      const std::uint8_t kindByte = r.u8();
-      if (!validKindByte(kindByte)) return false;
-      const std::uint64_t hash = r.u64();
-      const SegmentId segment = r.u64();
-      const util::Timestamp ts = r.u64();
-      // Optional trailing retention stamp; older records replay with
-      // lastSeen = firstSeen.
-      util::Timestamp lastSeen = ts;
-      if (r.ok() && !r.atEnd()) lastSeen = r.u64();
-      if (!r.ok() || !r.atEnd()) return false;
-      if (segment == kInvalidSegment || lastSeen < ts) return false;
-      if (!validHashWord(hash)) return false;
-      maxTs = std::max({maxTs, ts, lastSeen});
-      tracker.restoreAssociation(static_cast<SegmentKind>(kindByte),
-                                 static_cast<text::Hash>(hash), segment, ts,
-                                 lastSeen);
       return true;
     }
     case WalRecordType::kSegmentRemoved: {
@@ -457,12 +376,6 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
       if (!r.ok() || !r.atEnd()) return false;
       if (!validThreshold(threshold)) return false;
       (void)tracker.setSegmentThreshold(name, threshold);
-      return true;
-    }
-    case WalRecordType::kAssociationsEvicted: {
-      const util::Timestamp cutoff = r.u64();
-      if (!r.ok() || !r.atEnd()) return false;
-      (void)tracker.evictAssociationsOlderThan(cutoff);
       return true;
     }
   }

@@ -8,7 +8,7 @@
 //  - every tracker mutation appends one CRC32C-framed record to an
 //    append-only WAL file (the append runs inside the tracker's exclusive
 //    lock section, so the log order IS the mutation order);
-//  - recovery loads the newest valid checkpoint (snapshot v3), then
+//  - recovery loads the newest valid checkpoint (snapshot v4), then
 //    replays the WAL tail in sequence order, discarding the first torn or
 //    corrupt frame and everything after it — the recovered state is always
 //    a prefix of the pre-crash history, never a mix;
@@ -17,17 +17,22 @@
 //    log can be rotated.
 //
 // WAL file layout (little-endian):
-//   header : 8-byte magic "BFWAL001" + u64 baseSequence
+//   header : 8-byte magic "BFWAL002" + u64 baseSequence
 //   frame  : u32 payloadLen | u32 maskedCrc32c(payload) | payload
 //   payload: u64 sequence | u8 recordType | type-specific body
+// kSegmentObserved's body is the segment record as a snapshot stores it
+// (flow::putSegmentRecord): u64 id | u8 kind | name | document | service |
+// f64 threshold | u64 createdAt | u64 updatedAt | u64 gram count |
+// (u32 hash, u32 pos)*.
+// Any other header, BFWAL001 included, is discarded whole.
 //
 // The CRC is masked (util/crc32c.h) so a frame whose payload happens to
 // contain a valid frame image still fails verification when the framing
 // shifts. A frame is discarded — together with everything after it — when
 // it is torn (fewer bytes than the header promises), its CRC mismatches,
-// its type is unknown, its body does not parse exactly or holds an
-// out-of-range value (e.g. a hash wider than text::Hash in its u64 field),
-// or its sequence breaks continuity.
+// its type is unknown (the retired types 2 and 5 included), its body does
+// not parse exactly or holds an out-of-range value, or its sequence breaks
+// continuity.
 //
 // Durability levels: frames buffer in user space and reach the kernel once
 // 64 KiB accumulates, on sync()/rotate()/close(), or on every append with
@@ -67,12 +72,12 @@
 
 namespace bf::flow {
 
+/// Numbers 2 and 5 are retired (a restored association and an eviction
+/// cutoff); replay treats them as corrupt like any unknown type.
 enum class WalRecordType : std::uint8_t {
-  kSegmentObserved = 1,      ///< full post-mutation segment record + grams
-  kAssociationAdded = 2,     ///< one restored hash association
-  kSegmentRemoved = 3,       ///< segment id
-  kThresholdChanged = 4,     ///< segment name + new threshold
-  kAssociationsEvicted = 5,  ///< eviction cutoff timestamp
+  kSegmentObserved = 1,   ///< full post-mutation segment record + grams
+  kSegmentRemoved = 3,    ///< segment id
+  kThresholdChanged = 4,  ///< segment name + new threshold
 };
 
 /// Append-only log of tracker mutations. Thread-safe (own mutex, rank
@@ -114,16 +119,9 @@ class WriteAheadLog {
   // ---- Emission (called from the tracker's exclusive sections) ------------
 
   void logSegmentObserved(const SegmentRecord& rec) BF_EXCLUDES(mutex_);
-  /// A `lastSeen` below firstSeen (0 included) is logged as firstSeen (the
-  /// retention stamp is an optional trailing field: logs written before it
-  /// existed replay with lastSeen = firstSeen).
-  void logAssociationAdded(SegmentKind kind, text::Hash hash,
-                           SegmentId segment, util::Timestamp firstSeen,
-                           util::Timestamp lastSeen = 0) BF_EXCLUDES(mutex_);
   void logSegmentRemoved(SegmentId id) BF_EXCLUDES(mutex_);
   void logThresholdChanged(std::string_view name, double threshold)
       BF_EXCLUDES(mutex_);
-  void logAssociationsEvicted(util::Timestamp cutoff) BF_EXCLUDES(mutex_);
 
   /// fsync the log file (checkpoint boundary / explicit durability point).
   [[nodiscard]] util::Status sync() BF_EXCLUDES(mutex_);

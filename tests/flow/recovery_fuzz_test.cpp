@@ -173,8 +173,7 @@ std::string corrupt(util::Rng& rng, const std::string& dir, Corruption mode) {
 void expectNoDanglingAssociations(const FlowTracker& tracker) {
   for (SegmentKind kind : {SegmentKind::kParagraph, SegmentKind::kDocument}) {
     tracker.hashDb(kind).forEachAssociation(
-        [&](std::uint64_t hash, SegmentId segment, util::Timestamp,
-            util::Timestamp) {
+        [&](text::Hash hash, SegmentId segment, util::Timestamp) {
           EXPECT_NE(tracker.segmentDb().find(segment), nullptr)
               << "association for hash " << hash
               << " points at missing segment " << segment;
@@ -236,12 +235,10 @@ TEST(RecoveryFuzzTest, RecoveredStateIsAlwaysAPrefixOfHistory) {
         tracker.removeSegmentByName(liveNames[at]);
         liveNames.erase(liveNames.begin() +
                         static_cast<std::ptrdiff_t>(at));
-      } else if (dice < 0.82) {
+      } else if (dice < 0.90) {
         const std::size_t at = static_cast<std::size_t>(
             rng.uniform(0, liveNames.size() - 1));
         (void)tracker.setSegmentThreshold(liveNames[at], rng.uniform01());
-      } else if (dice < 0.92) {
-        (void)tracker.evictAssociationsOlderThan(rng.uniform(0, 60));
       } else {
         auto s = mgr->checkpoint(tracker);
         ASSERT_TRUE(s.ok()) << s.errorMessage();
@@ -380,12 +377,10 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
             rng.uniform(0, liveNames.size() - 1));
         tracker.removeSegmentByName(liveNames[at]);
         liveNames.erase(liveNames.begin() + static_cast<std::ptrdiff_t>(at));
-      } else if (dice < 0.88) {
+      } else {
         const std::size_t at = static_cast<std::size_t>(
             rng.uniform(0, liveNames.size() - 1));
         (void)tracker.setSegmentThreshold(liveNames[at], rng.uniform01());
-      } else {
-        (void)tracker.evictAssociationsOlderThan(rng.uniform(0, 60));
       }
       // maintain() is the production driver: due checkpoints while
       // healthy, repair attempts while degraded. Failures inside the

@@ -51,7 +51,7 @@ class SnapshotTest : public ::testing::Test {
     return paths_.back();
   }
 
-  /// The BFSNAPS3 blob saveSnapshot() writes for `sequence`: a plaintext
+  /// The BFSNAPS4 blob saveSnapshot() writes for `sequence`: a plaintext
   /// save stores it as is.
   std::string sequencedBlob(std::uint64_t sequence) {
     const std::string path = tempPath("sequenced");
@@ -402,10 +402,10 @@ TEST_F(SnapshotTest, EncryptedSnapshotBitFlipFailsAuthentication) {
   EXPECT_EQ(restored.segmentDb().size(), 0u);
 }
 
-/// Hand-builds a BFSNAPP3 blob holding one segment with the given kind byte
-/// and threshold (tenant slot 0, no grams, no associations).
+/// Hand-builds a BFSNAPP4 blob holding one segment with the given kind byte
+/// and threshold (no grams, no associations).
 std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
-  std::string blob = "BFSNAPP3";
+  std::string blob = "BFSNAPP4";
   util::putU64(blob, 1);  // segment count
   util::putU64(blob, 1);  // id
   util::putU8(blob, kindByte);
@@ -413,7 +413,6 @@ std::string blobWithSegment(std::uint8_t kindByte, double threshold) {
   util::putStr(blob, "x");
   util::putStr(blob, "svc");
   util::putF64(blob, threshold);
-  util::putU64(blob, 0);  // tenant slot
   util::putU64(blob, 1);  // createdAt
   util::putU64(blob, 1);  // updatedAt
   util::putU64(blob, 0);  // gram count
@@ -453,17 +452,17 @@ struct BlobSegment {
 };
 
 struct BlobRow {
-  std::uint64_t hash;
+  text::Hash hash;
   SegmentId segment;
   util::Timestamp firstSeen;
-  util::Timestamp lastSeen;
 };
 
-/// Hand-builds a BFSNAPP3 blob holding `segments` (document "x", no grams)
-/// and `paragraphRows` as paragraph-kind associations.
+/// Hand-builds a BFSNAPP4 blob holding `segments` (document "x", no grams)
+/// and the association rows of each kind.
 std::string stateBlob(const std::vector<BlobSegment>& segments,
-                      const std::vector<BlobRow>& paragraphRows) {
-  std::string blob = "BFSNAPP3";
+                      const std::vector<BlobRow>& paragraphRows,
+                      const std::vector<BlobRow>& documentRows = {}) {
+  std::string blob = "BFSNAPP4";
   util::putU64(blob, segments.size());
   for (const BlobSegment& seg : segments) {
     util::putU64(blob, seg.id);
@@ -472,19 +471,18 @@ std::string stateBlob(const std::vector<BlobSegment>& segments,
     util::putStr(blob, "x");
     util::putStr(blob, "svc");
     util::putF64(blob, 0.5);
-    util::putU64(blob, 0);  // tenant slot
     util::putU64(blob, 1);  // createdAt
     util::putU64(blob, 1);  // updatedAt
     util::putU64(blob, 0);  // gram count
   }
-  util::putU64(blob, paragraphRows.size());
-  for (const BlobRow& row : paragraphRows) {
-    util::putU64(blob, row.hash);
-    util::putU64(blob, row.segment);
-    util::putU64(blob, row.firstSeen);
-    util::putU64(blob, row.lastSeen);
+  for (const auto* rows : {&paragraphRows, &documentRows}) {
+    util::putU64(blob, rows->size());
+    for (const BlobRow& row : *rows) {
+      util::putU32(blob, row.hash);
+      util::putU64(blob, row.segment);
+      util::putU64(blob, row.firstSeen);
+    }
   }
-  util::putU64(blob, 0);  // document associations
   return blob;
 }
 
@@ -498,18 +496,18 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
   constexpr SegmentKind kDoc = SegmentKind::kDocument;
   const std::vector<std::pair<const char*, std::string>> cases = {
       {"segment 0 beside segment 1",
-       stateBlob({{1, kPar, "x#p0"}}, {{42, 0, 1, 1}, {42, 1, 2, 2}})},
+       stateBlob({{1, kPar, "x#p0"}}, {{42, 0, 1}, {42, 1, 2}})},
       {"two segments with id 1",
        stateBlob({{1, kPar, "x#p0"}, {1, kPar, "x#p1"}}, {})},
       {"row for unlisted segment 77",
-       stateBlob({{1, kPar, "x#p0"}}, {{42, 77, 1, 1}})},
+       stateBlob({{1, kPar, "x#p0"}}, {{42, 77, 1}})},
       {"listed segment id 0", stateBlob({{0, kPar, "x#p0"}}, {})},
       {"two segments named x#p0",
        stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p0"}}, {})},
       {"paragraph row for a document segment",
-       stateBlob({{1, kDoc, "x"}}, {{42, 1, 1, 1}})},
-      {"lastSeen before firstSeen",
-       stateBlob({{1, kPar, "x#p0"}}, {{42, 1, 5, 4}})},
+       stateBlob({{1, kDoc, "x"}}, {{42, 1, 1}})},
+      {"document row for a paragraph segment",
+       stateBlob({{1, kPar, "x#p0"}}, {}, {{42, 1, 1}})},
   };
   util::LogicalClock clock2;
   for (const auto& [what, blob] : cases) {
@@ -522,56 +520,39 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
   // Sanity: a consistent blob of the same shape imports.
   FlowTracker restored(TrackerConfig{}, &clock2);
   ASSERT_TRUE(importState(restored,
-                          stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p1"}},
-                                    {{42, 1, 1, 1}, {42, 2, 2, 9}}))
+                          stateBlob({{1, kPar, "x#p0"}, {2, kPar, "x#p1"},
+                                     {3, kDoc, "x"}},
+                                    {{42, 1, 1}, {42, 2, 9}}, {{42, 3, 4}}))
                   .ok());
   EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 1u);
-  EXPECT_EQ(*restored.hashDb(kPar).lastSeen(42, 2), 9u);
+  EXPECT_EQ(*restored.hashDb(kPar).firstSeen(42, 2), 9u);
+  EXPECT_EQ(*restored.hashDb(kDoc).firstSeen(42, 3), 4u);
 }
 
-TEST_F(SnapshotTest, ImportRejectsHashesWiderThan32Bits) {
-  // Rows store each hash in a u64. A value no text::Hash can hold is an
-  // invalid row, whether it is a segment's gram or an association.
+TEST_F(SnapshotTest, ImportRejectsATruncatedRow) {
+  // A blob cut short fails whole: the cuts drop the 8-byte document row
+  // count, then 4, 12 and all 20 bytes of the last paragraph row with it.
   constexpr SegmentKind kPar = SegmentKind::kParagraph;
-  constexpr std::uint64_t kWide = (std::uint64_t{1} << 32) + 42;
-  std::string gramBlob = "BFSNAPP3";
-  util::putU64(gramBlob, 1);  // segment count
-  util::putU64(gramBlob, 1);  // id
-  util::putU8(gramBlob, static_cast<std::uint8_t>(kPar));
-  util::putStr(gramBlob, "x#p0");
-  util::putStr(gramBlob, "x");
-  util::putStr(gramBlob, "svc");
-  util::putF64(gramBlob, 0.5);
-  util::putU64(gramBlob, 0);  // tenant slot
-  util::putU64(gramBlob, 1);  // createdAt
-  util::putU64(gramBlob, 1);  // updatedAt
-  util::putU64(gramBlob, 1);  // gram count
-  util::putU64(gramBlob, kWide);
-  util::putU32(gramBlob, 0);
-  util::putU64(gramBlob, 0);  // paragraph associations
-  util::putU64(gramBlob, 0);  // document associations
-  const std::vector<std::pair<const char*, std::string>> cases = {
-      {"gram", gramBlob},
-      {"association row", stateBlob({{1, kPar, "x#p0"}}, {{kWide, 1, 1, 1}})},
-  };
+  const std::string whole =
+      stateBlob({{1, kPar, "x#p0"}}, {{42, 1, 1}, {43, 1, 2}});
   util::LogicalClock clock2;
-  for (const auto& [what, blob] : cases) {
-    SCOPED_TRACE(what);
+  for (std::size_t cut : {8u, 12u, 20u, 28u}) {
+    SCOPED_TRACE(cut);
     FlowTracker restored(TrackerConfig{}, &clock2);
-    const auto result = importState(restored, blob);
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.errorMessage().find("wider than 32 bits"),
-              std::string::npos);
+    EXPECT_FALSE(importState(restored, whole.substr(0, whole.size() - cut))
+                     .ok());
     EXPECT_EQ(restored.segmentDb().size(), 0u);
     EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
   }
+  FlowTracker restored(TrackerConfig{}, &clock2);
+  EXPECT_TRUE(importState(restored, whole).ok());
 }
 
 TEST_F(SnapshotTest, ExportBytesArePinned) {
   // The export is the byte contract of snapshots and checkpoints. This
   // state covers what DBhash's storage layout must reproduce: multi-owner
   // hashes, re-observations, out-of-order restored stamps, a removal that
-  // stays lazy beside a compaction, an eviction and segment ids past 2^32.
+  // stays lazy beside a compaction, and segment ids past 2^32.
   constexpr SegmentKind kPar = SegmentKind::kParagraph;
   clock_.advanceTo(100);  // leaves room for older restored stamps
   const std::string shared =
@@ -602,12 +583,12 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
   tracker_.restoreSegment(wide);
   for (std::size_t i = 0; i < hashes.size(); i += 2) {
     // Older than every observed owner: the wide id becomes the oldest.
-    tracker_.restoreAssociation(kPar, hashes[i], kWide, 50, 200 + i);
+    tracker_.restoreAssociation(kPar, hashes[i], kWide, 50);
   }
   for (std::size_t i = 1; i < hashes.size(); i += 3) {
     // Between the owners' stamps, and alone on a hash of its own.
-    tracker_.restoreAssociation(kPar, hashes[i], kWide, 101, 101);
-    tracker_.restoreAssociation(kPar, 0xabc00000 + i, kWide, 90 + i, 120);
+    tracker_.restoreAssociation(kPar, hashes[i], kWide, 101);
+    tracker_.restoreAssociation(kPar, 0xabc00000 + i, kWide, 90 + i);
   }
 
   // 66 removals: the 65th crosses the dead-set threshold and compacts, the
@@ -621,18 +602,17 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
     tracker_.removeSegmentByName("t#p" + std::to_string(i));
   }
   tracker_.observeSegment(kPar, "d#p0", "d", "svc", shared);
-  // Drops a#p0's rows its re-observation did not refresh.
-  EXPECT_GT(tracker_.evictAssociationsOlderThan(101), 0u);
 
   ASSERT_EQ(tracker_.segmentByName("r#p0")->id, kWide);
   ASSERT_GT(tracker_.segmentByName("d#p0")->id, kWide);
   ASSERT_EQ(tracker_.hashDb(kPar).segmentsWith(hashes[2]).front(), kWide);
   ASSERT_GE(tracker_.hashDb(kPar).segmentsWith(hashes[2]).size(), 3u);
-  // Pinned from the 32-byte-slot HashDb: the slot layout must not change
-  // the bytes.
+  // Pinned at BFSNAPP4. The bytes are the v3 export of the 16-byte-entry
+  // HashDb for this state, with the tenant slots and lastSeen stamps
+  // dropped and the hashes narrowed: 8-byte entries must not change them.
   const std::string blob = exportState(tracker_);
-  EXPECT_EQ(blob.size(), 3248u);
-  EXPECT_EQ(util::crc32c(blob), 0xdcded538U);
+  EXPECT_EQ(blob.size(), 2224u);
+  EXPECT_EQ(util::crc32c(blob), 0x74c1a181U);
 }
 
 TEST_F(SnapshotTest, EncryptedSaveBytesArePinned) {
@@ -654,8 +634,8 @@ TEST_F(SnapshotTest, EncryptedSaveBytesArePinned) {
   const std::string data((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(data.substr(0, 8), "BFSNAPE2");
-  EXPECT_EQ(data.size(), 1853u);
-  EXPECT_EQ(util::crc32c(data), 0xb91d50ceU);
+  EXPECT_EQ(data.size(), 1293u);
+  EXPECT_EQ(util::crc32c(data), 0x34637627U);
 }
 
 TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
@@ -682,23 +662,6 @@ TEST_F(SnapshotTest, TagStrippedEnvelopeIsRejected) {
   const auto result = loadSnapshot(restored, path, "org-secret");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(restored.segmentDb().size(), 0u);
-}
-
-TEST_F(SnapshotTest, EvictionDropsOldAssociations) {
-  const std::string oldText = gen_.paragraph(8, 8);
-  tracker_.observeSegment(SegmentKind::kParagraph, "old#p0", "old", "svc",
-                          oldText);
-  const util::Timestamp cutoff = clock_.now();
-  const std::string newText = gen_.paragraph(8, 8);
-  tracker_.observeSegment(SegmentKind::kParagraph, "new#p0", "new", "svc",
-                          newText);
-
-  ASSERT_FALSE(tracker_.checkText(oldText, "probe").empty());
-  const std::size_t dropped = tracker_.evictAssociationsOlderThan(cutoff);
-  EXPECT_GT(dropped, 0u);
-  // The old paragraph's hashes are gone; the new one's survive.
-  EXPECT_TRUE(tracker_.checkText(oldText, "probe").empty());
-  EXPECT_FALSE(tracker_.checkText(newText, "probe").empty());
 }
 
 // ---- Injected storage faults (ISSUE 7 regression) -------------------------

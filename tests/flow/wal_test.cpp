@@ -16,7 +16,6 @@
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
-#include "util/binary_io.h"
 #include "util/clock.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
@@ -33,35 +32,6 @@ std::string readFile(const std::string& path) {
 void writeFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-/// The WAL image `log` with every u64 field holding `hash` raised by 2^32,
-/// each frame's CRC re-sealed: well-framed records carrying a hash that no
-/// text::Hash can hold.
-std::string widenHash(std::string log, text::Hash hash) {
-  std::string needle;
-  util::putU64(needle, hash);
-  std::size_t at = 16;  // past the magic and the base sequence
-  while (at + 8 <= log.size()) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(log[at + i]))
-             << (8 * i);
-    }
-    const std::size_t payload = at + 8;
-    for (std::size_t p = log.find(needle, payload);
-         p != std::string::npos && p + 8 <= payload + len;
-         p = log.find(needle, p + 8)) {
-      log[p + 4] = 1;
-    }
-    const std::uint32_t crc = util::maskCrc32c(
-        util::crc32c(std::string_view(log).substr(payload, len)));
-    for (int i = 0; i < 4; ++i) {
-      log[at + 4 + i] = static_cast<char>(crc >> (8 * i));
-    }
-    at = payload + len;
-  }
-  return log;
 }
 
 class WalTest : public ::testing::Test {
@@ -127,10 +97,8 @@ TEST_F(WalTest, RecoverReplaysEveryMutationKind) {
   DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   workload();
-  const util::Timestamp cutoff = clock_.now();
   tracker_.observeSegment(SegmentKind::kParagraph, "late#p0", "late", "svc",
                           gen_.paragraph(5, 8));
-  tracker_.evictAssociationsOlderThan(cutoff);
   const std::string live = canon(tracker_);
   // Recovery runs against the directory while this manager is live:
   // materialise the buffered tail first (a crash would do it via close()).
@@ -164,22 +132,80 @@ TEST_F(WalTest, SameHashEditRecoversItsGramPositions) {
   EXPECT_EQ(recoverFresh(), live);
 }
 
-TEST_F(WalTest, SameHashEditAfterEvictionRecoversWithoutItsHashes) {
-  // Eviction drops the segment's hashes; a later edit that only moves its
-  // grams leaves DBhash without them live, and so must its replay.
-  DurabilityManager mgr(configFor());
-  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+TEST_F(WalTest, SameHashEditAfterImportRecoversWithoutItsHashes) {
+  // An imported state need not hold a segment's hashes in DBhash. A later
+  // edit that only moves its grams leaves DBhash without them live, and so
+  // must its replay.
   const std::string text = gen_.paragraph(7, 9);
-  tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", text);
-  EXPECT_GT(tracker_.evictAssociationsOlderThan(clock_.now() + 1), 0u);
+  {
+    util::LogicalClock clock2;
+    FlowTracker source(TrackerConfig{}, &clock2);
+    SegmentRecord rec;
+    rec.id = 1;
+    rec.kind = SegmentKind::kParagraph;
+    rec.name = "s#p0";
+    rec.document = "s";
+    rec.service = "svc";
+    rec.fingerprint = source.fingerprintOf(text);
+    rec.createdAt = 1;
+    rec.updatedAt = 1;
+    source.restoreSegment(rec);
+    ASSERT_TRUE(saveSnapshot(source, dir_ + "/checkpoint-0000000000000000.bfc",
+                             "", 0)
+                    .ok());
+  }
+  DurabilityManager mgr(configFor());
+  const auto stats = mgr.recoverAndAttach(tracker_);
+  ASSERT_TRUE(stats.ok()) << stats.errorMessage();
+  clock_.advanceTo(stats.value().maxTimestamp + 1);
+  ASSERT_EQ(tracker_.hashDb().distinctHashCount(), 0u);
   std::string edited = text;
   edited.insert(edited.size() / 2, "  ;");
   ASSERT_TRUE(
       tracker_.fingerprintOf(edited).sameHashes(tracker_.fingerprintOf(text)));
   tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", edited);
+  EXPECT_EQ(tracker_.hashDb().distinctHashCount(), 0u);
   const std::string live = canon(tracker_);
   ASSERT_TRUE(mgr.wal().sync().ok());
   EXPECT_EQ(recoverFresh(), live);
+}
+
+TEST_F(WalTest, ImportIntoAnAttachedTrackerIsRefused) {
+  // Restores are not logged, so an import into a tracker that logs would
+  // leave the log short of the imported state. Refused instead: the
+  // tracker stays empty and the log gets no record.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  const std::string a = gen_.paragraph(7, 9);
+  const std::string b = gen_.paragraph(7, 9);
+  tracker_.observeSegment(kPar, "a#p0", "a", "svc", a);
+  tracker_.observeSegment(kPar, "b#p0", "b", "svc", a + " " + b);
+  tracker_.observeSegment(kPar, "a#p0", "a", "svc", a + " and a day later");
+  const auto live = tracker_.checkText(a + " " + b, "b");
+  ASSERT_FALSE(live.empty());
+  const std::string blob = exportState(tracker_);
+
+  util::LogicalClock clock2;
+  FlowTracker attached(TrackerConfig{}, &clock2);
+  DurabilityManager mgr(configFor());
+  ASSERT_TRUE(mgr.recoverAndAttach(attached).ok());
+  const std::uint64_t next = mgr.wal().nextSequence();
+  const auto result = importState(attached, blob);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.errorMessage().find("WAL"), std::string::npos);
+  EXPECT_EQ(attached.segmentDb().size(), 0u);
+  EXPECT_EQ(attached.hashDb().distinctHashCount(), 0u);
+  EXPECT_EQ(mgr.wal().nextSequence(), next);
+  EXPECT_EQ(mgr.wal().appendedRecords(), 0u);
+
+  // Detached, the same blob imports with the live answers.
+  attached.attachWal(nullptr);
+  ASSERT_TRUE(importState(attached, blob).ok());
+  const auto imported = attached.checkText(a + " " + b, "b");
+  ASSERT_EQ(imported.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(imported[i].sourceName, live[i].sourceName);
+    EXPECT_EQ(imported[i].score, live[i].score);
+  }
 }
 
 TEST_F(WalTest, RecoveredStateAnswersSameQueries) {
@@ -677,50 +703,6 @@ TEST_F(WalTest, TornAppendWriteIsCaughtByRecoveryCrc) {
   EXPECT_EQ(recovered, durablePrefix);
 }
 
-TEST_F(WalTest, HashWiderThan32BitsIsACorruptFrame) {
-  // Records store each hash in a u64. A value no text::Hash can hold is
-  // corruption, in a segment's grams and in an association alike: replay
-  // stops at that frame.
-  constexpr SegmentKind kPar = SegmentKind::kParagraph;
-  constexpr text::Hash kGram = 0x9abcdef0u;
-  constexpr text::Hash kRow = 0x9abcdef1u;
-  const std::string path = dir_ + "/wide.bfw";
-  {
-    WriteAheadLog wal;
-    ASSERT_TRUE(wal.open(path, 0, false).ok());
-    wal.logAssociationAdded(kPar, 0x13572468u, 1, 1, 1);
-    SegmentRecord rec;
-    rec.id = 1;
-    rec.kind = kPar;
-    rec.name = "x#p0";
-    rec.document = "x";
-    rec.service = "svc";
-    rec.createdAt = 2;
-    rec.updatedAt = 2;
-    rec.fingerprint = text::Fingerprint::fromSelected(
-        std::vector<text::HashedGram>{{kGram, 0}});
-    wal.logSegmentObserved(rec);
-    wal.logAssociationAdded(kPar, kRow, 1, 3, 3);
-    wal.close();
-  }
-  const std::string log = readFile(path);
-  const auto replay = [&](const std::string& image) {
-    writeFile(path, image);
-    util::LogicalClock clock;
-    FlowTracker tracker(TrackerConfig{}, &clock);
-    return replayWalFile(tracker, path, 1);
-  };
-  const WalReplayResult intact = replay(log);
-  EXPECT_EQ(intact.applied, 3u);
-  EXPECT_FALSE(intact.sawCorruption);
-  const WalReplayResult wideGram = replay(widenHash(log, kGram));
-  EXPECT_EQ(wideGram.applied, 1u);
-  EXPECT_TRUE(wideGram.sawCorruption);
-  const WalReplayResult wideRow = replay(widenHash(log, kRow));
-  EXPECT_EQ(wideRow.applied, 2u);
-  EXPECT_TRUE(wideRow.sawCorruption);
-}
-
 TEST_F(WalTest, RecordBytesArePinned) {
   // The log is a byte contract like the snapshot export: every record
   // type, grams included, must encode to the same bytes whatever the
@@ -740,21 +722,16 @@ TEST_F(WalTest, RecordBytesArePinned) {
                                shared);
   tracker_.observeSegment(kPar, "c#p0", "c", "svc",
                           "a short note about the weekly team lunch order");
-  const SegmentId a = tracker_.segmentByName("a#p0")->id;
-  const auto hashes = tracker_.segmentByName("a#p0")->fingerprint.hashes();
-  ASSERT_GE(hashes.size(), 2u);
-  tracker_.restoreAssociation(kPar, hashes[1], a, 1, 9);
-  tracker_.restoreAssociation(kPar, 0xabc00001, a, 2, 2);
   ASSERT_TRUE(tracker_.setSegmentThreshold("a#p0", 0.7));
   tracker_.removeSegmentByName("c#p0");
-  (void)tracker_.evictAssociationsOlderThan(2);
   tracker_.attachWal(nullptr);
   wal.close();
-  // Pinned from the log that carried 64-bit hashes in memory.
+  // Pinned at BFWAL002: the BFWAL001 log of these mutations with u32 gram
+  // hashes and no tenant slot.
   const std::string data = readFile(path);
-  EXPECT_EQ(data.substr(0, 8), "BFWAL001");
-  EXPECT_EQ(data.size(), 1098u);
-  EXPECT_EQ(util::crc32c(data), 0x755ad3f2U);
+  EXPECT_EQ(data.substr(0, 8), "BFWAL002");
+  EXPECT_EQ(data.size(), 797u);
+  EXPECT_EQ(util::crc32c(data), 0xdd815428U);
 }
 
 }  // namespace

@@ -259,31 +259,6 @@ TEST_F(EndToEndBlockTest, DirectionalPolicyBetweenInternalServices) {
   EXPECT_EQ(wiki.save(), 0);
 }
 
-TEST_F(EndToEndBlockTest, EvictionForgetsOldContent) {
-  // The paper recommends "periodic removal of old fingerprints" (S4.4);
-  // after eviction, stale content no longer blocks uploads.
-  const std::string oldSecret = gen_.paragraph(7, 9);
-  plugin_.observeServiceDocument("https://itool.corp",
-                                 "https://itool.corp/old", oldSecret);
-  const util::Timestamp cutoff = clock_.now();
-  const std::string newSecret = gen_.paragraph(7, 9);
-  plugin_.observeServiceDocument("https://itool.corp",
-                                 "https://itool.corp/new", newSecret);
-
-  browser::Page& docsTab = browser_.openTab("https://docs.google.com/d/E");
-  cloud::DocsClient docs(docsTab, "E");
-  docs.openDocument();
-  ASSERT_EQ(docs.insertParagraph(0, oldSecret), 403);
-  docs.deleteParagraph(0);
-
-  plugin_.tracker().evictAssociationsOlderThan(cutoff);
-
-  EXPECT_EQ(docs.insertParagraph(0, oldSecret), 200)
-      << "evicted fingerprints must stop blocking";
-  EXPECT_EQ(docs.insertParagraph(1, newSecret), 403)
-      << "recent fingerprints must survive eviction";
-}
-
 TEST_F(EndToEndTest, NetworkLogShowsOnlyPermittedPlaintext) {
   // In warn (advisory) mode everything flows, but warnings accumulate; the
   // network log lets an auditor reconstruct what left the browser.
