@@ -1,5 +1,5 @@
-// Concurrency stress: N simulated users hammer one decision engine with
-// async per-keystroke decisions. Reports sustained decision throughput and
+// Concurrency stress: N simulated users, one thread each, hammer one
+// decision engine with per-keystroke decide() calls. Reports sustained decision throughput and
 // verifies the engine's serialisation kept the stores coherent (every
 // seeded secret still attributes to its source). Two further phases
 // measure the decision-path overhead of a write-ahead log and of
@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +26,7 @@
 int main() {
   using namespace bf;
 
-  bench::printHeader("Stress", "concurrent async decisions");
+  bench::printHeader("Stress", "concurrent decisions from N user threads");
 
   // BF_STRESS_USERS / BF_STRESS_DECISIONS override the scale: the tsan
   // check (scripts/check.sh) runs a short configuration, since TSan slows
@@ -65,7 +64,6 @@ int main() {
   }
 
   engine.resetLatencyStats();
-  std::atomic<std::size_t> enqueued{0};
   util::Stopwatch watch;
   std::vector<std::thread> threads;
   for (std::size_t u = 0; u < users; ++u) {
@@ -89,20 +87,17 @@ int main() {
         req.segmentName = req.documentName + "#p0";
         req.serviceId = "https://ext.example";
         req.text = text;
-        (void)engine.decideAsync(std::move(req));
-        enqueued.fetch_add(1, std::memory_order_relaxed);
+        (void)engine.decide(req);
       }
     });
   }
   for (auto& t : threads) t.join();
-  engine.drain();
   const double seconds = watch.elapsedMillis() / 1000.0;
 
   const auto latency = engine.latencySummary();
-  std::printf("users: %zu, decisions: %llu (%zu enqueued), wall: %.2fs, "
+  std::printf("users: %zu, decisions: %llu, wall: %.2fs, "
               "throughput: %.0f decisions/s, p50: %.3fms p99: %.3fms\n",
-              users, static_cast<unsigned long long>(latency.count),
-              enqueued.load(), seconds,
+              users, static_cast<unsigned long long>(latency.count), seconds,
               static_cast<double>(latency.count) / seconds, latency.p50Ms,
               latency.p99Ms);
 
@@ -125,7 +120,7 @@ int main() {
 
   // ---- WAL append overhead -------------------------------------------------
   // The stress workload's decision loop (keystroke edits + periodic secret
-  // pastes, synchronous decide so worker scheduling adds no noise), run
+  // pastes, one thread so user-thread scheduling adds no noise), run
   // with and without a write-ahead log attached. Checkpointing is disabled
   // so the delta is pure per-mutation framing + write(); checkpoint and
   // fsync costs are bench_recovery's subject. Acceptance target: < 5% —

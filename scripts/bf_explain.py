@@ -24,9 +24,8 @@ import json
 import sys
 
 STAGE_ORDER = [
-    "normalize", "fingerprint", "tracker_lock_wait", "tracker_lookup",
-    "tracker_record", "policy_eval", "secret_scan", "wal_append",
-    "queue_wait",
+    "fingerprint", "tracker_lock_wait", "tracker_lookup", "tracker_record",
+    "policy_eval", "secret_scan", "wal_append",
 ]
 
 

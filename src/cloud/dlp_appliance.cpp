@@ -44,15 +44,13 @@ void DlpAppliance::registerSensitiveDocument(sec::SensitiveView text) {
 
 bool DlpAppliance::inspectText(sec::SensitiveView text) const {
   if (config_.mode == Mode::kExactChunks) {
-    text::NormalizedText norm;
-    {
-      obs::StageTimer normTimer(obs::Stage::kNormalize);
-      norm = text::normalize(text.raw());
-    }
+    // The exact-chunk "fingerprint" is the normalised text's chunk hashes,
+    // so the normalisation counts as fingerprint time.
+    obs::StageTimer fpTimer(obs::Stage::kFingerprint);
+    const text::NormalizedText norm = text::normalize(text.raw());
     if (norm.size() < config_.chunkChars) return false;
     // Check every alignment: an appliance cannot assume chunk boundaries
     // survive the copy.
-    obs::StageTimer fpTimer(obs::Stage::kFingerprint);
     for (std::size_t i = 0; i + config_.chunkChars <= norm.size(); ++i) {
       if (chunkHashes_.count(util::fnv1a64(std::string_view(norm.text)
                                                .substr(i, config_.chunkChars)))

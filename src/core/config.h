@@ -18,26 +18,18 @@ enum class EnforcementMode : std::uint8_t {
   kEncrypt = 2,  ///< encrypt the payload before transmission
 };
 
-/// What a degraded decision does when the engine cannot complete the full
-/// lookup pipeline (queue overflow, per-decision deadline, open circuit
-/// breaker). Either way the decision is flagged `degraded` and recorded in
-/// the TDM audit log — degradation is visible, never silent.
+/// What a degraded decision does when the engine skips the full lookup
+/// pipeline (open circuit breaker). Either way the decision is flagged
+/// `degraded` and recorded in the TDM audit log — degradation is visible,
+/// never silent.
 enum class DegradedMode : std::uint8_t {
   kFailOpen = 0,   ///< allow the upload, leave an audit record
   kFailClosed = 1, ///< block the upload until the engine recovers
 };
 
-/// Robustness knobs for the decision engine. Defaults keep every feature
-/// disabled (<= 0) so the engine behaves exactly as before unless a
-/// deployment opts in.
+/// Robustness knobs for the decision engine. The default latency budget
+/// (<= 0) keeps the breaker off unless a deployment opts in.
 struct ResilienceConfig {
-  /// Upper bound on queued async decisions; past it decideAsync() sheds
-  /// load with an immediate degraded decision. <= 0 disables shedding.
-  int maxQueueDepth = 0;
-  /// Per-decision deadline measured from enqueue; a request that waited
-  /// longer is answered degraded without running the pipeline. <= 0
-  /// disables the deadline.
-  double decisionDeadlineMs = 0.0;
   /// Circuit breaker around the disclosure lookup: a lookup slower than
   /// this budget counts as slow; `breakerTripThreshold` consecutive slow
   /// lookups open the breaker. <= 0 disables the breaker.
@@ -57,10 +49,6 @@ struct BrowserFlowConfig {
   EnforcementMode mode = EnforcementMode::kWarn;
   /// Key material for EnforcementMode::kEncrypt.
   std::string orgSecret = "browserflow-org-secret";
-  /// Run per-paragraph disclosure checks on a background worker
-  /// ("asynchronously to the main request processing", S6.2). Tests use
-  /// false for determinism; the response-time benches use true.
-  bool asyncParagraphChecks = false;
   /// Overload / fault handling for the decision engine (all off by default).
   ResilienceConfig resilience;
 };

@@ -132,16 +132,11 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
                                tdm::TdmPolicy* policy)
     : config_(config),
       mode_(config.mode),
-      maxQueueDepth_(config.resilience.maxQueueDepth),
-      decisionDeadlineMs_(config.resilience.decisionDeadlineMs),
-      degradedMode_(config.resilience.degradedMode),
       tracker_(tracker),
       policy_(policy) {
   obs::MetricsRegistry& r = obs::registry();
   latency_ = &r.histogram("bf_decision_latency_ms",
                           "Wall-clock time per disclosure decision");
-  queueDepth_ = &r.gauge("bf_decision_queue_depth",
-                         "Decision requests waiting for the worker thread");
   actionCounters_[static_cast<int>(Decision::Action::kAllow)] =
       &r.counter("bf_decision_allow_total", "Decisions that allowed upload");
   actionCounters_[static_cast<int>(Decision::Action::kWarn)] =
@@ -152,11 +147,6 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
       "bf_decision_encrypt_total", "Decisions that encrypted before upload");
   degradedTotal_ = &r.counter("bf_decision_degraded_total",
                               "Decisions answered without the full pipeline");
-  shedTotal_ = &r.counter("bf_decision_shed_total",
-                          "Async decisions shed by the bounded queue");
-  deadlineTotal_ =
-      &r.counter("bf_decision_deadline_expired_total",
-                 "Queued decisions that overran their deadline");
   breakerTrips_ = &r.counter("bf_decision_breaker_trips_total",
                              "Disclosure-lookup circuit breaker trips");
   breakerOpenGauge_ = &r.gauge("bf_decision_breaker_open",
@@ -164,18 +154,6 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
   // Calibrate the stage-timer tick clock now, not under a pipeline lock on
   // the first decision.
   util::warmFastTicks();
-}
-
-DecisionEngine::~DecisionEngine() {
-  {
-    util::MutexLock lock(queueMutex_);
-    stopping_ = true;
-  }
-  queueCv_.notifyAll();
-  if (worker_.joinable()) worker_.join();
-  // The policy outlives the engine: settle any audit records still owed.
-  util::MutexLock state(stateMutex_);
-  flushPendingAuditsLocked();
 }
 
 Decision DecisionEngine::decide(const DecisionRequest& request) {
@@ -239,38 +217,22 @@ Decision DecisionEngine::decideText(const DecisionRequest& request) {
   return total;
 }
 
-Decision DecisionEngine::buildDegraded(const char* reason) {
-  Decision decision;
-  decision.degraded = true;
-  decision.degradedReason = reason;
-  decision.action = degradedMode_.load(std::memory_order_relaxed) ==
-                            DegradedMode::kFailClosed
-                        ? Decision::Action::kBlock
-                        : Decision::Action::kAllow;
-  degradedTotal_->inc();
-  actionCounters_[static_cast<int>(decision.action)]->inc();
-  return decision;
-}
-
 Decision DecisionEngine::makeDegradedLocked(std::string_view segmentName,
                                             std::string_view serviceId,
                                             const char* reason) {
+  Decision decision;
+  decision.degraded = true;
+  decision.degradedReason = reason;
+  decision.action =
+      config_.resilience.degradedMode == DegradedMode::kFailClosed
+          ? Decision::Action::kBlock
+          : Decision::Action::kAllow;
+  degradedTotal_->inc();
+  actionCounters_[static_cast<int>(decision.action)]->inc();
   // Degradation is never silent: every degraded answer leaves an audit
   // record, so fail-open windows can be reviewed after the fact.
-  Decision decision = buildDegraded(reason);
   policy_->recordDegradedDecision(segmentName, serviceId, reason);
   return decision;
-}
-
-void DecisionEngine::flushPendingAuditsLocked() {
-  std::vector<PendingAudit> pending;
-  {
-    util::MutexLock lock(pendingAuditsMutex_);
-    pending.swap(pendingAudits_);
-  }
-  for (const PendingAudit& p : pending) {
-    policy_->recordDegradedDecision(p.segment, p.service, p.reason);
-  }
 }
 
 bool DecisionEngine::breakerOpen() const {
@@ -281,10 +243,6 @@ bool DecisionEngine::breakerOpen() const {
 void DecisionEngine::setResilience(const ResilienceConfig& resilience) {
   util::MutexLock lock(stateMutex_);
   config_.resilience = resilience;
-  maxQueueDepth_.store(resilience.maxQueueDepth, std::memory_order_relaxed);
-  decisionDeadlineMs_.store(resilience.decisionDeadlineMs,
-                            std::memory_order_relaxed);
-  degradedMode_.store(resilience.degradedMode, std::memory_order_relaxed);
 }
 
 Decision DecisionEngine::decideLocked(const DecisionRequest& request,
@@ -563,115 +521,6 @@ void DecisionEngine::setDurability(flow::DurabilityManager* durability) {
 bool DecisionEngine::durabilityHealthy() const {
   util::MutexLock lock(stateMutex_);
   return durability_ == nullptr || durability_->healthy();
-}
-
-std::future<Decision> DecisionEngine::decideAsync(DecisionRequest request) {
-  // Resolve the trace at the ingress (caller) side: the worker thread has
-  // no ambient context to inherit, and shed answers need an identity too.
-  request.trace = resolveTrace(request.trace);
-  std::promise<Decision> promise;
-  std::future<Decision> future = promise.get_future();
-  const int cap = maxQueueDepth_.load(std::memory_order_relaxed);
-  bool shed = false;
-  {
-    util::MutexLock lock(queueMutex_);
-    if (cap > 0 && queue_.size() >= static_cast<std::size_t>(cap)) {
-      shed = true;
-    } else {
-      queue_.push_back(QueueItem{std::move(request), std::move(promise),
-                                 util::fastTicks()});
-      ++inFlight_;
-      queueDepth_->set(static_cast<double>(queue_.size()));
-      if (!workerStarted_) {
-        worker_ = std::thread([this] { workerLoop(); });
-        workerStarted_ = true;
-      }
-    }
-  }
-  if (shed) {
-    // Load shedding: answer immediately rather than queueing without bound.
-    // The audit record is buffered, NOT written inline — shedding happens
-    // exactly when the pipeline (and stateMutex_) is saturated, and the
-    // caller may even hold lockState() itself.
-    shedTotal_->inc();
-    Decision d = buildDegraded("shed: decision queue full");
-    {
-      util::MutexLock lock(pendingAuditsMutex_);
-      pendingAudits_.push_back(PendingAudit{
-          request.segmentName, request.serviceId, d.degradedReason});
-    }
-    // Shed decisions are always-keep in the flight recorder: no stages ran,
-    // but the record answers "why did this decision degrade?".
-    recordDecisionProvenance(request.ingress, request.segmentName,
-                             request.documentName, request.serviceId,
-                             request.text, request.trace,
-                             obs::StageBreakdown{}, d);
-    promise.set_value(std::move(d));
-    return future;
-  }
-  queueCv_.notifyOne();
-  return future;
-}
-
-void DecisionEngine::drain() {
-  {
-    util::MutexLock lock(queueMutex_);
-    while (inFlight_ != 0) idleCv_.wait(queueMutex_);
-  }
-  // Settle audit records owed by shed decisions, so callers observing the
-  // log after drain() see every degraded decision accounted for.
-  util::MutexLock state(stateMutex_);
-  flushPendingAuditsLocked();
-}
-
-void DecisionEngine::workerLoop() {
-  for (;;) {
-    QueueItem item;
-    {
-      util::MutexLock lock(queueMutex_);
-      while (!stopping_ && queue_.empty()) queueCv_.wait(queueMutex_);
-      if (stopping_ && queue_.empty()) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      queueDepth_->set(static_cast<double>(queue_.size()));
-    }
-    // A request that already overran its deadline while queued is answered
-    // degraded instead of burning pipeline time on a stale decision.
-    const double deadlineMs =
-        decisionDeadlineMs_.load(std::memory_order_relaxed);
-    const std::uint64_t waitedNanos =
-        util::fastTicksToNanos(util::fastTicks() - item.enqueuedTicks);
-    const bool expired =
-        deadlineMs > 0.0 && static_cast<double>(waitedNanos) / 1e6 > deadlineMs;
-    const obs::TraceContext trace = resolveTrace(item.request.trace);
-    obs::ScopedTraceContext traceScope(trace);
-    obs::StageBreakdown stages;
-    obs::ScopedStageCollector collector(&stages);
-    obs::recordStage(obs::Stage::kQueueWait, waitedNanos);
-    const DecisionRequest& request = item.request;
-    Decision d;
-    {
-      util::MutexLock lock(stateMutex_);
-      flushPendingAuditsLocked();
-      if (expired) {
-        deadlineTotal_->inc();
-        d = makeDegradedLocked(request.segmentName, request.serviceId,
-                               "deadline: queued past budget");
-      } else {
-        d = decideLocked(
-            request, Unit{request.segmentName, request.text, request.kind});
-      }
-    }
-    recordDecisionProvenance(request.ingress, request.segmentName,
-                             request.documentName, request.serviceId,
-                             request.text, trace, stages, d);
-    item.promise.set_value(std::move(d));
-    {
-      util::MutexLock lock(queueMutex_);
-      --inFlight_;
-    }
-    idleCv_.notifyAll();
-  }
 }
 
 DecisionEngine::LatencySummary DecisionEngine::latencySummary() const {

@@ -15,27 +15,18 @@
 // text (registers it as a segment and refreshes its label) or PROBES it
 // (decides without changing the tracker or the policy).
 //
-// Decisions can run synchronously or on a worker thread; either way each
-// decision's response time is recorded, which is what Figs. 12/13 measure.
-//
-// Lock hierarchy (outermost first, see util/mutex.h):
-//   stateMutex_ (kRankEngineState)    — pipeline state: config_, breaker,
-//                                       and the serialisation point for
-//                                       tracker/policy access;
-//   queueMutex_ (kRankEngineQueue)    — async queue bookkeeping only;
-//   pendingAuditsMutex_ (kRankPendingAudits) — leaf: buffered shed audits.
-// queueMutex_ and stateMutex_ are never held together; both may be held
-// above the tracker / obs / logging mutexes, never below them.
+// Every decision runs on the calling thread; its response time is
+// recorded, which is what Figs. 12/13 measure. Several threads may decide
+// at once: stateMutex_ (kRankEngineState, outermost in util/mutex.h)
+// serialises them over config_, the breaker and tracker/policy access,
+// and is held above the tracker / obs / logging mutexes, never below them.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <deque>
-#include <future>
 #include <mutex>  // std::unique_lock over util::Mutex (lockState)
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -120,7 +111,7 @@ struct Decision {
   /// Wall-clock time from request to decision.
   double responseTimeMs = 0.0;
   /// True when the engine answered WITHOUT running the full lookup
-  /// pipeline (queue shed, deadline expiry, or open circuit breaker).
+  /// pipeline (open circuit breaker).
   /// The action then follows ResilienceConfig::degradedMode, and a
   /// kDecisionDegraded audit record exists for this decision.
   bool degraded = false;
@@ -148,7 +139,6 @@ class DecisionEngine {
   /// `tracker` and `policy` are shared with the plug-in; not owned.
   DecisionEngine(const BrowserFlowConfig& config, flow::FlowTracker* tracker,
                  tdm::TdmPolicy* policy);
-  ~DecisionEngine();
 
   DecisionEngine(const DecisionEngine&) = delete;
   DecisionEngine& operator=(const DecisionEngine&) = delete;
@@ -166,13 +156,6 @@ class DecisionEngine {
   /// and secret hit, the violating tags once each, and is degraded /
   /// durabilityDegraded if any unit was.
   Decision decideText(const DecisionRequest& request) BF_EXCLUDES(stateMutex_);
-
-  /// Queues the request for the worker thread (started lazily).
-  std::future<Decision> decideAsync(DecisionRequest request)
-      BF_EXCLUDES(queueMutex_, pendingAuditsMutex_);
-
-  /// Blocks until the worker queue is empty (test/bench synchronisation).
-  void drain() BF_EXCLUDES(queueMutex_, stateMutex_);
 
   /// Latency statistics over every decision made so far, derived from the
   /// bf_decision_latency_ms histogram — what Figs. 12/13 measure.
@@ -199,7 +182,7 @@ class DecisionEngine {
 
   /// Switches the enforcement action for future violations (advisory
   /// deployments often start in warn mode and move to block). Atomic so
-  /// callers may flip the mode while the worker is deciding: each decision
+  /// callers may flip the mode while other threads decide: each decision
   /// sees either the old or the new mode, never a torn value.
   void setMode(EnforcementMode mode) noexcept {
     mode_.store(mode, std::memory_order_relaxed);
@@ -214,10 +197,10 @@ class DecisionEngine {
   /// — applies.
   void setSecretGuard(SecretGuard* guard) noexcept { guard_ = guard; }
 
-  /// Serialises direct tracker/policy access with the engine's worker
-  /// thread. Any caller that touches the shared stores WITHOUT going
-  /// through decide()/decideText()/decideAsync() must hold this while
-  /// doing so (administration: removals, bulk observation, suppression).
+  /// Serialises direct tracker/policy access with decisions on other
+  /// threads. Any caller that touches the shared stores WITHOUT going
+  /// through decide()/decideText() must hold this while doing so
+  /// (administration: removals, bulk observation, suppression).
   /// Never hold it across a decide call — that deadlocks.
   /// Thread-safety analysis cannot track a capability through the returned
   /// handle, so the acquisition is deliberately unchecked here; the
@@ -251,22 +234,14 @@ class DecisionEngine {
   /// when no manager is attached.
   [[nodiscard]] bool durabilityHealthy() const BF_EXCLUDES(stateMutex_);
 
-  /// Replaces the resilience knobs at runtime (operators tune shedding /
-  /// breaker thresholds without restarting the engine). Does not reset
-  /// breaker state: an open breaker still needs a healthy probe to close.
-  /// Safe to call while async decisions are in flight: the knobs read off
-  /// the decision path (queue cap, deadline, degraded mode) are atomic, so
-  /// concurrent decisions see either the old or the new value.
+  /// Replaces the resilience knobs at runtime (operators tune breaker
+  /// thresholds without restarting the engine). Does not reset breaker
+  /// state: an open breaker still needs a healthy probe to close. Takes
+  /// stateMutex_, so a decision sees either the old or the new knobs.
   void setResilience(const ResilienceConfig& resilience)
       BF_EXCLUDES(stateMutex_);
 
  private:
-  struct QueueItem {
-    DecisionRequest request;
-    std::promise<Decision> promise;
-    std::uint64_t enqueuedTicks = 0;  ///< util::fastTicks() at enqueue
-  };
-
   /// One text unit of a request: the request's own text, or a paragraph
   /// or the whole of a decideText() text.
   struct Unit {
@@ -275,7 +250,6 @@ class DecisionEngine {
     flow::SegmentKind kind;
   };
 
-  void workerLoop() BF_EXCLUDES(queueMutex_, stateMutex_);
   /// Breaker, lookup, enforcement, counters and durability for one unit.
   Decision decideLocked(const DecisionRequest& request, const Unit& unit)
       BF_REQUIRES(stateMutex_);
@@ -301,33 +275,18 @@ class DecisionEngine {
       BF_REQUIRES(stateMutex_);
   /// Feeds one disclosure-lookup latency to the circuit breaker.
   void noteLookupLocked(double lookupMs) BF_REQUIRES(stateMutex_);
-  /// Builds a degraded decision (action per ResilienceConfig::degradedMode)
-  /// and bumps bf_decision_degraded_total. Takes no locks.
-  Decision buildDegraded(const char* reason);
-  /// buildDegraded + the kDecisionDegraded audit record (the audit log is
-  /// part of the shared policy state).
+  /// A degraded decision (action per ResilienceConfig::degradedMode): bumps
+  /// bf_decision_degraded_total and writes the kDecisionDegraded audit
+  /// record (the audit log is part of the shared policy state).
   Decision makeDegradedLocked(std::string_view segmentName,
                               std::string_view serviceId, const char* reason)
       BF_REQUIRES(stateMutex_);
-  /// Writes buffered shed-audit records to the policy. The shed path itself
-  /// cannot audit inline: shedding exists because the pipeline (and its
-  /// mutex) is saturated, so it buffers the record and the next stateMutex_
-  /// holder flushes it.
-  void flushPendingAuditsLocked() BF_REQUIRES(stateMutex_)
-      BF_EXCLUDES(pendingAuditsMutex_);
 
   BrowserFlowConfig config_ BF_GUARDED_BY(stateMutex_);
   /// Enforcement action applied to violations; mirrors config_.mode so
-  /// setMode()/mode() need no lock (the historical unlocked write to
-  /// config_.mode raced the worker's read — see engine_concurrency_test).
+  /// setMode()/mode() need no lock (an unlocked write to config_.mode
+  /// would race a deciding thread's read — see engine_concurrency_test).
   std::atomic<EnforcementMode> mode_;
-  // Mirrors of the resilience knobs that are read WITHOUT stateMutex_
-  // (decideAsync's shed check, the worker's deadline check, and
-  // buildDegraded on the shed path). config_.resilience itself is only
-  // touched under stateMutex_; setResilience refreshes these mirrors.
-  std::atomic<int> maxQueueDepth_;
-  std::atomic<double> decisionDeadlineMs_;
-  std::atomic<DegradedMode> degradedMode_;
   flow::FlowTracker* tracker_;
   tdm::TdmPolicy* policy_;
   SecretGuard* guard_ = nullptr;
@@ -378,24 +337,12 @@ class DecisionEngine {
   std::array<TextMemo, kMemoSlots> memo_ BF_GUARDED_BY(stateMutex_);
   std::uint64_t memoUses_ BF_GUARDED_BY(stateMutex_) = 0;
 
-  // One mutex serialises tracker/policy access between the caller thread
-  // and the worker; the paper's engine likewise processes decisions one at
-  // a time in the extension's background page. Outermost rank: everything
-  // the pipeline touches (tracker, WAL, metrics, logging) nests inside.
+  // One mutex serialises tracker/policy access between caller threads; the
+  // paper's engine likewise processes decisions one at a time in the
+  // extension's background page. Outermost rank: everything the pipeline
+  // touches (tracker, WAL, metrics, logging) nests inside.
   mutable util::Mutex stateMutex_{util::kRankEngineState,
                                   "DecisionEngine.stateMutex_"};
-
-  util::Mutex queueMutex_{util::kRankEngineQueue,
-                          "DecisionEngine.queueMutex_"};
-  util::CondVar queueCv_;
-  std::deque<QueueItem> queue_ BF_GUARDED_BY(queueMutex_);
-  // Started once under queueMutex_; joined in the destructor after
-  // stopping_ is set (destruction never races decideAsync by contract).
-  std::thread worker_;
-  bool workerStarted_ BF_GUARDED_BY(queueMutex_) = false;
-  bool stopping_ BF_GUARDED_BY(queueMutex_) = false;
-  std::size_t inFlight_ BF_GUARDED_BY(queueMutex_) = 0;
-  util::CondVar idleCv_;
 
   // Circuit-breaker state for the disclosure lookup (guarded by
   // stateMutex_, like everything decideLocked touches).
@@ -403,24 +350,10 @@ class DecisionEngine {
   bool breakerIsOpen_ BF_GUARDED_BY(stateMutex_) = false;
   int breakerSkipsRemaining_ BF_GUARDED_BY(stateMutex_) = 0;
 
-  // Audit records owed for shed decisions, written by the next thread that
-  // holds stateMutex_ (leaf mutex: held only for the append/swap).
-  struct PendingAudit {
-    std::string segment;
-    std::string service;
-    std::string reason;
-  };
-  util::Mutex pendingAuditsMutex_{util::kRankPendingAudits,
-                                  "DecisionEngine.pendingAuditsMutex_"};
-  std::vector<PendingAudit> pendingAudits_ BF_GUARDED_BY(pendingAuditsMutex_);
-
   // Registry-backed instrumentation (resolved once in the constructor).
   obs::Histogram* latency_;        // bf_decision_latency_ms
-  obs::Gauge* queueDepth_;         // bf_decision_queue_depth
   obs::Counter* actionCounters_[4];  // bf_decision_actions_total by kind
   obs::Counter* degradedTotal_;    // bf_decision_degraded_total
-  obs::Counter* shedTotal_;        // bf_decision_shed_total
-  obs::Counter* deadlineTotal_;    // bf_decision_deadline_expired_total
   obs::Counter* breakerTrips_;     // bf_decision_breaker_trips_total
   obs::Gauge* breakerOpenGauge_;   // bf_decision_breaker_open
 };

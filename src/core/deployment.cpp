@@ -20,7 +20,7 @@ util::Status saveDeployment(BrowserFlowPlugin& plugin, const std::string& path,
                             std::string_view secret) {
   std::string payload(kMagic);
   {
-    // The async decision worker mutates both stores under the same lock.
+    // Decisions on other threads mutate both stores under the same lock.
     const auto lock = plugin.engine().lockState();
     util::putStr(payload, flow::exportState(plugin.tracker()));
     util::putStr(payload, tdm::exportPolicy(plugin.policy()));

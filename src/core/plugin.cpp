@@ -128,12 +128,8 @@ void BrowserFlowPlugin::handleMutations(
   docReq.kind = flow::SegmentKind::kDocument;
   docReq.trace = obs::ingressTrace();
   docReq.ingress = "plugin.document";
-  if (config_.asyncParagraphChecks) {
-    hooks.pendingDocs.push_back(engine_.decideAsync(std::move(docReq)));
-  } else {
-    const Decision d = engine_.decide(docReq);
-    if (d.violation()) recordViolation(url, docReq.serviceId, d, docReq.text);
-  }
+  const Decision d = engine_.decide(docReq);
+  if (d.violation()) recordViolation(url, docReq.serviceId, d, docReq.text);
 }
 
 void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
@@ -159,54 +155,15 @@ void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
   req.text = paragraph->textContent();
   req.trace = trace;
   req.ingress = "plugin.paragraph";
+  const Decision d = engine_.decide(req);
 
-  if (config_.asyncParagraphChecks) {
-    // Paper S6.2: the user keeps typing; the decision arrives off the main
-    // path and the highlight is applied at the next idle point.
-    hooks.pending.emplace_back(paragraph, engine_.decideAsync(req));
-    return;
-  }
-  applyParagraphDecision(paragraph, req.segmentName, req.serviceId,
-                         engine_.decide(req));
-}
-
-void BrowserFlowPlugin::applyParagraphDecision(browser::Node* paragraph,
-                                               const std::string& segmentName,
-                                               const std::string& serviceId,
-                                               const Decision& d) {
   // Surface the result the way the paper's plug-in does: by changing the
   // paragraph's background colour while it discloses sensitive data.
   paragraph->setAttribute(kStateAttr, d.violation() ? kViolation : kClean);
   paragraph->setAttribute(
       "style", d.violation() ? "background-color:#ffd6d6" : "");
   if (d.violation()) {
-    recordViolation(segmentName, serviceId, d, paragraph->textContent());
-  }
-}
-
-void BrowserFlowPlugin::drainPendingDecisions() {
-  engine_.drain();
-  for (auto& hooks : hooks_) {
-    for (auto& [paragraph, future] : hooks->pending) {
-      // The node may have been deleted while the decision was in flight.
-      auto it = hooks->paragraphNames.find(paragraph);
-      if (it == hooks->paragraphNames.end()) {
-        (void)future.get();
-        continue;
-      }
-      applyParagraphDecision(paragraph, it->second, hooks->page->origin(),
-                             future.get());
-    }
-    hooks->pending.clear();
-    for (auto& future : hooks->pendingDocs) {
-      const Decision d = future.get();
-      if (d.violation()) {
-        // Content is no longer in flight here; the preview is empty rather
-        // than re-reading the (possibly changed) DOM.
-        recordViolation(hooks->page->url(), hooks->page->origin(), d, "");
-      }
-    }
-    hooks->pendingDocs.clear();
+    recordViolation(req.segmentName, req.serviceId, d, req.text);
   }
 }
 
@@ -399,7 +356,7 @@ void BrowserFlowPlugin::recordViolation(const std::string& segmentName,
 }
 
 void BrowserFlowPlugin::appendAudit(tdm::AuditRecord record) {
-  // The audit log is policy state the engine's worker appends to as well.
+  // The audit log is policy state that decisions append to as well.
   const auto stateLock = engine_.lockState();
   policy_.audit().append(std::move(record));
 }

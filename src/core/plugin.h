@@ -112,13 +112,6 @@ class BrowserFlowPlugin final : public browser::Extension {
   /// (empty if untracked).
   [[nodiscard]] std::string segmentNameOf(browser::Node* paragraph) const;
 
-  /// With config.asyncParagraphChecks, paragraph decisions run on the
-  /// engine's worker thread ("asynchronously to the main request
-  /// processing", paper S6.2) and their DOM highlights are applied when
-  /// the browser is next idle — which this call simulates. Blocks until
-  /// every queued decision completed and is applied. No-op in sync mode.
-  void drainPendingDecisions();
-
  private:
   struct PageHooks {
     browser::Page* page = nullptr;
@@ -127,16 +120,7 @@ class BrowserFlowPlugin final : public browser::Extension {
     std::map<browser::Node*, std::string> paragraphNames;
     std::set<browser::Node*> hookedForms;
     std::uint64_t nextNodeId = 0;
-    /// Async mode: decisions awaiting highlight application.
-    std::vector<std::pair<browser::Node*, std::future<Decision>>> pending;
-    /// Async mode: document-level decisions awaiting warning collection.
-    std::vector<std::future<Decision>> pendingDocs;
   };
-
-  /// Applies a completed decision's highlight + warning for a paragraph.
-  void applyParagraphDecision(browser::Node* paragraph,
-                              const std::string& segmentName,
-                              const std::string& serviceId, const Decision& d);
 
   void handleMutations(PageHooks& hooks,
                        const std::vector<browser::MutationRecord>& records);
@@ -144,8 +128,7 @@ class BrowserFlowPlugin final : public browser::Extension {
   void installXhrInterceptor(browser::Page& page);
   void installFormListener(PageHooks& hooks, browser::Node* form);
 
-  /// Decides for one paragraph node and applies the highlight (at the next
-  /// idle point in async mode).
+  /// Decides for one paragraph node and applies the highlight.
   void checkParagraphNode(PageHooks& hooks, browser::Node* paragraph);
 
   /// Is `node` (or an ancestor) a tracked paragraph container? Returns the

@@ -209,16 +209,10 @@ FlowTracker::DocumentObservation FlowTracker::observeDocument(
 
   // Fingerprint the document and every paragraph OUTSIDE the lock — pure
   // CPU over immutable config, on the calling thread.
-  text::Fingerprint docFp =
-      text::fingerprintText(fullText.raw(), config_.fingerprint);
+  text::Fingerprint docFp = fingerprintOf(fullText);
   std::vector<text::Fingerprint> paraFps;
   paraFps.reserve(paras.size());
-  for (const auto& para : paras) {
-    paraFps.push_back(text::fingerprintText(para.text, config_.fingerprint));
-  }
-  stats_.fingerprintsComputed.fetch_add(paras.size() + 1,
-                                        std::memory_order_relaxed);
-  trackerMetrics().fingerprints->inc(paras.size() + 1);
+  for (const auto& para : paras) paraFps.push_back(fingerprintOf(para.text));
   obs::stageEnd(obs::Stage::kFingerprint, fpStart);
 
   // One lock section applies every store update, then refreshes the gauges
@@ -399,11 +393,8 @@ FlowTracker::StoreSizes FlowTracker::storeSizes() const {
 std::vector<DisclosureHit> FlowTracker::checkText(
     sec::SensitiveView text, std::string_view excludeDocument) const {
   const std::uint64_t fpStart = obs::stageStart();
-  const text::Fingerprint fp =
-      text::fingerprintText(text.raw(), config_.fingerprint);
+  const text::Fingerprint fp = fingerprintOf(text);
   obs::stageEnd(obs::Stage::kFingerprint, fpStart);
-  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
-  trackerMetrics().fingerprints->inc();
   const std::uint64_t lockWait = obs::stageStart();
   util::MutexLock lock(mutex_);
   obs::stageEnd(obs::Stage::kTrackerLockWait, lockWait);

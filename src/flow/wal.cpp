@@ -453,6 +453,9 @@ WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
 
 namespace {
 
+/// Seed for the repair backoff jitter ("bf_repai").
+constexpr std::uint64_t kRepairSeed = 0x62665F7265706169ull;
+
 /// Parses "<prefix><16 hex digits><suffix>" names; returns the sequence or
 /// nullopt when the name does not match.
 std::optional<std::uint64_t> parseSeqName(std::string_view name,
@@ -504,7 +507,7 @@ std::vector<std::uint64_t> listSeqFiles(io::Vfs& vfs, const std::string& dir,
 }  // namespace
 
 DurabilityManager::DurabilityManager(DurabilityConfig config)
-    : config_(std::move(config)), repairRng_(config_.repairSeed) {
+    : config_(std::move(config)), repairRng_(kRepairSeed) {
   util::RetryPolicy policy;
   policy.baseDelayMs = config_.repairBaseDelayMs;
   policy.maxDelayMs = config_.repairMaxDelayMs;

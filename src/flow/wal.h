@@ -234,8 +234,6 @@ struct DurabilityConfig {
   /// but never faster than this.
   double repairBaseDelayMs = 50.0;
   double repairMaxDelayMs = 2000.0;
-  /// Seed for the repair backoff jitter.
-  std::uint64_t repairSeed = 0x62665F7265706169ull;  // "bf_repai"
   /// Byte quota across WAL segments + checkpoint generations; when the
   /// directory exceeds it at a checkpoint/repair boundary, pruning gets
   /// aggressive (only the newest generation survives). 0 = unlimited.

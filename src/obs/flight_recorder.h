@@ -3,7 +3,7 @@
 //
 // Retention is head-sampled — every traceSampleEvery()-th trace keeps its
 // full record — plus an always-keep rule for anything a human will ask
-// about: blocked/warned (violation), degraded, and shed decisions. All
+// about: blocked/warned (violation) and degraded decisions. All
 // other decisions only consume a decision id (one atomic add), which keeps
 // the recorder off the hot path.
 //

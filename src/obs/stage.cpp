@@ -48,8 +48,6 @@ const StageMetrics& stageMetrics() {
 
 const char* stageName(Stage stage) noexcept {
   switch (stage) {
-    case Stage::kNormalize:
-      return "normalize";
     case Stage::kFingerprint:
       return "fingerprint";
     case Stage::kTrackerLockWait:
@@ -64,8 +62,6 @@ const char* stageName(Stage stage) noexcept {
       return "secret_scan";
     case Stage::kWalAppend:
       return "wal_append";
-    case Stage::kQueueWait:
-      return "queue_wait";
   }
   return "unknown";
 }

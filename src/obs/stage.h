@@ -1,13 +1,13 @@
 // Per-stage latency attribution for the decision path.
 //
-// Every decision passes through a fixed set of stages (normalize,
-// fingerprint, tracker lock wait, tracker lookup, tracker record, policy
-// eval, secret scan, WAL append, queue wait). recordStage() accumulates a stage
-// duration into the thread's ScopedStageCollector (the per-decision
-// StageBreakdown that ends up in the flight recorder); when the collector
-// scope closes it flushes each touched stage into the matching
-// process-wide `bf_stage_*_us` histogram — attaching the trace id as the
-// bucket's exemplar, so a p99 spike points at a concrete recorded trace.
+// Every decision passes through a fixed set of stages (fingerprint,
+// tracker lock wait, tracker lookup, tracker record, policy eval, secret
+// scan, WAL append). recordStage() accumulates a stage duration into the
+// thread's ScopedStageCollector (the per-decision StageBreakdown that ends
+// up in the flight recorder); when the collector scope closes it flushes
+// each touched stage into the matching process-wide `bf_stage_*_us`
+// histogram — attaching the trace id as the bucket's exemplar, so a p99
+// spike points at a concrete recorded trace.
 // Collector flushes are head-sampled along with the trace (an unbiased
 // subsample, and every exemplar then resolves in the flight recorder);
 // recordStage() calls made with no collector installed observe their
@@ -31,19 +31,17 @@
 namespace bf::obs {
 
 enum class Stage : std::uint8_t {
-  kNormalize = 0,
-  kFingerprint,
+  kFingerprint = 0,
   kTrackerLockWait,
   kTrackerLookup,
   kTrackerRecord,
   kPolicyEval,
   kSecretScan,
   kWalAppend,
-  kQueueWait,
 };
-inline constexpr std::size_t kStageCount = 9;
+inline constexpr std::size_t kStageCount = 7;
 
-/// Stable lowercase stage name ("normalize", "tracker_lock_wait", ...).
+/// Stable lowercase stage name ("fingerprint", "tracker_lock_wait", ...).
 [[nodiscard]] const char* stageName(Stage stage) noexcept;
 
 /// Per-decision accumulator: total nanoseconds spent in each stage.

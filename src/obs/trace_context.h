@@ -1,10 +1,10 @@
 // Causal trace identity for decision provenance.
 //
 // A TraceContext is created at every ingress (plugin hooks, the DLP
-// appliance, DecisionEngine::decideAsync) and propagated explicitly through
-// the decision path. It carries a 64-bit trace id shared by every
-// flight-recorder record and histogram exemplar of one causal flow, and a
-// head-sampling bit decided once at trace start.
+// appliance, or DecisionEngine::decide for a caller without one) and
+// propagated explicitly through the decision path. It carries a 64-bit
+// trace id shared by every flight-recorder record and histogram exemplar of
+// one causal flow, and a head-sampling bit decided once at trace start.
 #pragma once
 
 #include <cstdint>

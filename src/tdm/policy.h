@@ -136,8 +136,9 @@ class TdmPolicy {
 
   /// Appends a kDecisionDegraded audit record: the decision engine answered
   /// for `segmentName` → `serviceId` without running the full lookup
-  /// pipeline (`reason` says why — shed / deadline / breaker-open). The
-  /// policy owns the clock, so callers never have to timestamp.
+  /// pipeline, or its durability health flipped (`reason` says which —
+  /// breaker-open, durability-degraded, durability-restored). The policy
+  /// owns the clock, so callers never have to timestamp.
   void recordDegradedDecision(std::string_view segmentName,
                               std::string_view serviceId,
                               std::string_view reason);

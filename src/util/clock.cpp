@@ -41,8 +41,6 @@ double ticksPerNano() noexcept {
 
 }  // namespace
 
-Timestamp WallClock::now() { return steadyNanos(); }
-
 std::uint64_t fastTicks() noexcept {
 #if BF_HAVE_RDTSC
   return __rdtsc();

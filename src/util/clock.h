@@ -1,9 +1,9 @@
 // Time sources.
 //
 // The flow tracker orders hash observations by timestamp to compute
-// authoritative fingerprints (paper S4.3). Using an injectable clock keeps
-// that ordering deterministic in tests and benches while production code can
-// use wall time.
+// authoritative fingerprints (paper S4.3). An injectable clock keeps that
+// ordering deterministic. Trackers run on a LogicalClock, whose stamps stay
+// small enough for DBhash's compact slots (firstSeen < 2^31).
 #pragma once
 
 #include <atomic>
@@ -43,12 +43,6 @@ class LogicalClock final : public Clock {
 
  private:
   std::atomic<Timestamp> t_;
-};
-
-/// Wall clock in nanoseconds since an unspecified epoch (steady).
-class WallClock final : public Clock {
- public:
-  Timestamp now() override;
 };
 
 /// Cycle-accurate monotonic tick counter for per-stage latency attribution

@@ -16,8 +16,6 @@
 // Documented hierarchy, outermost first (DESIGN.md §9):
 //
 //   kRankEngineState   (10)  core::DecisionEngine::stateMutex_
-//   kRankEngineQueue   (20)  core::DecisionEngine::queueMutex_
-//   kRankPendingAudits (30)  core::DecisionEngine::pendingAuditsMutex_
 //   kRankTracker       (40)  flow::FlowTracker::mutex_
 //   kRankWal           (60)  flow::WriteAheadLog::mutex_ (appends run under
 //                            the tracker's exclusive sections)
@@ -56,8 +54,6 @@ namespace bf::util {
 // Lock ranks (outermost first; strictly increasing on one thread).
 inline constexpr int kRankUnranked = -1;  ///< exempt from hierarchy checks
 inline constexpr int kRankEngineState = 10;
-inline constexpr int kRankEngineQueue = 20;
-inline constexpr int kRankPendingAudits = 30;
 inline constexpr int kRankTracker = 40;
 inline constexpr int kRankWal = 60;
 inline constexpr int kRankFaultInjector = 62;

@@ -1,5 +1,5 @@
-// Wall-clock stopwatch for latency measurement in benches and the async
-// decision engine's response-time instrumentation.
+// Wall-clock stopwatch for latency measurement in benches and the decision
+// engine's response-time instrumentation.
 #pragma once
 
 #include <chrono>

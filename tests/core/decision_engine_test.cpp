@@ -1,5 +1,5 @@
-// Tests for the DecisionEngine: the lookup + enforcement pipeline, the
-// async worker, and response-time instrumentation.
+// Tests for the DecisionEngine: the lookup + enforcement pipeline and
+// response-time instrumentation.
 #include <gtest/gtest.h>
 
 #include "core/decision_engine.h"
@@ -130,27 +130,6 @@ TEST_F(EngineTest, ResponseTimesRecorded) {
   EXPECT_LE(latency.minMs, latency.maxMs);
   EXPECT_GE(latency.meanMs, latency.minMs);
   EXPECT_LE(latency.meanMs, latency.maxMs);
-}
-
-TEST_F(EngineTest, AsyncDecisionMatchesSync) {
-  const std::string secret = seedSensitive();
-  auto future = engine_.decideAsync(requestFor(secret));
-  const Decision d = future.get();
-  EXPECT_TRUE(d.violation());
-  ASSERT_EQ(d.hits.size(), 1u);
-  EXPECT_EQ(d.hits[0].sourceName, "itool/eval#p0");
-}
-
-TEST_F(EngineTest, AsyncQueueProcessesInOrderAndDrains) {
-  seedSensitive();
-  std::vector<std::future<Decision>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(engine_.decideAsync(requestFor(gen_.paragraph(4, 6))));
-  }
-  engine_.drain();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().action, Decision::Action::kAllow);
-  }
 }
 
 TEST_F(EngineTest, PerKeystrokeDecisionsHitTrackerCache) {

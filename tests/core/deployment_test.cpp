@@ -6,8 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/deployment.h"
@@ -159,9 +159,9 @@ TEST_F(DeploymentTest, MissingFileAndGarbageRejected) {
 }
 
 TEST_F(DeploymentTest, ConcurrencySaveWhileAsyncDecisionsRun) {
-  // Saves export tracker and policy state while the async decision worker
-  // keeps observing segments into both; under TSan this catches a save
-  // that reads either store without the engine's state lock.
+  // Saves export tracker and policy state while another thread keeps
+  // observing segments into both through decide(); under TSan this catches
+  // a save that reads either store without the engine's state lock.
   const std::string path = tempPath("concurrent");
   const std::string secret = gen_.paragraph(6, 8);
   util::LogicalClock clock;
@@ -170,19 +170,24 @@ TEST_F(DeploymentTest, ConcurrencySaveWhileAsyncDecisionsRun) {
                                      tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
   plugin.observeServiceDocument("itool", "itool/eval", secret);
 
-  std::vector<std::future<Decision>> futures;
+  std::vector<DecisionRequest> requests;
   for (int i = 0; i < 300; ++i) {
     DecisionRequest req;
     req.segmentName = "gdocs/live#p" + std::to_string(i);
     req.documentName = "gdocs/live";
     req.serviceId = "gdocs";
     req.text = i % 3 == 0 ? secret : gen_.paragraph(3, 5);
-    futures.push_back(plugin.engine().decideAsync(std::move(req)));
-    if (i % 10 == 0) {
-      ASSERT_TRUE(saveDeployment(plugin, path, "k").ok());
-    }
+    requests.push_back(std::move(req));
   }
-  for (auto& f : futures) (void)f.get();
+  std::thread decider([&] {
+    for (const DecisionRequest& req : requests) {
+      (void)plugin.engine().decide(req);
+    }
+  });
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_TRUE(saveDeployment(plugin, path, "k").ok());
+  }
+  decider.join();
   ASSERT_TRUE(saveDeployment(plugin, path, "k").ok());
 
   util::LogicalClock clock2;

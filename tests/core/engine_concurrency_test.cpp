@@ -1,19 +1,20 @@
-// Concurrency regression tests for the DecisionEngine.
+// Concurrency regression tests for the DecisionEngine: every decision runs
+// on its caller's thread, and several threads may decide at once (the tsan
+// preset runs these).
 //
 // UploadConcurrencyTest drives the plug-in's XHR probes and form re-submits
-// on the caller thread while the engine's worker decides async paragraphs:
-// every tracker/policy access on either side must be serialised by the
-// engine (the tsan preset runs it).
+// on the browser thread while a second thread decides paragraphs and
+// drafts through the same engine: every tracker/policy access on either
+// side must be serialised by the engine.
 //
 // EnforcementModeFlips... is the regression test for a real data race the
 // thread-safety migration surfaced: setMode() used to write config_.mode
-// unlocked while the worker thread read it inside decideLocked(), a torn
-// read under TSan. The mode now lives in a std::atomic mirror; this test
-// fails under the tsan preset against the old code.
+// unlocked while another thread read it inside decideLocked(), a torn read
+// under TSan. The mode now lives in a std::atomic mirror; this test fails
+// under the tsan preset against the old code.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -59,6 +60,23 @@ class EngineConcurrencyTest : public ::testing::Test {
     return req;
   }
 
+  /// Runs `perThread` decisions on each of `threads` threads at once and
+  /// returns them all.
+  std::vector<Decision> decideOnThreads(int threads, int perThread) {
+    std::vector<Decision> out(static_cast<std::size_t>(threads * perThread));
+    std::vector<std::thread> deciders;
+    for (int t = 0; t < threads; ++t) {
+      deciders.emplace_back([&, t] {
+        for (int i = 0; i < perThread; ++i) {
+          const int n = t * perThread + i;
+          out[static_cast<std::size_t>(n)] = engine_.decide(leakRequest(n));
+        }
+      });
+    }
+    for (auto& d : deciders) d.join();
+    return out;
+  }
+
   util::LogicalClock clock_;
   util::Rng rng_;
   corpus::TextGenerator gen_;
@@ -70,13 +88,9 @@ class EngineConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(EngineConcurrencyTest, EnforcementModeFlipsDuringAsyncLoadStayAtomic) {
-  constexpr int kDecisions = 300;
-  std::vector<std::future<Decision>> futures;
-  futures.reserve(kDecisions);
-
   std::atomic<bool> stop{false};
   std::thread flipper([&] {
-    // Hammer the mode while the worker decides; each decision must see
+    // Hammer the mode while two threads decide; each decision must see
     // exactly warn or block, never a torn in-between value.
     bool warn = false;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -84,38 +98,32 @@ TEST_F(EngineConcurrencyTest, EnforcementModeFlipsDuringAsyncLoadStayAtomic) {
       warn = !warn;
     }
   });
-
-  for (int i = 0; i < kDecisions; ++i) {
-    futures.push_back(engine_.decideAsync(leakRequest(i)));
-  }
-  engine_.drain();
+  const std::vector<Decision> decisions = decideOnThreads(2, 150);
   stop.store(true, std::memory_order_relaxed);
   flipper.join();
 
-  int violations = 0;
-  for (auto& f : futures) {
-    const Decision d = f.get();
-    if (d.degraded) continue;  // shed under load: action follows degradedMode
+  for (const Decision& d : decisions) {
+    ASSERT_FALSE(d.degraded);
     ASSERT_TRUE(d.action == Decision::Action::kWarn ||
                 d.action == Decision::Action::kBlock)
         << "decision saw a torn enforcement mode";
-    ++violations;
   }
-  EXPECT_GT(violations, 0);
   const EnforcementMode final = engine_.mode();
   EXPECT_TRUE(final == EnforcementMode::kWarn ||
               final == EnforcementMode::kBlock);
 }
 
 TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
-  constexpr int kDecisions = 200;
   std::atomic<bool> stop{false};
-
   std::thread tuner([&] {
+    // Tight: every lookup is slow, so the breaker trips and skips lookups
+    // fail-closed. Loose: the breaker is off.
     ResilienceConfig tight = config_.resilience;
-    ResilienceConfig loose = config_.resilience;
-    tight.maxQueueDepth = 4;
-    tight.decisionDeadlineMs = 1.0;
+    tight.breakerLatencyBudgetMs = 1e-12;
+    tight.breakerTripThreshold = 1;
+    tight.breakerOpenDecisions = 2;
+    tight.degradedMode = DegradedMode::kFailClosed;
+    const ResilienceConfig loose = config_.resilience;
     bool flip = false;
     while (!stop.load(std::memory_order_relaxed)) {
       engine_.setResilience(flip ? tight : loose);
@@ -128,48 +136,43 @@ TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
       (void)engine_.latencySummary();
     }
   });
-
-  std::vector<std::future<Decision>> futures;
-  futures.reserve(kDecisions);
-  for (int i = 0; i < kDecisions; ++i) {
-    futures.push_back(engine_.decideAsync(leakRequest(i)));
-  }
-  engine_.drain();
+  const std::vector<Decision> decisions = decideOnThreads(2, 100);
   stop.store(true, std::memory_order_relaxed);
   tuner.join();
   poller.join();
 
-  // Every future resolves: shed / deadline-expired decisions come back
-  // degraded (and audited), the rest ran the full pipeline.
-  std::size_t resolved = 0;
-  for (auto& f : futures) {
-    const Decision d = f.get();
-    if (d.degraded) {
-      EXPECT_FALSE(d.degradedReason.empty());
-    }
-    ++resolved;
+  // Breaker-skipped decisions come back degraded with a reason and one
+  // audit record each; the rest ran the full pipeline.
+  std::size_t degraded = 0;
+  for (const Decision& d : decisions) {
+    if (!d.degraded) continue;
+    ++degraded;
+    EXPECT_FALSE(d.degradedReason.empty());
   }
-  EXPECT_EQ(resolved, futures.size());
+  EXPECT_EQ(policy_.audit()
+                .byKind(tdm::AuditRecord::Kind::kDecisionDegraded)
+                .size(),
+            degraded);
 }
 
 TEST_F(EngineConcurrencyTest, SyncAndAsyncDecisionsInterleaveSafely) {
+  // One thread decides single units while this one decides whole texts,
+  // whose paragraph and document units share one lock hold.
   constexpr int kPerSide = 100;
-  std::vector<std::future<Decision>> futures;
-  futures.reserve(kPerSide);
-  std::thread asyncSide([&] {
-    for (int i = 0; i < kPerSide; ++i) {
-      futures.push_back(engine_.decideAsync(leakRequest(i)));
-    }
+  std::vector<Decision> units(kPerSide);
+  std::thread other([&] {
+    for (int i = 0; i < kPerSide; ++i) units[i] = engine_.decide(leakRequest(i));
   });
   for (int i = 0; i < kPerSide; ++i) {
-    const Decision d = engine_.decide(leakRequest(kPerSide + i));
-    if (!d.degraded) {
-      EXPECT_TRUE(d.violation());
-    }
+    DecisionRequest req = leakRequest(kPerSide + i);
+    req.segmentName = req.documentName;
+    req.text = sensitive_ + "\n\n" + sensitive_;
+    const Decision d = engine_.decideText(req);
+    EXPECT_TRUE(d.violation());
+    EXPECT_FALSE(d.hits.empty());
   }
-  asyncSide.join();
-  engine_.drain();
-  for (auto& f : futures) (void)f.get();
+  other.join();
+  for (const Decision& d : units) EXPECT_TRUE(d.violation());
 }
 
 TEST(UploadConcurrencyTest, UploadsAndDraftPruningRaceAsyncParagraphs) {
@@ -181,9 +184,7 @@ TEST(UploadConcurrencyTest, UploadsAndDraftPruningRaceAsyncParagraphs) {
   cloud::FormBackend wikiBackend;
   network.registerService("https://docs.google.com", &docsBackend);
   network.registerService("https://wiki.corp", &wikiBackend);
-  BrowserFlowConfig config;
-  config.asyncParagraphChecks = true;
-  BrowserFlowPlugin plugin(config, &clock);
+  BrowserFlowPlugin plugin(BrowserFlowConfig{}, &clock);
   plugin.policy().services().upsert({"https://itool.corp", "Interview Tool",
                                      tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
   const std::string secret = gen.paragraph(6, 9);
@@ -200,9 +201,37 @@ TEST(UploadConcurrencyTest, UploadsAndDraftPruningRaceAsyncParagraphs) {
   wiki.openEditor();
 
   constexpr int kRounds = 40;
+  // A second user of the same engine: it observes paragraphs of its own
+  // document and re-submits its own draft, alternating three paragraphs
+  // and one, while the browser thread below uploads and prunes.
+  const std::string otherDraft = "https://wiki.corp/edit/other/draft";
+  std::thread other([&] {
+    util::Rng otherRng(34);
+    corpus::TextGenerator otherGen(&otherRng);
+    for (int i = 0; i < kRounds; ++i) {
+      DecisionRequest para;
+      para.segmentName = "https://docs.google.com/d/other#n" + std::to_string(i);
+      para.documentName = "https://docs.google.com/d/other";
+      para.serviceId = "https://docs.google.com";
+      para.text = i % 3 == 0 ? secret : otherGen.paragraph(4, 6);
+      EXPECT_EQ(plugin.engine().decide(para).violation(), i % 3 == 0);
+      DecisionRequest draft;
+      draft.segmentName = otherDraft;
+      draft.documentName = otherDraft;
+      draft.serviceId = "https://wiki.corp";
+      std::string text = otherGen.paragraph(3, 4);
+      if (i % 2 == 0) {
+        text += "\n\n" + otherGen.paragraph(3, 4) + "\n\n" +
+                otherGen.paragraph(3, 4);
+      }
+      draft.text = std::move(text);
+      (void)plugin.engine().decideText(draft);
+    }
+  });
+
   for (int i = 0; i < kRounds; ++i) {
-    // Each Docs edit queues paragraph and document decisions for the
-    // worker, then sends an XHR the caller thread probes at once.
+    // Each Docs edit decides paragraph and document units, then sends an
+    // XHR the plug-in probes.
     EXPECT_EQ(docs.insertParagraph(docs.paragraphCount(),
                                    i % 3 == 0 ? secret : gen.paragraph(4, 6)),
               200);
@@ -215,15 +244,14 @@ TEST(UploadConcurrencyTest, UploadsAndDraftPruningRaceAsyncParagraphs) {
     wiki.setContent(draft);
     EXPECT_EQ(wiki.save(), 200);  // warn mode: the submit proceeds
   }
-  plugin.drainPendingDecisions();
+  other.join();
 
-  // The last draft was short: its stale paragraphs are gone.
-  EXPECT_NE(plugin.tracker().segmentByName(
-                "https://wiki.corp/edit/race/draft#p0"),
-            nullptr);
-  EXPECT_EQ(plugin.tracker().segmentByName(
-                "https://wiki.corp/edit/race/draft#p2"),
-            nullptr);
+  // Both last drafts were short: their stale paragraphs are gone.
+  for (const std::string& name :
+       {std::string("https://wiki.corp/edit/race/draft"), otherDraft}) {
+    EXPECT_NE(plugin.tracker().segmentByName(name + "#p0"), nullptr) << name;
+    EXPECT_EQ(plugin.tracker().segmentByName(name + "#p2"), nullptr) << name;
+  }
   EXPECT_EQ(docs.paragraphNode(0)->attribute(BrowserFlowPlugin::kStateAttr),
             BrowserFlowPlugin::kViolation);
 }

@@ -1,5 +1,5 @@
 // Decision-engine tests at the document granularity, plus concurrency
-// stress on the async worker.
+// stress from several deciding threads.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -79,8 +79,8 @@ TEST_F(EngineDocumentTest, DocumentDecisionDoesNotPolluteParagraphQueries) {
 }
 
 TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
-  // Two caller threads enqueue async decisions while the main thread runs
-  // sync ones: the engine's mutex must keep the stores coherent.
+  // Two threads decide while the main thread decides too: the engine's
+  // mutex must keep the stores coherent.
   const std::string base = gen_.paragraph(6, 8);
   tracker_.observeSegment(flow::SegmentKind::kParagraph, "src#p0", "src",
                           "wiki", base);
@@ -99,7 +99,7 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
       req.segmentName = req.documentName + "#p0";
       req.serviceId = "gdocs";
       req.text = (i % 2 == 0) ? base : gen.paragraph(5, 7);
-      (void)engine_.decideAsync(req);
+      (void)engine_.decide(req);
     }
   };
   std::thread a(worker, 1);
@@ -114,8 +114,7 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
   }
   a.join();
   b.join();
-  engine_.drain();
-  // Every even-numbered async segment disclosed the source.
+  // Every even-numbered thread segment disclosed the source.
   const auto hits = tracker_.checkText(base, "probe");
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].sourceName, "src#p0");

@@ -227,57 +227,6 @@ TEST_F(PluginTest, RuntimeModeSwitchWarnToBlock) {
   EXPECT_EQ(docs.insertParagraph(0, secret), 200);  // advisory again
 }
 
-// ---- Async mode ---------------------------------------------------------------
-
-class AsyncModeTest : public PluginTest {
- protected:
-  AsyncModeTest()
-      : PluginTest([] {
-          BrowserFlowConfig c;
-          c.asyncParagraphChecks = true;
-          return c;
-        }()) {}
-};
-
-TEST_F(AsyncModeTest, HighlightsArriveAtNextIdlePoint) {
-  const std::string secret = seedInterviewData();
-  browser::Page& page = browser_.openTab("https://docs.google.com/d/async1");
-  cloud::DocsClient docs(page, "async1");
-  docs.openDocument();
-  docs.insertParagraph(0, secret);
-  docs.insertParagraph(1, gen_.paragraph(6, 9));
-  // Decisions are in flight; the DOM is not yet annotated.
-  plugin_.drainPendingDecisions();
-  EXPECT_EQ(docs.paragraphNode(0)->attribute(BrowserFlowPlugin::kStateAttr),
-            BrowserFlowPlugin::kViolation);
-  EXPECT_EQ(docs.paragraphNode(1)->attribute(BrowserFlowPlugin::kStateAttr),
-            BrowserFlowPlugin::kClean);
-  EXPECT_FALSE(plugin_.warnings().empty());
-}
-
-TEST_F(AsyncModeTest, DeletedParagraphPendingDecisionIsDiscarded) {
-  seedInterviewData();
-  browser::Page& page = browser_.openTab("https://docs.google.com/d/async2");
-  cloud::DocsClient docs(page, "async2");
-  docs.openDocument();
-  docs.insertParagraph(0, gen_.paragraph(6, 9));
-  docs.deleteParagraph(0);  // decision for the node is still queued
-  plugin_.drainPendingDecisions();  // must not crash or mis-apply
-  EXPECT_EQ(docs.paragraphCount(), 0u);
-}
-
-TEST_F(AsyncModeTest, DrainIsIdempotent) {
-  seedInterviewData();
-  browser::Page& page = browser_.openTab("https://docs.google.com/d/async3");
-  cloud::DocsClient docs(page, "async3");
-  docs.openDocument();
-  docs.insertParagraph(0, gen_.paragraph(6, 9));
-  plugin_.drainPendingDecisions();
-  plugin_.drainPendingDecisions();
-  EXPECT_EQ(docs.paragraphNode(0)->attribute(BrowserFlowPlugin::kStateAttr),
-            BrowserFlowPlugin::kClean);
-}
-
 // ---- Block mode ---------------------------------------------------------------
 
 class BlockModeTest : public PluginTest {

@@ -246,13 +246,6 @@ TEST(LogicalClock, AdvanceTo) {
   EXPECT_GT(clock.now(), 100u);
 }
 
-TEST(WallClock, MonotonicNonDecreasing) {
-  WallClock clock;
-  const Timestamp a = clock.now();
-  const Timestamp b = clock.now();
-  EXPECT_LE(a, b);
-}
-
 // ---- result -------------------------------------------------------------------
 
 TEST(Result, ValueAndError) {
