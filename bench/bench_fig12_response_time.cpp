@@ -84,7 +84,8 @@ int main() {
               "hashes\n",
               ebooks.books.size(),
               static_cast<double>(ebooks.totalBytes) / (1024.0 * 1024.0),
-              tracker.hashDb().distinctHashCount());
+              tracker.hashDb().distinctHashCount(
+                  flow::SegmentKind::kParagraph));
 
   // A "page": a few consecutive paragraphs of a book.
   auto pageOf = [](const corpus::VersionedDoc& book, std::size_t start,

@@ -24,6 +24,9 @@ int main() {
   const std::size_t stepHashes = bench::paperScale() ? 1'000'000 : 100'000;
   const std::size_t steps = 10;
   const std::size_t probes = 30;
+  // The x axis counts distinct paragraph hashes, the granularity a paste
+  // probe is checked against.
+  constexpr flow::SegmentKind kPar = flow::SegmentKind::kParagraph;
 
   util::LogicalClock clock;
   flow::FlowTracker tracker(flow::TrackerConfig{}, &clock);
@@ -42,7 +45,7 @@ int main() {
   for (std::size_t step = 1; step <= steps; ++step) {
     const std::size_t target = step * stepHashes;
     // Grow the database to the target by loading more books.
-    while (tracker.hashDb().distinctHashCount() < target) {
+    while (tracker.hashDb().distinctHashCount(kPar) < target) {
       corpus::VersionedDoc book =
           model.createDocument("book-" + std::to_string(bookIndex++), 200);
       tracker.observeDocument(book.id, "https://books.corp", book.render());
@@ -83,7 +86,7 @@ int main() {
     }
     const double p95 = util::percentile(timesMs, 95);
     series.emplace_back(static_cast<double>(
-                            tracker.hashDb().distinctHashCount()) / 1e6,
+                            tracker.hashDb().distinctHashCount(kPar)) / 1e6,
                         p95);
     std::printf("hashes: %8.2fM   p95: %8.3f ms   median: %8.3f ms   "
                 "source found: %zu/%zu\n",

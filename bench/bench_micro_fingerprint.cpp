@@ -162,17 +162,21 @@ void BM_FingerprintIntersection(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintIntersection);
 
+// The HashDb rows record and look up paragraph-kind associations only, as
+// a tracker does for the paragraph units of a decision.
+constexpr flow::SegmentKind kPar = flow::SegmentKind::kParagraph;
+
 void BM_HashDbLookup(benchmark::State& state) {
   flow::HashDb db;
   util::Rng rng(2);
   const std::size_t hashes = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < hashes; ++i) {
-    db.recordObservation(static_cast<text::Hash>(rng.next()), (i % 512) + 1,
-                         i);
+    db.recordObservation(kPar, static_cast<text::Hash>(rng.next()),
+                         (i % 512) + 1, i);
   }
   text::Hash probe = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db.oldestSegmentWith(probe++));
+    benchmark::DoNotOptimize(db.oldestSegmentWith(kPar, probe++));
   }
 }
 BENCHMARK(BM_HashDbLookup)->Arg(100000)->Arg(1000000);
@@ -221,9 +225,9 @@ void BM_HashDbRecordFingerprint(benchmark::State& state) {
   std::int64_t items = 0;
   const auto record = [&](const std::vector<text::Hash>& batch) {
     if (batched) {
-      db.recordFingerprint(batch, segment, ts);
+      db.recordFingerprint(kPar, batch, segment, ts);
     } else {
-      for (text::Hash h : batch) db.recordObservation(h, segment, ts);
+      for (text::Hash h : batch) db.recordObservation(kPar, h, segment, ts);
     }
   };
   // The preload, then (first-record rows) kFirstRounds batches of the
@@ -231,12 +235,12 @@ void BM_HashDbRecordFingerprint(benchmark::State& state) {
   const auto rebuild = [&] {
     db = flow::HashDb{};
     for (std::size_t i = 0; i < preload; ++i) {
-      db.recordObservation(stored[i], (i % 512) + 1, i);
+      db.recordObservation(kPar, stored[i], (i % 512) + 1, i);
     }
     segment = 1000;
     ts = preload;
     for (std::size_t i = 0; first && i < kFirstRounds; ++i, ++segment, ++ts) {
-      db.recordFingerprint(batches[i % kBatches], segment, ts);
+      db.recordFingerprint(kPar, batches[i % kBatches], segment, ts);
     }
   };
   rebuild();

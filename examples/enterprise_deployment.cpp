@@ -83,7 +83,8 @@ int main() {
   std::printf("day 2: restored %zu segments, %zu distinct hashes, "
               "%zu services, %zu labels\n",
               plugin.tracker().segmentDb().size(),
-              plugin.tracker().hashDb().distinctHashCount(),
+              plugin.tracker().hashDb().distinctHashCount(
+                  flow::SegmentKind::kParagraph),
               plugin.policy().services().size(),
               plugin.policy().allLabels().size());
 

@@ -81,7 +81,8 @@ RAW_MUTEX_PATTERNS = [
     (re.compile(r"\bstd::scoped_lock\b"),
      "std::scoped_lock; use bf::util::MutexLock"),
     (re.compile(r"\bstd::condition_variable(_any)?\b"),
-     "std::condition_variable; use bf::util::CondVar"),
+     "std::condition_variable; nothing waits on a condition (a ranked "
+     "wrapper would have to keep Mutex's rank bookkeeping across the wait)"),
 ]
 
 WALL_CLOCK_PATTERNS = [

@@ -8,7 +8,7 @@ std::vector<text::Hash> authoritativeHashes(const SegmentRecord& source,
   const auto& hashes = source.fingerprint.hashes();
   out.reserve(hashes.size());
   for (text::Hash h : hashes) {
-    const auto oldest = hashDb.oldestSegmentWith(h);
+    const auto oldest = hashDb.oldestSegmentWith(source.kind, h);
     if (oldest && *oldest == source.id) out.push_back(h);
   }
   return out;
@@ -20,7 +20,7 @@ std::size_t authoritativeOverlap(const SegmentRecord& source,
   std::size_t overlap = 0;
   for (text::Hash h : source.fingerprint.hashes()) {
     if (!target.contains(h)) continue;
-    const auto oldest = hashDb.oldestSegmentWith(h);
+    const auto oldest = hashDb.oldestSegmentWith(source.kind, h);
     if (oldest && *oldest == source.id) ++overlap;
   }
   return overlap;

@@ -20,6 +20,8 @@ std::size_t HashDb::homeSlot(text::Hash hash) const noexcept {
 }
 
 void HashDb::prefetchSlot(text::Hash hash) const noexcept {
+  // Only the first line, though a quarter of the slots straddle two: a
+  // second prefetch per hash halved bench_micro_fingerprint's batch rate.
   if (!slots_.empty()) __builtin_prefetch(&slots_[homeSlot(hash)]);
 }
 
@@ -29,18 +31,18 @@ std::size_t HashDb::probe(text::Hash hash) const noexcept {
 
 std::size_t HashDb::probeFrom(text::Hash hash,
                               std::size_t idx) const noexcept {
-  while (slots_[idx].used() && slots_[idx].hash != hash) {
+  while (slots_[idx].hash != hash && slots_[idx].used()) {
     idx = (idx + 1) & mask_;
   }
   return idx;
 }
 
-void HashDb::grow() {
+void HashDb::rehash(std::size_t capacity) {
   // Rehashing moves only the flat Slot structs; the history pool is
   // index-stable and untouched.
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
-  mask_ = slots_.size() - 1;
+  slots_.assign(capacity, Slot{});
+  mask_ = capacity - 1;
   for (const Slot& s : old) {
     if (s.used()) slots_[probe(s.hash)] = s;
   }
@@ -106,7 +108,7 @@ void HashDb::HistoryPool::release(std::uint32_t begin,
 
 std::uint32_t HashDb::HistoryPool::addRun(
     std::span<const Association> history) {
-  assert(!history.empty() && runs.size() < Slot::kSpilled);
+  assert(!history.empty() && runs.size() < Head::kSpilled);
   const auto size = static_cast<std::uint32_t>(history.size());
   const std::uint32_t begin = allocate(std::bit_ceil(size));
   Entry* out = at(begin);
@@ -143,9 +145,14 @@ std::size_t HashDb::memoryBytes() const noexcept {
          pool_.escapes.capacity() * sizeof(Wide);
 }
 
-void HashDb::spill(Slot& s, std::span<const Association> history) {
-  s.owner = cachedOwner(history.front().segment);
-  s.word = Slot::kSpilled | pool_.addRun(history);
+void HashDb::assign(Head& h, std::span<const Association> history) {
+  if (history.size() == 1 && fitsCompact(history.front())) {
+    h.owner = static_cast<std::uint32_t>(history.front().segment);
+    h.word = static_cast<std::uint32_t>(history.front().firstSeen);
+  } else {
+    h.owner = cachedOwner(history.front().segment);
+    h.word = Head::kSpilled | pool_.addRun(history);
+  }
 }
 
 void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
@@ -155,61 +162,60 @@ void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
   maxRecorded_ = std::max(maxRecorded_, segment);
 }
 
-void HashDb::recordObservation(text::Hash hash, SegmentId segment,
-                               util::Timestamp ts) {
+void HashDb::recordObservation(SegmentKind kind, text::Hash hash,
+                               SegmentId segment, util::Timestamp ts) {
   beginRecord(segment, ts);
-  if (slots_.empty()) grow();
-  (void)recordFrom(hash, Association{segment, ts}, homeSlot(hash));
+  if (slots_.empty()) rehash(kInitialSlots);
+  (void)recordFrom(kind, hash, Association{segment, ts}, homeSlot(hash));
 }
 
-bool HashDb::recordFrom(text::Hash hash, const Association& assoc,
-                        std::size_t from) {
+bool HashDb::recordFrom(SegmentKind kind, text::Hash hash,
+                        const Association& assoc, std::size_t from) {
   const SegmentId segment = assoc.segment;
   assert(segment != kInvalidSegment);
   const util::Timestamp ts = assoc.firstSeen;
+  KindCounts& counts = perKind_[kindIndex(kind)];
   std::size_t at = probeFrom(hash, from);
+  bool grows = false;
   if (!slots_[at].used()) {
-    // A new hash. The table grows at ~70% load, and only here, so a
-    // call that adds no hash leaves the table as it was.
-    const bool grows = (occupied_ + 1) * 10 >= slots_.size() * 7;
+    // A hash new to both kinds. The table grows at ~70% load, and only
+    // here, so a call that adds no hash leaves the table as it was.
+    grows = (occupied_ + 1) * 10 >= slots_.size() * 7;
     if (grows) {
-      grow();
+      rehash(slots_.size() * 2);
       at = probe(hash);
     }
-    Slot& s = slots_[at];
-    s.hash = hash;
-    if (fitsCompact(assoc)) {
-      s.owner = static_cast<std::uint32_t>(segment);
-      s.word = static_cast<std::uint32_t>(ts);
-    } else {
-      spill(s, {&assoc, 1});
-    }
+    slots_[at].hash = hash;
     ++occupied_;
-    ++storedAssociations_;
+  }
+  Head& h = slots_[at].heads[kindIndex(kind)];
+  if (!h.used()) {
+    assign(h, {&assoc, 1});
+    ++counts.distinct;
+    ++counts.associations;
     return grows;
   }
-  Slot& s = slots_[at];
-  if (!s.spilled()) {
+  if (!h.spilled()) {
     // Idempotent per (hash, segment): the original first-seen timestamp
-    // stays, and so does the compact slot.
-    const Association only{s.owner, s.word};
+    // stays, and so does the compact head.
+    const Association only{h.owner, h.word};
     if (only.segment == segment) return false;
     // A second owner; a strictly older one becomes the front.
     const std::array<Association, 2> pair =
         ts < only.firstSeen ? std::array{assoc, only} : std::array{only, assoc};
-    spill(s, pair);
-    ++storedAssociations_;
+    assign(h, pair);
+    ++counts.associations;
     return false;
   }
 
-  const std::uint32_t run = s.runIndex();
+  const std::uint32_t run = h.runIndex();
   const std::span<Entry> history = pool_.entries(run);
   // A segment appears at most once per history, so a held one is left as
   // it is. The cached owner finds the front directly; otherwise scan newest
   // first, since a re-observed segment's entry is usually among the most
   // recent. The history is sorted by firstSeen, so the scan stops below
   // scanFloor_.
-  if (segment < kOwnerInHistory && s.owner == segment) return false;
+  if (segment < kOwnerInHistory && h.owner == segment) return false;
   for (auto it = history.rbegin();
        it != history.rend() && pool_.firstSeenOf(*it) >= scanFloor_; ++it) {
     if (pool_.segmentOf(*it) == segment) return false;
@@ -225,27 +231,28 @@ bool HashDb::recordFrom(text::Hash hash, const Association& assoc,
                            return t < pool_.firstSeenOf(e);
                          }) -
         history.begin());
-    if (pos == 0) s.owner = cachedOwner(segment);
+    if (pos == 0) h.owner = cachedOwner(segment);
   }
   pool_.insert(run, pos, assoc);
-  ++storedAssociations_;
+  ++counts.associations;
   return false;
 }
 
-void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
+void HashDb::recordFingerprint(SegmentKind kind,
+                               std::span<const text::Hash> hashes,
                                SegmentId segment, util::Timestamp ts) {
   beginRecord(segment, ts);
   const std::size_t n = hashes.size();
   if (n == 0) return;
-  if (slots_.empty()) grow();
+  if (slots_.empty()) rehash(kInitialSlots);
   const Association assoc{segment, ts};
   // For hash j, the slot its probe reached at the header stage and the run
-  // index of that slot (kNone when there is nothing to fetch), read back
-  // at the entry and insert stages. The slot stays a valid start for the
-  // insert's probe while the table keeps its size, since slots are never
-  // vacated: if another hash filled it since, every slot from the home
-  // slot up to it holds another hash. When an insert grows the table, the
-  // hashes whose header stage already ran start over from their home
+  // index of that slot's head (kNone when there is nothing to fetch), read
+  // back at the entry and insert stages. The slot stays a valid start for
+  // the insert's probe while the table keeps its size, since slots are
+  // never vacated: if another hash filled it since, every slot from the
+  // home slot up to it holds another hash. When an insert grows the table,
+  // the hashes whose header stage already ran start over from their home
   // slots.
   constexpr std::uint32_t kNone = 0xffffffffu;
   constexpr std::size_t kRing = 16;
@@ -264,13 +271,13 @@ void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
       prefetchSlot(hashes[i + kSlotPrefetchDistance]);
     }
     if (const std::size_t j = i + kRunHeaderPrefetchDistance; j < n) {
-      // The slot was prefetched a stage ago. Only a spilled slot has a run
+      // The slot was prefetched a stage ago. Only a spilled head has a run
       // to fetch; run indices are stable across the inserts in between.
       const std::size_t at = probe(hashes[j]);
-      const Slot& s = slots_[at];
+      const Head& h = slots_[at].heads[kindIndex(kind)];
       slotOf[j % kRing] = at;
       std::uint32_t& r = runOf[j % kRing];
-      r = s.used() && s.spilled() ? s.runIndex() : kNone;
+      r = h.used() && h.spilled() ? h.runIndex() : kNone;
       if (r != kNone) __builtin_prefetch(&pool_.runs[r]);
     }
     if (const std::size_t j = i + kRunEntryPrefetchDistance; j < n) {
@@ -279,7 +286,7 @@ void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
         __builtin_prefetch(pool_.at(run.begin + run.size - 1));
       }
     }
-    if (recordFrom(hashes[i], assoc, slotOf[i % kRing])) {
+    if (recordFrom(kind, hashes[i], assoc, slotOf[i % kRing])) {
       const std::size_t end = std::min(n, i + kRunHeaderPrefetchDistance + 1);
       for (std::size_t j = i + 1; j < end; ++j) {
         slotOf[j % kRing] = homeSlot(hashes[j]);
@@ -288,35 +295,27 @@ void HashDb::recordFingerprint(std::span<const text::Hash> hashes,
   }
 }
 
-std::optional<SegmentId> HashDb::oldestLive(const Slot& s) const {
-  // The slot's owner IS the oldest — the common case answers from this one
+std::optional<SegmentId> HashDb::oldestLive(const Head& h) const {
+  // The head's owner IS the oldest — the common case answers from the
   // slot, spilled or not.
-  if (s.owner != kOwnerInHistory && !isDead(s.owner)) return s.owner;
-  if (!s.spilled()) return std::nullopt;
-  for (const Entry& e : pool_.entries(s.runIndex())) {
+  if (h.owner != kOwnerInHistory && !isDead(h.owner)) return h.owner;
+  if (!h.spilled()) return std::nullopt;
+  for (const Entry& e : pool_.entries(h.runIndex())) {
     const SegmentId segment = pool_.segmentOf(e);
     if (!isDead(segment)) return segment;
   }
   return std::nullopt;
 }
 
-std::optional<HashDb::Association> HashDb::find(text::Hash hash,
-                                                SegmentId segment) const {
-  if (slots_.empty() || isDead(segment)) return std::nullopt;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return std::nullopt;
-  if (!s.spilled()) {
-    if (s.owner != segment) return std::nullopt;
-    return Association{segment, s.word};
-  }
-  for (const Entry& e : pool_.entries(s.runIndex())) {
-    if (pool_.segmentOf(e) == segment) return pool_.decode(e);
-  }
-  return std::nullopt;
+const HashDb::Head* HashDb::findHead(SegmentKind kind,
+                                     text::Hash hash) const noexcept {
+  if (slots_.empty()) return nullptr;
+  const Head& h = slots_[probe(hash)].heads[kindIndex(kind)];
+  return h.used() ? &h : nullptr;
 }
 
 void HashDb::oldestOwners(
-    std::span<const text::Hash> hashes,
+    SegmentKind kind, std::span<const text::Hash> hashes,
     std::vector<std::pair<SegmentId, text::Hash>>& claims) const {
   if (slots_.empty()) return;
   const std::size_t n = hashes.size();
@@ -329,106 +328,95 @@ void HashDb::oldestOwners(
     if (i + kSlotPrefetchDistance < n) {
       prefetchSlot(hashes[i + kSlotPrefetchDistance]);
     }
-    const Slot& s = slots_[probe(hashes[i])];
-    if (!s.used()) continue;
-    if (const auto owner = oldestLive(s)) {
+    const Head& h = slots_[probe(hashes[i])].heads[kindIndex(kind)];
+    if (!h.used()) continue;
+    if (const auto owner = oldestLive(h)) {
       claims.emplace_back(*owner, hashes[i]);
     }
   }
 }
 
-std::optional<SegmentId> HashDb::oldestSegmentWith(text::Hash hash) const {
-  if (slots_.empty()) return std::nullopt;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return std::nullopt;
-  return oldestLive(s);
+std::optional<SegmentId> HashDb::oldestSegmentWith(SegmentKind kind,
+                                                   text::Hash hash) const {
+  const Head* h = findHead(kind, hash);
+  return h != nullptr ? oldestLive(*h) : std::nullopt;
 }
 
-std::vector<SegmentId> HashDb::segmentsWith(text::Hash hash) const {
+std::vector<SegmentId> HashDb::segmentsWith(SegmentKind kind,
+                                            text::Hash hash) const {
   std::vector<SegmentId> out;
-  if (slots_.empty()) return out;
-  const Slot& s = slots_[probe(hash)];
-  if (!s.used()) return out;
-  if (!s.spilled()) {
-    if (!isDead(s.owner)) out.push_back(s.owner);
-    return out;
-  }
-  const std::span<const Entry> history = pool_.entries(s.runIndex());
-  out.reserve(history.size());
-  for (const Entry& e : history) {
-    const SegmentId segment = pool_.segmentOf(e);
-    if (!isDead(segment)) out.push_back(segment);
+  if (const Head* h = findHead(kind, hash)) {
+    forEachIn(pool_, *h, [&](const Association& a) {
+      if (!isDead(a.segment)) out.push_back(a.segment);
+    });
   }
   return out;
 }
 
-std::optional<util::Timestamp> HashDb::firstSeen(text::Hash hash,
+std::optional<util::Timestamp> HashDb::firstSeen(SegmentKind kind,
+                                                 text::Hash hash,
                                                  SegmentId segment) const {
-  if (const auto a = find(hash, segment)) return a->firstSeen;
-  return std::nullopt;
+  std::optional<util::Timestamp> out;
+  const Head* h = findHead(kind, hash);
+  if (h == nullptr || isDead(segment)) return out;
+  forEachIn(pool_, *h, [&](const Association& a) {
+    if (a.segment == segment) out = a.firstSeen;
+  });
+  return out;
 }
 
-void HashDb::removeSegment(SegmentId segment) {
+void HashDb::removeSegment(SegmentKind kind, SegmentId segment) {
   dead_.insert(segment);
-  ++removalGeneration_;
+  deadBits_[(segment >> 6) & 63] |= std::uint64_t{1} << (segment & 63);
+  ++perKind_[kindIndex(kind)].removalGeneration;
   if (dead_.size() > deadCompactionThreshold_) compactDead();
 }
 
 std::size_t HashDb::compactDead() {
   if (dead_.empty()) return 0;
-  // The survivors are packed into a fresh pool; the old one is freed on
-  // return. The table is allocated once, at the size that inserting the
-  // surviving hashes one by one would grow it to.
-  const auto survives = [&](const Slot& s) {
-    if (!s.spilled()) return !isDead(s.owner);
-    const std::span<const Entry> entries = pool_.entries(s.runIndex());
-    return std::any_of(entries.begin(), entries.end(), [&](const Entry& e) {
-      return !isDead(pool_.segmentOf(e));
-    });
-  };
-  std::size_t survivors = 0;
-  for (const Slot& s : slots_) survivors += s.used() && survives(s);
-  std::size_t capacity = kInitialSlots;
-  while (survivors * 10 >= capacity * 7) capacity *= 2;
-
+  // The survivors are packed into a fresh pool (the old one is freed on
+  // return) and a table of the old size; the table then shrinks to the
+  // size that inserting them one by one would grow it to, which is
+  // usually the size it has.
   std::vector<Slot> oldSlots = std::move(slots_);
   const HistoryPool old = std::exchange(pool_, HistoryPool{});
-  const std::size_t before = storedAssociations_;
-  slots_.clear();
-  if (survivors > 0) slots_.resize(capacity);
-  mask_ = survivors > 0 ? capacity - 1 : 0;
+  const std::size_t before =
+      perKind_[0].associations + perKind_[1].associations;
+  slots_.assign(oldSlots.size(), Slot{});
   occupied_ = 0;
-  storedAssociations_ = 0;
+  for (KindCounts& c : perKind_) c.distinct = c.associations = 0;
 
-  std::vector<Association> history;  // one hash's survivors
+  std::vector<Association> history;  // one head's survivors
   for (const Slot& s : oldSlots) {
-    if (!s.used()) continue;
-    if (!s.spilled()) {
-      if (isDead(s.owner)) continue;
-      slots_[probe(s.hash)] = s;
-      ++occupied_;
-      ++storedAssociations_;
-      continue;
+    Slot kept{s.hash, {}};
+    for (std::size_t k = 0; k < kept.heads.size(); ++k) {
+      const Head& h = s.heads[k];
+      history.clear();
+      if (!h.used()) continue;
+      forEachIn(old, h, [&](const Association& a) {
+        if (!isDead(a.segment)) history.push_back(a);
+      });
+      if (history.empty()) continue;
+      assign(kept.heads[k], history);
+      ++perKind_[k].distinct;
+      perKind_[k].associations += history.size();
     }
-    history.clear();
-    for (const Entry& e : old.entries(s.runIndex())) {
-      const Association a = old.decode(e);
-      if (!isDead(a.segment)) history.push_back(a);
-    }
-    if (history.empty()) continue;
+    if (!kept.used()) continue;
+    slots_[probe(s.hash)] = kept;
     ++occupied_;
-    storedAssociations_ += history.size();
-    Slot& dst = slots_[probe(s.hash)];
-    dst.hash = s.hash;
-    if (history.size() == 1 && fitsCompact(history.front())) {
-      dst.owner = static_cast<std::uint32_t>(history.front().segment);
-      dst.word = static_cast<std::uint32_t>(history.front().firstSeen);
-    } else {
-      spill(dst, history);
-    }
+  }
+  oldSlots = std::vector<Slot>();  // freed before a shrinking rehash
+  std::size_t capacity = kInitialSlots;
+  while (occupied_ * 10 >= capacity * 7) capacity *= 2;
+  if (occupied_ == 0) {
+    slots_ = std::vector<Slot>();
+    mask_ = 0;
+  } else if (capacity != slots_.size()) {
+    rehash(capacity);
   }
   dead_.clear();
-  return before - storedAssociations_;
+  deadBits_.fill(0);
+  return before - perKind_[0].associations - perKind_[1].associations;
 }
 
 }  // namespace bf::flow

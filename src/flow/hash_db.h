@@ -4,55 +4,58 @@
 //  hashes to paragraphs that have been found to contain those hashes along
 //  with timestamps."
 //
-// For every fingerprint hash we keep the history of segments that were
-// observed to contain it, ordered by first-seen timestamp. The front of the
-// history answers oldestSegmentWith(h) in O(1) amortised, which both the
-// authoritative-fingerprint computation and Algorithm 1 rely on. That is
-// all an association holds: the segment and the stamp it was first seen
-// at. Re-observing a held (hash, segment) changes nothing.
+// For every fingerprint hash we keep, per SegmentKind, the history of
+// segments that were observed to contain it, ordered by first-seen
+// timestamp. The front of a history answers oldestSegmentWith(kind, h) in
+// O(1) amortised, which both the authoritative-fingerprint computation and
+// Algorithm 1 rely on. That is all an association holds: the segment and
+// the stamp it was first seen at. Re-observing a held (hash, segment)
+// changes nothing. Authority is per kind (DESIGN.md §5), but almost every
+// paragraph hash is also a document hash, so both kinds share one index:
+// a hash has one slot, and the slot holds a head per kind.
 //
 // Storage is an open-addressing hash table (linear probing, power-of-two
-// capacity) of 16-byte slots, four per cache line. DBhash only grows
-// between removals, so the table is the tracker's memory. Most hashes have
-// exactly one owner, at a small logical-clock stamp: such a hash is a
-// compact slot holding its segment and firstSeen inline, and the
-// Algorithm-1 candidate loop — one oldestSegmentWith probe per target
-// hash — resolves in that slot. Every other hash spills: its slot points
-// at a run header in the table's history pool, and caches the oldest owner
-// so candidate discovery still answers from the slot while that owner is
-// live. The pool holds every association of a spilled hash, oldest first,
-// as 8-byte entries in fixed 512 KiB blocks (see HistoryPool).
+// capacity) of 20-byte slots. DBhash only grows between removals, so the
+// table is the tracker's memory. Most hashes have exactly one owner per
+// kind, at a small logical-clock stamp: such a head is compact, holding
+// its segment and firstSeen inline, and the Algorithm-1 candidate loop —
+// one oldestSegmentWith probe per target hash — resolves in the slot.
+// Every other head spills: it points at a run header in the history pool,
+// and caches the oldest owner so candidate discovery still answers from
+// the slot while that owner is live. The pool (HistoryPool) holds every
+// association of a spilled head, oldest first, in 8-byte entries.
 //
 // Writes and the candidate loop go through two batch entry points that take
 // a whole fingerprint: recordFingerprint (every hash of an observed
 // segment) and oldestOwners (Algorithm 1's discovery over a target). Each
-// is a software-pipelined loop over the hashes, since every probe is a
-// likely cache miss in a table far beyond L2: it prefetches the home slot
+// is a software-pipelined loop over the hashes (every probe is a likely
+// cache miss in a table far beyond L2): it prefetches the home slot
 // kSlotPrefetchDistance hashes ahead; the record loop also probes the hash
-// kRunHeaderPrefetchDistance ahead and, if its slot spills, prefetches
+// kRunHeaderPrefetchDistance ahead and, if its head spills, prefetches
 // that run's header, then its newest entry kRunEntryPrefetchDistance
 // ahead. The slot that the header-stage probe reached is kept, and the
 // insert continues linear probing from it, so each recorded hash is
 // probed once. The table grows at 70% load, checked only when a hash is
-// new, so growth lands on the same insert as in the per-hash loop, a call
-// that adds no hash leaves the table as it was, and the batch leaves the
-// table bit-for-bit as the per-hash loop would. Growth moves every slot:
-// the hashes whose probe already ran start over from their home slots.
+// new to both kinds, so growth lands on the same insert as in the
+// per-hash loop, a call that adds no hash leaves the table as it was, and
+// the batch leaves the table bit-for-bit as the per-hash loop would.
+// Growth moves every slot: the hashes whose probe already ran start over
+// from their home slots.
 //
 // A segment appears at most once per history, so an insert into a spilled
-// hash first scans its run newest-first for the segment (a re-observed
-// segment usually sits near the end). Common n-grams have histories of
-// thousands of owners, so the scan is bounded for a segment's first
-// record: ids come from an increasing counter, and a call whose segment
-// is above every id recorded so far can only meet entries it added
-// itself, all stamped with its `ts`. Histories are sorted by firstSeen,
-// so that scan stops at the first entry older than `ts`. Any other call
-// (a re-observation, a restore of a lower id) scans the whole run.
+// head first scans its run newest-first for the segment. Common n-grams
+// have histories of thousands of owners, so the scan is bounded for a
+// segment's first record: ids of both kinds come from one increasing
+// counter, and a call whose segment is above every id recorded so far can
+// only meet entries it added itself, all stamped with its `ts`. Histories
+// are sorted by firstSeen, so that scan stops at the first entry older
+// than `ts`. Any other call (a re-observation, a restore of a lower id)
+// scans the whole run.
 //
-// Segment removal is lazy (a dead set consulted by lookups) but bounded:
-// once the dead set exceeds a threshold, the store physically compacts the
-// dead associations and clears the set, so neither the tombstones nor the
-// per-lookup isDead probes accumulate forever.
+// Segment removal is lazy (one dead set, consulted by lookups) but
+// bounded: past a threshold, the store physically compacts the dead
+// associations and clears the set. The removal generation is per kind, so
+// removing a paragraph leaves cached document answers valid.
 #pragma once
 
 #include <array>
@@ -88,40 +91,41 @@ class HashDb {
   /// per (hash, segment): re-observing keeps the original first-seen
   /// timestamp and leaves the store as it was. `segment` must not be
   /// kInvalidSegment.
-  void recordObservation(text::Hash hash, SegmentId segment,
+  void recordObservation(SegmentKind kind, text::Hash hash, SegmentId segment,
                          util::Timestamp ts);
 
-  /// recordObservation(h, segment, ts) for every h in `hashes`, in order,
-  /// with the probes prefetched ahead of the inserts. The table ends up
-  /// exactly as the per-hash loop leaves it (capacity, slot order,
+  /// recordObservation(kind, h, segment, ts) for every h in `hashes`, in
+  /// order, with the probes prefetched ahead of the inserts. The table ends
+  /// up exactly as the per-hash loop leaves it (capacity, slot order,
   /// histories, timestamps).
-  void recordFingerprint(std::span<const text::Hash> hashes,
+  void recordFingerprint(SegmentKind kind, std::span<const text::Hash> hashes,
                          SegmentId segment, util::Timestamp ts);
 
   /// For every h in `hashes` (in order) that has a live owner, appends
-  /// (oldestSegmentWith(h), h) to `claims`; the slot probes are prefetched
-  /// ahead. This is Algorithm 1's candidate discovery over a target.
+  /// (oldestSegmentWith(kind, h), h) to `claims`; the slot probes are
+  /// prefetched ahead. This is Algorithm 1's candidate discovery.
   void oldestOwners(
-      std::span<const text::Hash> hashes,
+      SegmentKind kind, std::span<const text::Hash> hashes,
       std::vector<std::pair<SegmentId, text::Hash>>& claims) const;
 
   /// The oldest live segment associated with `hash`, or nullopt.
   /// This is "oldestParagraphWith(h, DBhash)" from Algorithm 1.
   [[nodiscard]] std::optional<SegmentId> oldestSegmentWith(
-      text::Hash hash) const;
+      SegmentKind kind, text::Hash hash) const;
 
   /// All live segments associated with `hash`, oldest first.
-  [[nodiscard]] std::vector<SegmentId> segmentsWith(text::Hash hash) const;
+  [[nodiscard]] std::vector<SegmentId> segmentsWith(SegmentKind kind,
+                                                    text::Hash hash) const;
 
   /// First-seen timestamp of (hash, segment), or nullopt if unrecorded.
   [[nodiscard]] std::optional<util::Timestamp> firstSeen(
-      text::Hash hash, SegmentId segment) const;
+      SegmentKind kind, text::Hash hash, SegmentId segment) const;
 
   /// Marks a segment dead: its associations are skipped by lookups and
   /// physically removed by the next compaction (automatic once the dead
-  /// set exceeds the threshold). Increments the removal generation (used
-  /// by callers to invalidate authoritative-fingerprint caches).
-  void removeSegment(SegmentId segment);
+  /// set exceeds the threshold). Increments the removal generation of
+  /// `kind` only (callers key cached answers by it).
+  void removeSegment(SegmentKind kind, SegmentId segment);
 
   /// Physically removes every association of a dead segment and clears
   /// the dead set. Called automatically by removeSegment past the
@@ -143,15 +147,15 @@ class HashDb {
 
   /// Number of distinct hashes with at least one (possibly dead)
   /// association. Benches use this to size the store (paper Fig. 13).
-  [[nodiscard]] std::size_t distinctHashCount() const noexcept {
-    return occupied_;
+  [[nodiscard]] std::size_t distinctHashCount(SegmentKind kind) const noexcept {
+    return perKind_[kindIndex(kind)].distinct;
   }
 
   /// Number of physically stored associations (memory accounting in
   /// benches). Associations of removed segments are counted until the
   /// next compaction purges them.
-  [[nodiscard]] std::size_t associationCount() const noexcept {
-    return storedAssociations_;
+  [[nodiscard]] std::size_t associationCount(SegmentKind kind) const noexcept {
+    return perKind_[kindIndex(kind)].associations;
   }
 
   /// Bytes the store holds: slot table, run headers, history-pool blocks
@@ -159,7 +163,7 @@ class HashDb {
   /// use; the dead set is not counted). O(1).
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
 
-  /// Hashes whose slot spilled its associations into the history pool.
+  /// Heads of either kind that spilled into the history pool.
   [[nodiscard]] std::size_t spilledHashCount() const noexcept {
     return pool_.runs.size();
   }
@@ -170,56 +174,43 @@ class HashDb {
     return pool_.blocks.size();
   }
 
-  /// Monotone counter bumped by removeSegment. Callers cache authoritative
-  /// fingerprints keyed by this generation.
-  [[nodiscard]] std::uint64_t removalGeneration() const noexcept {
-    return removalGeneration_;
+  /// Monotone counter bumped by removeSegment. Callers cache
+  /// authoritative fingerprints keyed by this generation.
+  [[nodiscard]] std::uint64_t removalGeneration(SegmentKind k) const noexcept {
+    return perKind_[kindIndex(k)].removalGeneration;
   }
 
   /// Applies fn(hash, segment, firstSeen) to every LIVE association, in
   /// per-hash oldest-first order. Used by snapshot export.
   template <typename Fn>
-  void forEachAssociation(Fn&& fn) const {
+  void forEachAssociation(SegmentKind kind, Fn&& fn) const {
     for (const Slot& slot : slots_) {
-      if (!slot.used()) continue;
-      if (!slot.spilled()) {
-        if (!isDead(slot.owner)) fn(slot.hash, slot.owner, slot.word);
-        continue;
-      }
-      for (const Entry& e : pool_.entries(slot.runIndex())) {
-        const Association a = pool_.decode(e);
+      const Head& head = slot.heads[kindIndex(kind)];
+      if (!head.used()) continue;
+      forEachIn(pool_, head, [&](const Association& a) {
         if (!isDead(a.segment)) fn(slot.hash, a.segment, a.firstSeen);
-      }
+      });
     }
   }
 
  private:
-  /// One open-addressing slot. The slot is the hot probe target of every
-  /// query (one per target hash), so its size IS the read path's cache
-  /// footprint and, at ~50% load after each doubling, most of the
-  /// tracker's memory: 16 bytes, four slots per cache line.
-  ///
-  /// `owner == kInvalidSegment` marks an empty slot (slots are never
-  /// individually vacated; only full rebuilds reclaim them). A used slot
-  /// takes one of two shapes, told apart by the high bit of `word`:
-  ///  - compact (bit clear): the hash's only association. `owner` is the
-  ///    segment and `word` its firstSeen. It requires firstSeen < 2^31 and a segment below
-  ///    kOwnerInHistory; the tracker's logical clock and segment counter
-  ///    stay far below both in practice.
+  /// One kind's associations with a slot's hash. `owner == kInvalidSegment`
+  /// marks an absent head. A present head takes one of two shapes, told
+  /// apart by the high bit of `word`:
+  ///  - compact (bit clear): the kind's only association. `owner` is the
+  ///    segment and `word` its firstSeen. It requires firstSeen < 2^31 and
+  ///    a segment below kOwnerInHistory; the tracker's logical clock and
+  ///    segment counter stay far below both in practice.
   ///  - spilled (bit set): the low 31 bits index the pool's run headers;
-  ///    the run holds every association of the hash, oldest first, with
+  ///    the run holds every association of the kind, oldest first, with
   ///    exact stamps. `owner` caches the oldest association's segment, or
   ///    kOwnerInHistory when that id does not fit in 32 bits.
-  /// A compact slot spills on its second association, or when a stamp or
-  /// id does not fit. Spilled slots return to compact only through a
+  /// A compact head spills on its second association, or when a stamp or
+  /// id does not fit. Spilled heads return to compact only through a
   /// compaction's rebuild.
-  struct Slot {
+  struct Head {
     static constexpr std::uint32_t kSpilled = 0x80000000u;
 
-    text::Hash hash = 0;
-    /// Unused. Keeps the 16-byte layout until a 12-byte slot and a split
-    /// hash array have been measured against it.
-    std::uint32_t spare = 0;
     std::uint32_t owner = 0;
     std::uint32_t word = 0;
 
@@ -233,9 +224,19 @@ class HashDb {
       return word & ~kSpilled;
     }
   };
-  static_assert(sizeof(Slot) == 16,
-                "Slot is the per-query cache footprint and the bulk of the "
-                "tracker's memory; keep it at four slots per cache line");
+
+  /// One open-addressing slot: a hash and its head per SegmentKind, used
+  /// while either head is. Its size is the read path's cache footprint
+  /// and most of the tracker's memory; only full rebuilds vacate slots.
+  struct Slot {
+    text::Hash hash = 0;
+    std::array<Head, 2> heads{};
+
+    [[nodiscard]] bool used() const noexcept {
+      return heads[0].used() || heads[1].used();
+    }
+  };
+  static_assert(sizeof(Slot) == 20, "one hash and two 8-byte heads");
 
   /// One association in the history pool. A segment id below kEscaped and
   /// a firstSeen below 2^32 are stored inline; otherwise `segment` is
@@ -249,7 +250,7 @@ class HashDb {
   };
   static_assert(sizeof(Entry) == 8, "eight history entries per cache line");
 
-  /// A spilled hash's history: `size` entries from pool index `begin`, in
+  /// A spilled head's history: `size` entries from pool index `begin`, in
   /// space of capacity std::bit_ceil(size).
   struct Run {
     std::uint32_t begin;
@@ -262,7 +263,7 @@ class HashDb {
     util::Timestamp firstSeen;
   };
 
-  /// Every spilled history of one table: run headers in a flat vector and
+  /// Every spilled history of both kinds: run headers in a flat vector and
   /// entries in fixed blocks of kBlockEntries that never move. A pool
   /// index i lives at blocks[i / kBlockEntries][i % kBlockEntries]. A run
   /// has power-of-two capacity; one of at most a block is carved from the
@@ -323,29 +324,38 @@ class HashDb {
     void release(std::uint32_t begin, std::uint32_t capacity) noexcept;
   };
 
-  /// Spilled-slot `owner` when the oldest segment id needs the history.
+  struct KindCounts {
+    std::size_t distinct = 0;      // heads in use
+    std::size_t associations = 0;  // stored, dead ones included
+    std::uint64_t removalGeneration = 0;
+  };
+
+  /// Spilled-head `owner` when the oldest segment id needs the history.
   static constexpr std::uint32_t kOwnerInHistory = 0xffffffffu;
 
-  /// True when `a`, as a hash's only association, fits a compact slot.
+  /// True when `a`, as a kind's only association, fits a compact head.
   [[nodiscard]] static bool fitsCompact(const Association& a) noexcept {
-    return a.segment < kOwnerInHistory && a.firstSeen < Slot::kSpilled;
+    return a.segment < kOwnerInHistory && a.firstSeen < Head::kSpilled;
   }
 
-  /// The `owner` a spilled slot caches for its oldest segment.
+  /// The `owner` a spilled head caches for its oldest segment.
   [[nodiscard]] static std::uint32_t cachedOwner(SegmentId oldest) noexcept {
     return oldest < kOwnerInHistory ? static_cast<std::uint32_t>(oldest)
                                     : kOwnerInHistory;
   }
 
   /// How far ahead of the insert/lookup the batch loops prefetch: the
-  /// home slot first, then (record only) the run header of a spilled slot
+  /// home slot first, then (record only) the run header of a spilled head
   /// that already holds the hash, then that run's newest entry.
   static constexpr std::size_t kSlotPrefetchDistance = 16;
   static constexpr std::size_t kRunHeaderPrefetchDistance = 8;
   static constexpr std::size_t kRunEntryPrefetchDistance = 4;
 
+  /// deadBits_ filters the dead-set probe that every claim and every
+  /// compacted association makes (std::unordered_set divides per probe).
   [[nodiscard]] bool isDead(SegmentId s) const {
-    return !dead_.empty() && dead_.count(s) != 0;
+    return ((deadBits_[(s >> 6) & 63] >> (s & 63)) & 1) != 0 &&
+           dead_.count(s) != 0;
   }
 
   /// Index of `hash`'s home slot (where its probe starts).
@@ -354,16 +364,27 @@ class HashDb {
   /// Prefetches `hash`'s home slot. No-op on an empty table.
   void prefetchSlot(text::Hash hash) const noexcept;
 
-  /// The oldest live association of an occupied slot, or nullopt.
-  [[nodiscard]] std::optional<SegmentId> oldestLive(const Slot& s) const;
+  /// The oldest live association of a present head, or nullopt.
+  [[nodiscard]] std::optional<SegmentId> oldestLive(const Head& h) const;
 
-  /// The association of live `segment` with `hash`, or nullopt.
-  [[nodiscard]] std::optional<Association> find(text::Hash hash,
-                                                SegmentId segment) const;
+  /// Applies fn(association) to every association of present head `h`,
+  /// oldest first; a spilled head's are read from `pool`.
+  template <typename Fn>
+  static void forEachIn(const HistoryPool& pool, const Head& h, Fn&& fn) {
+    if (!h.spilled()) {
+      fn(Association{h.owner, h.word});
+      return;
+    }
+    for (const Entry& e : pool.entries(h.runIndex())) fn(pool.decode(e));
+  }
 
-  /// Turns `s` into a spilled slot over `history` (non-empty, oldest
-  /// first), a new run of the pool.
-  void spill(Slot& s, std::span<const Association> history);
+  /// `hash`'s head of kind `kind`, or nullptr when that head is absent.
+  [[nodiscard]] const Head* findHead(SegmentKind kind,
+                                     text::Hash hash) const noexcept;
+
+  /// Makes `h` hold `history` (non-empty, oldest first): compact when
+  /// that fits, else spilled over a new run of the pool.
+  void assign(Head& h, std::span<const Association> history);
 
   /// Starts a record call: sets scanFloor_ to `ts` when `segment` was
   /// never recorded before (above maxRecorded_), else to 0, then raises
@@ -373,7 +394,7 @@ class HashDb {
   /// recordObservation on a non-empty table, probing from slot `from`
   /// (the home slot, or a slot the probe reaches later). Returns true when
   /// it grew the table, which moves every slot.
-  bool recordFrom(text::Hash hash, const Association& assoc,
+  bool recordFrom(SegmentKind kind, text::Hash hash, const Association& assoc,
                   std::size_t from);
 
   /// Index of `hash`'s slot, or of the empty slot where it would insert.
@@ -385,17 +406,17 @@ class HashDb {
   [[nodiscard]] std::size_t probeFrom(text::Hash hash,
                                       std::size_t idx) const noexcept;
 
-  /// Doubles the table (or allocates the first one) and rehashes.
-  void grow();
+  /// Moves every slot into a new table of `capacity` (a power of two).
+  void rehash(std::size_t capacity);
 
   std::vector<Slot> slots_;  // power-of-two size; empty until first insert
   std::size_t mask_ = 0;     // slots_.size() - 1
-  std::size_t occupied_ = 0;
-  HistoryPool pool_;  // histories of spilled slots
+  std::size_t occupied_ = 0;  // used slots
+  std::array<KindCounts, 2> perKind_{};  // indexed by SegmentKind
+  HistoryPool pool_;  // histories of spilled heads
   std::unordered_set<SegmentId> dead_;
+  std::array<std::uint64_t, 64> deadBits_{};  // dead_'s ids by low 12 bits
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
-  std::size_t storedAssociations_ = 0;
-  std::uint64_t removalGeneration_ = 0;
   SegmentId maxRecorded_ = kInvalidSegment;  // largest id any insert recorded
   util::Timestamp scanFloor_ = 0;  // run scans of this record call stop below
 };

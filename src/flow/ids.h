@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace bf::flow {
@@ -14,6 +15,11 @@ inline constexpr SegmentId kInvalidSegment = 0;
 /// Tracking granularity (paper S4.1): paragraphs and whole documents are
 /// tracked independently.
 enum class SegmentKind : std::uint8_t { kParagraph = 0, kDocument = 1 };
+
+/// A SegmentKind as an index into per-kind arrays.
+[[nodiscard]] constexpr std::size_t kindIndex(SegmentKind k) noexcept {
+  return static_cast<std::size_t>(k);
+}
 
 /// True for a byte that names a SegmentKind. Snapshot import and WAL
 /// replay check every untrusted kind byte before it is cast.

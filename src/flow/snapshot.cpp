@@ -78,8 +78,8 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
       util::Timestamp ts;
     };
     std::vector<Assoc> assocs;
-    tracker.hashDb(kind).forEachAssociation(
-        [&](text::Hash hash, SegmentId segment, util::Timestamp ts) {
+    tracker.hashDb().forEachAssociation(
+        kind, [&](text::Hash hash, SegmentId segment, util::Timestamp ts) {
           assocs.push_back({hash, segment, ts});
         });
     std::sort(assocs.begin(), assocs.end(), [](const Assoc& a, const Assoc& b) {

@@ -53,8 +53,8 @@ const TrackerMetrics& trackerMetrics() {
                  "Distinct document hashes in DBhash");
     out.dbhashBytes =
         &r.gauge("bf_tracker_dbhash_bytes",
-                 "Bytes held by DBhash (both tables: slots, run headers, "
-                 "history pool, escapes)");
+                 "Bytes held by DBhash (one index for both kinds: slots, "
+                 "run headers, history pool, escapes)");
     out.dbparSegments =
         &r.gauge("bf_tracker_dbpar_segments", "Live segments in DBpar");
     return out;
@@ -69,14 +69,12 @@ FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock)
 
 void FlowTracker::refreshStoreGauges() const noexcept {
   const TrackerMetrics& m = trackerMetrics();
-  const HashDb& paragraphs = stores_.hashes[idx(SegmentKind::kParagraph)];
-  const HashDb& documents = stores_.hashes[idx(SegmentKind::kDocument)];
+  const HashDb& db = stores_.hashes;
   m.dbhashParagraphHashes->set(
-      static_cast<double>(paragraphs.distinctHashCount()));
+      static_cast<double>(db.distinctHashCount(SegmentKind::kParagraph)));
   m.dbhashDocumentHashes->set(
-      static_cast<double>(documents.distinctHashCount()));
-  m.dbhashBytes->set(
-      static_cast<double>(paragraphs.memoryBytes() + documents.memoryBytes()));
+      static_cast<double>(db.distinctHashCount(SegmentKind::kDocument)));
+  m.dbhashBytes->set(static_cast<double>(db.memoryBytes()));
   m.dbparSegments->set(static_cast<double>(stores_.segments.size()));
 }
 
@@ -179,13 +177,13 @@ SegmentId FlowTracker::observeSegmentLocked(SegmentKind kind,
   const util::Timestamp now = clock_->now();
   {
     obs::StageTimer recordTimer(obs::Stage::kTrackerRecord);
-    stores_.hashes[idx(kind)].recordFingerprint(fp.hashes(), id, now);
+    stores_.hashes.recordFingerprint(kind, fp.hashes(), id, now);
     stores_.segments.updateFingerprint(id, fp, now);
   }
   if (auto it = stores_.cache.find(id); it != stores_.cache.end()) {
     it->second.valid = false;
   }
-  stores_.changeLogs[idx(kind)].note(++stores_.changes,
+  stores_.changeLogs[kindIndex(kind)].note(++stores_.changes,
                                      stores_.segments.find(id)->document);
   if (wal_ != nullptr) {
     // Log the POST-mutation record: replaying it recreates the segment with
@@ -250,15 +248,13 @@ void FlowTracker::removeSegment(SegmentId id) {
 }
 
 void FlowTracker::removeSegmentLocked(SegmentId id) {
-  const SegmentRecord* rec = stores_.segments.find(id);
-  if (rec != nullptr) {
-    stores_.hashes[idx(rec->kind)].removeSegment(id);
-  } else {
-    stores_.hashes[idx(SegmentKind::kParagraph)].removeSegment(id);
-    stores_.hashes[idx(SegmentKind::kDocument)].removeSegment(id);
+  // Associations are recorded only for segments DBpar holds, so an id it
+  // does not know has nothing live in DBhash.
+  if (const SegmentRecord* rec = stores_.segments.find(id); rec != nullptr) {
+    stores_.hashes.removeSegment(rec->kind, id);
+    stores_.segments.remove(id);
+    stores_.cache.erase(id);
   }
-  stores_.segments.remove(id);
-  stores_.cache.erase(id);
   if (wal_ != nullptr) wal_->logSegmentRemoved(id);
 }
 
@@ -288,14 +284,16 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
   // response time scale sub-linearly with the hash count (paper Fig. 13).
   // The naive containment ablation lets every segment sharing a hash
   // compete instead.
-  const HashDb& db = stores_.hashes[idx(sourceKind)];
+  const HashDb& db = stores_.hashes;
   auto& claims = workspace_.claims;
   claims.clear();
   if (config_.useAuthoritative) {
-    db.oldestOwners(target.hashes(), claims);
+    db.oldestOwners(sourceKind, target.hashes(), claims);
   } else {
     for (text::Hash h : target.hashes()) {
-      for (SegmentId s : db.segmentsWith(h)) claims.emplace_back(s, h);
+      for (SegmentId s : db.segmentsWith(sourceKind, h)) {
+        claims.emplace_back(s, h);
+      }
     }
   }
 
@@ -385,8 +383,8 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
 
 FlowTracker::StoreSizes FlowTracker::storeSizes() const {
   util::MutexLock lock(mutex_);
-  return {stores_.hashes[idx(SegmentKind::kParagraph)].distinctHashCount(),
-          stores_.hashes[idx(SegmentKind::kDocument)].distinctHashCount(),
+  return {stores_.hashes.distinctHashCount(SegmentKind::kParagraph),
+          stores_.hashes.distinctHashCount(SegmentKind::kDocument),
           stores_.segments.size()};
 }
 
@@ -415,7 +413,7 @@ std::vector<DisclosureHit> FlowTracker::sourcesForSegment(SegmentId id) {
     // per-keystroke common case of S6.2). A miss is timed by the query.
     obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
     digest = digestOf(rec->fingerprint);
-    removalGen = stores_.hashes[idx(rec->kind)].removalGeneration();
+    removalGen = stores_.hashes.removalGeneration(rec->kind);
     const auto it = stores_.cache.find(id);
     if (config_.enableCache && it != stores_.cache.end() &&
         it->second.valid && it->second.fingerprintDigest == digest &&
@@ -452,8 +450,8 @@ std::vector<DisclosureHit> FlowTracker::sourcesForProbe(SegmentId id) const {
     if (it != stores_.cache.end() && it->second.valid &&
         it->second.fingerprintDigest == digestOf(rec->fingerprint) &&
         it->second.removalGeneration ==
-            stores_.hashes[idx(rec->kind)].removalGeneration() &&
-        stores_.changeLogs[idx(rec->kind)].newestOutside(rec->document) <=
+            stores_.hashes.removalGeneration(rec->kind) &&
+        stores_.changeLogs[kindIndex(rec->kind)].newestOutside(rec->document) <=
             it->second.filledAt) {
       stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
       trackerMetrics().cacheHits->inc();
@@ -473,8 +471,7 @@ double FlowTracker::pairwiseDisclosure(SegmentId source,
   const SegmentRecord* tgt = stores_.segments.find(target);
   if (src == nullptr || tgt == nullptr) return 0.0;
   if (config_.useAuthoritative) {
-    return disclosureScore(*src, tgt->fingerprint,
-                           stores_.hashes[idx(src->kind)]);
+    return disclosureScore(*src, tgt->fingerprint, stores_.hashes);
   }
   const std::size_t total = src->fingerprint.size();
   if (total == 0) return 0.0;
@@ -513,7 +510,7 @@ void FlowTracker::restoreAssociation(SegmentKind kind, text::Hash hash,
   // Called once per association during snapshot import; the store gauges
   // are refreshed by restoreSegment / the next observation instead of here.
   util::MutexLock lock(mutex_);
-  stores_.hashes[idx(kind)].recordObservation(hash, segment, firstSeen);
+  stores_.hashes.recordObservation(kind, hash, segment, firstSeen);
   noteChangeEverywhereLocked();
 }
 
@@ -540,8 +537,8 @@ void FlowTracker::replaySegmentObserved(SegmentRecord record) {
       existing != nullptr &&
       existing->fingerprint.sameHashes(record.fingerprint);
   if (!movedGramsOnly) {
-    stores_.hashes[idx(record.kind)].recordFingerprint(
-        record.fingerprint.hashes(), id, record.updatedAt);
+    stores_.hashes.recordFingerprint(record.kind, record.fingerprint.hashes(),
+                                     id, record.updatedAt);
   }
   if (existing == nullptr) {
     stores_.segments.restore(std::move(record));
@@ -564,7 +561,7 @@ FlowTracker::attributeDisclosure(SegmentId source,
   util::MutexLock lock(mutex_);
   const SegmentRecord* rec = stores_.segments.find(source);
   if (rec == nullptr || target.empty()) return ranges;
-  const HashDb& db = stores_.hashes[idx(rec->kind)];
+  const HashDb& db = stores_.hashes;
   // Each matched gram covers roughly one n-gram of source text; adjacent
   // matches merge into readable passages. The window guarantee means a
   // copied passage of >= windowChars yields at least one gram here.
@@ -572,7 +569,7 @@ FlowTracker::attributeDisclosure(SegmentId source,
   for (const auto& gram : rec->fingerprint.grams()) {
     if (!target.contains(gram.hash)) continue;
     if (config_.useAuthoritative) {
-      const auto oldest = db.oldestSegmentWith(gram.hash);
+      const auto oldest = db.oldestSegmentWith(rec->kind, gram.hash);
       if (!oldest || *oldest != source) continue;
     }
     const std::size_t begin = gram.pos;

@@ -230,14 +230,12 @@ class FlowTracker {
     util::MutexLock lock(mutex_);
     return stores_.segments.findByName(name);
   }
-  /// The hash store for one tracking granularity. Paragraphs and documents
-  /// are tracked independently (paper S4.1), so provenance ("oldest segment
-  /// with hash h") is kind-local: a document fingerprint never steals
-  /// authority from its own paragraphs.
-  [[nodiscard]] const HashDb& hashDb(
-      SegmentKind kind = SegmentKind::kParagraph) const noexcept
+  /// The hash store. Provenance ("oldest segment with hash h") is
+  /// kind-local (paper S4.1): a document never steals authority from its
+  /// own paragraphs.
+  [[nodiscard]] const HashDb& hashDb() const noexcept
       BF_NO_THREAD_SAFETY_ANALYSIS {
-    return stores_.hashes[idx(kind)];
+    return stores_.hashes;
   }
   [[nodiscard]] const SegmentDb& segmentDb() const noexcept
       BF_NO_THREAD_SAFETY_ANALYSIS {
@@ -383,10 +381,10 @@ class FlowTracker {
     std::vector<std::uint32_t> index;
   };
 
-  /// The tracker's mutable state: DBhash per kind, DBpar, and the
-  /// decision cache.
+  /// The tracker's mutable state: DBhash (one index, a head per kind),
+  /// DBpar, and the decision cache.
   struct Stores {
-    HashDb hashes[2];  // indexed by SegmentKind
+    HashDb hashes;
     SegmentDb segments;
     std::unordered_map<SegmentId, CacheEntry> cache;
     /// Counts fingerprint changes; the logs hold stamps of this count.
@@ -397,10 +395,6 @@ class FlowTracker {
   [[nodiscard]] static std::uint64_t digestOf(const text::Fingerprint& fp);
   [[nodiscard]] DisclosureHit makeHit(const SegmentRecord& source,
                                       double score, std::size_t overlap) const;
-
-  [[nodiscard]] static constexpr std::size_t idx(SegmentKind kind) noexcept {
-    return static_cast<std::size_t>(kind);
-  }
 
   /// Registers `fp` (already computed, OUTSIDE the lock) for the segment,
   /// logging to the attached WAL. Does NOT refresh the store gauges —

@@ -35,7 +35,6 @@
 // back to NDEBUG: checks off).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
@@ -141,19 +140,6 @@ class BF_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable usable with Mutex. Waiting releases and re-acquires
-/// the mutex through Mutex::lock/unlock, so the rank bookkeeping stays
-/// consistent across the wait.
-class CondVar {
- public:
-  void wait(Mutex& mu) BF_REQUIRES(mu) { cv_.wait(mu); }
-  void notifyOne() noexcept { cv_.notify_one(); }
-  void notifyAll() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace bf::util

@@ -275,8 +275,8 @@ TEST_F(DeploymentTest, TruncatedPolicyBlobLeavesBothStoresEmpty) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.errorMessage().find("policy"), std::string::npos);
   EXPECT_EQ(plugin.tracker().segmentDb().size(), 0u);
-  EXPECT_EQ(plugin.tracker().hashDb(flow::SegmentKind::kParagraph)
-                .distinctHashCount(),
+  EXPECT_EQ(plugin.tracker().hashDb().distinctHashCount(
+                flow::SegmentKind::kParagraph),
             0u);
   EXPECT_EQ(plugin.policy().services().size(), 0u);
   EXPECT_TRUE(plugin.policy().allLabels().empty());

@@ -350,8 +350,10 @@ TEST(SecretGuard, RescanWalksTheEditAndItsWindow) {
   addSpliceSecrets(guard);
   util::Rng rng(3);
   const std::string before = filler(rng, 20000);
-  std::string after = before;
-  after.insert(10000, "q");
+  // "q" inserted at offset 10000, built by appending the two halves.
+  std::string after = before.substr(0, 10000);
+  after += 'q';
+  after += before.substr(10000);
   const auto old = guard.matches(before);
   obs::Counter& walked = obs::registry().counter("bf_secret_scanned_bytes_total");
   const std::uint64_t start = walked.value();

@@ -72,8 +72,8 @@ TEST_F(AttributionTest, SameHashEditMovesTheRanges) {
   const text::Fingerprint fp = tracker_.fingerprintOf(edited);
   ASSERT_TRUE(fp.sameHashes(tracker_.fingerprintOf(text)));
   const util::Timestamp updatedAt = tracker_.segmentByName("src#p0")->updatedAt;
-  const std::size_t associations = tracker_.hashDb(SegmentKind::kParagraph)
-                                       .associationCount();
+  const std::size_t associations = tracker_.hashDb().associationCount(
+      SegmentKind::kParagraph);
   tracker_.resetStats();
   EXPECT_EQ(tracker_.observeSegment(SegmentKind::kParagraph, "src#p0", "src",
                                     "svc", edited),
@@ -81,7 +81,7 @@ TEST_F(AttributionTest, SameHashEditMovesTheRanges) {
   (void)tracker_.sourcesForSegment(src);
   EXPECT_EQ(tracker_.stats().cacheHits, 1u);
   EXPECT_EQ(tracker_.segmentByName("src#p0")->updatedAt, updatedAt);
-  EXPECT_EQ(tracker_.hashDb(SegmentKind::kParagraph).associationCount(),
+  EXPECT_EQ(tracker_.hashDb().associationCount(SegmentKind::kParagraph),
             associations);
   EXPECT_EQ(tracker_.segmentByName("src#p0")->fingerprint.grams(), fp.grams());
 

@@ -21,7 +21,7 @@ SegmentId addSegment(SegmentDb& segs, HashDb& hashes, const char* name,
   const SegmentId id =
       segs.create(SegmentKind::kParagraph, name, name, "svc", threshold, ts);
   segs.updateFingerprint(id, fpOf(hs), ts);
-  for (auto h : hs) hashes.recordObservation(h, id, ts);
+  for (auto h : hs) hashes.recordObservation(SegmentKind::kParagraph, h, id, ts);
   return id;
 }
 
@@ -123,7 +123,7 @@ TEST(Disclosure, RemovingOlderOwnerPromotesAuthority) {
   const SegmentId a = addSegment(segs, hashes, "A", {1, 2}, 10);
   const SegmentId b = addSegment(segs, hashes, "B", {1, 2, 3}, 20);
   EXPECT_EQ(authoritativeHashes(*segs.find(b), hashes).size(), 1u);
-  hashes.removeSegment(a);
+  hashes.removeSegment(SegmentKind::kParagraph, a);
   segs.remove(a);
   EXPECT_EQ(authoritativeHashes(*segs.find(b), hashes).size(), 3u);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -23,60 +24,66 @@ namespace {
 
 using AssociationRowValue = std::pair<SegmentId, util::Timestamp>;
 
+constexpr SegmentKind kPar = SegmentKind::kParagraph;
+constexpr SegmentKind kDoc = SegmentKind::kDocument;
+constexpr SegmentKind kKinds[] = {kPar, kDoc};
+
 std::uint64_t envU64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   return std::strtoull(v, nullptr, 10);
 }
 
-/// Every live association of `db` as (hash, segment, firstSeen), in export
-/// order.
+/// Every live association of kind `kind` in `db` as (hash, segment,
+/// firstSeen), in export order.
 using AssociationRow = std::tuple<text::Hash, SegmentId, util::Timestamp>;
 
-std::vector<AssociationRow> exportOrder(const HashDb& db) {
+std::vector<AssociationRow> exportOrder(const HashDb& db,
+                                        SegmentKind kind = kPar) {
   std::vector<AssociationRow> rows;
-  db.forEachAssociation([&](text::Hash h, SegmentId s, util::Timestamp f) {
-    rows.emplace_back(h, s, f);
-  });
+  db.forEachAssociation(
+      kind, [&](text::Hash h, SegmentId s, util::Timestamp f) {
+        rows.emplace_back(h, s, f);
+      });
   return rows;
 }
 
 /// What re-recording held associations must leave as it was: the bytes,
-/// the slot shapes and every association.
+/// the head shapes and every association of both kinds.
 struct StoreShape {
   std::size_t memoryBytes;
   std::size_t spilled;
-  std::size_t associations;
-  std::vector<AssociationRow> rows;
+  std::array<std::size_t, 2> associations;
+  std::array<std::vector<AssociationRow>, 2> rows;
 
   explicit StoreShape(const HashDb& db)
       : memoryBytes(db.memoryBytes()),
         spilled(db.spilledHashCount()),
-        associations(db.associationCount()),
-        rows(exportOrder(db)) {}
+        associations{db.associationCount(kPar), db.associationCount(kDoc)},
+        rows{exportOrder(db, kPar), exportOrder(db, kDoc)} {}
   bool operator==(const StoreShape&) const = default;
 };
 
 TEST(HashDb, OldestSegmentIsFirstObserver) {
   HashDb db;
-  db.recordObservation(42, 1, 10);
-  db.recordObservation(42, 2, 20);
-  ASSERT_TRUE(db.oldestSegmentWith(42).has_value());
-  EXPECT_EQ(*db.oldestSegmentWith(42), 1u);
+  db.recordObservation(kPar, 42, 1, 10);
+  db.recordObservation(kPar, 42, 2, 20);
+  ASSERT_TRUE(db.oldestSegmentWith(kPar, 42).has_value());
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 42), 1u);
 }
 
 TEST(HashDb, UnknownHash) {
   HashDb db;
-  EXPECT_FALSE(db.oldestSegmentWith(99).has_value());
-  EXPECT_TRUE(db.segmentsWith(99).empty());
+  EXPECT_FALSE(db.oldestSegmentWith(kPar, 99).has_value());
+  EXPECT_TRUE(db.segmentsWith(kPar, 99).empty());
 }
 
 TEST(HashDb, ReobservationKeepsOriginalTimestamp) {
   HashDb db;
-  db.recordObservation(42, 1, 10);
-  db.recordObservation(42, 1, 50);  // same (hash, segment) later
-  ASSERT_TRUE(db.firstSeen(42, 1).has_value());
-  EXPECT_EQ(*db.firstSeen(42, 1), 10u);
+  db.recordObservation(kPar, 42, 1, 10);
+  db.recordObservation(kPar, 42, 1, 50);  // same (hash, segment) later
+  ASSERT_TRUE(db.firstSeen(kPar, 42, 1).has_value());
+  EXPECT_EQ(*db.firstSeen(kPar, 42, 1), 10u);
 }
 
 TEST(HashDb, ReobservationLeavesTheStoreUnchanged) {
@@ -85,26 +92,26 @@ TEST(HashDb, ReobservationLeavesTheStoreUnchanged) {
   HashDb db;
   const std::vector<text::Hash> own = {1, 2, 3, 4, 5};
   const std::vector<text::Hash> shared = {3, 4};
-  db.recordFingerprint(own, 1, 10);
-  db.recordFingerprint(shared, 2, 20);
+  db.recordFingerprint(kPar, own, 1, 10);
+  db.recordFingerprint(kPar, shared, 2, 20);
   ASSERT_EQ(db.spilledHashCount(), 2u);
   const StoreShape before(db);
-  db.recordFingerprint(own, 1, 70);
-  db.recordFingerprint(shared, 2, 80);
-  db.recordObservation(1, 1, 90);
-  db.recordObservation(4, 2, 5);  // an older stamp moves nothing either
-  db.recordObservation(4, 1, std::uint64_t{1} << 40);
+  db.recordFingerprint(kPar, own, 1, 70);
+  db.recordFingerprint(kPar, shared, 2, 80);
+  db.recordObservation(kPar, 1, 1, 90);
+  db.recordObservation(kPar, 4, 2, 5);  // an older stamp moves nothing either
+  db.recordObservation(kPar, 4, 1, std::uint64_t{1} << 40);
   EXPECT_TRUE(StoreShape(db) == before);
-  EXPECT_EQ(*db.firstSeen(1, 1), 10u);
-  EXPECT_EQ(*db.firstSeen(4, 2), 20u);
+  EXPECT_EQ(*db.firstSeen(kPar, 1, 1), 10u);
+  EXPECT_EQ(*db.firstSeen(kPar, 4, 2), 20u);
 }
 
 TEST(HashDb, SegmentsWithOrderedOldestFirst) {
   HashDb db;
-  db.recordObservation(7, 3, 30);
-  db.recordObservation(7, 1, 40);
-  db.recordObservation(7, 2, 50);
-  const auto segs = db.segmentsWith(7);
+  db.recordObservation(kPar, 7, 3, 30);
+  db.recordObservation(kPar, 7, 1, 40);
+  db.recordObservation(kPar, 7, 2, 50);
+  const auto segs = db.segmentsWith(kPar, 7);
   ASSERT_EQ(segs.size(), 3u);
   EXPECT_EQ(segs[0], 3u);
   EXPECT_EQ(segs[1], 1u);
@@ -113,49 +120,95 @@ TEST(HashDb, SegmentsWithOrderedOldestFirst) {
 
 TEST(HashDb, OutOfOrderTimestampsSortedIn) {
   HashDb db;
-  db.recordObservation(7, 1, 100);
-  db.recordObservation(7, 2, 50);  // older than existing entry
-  EXPECT_EQ(*db.oldestSegmentWith(7), 2u);
+  db.recordObservation(kPar, 7, 1, 100);
+  db.recordObservation(kPar, 7, 2, 50);  // older than existing entry
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 7), 2u);
 }
 
 TEST(HashDb, RemovedSegmentSkippedByLookups) {
   HashDb db;
-  db.recordObservation(7, 1, 10);
-  db.recordObservation(7, 2, 20);
-  db.removeSegment(1);
-  EXPECT_EQ(*db.oldestSegmentWith(7), 2u);
-  EXPECT_EQ(db.segmentsWith(7).size(), 1u);
-  EXPECT_FALSE(db.firstSeen(7, 1).has_value());
+  db.recordObservation(kPar, 7, 1, 10);
+  db.recordObservation(kPar, 7, 2, 20);
+  db.removeSegment(kPar, 1);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 7), 2u);
+  EXPECT_EQ(db.segmentsWith(kPar, 7).size(), 1u);
+  EXPECT_FALSE(db.firstSeen(kPar, 7, 1).has_value());
 }
 
 TEST(HashDb, RemovalPromotesNextOldest) {
   // The authoritative source changes when the original is deleted —
   // provenance falls to the next-oldest copy.
   HashDb db;
-  db.recordObservation(7, 1, 10);
-  db.recordObservation(7, 2, 20);
-  db.recordObservation(7, 3, 30);
-  db.removeSegment(1);
-  EXPECT_EQ(*db.oldestSegmentWith(7), 2u);
-  db.removeSegment(2);
-  EXPECT_EQ(*db.oldestSegmentWith(7), 3u);
-  db.removeSegment(3);
-  EXPECT_FALSE(db.oldestSegmentWith(7).has_value());
+  db.recordObservation(kPar, 7, 1, 10);
+  db.recordObservation(kPar, 7, 2, 20);
+  db.recordObservation(kPar, 7, 3, 30);
+  db.removeSegment(kPar, 1);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 7), 2u);
+  db.removeSegment(kPar, 2);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 7), 3u);
+  db.removeSegment(kPar, 3);
+  EXPECT_FALSE(db.oldestSegmentWith(kPar, 7).has_value());
 }
 
 TEST(HashDb, RemovalGenerationBumps) {
   HashDb db;
-  const auto g0 = db.removalGeneration();
-  db.removeSegment(5);
-  EXPECT_GT(db.removalGeneration(), g0);
+  const auto g0 = db.removalGeneration(kPar);
+  db.removeSegment(kPar, 5);
+  EXPECT_GT(db.removalGeneration(kPar), g0);
+}
+
+TEST(HashDb, RemovalGenerationIsPerKind) {
+  // Removing a paragraph leaves document answers cached against the
+  // document generation valid, and the other way round.
+  HashDb db;
+  db.removeSegment(kPar, 5);
+  EXPECT_EQ(db.removalGeneration(kPar), 1u);
+  EXPECT_EQ(db.removalGeneration(kDoc), 0u);
+  db.removeSegment(kDoc, 6);
+  db.removeSegment(kDoc, 7);
+  EXPECT_EQ(db.removalGeneration(kPar), 1u);
+  EXPECT_EQ(db.removalGeneration(kDoc), 2u);
+}
+
+TEST(HashDb, KindsKeepTheirOwnHeadsInOneSlot) {
+  // A document recorded before its paragraph owns the hash as a document;
+  // the paragraph still owns it as a paragraph. One slot holds both.
+  HashDb db;
+  db.recordObservation(kDoc, 42, 1, 10);
+  db.recordObservation(kPar, 42, 2, 20);
+  db.recordObservation(kPar, 43, 2, 20);
+  EXPECT_EQ(*db.oldestSegmentWith(kDoc, 42), 1u);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 42), 2u);
+  EXPECT_FALSE(db.oldestSegmentWith(kDoc, 43).has_value());
+  EXPECT_FALSE(db.firstSeen(kDoc, 42, 2).has_value());
+  EXPECT_EQ(*db.firstSeen(kPar, 42, 2), 20u);
+  EXPECT_EQ(db.distinctHashCount(kPar), 2u);
+  EXPECT_EQ(db.distinctHashCount(kDoc), 1u);
+  EXPECT_EQ(db.associationCount(kPar), 2u);
+  EXPECT_EQ(db.associationCount(kDoc), 1u);
+  EXPECT_EQ(db.spilledHashCount(), 0u);  // every head is compact
+
+  HashDb onlyParagraphs;
+  onlyParagraphs.recordObservation(kPar, 42, 2, 20);
+  onlyParagraphs.recordObservation(kPar, 43, 2, 20);
+  EXPECT_EQ(db.memoryBytes(), onlyParagraphs.memoryBytes());
+
+  // Removal kills the segment in the kind it holds; the other kind's
+  // owner keeps the hash, and compaction keeps the slot for it.
+  db.setDeadCompactionThreshold(0);
+  db.removeSegment(kPar, 2);
+  EXPECT_EQ(db.distinctHashCount(kPar), 0u);
+  EXPECT_EQ(db.distinctHashCount(kDoc), 1u);
+  EXPECT_EQ(*db.oldestSegmentWith(kDoc, 42), 1u);
+  EXPECT_FALSE(db.oldestSegmentWith(kPar, 42).has_value());
 }
 
 TEST(HashDb, DistinctHashCount) {
   HashDb db;
-  db.recordObservation(1, 1, 1);
-  db.recordObservation(1, 2, 2);
-  db.recordObservation(2, 1, 3);
-  EXPECT_EQ(db.distinctHashCount(), 2u);
+  db.recordObservation(kPar, 1, 1, 1);
+  db.recordObservation(kPar, 1, 2, 2);
+  db.recordObservation(kPar, 2, 1, 3);
+  EXPECT_EQ(db.distinctHashCount(kPar), 2u);
 }
 
 TEST(HashDb, CompactDeadShrinksStore) {
@@ -164,21 +217,21 @@ TEST(HashDb, CompactDeadShrinksStore) {
   // the isDead probe for segments removed long ago.
   HashDb db;
   for (text::Hash h = 0; h < 100; ++h) {
-    db.recordObservation(h, 1, 10);
-    db.recordObservation(h, 2, 20);
+    db.recordObservation(kPar, h, 1, 10);
+    db.recordObservation(kPar, h, 2, 20);
   }
-  ASSERT_EQ(db.associationCount(), 200u);
+  ASSERT_EQ(db.associationCount(kPar), 200u);
   db.setDeadCompactionThreshold(1000);  // keep removal lazy for this test
-  db.removeSegment(1);
+  db.removeSegment(kPar, 1);
   EXPECT_EQ(db.deadSegmentCount(), 1u);
-  EXPECT_EQ(db.associationCount(), 200u);  // lazy: nothing purged yet
+  EXPECT_EQ(db.associationCount(kPar), 200u);  // lazy: nothing purged yet
 
   const std::size_t dropped = db.compactDead();
   EXPECT_EQ(dropped, 100u);
-  EXPECT_EQ(db.associationCount(), 100u);  // store physically shrank
+  EXPECT_EQ(db.associationCount(kPar), 100u);  // store physically shrank
   EXPECT_EQ(db.deadSegmentCount(), 0u);    // tombstones cleared
   for (text::Hash h = 0; h < 100; ++h) {
-    EXPECT_EQ(*db.oldestSegmentWith(h), 2u);
+    EXPECT_EQ(*db.oldestSegmentWith(kPar, h), 2u);
   }
   // Compacting an already-clean store is a no-op.
   EXPECT_EQ(db.compactDead(), 0u);
@@ -194,19 +247,19 @@ TEST(HashDb, CompactionAllocatesTheTableInsertsWouldGrow) {
     HashDb fresh;
     db.setDeadCompactionThreshold(1000);
     for (text::Hash h = 0; h < survivors; ++h) {
-      db.recordObservation(h, 1, 10);
-      fresh.recordObservation(h, 1, 10);
+      db.recordObservation(kPar, h, 1, 10);
+      fresh.recordObservation(kPar, h, 1, 10);
     }
-    for (text::Hash h = 0; h < 500; ++h) db.recordObservation(1000 + h, 2, 20);
-    db.removeSegment(2);
+    for (text::Hash h = 0; h < 500; ++h) db.recordObservation(kPar, 1000 + h, 2, 20);
+    db.removeSegment(kPar, 2);
     EXPECT_EQ(db.compactDead(), 500u);
-    EXPECT_EQ(db.distinctHashCount(), survivors);
+    EXPECT_EQ(db.distinctHashCount(kPar), survivors);
     EXPECT_EQ(db.memoryBytes(), fresh.memoryBytes()) << survivors;
     for (text::Hash h = 0; h < survivors; ++h) {
-      EXPECT_EQ(*db.oldestSegmentWith(h), 1u);
+      EXPECT_EQ(*db.oldestSegmentWith(kPar, h), 1u);
     }
-    db.recordObservation(7777, 3, 30);  // the rebuilt table takes inserts
-    EXPECT_EQ(*db.oldestSegmentWith(7777), 3u);
+    db.recordObservation(kPar, 7777, 3, 30);  // the rebuilt table takes inserts
+    EXPECT_EQ(*db.oldestSegmentWith(kPar, 7777), 3u);
   }
 }
 
@@ -214,34 +267,34 @@ TEST(HashDb, RemovalAutoCompactsPastThreshold) {
   HashDb db;
   db.setDeadCompactionThreshold(2);
   for (text::Hash h = 0; h < 10; ++h) {
-    db.recordObservation(h, 1, 10);
-    db.recordObservation(h, 2, 20);
-    db.recordObservation(h, 3, 30);
-    db.recordObservation(h + 100, 4, 40);
+    db.recordObservation(kPar, h, 1, 10);
+    db.recordObservation(kPar, h, 2, 20);
+    db.recordObservation(kPar, h, 3, 30);
+    db.recordObservation(kPar, h + 100, 4, 40);
   }
-  db.removeSegment(1);
-  db.removeSegment(2);
+  db.removeSegment(kPar, 1);
+  db.removeSegment(kPar, 2);
   EXPECT_EQ(db.deadSegmentCount(), 2u);    // at the threshold: still lazy
-  EXPECT_EQ(db.associationCount(), 40u);
-  db.removeSegment(3);                     // exceeds it: compacts
+  EXPECT_EQ(db.associationCount(kPar), 40u);
+  db.removeSegment(kPar, 3);                     // exceeds it: compacts
   EXPECT_EQ(db.deadSegmentCount(), 0u);
-  EXPECT_EQ(db.associationCount(), 10u);   // only segment 4's remain
-  EXPECT_EQ(db.distinctHashCount(), 10u);  // hashes 0..9 fully gone
+  EXPECT_EQ(db.associationCount(kPar), 10u);   // only segment 4's remain
+  EXPECT_EQ(db.distinctHashCount(kPar), 10u);  // hashes 0..9 fully gone
   for (text::Hash h = 0; h < 10; ++h) {
-    EXPECT_FALSE(db.oldestSegmentWith(h).has_value());
-    EXPECT_EQ(*db.oldestSegmentWith(h + 100), 4u);
+    EXPECT_FALSE(db.oldestSegmentWith(kPar, h).has_value());
+    EXPECT_EQ(*db.oldestSegmentWith(kPar, h + 100), 4u);
   }
 }
 
 TEST(HashDb, ZeroThresholdCompactsOnEveryRemoval) {
   HashDb db;
   db.setDeadCompactionThreshold(0);
-  db.recordObservation(1, 1, 10);
-  db.recordObservation(1, 2, 20);
-  db.removeSegment(1);
+  db.recordObservation(kPar, 1, 1, 10);
+  db.recordObservation(kPar, 1, 2, 20);
+  db.removeSegment(kPar, 1);
   EXPECT_EQ(db.deadSegmentCount(), 0u);
-  EXPECT_EQ(db.associationCount(), 1u);
-  EXPECT_EQ(*db.oldestSegmentWith(1), 2u);
+  EXPECT_EQ(db.associationCount(kPar), 1u);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 1), 2u);
 }
 
 TEST(HashDb, ObservationAfterCompactionRebuildsHistory) {
@@ -249,12 +302,12 @@ TEST(HashDb, ObservationAfterCompactionRebuildsHistory) {
   // a snapshot or re-created under the same id) without tombstone residue.
   HashDb db;
   db.setDeadCompactionThreshold(0);
-  db.recordObservation(1, 1, 10);
-  db.removeSegment(1);
-  ASSERT_FALSE(db.oldestSegmentWith(1).has_value());
-  db.recordObservation(1, 1, 99);
-  EXPECT_EQ(*db.oldestSegmentWith(1), 1u);
-  EXPECT_EQ(*db.firstSeen(1, 1), 99u);  // fresh observation, fresh time
+  db.recordObservation(kPar, 1, 1, 10);
+  db.removeSegment(kPar, 1);
+  ASSERT_FALSE(db.oldestSegmentWith(kPar, 1).has_value());
+  db.recordObservation(kPar, 1, 1, 99);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 1), 1u);
+  EXPECT_EQ(*db.firstSeen(kPar, 1, 1), 99u);  // fresh observation, fresh time
 }
 
 TEST(HashDb, ManyHashesSurviveRehashing) {
@@ -262,14 +315,14 @@ TEST(HashDb, ManyHashesSurviveRehashing) {
   // intact (the rehash moves slots; history indices must stay valid).
   HashDb db;
   for (text::Hash h = 0; h < 5000; ++h) {
-    db.recordObservation(h, (h % 7) + 1, h);
-    if (h % 3 == 0) db.recordObservation(h, (h % 7) + 2, h + 1);
+    db.recordObservation(kPar, h, (h % 7) + 1, h);
+    if (h % 3 == 0) db.recordObservation(kPar, h, (h % 7) + 2, h + 1);
   }
-  EXPECT_EQ(db.distinctHashCount(), 5000u);
+  EXPECT_EQ(db.distinctHashCount(kPar), 5000u);
   for (text::Hash h = 0; h < 5000; ++h) {
-    ASSERT_TRUE(db.oldestSegmentWith(h).has_value()) << h;
-    EXPECT_EQ(*db.oldestSegmentWith(h), (h % 7) + 1) << h;
-    EXPECT_EQ(db.segmentsWith(h).size(), h % 3 == 0 ? 2u : 1u) << h;
+    ASSERT_TRUE(db.oldestSegmentWith(kPar, h).has_value()) << h;
+    EXPECT_EQ(*db.oldestSegmentWith(kPar, h), (h % 7) + 1) << h;
+    EXPECT_EQ(db.segmentsWith(kPar, h).size(), h % 3 == 0 ? 2u : 1u) << h;
   }
 }
 
@@ -279,24 +332,24 @@ TEST(HashDb, WideIdsAndStampsStayExact) {
   constexpr SegmentId kWide = (SegmentId{1} << 32) + 7;
   constexpr util::Timestamp kLate = util::Timestamp{1} << 40;
   HashDb db;
-  db.recordObservation(1, kWide, 30);
-  db.recordObservation(2, 0xffffffffu, 30);
-  db.recordObservation(3, 4, kLate);
-  db.recordObservation(4, 5, 40);
-  db.recordObservation(4, kWide, 35);  // wide id becomes the oldest
-  db.recordObservation(5, 6, (util::Timestamp{1} << 31) - 1);
-  db.recordObservation(6, 6, util::Timestamp{1} << 31);
-  db.recordObservation(7, 0xfffffffeu, 30);
-  EXPECT_EQ(*db.firstSeen(5, 6), (util::Timestamp{1} << 31) - 1);
-  EXPECT_EQ(*db.firstSeen(6, 6), util::Timestamp{1} << 31);
-  EXPECT_EQ(*db.oldestSegmentWith(7), 0xfffffffeu);
-  EXPECT_EQ(*db.oldestSegmentWith(1), kWide);
-  EXPECT_EQ(*db.oldestSegmentWith(2), 0xffffffffu);
-  EXPECT_EQ(*db.firstSeen(3, 4), kLate);
-  EXPECT_EQ(db.segmentsWith(4), (std::vector<SegmentId>{kWide, 5}));
-  db.removeSegment(kWide);
-  EXPECT_FALSE(db.oldestSegmentWith(1).has_value());
-  EXPECT_EQ(*db.oldestSegmentWith(4), 5u);
+  db.recordObservation(kPar, 1, kWide, 30);
+  db.recordObservation(kPar, 2, 0xffffffffu, 30);
+  db.recordObservation(kPar, 3, 4, kLate);
+  db.recordObservation(kPar, 4, 5, 40);
+  db.recordObservation(kPar, 4, kWide, 35);  // wide id becomes the oldest
+  db.recordObservation(kPar, 5, 6, (util::Timestamp{1} << 31) - 1);
+  db.recordObservation(kPar, 6, 6, util::Timestamp{1} << 31);
+  db.recordObservation(kPar, 7, 0xfffffffeu, 30);
+  EXPECT_EQ(*db.firstSeen(kPar, 5, 6), (util::Timestamp{1} << 31) - 1);
+  EXPECT_EQ(*db.firstSeen(kPar, 6, 6), util::Timestamp{1} << 31);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 7), 0xfffffffeu);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 1), kWide);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 2), 0xffffffffu);
+  EXPECT_EQ(*db.firstSeen(kPar, 3, 4), kLate);
+  EXPECT_EQ(db.segmentsWith(kPar, 4), (std::vector<SegmentId>{kWide, 5}));
+  db.removeSegment(kPar, kWide);
+  EXPECT_FALSE(db.oldestSegmentWith(kPar, 1).has_value());
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 4), 5u);
 }
 
 TEST(HashDb, HistoryEntriesEscapeWideIdsAndStampsAtTheirBoundaries) {
@@ -306,38 +359,38 @@ TEST(HashDb, HistoryEntriesEscapeWideIdsAndStampsAtTheirBoundaries) {
   constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
   HashDb db;
   db.setDeadCompactionThreshold(1000);
-  db.recordObservation(1, k32 - 2, 10);      // narrow
-  db.recordObservation(1, k32 - 1, 11);      // escaped id
-  db.recordObservation(1, k32 + 7, 12);      // escaped id
-  db.recordObservation(2, 5, 20);
-  db.recordObservation(2, 6, k32 - 1);       // narrow stamp
-  db.recordObservation(2, 7, k32);           // escaped stamp
-  db.recordObservation(2, k32 + 7, k32 + 3); // both escaped
-  EXPECT_EQ(db.segmentsWith(1),
+  db.recordObservation(kPar, 1, k32 - 2, 10);      // narrow
+  db.recordObservation(kPar, 1, k32 - 1, 11);      // escaped id
+  db.recordObservation(kPar, 1, k32 + 7, 12);      // escaped id
+  db.recordObservation(kPar, 2, 5, 20);
+  db.recordObservation(kPar, 2, 6, k32 - 1);       // narrow stamp
+  db.recordObservation(kPar, 2, 7, k32);           // escaped stamp
+  db.recordObservation(kPar, 2, k32 + 7, k32 + 3); // both escaped
+  EXPECT_EQ(db.segmentsWith(kPar, 1),
             (std::vector<SegmentId>{k32 - 2, k32 - 1, k32 + 7}));
-  EXPECT_EQ(db.segmentsWith(2), (std::vector<SegmentId>{5, 6, 7, k32 + 7}));
-  EXPECT_EQ(*db.firstSeen(2, 6), k32 - 1);
-  EXPECT_EQ(*db.firstSeen(2, 7), k32);
-  EXPECT_EQ(*db.firstSeen(2, k32 + 7), k32 + 3);
+  EXPECT_EQ(db.segmentsWith(kPar, 2), (std::vector<SegmentId>{5, 6, 7, k32 + 7}));
+  EXPECT_EQ(*db.firstSeen(kPar, 2, 6), k32 - 1);
+  EXPECT_EQ(*db.firstSeen(kPar, 2, 7), k32);
+  EXPECT_EQ(*db.firstSeen(kPar, 2, k32 + 7), k32 + 3);
 
   // Re-observations of escaped entries add no escape and move no stamp.
   const StoreShape before(db);
-  db.recordObservation(1, k32 + 7, 50);
-  db.recordObservation(1, k32 - 1, 60);
-  db.recordObservation(2, 7, k32 + 100);
-  db.recordObservation(2, k32 + 7, k32 + 90);
+  db.recordObservation(kPar, 1, k32 + 7, 50);
+  db.recordObservation(kPar, 1, k32 - 1, 60);
+  db.recordObservation(kPar, 2, 7, k32 + 100);
+  db.recordObservation(kPar, 2, k32 + 7, k32 + 90);
   EXPECT_TRUE(StoreShape(db) == before);
-  EXPECT_EQ(*db.firstSeen(1, k32 + 7), 12u);
-  EXPECT_EQ(*db.firstSeen(2, 7), k32);
+  EXPECT_EQ(*db.firstSeen(kPar, 1, k32 + 7), 12u);
+  EXPECT_EQ(*db.firstSeen(kPar, 2, 7), k32);
 
   // An escaped entry inserted out of order becomes the oldest owner.
-  db.recordObservation(1, k32 + 9, 5);
-  EXPECT_EQ(*db.oldestSegmentWith(1), k32 + 9);
-  EXPECT_EQ(*db.firstSeen(1, k32 + 9), 5u);
+  db.recordObservation(kPar, 1, k32 + 9, 5);
+  EXPECT_EQ(*db.oldestSegmentWith(kPar, 1), k32 + 9);
+  EXPECT_EQ(*db.firstSeen(kPar, 1, k32 + 9), 5u);
 
   // A rebuild re-escapes the survivors into its fresh pool.
-  db.removeSegment(k32 - 2);
-  db.removeSegment(5);
+  db.removeSegment(kPar, k32 - 2);
+  db.removeSegment(kPar, 5);
   EXPECT_EQ(db.compactDead(), 2u);
   std::vector<AssociationRow> rows = exportOrder(db);
   std::sort(rows.begin(), rows.end());
@@ -346,23 +399,27 @@ TEST(HashDb, HistoryEntriesEscapeWideIdsAndStampsAtTheirBoundaries) {
       {2, 6, k32 - 1},      {2, 7, k32},       {2, k32 + 7, k32 + 3}};
   std::sort(want.begin(), want.end());
   EXPECT_EQ(rows, want);
-  EXPECT_EQ(db.segmentsWith(1),
+  EXPECT_EQ(db.segmentsWith(kPar, 1),
             (std::vector<SegmentId>{k32 + 9, k32 - 1, k32 + 7}));
 }
 
 // ---- A naive reference model of the documented rules ----------------------
 
-/// DBhash as its documentation states it, with no layout at all: per hash,
-/// every association in firstSeen order (equal stamps in arrival order).
+/// DBhash as its documentation states it, with no layout at all: per kind
+/// and hash, every association in firstSeen order (equal stamps in arrival
+/// order). One dead set serves both kinds; the removal generation is per
+/// kind.
 class ReferenceHashDb {
  public:
   using Association = HashDb::Association;
 
   explicit ReferenceHashDb(std::size_t threshold) : threshold_(threshold) {}
 
-  void record(text::Hash hash, SegmentId segment, util::Timestamp ts) {
-    if (!held_.emplace(hash, segment).second) return;  // a held pair stays
-    std::vector<Association>& history = byHash_[hash];
+  void record(SegmentKind kind, text::Hash hash, SegmentId segment,
+              util::Timestamp ts) {
+    // A held triple stays as it is.
+    if (!held_.emplace(kind, hash, segment).second) return;
+    std::vector<Association>& history = byKey_[{kind, hash}];
     // After the last association first seen at or before ts (the history
     // is sorted, and the common append ends the search at once).
     const auto last = std::find_if(
@@ -371,59 +428,65 @@ class ReferenceHashDb {
     history.insert(last.base(), Association{segment, ts});
   }
 
-  /// Every hash `segment` holds an association with, dead or alive.
-  [[nodiscard]] std::vector<text::Hash> heldBy(SegmentId segment) const {
+  /// Every hash `segment` holds an association of kind `kind` with, dead
+  /// or alive.
+  [[nodiscard]] std::vector<text::Hash> heldBy(SegmentKind kind,
+                                               SegmentId segment) const {
     std::vector<text::Hash> out;
-    for (const auto& [hash, s] : held_) {
-      if (s == segment) out.push_back(hash);
+    for (const auto& [k, hash, s] : held_) {
+      if (k == kind && s == segment) out.push_back(hash);
     }
     return out;
   }
 
-  void remove(SegmentId segment) {
+  void remove(SegmentKind kind, SegmentId segment) {
     dead_.insert(segment);
-    ++generation_;
+    ++generation_[static_cast<std::size_t>(kind)];
     if (dead_.size() > threshold_) compact();
   }
 
   std::size_t compact() {
     if (dead_.empty()) return 0;
     std::size_t dropped = 0;
-    for (auto it = byHash_.begin(); it != byHash_.end();) {
+    for (auto it = byKey_.begin(); it != byKey_.end();) {
+      const auto [kind, hash] = it->first;
       dropped += std::erase_if(it->second, [&](const Association& a) {
         const bool drop = dead(a.segment);
-        if (drop) held_.erase({it->first, a.segment});
+        if (drop) held_.erase({kind, hash, a.segment});
         return drop;
       });
-      it = it->second.empty() ? byHash_.erase(it) : std::next(it);
+      it = it->second.empty() ? byKey_.erase(it) : std::next(it);
     }
     dead_.clear();
     return dropped;
   }
 
-  /// Live associations per hash, oldest first.
+  /// Live associations of kind `kind` per hash, oldest first.
   [[nodiscard]] std::map<text::Hash, std::vector<AssociationRowValue>>
-  liveHistories() const {
+  liveHistories(SegmentKind kind) const {
     std::map<text::Hash, std::vector<AssociationRowValue>> out;
-    for (const auto& [hash, history] : byHash_) {
+    for (const auto& [key, history] : byKey_) {
+      if (key.first != kind) continue;
       for (const Association& a : history) {
         if (!dead(a.segment)) {
-          out[hash].emplace_back(a.segment, a.firstSeen);
+          out[key.second].emplace_back(a.segment, a.firstSeen);
         }
       }
     }
     return out;
   }
 
-  [[nodiscard]] std::optional<SegmentId> oldest(text::Hash hash) const {
-    const auto segments = segmentsWith(hash);
+  [[nodiscard]] std::optional<SegmentId> oldest(SegmentKind kind,
+                                                text::Hash hash) const {
+    const auto segments = segmentsWith(kind, hash);
     if (segments.empty()) return std::nullopt;
     return segments.front();
   }
 
-  [[nodiscard]] std::vector<SegmentId> segmentsWith(text::Hash hash) const {
+  [[nodiscard]] std::vector<SegmentId> segmentsWith(SegmentKind kind,
+                                                    text::Hash hash) const {
     std::vector<SegmentId> out;
-    if (const auto it = byHash_.find(hash); it != byHash_.end()) {
+    if (const auto it = byKey_.find({kind, hash}); it != byKey_.end()) {
       for (const Association& a : it->second) {
         if (!dead(a.segment)) out.push_back(a.segment);
       }
@@ -431,71 +494,95 @@ class ReferenceHashDb {
     return out;
   }
 
-  [[nodiscard]] std::optional<Association> find(text::Hash hash,
+  [[nodiscard]] std::optional<Association> find(SegmentKind kind,
+                                                text::Hash hash,
                                                 SegmentId segment) const {
-    const auto it = byHash_.find(hash);
-    if (dead(segment) || it == byHash_.end()) return std::nullopt;
+    const auto it = byKey_.find({kind, hash});
+    if (dead(segment) || it == byKey_.end()) return std::nullopt;
     for (const Association& a : it->second) {
       if (a.segment == segment) return a;
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] std::size_t distinctHashes() const { return byHash_.size(); }
-  [[nodiscard]] std::size_t associations() const {
+  [[nodiscard]] std::size_t distinctHashes(SegmentKind kind) const {
+    return static_cast<std::size_t>(
+        std::count_if(byKey_.begin(), byKey_.end(),
+                      [&](const auto& e) { return e.first.first == kind; }));
+  }
+  /// Hashes with an association of either kind: the slots a table holds.
+  [[nodiscard]] std::size_t slots() const {
+    std::set<text::Hash> hashes;
+    for (const auto& [key, history] : byKey_) hashes.insert(key.second);
+    return hashes.size();
+  }
+  [[nodiscard]] std::size_t associations(SegmentKind kind) const {
     std::size_t n = 0;
-    for (const auto& [hash, history] : byHash_) n += history.size();
+    for (const auto& [key, history] : byKey_) {
+      if (key.first == kind) n += history.size();
+    }
     return n;
   }
   [[nodiscard]] std::size_t deadCount() const { return dead_.size(); }
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  [[nodiscard]] std::uint64_t generation(SegmentKind kind) const {
+    return generation_[static_cast<std::size_t>(kind)];
+  }
 
  private:
   [[nodiscard]] bool dead(SegmentId s) const { return dead_.count(s) != 0; }
 
-  std::map<text::Hash, std::vector<Association>> byHash_;
-  std::set<std::pair<text::Hash, SegmentId>> held_;  // keys of byHash_
+  std::map<std::pair<SegmentKind, text::Hash>, std::vector<Association>>
+      byKey_;
+  std::set<std::tuple<SegmentKind, text::Hash, SegmentId>> held_;  // byKey_
   std::set<SegmentId> dead_;
   std::size_t threshold_;
-  std::uint64_t generation_ = 0;
+  std::array<std::uint64_t, 2> generation_{};
 };
 
 void expectMatchesModel(const HashDb& db, const ReferenceHashDb& model,
                         const std::vector<text::Hash>& probes,
                         const std::vector<SegmentId>& segments) {
-  std::map<text::Hash, std::vector<AssociationRowValue>> exported;
-  db.forEachAssociation([&](text::Hash h, SegmentId s, util::Timestamp f) {
-    exported[h].emplace_back(s, f);
-  });
-  ASSERT_EQ(exported, model.liveHistories());
-  EXPECT_EQ(db.distinctHashCount(), model.distinctHashes());
-  EXPECT_EQ(db.associationCount(), model.associations());
   EXPECT_EQ(db.deadSegmentCount(), model.deadCount());
-  EXPECT_EQ(db.removalGeneration(), model.generation());
-  std::vector<std::pair<SegmentId, text::Hash>> owners;
-  db.oldestOwners(probes, owners);
-  std::vector<std::pair<SegmentId, text::Hash>> wantOwners;
-  for (text::Hash h : probes) {
-    ASSERT_EQ(db.oldestSegmentWith(h), model.oldest(h)) << h;
-    ASSERT_EQ(db.segmentsWith(h), model.segmentsWith(h)) << h;
-    if (const auto owner = model.oldest(h)) wantOwners.emplace_back(*owner, h);
-    for (SegmentId s : segments) {
-      const auto want = model.find(h, s);
-      ASSERT_EQ(db.firstSeen(h, s),
-                want ? std::optional(want->firstSeen) : std::nullopt)
-          << h << " " << s;
+  for (const SegmentKind kind : kKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    std::map<text::Hash, std::vector<AssociationRowValue>> exported;
+    db.forEachAssociation(
+        kind, [&](text::Hash h, SegmentId s, util::Timestamp f) {
+          exported[h].emplace_back(s, f);
+        });
+    ASSERT_EQ(exported, model.liveHistories(kind));
+    EXPECT_EQ(db.distinctHashCount(kind), model.distinctHashes(kind));
+    EXPECT_EQ(db.associationCount(kind), model.associations(kind));
+    EXPECT_EQ(db.removalGeneration(kind), model.generation(kind));
+    std::vector<std::pair<SegmentId, text::Hash>> owners;
+    db.oldestOwners(kind, probes, owners);
+    std::vector<std::pair<SegmentId, text::Hash>> wantOwners;
+    for (text::Hash h : probes) {
+      ASSERT_EQ(db.oldestSegmentWith(kind, h), model.oldest(kind, h)) << h;
+      ASSERT_EQ(db.segmentsWith(kind, h), model.segmentsWith(kind, h)) << h;
+      if (const auto owner = model.oldest(kind, h)) {
+        wantOwners.emplace_back(*owner, h);
+      }
+      for (SegmentId s : segments) {
+        const auto want = model.find(kind, h, s);
+        ASSERT_EQ(db.firstSeen(kind, h, s),
+                  want ? std::optional(want->firstSeen) : std::nullopt)
+            << h << " " << s;
+      }
     }
+    EXPECT_EQ(owners, wantOwners);
   }
-  EXPECT_EQ(owners, wantOwners);
 }
 
 TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
   // Seeded sessions over ids and stamps on both sides of every 32-bit
   // boundary the slot layout has: ids up to and past 2^32 - 1, stamps past
-  // 2^31 and 2^32, out-of-order restores, removals on both sides of the
-  // compaction threshold, and re-observations of held associations, which
-  // must leave the bytes, the slot shapes and every association as they
-  // were.
+  // 2^31 and 2^32, out-of-order restores, removals of either kind on both
+  // sides of the compaction threshold, and re-observations of held
+  // associations, which must leave the bytes, the head shapes and every
+  // association as they were. Paragraph and document segments (each id
+  // has one kind, as in a tracker) record the same hashes, so most slots
+  // hold both heads, with different owners and stamps.
   constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
   const std::uint64_t firstSeed = envU64("BF_HASHDB_MODEL_SEED", 1);
   const std::uint64_t trials = envU64("BF_HASHDB_MODEL_TRIALS", 40);
@@ -506,9 +593,11 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
     HashDb db;
     db.setDeadCompactionThreshold(threshold);
     ReferenceHashDb model(threshold);
+    // Kinds alternate, so both kinds have ids on both sides of 2^32.
     std::vector<SegmentId> segments = {1,       2,       3,       17,
                                        k32 - 2, k32 - 1, k32,     k32 + 9,
                                        SegmentId{1} << 40};
+    const auto kindOf = [&](std::size_t i) { return kKinds[i % 2]; };
     std::vector<text::Hash> pool(300);
     for (text::Hash& h : pool) h = static_cast<text::Hash>(rng.next());
     const util::Timestamp starts[] = {100, (util::Timestamp{1} << 31) - 40,
@@ -516,10 +605,12 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
     util::Timestamp clock = starts[rng.uniform(0, 3)];
     for (int step = 0; step < 200; ++step) {
       const double roll = rng.uniform01();
+      const std::size_t pick = rng.uniform(0, segments.size() - 1);
+      const SegmentId s = segments[pick];
+      const SegmentKind kind = kindOf(pick);
       if (roll < 0.07) {
-        const SegmentId victim = rng.pick(segments);
-        db.removeSegment(victim);
-        model.remove(victim);
+        db.removeSegment(kind, s);
+        model.remove(kind, s);
       } else if (roll < 0.09) {
         ASSERT_EQ(db.compactDead(), model.compact());
       } else if (roll < 0.14) {
@@ -527,39 +618,40 @@ TEST(HashDbModel, RandomSessionsMatchReferenceModel) {
       } else if (roll < 0.27) {
         // Restore path: one association, possibly older than what it
         // joins.
-        const text::Hash h = rng.chance(0.8) ? rng.pick(pool) : static_cast<text::Hash>(rng.next());
-        const SegmentId s = rng.pick(segments);
+        const text::Hash h = rng.chance(0.8)
+                                 ? rng.pick(pool)
+                                 : static_cast<text::Hash>(rng.next());
         const util::Timestamp f = clock - rng.uniform(0, 80);
-        db.recordObservation(h, s, f);
-        model.record(h, s, f);
+        db.recordObservation(kind, h, s, f);
+        model.record(kind, h, s, f);
       } else if (roll < 0.35) {
         // Re-observation: everything a segment holds, shuffled, again at a
         // later stamp (one at a time or as a batch).
-        const SegmentId s = rng.pick(segments);
-        std::vector<text::Hash> held = model.heldBy(s);
+        std::vector<text::Hash> held = model.heldBy(kind, s);
         for (std::size_t i = held.size(); i > 1; --i) {
           std::swap(held[i - 1], held[rng.uniform(0, i - 1)]);
         }
         const StoreShape before(db);
         const util::Timestamp ts = clock + rng.uniform(1, 2 * k32);
         if (rng.chance(0.5)) {
-          db.recordFingerprint(held, s, ts);
+          db.recordFingerprint(kind, held, s, ts);
         } else {
-          for (text::Hash h : held) db.recordObservation(h, s, ts);
+          for (text::Hash h : held) db.recordObservation(kind, h, s, ts);
         }
-        for (text::Hash h : held) model.record(h, s, ts);
+        for (text::Hash h : held) model.record(kind, h, s, ts);
         ASSERT_TRUE(StoreShape(db) == before) << held.size();
       } else {
-        const SegmentId s = rng.pick(segments);
         std::vector<text::Hash> hashes;
         const std::size_t n = rng.uniform(0, 50);
         for (std::size_t i = 0; i < n; ++i) {
-          hashes.push_back(rng.chance(0.75) ? rng.pick(pool) : static_cast<text::Hash>(rng.next()));
+          hashes.push_back(rng.chance(0.75)
+                               ? rng.pick(pool)
+                               : static_cast<text::Hash>(rng.next()));
         }
         const util::Timestamp ts =
             rng.chance(0.7) ? ++clock : clock - rng.uniform(0, 40);
-        db.recordFingerprint(hashes, s, ts);
-        for (text::Hash h : hashes) model.record(h, s, ts);
+        db.recordFingerprint(kind, hashes, s, ts);
+        for (text::Hash h : hashes) model.record(kind, h, s, ts);
       }
       if (step % 25 == 24) {
         std::vector<text::Hash> probes(pool.begin(), pool.begin() + 60);
@@ -584,8 +676,8 @@ TEST(HashDbModel, HistoryLongerThanOnePoolBlock) {
     std::vector<text::Hash> hashes = {7};
     if (s % 3 == 0) hashes.push_back(8);
     const util::Timestamp ts = s % 1000 == 0 ? clock - 500 : ++clock;
-    db.recordFingerprint(hashes, s, ts);
-    for (text::Hash h : hashes) model.record(h, s, ts);
+    db.recordFingerprint(kPar, hashes, s, ts);
+    for (text::Hash h : hashes) model.record(kPar, h, s, ts);
   }
   EXPECT_GE(db.poolBlockCount(), 2u);
   const std::vector<SegmentId> sample = {1,     2,         999,
@@ -593,13 +685,13 @@ TEST(HashDbModel, HistoryLongerThanOnePoolBlock) {
                                          65536, 65537,     kSegments - 1,
                                          kSegments, kSegments + 1};
   for (SegmentId s : {SegmentId{1}, SegmentId{40000}, kSegments}) {
-    db.recordObservation(7, s, clock + s);
-    model.record(7, s, clock + s);
+    db.recordObservation(kPar, 7, s, clock + s);
+    model.record(kPar, 7, s, clock + s);
   }
   expectMatchesModel(db, model, {7, 8, 9}, sample);
   for (SegmentId s : {SegmentId{1}, SegmentId{2}, SegmentId{1000}}) {
-    db.removeSegment(s);
-    model.remove(s);
+    db.removeSegment(kPar, s);
+    model.remove(kPar, s);
   }
   ASSERT_EQ(db.compactDead(), model.compact());
   expectMatchesModel(db, model, {7, 8, 9}, sample);
@@ -622,7 +714,9 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
   ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
   std::vector<std::vector<text::Hash>> groups(kGroups);
   for (auto& group : groups) {
-    for (std::size_t i = 0; i < kGroupHashes; ++i) group.push_back(static_cast<text::Hash>(rng.next()));
+    for (std::size_t i = 0; i < kGroupHashes; ++i) {
+      group.push_back(static_cast<text::Hash>(rng.next()));
+    }
     std::sort(group.begin(), group.end());
   }
   util::Timestamp clock = 100;
@@ -631,8 +725,8 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
     std::size_t peak = 0;
     for (std::size_t g = firstGroup; g <= lastGroup; ++g) {
       for (SegmentId i = 0; i < kPerGroup; ++i, ++next) {
-        db.recordFingerprint(groups[g], next, ++clock);
-        for (text::Hash h : groups[g]) model.record(h, next, clock);
+        db.recordFingerprint(kPar, groups[g], next, ++clock);
+        for (text::Hash h : groups[g]) model.record(kPar, h, next, clock);
         peak = std::max(peak, db.poolBlockCount());
       }
     }
@@ -643,8 +737,8 @@ TEST(HashDbModel, ChurnReusesPoolSpace) {
   EXPECT_LE(firstPeak,
             kGroups * kGroupHashes * kPerGroup / kEntriesPerBlock + 1);
   for (SegmentId s = 1; s <= kPerGroup * kGroups / 2; ++s) {
-    db.removeSegment(s);
-    model.remove(s);
+    db.removeSegment(kPar, s);
+    model.remove(kPar, s);
   }
   EXPECT_LT(db.poolBlockCount(), firstPeak);
   const std::size_t secondPeak = grow(0, kGroups / 2 - 2);
@@ -669,20 +763,20 @@ TEST(HashDbModel, FirstRecordHoldsRepeatedHashesOnceInLongHistories) {
   for (text::Hash h = 1; h <= 40; ++h) shared.push_back(h);
   util::Timestamp clock = 100;
   for (SegmentId s = 1; s <= 240; ++s) {
-    db.recordFingerprint(shared, s, ++clock);
-    for (text::Hash h : shared) model.record(h, s, clock);
+    db.recordFingerprint(kPar, shared, s, ++clock);
+    for (text::Hash h : shared) model.record(kPar, h, s, clock);
   }
   std::vector<text::Hash> batch = {5, 5, 7, 1000, 9, 7, 1000, 5};
   for (text::Hash h = 11; h <= 30; ++h) batch.push_back(h);
   for (text::Hash h : {5, 30, 1000, 9, 9}) batch.push_back(h);
-  db.recordFingerprint(batch, 241, clock);
-  for (text::Hash h : batch) model.record(h, 241, clock);
+  db.recordFingerprint(kPar, batch, 241, clock);
+  for (text::Hash h : batch) model.record(kPar, h, 241, clock);
 
   for (text::Hash h : batch) {
-    const std::vector<SegmentId> owners = db.segmentsWith(h);
+    const std::vector<SegmentId> owners = db.segmentsWith(kPar, h);
     EXPECT_EQ(std::count(owners.begin(), owners.end(), 241), 1) << h;
   }
-  EXPECT_EQ(db.segmentsWith(5).size(), 241u);
+  EXPECT_EQ(db.segmentsWith(kPar, 5).size(), 241u);
   std::vector<text::Hash> probes = shared;
   probes.push_back(1000);
   expectMatchesModel(db, model, probes, {1, 120, 239, 240, 241, 242});
@@ -690,12 +784,12 @@ TEST(HashDbModel, FirstRecordHoldsRepeatedHashesOnceInLongHistories) {
 
 TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
   // Sessions shaped like a preload: most batches come from a new segment
-  // id, a first record whose run scans stop at its stamp, and draw on a
-  // small shared pool, so histories pass 100 owners. Mixed in: re-records
-  // of known ids, ids recorded below the largest one so far, first-time
-  // restores stamped older than the entries they join, re-records after
-  // compaction, and fresh hashes that grow the table in the middle of a
-  // batch.
+  // id of either kind, a first record whose run scans stop at its stamp,
+  // and draw on a small shared pool, so histories pass 100 owners. Mixed
+  // in: re-records of known ids, ids recorded below the largest one so
+  // far, first-time restores stamped older than the entries they join,
+  // re-records after compaction, and fresh hashes that grow the table in
+  // the middle of a batch.
   // Occupancies at which the next new hash grows a table of 16 << k slots;
   // a rebuild regrows from 16 slots, so the sequence holds throughout.
   const std::vector<std::size_t> growthPoints = {11, 22, 44, 89, 179, 358};
@@ -709,26 +803,30 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
     std::vector<text::Hash> pool(32);
     for (text::Hash& h : pool) h = static_cast<text::Hash>(rng.next());
     std::vector<SegmentId> known;
+    std::map<SegmentId, SegmentKind> kinds;
     std::vector<SegmentId> skipped;  // ids left out, recorded later
     SegmentId next = 1;
     util::Timestamp clock = 1000;
     std::size_t longestHistory = 0;
     std::size_t midBatchGrowths = 0;
     const auto newId = [&] {
+      SegmentId id;
       if (!skipped.empty() && rng.chance(0.3)) {
-        const SegmentId id = skipped.back();
+        id = skipped.back();
         skipped.pop_back();
-        return id;
+      } else {
+        if (rng.chance(0.1)) skipped.push_back(next++);
+        id = next++;
       }
-      if (rng.chance(0.1)) skipped.push_back(next++);
-      return next++;
+      kinds[id] = rng.chance(0.5) ? kPar : kDoc;
+      return id;
     };
     for (int step = 0; step < 500; ++step) {
       const double roll = rng.uniform01();
       if (roll < 0.04 && !known.empty()) {
         const SegmentId victim = rng.pick(known);
-        db.removeSegment(victim);
-        model.remove(victim);
+        db.removeSegment(kinds[victim], victim);
+        model.remove(kinds[victim], victim);
       } else if (roll < 0.07) {
         ASSERT_EQ(db.compactDead(), model.compact());
       } else if (roll < 0.13) {
@@ -739,8 +837,8 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         for (std::size_t i = rng.uniform(1, 4); i > 0; --i) {
           const text::Hash h = rng.pick(pool);
           const util::Timestamp f = clock - rng.uniform(0, 500);
-          db.recordObservation(h, id, f);
-          model.record(h, id, f);
+          db.recordObservation(kinds[id], h, id, f);
+          model.record(kinds[id], h, id, f);
         }
       } else {
         const bool reRecord = roll < 0.3 && !known.empty();
@@ -748,7 +846,9 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         if (!reRecord) known.push_back(id);
         std::vector<text::Hash> hashes;  // unsorted, with repeats
         for (std::size_t i = rng.uniform(0, 60); i > 0; --i) {
-          hashes.push_back(rng.chance(0.12) ? static_cast<text::Hash>(rng.next()) : rng.pick(pool));
+          hashes.push_back(rng.chance(0.12)
+                               ? static_cast<text::Hash>(rng.next())
+                               : rng.pick(pool));
         }
         util::Timestamp ts = clock;  // 10%: equal to the last stamp
         if (const double when = rng.uniform01(); when < 0.8) {
@@ -756,17 +856,20 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
         } else if (when < 0.9) {
           ts = clock - rng.uniform(1, 30);
         }
-        const std::size_t before = db.distinctHashCount();
-        db.recordFingerprint(hashes, id, ts);
-        for (text::Hash h : hashes) model.record(h, id, ts);
-        const std::size_t after = db.distinctHashCount();
+        const std::size_t before = model.slots();
+        db.recordFingerprint(kinds[id], hashes, id, ts);
+        for (text::Hash h : hashes) model.record(kinds[id], h, id, ts);
+        const std::size_t after = model.slots();
         for (std::size_t point : growthPoints) {
           if (before < point && point < after) ++midBatchGrowths;
         }
       }
       if (step % 50 == 49) {
         for (text::Hash h : pool) {
-          longestHistory = std::max(longestHistory, db.segmentsWith(h).size());
+          for (const SegmentKind kind : kKinds) {
+            longestHistory =
+                std::max(longestHistory, db.segmentsWith(kind, h).size());
+          }
         }
         std::vector<SegmentId> sample(known.begin(), known.end());
         sample.push_back(next);  // never recorded
@@ -783,10 +886,10 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
 // ---- Batch entry points against the per-hash loops ------------------------
 
 std::vector<std::pair<SegmentId, text::Hash>> ownersOneByOne(
-    const HashDb& db, const std::vector<text::Hash>& hashes) {
+    const HashDb& db, SegmentKind kind, const std::vector<text::Hash>& hashes) {
   std::vector<std::pair<SegmentId, text::Hash>> claims;
   for (text::Hash h : hashes) {
-    if (const auto owner = db.oldestSegmentWith(h)) {
+    if (const auto owner = db.oldestSegmentWith(kind, h)) {
       claims.emplace_back(*owner, h);
     }
   }
@@ -794,40 +897,45 @@ std::vector<std::pair<SegmentId, text::Hash>> ownersOneByOne(
 }
 
 std::vector<std::pair<SegmentId, text::Hash>> ownersBatched(
-    const HashDb& db, const std::vector<text::Hash>& hashes) {
+    const HashDb& db, SegmentKind kind, const std::vector<text::Hash>& hashes) {
   std::vector<std::pair<SegmentId, text::Hash>> claims;
-  db.oldestOwners(hashes, claims);
+  db.oldestOwners(kind, hashes, claims);
   return claims;
 }
 
 void expectSameStore(const HashDb& batched, const HashDb& looped,
                      const std::vector<text::Hash>& probes,
-                     SegmentId maxSegment) {
+                     const std::vector<SegmentId>& segments) {
   ASSERT_TRUE(StoreShape(batched) == StoreShape(looped));
-  EXPECT_EQ(batched.distinctHashCount(), looped.distinctHashCount());
   EXPECT_EQ(batched.deadSegmentCount(), looped.deadSegmentCount());
-  for (text::Hash h : probes) {
-    for (SegmentId s = 1; s <= maxSegment; ++s) {
-      ASSERT_EQ(batched.firstSeen(h, s), looped.firstSeen(h, s)) << h;
+  for (const SegmentKind kind : kKinds) {
+    EXPECT_EQ(batched.distinctHashCount(kind), looped.distinctHashCount(kind));
+    for (text::Hash h : probes) {
+      for (SegmentId s : segments) {
+        ASSERT_EQ(batched.firstSeen(kind, h, s), looped.firstSeen(kind, h, s))
+            << h;
+      }
     }
+    EXPECT_EQ(ownersBatched(batched, kind, probes),
+              ownersOneByOne(looped, kind, probes));
+    EXPECT_EQ(ownersBatched(batched, kind, probes),
+              ownersOneByOne(batched, kind, probes));
   }
-  EXPECT_EQ(ownersBatched(batched, probes), ownersOneByOne(looped, probes));
-  EXPECT_EQ(ownersBatched(batched, probes), ownersOneByOne(batched, probes));
 }
 
 TEST(HashDbBatch, EmptyTableAndShortBatches) {
   HashDb batched;
   HashDb looped;
   const std::vector<text::Hash> none;
-  EXPECT_TRUE(ownersBatched(batched, {1, 2, 3}).empty());
-  batched.recordFingerprint(none, 1, 5);
-  expectSameStore(batched, looped, {1, 2, 3}, 3);
+  EXPECT_TRUE(ownersBatched(batched, kPar, {1, 2, 3}).empty());
+  batched.recordFingerprint(kPar, none, 1, 5);
+  expectSameStore(batched, looped, {1, 2, 3}, {1, 2, 3});
   // Shorter than every prefetch distance, with a repeated hash.
   const std::vector<text::Hash> shortBatch = {7, 3, 7};
-  batched.recordFingerprint(shortBatch, 2, 6);
-  for (text::Hash h : shortBatch) looped.recordObservation(h, 2, 6);
-  expectSameStore(batched, looped, {3, 7, 9}, 3);
-  EXPECT_TRUE(ownersBatched(batched, none).empty());
+  batched.recordFingerprint(kPar, shortBatch, 2, 6);
+  for (text::Hash h : shortBatch) looped.recordObservation(kPar, h, 2, 6);
+  expectSameStore(batched, looped, {3, 7, 9}, {1, 2, 3});
+  EXPECT_TRUE(ownersBatched(batched, kPar, none).empty());
 }
 
 TEST(HashDbBatch, OwnersSkipADeadInlineOwner) {
@@ -835,23 +943,34 @@ TEST(HashDbBatch, OwnersSkipADeadInlineOwner) {
   db.setDeadCompactionThreshold(1000);
   const std::vector<text::Hash> hashes = {11, 12, 13};
   const std::vector<text::Hash> laterCopy = {12, 13};
-  db.recordFingerprint(hashes, 1, 10);
-  db.recordFingerprint(laterCopy, 2, 20);
-  db.removeSegment(1);  // lazy: segment 1 still holds the inline seats
+  db.recordFingerprint(kPar, hashes, 1, 10);
+  db.recordFingerprint(kPar, laterCopy, 2, 20);
+  db.recordFingerprint(kDoc, hashes, 3, 5);
+  db.removeSegment(kPar, 1);  // lazy: segment 1 still holds the inline seats
   ASSERT_EQ(db.deadSegmentCount(), 1u);
   const std::vector<std::pair<SegmentId, text::Hash>> want = {{2, 12},
                                                                  {2, 13}};
-  EXPECT_EQ(ownersBatched(db, hashes), want);
+  EXPECT_EQ(ownersBatched(db, kPar, hashes), want);
+  const std::vector<std::pair<SegmentId, text::Hash>> documents = {
+      {3, 11}, {3, 12}, {3, 13}};
+  EXPECT_EQ(ownersBatched(db, kDoc, hashes), documents);
 }
 
 TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
-  // Seeded sessions of overlapping segments: re-observes, equal and
-  // out-of-order timestamps, removals on both sides of the compaction
-  // threshold and growth through several doublings. After every step the
-  // batched store must equal the per-hash one, down to export order and
-  // bytes. A segment never removed re-records everything it recorded so
-  // far at a later stamp now and then: neither store may change.
-  constexpr SegmentId kSegments = 24;
+  // Seeded sessions of overlapping paragraph and document segments (odd
+  // ids are paragraphs, even ids documents, two of them past 2^32):
+  // re-observes, equal and out-of-order timestamps, stamps past 2^32,
+  // removals of either kind on both sides of the compaction threshold and
+  // growth through several doublings. After every step the batched store
+  // must equal the per-hash one, down to export order and bytes. A segment
+  // never removed re-records everything it recorded so far at a later
+  // stamp now and then: neither store may change.
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  std::vector<SegmentId> segments;
+  for (SegmentId s = 1; s <= 22; ++s) segments.push_back(s);
+  segments.push_back(k32 + 1);
+  segments.push_back(k32 + 2);
+  const auto kindOf = [](SegmentId s) { return s % 2 == 1 ? kPar : kDoc; };
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE(seed);
     util::Rng rng(seed);
@@ -867,52 +986,67 @@ TEST(HashDbBatch, RandomSessionsMatchPerHashLoops) {
     std::set<SegmentId> removed;
     for (int step = 0; step < 160; ++step) {
       if (rng.chance(0.12)) {
-        const SegmentId victim = rng.uniform(1, kSegments);
-        batched.removeSegment(victim);
-        looped.removeSegment(victim);
+        const SegmentId victim = rng.pick(segments);
+        batched.removeSegment(kindOf(victim), victim);
+        looped.removeSegment(kindOf(victim), victim);
         removed.insert(victim);
-      } else if (const SegmentId again = rng.uniform(1, kSegments);
+      } else if (const SegmentId again = rng.pick(segments);
                  rng.chance(0.15) && removed.count(again) == 0) {
         const std::vector<text::Hash>& held = recorded[again];
         const StoreShape batchedBefore(batched);
         const StoreShape loopedBefore(looped);
         clock += 10;
-        batched.recordFingerprint(held, again, clock);
-        for (text::Hash h : held) looped.recordObservation(h, again, clock);
+        batched.recordFingerprint(kindOf(again), held, again, clock);
+        for (text::Hash h : held) {
+          looped.recordObservation(kindOf(again), h, again, clock);
+        }
         ASSERT_TRUE(StoreShape(batched) == batchedBefore);
         ASSERT_TRUE(StoreShape(looped) == loopedBefore);
       } else {
-        const SegmentId segment = rng.uniform(1, kSegments);
+        const SegmentId segment = rng.pick(segments);
         std::size_t n = rng.uniform(0, 120);
         if (rng.chance(0.2)) n = rng.uniform(0, 20);  // around the distances
         std::vector<text::Hash> hashes;
         for (std::size_t i = 0; i < n; ++i) {
-          hashes.push_back(rng.chance(0.7) ? rng.pick(pool) : static_cast<text::Hash>(rng.next()));
+          hashes.push_back(rng.chance(0.7)
+                               ? rng.pick(pool)
+                               : static_cast<text::Hash>(rng.next()));
         }
         if (rng.chance(0.8)) {  // fingerprints are sorted and distinct
           std::sort(hashes.begin(), hashes.end());
           hashes.erase(std::unique(hashes.begin(), hashes.end()),
                        hashes.end());
         }
+        if (rng.chance(0.03)) clock += k32;  // later stamps spill
         util::Timestamp ts = clock;
         if (rng.chance(0.7)) {
           ts = ++clock;
         } else if (rng.chance(0.5)) {
           ts = clock - rng.uniform(1, 50);  // out of order
         }  // else: equal to the previous stamp
-        batched.recordFingerprint(hashes, segment, ts);
-        for (text::Hash h : hashes) looped.recordObservation(h, segment, ts);
+        const SegmentKind kind = kindOf(segment);
+        batched.recordFingerprint(kind, hashes, segment, ts);
+        for (text::Hash h : hashes) {
+          looped.recordObservation(kind, h, segment, ts);
+        }
         recorded[segment].insert(recorded[segment].end(), hashes.begin(),
                                  hashes.end());
       }
       if (step % 20 == 19) {
         std::vector<text::Hash> probes(pool.begin(), pool.begin() + 300);
         probes.push_back(static_cast<text::Hash>(rng.next()));  // never stored
-        expectSameStore(batched, looped, probes, kSegments);
+        expectSameStore(batched, looped, probes, segments);
       }
     }
-    EXPECT_GT(batched.distinctHashCount(), 2000u);  // >= 8 doublings from 16
-    expectSameStore(batched, looped, pool, kSegments);
+    // More than 2000 live hashes: >= 8 doublings from 16.
+    std::set<text::Hash> live;
+    for (const SegmentKind kind : kKinds) {
+      for (const auto& row : exportOrder(batched, kind)) {
+        live.insert(std::get<0>(row));
+      }
+    }
+    EXPECT_GT(live.size(), 2000u);
+    expectSameStore(batched, looped, pool, segments);
   }
 }
 

@@ -172,8 +172,8 @@ std::string corrupt(util::Rng& rng, const std::string& dir, Corruption mode) {
 /// record slipped through.
 void expectNoDanglingAssociations(const FlowTracker& tracker) {
   for (SegmentKind kind : {SegmentKind::kParagraph, SegmentKind::kDocument}) {
-    tracker.hashDb(kind).forEachAssociation(
-        [&](text::Hash hash, SegmentId segment, util::Timestamp) {
+    tracker.hashDb().forEachAssociation(
+        kind, [&](text::Hash hash, SegmentId segment, util::Timestamp) {
           EXPECT_NE(tracker.segmentDb().find(segment), nullptr)
               << "association for hash " << hash
               << " points at missing segment " << segment;

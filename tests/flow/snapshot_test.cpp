@@ -87,8 +87,8 @@ TEST_F(SnapshotTest, ExportImportRoundTripPreservesQueries) {
     EXPECT_DOUBLE_EQ(after[i].score, before[i].score);
   }
   EXPECT_EQ(restored.segmentDb().size(), tracker_.segmentDb().size());
-  EXPECT_EQ(restored.hashDb().distinctHashCount(),
-            tracker_.hashDb().distinctHashCount());
+  EXPECT_EQ(restored.hashDb().distinctHashCount(SegmentKind::kParagraph),
+            tracker_.hashDb().distinctHashCount(SegmentKind::kParagraph));
 }
 
 TEST_F(SnapshotTest, ExportIsDeterministic) {
@@ -227,7 +227,7 @@ TEST_F(SnapshotTest, FailedImportLeavesTrackerEmpty) {
   FlowTracker restored(TrackerConfig{}, &clock2);
   ASSERT_FALSE(importState(restored, blob).ok());
   EXPECT_EQ(restored.segmentDb().size(), 0u);
-  EXPECT_EQ(restored.hashDb().distinctHashCount(), 0u);
+  EXPECT_EQ(restored.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
 }
 
 TEST_F(SnapshotTest, TruncatedSnapshotFileRejectedAndTrackerEmpty) {
@@ -515,7 +515,7 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
     FlowTracker restored(TrackerConfig{}, &clock2);
     EXPECT_FALSE(importState(restored, blob).ok());
     EXPECT_EQ(restored.segmentDb().size(), 0u);
-    EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
+    EXPECT_EQ(restored.hashDb().distinctHashCount(kPar), 0u);
   }
   // Sanity: a consistent blob of the same shape imports.
   FlowTracker restored(TrackerConfig{}, &clock2);
@@ -524,9 +524,9 @@ TEST_F(SnapshotTest, ImportRejectsInconsistentSegmentReferences) {
                                      {3, kDoc, "x"}},
                                     {{42, 1, 1}, {42, 2, 9}}, {{42, 3, 4}}))
                   .ok());
-  EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 1u);
-  EXPECT_EQ(*restored.hashDb(kPar).firstSeen(42, 2), 9u);
-  EXPECT_EQ(*restored.hashDb(kDoc).firstSeen(42, 3), 4u);
+  EXPECT_EQ(restored.hashDb().distinctHashCount(kPar), 1u);
+  EXPECT_EQ(*restored.hashDb().firstSeen(kPar, 42, 2), 9u);
+  EXPECT_EQ(*restored.hashDb().firstSeen(kDoc, 42, 3), 4u);
 }
 
 TEST_F(SnapshotTest, ImportRejectsATruncatedRow) {
@@ -542,7 +542,7 @@ TEST_F(SnapshotTest, ImportRejectsATruncatedRow) {
     EXPECT_FALSE(importState(restored, whole.substr(0, whole.size() - cut))
                      .ok());
     EXPECT_EQ(restored.segmentDb().size(), 0u);
-    EXPECT_EQ(restored.hashDb(kPar).distinctHashCount(), 0u);
+    EXPECT_EQ(restored.hashDb().distinctHashCount(kPar), 0u);
   }
   FlowTracker restored(TrackerConfig{}, &clock2);
   EXPECT_TRUE(importState(restored, whole).ok());
@@ -605,8 +605,8 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
 
   ASSERT_EQ(tracker_.segmentByName("r#p0")->id, kWide);
   ASSERT_GT(tracker_.segmentByName("d#p0")->id, kWide);
-  ASSERT_EQ(tracker_.hashDb(kPar).segmentsWith(hashes[2]).front(), kWide);
-  ASSERT_GE(tracker_.hashDb(kPar).segmentsWith(hashes[2]).size(), 3u);
+  ASSERT_EQ(tracker_.hashDb().segmentsWith(kPar, hashes[2]).front(), kWide);
+  ASSERT_GE(tracker_.hashDb().segmentsWith(kPar, hashes[2]).size(), 3u);
   // Pinned at BFSNAPP4. The bytes are the v3 export of the 16-byte-entry
   // HashDb for this state, with the tenant slots and lastSeen stamps
   // dropped and the hashes narrowed: 8-byte entries must not change them.

@@ -225,7 +225,8 @@ TEST_F(StateFormatTest, V4SnapshotImportsAndReexports) {
   ASSERT_TRUE(importState(imported, blob).ok());
   EXPECT_EQ(imported.segmentDb().size(), 2u);
   EXPECT_EQ(exportState(imported), blob);
-  EXPECT_EQ(*imported.hashDb().oldestSegmentWith(22), kFirst.id);
+  EXPECT_EQ(*imported.hashDb().oldestSegmentWith(SegmentKind::kParagraph, 22),
+            kFirst.id);
 }
 
 TEST_F(StateFormatTest, RetiredWalRecordTypesAreCorrupt) {
@@ -281,7 +282,7 @@ TEST_F(StateFormatTest, V3SnapshotIsRejectedAllOrNothing) {
     FlowTracker imported(TrackerConfig{}, &clock);
     EXPECT_FALSE(importState(imported, blob).ok());
     EXPECT_EQ(imported.segmentDb().size(), 0u);
-    EXPECT_EQ(imported.hashDb().distinctHashCount(), 0u);
+    EXPECT_EQ(imported.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
   }
 }
 

@@ -344,13 +344,13 @@ ReferenceAnswer referenceQuery(const FlowTracker& tracker,
                                std::string_view selfDocument) {
   ReferenceAnswer out;
   const TrackerConfig& config = tracker.config();
-  const HashDb& db = tracker.hashDb(kind);
+  const HashDb& db = tracker.hashDb();
   std::set<SegmentId> candidates;
   for (text::Hash h : target.hashes()) {
     if (config.useAuthoritative) {
-      if (const auto owner = db.oldestSegmentWith(h)) candidates.insert(*owner);
+      if (const auto owner = db.oldestSegmentWith(kind, h)) candidates.insert(*owner);
     } else {
-      for (SegmentId s : db.segmentsWith(h)) candidates.insert(s);
+      for (SegmentId s : db.segmentsWith(kind, h)) candidates.insert(s);
     }
   }
   for (SegmentId c : candidates) {

@@ -243,6 +243,55 @@ TEST_F(TrackerTest, DocumentGranularityTrackedIndependently) {
   EXPECT_EQ(docHits[0].sourceName, "wiki/page");
 }
 
+TEST_F(TrackerTest, HashAuthorityIsPerGranularity) {
+  // observeDocument records the document before its paragraphs, so the
+  // document holds the older stamp on every hash it shares with them.
+  // Authority is per granularity (DESIGN.md §5): the paragraphs still own
+  // their hashes as paragraphs, and the document owns them as a document.
+  const std::string p1 = paragraph();
+  const std::string doc = paragraph() + "\n\n" + p1 + "\n\n" + paragraph();
+  const auto src = tracker_.observeDocument("src", "svc", doc);
+  ASSERT_EQ(src.paragraphs.size(), 3u);
+  const SegmentRecord* para = tracker_.segment(src.paragraphs[1]);
+  ASSERT_NE(para, nullptr);
+  const text::Hash shared = para->fingerprint.hashes().front();
+  const HashDb& db = tracker_.hashDb();
+  EXPECT_EQ(db.firstSeen(SegmentKind::kDocument, shared, src.document),
+            tracker_.segment(src.document)->updatedAt);
+  EXPECT_LT(*db.firstSeen(SegmentKind::kDocument, shared, src.document),
+            *db.firstSeen(SegmentKind::kParagraph, shared, src.paragraphs[1]));
+
+  // Pasting one of its paragraphs elsewhere hits the paragraph source.
+  const auto paraHits = tracker_.checkText(p1, "dst");
+  ASSERT_EQ(paraHits.size(), 1u);
+  EXPECT_EQ(paraHits[0].source, src.paragraphs[1]);
+  EXPECT_EQ(paraHits[0].kind, SegmentKind::kParagraph);
+  EXPECT_GE(paraHits[0].score, 0.9);  // generated paragraphs share n-grams
+
+  // A copy of the whole document elsewhere hits the document source.
+  const auto dst = tracker_.observeDocument("dst", "svc", doc);
+  const auto docHits = tracker_.sourcesForSegment(dst.document);
+  ASSERT_EQ(docHits.size(), 1u);
+  EXPECT_EQ(docHits[0].source, src.document);
+  EXPECT_EQ(docHits[0].kind, SegmentKind::kDocument);
+  EXPECT_DOUBLE_EQ(docHits[0].score, 1.0);  // the oldest document owns all
+
+  // Removing a paragraph moves only the paragraph removal generation, so
+  // the cached document answer is still served.
+  const std::uint64_t paragraphGen =
+      db.removalGeneration(SegmentKind::kParagraph);
+  const std::uint64_t documentGen = db.removalGeneration(SegmentKind::kDocument);
+  tracker_.removeSegmentByName("src#p2");
+  EXPECT_EQ(db.removalGeneration(SegmentKind::kParagraph), paragraphGen + 1);
+  EXPECT_EQ(db.removalGeneration(SegmentKind::kDocument), documentGen);
+  tracker_.resetStats();
+  const auto cached = tracker_.sourcesForSegment(dst.document);
+  EXPECT_EQ(tracker_.stats().cacheHits, 1u);
+  EXPECT_EQ(tracker_.stats().cacheMisses, 0u);
+  ASSERT_EQ(cached.size(), 1u);
+  EXPECT_EQ(cached[0].source, src.document);
+}
+
 TEST_F(TrackerTest, OneSentencePerParagraphDisclosesDocumentNotParagraphs) {
   // The paper's rationale for two granularities (S4.1): leaking one
   // sentence from each paragraph discloses the document while individual
@@ -385,7 +434,8 @@ TEST_F(TrackerTest, StaleOwnerCountsOnlyItsCurrentHashes) {
   // Only the hashes S still contains may count towards its overlap.
   observeHashes(tracker_, 1, "S", {1, 2, 3}, 1);
   observeHashes(tracker_, 1, "S", {4, 5, 6}, 2);
-  ASSERT_EQ(tracker_.hashDb().oldestSegmentWith(1), SegmentId{1});
+  ASSERT_EQ(tracker_.hashDb().oldestSegmentWith(SegmentKind::kParagraph, 1),
+            SegmentId{1});
   const text::Fingerprint target = fpOf({1, 2, 3, 4});
   const auto hits = tracker_.disclosedSources(target, SegmentKind::kParagraph);
   ASSERT_EQ(hits.size(), 1u);

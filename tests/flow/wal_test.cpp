@@ -158,13 +158,13 @@ TEST_F(WalTest, SameHashEditAfterImportRecoversWithoutItsHashes) {
   const auto stats = mgr.recoverAndAttach(tracker_);
   ASSERT_TRUE(stats.ok()) << stats.errorMessage();
   clock_.advanceTo(stats.value().maxTimestamp + 1);
-  ASSERT_EQ(tracker_.hashDb().distinctHashCount(), 0u);
+  ASSERT_EQ(tracker_.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
   std::string edited = text;
   edited.insert(edited.size() / 2, "  ;");
   ASSERT_TRUE(
       tracker_.fingerprintOf(edited).sameHashes(tracker_.fingerprintOf(text)));
   tracker_.observeSegment(SegmentKind::kParagraph, "s#p0", "s", "svc", edited);
-  EXPECT_EQ(tracker_.hashDb().distinctHashCount(), 0u);
+  EXPECT_EQ(tracker_.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
   const std::string live = canon(tracker_);
   ASSERT_TRUE(mgr.wal().sync().ok());
   EXPECT_EQ(recoverFresh(), live);
@@ -193,7 +193,7 @@ TEST_F(WalTest, ImportIntoAnAttachedTrackerIsRefused) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("WAL"), std::string::npos);
   EXPECT_EQ(attached.segmentDb().size(), 0u);
-  EXPECT_EQ(attached.hashDb().distinctHashCount(), 0u);
+  EXPECT_EQ(attached.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
   EXPECT_EQ(mgr.wal().nextSequence(), next);
   EXPECT_EQ(mgr.wal().appendedRecords(), 0u);
 

@@ -1,4 +1,4 @@
-// Tests for bf::util::Mutex / MutexLock / CondVar and the runtime
+// Tests for bf::util::Mutex / MutexLock and the runtime
 // lock-rank assertion (util/mutex.h).
 #include "util/mutex.h"
 
@@ -47,25 +47,6 @@ TEST(MutexTest, MutexLockSerialisesConcurrentIncrements) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter, 40000);
-}
-
-TEST(MutexTest, CondVarHandsOffThroughTheMutex) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::string payload;
-  std::thread producer([&] {
-    MutexLock lock(mu);
-    payload = "handoff";
-    ready = true;
-    cv.notifyOne();
-  });
-  {
-    MutexLock lock(mu);
-    while (!ready) cv.wait(mu);
-    EXPECT_EQ(payload, "handoff");
-  }
-  producer.join();
 }
 
 #if BF_LOCK_RANK_CHECKS
