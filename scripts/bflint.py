@@ -32,8 +32,8 @@ cannot enforce:
                       src/core, src/flow or src/tdm. ALL durable-state I/O
                       flows through the bf::io VFS seam (src/io/vfs.h):
                       snapshot, checkpoint and deployment files through
-                      flow::writeSealedFile/readSealedFile, the WAL and
-                      policy config files through an io::Vfs, which is what
+                      flow::writeSealedFile/readSealedFile, the WAL
+                      through an io::Vfs, which is what
                       lets the storage-chaos suites inject ENOSPC / torn
                       writes / fsync failures. A direct stream or syscall
                       would bypass both the seam and the framing that makes
@@ -112,8 +112,8 @@ DEQUE_PATTERNS = [
 ]
 
 # Directories whose file I/O must go through io::Vfs, and the files among
-# them that are exempt (none: snapshots, checkpoints, deployments, the WAL
-# and policy config files all read and write through the seam).
+# them that are exempt (none: snapshots, checkpoints, deployments and the
+# WAL all read and write through the seam).
 STATE_FILE_IO_DIRS = ("src/core/", "src/flow/", "src/tdm/")
 STATE_FILE_IO_ALLOWED = ()
 

@@ -4,11 +4,16 @@
 #
 #   scripts/check.sh                                  # default + asan
 #   BF_CHECK_PRESETS="default" scripts/check.sh       # subset
-#   BF_CHECK_PRESETS="default asan ubsan tsan" scripts/check.sh  # full matrix
+#   BF_CHECK_PRESETS="default asan ubsan tsan release" scripts/check.sh  # full matrix
 #
-# The tsan preset runs the concurrency-relevant tests under ThreadSanitizer
-# and then the bench_stress_concurrency binary (a short configuration), so
-# the lock migration is exercised under real contention, not just unit load.
+# Each preset runs the same steps as its leg in .github/workflows/check.yml.
+# The default and release presets build with -Werror. The tsan preset runs
+# the concurrency-relevant tests under ThreadSanitizer and then the
+# bench_stress_concurrency binary (a short configuration), so the lock
+# migration is exercised under real contention, not just unit load. The
+# release preset then checks every pinned verdict digest in
+# scripts/e2e_verdict_digests.txt, with the host's best fingerprint kernel
+# and with the scalar kernel.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +34,11 @@ python3 scripts/negcompile.py --compiler "${CXX:-c++}" --std c++20 -I src
 
 for preset in $PRESETS; do
   echo "==> [$preset] configure"
-  cmake --preset "$preset"
+  if [ "$preset" = "default" ] || [ "$preset" = "release" ]; then
+    cmake --preset "$preset" -DCMAKE_CXX_FLAGS=-Werror
+  else
+    cmake --preset "$preset"
+  fi
   echo "==> [$preset] build"
   cmake --build --preset "$preset" -j "$JOBS"
   echo "==> [$preset] test"
@@ -38,6 +47,26 @@ for preset in $PRESETS; do
     echo "==> [tsan] bench_stress_concurrency under ThreadSanitizer"
     BF_STRESS_USERS=8 BF_STRESS_DECISIONS=50 \
       "build-tsan/bench/bench_stress_concurrency"
+  fi
+  if [ "$preset" = "release" ]; then
+    for force_scalar in "" 1; do
+      echo "==> [release] pinned verdict digests, BF_FORCE_SCALAR_KERNEL='$force_scalar'"
+      while read -r workload seed expected; do
+        case "$workload" in ''|'#'*) continue ;; esac
+        out=$(BF_FORCE_SCALAR_KERNEL="$force_scalar" python3 e2ebench/run.py \
+          --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
+          < /dev/null) || { echo "$out"; exit 1; }
+        got=$(echo "$out" | sed -n 's/^# verdict digest: \([0-9a-f]*\) .*/\1/p')
+        if [ "$got" != "$expected" ]; then
+          echo "$out"
+          echo "error: $workload seed $seed BF_FORCE_SCALAR_KERNEL='$force_scalar'" \
+            "verdict digest '$got', pinned '$expected'" \
+            "(scripts/e2e_verdict_digests.txt)" >&2
+          exit 1
+        fi
+        echo "$workload seed $seed: $got"
+      done < scripts/e2e_verdict_digests.txt
+    done
   fi
   if [ "$preset" = "default" ] || [ "$preset" = "asan" ]; then
     # Crash-recovery fuzz at a pinned seed: the same 500 corruption trials

@@ -131,7 +131,6 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
                                flow::FlowTracker* tracker,
                                tdm::TdmPolicy* policy)
     : config_(config),
-      mode_(config.mode),
       tracker_(tracker),
       policy_(policy) {
   obs::MetricsRegistry& r = obs::registry();
@@ -268,7 +267,7 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request,
   // ---- Policy enforcement module ---------------------------------------------
   if (!check.allowed) {
     decision.violatingTags = check.violatingTags;
-    decision.action = violationAction(mode_.load(std::memory_order_relaxed));
+    decision.action = violationAction(config_.mode);
   }
   // Capture the labels the check consulted, but only when the flight
   // recorder will retain this decision — the TagSet copies are wasted work

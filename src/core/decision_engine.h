@@ -23,7 +23,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <mutex>  // std::unique_lock over util::Mutex (lockState)
 #include <string>
 #include <string_view>
@@ -180,17 +179,6 @@ class DecisionEngine {
   /// Zeroes the decision-latency histogram (test / bench phase boundary).
   void resetLatencyStats();
 
-  /// Switches the enforcement action for future violations (advisory
-  /// deployments often start in warn mode and move to block). Atomic so
-  /// callers may flip the mode while other threads decide: each decision
-  /// sees either the old or the new mode, never a torn value.
-  void setMode(EnforcementMode mode) noexcept {
-    mode_.store(mode, std::memory_order_relaxed);
-  }
-  [[nodiscard]] EnforcementMode mode() const noexcept {
-    return mode_.load(std::memory_order_relaxed);
-  }
-
   /// Installs the exact-match guard for short secrets (not owned; may be
   /// null). A secret hit attaches the secret's tag to the segment as an
   /// implicit tag, so the normal Li ⊆ Lp check — and per-copy suppression
@@ -283,10 +271,6 @@ class DecisionEngine {
       BF_REQUIRES(stateMutex_);
 
   BrowserFlowConfig config_ BF_GUARDED_BY(stateMutex_);
-  /// Enforcement action applied to violations; mirrors config_.mode so
-  /// setMode()/mode() need no lock (an unlocked write to config_.mode
-  /// would race a deciding thread's read — see engine_concurrency_test).
-  std::atomic<EnforcementMode> mode_;
   flow::FlowTracker* tracker_;
   tdm::TdmPolicy* policy_;
   SecretGuard* guard_ = nullptr;

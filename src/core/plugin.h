@@ -58,12 +58,6 @@ class BrowserFlowPlugin final : public browser::Extension {
     return config_;
   }
 
-  /// Switches the enforcement action at runtime (warn -> block rollouts).
-  void setEnforcementMode(EnforcementMode mode) noexcept {
-    config_.mode = mode;
-    engine_.setMode(mode);
-  }
-
   /// Extracts the main text of a loaded (static) page and registers it as
   /// content of that page's service — how existing documents seed the
   /// fingerprint database.

@@ -40,8 +40,6 @@ struct WalMetrics {
   obs::Counter* checkpointFailures;
   obs::Gauge* checkpointLastMs;
   obs::Histogram* checkpointDurationUs;
-  obs::Gauge* storageBytes;
-  obs::Counter* pressurePrunes;
   obs::Counter* recoveryRuns;
   obs::Counter* recoveryReplayedRecords;
   obs::Counter* recoveryDiscardedBytes;
@@ -86,12 +84,6 @@ const WalMetrics& walMetrics() {
         "under the engine state lock, so the tail here is decision latency)",
         {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
          250000, 500000, 1000000, 5000000});
-    out.storageBytes = &r.gauge(
-        "bf_storage_bytes",
-        "Bytes across checkpoint + WAL files at the last maintenance scan");
-    out.pressurePrunes = &r.counter(
-        "bf_storage_pressure_prunes_total",
-        "Aggressive prunes triggered by the byte quota (disk pressure)");
     out.recoveryRuns =
         &r.counter("bf_recovery_runs_total", "Crash recoveries performed");
     out.recoveryReplayedRecords =
@@ -187,11 +179,6 @@ util::Status WriteAheadLog::rotate(const std::string& path,
     sea = syncEachAppend_;
   }
   return open(path, baseSequence, sea, vfs);
-}
-
-bool WriteAheadLog::syncEachAppend() const {
-  util::MutexLock lock(mutex_);
-  return syncEachAppend_;
 }
 
 void WriteAheadLog::append(WalRecordType type, const std::string& body) {
@@ -385,8 +372,7 @@ bool applyRecord(FlowTracker& tracker, WalRecordType type,
 }  // namespace
 
 WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
-                              std::uint64_t nextExpected, std::uint64_t cap,
-                              io::Vfs* vfs) {
+                              std::uint64_t nextExpected, io::Vfs* vfs) {
   WalReplayResult out;
   out.lastSequence = nextExpected == 0 ? 0 : nextExpected - 1;
 
@@ -421,12 +407,6 @@ WalReplayResult replayWalFile(FlowTracker& tracker, const std::string& path,
     util::BinaryReader pr(payload);
     const std::uint64_t seq = pr.u64();
     const WalRecordType type = static_cast<WalRecordType>(pr.u8());
-    if (seq >= next && seq > cap) {
-      // Clean stop at the oracle cap: nothing here is corrupt, the caller
-      // just does not want records past `cap`.
-      pos += 8 + len;
-      continue;
-    }
     if (seq < next) {
       // Already covered by the checkpoint (or an earlier log).
       ++out.skipped;
@@ -551,41 +531,6 @@ void DurabilityManager::pruneGenerations(std::uint64_t currentSeq) {
   }
 }
 
-std::uint64_t DurabilityManager::measureStorageBytes() {
-  std::uint64_t total = 0;
-  for (const std::string& name : vfs().listDir(config_.directory)) {
-    total += vfs().fileSize(config_.directory + "/" + name);
-  }
-  walMetrics().storageBytes->set(static_cast<double>(total));
-  return total;
-}
-
-void DurabilityManager::enforceStorageQuota(std::uint64_t currentSeq) {
-  const std::uint64_t total = measureStorageBytes();
-  if (config_.maxStorageBytes == 0 || total <= config_.maxStorageBytes) {
-    return;
-  }
-  // Disk pressure: the quota outranks keepGenerations — only the newest
-  // generation (checkpoint + its live log) survives. Losing fallback depth
-  // is the right trade: an over-quota directory is how the NEXT checkpoint
-  // starts failing with ENOSPC, which costs durability entirely.
-  walMetrics().pressurePrunes->inc();
-  const auto checkpoints =
-      listSeqFiles(vfs(), config_.directory, "checkpoint-", ".bfc");
-  if (checkpoints.empty()) return;
-  const std::uint64_t newest = checkpoints.back();
-  for (std::uint64_t seq : checkpoints) {
-    if (seq < newest) (void)vfs().remove(checkpointPath(seq));
-  }
-  for (std::uint64_t seq :
-       listSeqFiles(vfs(), config_.directory, "wal-", ".bfw")) {
-    if (seq < newest && seq != currentSeq) {
-      (void)vfs().remove(walPath(seq));
-    }
-  }
-  (void)measureStorageBytes();
-}
-
 util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
     FlowTracker& tracker) {
   using R = util::Result<RecoveryStats>;
@@ -630,8 +575,8 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
       stats.discardedBytes += vfs().fileSize(walPath(s));
       continue;
     }
-    const WalReplayResult r = replayWalFile(tracker, walPath(s), next,
-                                            ~std::uint64_t{0}, config_.vfs);
+    const WalReplayResult r =
+        replayWalFile(tracker, walPath(s), next, config_.vfs);
     stats.replayedRecords += r.applied;
     stats.discardedBytes += r.discardedBytes;
     stats.maxTimestamp = std::max(stats.maxTimestamp, r.maxTimestamp);
@@ -659,7 +604,6 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
     return R::error(s.errorMessage());
   }
   pruneGenerations(stats.lastSequence);
-  enforceStorageQuota(stats.lastSequence);
   tracker.attachWal(&wal_);
   attached_ = true;
   lastCheckpointOk_ = true;
@@ -669,7 +613,6 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
 
   stats.replayMillis = watch.elapsedMillis();
   m.recoveryLastReplayMs->set(stats.replayMillis);
-  lastRecovery_ = stats;
   return stats;
 }
 
@@ -687,10 +630,6 @@ util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
     m.checkpointFailures->inc();
     m.checkpointDurationUs->observe(watch.elapsedMicros());
     lastCheckpointOk_ = false;
-    // A failed save may still have left partial state (and earlier
-    // generations are still on disk); re-measure and prune so the quota
-    // holds across failed attempts too, not just successful checkpoints.
-    enforceStorageQuota(seq);
     enterDegraded();
     return s;
   }
@@ -698,17 +637,14 @@ util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
   if (util::Status s = wal_.rotate(walPath(seq), seq); !s.ok()) {
     m.checkpointDurationUs->observe(watch.elapsedMicros());
     lastCheckpointOk_ = false;
-    // The snapshot above DID land: without pruning here, every failed
-    // rotation of a repair storm would strand one more checkpoint
-    // generation and bf_storage_bytes would exceed the quota unbounded
-    // until the next fully-successful checkpoint. Enforce after EVERY
-    // rotation attempt, success or not.
-    enforceStorageQuota(seq);
+    // The snapshot above DID land, and it is the newest: prune here too,
+    // or every failed rotation of a repair storm strands one more full
+    // checkpoint until some attempt finally succeeds.
+    pruneGenerations(seq);
     enterDegraded();
     return s;
   }
   pruneGenerations(seq);
-  enforceStorageQuota(seq);
   lastCheckpointOk_ = true;
   // A successful checkpoint + rotation IS a durable prefix: whatever the
   // WAL lost before is now inside the snapshot, so health is restored.
@@ -718,16 +654,6 @@ util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
   m.checkpointLastMs->set(watch.elapsedMillis());
   m.checkpointDurationUs->observe(watch.elapsedMicros());
   return {};
-}
-
-bool DurabilityManager::checkpointDue() const {
-  return attached_ &&
-         wal_.appendedRecords() >= config_.checkpointEveryRecords;
-}
-
-util::Status DurabilityManager::checkpointIfDue(const FlowTracker& tracker) {
-  if (!checkpointDue()) return {};
-  return checkpoint(tracker);
 }
 
 void DurabilityManager::enterDegraded() {
@@ -746,9 +672,6 @@ util::Status DurabilityManager::attemptRepair(const FlowTracker& tracker) {
   health_ = DurabilityHealth::kRecovering;
   walMetrics().health->set(2.0);
   ++repairAttempts_;
-  // Under disk pressure the repair itself needs room: shed old
-  // generations before writing, not after.
-  enforceStorageQuota(wal_.nextSequence() - 1);
   // The repair is an emergency checkpoint: snapshot the full in-memory
   // state at the last assigned sequence (covering every lost record) and
   // rotate onto a fresh segment. checkpoint() restores kHealthy on

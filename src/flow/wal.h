@@ -145,7 +145,6 @@ class WriteAheadLog {
   /// healthy/nextSequence/appendedRecords/lostRecords in one lock
   /// acquisition — the decision-path maintenance fast path.
   [[nodiscard]] Stats stats() const BF_EXCLUDES(mutex_);
-  [[nodiscard]] bool syncEachAppend() const BF_EXCLUDES(mutex_);
 
   /// Test hook: force the next `n` appends to fail without touching the
   /// file (exercises the unhealthy path deterministically).
@@ -181,7 +180,7 @@ class WriteAheadLog {
 /// Outcome of replaying one WAL file into a tracker.
 struct WalReplayResult {
   std::uint64_t applied = 0;         ///< records applied to the tracker
-  std::uint64_t skipped = 0;         ///< valid records with seq <= floor
+  std::uint64_t skipped = 0;         ///< valid records below nextExpected
   std::uint64_t discardedBytes = 0;  ///< bytes after the first bad frame
   std::uint64_t lastSequence = 0;    ///< highest sequence applied or skipped
   util::Timestamp maxTimestamp = 0;  ///< largest timestamp in applied records
@@ -189,15 +188,15 @@ struct WalReplayResult {
 };
 
 /// Replays the WAL file at `path` into `tracker`: applies every valid
-/// record with floor < sequence <= cap, in order, requiring exact sequence
-/// continuity from `nextExpected` (records below it are skipped as already
-/// covered by the checkpoint). Stops at the first torn/corrupt frame or
-/// sequence gap; everything after it is counted in discardedBytes. The
-/// tracker's WAL should be detached while replaying (recovery must not
-/// re-log its own replay). `vfs` routes the read (null = defaultVfs()).
+/// record from `nextExpected` on, in order, requiring exact sequence
+/// continuity (records below it are skipped as already covered by the
+/// checkpoint). Stops at the first torn/corrupt frame or sequence gap;
+/// everything after it is counted in discardedBytes. The tracker's WAL
+/// should be detached while replaying (recovery must not re-log its own
+/// replay). `vfs` routes the read (null = defaultVfs()).
 [[nodiscard]] WalReplayResult replayWalFile(
     FlowTracker& tracker, const std::string& path, std::uint64_t nextExpected,
-    std::uint64_t cap = ~std::uint64_t{0}, io::Vfs* vfs = nullptr);
+    io::Vfs* vfs = nullptr);
 
 /// Durability health (DESIGN.md §13). Values double as the bf_wal_health
 /// gauge encoding, so keep them stable.
@@ -214,14 +213,15 @@ struct DurabilityConfig {
   std::string directory;
   /// Snapshot encryption secret (empty = plaintext checkpoints).
   std::string secret;
-  /// checkpointIfDue() rolls a new checkpoint once this many records have
-  /// been appended since the last one.
+  /// maintain() rolls a new checkpoint once this many records have been
+  /// appended since the last one.
   std::uint64_t checkpointEveryRecords = 4096;
   /// fsync the WAL on every append (maximum durability; bench_recovery
   /// quantifies the cost) instead of only at checkpoint boundaries.
   bool syncEachAppend = false;
-  /// Checkpoint/WAL generations kept after a successful checkpoint. 2 makes
-  /// a corrupt newest checkpoint self-healing (the previous checkpoint plus
+  /// Checkpoint/WAL generations kept after every checkpoint attempt whose
+  /// snapshot landed, whether or not the log then rotated. 2 makes a
+  /// corrupt newest checkpoint self-healing (the previous checkpoint plus
   /// both logs replay to the same state). 0 keeps everything (the fuzz
   /// harness's oracle mode).
   std::size_t keepGenerations = 2;
@@ -234,10 +234,6 @@ struct DurabilityConfig {
   /// but never faster than this.
   double repairBaseDelayMs = 50.0;
   double repairMaxDelayMs = 2000.0;
-  /// Byte quota across WAL segments + checkpoint generations; when the
-  /// directory exceeds it at a checkpoint/repair boundary, pruning gets
-  /// aggressive (only the newest generation survives). 0 = unlimited.
-  std::uint64_t maxStorageBytes = 0;
 };
 
 /// What recovery found and did.
@@ -253,7 +249,7 @@ struct RecoveryStats {
 
 /// Owns the WAL + checkpoint lifecycle for one tracker.
 ///
-/// Thread safety: recoverAndAttach(), checkpoint*() and maintain() require
+/// Thread safety: recoverAndAttach(), checkpoint() and maintain() require
 /// QUIESCED tracker mutations — the same external-serialisation contract
 /// as flow::exportState() (the engine's lockState() provides it on the
 /// decision path). The WAL itself is internally synchronised, so tracker
@@ -286,14 +282,10 @@ class DurabilityManager {
 
   /// Writes a checkpoint of the tracker's current state, rotates the WAL
   /// and prunes old generations. Mutations must be quiesced. Success
-  /// re-establishes a durable prefix and restores kHealthy.
+  /// re-establishes a durable prefix and restores kHealthy. Pruning runs
+  /// whenever the snapshot landed, even if the rotation then failed, so a
+  /// repair storm never holds more than keepGenerations checkpoints.
   [[nodiscard]] util::Status checkpoint(const FlowTracker& tracker);
-
-  /// True once checkpointEveryRecords appends have accumulated.
-  [[nodiscard]] bool checkpointDue() const;
-
-  /// checkpoint() when due, no-op otherwise.
-  [[nodiscard]] util::Status checkpointIfDue(const FlowTracker& tracker);
 
   /// The decision-path maintenance hook: periodic checkpoints while
   /// healthy, backoff-paced repair attempts while degraded. Cheap when
@@ -316,32 +308,22 @@ class DurabilityManager {
   }
 
   [[nodiscard]] WriteAheadLog& wal() noexcept { return wal_; }
-  [[nodiscard]] const RecoveryStats& lastRecovery() const noexcept {
-    return lastRecovery_;
-  }
-  [[nodiscard]] const DurabilityConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
   [[nodiscard]] io::Vfs& vfs() const noexcept;
   [[nodiscard]] std::string checkpointPath(std::uint64_t seq) const;
   [[nodiscard]] std::string walPath(std::uint64_t seq) const;
-  void pruneGenerations(std::uint64_t keepFromSeq);
-  /// Total bytes across checkpoint + WAL files; updates bf_storage_bytes.
-  [[nodiscard]] std::uint64_t measureStorageBytes();
-  /// Shrinks to the newest generation when over maxStorageBytes.
-  void enforceStorageQuota(std::uint64_t currentSeq);
+  /// Keeps the newest keepGenerations checkpoints and the logs that roll
+  /// them forward; never removes wal-<currentSeq>.
+  void pruneGenerations(std::uint64_t currentSeq);
   void enterDegraded();
   /// One repair attempt: emergency checkpoint + rotation.
   [[nodiscard]] util::Status attemptRepair(const FlowTracker& tracker);
 
   DurabilityConfig config_;
   WriteAheadLog wal_;
-  std::uint64_t recordsAtLastCheckpoint_ = 0;
   bool attached_ = false;
   bool lastCheckpointOk_ = true;
-  RecoveryStats lastRecovery_;
 
   // Repair state machine (driven from maintain(); same quiesced-caller
   // contract as checkpoint(), so plain members suffice).

@@ -35,16 +35,6 @@ void TdmPolicy::forgetSegment(std::string_view segmentName) {
   presence_.erase(std::string(segmentName));
 }
 
-void TdmPolicy::propagateDisclosure(std::string_view sourceSegment,
-                                    std::string_view destSegment) {
-  auto src = labels_.find(std::string(sourceSegment));
-  if (src == labels_.end()) return;
-  // The destination may not have a label yet (text being typed that was
-  // never uploaded); create an empty one so the implicit tags stick.
-  Label& dst = labels_[std::string(destSegment)];
-  dst.addImplicitAll(src->second.propagatableTags());
-}
-
 void TdmPolicy::refreshImplicitTags(
     std::string_view destSegment,
     const std::vector<std::string>& sourceSegments) {

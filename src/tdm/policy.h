@@ -8,9 +8,9 @@
 //    privilege label Lp only if Li ⊆ Lp."
 //
 // This module is deliberately independent of the similarity tracker: it
-// reasons purely over labels. The core plug-in connects the two by calling
-// propagateDisclosure() whenever the FlowTracker detects that one segment
-// discloses another.
+// reasons purely over labels. The decision engine connects the two: after
+// each lookup it calls refreshImplicitTags() with the full set of segments
+// the FlowTracker found the text to disclose.
 #pragma once
 
 #include <set>
@@ -71,18 +71,14 @@ class TdmPolicy {
 
   // ---- Disclosure-driven propagation (S3.2) --------------------------------
 
-  /// The FlowTracker detected that `sourceSegment` is disclosed by
-  /// `destSegment`: the source's EXPLICIT tags are attached to the
-  /// destination as IMPLICIT tags. Implicit tags do not propagate further,
-  /// which is what retires outdated taints (paper Fig. 6).
-  void propagateDisclosure(std::string_view sourceSegment,
-                           std::string_view destSegment);
-
   /// Recomputes `destSegment`'s implicit tags from the full current set of
-  /// disclosing sources: previous implicit tags are dropped first, so a
-  /// segment edited until it no longer discloses a source sheds that
-  /// source's taint (the "decreased information disclosure" requirement of
-  /// S1). Explicit and suppressed tags are untouched.
+  /// disclosing sources: each source's EXPLICIT tags are attached to the
+  /// destination as IMPLICIT tags. Implicit tags do not propagate further,
+  /// which is what retires outdated taints (paper Fig. 6). Previous
+  /// implicit tags are dropped first, so a segment edited until it no
+  /// longer discloses a source sheds that source's taint (the "decreased
+  /// information disclosure" requirement of S1). Explicit and suppressed
+  /// tags are untouched.
   void refreshImplicitTags(std::string_view destSegment,
                            const std::vector<std::string>& sourceSegments);
 

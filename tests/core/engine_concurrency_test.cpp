@@ -6,12 +6,6 @@
 // on the browser thread while a second thread decides paragraphs and
 // drafts through the same engine: every tracker/policy access on either
 // side must be serialised by the engine.
-//
-// EnforcementModeFlips... is the regression test for a real data race the
-// thread-safety migration surfaced: setMode() used to write config_.mode
-// unlocked while another thread read it inside decideLocked(), a torn read
-// under TSan. The mode now lives in a std::atomic mirror; this test fails
-// under the tsan preset against the old code.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -86,32 +80,6 @@ class EngineConcurrencyTest : public ::testing::Test {
   DecisionEngine engine_;
   std::string sensitive_;
 };
-
-TEST_F(EngineConcurrencyTest, EnforcementModeFlipsDuringAsyncLoadStayAtomic) {
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    // Hammer the mode while two threads decide; each decision must see
-    // exactly warn or block, never a torn in-between value.
-    bool warn = false;
-    while (!stop.load(std::memory_order_relaxed)) {
-      engine_.setMode(warn ? EnforcementMode::kWarn : EnforcementMode::kBlock);
-      warn = !warn;
-    }
-  });
-  const std::vector<Decision> decisions = decideOnThreads(2, 150);
-  stop.store(true, std::memory_order_relaxed);
-  flipper.join();
-
-  for (const Decision& d : decisions) {
-    ASSERT_FALSE(d.degraded);
-    ASSERT_TRUE(d.action == Decision::Action::kWarn ||
-                d.action == Decision::Action::kBlock)
-        << "decision saw a torn enforcement mode";
-  }
-  const EnforcementMode final = engine_.mode();
-  EXPECT_TRUE(final == EnforcementMode::kWarn ||
-              final == EnforcementMode::kBlock);
-}
 
 TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
   std::atomic<bool> stop{false};

@@ -85,7 +85,7 @@ TEST_F(EngineDurabilityTest, DecisionPathDrivesPeriodicCheckpoints) {
 
   const auto before = obs::registry().snapshot();
   // Each decision observes one new segment => one WAL record; at three
-  // records the post-decision checkpointIfDue must roll a checkpoint
+  // records the post-decision maintain() must roll a checkpoint
   // while still holding the engine's state mutex.
   for (int i = 0; i < 7; ++i) {
     const Decision d = engine_.decide(

@@ -210,23 +210,6 @@ TEST_F(PluginTest, SuppressTagDelegatesToPolicy) {
             2u);
 }
 
-TEST_F(PluginTest, RuntimeModeSwitchWarnToBlock) {
-  // Advisory rollout: start warning, flip to blocking without restart.
-  const std::string secret = seedInterviewData();
-  browser::Page& page = browser_.openTab("https://docs.google.com/d/mode");
-  cloud::DocsClient docs(page, "mode");
-  docs.openDocument();
-  EXPECT_EQ(docs.insertParagraph(0, secret), 200);  // warn: flows through
-  docs.deleteParagraph(0);
-
-  plugin_.setEnforcementMode(EnforcementMode::kBlock);
-  EXPECT_EQ(docs.insertParagraph(0, secret), 403);  // now blocked
-  docs.deleteParagraph(0);
-
-  plugin_.setEnforcementMode(EnforcementMode::kWarn);
-  EXPECT_EQ(docs.insertParagraph(0, secret), 200);  // advisory again
-}
-
 // ---- Block mode ---------------------------------------------------------------
 
 class BlockModeTest : public PluginTest {

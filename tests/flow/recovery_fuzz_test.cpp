@@ -243,7 +243,7 @@ TEST(RecoveryFuzzTest, RecoveredStateIsAlwaysAPrefixOfHistory) {
         auto s = mgr->checkpoint(tracker);
         ASSERT_TRUE(s.ok()) << s.errorMessage();
       }
-      auto due = mgr->checkpointIfDue(tracker);
+      auto due = mgr->maintain(tracker);
       ASSERT_TRUE(due.ok()) << due.errorMessage();
       oracle[mgr->wal().nextSequence() - 1] = exportState(tracker);
     }

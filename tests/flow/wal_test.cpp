@@ -314,7 +314,7 @@ TEST_F(WalTest, CheckpointEveryNRecordsTriggersViaIfDue) {
     tracker_.observeSegment(SegmentKind::kParagraph,
                             "d#p" + std::to_string(i), "d", "svc",
                             gen_.paragraph(4, 6));
-    ASSERT_TRUE(mgr.checkpointIfDue(tracker_).ok());
+    ASSERT_TRUE(mgr.maintain(tracker_).ok());
   }
   const auto delta = obs::registry().snapshot().diff(before);
   EXPECT_GE(delta.counterValue("bf_checkpoints_total"), 2u);
@@ -601,74 +601,44 @@ TEST_F(WalTest, HealthGaugeAndLostCounterTrackTheStateMachine) {
   EXPECT_GE(delta.counterValue("bf_wal_repairs_total"), 1u);
 }
 
-TEST_F(WalTest, StorageQuotaPrunesToNewestGenerationUnderPressure) {
-  DurabilityConfig cfg = configFor();
-  cfg.keepGenerations = 0;  // keep everything...
-  cfg.maxStorageBytes = 1;  // ...but the quota forces aggressive pruning
-  DurabilityManager mgr(cfg);
-  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
-  const auto before = obs::registry().snapshot();
-  for (int round = 0; round < 4; ++round) {
-    tracker_.observeSegment(SegmentKind::kParagraph,
-                            "q#p" + std::to_string(round), "q", "svc",
-                            gen_.paragraph(4, 6));
-    ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
-  }
-  int checkpoints = 0;
-  for (std::uint64_t seq = 0; seq < 64; ++seq) {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(seq));
-    std::ifstream probe(dir_ + "/checkpoint-" + hex + ".bfc");
-    if (probe.good()) ++checkpoints;
-  }
-  EXPECT_EQ(checkpoints, 1);  // only the newest generation survives
-  const auto delta = obs::registry().snapshot().diff(before);
-  EXPECT_GE(delta.counterValue("bf_storage_pressure_prunes_total"), 1u);
-  EXPECT_GT(obs::registry().snapshot().gaugeValue("bf_storage_bytes"), 0.0);
-  EXPECT_EQ(recoverFresh(), canon(tracker_));
-}
-
 TEST_F(WalTest, QuotaHoldsWhenRotationFailsAfterSnapshotLands) {
-  // Regression: checkpoint() used to enforce the storage quota only on the
-  // fully-successful path. When the snapshot landed but the log rotation
+  // Regression: checkpoint() used to prune generations only after a fully
+  // successful checkpoint. When the snapshot landed but the log rotation
   // failed (every repair attempt of a storm takes this path), each attempt
-  // stranded one more checkpoint generation on disk and bf_storage_bytes
-  // grew past maxStorageBytes unbounded. The quota must hold after EVERY
-  // rotation attempt, success or not.
+  // stranded one more full checkpoint on disk. The keepGenerations
+  // retention quota must hold after EVERY attempt whose snapshot landed.
   io::FaultVfs fault(&io::defaultVfs(), /*seed=*/46);
   DurabilityConfig cfg = configFor();
   cfg.vfs = &fault;
-  cfg.keepGenerations = 0;  // retention alone would keep everything
-  cfg.maxStorageBytes = 1;  // quota forces single-generation pruning
   cfg.repairBaseDelayMs = 0.0;
   cfg.repairMaxDelayMs = 0.0;
   DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
 
-  // Generation 1 lands cleanly.
-  tracker_.observeSegment(SegmentKind::kParagraph, "r#p0", "r", "svc",
-                          gen_.paragraph(4, 6));
-  ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    // Dropped appends still consume sequences, so each attempt writes its
+    // snapshot under a new name.
+    tracker_.observeSegment(SegmentKind::kParagraph,
+                            "r#p" + std::to_string(attempt), "r", "svc",
+                            gen_.paragraph(4, 6));
+    const std::uint64_t seq = mgr.wal().nextSequence() - 1;
+    fault.failNext("wal-", 1, io::StorageFaultKind::kOpenFail);
+    EXPECT_FALSE(mgr.checkpoint(tracker_).ok());
+    EXPECT_FALSE(mgr.healthy());
 
-  // Generation 2: the snapshot saves, but opening the fresh log fails.
-  tracker_.observeSegment(SegmentKind::kParagraph, "r#p1", "r", "svc",
-                          gen_.paragraph(4, 6));
-  const auto before = obs::registry().snapshot();
-  fault.failNext("wal-", 1, io::StorageFaultKind::kOpenFail);
-  EXPECT_FALSE(mgr.checkpoint(tracker_).ok());
-  EXPECT_FALSE(mgr.healthy());
-
-  // The failure path still pruned: only the newest checkpoint survives.
-  int checkpoints = 0;
-  for (const std::string& name : io::defaultVfs().listDir(dir_)) {
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".bfc") == 0) {
-      ++checkpoints;
+    std::vector<std::string> checkpoints;
+    for (const std::string& name : io::defaultVfs().listDir(dir_)) {
+      if (name.ends_with(".bfc")) checkpoints.push_back(name);
     }
+    EXPECT_LE(checkpoints.size(), cfg.keepGenerations)
+        << "after failed attempt " << attempt;
+    // The snapshot this attempt wrote is the newest and always survives.
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(seq));
+    EXPECT_TRUE(std::ifstream(dir_ + "/checkpoint-" + hex + ".bfc").good())
+        << "after failed attempt " << attempt;
   }
-  EXPECT_EQ(checkpoints, 1);
-  const auto delta = obs::registry().snapshot().diff(before);
-  EXPECT_GE(delta.counterValue("bf_storage_pressure_prunes_total"), 1u);
 
   // maintain() repairs (the retried rotation succeeds) and a fresh
   // recovery reproduces the live state.

@@ -133,7 +133,7 @@ TEST_F(PolicyTest, Figure6ImplicitTagsRetireStaleTaint) {
 
   // Step 1: B is edited to disclose A — A's explicit {ti} becomes implicit
   // on B. B's label is now {tw, (ti)}.
-  policy_.propagateDisclosure("itool/A#p0", "wiki/B#p0");
+  policy_.refreshImplicitTags("wiki/B#p0", {"itool/A#p0"});
   const Label* b = policy_.labelOf("wiki/B#p0");
   EXPECT_TRUE(b->implicitTags().contains("ti"));
 
@@ -144,7 +144,7 @@ TEST_F(PolicyTest, Figure6ImplicitTagsRetireStaleTaint) {
   // all resemblance — the tracker then reports only B as a source, and
   // only B's EXPLICIT tags propagate. C gets {tw} implicit, not ti.
   policy_.onSegmentObserved("gdocs/C#p0", "gdocs");
-  policy_.propagateDisclosure("wiki/B#p0", "gdocs/C#p0");
+  policy_.refreshImplicitTags("gdocs/C#p0", {"wiki/B#p0"});
   const Label* c = policy_.labelOf("gdocs/C#p0");
   EXPECT_TRUE(c->implicitTags().contains("tw"));
   EXPECT_FALSE(c->implicitTags().contains("ti"))
@@ -199,7 +199,7 @@ TEST_F(PolicyTest, AuditQueriesByUserAndKind) {
 
 TEST_F(PolicyTest, PropagateFromUnlabelledSourceIsNoop) {
   policy_.onSegmentObserved("gdocs/C#p0", "gdocs");
-  policy_.propagateDisclosure("never-seen", "gdocs/C#p0");
+  policy_.refreshImplicitTags("gdocs/C#p0", {"never-seen"});
   EXPECT_TRUE(policy_.labelOf("gdocs/C#p0")->implicitTags().empty());
 }
 
