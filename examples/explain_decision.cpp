@@ -1,6 +1,6 @@
-// Explain a decision end to end: drive the engine through an allowed edit,
-// a blocked paste, and a breaker-degraded decision, then dump the flight
-// recorder as bf-flight-v1 JSON for scripts/bf_explain.py.
+// Explain a decision end to end: drive the engine through an allowed edit
+// and a blocked paste, then dump the flight recorder as bf-flight-v1 JSON
+// for scripts/bf_explain.py.
 //
 // Run: ./build/examples/explain_decision | scripts/bf_explain.py -
 //
@@ -21,8 +21,8 @@
 int main() {
   using namespace bf;
 
-  // Sample every trace so this demo retains all three decisions; the
-  // production default keeps 1-in-16 plus everything blocked or degraded.
+  // Sample every trace so this demo retains both decisions; the production
+  // default keeps 1-in-16 plus everything blocked or durability-degraded.
   obs::setTraceSampleEvery(1);
   obs::FlightRecorder::instance().clear();
 
@@ -66,43 +66,27 @@ int main() {
       "through a replicated log design with clear failure-mode reasoning.";
   const core::Decision blocked = engine.decide(blockedReq);
 
-  // Decision 3 — degraded: trip the disclosure-lookup circuit breaker
-  // (a ~zero latency budget makes every lookup count as slow), then decide
-  // while it is open.
-  core::ResilienceConfig res;
-  res.breakerLatencyBudgetMs = 1e-12;
-  res.breakerTripThreshold = 1;
-  res.breakerOpenDecisions = 1;
-  engine.setResilience(res);
-  core::DecisionRequest tripReq = allowedReq;
-  tripReq.segmentName = "gdocs/doc1#p2";
-  (void)engine.decide(tripReq);  // trips the breaker
-  core::DecisionRequest degradedReq = allowedReq;
-  degradedReq.segmentName = "gdocs/doc1#p3";
-  const core::Decision degraded = engine.decide(degradedReq);
-
   std::fprintf(stderr,
                "allowed   decision #%llu  action=%d\n"
-               "blocked   decision #%llu  violation=%s\n"
-               "degraded  decision #%llu  reason via explain():\n",
+               "blocked   decision #%llu  violation=%s  why via explain():\n",
                static_cast<unsigned long long>(allowed.decisionId),
-               static_cast<int>(blocked.action),
+               static_cast<int>(allowed.action),
                static_cast<unsigned long long>(blocked.decisionId),
-               blocked.violation() ? "YES" : "no",
-               static_cast<unsigned long long>(degraded.decisionId));
+               blocked.violation() ? "YES" : "no");
   const auto record =
-      obs::FlightRecorder::instance().explain(degraded.decisionId);
+      obs::FlightRecorder::instance().explain(blocked.decisionId);
   if (record.has_value()) {
-    std::fprintf(stderr, "  degraded=%s reason=\"%s\" trace=0x%016llx\n",
-                 record->degraded ? "true" : "false",
-                 record->degradedReason.c_str(),
-                 static_cast<unsigned long long>(record->traceId));
+    for (const auto& hit : record->hits) {
+      std::fprintf(stderr, "  source=%s score=%.3f threshold=%.3f\n",
+                   hit.sourceName.c_str(), hit.score, hit.threshold);
+    }
   }
 
   // The artifact bf_explain.py consumes: every retained decision as JSON.
   std::printf("%s\n",
               obs::toJson(obs::FlightRecorder::instance()).c_str());
 
-  return (blocked.violation() && record.has_value() && record->degraded) ? 0
-                                                                         : 1;
+  return (blocked.violation() && record.has_value() && !record->hits.empty())
+             ? 0
+             : 1;
 }

@@ -4,8 +4,8 @@
 Reads the `bf-flight-v1` JSON that src/obs/export.cpp renders from the
 decision flight recorder (obs::toJson(obs::FlightRecorder::instance()))
 and prints each decision as a human-readable causal record: ingress →
-per-stage latency → verdict, with the matched sources, the scores that
-drove the verdict, and any retry history the transport annotated.
+per-stage latency → verdict, with the matched sources and the scores that
+drove the verdict.
 
 Usage:
     bf_explain.py flight.json              # all retained decisions
@@ -46,8 +46,6 @@ def explain_decision(d: dict, out) -> None:
     flags = []
     if d.get("violation"):
         flags.append("VIOLATION")
-    if d.get("degraded"):
-        flags.append(f"DEGRADED ({d.get('degraded_reason', '?')})")
     if d.get("durability_degraded"):
         flags.append("DURABILITY-DEGRADED")
     headline = f"decision #{d.get('decision_id')}  ->  {verdict}"
@@ -89,13 +87,6 @@ def explain_decision(d: dict, out) -> None:
               file=out)
     if d.get("secret_hits"):
         print(f"  secret scanner  {', '.join(d['secret_hits'])}", file=out)
-
-    retry = d.get("retry", {})
-    if retry.get("attempts", 0) > 1 or retry.get("exhausted"):
-        exhausted = "  EXHAUSTED" if retry.get("exhausted") else ""
-        print(f"  transport  {retry.get('attempts')} attempts,"
-              f" {retry.get('backoff_ms', 0.0):.1f} ms backoff{exhausted}",
-              file=out)
     print(file=out)
 
 

@@ -1,6 +1,5 @@
 #include "cloud/docs_client.h"
 
-#include "cloud/transport.h"
 #include "util/strings.h"
 
 namespace bf::cloud {
@@ -27,14 +26,6 @@ std::string encodeComponent(std::string_view s) {
 
 DocsClient::DocsClient(browser::Page& page, std::string docId)
     : page_(page), docId_(std::move(docId)) {}
-
-void DocsClient::enableRetries(const util::RetryPolicy& policy,
-                               std::uint64_t seed, double budgetCapacity) {
-  retryPolicy_ = policy;
-  retryRng_ = util::Rng(seed);
-  retryBudget_.configure(budgetCapacity);
-  retriesEnabled_ = policy.enabled();
-}
 
 void DocsClient::openDocument() {
   auto& doc = page_.document();
@@ -71,23 +62,10 @@ int DocsClient::uploadMutation(const std::string& op, std::size_t index,
   std::string body = "doc=" + encodeComponent(docId_) + "&op=" + op +
                      "&para=" + std::to_string(index);
   if (op != "delete") body += "&text=" + encodeComponent(text);
-  // Each attempt is a fresh XHR through the page prototype, so the plug-in
-  // re-inspects retries exactly like first sends.
-  auto send = [&] {
-    browser::Xhr xhr = page_.newXhr();
-    xhr.open("POST", page_.origin() + "/mutate");
-    xhr.setRequestHeader("content-type", "application/x-www-form-urlencoded");
-    return xhr.send(body);
-  };
-  if (!retriesEnabled_) return send().status;
-  // Only "set" carries the paragraph's full target state; replaying one
-  // that already landed is harmless. "insert" and "delete" are positional:
-  // a replayed delete whose first attempt did land would erase whichever
-  // paragraph shifted into that index.
-  const bool idempotent = op == "set";
-  return sendWithRetry(send, retryPolicy_, &retryRng_, &retryBudget_,
-                       idempotent)
-      .response.status;
+  browser::Xhr xhr = page_.newXhr();
+  xhr.open("POST", page_.origin() + "/mutate");
+  xhr.setRequestHeader("content-type", "application/x-www-form-urlencoded");
+  return xhr.send(body).status;
 }
 
 int DocsClient::setParagraph(std::size_t index, const std::string& text) {

@@ -8,11 +8,9 @@
 // through service-specific hooks.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "browser/page.h"
-#include "util/retry.h"
 
 namespace bf::cloud {
 
@@ -21,14 +19,6 @@ class DocsClient {
   /// Binds to a page whose origin hosts a DocsBackend; `docId` names the
   /// document being edited.
   DocsClient(browser::Page& page, std::string docId);
-
-  /// Turns on transport retries (off by default: a plain page script).
-  /// Idempotency-aware: only "set" mutations are full-state upserts that
-  /// replay safely; positional "insert"s and "delete"s are only retried for
-  /// faults that provably never reached the backend (a replayed delete that
-  /// did land would erase whichever paragraph shifted into its index).
-  void enableRetries(const util::RetryPolicy& policy, std::uint64_t seed,
-                     double budgetCapacity = 10.0);
 
   /// Builds the editor DOM (the "document open" render).
   void openDocument();
@@ -67,10 +57,6 @@ class DocsClient {
 
   browser::Page& page_;
   std::string docId_;
-  util::RetryPolicy retryPolicy_;
-  util::Rng retryRng_{0};
-  util::RetryBudget retryBudget_;
-  bool retriesEnabled_ = false;
 };
 
 }  // namespace bf::cloud

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "cloud/transport.h"
 #include "obs/metrics.h"
 
 namespace bf::cloud {

@@ -1,19 +1,19 @@
 // FaultInjector: a RequestSink decorator that makes the simulated network
 // misbehave on purpose.
 //
-// BrowserFlow's value proposition is staying usable while interposing on
-// every upload; that claim is only testable if the reproduction can serve
-// the failures a real network produces. The injector sits between the
-// browser (after the plug-in's interception — blocked uploads never reach
-// it) and the SimNetwork, and injects deterministic, seeded faults:
+// BrowserFlow decides every upload before it leaves; what the network does
+// afterwards must never change a verdict. The injector lets tests show
+// that: it sits between the browser (after the plug-in's interception —
+// blocked uploads never reach it) and the SimNetwork, and injects
+// deterministic, seeded faults:
 //
 //   kHttp5xx   an upstream 503 burst; the request is NOT dispatched to the
-//              backend (the proxy rejected it), so it is always retryable;
+//              backend (the proxy rejected it);
 //   kRefused   connection refused before dispatch (status 0, body
-//              "bf-fault: refused"); always retryable;
+//              "bf-fault: refused");
 //   kReset     connection reset AFTER dispatch: the backend processed the
 //              request but the response was lost (status 0, "bf-fault:
-//              reset"); retryable only for idempotent requests;
+//              reset");
 //   kTimeout   a latency spike past the client's deadline, also after
 //              dispatch (status 0, "bf-fault: timeout");
 //   kTruncate  response body cut in half (status preserved);
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "browser/http.h"
@@ -36,6 +37,14 @@
 #include "util/thread_annotations.h"
 
 namespace bf::cloud {
+
+/// Marker prefix the injector puts on the bodies of synthesised network
+/// errors, so a test can tell fault flavours apart (a real client would
+/// read the socket error; the simulation reads the body).
+inline constexpr std::string_view kFaultBodyPrefix = "bf-fault:";
+inline constexpr std::string_view kFaultRefusedBody = "bf-fault: refused";
+inline constexpr std::string_view kFaultResetBody = "bf-fault: reset";
+inline constexpr std::string_view kFaultTimeoutBody = "bf-fault: timeout";
 
 enum class FaultKind : std::uint8_t {
   kNone = 0,
@@ -62,8 +71,8 @@ struct FaultConfig {
   /// Simulated extra latency attributed to a timeout fault.
   double timeoutSpikeMs = 1000.0;
 
-  /// Spreads `rate` evenly over the retryable kinds (5xx, refused, reset,
-  /// timeout) — the chaos-test / bench workhorse.
+  /// Spreads `rate` evenly over the failing kinds (5xx, refused, reset,
+  /// timeout) — the chaos-test workhorse.
   [[nodiscard]] static FaultConfig uniformRate(double rate) {
     FaultConfig c;
     c.http5xxProb = c.refusedProb = c.resetProb = c.timeoutProb = rate / 4.0;

@@ -1,6 +1,5 @@
 #include "cloud/notes_client.h"
 
-#include "cloud/transport.h"
 #include "util/json_text.h"
 
 namespace bf::cloud {
@@ -28,14 +27,6 @@ std::string NotesBackend::noteText(const std::string& noteId) const {
 
 NotesClient::NotesClient(browser::Page& page, std::string noteId)
     : page_(page), noteId_(std::move(noteId)) {}
-
-void NotesClient::enableRetries(const util::RetryPolicy& policy,
-                                std::uint64_t seed, double budgetCapacity) {
-  retryPolicy_ = policy;
-  retryRng_ = util::Rng(seed);
-  retryBudget_.configure(budgetCapacity);
-  retriesEnabled_ = policy.enabled();
-}
 
 void NotesClient::openNote() {
   auto& doc = page_.document();
@@ -105,16 +96,10 @@ int NotesClient::save() {
                            util::escapeJsonString(noteId_) +
                            "\", \"text\": \"" +
                            util::escapeJsonString(noteText()) + "\"}";
-  auto send = [&] {
-    browser::Xhr xhr = page_.newXhr();
-    xhr.open("POST", page_.origin() + "/api/notes");
-    xhr.setRequestHeader("content-type", "application/json");
-    return xhr.send(body);
-  };
-  if (!retriesEnabled_) return send().status;
-  return sendWithRetry(send, retryPolicy_, &retryRng_, &retryBudget_,
-                       /*idempotent=*/true)
-      .response.status;
+  browser::Xhr xhr = page_.newXhr();
+  xhr.open("POST", page_.origin() + "/api/notes");
+  xhr.setRequestHeader("content-type", "application/json");
+  return xhr.send(body).status;
 }
 
 }  // namespace bf::cloud

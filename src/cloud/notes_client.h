@@ -10,13 +10,11 @@
 // and the JSON body adapter for upload interception.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 
 #include "browser/page.h"
 #include "cloud/network.h"
-#include "util/retry.h"
 
 namespace bf::cloud {
 
@@ -42,11 +40,6 @@ class NotesClient {
  public:
   NotesClient(browser::Page& page, std::string noteId);
 
-  /// Turns on transport retries (off by default). Note saves carry the
-  /// whole note — an idempotent upsert, safe to replay after any fault.
-  void enableRetries(const util::RetryPolicy& policy, std::uint64_t seed,
-                     double budgetCapacity = 10.0);
-
   /// Builds the editor DOM: <div id="note-editor"><p>...</p>...</div>.
   void openNote();
 
@@ -68,10 +61,6 @@ class NotesClient {
  private:
   browser::Page& page_;
   std::string noteId_;
-  util::RetryPolicy retryPolicy_;
-  util::Rng retryRng_{0};
-  util::RetryBudget retryBudget_;
-  bool retriesEnabled_ = false;
 };
 
 }  // namespace bf::cloud

@@ -1,19 +1,9 @@
 #include "cloud/wiki_client.h"
 
-#include "cloud/transport.h"
-
 namespace bf::cloud {
 
 WikiClient::WikiClient(browser::Page& page, std::string pageId)
     : page_(page), pageId_(std::move(pageId)) {}
-
-void WikiClient::enableRetries(const util::RetryPolicy& policy,
-                               std::uint64_t seed, double budgetCapacity) {
-  retryPolicy_ = policy;
-  retryRng_ = util::Rng(seed);
-  retryBudget_.configure(budgetCapacity);
-  retriesEnabled_ = policy.enabled();
-}
 
 void WikiClient::openEditor(const std::string& initialContent) {
   auto& doc = page_.document();
@@ -66,13 +56,7 @@ std::string WikiClient::content() {
 int WikiClient::save() {
   browser::Node* f = form();
   if (f == nullptr) return 0;
-  // Each attempt re-dispatches the submit event, so the plug-in's form
-  // listener re-checks retries exactly like first submissions.
-  auto send = [&] { return page_.submitForm(f); };
-  if (!retriesEnabled_) return send().status;
-  return sendWithRetry(send, retryPolicy_, &retryRng_, &retryBudget_,
-                       /*idempotent=*/true)
-      .response.status;
+  return page_.submitForm(f).status;
 }
 
 }  // namespace bf::cloud

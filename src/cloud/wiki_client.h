@@ -5,24 +5,15 @@
 // interception point is the form's submit event, not XHR.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "browser/page.h"
-#include "util/retry.h"
 
 namespace bf::cloud {
 
 class WikiClient {
  public:
   WikiClient(browser::Page& page, std::string pageId);
-
-  /// Turns on transport retries for save() (off by default). A wiki save
-  /// uploads the page's full content — idempotent, safe to resubmit. A
-  /// submission suppressed by an interceptor (plain status 0) is a policy
-  /// decision and is never retried.
-  void enableRetries(const util::RetryPolicy& policy, std::uint64_t seed,
-                     double budgetCapacity = 10.0);
 
   /// Renders the edit form (title input + content textarea + save form).
   void openEditor(const std::string& initialContent = "");
@@ -41,10 +32,6 @@ class WikiClient {
  private:
   browser::Page& page_;
   std::string pageId_;
-  util::RetryPolicy retryPolicy_;
-  util::Rng retryRng_{0};
-  util::RetryBudget retryBudget_;
-  bool retriesEnabled_ = false;
 };
 
 }  // namespace bf::cloud

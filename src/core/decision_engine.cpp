@@ -65,8 +65,7 @@ void recordDecisionProvenance(const char* ingress,
   if (!obs::provenanceEnabled()) return;
   obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
   decision.traceId = trace.traceId;
-  if (!trace.sampled && !decision.degraded && !decision.durabilityDegraded &&
-      !decision.violation()) {
+  if (!trace.sampled && !decision.durabilityDegraded && !decision.violation()) {
     // Fast path: the recorder would not retain this decision, so skip the
     // record construction (strings/vectors) entirely.
     decision.decisionId = recorder.nextDecisionId();
@@ -81,8 +80,6 @@ void recordDecisionProvenance(const char* ingress,
   record.serviceId = serviceId;
   record.action = actionName(decision.action);
   record.violation = decision.violation();
-  record.degraded = decision.degraded;
-  record.degradedReason = decision.degradedReason;
   record.durabilityDegraded = decision.durabilityDegraded;
   record.bytesScanned = content.size();
   record.contentPreview = sec::redact(content).text;
@@ -118,10 +115,6 @@ void mergeUnit(Decision& total, Decision&& unit, bool first) {
     }
   }
   total.responseTimeMs += unit.responseTimeMs;
-  if (unit.degraded && !total.degraded) {
-    total.degraded = true;
-    total.degradedReason = std::move(unit.degradedReason);
-  }
   total.durabilityDegraded = total.durabilityDegraded || unit.durabilityDegraded;
 }
 
@@ -144,12 +137,6 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
       &r.counter("bf_decision_block_total", "Decisions that blocked upload");
   actionCounters_[static_cast<int>(Decision::Action::kEncrypt)] = &r.counter(
       "bf_decision_encrypt_total", "Decisions that encrypted before upload");
-  degradedTotal_ = &r.counter("bf_decision_degraded_total",
-                              "Decisions answered without the full pipeline");
-  breakerTrips_ = &r.counter("bf_decision_breaker_trips_total",
-                             "Disclosure-lookup circuit breaker trips");
-  breakerOpenGauge_ = &r.gauge("bf_decision_breaker_open",
-                               "1 while the lookup circuit breaker is open");
   // Calibrate the stage-timer tick clock now, not under a pipeline lock on
   // the first decision.
   util::warmFastTicks();
@@ -216,46 +203,8 @@ Decision DecisionEngine::decideText(const DecisionRequest& request) {
   return total;
 }
 
-Decision DecisionEngine::makeDegradedLocked(std::string_view segmentName,
-                                            std::string_view serviceId,
-                                            const char* reason) {
-  Decision decision;
-  decision.degraded = true;
-  decision.degradedReason = reason;
-  decision.action =
-      config_.resilience.degradedMode == DegradedMode::kFailClosed
-          ? Decision::Action::kBlock
-          : Decision::Action::kAllow;
-  degradedTotal_->inc();
-  actionCounters_[static_cast<int>(decision.action)]->inc();
-  // Degradation is never silent: every degraded answer leaves an audit
-  // record, so fail-open windows can be reviewed after the fact.
-  policy_->recordDegradedDecision(segmentName, serviceId, reason);
-  return decision;
-}
-
-bool DecisionEngine::breakerOpen() const {
-  util::MutexLock lock(stateMutex_);
-  return breakerIsOpen_;
-}
-
-void DecisionEngine::setResilience(const ResilienceConfig& resilience) {
-  util::MutexLock lock(stateMutex_);
-  config_.resilience = resilience;
-}
-
 Decision DecisionEngine::decideLocked(const DecisionRequest& request,
                                       const Unit& unit) {
-  // While the breaker is open the disclosure lookup is presumed unhealthy:
-  // skip the pipeline entirely and answer degraded, until the skip
-  // allowance is spent — then fall through once as a half-open probe.
-  if (config_.resilience.breakerLatencyBudgetMs > 0.0 && breakerIsOpen_ &&
-      breakerSkipsRemaining_ > 0) {
-    --breakerSkipsRemaining_;
-    return makeDegradedLocked(unit.segmentName, request.serviceId,
-                              "breaker-open: lookup skipped");
-  }
-
   util::Stopwatch watch;
   Decision decision;
   // ---- Policy lookup module -------------------------------------------------
@@ -326,9 +275,7 @@ tdm::UploadDecision DecisionEngine::observeLocked(const DecisionRequest& request
 
   // 2. Find the sources this text discloses (cached when the fingerprint
   //    is unchanged — the per-keystroke fast path).
-  util::Stopwatch lookupWatch;
   decision.hits = tracker_->sourcesForSegment(id);
-  noteLookupLocked(lookupWatch.elapsedMillis());
   const std::vector<SecretGuard::Hit>& secrets = secretHitsLocked(unit.text);
 
   // 3. The segment's implicit tags become exactly the explicit tags of its
@@ -370,16 +317,12 @@ tdm::UploadDecision DecisionEngine::probeLocked(const DecisionRequest& request,
     // The outgoing text is a tracked segment of this document: the answer
     // the observe cached for it, and its registered label (implicit tags,
     // user suppressions), decide.
-    util::Stopwatch lookupWatch;
     decision.hits = tracker_->sourcesForProbe(seg->id);
-    noteLookupLocked(lookupWatch.elapsedMillis());
     obs::StageTimer policyTimer(obs::Stage::kPolicyEval);
     return policy_->checkUpload(seg->name, request.serviceId);
   }
-  util::Stopwatch lookupWatch;
   decision.hits = tracker_->disclosedSources(fp, unit.kind, flow::kInvalidSegment,
                                              request.documentName);
-  noteLookupLocked(lookupWatch.elapsedMillis());
   const std::vector<SecretGuard::Hit>& secrets = secretHitsLocked(unit.text);
 
   // Unregistered text: build the label the text would get — the disclosing
@@ -486,40 +429,9 @@ const std::vector<SecretGuard::Hit>& DecisionEngine::secretHitsLocked(
   return slot.secretHits;
 }
 
-void DecisionEngine::noteLookupLocked(double lookupMs) {
-  const ResilienceConfig& res = config_.resilience;
-  if (res.breakerLatencyBudgetMs <= 0.0) return;
-  const bool slow = lookupMs > res.breakerLatencyBudgetMs;
-  if (breakerIsOpen_) {
-    // Half-open probe: one healthy lookup closes the breaker, a slow one
-    // re-arms the skip allowance.
-    if (slow) {
-      breakerSkipsRemaining_ = res.breakerOpenDecisions;
-    } else {
-      breakerIsOpen_ = false;
-      consecutiveSlowLookups_ = 0;
-      breakerOpenGauge_->set(0.0);
-    }
-  } else if (slow) {
-    if (++consecutiveSlowLookups_ >= res.breakerTripThreshold) {
-      breakerIsOpen_ = true;
-      breakerSkipsRemaining_ = res.breakerOpenDecisions;
-      breakerTrips_->inc();
-      breakerOpenGauge_->set(1.0);
-    }
-  } else {
-    consecutiveSlowLookups_ = 0;
-  }
-}
-
 void DecisionEngine::setDurability(flow::DurabilityManager* durability) {
   util::MutexLock lock(stateMutex_);
   durability_ = durability;
-}
-
-bool DecisionEngine::durabilityHealthy() const {
-  util::MutexLock lock(stateMutex_);
-  return durability_ == nullptr || durability_->healthy();
 }
 
 DecisionEngine::LatencySummary DecisionEngine::latencySummary() const {

@@ -9,23 +9,23 @@
 //    configured action (warn / block / encrypt).
 //
 // Every verdict of the plug-in is made here, whatever the ingress (DOM
-// mutation, form submit, XHR send): each text unit runs the same mode →
-// action mapping, circuit breaker, latency and action counters,
-// durability flag and flight-recorder record. A request either OBSERVES
-// text (registers it as a segment and refreshes its label) or PROBES it
-// (decides without changing the tracker or the policy).
+// mutation, form submit, XHR send): each text unit runs the same lookup,
+// mode → action mapping, latency and action counters, durability flag and
+// flight-recorder record; no verdict is given without the lookup. A
+// request either OBSERVES text (registers it as a segment and refreshes
+// its label) or PROBES it (decides without changing the tracker or the
+// policy).
 //
 // Every decision runs on the calling thread; its response time is
 // recorded, which is what Figs. 12/13 measure. Several threads may decide
 // at once: stateMutex_ (kRankEngineState, outermost in util/mutex.h)
-// serialises them over config_, the breaker and tracker/policy access,
+// serialises them over config_, the text memo and tracker/policy access,
 // and is held above the tracker / obs / logging mutexes, never below them.
 #pragma once
 
 #include <array>
 #include <mutex>  // std::unique_lock over util::Mutex (lockState)
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/config.h"
@@ -109,18 +109,12 @@ struct Decision {
   std::vector<std::string> secretHits;
   /// Wall-clock time from request to decision.
   double responseTimeMs = 0.0;
-  /// True when the engine answered WITHOUT running the full lookup
-  /// pipeline (open circuit breaker).
-  /// The action then follows ResilienceConfig::degradedMode, and a
-  /// kDecisionDegraded audit record exists for this decision.
-  bool degraded = false;
-  /// Why the decision degraded (empty when `degraded` is false).
-  std::string degradedReason;
   /// True when the decision was made while the attached durability manager
   /// was unhealthy (WAL poisoned or last checkpoint failed). The pipeline
-  /// still ran fully — `degraded` stays false — but a crash before repair
-  /// completes could lose the mutations this decision observed, so the
-  /// flight recorder retains these decisions (reason kDurabilityDegraded).
+  /// still ran fully and the verdict is the one a healthy engine gives,
+  /// but a crash before repair completes could lose the mutations this
+  /// decision observed, so the flight recorder retains these decisions
+  /// (reason kDurabilityDegraded).
   bool durabilityDegraded = false;
   /// Provenance correlation ids (obs/flight_recorder.h): decisionId keys
   /// FlightRecorder::explain(); traceId links flight-recorder records and
@@ -152,7 +146,7 @@ class DecisionEngine {
   /// "#p<i>" segments left by an earlier, longer text. Each unit is a full
   /// decision with its own flight-recorder record; the result has the
   /// most restrictive action (and that unit's provenance ids), every hit
-  /// and secret hit, the violating tags once each, and is degraded /
+  /// and secret hit, the violating tags once each, and is
   /// durabilityDegraded if any unit was.
   Decision decideText(const DecisionRequest& request) BF_EXCLUDES(stateMutex_);
 
@@ -198,10 +192,6 @@ class DecisionEngine {
     return std::unique_lock<util::Mutex>(stateMutex_);
   }
 
-  /// True while the disclosure-lookup circuit breaker is open (decisions
-  /// are answered degraded instead of running the lookup).
-  [[nodiscard]] bool breakerOpen() const BF_EXCLUDES(stateMutex_);
-
   /// Attaches the durability manager (flow/wal.h; not owned, may be null).
   /// The engine then drives durability maintenance from the decision path:
   /// after each decision — while still holding stateMutex_, which quiesces
@@ -209,24 +199,12 @@ class DecisionEngine {
   /// rolls due checkpoints when healthy and paces repair attempts when
   /// degraded. Durability failures NEVER block decisions (availability
   /// over durability): the WAL/checkpoint metrics record them,
-  /// durabilityHealthy() turns false, decisions carry
+  /// DurabilityManager::healthy() turns false, decisions carry
   /// Decision::durabilityDegraded, and each health flip writes one
   /// kDecisionDegraded audit record (kDurabilityDegraded /
   /// kDurabilityRestored) — but the pipeline keeps answering.
   /// Pass nullptr to detach.
   void setDurability(flow::DurabilityManager* durability)
-      BF_EXCLUDES(stateMutex_);
-
-  /// False when the attached durability manager stopped persisting
-  /// (WAL append failures or a failed checkpoint). True when healthy or
-  /// when no manager is attached.
-  [[nodiscard]] bool durabilityHealthy() const BF_EXCLUDES(stateMutex_);
-
-  /// Replaces the resilience knobs at runtime (operators tune breaker
-  /// thresholds without restarting the engine). Does not reset breaker
-  /// state: an open breaker still needs a healthy probe to close. Takes
-  /// stateMutex_, so a decision sees either the old or the new knobs.
-  void setResilience(const ResilienceConfig& resilience)
       BF_EXCLUDES(stateMutex_);
 
  private:
@@ -238,7 +216,7 @@ class DecisionEngine {
     flow::SegmentKind kind;
   };
 
-  /// Breaker, lookup, enforcement, counters and durability for one unit.
+  /// Lookup, enforcement, counters and durability for one unit.
   Decision decideLocked(const DecisionRequest& request, const Unit& unit)
       BF_REQUIRES(stateMutex_);
   /// The lookup halves: fill `decision`'s hits and secret hits and return
@@ -260,14 +238,6 @@ class DecisionEngine {
   const text::Fingerprint& fingerprintLocked(sec::SensitiveView text)
       BF_REQUIRES(stateMutex_);
   const std::vector<SecretGuard::Hit>& secretHitsLocked(sec::SensitiveView text)
-      BF_REQUIRES(stateMutex_);
-  /// Feeds one disclosure-lookup latency to the circuit breaker.
-  void noteLookupLocked(double lookupMs) BF_REQUIRES(stateMutex_);
-  /// A degraded decision (action per ResilienceConfig::degradedMode): bumps
-  /// bf_decision_degraded_total and writes the kDecisionDegraded audit
-  /// record (the audit log is part of the shared policy state).
-  Decision makeDegradedLocked(std::string_view segmentName,
-                              std::string_view serviceId, const char* reason)
       BF_REQUIRES(stateMutex_);
 
   BrowserFlowConfig config_ BF_GUARDED_BY(stateMutex_);
@@ -328,18 +298,9 @@ class DecisionEngine {
   mutable util::Mutex stateMutex_{util::kRankEngineState,
                                   "DecisionEngine.stateMutex_"};
 
-  // Circuit-breaker state for the disclosure lookup (guarded by
-  // stateMutex_, like everything decideLocked touches).
-  int consecutiveSlowLookups_ BF_GUARDED_BY(stateMutex_) = 0;
-  bool breakerIsOpen_ BF_GUARDED_BY(stateMutex_) = false;
-  int breakerSkipsRemaining_ BF_GUARDED_BY(stateMutex_) = 0;
-
   // Registry-backed instrumentation (resolved once in the constructor).
   obs::Histogram* latency_;        // bf_decision_latency_ms
   obs::Counter* actionCounters_[4];  // bf_decision_actions_total by kind
-  obs::Counter* degradedTotal_;    // bf_decision_degraded_total
-  obs::Counter* breakerTrips_;     // bf_decision_breaker_trips_total
-  obs::Gauge* breakerOpenGauge_;   // bf_decision_breaker_open
 };
 
 }  // namespace bf::core

@@ -13,8 +13,7 @@
 // probe for XHR uploads — and the plug-in enforces the Decision::action it
 // gets back. Violations are surfaced the way the paper's plug-in does — by
 // colouring the paragraph background (a data-bf-state attribute plus
-// inline style) — and enforced per that action (warn / block / encrypt; a
-// fail-closed degraded decision blocks whatever the configured mode).
+// inline style) — and enforced per that action (warn / block / encrypt).
 #pragma once
 
 #include <map>

@@ -487,13 +487,10 @@ std::vector<std::uint64_t> listSeqFiles(io::Vfs& vfs, const std::string& dir,
 }  // namespace
 
 DurabilityManager::DurabilityManager(DurabilityConfig config)
-    : config_(std::move(config)), repairRng_(kRepairSeed) {
-  util::RetryPolicy policy;
-  policy.baseDelayMs = config_.repairBaseDelayMs;
-  policy.maxDelayMs = config_.repairMaxDelayMs;
-  policy.deadlineMs = 0.0;  // repair retries indefinitely; no deadline
-  repairBackoff_ = util::Backoff(policy, &repairRng_);
-}
+    : config_(std::move(config)),
+      repairRng_(kRepairSeed),
+      repairBackoff_(config_.repairBaseDelayMs, config_.repairMaxDelayMs,
+                     &repairRng_) {}
 
 DurabilityManager::~DurabilityManager() { wal_.close(); }
 

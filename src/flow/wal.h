@@ -229,9 +229,9 @@ struct DurabilityConfig {
   /// must outlive the manager. FaultVfs goes here in the chaos suites.
   io::Vfs* vfs = nullptr;
   /// Decorrelated-jitter backoff between repair attempts while degraded
-  /// (util/retry.h discipline; measured on a monotonic stopwatch, never
-  /// slept). Repair retries indefinitely — self-healing is the contract —
-  /// but never faster than this.
+  /// (util/retry.h; measured on a monotonic stopwatch, never slept).
+  /// Repair retries indefinitely — self-healing is the contract — but
+  /// never faster than this.
   double repairBaseDelayMs = 50.0;
   double repairMaxDelayMs = 2000.0;
 };
@@ -329,7 +329,7 @@ class DurabilityManager {
   // contract as checkpoint(), so plain members suffice).
   DurabilityHealth health_ = DurabilityHealth::kHealthy;
   util::Rng repairRng_{0};
-  util::Backoff repairBackoff_{{}, nullptr};
+  util::Backoff repairBackoff_;
   util::Stopwatch repairWatch_;
   double nextRepairDelayMs_ = 0.0;
   std::uint64_t repairAttempts_ = 0;

@@ -176,10 +176,7 @@ std::string toJson(const DecisionTrace& trace) {
      << "\",\"service\":\"" << util::escapeJsonString(trace.serviceId)
      << "\",\"action\":\"" << util::escapeJsonString(trace.action)
      << "\",\"violation\":" << (trace.violation ? "true" : "false")
-     << ",\"degraded\":" << (trace.degraded ? "true" : "false")
-     << ",\"degraded_reason\":\""
-     << util::escapeJsonString(trace.degradedReason)
-     << "\",\"durability_degraded\":"
+     << ",\"durability_degraded\":"
      << (trace.durabilityDegraded ? "true" : "false")
      << ",\"bytes_scanned\":" << trace.bytesScanned
      << ",\"total_ms\":" << formatDouble(trace.totalMs) << ",\"stages\":{";
@@ -204,10 +201,7 @@ std::string toJson(const DecisionTrace& trace) {
   // contentPreview is already the redacted form (sec::redact output); the
   // raw text never reaches a DecisionTrace.
   os << ",\"content_preview\":\""
-     << util::escapeJsonString(trace.contentPreview) << "\"";
-  os << ",\"retry\":{\"attempts\":" << trace.retryAttempts
-     << ",\"backoff_ms\":" << formatDouble(trace.retryBackoffMs)
-     << ",\"exhausted\":" << (trace.retryExhausted ? "true" : "false") << "}}";
+     << util::escapeJsonString(trace.contentPreview) << "\"}";
   return os.str();
 }
 

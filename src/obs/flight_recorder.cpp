@@ -42,8 +42,8 @@ std::uint64_t FlightRecorder::nextDecisionId() noexcept {
 std::uint64_t FlightRecorder::record(DecisionTrace trace) {
   if (trace.decisionId == 0) trace.decisionId = nextDecisionId();
   const std::uint64_t id = trace.decisionId;
-  const bool keep = trace.degraded || trace.durabilityDegraded ||
-                    trace.violation || trace.sampled;
+  const bool keep =
+      trace.durabilityDegraded || trace.violation || trace.sampled;
   if (keep) {
     recorderMetrics().retained->inc();
     util::MutexLock lock(mutex_);
@@ -86,22 +86,6 @@ std::vector<DecisionTrace> FlightRecorder::recent() const {
     out.push_back(ring_[(begin + i) % capacity_]);
   }
   return out;
-}
-
-void FlightRecorder::annotateRetry(std::uint64_t traceId,
-                                   std::uint32_t attempts, double backoffMs,
-                                   bool exhausted) {
-  if (traceId == 0) return;
-  util::MutexLock lock(mutex_);
-  const std::uint64_t kept = retained_ < capacity_ ? retained_ : capacity_;
-  for (std::uint64_t i = 0; i < kept; ++i) {
-    DecisionTrace& t = ring_[(retained_ - 1 - i) % capacity_];
-    if (t.traceId == traceId) {
-      t.retryAttempts = attempts;
-      t.retryBackoffMs = backoffMs;
-      t.retryExhausted = exhausted;
-    }
-  }
 }
 
 void FlightRecorder::setCapacity(std::size_t capacity) {

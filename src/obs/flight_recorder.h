@@ -3,15 +3,14 @@
 //
 // Retention is head-sampled — every traceSampleEvery()-th trace keeps its
 // full record — plus an always-keep rule for anything a human will ask
-// about: blocked/warned (violation) and degraded decisions. All
-// other decisions only consume a decision id (one atomic add), which keeps
-// the recorder off the hot path.
+// about: blocked/warned (violation) decisions and decisions made while
+// durability was degraded. All other decisions only consume a decision id
+// (one atomic add), which keeps the recorder off the hot path.
 //
 // FlightRecorder::explain(decisionId) answers "why was this upload allowed
 // or blocked?" with the structured record: ingress, matched segments with
-// disclosure scores vs thresholds, policy labels consulted, per-stage
-// durations, and the retry/fault history cloud::Transport annotates after
-// the fact. src/obs/export.cpp renders records as JSON for
+// disclosure scores vs thresholds, policy labels consulted and per-stage
+// durations. src/obs/export.cpp renders records as JSON for
 // scripts/bf_explain.py.
 #pragma once
 
@@ -48,8 +47,6 @@ struct DecisionTrace {
 
   std::string action = "allow";  ///< "allow"/"warn"/"block"/"encrypt"/"flag"
   bool violation = false;
-  bool degraded = false;
-  std::string degradedReason;
   /// The durability manager was unhealthy when this decision was made
   /// (core/decision_engine.h kDurabilityDegraded). Always retained.
   bool durabilityDegraded = false;
@@ -67,12 +64,6 @@ struct DecisionTrace {
   /// plus scripts/bftaint.py enforce that only declassified forms land
   /// here.
   std::string contentPreview;
-
-  // Retry/fault history, annotated by cloud::Transport once the send that
-  // carried this decision's flow settles.
-  std::uint32_t retryAttempts = 0;
-  double retryBackoffMs = 0.0;
-  bool retryExhausted = false;
 };
 
 class FlightRecorder {
@@ -104,11 +95,6 @@ class FlightRecorder {
   /// All retained records, oldest first.
   [[nodiscard]] std::vector<DecisionTrace> recent() const;
 
-  /// Attaches retry history to every retained record of `traceId` (a send
-  /// may carry several decisions — e.g. one per upload field).
-  void annotateRetry(std::uint64_t traceId, std::uint32_t attempts,
-                     double backoffMs, bool exhausted);
-
   /// Replaces the ring with an empty one of `capacity` slots.
   void setCapacity(std::size_t capacity);
   void clear();
@@ -120,8 +106,8 @@ class FlightRecorder {
 
  private:
   // Rank 88: records are written after the engine releases its pipeline
-  // locks, but explain()/annotateRetry() may run under outer locks (e.g.
-  // the transport annotates while callers hold nothing below rank 88).
+  // locks, but explain() may run under outer locks (e.g. a caller holding
+  // the engine's state lock), so the recorder nests inside them.
   mutable util::Mutex mutex_{util::kRankFlightRecorder,
                              "FlightRecorder.mutex_"};
   std::vector<DecisionTrace> ring_ BF_GUARDED_BY(mutex_);

@@ -97,8 +97,8 @@ inline void recordStage(Stage stage, std::uint64_t nanos) noexcept {
 /// waits): stageStart() returns 0 when provenance is off — or when the
 /// ambient trace exists but is not head-sampled, so the tick reads
 /// themselves are paid only on the decisions whose breakdown will be
-/// flushed (chaos/degraded tests pin setTraceSampleEvery(1) to time every
-/// decision). stageEnd() with a 0 start is a no-op.
+/// flushed (chaos and provenance tests pin setTraceSampleEvery(1) to time
+/// every decision). stageEnd() with a 0 start is a no-op.
 [[nodiscard]] inline std::uint64_t stageStart() noexcept {
   if (!provenanceEnabled()) return 0;
   const TraceContext& trace = currentTrace();

@@ -52,8 +52,8 @@ class ScopedTraceContext {
 };
 
 /// The context to install at an ingress: the ambient trace when one exists
-/// (e.g. upload checks triggered inside a retrying transport send),
-/// otherwise a fresh root.
+/// (e.g. the per-field decisions of one intercepted XHR upload), otherwise
+/// a fresh root.
 [[nodiscard]] TraceContext ingressTrace() noexcept;
 
 }  // namespace bf::obs

@@ -25,7 +25,7 @@ struct AuditRecord {
     kUploadBlocked,      // enforcement blocked an upload
     kUploadEncrypted,    // enforcement encrypted an upload
     kViolationWarned,    // advisory warning surfaced to the user
-    kDecisionDegraded,   // engine answered without the full pipeline
+    kDecisionDegraded,   // engine's durability health flipped
   };
 
   Kind kind;

@@ -130,11 +130,11 @@ class TdmPolicy {
   /// Owner of a custom tag, or empty if not a custom tag.
   [[nodiscard]] std::string customTagOwner(const Tag& tag) const;
 
-  /// Appends a kDecisionDegraded audit record: the decision engine answered
-  /// for `segmentName` → `serviceId` without running the full lookup
-  /// pipeline, or its durability health flipped (`reason` says which —
-  /// breaker-open, durability-degraded, durability-restored). The policy
-  /// owns the clock, so callers never have to timestamp.
+  /// Appends a kDecisionDegraded audit record: the decision engine's
+  /// durability health flipped while deciding for `segmentName` →
+  /// `serviceId` (`reason` says which way — durability-degraded or
+  /// durability-restored). The verdict itself ran the full pipeline. The
+  /// policy owns the clock, so callers never have to timestamp.
   void recordDegradedDecision(std::string_view segmentName,
                               std::string_view serviceId,
                               std::string_view reason);

@@ -22,7 +22,6 @@
 //   kRankFaultInjector (62)  cloud::FaultInjector::mutex_
 //   kRankStorageFault  (65)  io::FaultVfs::mutex_ (fault picks run under the
 //                            WAL mutex during appends/checkpoints)
-//   kRankRetryBudget   (70)  util::RetryBudget::mutex_
 //   kRankMetrics       (80)  obs::MetricsRegistry::mutex_
 //   kRankFlightRecorder(88)  obs::FlightRecorder::mutex_ (decision records
 //                            are retained after outer locks are released,
@@ -57,7 +56,6 @@ inline constexpr int kRankTracker = 40;
 inline constexpr int kRankWal = 60;
 inline constexpr int kRankFaultInjector = 62;
 inline constexpr int kRankStorageFault = 65;
-inline constexpr int kRankRetryBudget = 70;
 inline constexpr int kRankMetrics = 80;
 inline constexpr int kRankFlightRecorder = 88;
 inline constexpr int kRankLogging = 95;

@@ -1,65 +1,37 @@
-// Retry primitives for the upload path.
+// Decorrelated-jitter backoff: the pacing DurabilityManager uses between
+// repair attempts while degraded.
 //
-// The paper's usability argument (Figs. 12/13) assumes uploads keep working
-// while BrowserFlow interposes on them; a real deployment also has to keep
-// working when the *network* misbehaves. These primitives give clients a
-// deterministic, simulation-friendly retry discipline:
-//
-//  - RetryPolicy:  attempt cap, per-delay bounds and an overall deadline on
-//                  the accumulated backoff;
-//  - Backoff:      exponential backoff with decorrelated jitter (the AWS
-//                  "decorrelated" scheme: next = uniform(base, prev * 3),
-//                  capped), driven by an explicit seeded Rng so bench runs
-//                  and tests are reproducible;
-//  - RetryBudget:  a token bucket shared across a client's requests that
-//                  bounds the retry amplification a fault storm can cause
-//                  (every retry spends a token; successes slowly refill).
-//
-// Delays are *simulated* milliseconds, mirroring SimNetwork's latency
-// model: callers account for them (metrics, goodput math) instead of
-// sleeping, so fault-heavy benches stay fast.
+// The AWS "decorrelated" scheme: the first delay is the base, then each
+// delay is uniform(base, prev * 3), capped. An explicit seeded Rng drives
+// the jitter so tests and bench runs are reproducible. Delays are plain
+// milliseconds; the caller measures them on its own clock (the durability
+// manager compares them against a monotonic stopwatch, never sleeps).
 #pragma once
 
 #include <algorithm>
 
-#include "util/mutex.h"
 #include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace bf::util {
 
-struct RetryPolicy {
-  /// Total tries including the first; 1 disables retries.
-  int maxAttempts = 4;
-  /// First backoff target and the per-delay cap.
-  double baseDelayMs = 25.0;
-  double maxDelayMs = 1000.0;
-  /// Cap on the ACCUMULATED backoff across one call's retries; a retry
-  /// whose delay would exceed it is abandoned instead. 0 = no deadline.
-  double deadlineMs = 10000.0;
-
-  [[nodiscard]] bool enabled() const noexcept { return maxAttempts > 1; }
-};
-
-/// Produces the delay sequence for one logical request. Reset between
-/// requests (or construct fresh); `rng` is not owned.
+/// Produces one delay sequence. Reset between sequences (or construct
+/// fresh); `rng` is not owned.
 class Backoff {
  public:
-  Backoff(const RetryPolicy& policy, Rng* rng) noexcept
-      : policy_(policy), rng_(rng) {}
+  Backoff(double baseDelayMs, double maxDelayMs, Rng* rng) noexcept
+      : baseDelayMs_(baseDelayMs), maxDelayMs_(maxDelayMs), rng_(rng) {}
 
   /// Next delay with decorrelated jitter: the first delay is exactly
   /// baseDelayMs, then uniform(base, prev * 3) capped at maxDelayMs.
   [[nodiscard]] double nextDelayMs() noexcept {
     double next;
     if (prevMs_ <= 0.0) {
-      next = policy_.baseDelayMs;
+      next = baseDelayMs_;
     } else {
-      const double hi = std::max(prevMs_ * 3.0, policy_.baseDelayMs);
-      next = policy_.baseDelayMs +
-             rng_->uniform01() * (hi - policy_.baseDelayMs);
+      const double hi = std::max(prevMs_ * 3.0, baseDelayMs_);
+      next = baseDelayMs_ + rng_->uniform01() * (hi - baseDelayMs_);
     }
-    next = std::min(next, policy_.maxDelayMs);
+    next = std::min(next, maxDelayMs_);
     prevMs_ = next;
     return next;
   }
@@ -67,64 +39,10 @@ class Backoff {
   void reset() noexcept { prevMs_ = 0.0; }
 
  private:
-  RetryPolicy policy_;
+  double baseDelayMs_;
+  double maxDelayMs_;
   Rng* rng_;
   double prevMs_ = 0.0;
-};
-
-/// Token bucket bounding retry amplification across requests. A retry
-/// withdraws one token; each successful request deposits `refundPerSuccess`
-/// back (capped at `capacity`). Under a sustained fault storm the bucket
-/// empties and clients degrade to single attempts instead of multiplying
-/// load on an already-unhealthy backend.
-///
-/// Thread-safe: one budget may be shared by concurrent uploads (the whole
-/// point of bounding AGGREGATE amplification), so the balance is guarded by
-/// an internal leaf mutex.
-class RetryBudget {
- public:
-  explicit RetryBudget(double capacity = 10.0,
-                       double refundPerSuccess = 0.1) noexcept
-      : capacity_(capacity),
-        refundPerSuccess_(refundPerSuccess),
-        tokens_(capacity) {}
-
-  RetryBudget(const RetryBudget&) = delete;
-  RetryBudget& operator=(const RetryBudget&) = delete;
-
-  /// Re-arms the bucket (full again) with new parameters; replaces the old
-  /// assign-a-fresh-budget idiom, which the internal mutex rules out.
-  void configure(double capacity, double refundPerSuccess = 0.1) noexcept
-      BF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    capacity_ = capacity;
-    refundPerSuccess_ = refundPerSuccess;
-    tokens_ = capacity;
-  }
-
-  /// True (and spends a token) iff a full token is available.
-  [[nodiscard]] bool tryWithdraw() noexcept BF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (tokens_ < 1.0) return false;
-    tokens_ -= 1.0;
-    return true;
-  }
-
-  void deposit() noexcept BF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    tokens_ = std::min(capacity_, tokens_ + refundPerSuccess_);
-  }
-
-  [[nodiscard]] double tokens() const noexcept BF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return tokens_;
-  }
-
- private:
-  mutable Mutex mutex_{kRankRetryBudget, "RetryBudget.mutex_"};
-  double capacity_ BF_GUARDED_BY(mutex_);
-  double refundPerSuccess_ BF_GUARDED_BY(mutex_);
-  double tokens_ BF_GUARDED_BY(mutex_);
 };
 
 }  // namespace bf::util

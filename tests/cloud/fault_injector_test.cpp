@@ -1,13 +1,10 @@
-// Tests for the FaultInjector decorator and the transport retry loop it is
-// designed to exercise: response classification, scheduled/burst/probabilistic
-// faults, and the interaction with sendWithRetry's idempotency rules.
+// Tests for the FaultInjector decorator: scheduled, burst and probabilistic
+// faults, and which of them reach the backend.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cloud/fault_injector.h"
-#include "cloud/transport.h"
-#include "obs/metrics.h"
 
 namespace bf::cloud {
 namespace {
@@ -29,29 +26,6 @@ browser::HttpRequest requestTo(const std::string& origin) {
   req.url = origin + "/api/save";
   req.body = "payload";
   return req;
-}
-
-// ---- classification ----------------------------------------------------------
-
-TEST(ClassifyResponse, TaxonomyTable) {
-  EXPECT_EQ(classifyResponse(200, "ok"), SendOutcome::kSuccess);
-  EXPECT_EQ(classifyResponse(204, ""), SendOutcome::kSuccess);
-  EXPECT_EQ(classifyResponse(503, "bf-fault: 503 upstream unavailable"),
-            SendOutcome::kRetryable);
-  EXPECT_EQ(classifyResponse(500, "oops"), SendOutcome::kRetryable);
-  EXPECT_EQ(classifyResponse(0, std::string(kFaultRefusedBody)),
-            SendOutcome::kRetryable);
-  EXPECT_EQ(classifyResponse(0, std::string(kFaultResetBody)),
-            SendOutcome::kRetryIfIdempotent);
-  EXPECT_EQ(classifyResponse(0, std::string(kFaultTimeoutBody)),
-            SendOutcome::kRetryIfIdempotent);
-  // A plain status 0 is the plug-in suppressing a form submission — a
-  // policy decision, never retried.
-  EXPECT_EQ(classifyResponse(0, ""), SendOutcome::kFatal);
-  // 4xx: the request itself is wrong (or an XHR policy block's 403).
-  EXPECT_EQ(classifyResponse(403, "blocked by BrowserFlow"),
-            SendOutcome::kFatal);
-  EXPECT_EQ(classifyResponse(400, "bad request"), SendOutcome::kFatal);
 }
 
 // ---- scheduled faults --------------------------------------------------------
@@ -162,123 +136,6 @@ TEST(FaultInjector, PerOriginOverrideBeatsDefaults) {
   }
   // Other origins still use the (always-faulting) defaults.
   EXPECT_NE(injector.handle(requestTo("https://loud.example")).status, 200);
-}
-
-// ---- retry loop against the injector ----------------------------------------
-
-TEST(TransportRetry, RetriesThroughFaultBurstToSuccess) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 2, FaultKind::kHttp5xx);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 5;
-  util::Rng rng(11);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, nullptr, /*idempotent=*/true);
-  EXPECT_EQ(result.response.status, 200);
-  EXPECT_EQ(result.attempts, 3);
-  EXPECT_FALSE(result.exhausted);
-  EXPECT_GT(result.backoffMs, 0.0);
-}
-
-TEST(TransportRetry, NonIdempotentStopsAfterPostDispatchFault) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 1, FaultKind::kReset);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 5;
-  util::Rng rng(11);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, nullptr, /*idempotent=*/false);
-  // The backend may have applied the mutation; a blind replay could
-  // duplicate it, so the client surfaces the fault after ONE attempt.
-  EXPECT_EQ(result.response.status, 0);
-  EXPECT_EQ(result.attempts, 1);
-  EXPECT_EQ(sink.received.size(), 1u);
-}
-
-TEST(TransportRetry, IdempotentReplaysPostDispatchFault) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 1, FaultKind::kReset);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 5;
-  util::Rng rng(11);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, nullptr, /*idempotent=*/true);
-  EXPECT_EQ(result.response.status, 200);
-  EXPECT_EQ(result.attempts, 2);
-  EXPECT_EQ(sink.received.size(), 2u) << "original + replay both dispatched";
-}
-
-TEST(TransportRetry, AttemptCapExhausts) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 10, FaultKind::kHttp5xx);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 3;
-  util::Rng rng(11);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, nullptr, /*idempotent=*/true);
-  EXPECT_EQ(result.response.status, 503);
-  EXPECT_EQ(result.attempts, 3);
-  EXPECT_TRUE(result.exhausted);
-}
-
-TEST(TransportRetry, EmptyBudgetDegradesToSingleAttempt) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 10, FaultKind::kHttp5xx);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 5;
-  util::Rng rng(11);
-  util::RetryBudget budget(0.0);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, &budget, /*idempotent=*/true);
-  EXPECT_EQ(result.attempts, 1);
-  EXPECT_TRUE(result.exhausted);
-}
-
-TEST(TransportRetry, DeadlineBoundsAccumulatedBackoff) {
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 10, FaultKind::kHttp5xx);
-
-  util::RetryPolicy policy;
-  policy.maxAttempts = 100;
-  policy.baseDelayMs = 50.0;
-  policy.deadlineMs = 120.0;  // room for at most two 50ms-or-more delays
-  util::Rng rng(11);
-  const TransportResult result = sendWithRetry(
-      [&] { return injector.handle(requestTo("https://a.example")); }, policy,
-      &rng, nullptr, /*idempotent=*/true);
-  EXPECT_TRUE(result.exhausted);
-  EXPECT_LE(result.backoffMs, policy.deadlineMs);
-  EXPECT_LT(result.attempts, 5);
-}
-
-TEST(TransportRetry, MetricsAdvance) {
-  const std::uint64_t before =
-      obs::registry().counter("bf_retry_attempts_total").value();
-  RecordingSink sink;
-  FaultInjector injector(&sink, 1);
-  injector.failNext("https://a.example", 1, FaultKind::kHttp5xx);
-  util::RetryPolicy policy;
-  util::Rng rng(11);
-  sendWithRetry([&] { return injector.handle(requestTo("https://a.example")); },
-                policy, &rng, nullptr, /*idempotent=*/true);
-  EXPECT_EQ(obs::registry().counter("bf_retry_attempts_total").value(),
-            before + 2);
 }
 
 }  // namespace

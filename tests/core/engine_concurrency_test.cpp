@@ -82,45 +82,26 @@ class EngineConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
+  // A monitoring thread reads the latency summary while two threads
+  // decide: the histogram is read concurrently with its writers.
+  const std::uint64_t countBefore = engine_.latencySummary().count;
   std::atomic<bool> stop{false};
-  std::thread tuner([&] {
-    // Tight: every lookup is slow, so the breaker trips and skips lookups
-    // fail-closed. Loose: the breaker is off.
-    ResilienceConfig tight = config_.resilience;
-    tight.breakerLatencyBudgetMs = 1e-12;
-    tight.breakerTripThreshold = 1;
-    tight.breakerOpenDecisions = 2;
-    tight.degradedMode = DegradedMode::kFailClosed;
-    const ResilienceConfig loose = config_.resilience;
-    bool flip = false;
-    while (!stop.load(std::memory_order_relaxed)) {
-      engine_.setResilience(flip ? tight : loose);
-      flip = !flip;
-    }
-  });
   std::thread poller([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)engine_.breakerOpen();
       (void)engine_.latencySummary();
     }
   });
   const std::vector<Decision> decisions = decideOnThreads(2, 100);
   stop.store(true, std::memory_order_relaxed);
-  tuner.join();
   poller.join();
 
-  // Breaker-skipped decisions come back degraded with a reason and one
-  // audit record each; the rest ran the full pipeline.
-  std::size_t degraded = 0;
+  // Every decision ran the full pipeline: each re-upload of the sensitive
+  // paragraph is found and warned about, whatever the load.
   for (const Decision& d : decisions) {
-    if (!d.degraded) continue;
-    ++degraded;
-    EXPECT_FALSE(d.degradedReason.empty());
+    EXPECT_EQ(d.action, Decision::Action::kWarn);
+    EXPECT_FALSE(d.hits.empty());
   }
-  EXPECT_EQ(policy_.audit()
-                .byKind(tdm::AuditRecord::Kind::kDecisionDegraded)
-                .size(),
-            degraded);
+  EXPECT_GE(engine_.latencySummary().count - countBefore, decisions.size());
 }
 
 TEST_F(EngineConcurrencyTest, SyncAndAsyncDecisionsInterleaveSafely) {

@@ -1,6 +1,6 @@
 // DecisionEngine + DurabilityManager wiring: the engine drives periodic
 // checkpointing from the decision path, and durability failures never
-// degrade decisions (DESIGN.md §11).
+// change a verdict (DESIGN.md §11).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -74,14 +74,15 @@ class EngineDurabilityTest : public ::testing::Test {
 };
 
 TEST_F(EngineDurabilityTest, HealthyWithoutAManagerAttached) {
-  EXPECT_TRUE(engine_.durabilityHealthy());
+  const Decision d = engine_.decide(requestFor("doc", gen_.paragraph(4, 6)));
+  EXPECT_FALSE(d.durabilityDegraded);
 }
 
 TEST_F(EngineDurabilityTest, DecisionPathDrivesPeriodicCheckpoints) {
   flow::DurabilityManager mgr(configFor(/*checkpointEvery=*/3));
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   engine_.setDurability(&mgr);
-  EXPECT_TRUE(engine_.durabilityHealthy());
+  EXPECT_TRUE(mgr.healthy());
 
   const auto before = obs::registry().snapshot();
   // Each decision observes one new segment => one WAL record; at three
@@ -90,11 +91,10 @@ TEST_F(EngineDurabilityTest, DecisionPathDrivesPeriodicCheckpoints) {
   for (int i = 0; i < 7; ++i) {
     const Decision d = engine_.decide(
         requestFor("doc" + std::to_string(i), gen_.paragraph(4, 6)));
-    EXPECT_FALSE(d.degraded);
   }
   const auto delta = obs::registry().snapshot().diff(before);
   EXPECT_GE(delta.counterValue("bf_checkpoints_total"), 2u);
-  EXPECT_TRUE(engine_.durabilityHealthy());
+  EXPECT_TRUE(mgr.healthy());
 }
 
 TEST_F(EngineDurabilityTest, StateSurvivesCrashAndAnswersSameDecisions) {
@@ -139,19 +139,19 @@ TEST_F(EngineDurabilityTest, WalFailureTurnsUnhealthyButDecisionsContinue) {
   flow::DurabilityManager mgr(configFor(1u << 30));
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   engine_.setDurability(&mgr);
-  ASSERT_TRUE(engine_.durabilityHealthy());
+  ASSERT_TRUE(mgr.healthy());
 
   mgr.wal().failNextAppends(1);
   const Decision d =
       engine_.decide(requestFor("doc", gen_.paragraph(4, 6)));
-  EXPECT_FALSE(d.degraded);  // durability loss never degrades decisions
   EXPECT_EQ(d.action, Decision::Action::kAllow);
-  EXPECT_FALSE(engine_.durabilityHealthy());
+  EXPECT_FALSE(mgr.healthy());
 
-  // Detaching restores the no-manager default.
+  // Detaching restores the no-manager default: decisions carry no flag.
   engine_.setDurability(nullptr);
-  EXPECT_TRUE(engine_.durabilityHealthy());
   tracker_.attachWal(nullptr);
+  EXPECT_FALSE(engine_.decide(requestFor("doc2", gen_.paragraph(4, 6)))
+                   .durabilityDegraded);
 }
 
 TEST_F(EngineDurabilityTest, CheckpointDurationHistogramStaysBounded) {
@@ -184,16 +184,15 @@ TEST_F(EngineDurabilityTest, DurabilityDegradedFlagAndAuditOnHealthFlips) {
 
   mgr.wal().failNextAppends(1);
   const Decision hit = engine_.decide(requestFor("d1", gen_.paragraph(4, 6)));
-  EXPECT_FALSE(hit.degraded);  // the pipeline ran fully
   EXPECT_TRUE(hit.durabilityDegraded);
-  EXPECT_FALSE(engine_.durabilityHealthy());
+  EXPECT_FALSE(mgr.healthy());
 
   // The next decision's maintenance pass repairs (backoff 0) and flips
   // health back; the decision itself reports the restored state.
   const Decision healed =
       engine_.decide(requestFor("d2", gen_.paragraph(4, 6)));
   EXPECT_FALSE(healed.durabilityDegraded);
-  EXPECT_TRUE(engine_.durabilityHealthy());
+  EXPECT_TRUE(mgr.healthy());
 
   // Exactly one audit record per flip, not one per degraded decision.
   const auto degradedAudits =
@@ -225,7 +224,6 @@ TEST_F(EngineDurabilityTest, FlightRecorderRetainsDurabilityDegradedWindow) {
   ASSERT_TRUE(record.has_value())
       << "durability-degraded decisions are always-keep";
   EXPECT_TRUE(record->durabilityDegraded);
-  EXPECT_FALSE(record->degraded);
   EXPECT_EQ(record->action, "allow");
 
   obs::setTraceSampleEvery(16);  // restore the default for other tests
@@ -267,7 +265,6 @@ TEST_F(EngineDurabilityTest, XhrUploadCarriesDurabilityDegradedFlag) {
     }
     found = true;
     EXPECT_TRUE(record.durabilityDegraded);
-    EXPECT_FALSE(record.degraded);
   }
   EXPECT_TRUE(found) << "the upload decision must be retained";
 

@@ -7,7 +7,6 @@
 #include "cloud/docs_client.h"
 #include "cloud/form_backend.h"
 #include "cloud/network.h"
-#include "cloud/transport.h"
 #include "cloud/wiki_client.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
@@ -360,45 +359,6 @@ TEST_F(UploadProvenanceTest, EveryFieldDecisionCarriesTheUploadTrace) {
   const std::vector<obs::DecisionTrace> second = recordsSince(before);
   ASSERT_FALSE(second.empty());
   EXPECT_NE(second.front().traceId, traceId);
-}
-
-TEST_F(UploadProvenanceTest, DecisionsInsideARetriedSendKeepItsTrace) {
-  const std::string secret = seedInterviewData();
-  browser::Page& page = browser_.openTab("https://docs.google.com/d/prov2");
-  const std::string body = multiFieldBody(secret);
-
-  const std::uint64_t before =
-      obs::FlightRecorder::instance().lastDecisionId();
-  const obs::TraceContext ambient = obs::TraceContext::start();
-  cloud::TransportResult result;
-  {
-    obs::ScopedTraceContext scope(ambient);
-    // The first attempt reaches the plug-in, then reports a 503, so the
-    // transport retries once and annotates the trace it ran under.
-    int attempt = 0;
-    util::RetryPolicy policy;
-    policy.maxAttempts = 2;
-    util::Rng rng(7);
-    result = cloud::sendWithRetry(
-        [&] {
-          const int status = sendJson(page, body);
-          return browser::HttpResponse{++attempt == 1 ? 503 : status, ""};
-        },
-        policy, &rng, /*budget=*/nullptr, /*idempotent=*/true);
-  }
-  EXPECT_EQ(result.attempts, 2);
-  EXPECT_EQ(result.response.status, 403);
-
-  const std::vector<obs::DecisionTrace> records = recordsSince(before);
-  ASSERT_GE(records.size(), 8u) << "two attempts of four decisions each";
-  for (const auto& record : records) {
-    EXPECT_EQ(record.traceId, ambient.traceId) << record.segmentName;
-    EXPECT_EQ(record.retryAttempts, 2u) << record.segmentName;
-  }
-  EXPECT_EQ(
-      obs::FlightRecorder::instance().explainByTrace(ambient.traceId)
-          ->decisionId,
-      records.back().decisionId);
 }
 
 }  // namespace

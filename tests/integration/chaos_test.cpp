@@ -1,23 +1,25 @@
 // Chaos end-to-end test: the full stack (browser + plug-in + clients) runs
-// against a FaultInjector-wrapped SimNetwork at a >= 20% fault rate, with
-// retries enabled. Two invariants must hold:
+// against a FaultInjector-wrapped SimNetwork at a >= 20% fault rate. The
+// plug-in decides every upload before it leaves, so network faults sit
+// after the verdict and must never change one:
 //
-//  1. Goodput: every upload the policy ALLOWS eventually lands on the
-//     backend despite the faults (the retry discipline absorbs them);
+//  1. Verdicts: one seeded edit script gives the same per-decision
+//     (segment, action) sequence through a fault-free stack and through
+//     the faulty one;
 //  2. Safety: uploads the policy BLOCKS never reach the network — the
 //     plug-in intercepts before the injector/network see the request, and
-//     faults never shake sensitive payloads loose.
+//     faults never shake sensitive payloads loose;
+//  3. Allowed saves see 200 or the fault itself, never a policy 403, and
+//     one save once the faults stop brings the backend in line with the
+//     editor.
 //
-// A third phase trips the decision engine's circuit breaker and checks the
-// degradation accounting: the bf_decision_degraded_total delta matches the
-// kDecisionDegraded audit records exactly.
-//
-// Provenance acceptance rides on this file: every blocked and degraded
-// decision produced under chaos must resolve to a complete causal record in
-// the flight recorder (ingress → stages → verdict).
+// Provenance acceptance rides on this file: every blocked decision
+// produced under chaos must resolve to a complete causal record in the
+// flight recorder (ingress → stages → verdict).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/fault_injector.h"
@@ -29,33 +31,162 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
+#include "util/strings.h"
 
 namespace bf {
 namespace {
 
 constexpr double kFaultRate = 0.24;  // >= 20%, spread over 4 fault kinds
 constexpr char kNotesOrigin[] = "https://notes.corp";
+constexpr char kItoolOrigin[] = "https://itool.corp";
+
+core::BrowserFlowConfig blockConfig() {
+  core::BrowserFlowConfig c;
+  c.mode = core::EnforcementMode::kBlock;
+  return c;
+}
+
+/// Forwards to `inner` and keeps the last response, so a test can tell a
+/// fault's status 0 (a "bf-fault:" body) from any other.
+class LastResponse final : public browser::RequestSink {
+ public:
+  explicit LastResponse(browser::RequestSink* inner) : inner_(inner) {}
+  browser::HttpResponse handle(const browser::HttpRequest& req) override {
+    last = inner_->handle(req);
+    return last;
+  }
+  browser::HttpResponse last;
+
+ private:
+  browser::RequestSink* inner_;
+};
+
+/// An allowed save's outcome under faults: 200, or the fault itself (a
+/// 503, or status 0 with a fault body) — never a policy 403.
+bool landedOrFaulted(int status, const browser::HttpResponse& last) {
+  return status == 200 || status == 503 ||
+         (status == 0 && util::startsWith(last.body, cloud::kFaultBodyPrefix));
+}
+
+/// One browser with the plug-in and a notes service, whose requests pass
+/// through a FaultInjector with `faults` before the network.
+struct NotesStack {
+  explicit NotesStack(const cloud::FaultConfig& faults)
+      : rng(99),
+        network(&rng),
+        faultNet(&network, /*seed=*/4242, faults),
+        lastResponse(&faultNet),
+        plugin(blockConfig(), &clock),
+        browser(&lastResponse) {
+    network.registerService(kNotesOrigin, &notesBackend);
+    // The notes service is external/unregistered: Lp = {}, so anything
+    // carrying the interview tag is blocked there.
+    plugin.policy().services().upsert({kItoolOrigin, "Interview Tool",
+                                       tdm::TagSet{"ti"}, tdm::TagSet{"ti"}});
+    browser.addExtension(&plugin);
+  }
+
+  util::LogicalClock clock;
+  util::Rng rng;
+  cloud::SimNetwork network;
+  cloud::FaultInjector faultNet;
+  LastResponse lastResponse;
+  cloud::NotesBackend notesBackend;
+  core::BrowserFlowPlugin plugin;
+  browser::Browser browser;
+};
+
+/// A seeded edit script: clean paragraphs to append and rewrite, then a
+/// paste of an Interview Tool evaluation. Generated up front so both runs
+/// edit the same texts whatever the network draws from its own rng.
+struct EditScript {
+  std::vector<std::string> clean;
+  std::string evaluation;
+};
+
+EditScript makeScript(std::uint64_t seed) {
+  util::Rng rng(seed);
+  corpus::TextGenerator gen(&rng);
+  EditScript script;
+  for (int i = 0; i < 30; ++i) script.clean.push_back(gen.paragraph(4, 6));
+  script.evaluation = gen.paragraph(7, 9);
+  return script;
+}
+
+/// Flight-recorder records appended after `sinceDecisionId`, oldest first.
+std::vector<obs::DecisionTrace> recordsSince(std::uint64_t sinceDecisionId) {
+  std::vector<obs::DecisionTrace> out;
+  for (auto& record : obs::FlightRecorder::instance().recent()) {
+    if (record.decisionId > sinceDecisionId) out.push_back(std::move(record));
+  }
+  return out;
+}
+
+/// What one run of the script produced.
+struct ScriptRun {
+  /// (segment, action) of every decision the run made, in order.
+  std::vector<std::pair<std::string, std::string>> verdicts;
+  /// Status and last network response of each save the policy allows.
+  std::vector<std::pair<int, browser::HttpResponse>> allowedSaves;
+  int blockedStatus = 0;
+  /// Retained records of the blocked paste's decisions.
+  std::vector<obs::DecisionTrace> blockedRecords;
+};
+
+ScriptRun runScript(NotesStack& stack, const EditScript& script) {
+  ScriptRun run;
+  const std::uint64_t idsBefore =
+      obs::FlightRecorder::instance().lastDecisionId();
+  browser::Page& tab = stack.browser.openTab(std::string(kNotesOrigin) + "/n/1");
+  cloud::NotesClient notes(tab, "n1");
+  notes.openNote();
+  const auto allowed = [&](int status) {
+    run.allowedSaves.emplace_back(status, stack.lastResponse.last);
+  };
+  // Each edit auto-saves the whole note; every fifth step also rewrites an
+  // earlier paragraph.
+  for (std::size_t i = 0; i < script.clean.size(); ++i) {
+    stack.lastResponse.last = {-1, ""};
+    allowed(notes.appendParagraph(script.clean[i]));
+    if (i % 5 == 4) {
+      stack.lastResponse.last = {-1, ""};
+      allowed(notes.setParagraph(i / 2, script.clean[i - 1]));
+    }
+  }
+
+  // The evaluation becomes Interview Tool data, then is pasted into the
+  // note: the save is blocked.
+  stack.plugin.observeServiceDocument(kItoolOrigin,
+                                      std::string(kItoolOrigin) + "/eval/9",
+                                      script.evaluation);
+  const std::uint64_t beforeBlocked =
+      obs::FlightRecorder::instance().lastDecisionId();
+  run.blockedStatus = notes.appendParagraph(script.evaluation);
+  run.blockedRecords = recordsSince(beforeBlocked);
+
+  // Deleting the paste makes the note clean again.
+  stack.lastResponse.last = {-1, ""};
+  allowed(notes.deleteParagraph(notes.paragraphCount() - 1));
+
+  const std::uint64_t idsAfter =
+      obs::FlightRecorder::instance().lastDecisionId();
+  for (const auto& record : recordsSince(idsBefore)) {
+    run.verdicts.emplace_back(record.segmentName, record.action);
+  }
+  EXPECT_EQ(run.verdicts.size(), idsAfter - idsBefore)
+      << "every decision of the run is retained, none evicted";
+  return run;
+}
 
 class ChaosTest : public ::testing::Test {
  protected:
   ChaosTest()
       : rng_(99),
         gen_(&rng_),
-        network_(&rng_),
-        faultNet_(&network_, /*seed=*/4242,
-                  cloud::FaultConfig::uniformRate(kFaultRate)),
-        plugin_(blockConfig(), &clock_),
-        browser_(&faultNet_) {
-    network_.registerService(kNotesOrigin, &notesBackend_);
-    // The notes service is external/unregistered: Lp = {}, so anything
-    // carrying the interview tag is blocked there.
-    plugin_.policy().services().upsert({"https://itool.corp",
-                                        "Interview Tool", tdm::TagSet{"ti"},
-                                        tdm::TagSet{"ti"}});
-    browser_.addExtension(&plugin_);
+        faulty_(cloud::FaultConfig::uniformRate(kFaultRate)) {
     // Provenance acceptance: sample every trace and widen the ring so the
-    // explainability sweeps below can demand 100% of blocked/degraded
-    // decisions resolve, even with other suites sharing the process ring.
+    // sweeps below see every decision, even with other suites sharing the
+    // process ring.
     savedSampleEvery_ = obs::traceSampleEvery();
     obs::setTraceSampleEvery(1);
     obs::FlightRecorder::instance().setCapacity(4096);
@@ -67,87 +198,66 @@ class ChaosTest : public ::testing::Test {
         obs::FlightRecorder::kDefaultCapacity);
   }
 
-  static core::BrowserFlowConfig blockConfig() {
-    core::BrowserFlowConfig c;
-    c.mode = core::EnforcementMode::kBlock;
-    return c;
-  }
-
-  /// Flight-recorder records appended after `sinceDecisionId`, oldest first.
-  static std::vector<obs::DecisionTrace> recordsSince(
-      std::uint64_t sinceDecisionId) {
-    std::vector<obs::DecisionTrace> out;
-    for (auto& record : obs::FlightRecorder::instance().recent()) {
-      if (record.decisionId > sinceDecisionId) out.push_back(std::move(record));
-    }
-    return out;
-  }
-
-  util::LogicalClock clock_;
   util::Rng rng_;
   corpus::TextGenerator gen_;
-  cloud::SimNetwork network_;
-  cloud::FaultInjector faultNet_;
-  cloud::NotesBackend notesBackend_;
-  core::BrowserFlowPlugin plugin_;
-  browser::Browser browser_;
+  NotesStack faulty_;
   std::uint32_t savedSampleEvery_ = 16;
 };
 
 TEST_F(ChaosTest, AllowedUploadsLandBlockedUploadsNever) {
-  browser::Page& tab = browser_.openTab(std::string(kNotesOrigin) + "/n/1");
-  cloud::NotesClient notes(tab, "n1");
-  notes.openNote();
+  const EditScript script = makeScript(/*seed=*/7);
+  NotesStack clean(cloud::FaultConfig{});
+  const ScriptRun reference = runScript(clean, script);
+  const std::uint64_t faultsBefore = faulty_.faultNet.faultCount();
+  const ScriptRun chaos = runScript(faulty_, script);
 
-  util::RetryPolicy retry;
-  retry.maxAttempts = 8;
-  retry.deadlineMs = 0.0;  // the attempt cap bounds the loop
-  notes.enableRetries(retry, /*seed=*/7, /*budgetCapacity=*/50.0);
-
-  // Phase 1 — goodput: 30 clean paragraph edits, each auto-saving the whole
-  // note through the faulty network. Every save must eventually succeed.
-  const std::uint64_t faultsBefore = faultNet_.faultCount();
-  const std::uint64_t idsBefore =
-      obs::FlightRecorder::instance().lastDecisionId();
-  for (int i = 0; i < 30; ++i) {
-    const int status = notes.appendParagraph(gen_.paragraph(4, 6));
-    ASSERT_EQ(status, 200) << "allowed save " << i
-                           << " must land despite faults";
-  }
-  EXPECT_EQ(notesBackend_.noteText("n1"), notes.noteText())
-      << "backend state converged to the editor state";
-  EXPECT_GT(faultNet_.faultCount(), faultsBefore)
+  // 1. Faults sit after the verdict: the same decisions, in the same order.
+  EXPECT_GT(faulty_.faultNet.faultCount(), faultsBefore)
       << "a 24% fault rate over 30+ uploads must actually inject faults";
+  ASSERT_FALSE(reference.verdicts.empty());
+  EXPECT_EQ(chaos.verdicts, reference.verdicts);
+  std::size_t blocks = 0;
+  for (const auto& verdict : chaos.verdicts) {
+    if (verdict.second == "block") ++blocks;
+  }
+  EXPECT_GE(blocks, 1u) << "the script must block at least once";
 
-  // Phase 2 — safety: text tainted by the Interview Tool is blocked at the
-  // notes service, and no fault/retry combination leaks it to the network.
-  const std::string evaluation = gen_.paragraph(7, 9);
-  plugin_.observeServiceDocument("https://itool.corp",
-                                 "https://itool.corp/eval/9", evaluation);
-  const std::string beforeBlocked = notesBackend_.noteText("n1");
-  const int blockedStatus = notes.appendParagraph(evaluation);
-  EXPECT_EQ(blockedStatus, 403) << "policy block, not a transport fault";
-  EXPECT_EQ(notesBackend_.noteText("n1"), beforeBlocked)
-      << "blocked content never reached the backend";
+  // 2. Allowed saves: 200 without faults; under faults 200 or the fault
+  //    itself (a 503, or status 0 with a fault body), never a policy 403.
+  ASSERT_EQ(chaos.allowedSaves.size(), reference.allowedSaves.size());
+  for (const auto& [status, response] : reference.allowedSaves) {
+    EXPECT_EQ(status, 200);
+  }
+  for (const auto& [status, response] : chaos.allowedSaves) {
+    EXPECT_TRUE(landedOrFaulted(status, response))
+        << "allowed save saw " << status << " \"" << response.body << "\"";
+  }
 
-  // The sensitive text appears in NO request body the network ever saw
-  // (the injector sits behind the plug-in, so even faulted/retried
-  // requests are policy-clean). Match on a marker substring to sidestep
-  // JSON escaping of the full paragraph.
-  const std::string marker = evaluation.substr(0, 24);
-  for (const auto& entry : network_.log()) {
+  // 3. Safety: the paste is a policy block, and its text appears in NO
+  //    request body the network ever saw (the injector sits behind the
+  //    plug-in, so even faulted requests are policy-clean). Match on a
+  //    marker substring to sidestep JSON escaping of the full paragraph.
+  EXPECT_EQ(reference.blockedStatus, 403);
+  EXPECT_EQ(chaos.blockedStatus, 403) << "policy block, not a transport fault";
+  const std::string marker = script.evaluation.substr(0, 24);
+  for (const auto& entry : faulty_.network.log()) {
     EXPECT_EQ(entry.request.body.find(marker), std::string::npos)
         << "sensitive text leaked into the network log";
   }
 
-  // Phase 3 — explainability: every blocked decision from phase 2 resolves
-  // in the flight recorder to a complete causal record, and the retried
-  // phase-1 saves left their retry history on the retained traces.
-  const std::vector<obs::DecisionTrace> records = recordsSince(idsBefore);
+  // 4. Once the faults stop, one more save brings the backend in line with
+  //    the editor.
+  faulty_.faultNet.setDefaults({});
+  browser::Page& tab = *faulty_.browser.tabs().back();
+  cloud::NotesClient notes(tab, "n1");
+  EXPECT_EQ(notes.save(), 200);
+  EXPECT_EQ(faulty_.notesBackend.noteText("n1"), notes.noteText());
+  EXPECT_EQ(notes.noteText(), clean.notesBackend.noteText("n1"));
+
+  // 5. Explainability: every blocked decision resolves in the flight
+  //    recorder to a complete causal record.
   std::size_t blocked = 0;
-  bool sawRetries = false;
-  for (const auto& record : records) {
-    if (record.retryAttempts > 1) sawRetries = true;
+  for (const auto& record : chaos.blockedRecords) {
     if (!record.violation) continue;
     ++blocked;
     const auto explained =
@@ -165,91 +275,31 @@ TEST_F(ChaosTest, AllowedUploadsLandBlockedUploadsNever) {
                   ->traceId,
               explained->traceId);
   }
-  EXPECT_GE(blocked, 1u) << "the phase-2 block must be in the recorder";
-  EXPECT_TRUE(sawRetries)
-      << "24% faults over 30 saves must leave retry annotations";
-}
-
-TEST_F(ChaosTest, DegradedDecisionsMatchAuditTrail) {
-  // Trip the engine's circuit breaker: a ~zero latency budget makes every
-  // disclosure lookup count as slow.
-  core::ResilienceConfig res;
-  res.breakerLatencyBudgetMs = 1e-12;
-  res.breakerTripThreshold = 2;
-  res.breakerOpenDecisions = 100;
-  res.degradedMode = core::DegradedMode::kFailOpen;
-  plugin_.engine().setResilience(res);
-
-  const std::uint64_t degradedBefore =
-      obs::registry().counter("bf_decision_degraded_total").value();
-  const std::size_t auditBefore =
-      plugin_.policy()
-          .audit()
-          .byKind(tdm::AuditRecord::Kind::kDecisionDegraded)
-          .size();
-  const std::uint64_t idsBefore =
-      obs::FlightRecorder::instance().lastDecisionId();
-
-  browser::Page& tab = browser_.openTab(std::string(kNotesOrigin) + "/n/2");
-  cloud::NotesClient notes(tab, "n2");
-  notes.openNote();
-  for (int i = 0; i < 10; ++i) {
-    notes.appendParagraph(gen_.paragraph(3, 5));
-  }
-
-  const std::uint64_t degradedDelta =
-      obs::registry().counter("bf_decision_degraded_total").value() -
-      degradedBefore;
-  const std::size_t auditDelta =
-      plugin_.policy()
-          .audit()
-          .byKind(tdm::AuditRecord::Kind::kDecisionDegraded)
-          .size() -
-      auditBefore;
-  EXPECT_GT(degradedDelta, 0u) << "the tripped breaker must degrade decisions";
-  EXPECT_EQ(degradedDelta, auditDelta)
-      << "every degraded decision appears in the TDM audit log";
-
-  // 100% explainability: one flight-recorder record per degraded decision,
-  // each resolving to a causal record that names the breaker.
-  std::size_t degradedRecords = 0;
-  for (const auto& record : recordsSince(idsBefore)) {
-    if (!record.degraded) continue;
-    ++degradedRecords;
-    const auto explained =
-        obs::FlightRecorder::instance().explain(record.decisionId);
-    ASSERT_TRUE(explained.has_value());
-    EXPECT_NE(explained->traceId, 0u);
-    EXPECT_FALSE(explained->ingress.empty());
-    EXPECT_NE(explained->degradedReason.find("breaker"), std::string::npos);
-  }
-  EXPECT_EQ(degradedRecords, degradedDelta)
-      << "every degraded decision must be retained, not just counted";
+  EXPECT_GE(blocked, 1u) << "the blocked paste must be in the recorder";
 }
 
 TEST_F(ChaosTest, ExportsCarryNoCorpusPlaintext) {
-  // Full run: clean edits land, a sensitive upload is blocked — then every
-  // observability export (Prometheus text, metrics JSON, flight-recorder
-  // JSON) is swept for corpus plaintext. The sec type layer plus
-  // scripts/bftaint.py claim raw content cannot reach these sinks; this
-  // test is the runtime witness of that claim.
-  browser::Page& tab = browser_.openTab(std::string(kNotesOrigin) + "/n/3");
+  // Full run: clean edits are saved (or meet a fault), a sensitive upload
+  // is blocked — then every observability export (Prometheus text, metrics
+  // JSON, flight-recorder JSON) is swept for corpus plaintext. The sec type
+  // layer plus scripts/bftaint.py claim raw content cannot reach these
+  // sinks; this test is the runtime witness of that claim.
+  browser::Page& tab =
+      faulty_.browser.openTab(std::string(kNotesOrigin) + "/n/3");
   cloud::NotesClient notes(tab, "n3");
   notes.openNote();
-  util::RetryPolicy retry;
-  retry.maxAttempts = 8;
-  retry.deadlineMs = 0.0;
-  notes.enableRetries(retry, /*seed=*/13, /*budgetCapacity=*/50.0);
 
   std::vector<std::string> corpusTexts;
   for (int i = 0; i < 8; ++i) {
     corpusTexts.push_back(gen_.paragraph(5, 7));
-    ASSERT_EQ(notes.appendParagraph(corpusTexts.back()), 200);
+    faulty_.lastResponse.last = {-1, ""};
+    const int status = notes.appendParagraph(corpusTexts.back());
+    EXPECT_TRUE(landedOrFaulted(status, faulty_.lastResponse.last)) << status;
   }
   const std::string evaluation = gen_.paragraph(7, 9);
   corpusTexts.push_back(evaluation);
-  plugin_.observeServiceDocument("https://itool.corp",
-                                 "https://itool.corp/eval/3", evaluation);
+  faulty_.plugin.observeServiceDocument(
+      kItoolOrigin, std::string(kItoolOrigin) + "/eval/3", evaluation);
   EXPECT_EQ(notes.appendParagraph(evaluation), 403);
 
   const obs::MetricsSnapshot snap = obs::registry().snapshot();

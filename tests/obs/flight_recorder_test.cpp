@@ -13,12 +13,13 @@ namespace bf::obs {
 namespace {
 
 DecisionTrace makeTrace(std::uint64_t traceId, bool sampled,
-                        bool violation = false, bool degraded = false) {
+                        bool violation = false,
+                        bool durabilityDegraded = false) {
   DecisionTrace t;
   t.traceId = traceId;
   t.sampled = sampled;
   t.violation = violation;
-  t.degraded = degraded;
+  t.durabilityDegraded = durabilityDegraded;
   t.ingress = "test.ingress";
   t.segmentName = "doc#p1";
   t.documentName = "doc";
@@ -40,7 +41,7 @@ TEST(FlightRecorderTest, RetainsSampledViolationAndDegraded) {
   const std::uint64_t violationId =
       recorder.record(makeTrace(2, false, /*violation=*/true));
   const std::uint64_t degradedId =
-      recorder.record(makeTrace(3, false, false, /*degraded=*/true));
+      recorder.record(makeTrace(3, false, false, /*durabilityDegraded=*/true));
   EXPECT_TRUE(recorder.explain(sampledId).has_value());
   EXPECT_TRUE(recorder.explain(violationId).has_value());
   EXPECT_TRUE(recorder.explain(degradedId).has_value());
@@ -96,25 +97,6 @@ TEST(FlightRecorderTest, ExplainByTraceReturnsNewestForTrace) {
   EXPECT_EQ(got->decisionId, newestId);
   EXPECT_EQ(got->segmentName, "doc#p2");
   EXPECT_FALSE(recorder.explainByTrace(999).has_value());
-}
-
-TEST(FlightRecorderTest, AnnotateRetryUpdatesEveryRecordOfTrace) {
-  FlightRecorder recorder(8);
-  const std::uint64_t a = recorder.record(makeTrace(5, true));
-  const std::uint64_t b = recorder.record(makeTrace(5, true));
-  recorder.record(makeTrace(6, true));  // different trace, untouched
-
-  recorder.annotateRetry(5, 3, 120.5, true);
-  for (const std::uint64_t id : {a, b}) {
-    const std::optional<DecisionTrace> got = recorder.explain(id);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->retryAttempts, 3u);
-    EXPECT_DOUBLE_EQ(got->retryBackoffMs, 120.5);
-    EXPECT_TRUE(got->retryExhausted);
-  }
-  const std::optional<DecisionTrace> other = recorder.explainByTrace(6);
-  ASSERT_TRUE(other.has_value());
-  EXPECT_EQ(other->retryAttempts, 0u);
 }
 
 TEST(FlightRecorderTest, RingEvictsOldestWhenFull) {
