@@ -13,7 +13,8 @@
 # migration is exercised under real contention, not just unit load. The
 # release preset then checks every pinned verdict digest in
 # scripts/e2e_verdict_digests.txt, with the host's best fingerprint kernel
-# and with the scalar kernel.
+# and with the scalar kernel, and runs the fixed-seed HashDb model step
+# that the default and asan presets run too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -68,6 +69,20 @@ for preset in $PRESETS; do
       done < scripts/e2e_verdict_digests.txt
     done
   fi
+  if [ "$preset" = "default" ] || [ "$preset" = "asan" ] ||
+     [ "$preset" = "release" ]; then
+    # HashDb reference model at a pinned seed: 1000 seeded sessions of
+    # records, restores, re-observations and removals checked against the
+    # naive model. Under release too: the benchmark measures the -O3 build,
+    # whose code for the in-place slot walk and the prefetched batch loops
+    # differs from the default build's.
+    flowBin="build/tests/flow_test"
+    if [ "$preset" != "default" ]; then flowBin="build-$preset/tests/flow_test"; fi
+    echo "==> [$preset] HashDb reference model, fixed seed"
+    BF_HASHDB_MODEL_SEED=20261020 BF_HASHDB_MODEL_TRIALS=1000 \
+      "$flowBin" \
+      --gtest_filter='HashDbModel.RandomSessionsMatchReferenceModel'
+  fi
   if [ "$preset" = "default" ] || [ "$preset" = "asan" ]; then
     # Crash-recovery fuzz at a pinned seed: the same 500 corruption trials
     # on every machine and every run, so a red leg is a real regression in
@@ -88,15 +103,6 @@ for preset in $PRESETS; do
     BF_STORAGE_FUZZ_SEED=20260809 BF_STORAGE_FUZZ_TRIALS=300 \
       "$bin" \
       --gtest_filter='RecoveryFuzzTest.SelfHealsAfterInjectedStorageFaultWindow'
-    # HashDb reference model at a pinned seed: 1000 seeded sessions of
-    # records, restores, re-observations and removals checked against the
-    # naive model.
-    flowBin="build/tests/flow_test"
-    if [ "$preset" = "asan" ]; then flowBin="build-asan/tests/flow_test"; fi
-    echo "==> [$preset] HashDb reference model, fixed seed"
-    BF_HASHDB_MODEL_SEED=20261020 BF_HASHDB_MODEL_TRIALS=1000 \
-      "$flowBin" \
-      --gtest_filter='HashDbModel.RandomSessionsMatchReferenceModel'
     # Spliced re-fingerprint at a pinned seed: 2000 edit scripts checked
     # against the full kernel on every tier the host supports.
     textBin="build/tests/text_test"

@@ -4,8 +4,12 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstdlib>
+#include <new>
 
+#include "obs/metrics.h"
 #include "util/hashing.h"
+#include "util/stopwatch.h"
 
 namespace bf::flow {
 
@@ -19,10 +23,15 @@ std::size_t HashDb::homeSlot(text::Hash hash) const noexcept {
   return static_cast<std::size_t>(util::mix64(hash)) & mask_;
 }
 
+HashDb::~HashDb() { std::free(slots_.data()); }
+
 void HashDb::prefetchSlot(text::Hash hash) const noexcept {
   // Only the first line, though a quarter of the slots straddle two: a
   // second prefetch per hash halved bench_micro_fingerprint's batch rate.
-  if (!slots_.empty()) __builtin_prefetch(&slots_[homeSlot(hash)]);
+  // Unconditional: behind an emptiness check GCC 12 at -O3 dropped it
+  // where it was inlined (recordFingerprint kept 2 of 20, oldestOwners
+  // none).
+  __builtin_prefetch(slots_.data() + homeSlot(hash));
 }
 
 std::size_t HashDb::probe(text::Hash hash) const noexcept {
@@ -37,15 +46,58 @@ std::size_t HashDb::probeFrom(text::Hash hash,
   return idx;
 }
 
-void HashDb::rehash(std::size_t capacity) {
-  // Rehashing moves only the flat Slot structs; the history pool is
-  // index-stable and untouched.
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(capacity, Slot{});
+void HashDb::rebuild(std::size_t capacity) {
+  // Only the flat Slot structs move; the history pool is index-stable and
+  // untouched.
+  auto* block = static_cast<Slot*>(std::calloc(capacity, sizeof(Slot)));
+  if (block == nullptr) throw std::bad_alloc();
+  const std::span<Slot> old = std::exchange(slots_, {block, capacity});
   mask_ = capacity - 1;
   for (const Slot& s : old) {
     if (s.used()) slots_[probe(s.hash)] = s;
   }
+  std::free(old.data());
+}
+
+template <typename Keep>
+void HashDb::replaceClusters(std::size_t oldSize, Keep keep) {
+  const std::size_t oldMask = oldSize - 1;
+  const auto used = [this](std::size_t i) { return slots_[i].used(); };
+  // Start at the first slot of the cluster that holds slot 0; it wraps
+  // when slot oldSize - 1 is used too. The load stays below 70%, so some
+  // slot is empty.
+  std::size_t i = 0;
+  if (used(0)) {
+    while (used((i - 1) & oldMask)) i = (i - 1) & oldMask;
+  }
+  occupied_ = 0;
+  std::vector<Slot> cluster;
+  for (std::size_t left = oldSize; left != 0;) {
+    for (; left != 0 && !used(i); i = (i + 1) & oldMask) --left;
+    cluster.clear();
+    for (; left != 0 && used(i); i = (i + 1) & oldMask, --left) {
+      cluster.push_back(slots_[i]);
+      slots_[i] = Slot{};
+    }
+    for (Slot& s : cluster) {
+      if (!keep(s)) continue;
+      slots_[probe(s.hash)] = s;
+      ++occupied_;
+    }
+  }
+}
+
+void HashDb::grow() {
+  const util::Stopwatch watch;
+  const std::size_t n = slots_.size();
+  auto* block =
+      static_cast<Slot*>(std::realloc(slots_.data(), 2 * n * sizeof(Slot)));
+  if (block == nullptr) throw std::bad_alloc();
+  std::fill_n(block + n, n, Slot{});
+  slots_ = {block, 2 * n};
+  mask_ = 2 * n - 1;
+  replaceClusters(n, [](const Slot&) { return true; });
+  if (growMs_ != nullptr) growMs_->observe(watch.elapsedMillis());
 }
 
 HashDb::Entry HashDb::HistoryPool::encode(const Association& a) {
@@ -139,7 +191,7 @@ void HashDb::HistoryPool::insert(std::uint32_t run, std::size_t pos,
 }
 
 std::size_t HashDb::memoryBytes() const noexcept {
-  return slots_.capacity() * sizeof(Slot) +
+  return slots_.size() * sizeof(Slot) +
          pool_.runs.capacity() * sizeof(Run) +
          pool_.blocks.size() * HistoryPool::kBlockEntries * sizeof(Entry) +
          pool_.escapes.capacity() * sizeof(Wide);
@@ -165,7 +217,7 @@ void HashDb::beginRecord(SegmentId segment, util::Timestamp ts) noexcept {
 void HashDb::recordObservation(SegmentKind kind, text::Hash hash,
                                SegmentId segment, util::Timestamp ts) {
   beginRecord(segment, ts);
-  if (slots_.empty()) rehash(kInitialSlots);
+  if (slots_.empty()) rebuild(kInitialSlots);
   (void)recordFrom(kind, hash, Association{segment, ts}, homeSlot(hash));
 }
 
@@ -182,7 +234,7 @@ bool HashDb::recordFrom(SegmentKind kind, text::Hash hash,
     // here, so a call that adds no hash leaves the table as it was.
     grows = (occupied_ + 1) * 10 >= slots_.size() * 7;
     if (grows) {
-      rehash(slots_.size() * 2);
+      grow();
       at = probe(hash);
     }
     slots_[at].hash = hash;
@@ -244,7 +296,7 @@ void HashDb::recordFingerprint(SegmentKind kind,
   beginRecord(segment, ts);
   const std::size_t n = hashes.size();
   if (n == 0) return;
-  if (slots_.empty()) rehash(kInitialSlots);
+  if (slots_.empty()) rebuild(kInitialSlots);
   const Association assoc{segment, ts};
   // For hash j, the slot its probe reached at the header stage and the run
   // index of that slot's head (kNone when there is nothing to fetch), read
@@ -374,45 +426,42 @@ void HashDb::removeSegment(SegmentKind kind, SegmentId segment) {
 
 std::size_t HashDb::compactDead() {
   if (dead_.empty()) return 0;
-  // The survivors are packed into a fresh pool (the old one is freed on
-  // return) and a table of the old size; the table then shrinks to the
-  // size that inserting them one by one would grow it to, which is
-  // usually the size it has.
-  std::vector<Slot> oldSlots = std::move(slots_);
-  const HistoryPool old = std::exchange(pool_, HistoryPool{});
   const std::size_t before =
       perKind_[0].associations + perKind_[1].associations;
-  slots_.assign(oldSlots.size(), Slot{});
-  occupied_ = 0;
-  for (KindCounts& c : perKind_) c.distinct = c.associations = 0;
-
-  std::vector<Association> history;  // one head's survivors
-  for (const Slot& s : oldSlots) {
-    Slot kept{s.hash, {}};
-    for (std::size_t k = 0; k < kept.heads.size(); ++k) {
-      const Head& h = s.heads[k];
-      history.clear();
-      if (!h.used()) continue;
-      forEachIn(old, h, [&](const Association& a) {
-        if (!isDead(a.segment)) history.push_back(a);
-      });
-      if (history.empty()) continue;
-      assign(kept.heads[k], history);
-      ++perKind_[k].distinct;
-      perKind_[k].associations += history.size();
+  if (!slots_.empty()) {
+    // The survivors are re-placed in the table they are in and their
+    // histories packed into a fresh pool (the old one is freed on return);
+    // the table then shrinks to the size that inserting them one by one
+    // would grow it to, which is usually the size it has.
+    const util::Stopwatch watch;
+    const HistoryPool old = std::exchange(pool_, HistoryPool{});
+    for (KindCounts& c : perKind_) c.distinct = c.associations = 0;
+    std::vector<Association> history;  // one head's survivors
+    replaceClusters(slots_.size(), [&](Slot& s) {
+      for (std::size_t k = 0; k < s.heads.size(); ++k) {
+        Head& h = s.heads[k];
+        if (!h.used()) continue;
+        history.clear();
+        forEachIn(old, h, [&](const Association& a) {
+          if (!isDead(a.segment)) history.push_back(a);
+        });
+        h = Head{};
+        if (history.empty()) continue;
+        assign(h, history);
+        ++perKind_[k].distinct;
+        perKind_[k].associations += history.size();
+      }
+      return s.used();
+    });
+    std::size_t capacity = kInitialSlots;
+    while (occupied_ * 10 >= capacity * 7) capacity *= 2;
+    if (occupied_ == 0) {
+      std::free(std::exchange(slots_, {}).data());
+      mask_ = 0;
+    } else if (capacity != slots_.size()) {
+      rebuild(capacity);
     }
-    if (!kept.used()) continue;
-    slots_[probe(s.hash)] = kept;
-    ++occupied_;
-  }
-  oldSlots = std::vector<Slot>();  // freed before a shrinking rehash
-  std::size_t capacity = kInitialSlots;
-  while (occupied_ * 10 >= capacity * 7) capacity *= 2;
-  if (occupied_ == 0) {
-    slots_ = std::vector<Slot>();
-    mask_ = 0;
-  } else if (capacity != slots_.size()) {
-    rehash(capacity);
+    if (compactMs_ != nullptr) compactMs_->observe(watch.elapsedMillis());
   }
   dead_.clear();
   deadBits_.fill(0);

@@ -39,8 +39,17 @@
 // new to both kinds, so growth lands on the same insert as in the
 // per-hash loop, a call that adds no hash leaves the table as it was, and
 // the batch leaves the table bit-for-bit as the per-hash loop would.
-// Growth moves every slot: the hashes whose probe already ran start over
-// from their home slots.
+// Growth re-places every slot: the hashes whose probe already ran start
+// over from their home slots.
+//
+// The table is one malloc'd block (an all-zero slot is empty) and never
+// holds two copies of itself: growth reallocs it to twice its size and
+// compaction keeps it; both then re-place the old slots one cluster (a
+// maximal run of used slots) at a time, copying it out, clearing it and
+// probing back what survives. What survives of a cluster fits in its own
+// span, or after a doubling in the span and its image n slots up, so a
+// re-placement never meets a cluster still waiting (DESIGN.md §10 has the
+// argument).
 //
 // A segment appears at most once per history, so an insert into a spilled
 // head first scans its run newest-first for the segment. Common n-grams
@@ -63,6 +72,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -71,10 +81,19 @@
 #include "text/fingerprint.h"
 #include "util/clock.h"
 
+namespace bf::obs {
+class Histogram;
+}  // namespace bf::obs
+
 namespace bf::flow {
 
 class HashDb {
  public:
+  HashDb() = default;
+  ~HashDb();
+  HashDb(const HashDb&) = delete;
+  HashDb& operator=(const HashDb&) = delete;
+
   /// One observation: `segment` was first seen containing a hash at
   /// `firstSeen`. Provenance ordering keys on it, and it never changes
   /// retroactively.
@@ -136,6 +155,15 @@ class HashDb {
   /// Dead segments not yet physically purged.
   [[nodiscard]] std::size_t deadSegmentCount() const noexcept {
     return dead_.size();
+  }
+
+  /// Where every doubling of the slot table and every compactDead() that
+  /// had slots to walk report their wall time in milliseconds. Either may
+  /// be null (the default: nothing is reported).
+  void setStepHistograms(obs::Histogram* growMs,
+                         obs::Histogram* compactMs) noexcept {
+    growMs_ = growMs;
+    compactMs_ = compactMs;
   }
 
   /// Overrides the dead-segment compaction threshold (0 compacts on every
@@ -227,7 +255,9 @@ class HashDb {
 
   /// One open-addressing slot: a hash and its head per SegmentKind, used
   /// while either head is. Its size is the read path's cache footprint
-  /// and most of the tracker's memory; only full rebuilds vacate slots.
+  /// and most of the tracker's memory; only growth and compaction vacate
+  /// slots. All zero is empty (kInvalidSegment is 0), so the table is a
+  /// plain block that realloc can move.
   struct Slot {
     text::Hash hash = 0;
     std::array<Head, 2> heads{};
@@ -237,6 +267,7 @@ class HashDb {
     }
   };
   static_assert(sizeof(Slot) == 20, "one hash and two 8-byte heads");
+  static_assert(std::is_trivially_copyable_v<Slot> && kInvalidSegment == 0);
 
   /// One association in the history pool. A segment id below kEscaped and
   /// a firstSeen below 2^32 are stored inline; otherwise `segment` is
@@ -272,8 +303,9 @@ class HashDb {
   /// contiguous. A run that outgrows its capacity moves to twice the space
   /// and frees the old one onto the free list of its capacity class; the
   /// list's link is stored in the freed space's first entry. Blocks are
-  /// small and fixed so that they fill the holes freed slot tables leave
-  /// in the heap, which ever-larger blocks could not reuse.
+  /// small and fixed so that later pools reuse the heap space a
+  /// compaction frees with the old pool, which ever-larger blocks could
+  /// not.
   struct HistoryPool {
     static constexpr unsigned kBlockShift = 16;  // 512 KiB of 8-byte entries
     static constexpr std::uint32_t kBlockEntries = 1u << kBlockShift;
@@ -361,7 +393,8 @@ class HashDb {
   /// Index of `hash`'s home slot (where its probe starts).
   [[nodiscard]] std::size_t homeSlot(text::Hash hash) const noexcept;
 
-  /// Prefetches `hash`'s home slot. No-op on an empty table.
+  /// Prefetches `hash`'s home slot (a null address on an empty table,
+  /// which a prefetch ignores).
   void prefetchSlot(text::Hash hash) const noexcept;
 
   /// The oldest live association of a present head, or nullopt.
@@ -393,7 +426,7 @@ class HashDb {
 
   /// recordObservation on a non-empty table, probing from slot `from`
   /// (the home slot, or a slot the probe reaches later). Returns true when
-  /// it grew the table, which moves every slot.
+  /// it grew the table, which re-places every slot.
   bool recordFrom(SegmentKind kind, text::Hash hash, const Association& assoc,
                   std::size_t from);
 
@@ -406,11 +439,23 @@ class HashDb {
   [[nodiscard]] std::size_t probeFrom(text::Hash hash,
                                       std::size_t idx) const noexcept;
 
-  /// Moves every slot into a new table of `capacity` (a power of two).
-  void rehash(std::size_t capacity);
+  /// Moves every slot into a new zeroed block of `capacity` (a power of
+  /// two) slots and frees the old one: the first allocation, and the
+  /// shrink after a compaction.
+  void rebuild(std::size_t capacity);
 
-  std::vector<Slot> slots_;  // power-of-two size; empty until first insert
-  std::size_t mask_ = 0;     // slots_.size() - 1
+  /// Doubles the table in place.
+  void grow();
+
+  /// Re-places the used slots among the first `oldSize` (the table before
+  /// a grow, or all of it) under mask_, one cluster at a time, as the
+  /// header describes. keep(slot) may rewrite the slot and returns whether
+  /// it is still used; a dropped slot is left empty. Recounts occupied_.
+  template <typename Keep>
+  void replaceClusters(std::size_t oldSize, Keep keep);
+
+  std::span<Slot> slots_;  // malloc'd; power of two, empty until 1st insert
+  std::size_t mask_ = 0;   // slots_.size() - 1
   std::size_t occupied_ = 0;  // used slots
   std::array<KindCounts, 2> perKind_{};  // indexed by SegmentKind
   HistoryPool pool_;  // histories of spilled heads
@@ -419,6 +464,8 @@ class HashDb {
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
   SegmentId maxRecorded_ = kInvalidSegment;  // largest id any insert recorded
   util::Timestamp scanFloor_ = 0;  // run scans of this record call stop below
+  obs::Histogram* growMs_ = nullptr;
+  obs::Histogram* compactMs_ = nullptr;
 };
 
 }  // namespace bf::flow

@@ -69,7 +69,10 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
   util::putU64(out, segments.size());
   for (const SegmentRecord* rec : segments) putSegmentRecord(out, *rec);
 
-  // Associations per granularity, sorted for determinism.
+  // Associations per granularity, by hash and then by position in the
+  // hash's history, which is firstSeen order with equal stamps in arrival
+  // order: import re-inserts in that order, so the oldest owner among
+  // equal stamps survives a round trip, whatever the slot layout.
   for (SegmentKind kind :
        {SegmentKind::kParagraph, SegmentKind::kDocument}) {
     struct Assoc {
@@ -82,10 +85,9 @@ void appendStateBody(const FlowTracker& tracker, std::string& out) {
         kind, [&](text::Hash hash, SegmentId segment, util::Timestamp ts) {
           assocs.push_back({hash, segment, ts});
         });
-    std::sort(assocs.begin(), assocs.end(), [](const Assoc& a, const Assoc& b) {
-      if (a.hash != b.hash) return a.hash < b.hash;
-      return a.ts < b.ts;
-    });
+    std::stable_sort(
+        assocs.begin(), assocs.end(),
+        [](const Assoc& a, const Assoc& b) { return a.hash < b.hash; });
     util::putU64(out, assocs.size());
     for (const auto& a : assocs) {
       util::putU32(out, a.hash);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "flow/hash_db.h"
+#include "util/hashing.h"
 #include "util/rng.h"
 
 namespace bf::flow {
@@ -881,6 +882,156 @@ TEST(HashDbModel, FreshIdSessionsMatchReferenceModel) {
     EXPECT_GT(longestHistory, 100u);
     EXPECT_GT(midBatchGrowths, 0u);
   }
+}
+
+// ---- Growth and compaction re-place slots in place -------------------------
+
+/// `count` hashes, from `from` upward, whose home slot in a table of mask
+/// `mask` is `slot`.
+std::vector<text::Hash> hashesHomedAt(std::size_t mask, std::size_t slot,
+                                      std::size_t count, text::Hash from) {
+  std::vector<text::Hash> out;
+  for (text::Hash h = from; out.size() < count; ++h) {
+    if ((util::mix64(h) & mask) == slot) out.push_back(h);
+  }
+  return out;
+}
+
+TEST(HashDbModel, CompactDeadOnAStoreWithoutSlots) {
+  // Dead ids and no slot table, before the first record and after a
+  // compaction dropped every hash: compaction has nothing to walk, clears
+  // the dead set and leaves the store usable.
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{1000}}) {
+    SCOPED_TRACE(threshold);
+    HashDb db;
+    db.setDeadCompactionThreshold(threshold);
+    ReferenceHashDb model(threshold);
+    db.removeSegment(kPar, 3);
+    model.remove(kPar, 3);
+    ASSERT_EQ(db.compactDead(), model.compact());
+    expectMatchesModel(db, model, {1, 2}, {3, 4});
+    db.recordObservation(kPar, 1, 4, 10);
+    model.record(kPar, 1, 4, 10);
+    db.removeSegment(kPar, 4);
+    model.remove(kPar, 4);
+    ASSERT_EQ(db.compactDead(), model.compact());
+    EXPECT_EQ(db.memoryBytes(), 0u);  // every hash dropped: no table
+    db.removeSegment(kDoc, 5);
+    model.remove(kDoc, 5);
+    ASSERT_EQ(db.compactDead(), model.compact());
+    db.recordObservation(kDoc, 2, 6, 11);
+    model.record(kDoc, 2, 6, 11);
+    expectMatchesModel(db, model, {1, 2}, {3, 4, 5, 6});
+  }
+}
+
+TEST(HashDbModel, ClusterThatWrapsSurvivesDoublingAndCompaction) {
+  // A cluster from the last slot of a 16-slot table through slot 0 is
+  // re-placed by a doubling into a cluster that wraps the 32-slot table
+  // the same way (two hashes homed at slot 31), then compacted in place
+  // with its first slot dropped, so a survivor homed at 31 takes it and
+  // one homed at 0 moves back to slot 0. Heads of both kinds, compact and
+  // spilled, ride along.
+  const std::vector<text::Hash> last = hashesHomedAt(31, 31, 2, 1);
+  const std::vector<text::Hash> mid = hashesHomedAt(31, 15, 2, 1);
+  const text::Hash zero = hashesHomedAt(31, 0, 1, 1).front();
+  const text::Hash sixteen = hashesHomedAt(31, 16, 1, 1).front();
+  std::vector<text::Hash> fillers;  // a cluster of their own, slots 6..10
+  for (std::size_t slot = 6; slot <= 10; ++slot) {
+    fillers.push_back(hashesHomedAt(31, slot, 1, 1).front());
+  }
+  HashDb db;
+  db.setDeadCompactionThreshold(1000);
+  ReferenceHashDb model(1000);
+  util::Timestamp clock = 10;
+  const auto record = [&](SegmentKind kind, text::Hash h, SegmentId s) {
+    db.recordObservation(kind, h, s, ++clock);
+    model.record(kind, h, s, clock);
+  };
+  // Segment 3 alone holds last[0]; 1 and 5 share the rest (spilled heads);
+  // document 2 holds the wrapping hashes too.
+  record(kPar, last[0], 3);
+  for (text::Hash h : {last[1], mid[0], mid[1], zero, sixteen}) {
+    record(kPar, h, 1);
+    record(kDoc, h, 2);
+  }
+  for (text::Hash h : {last[1], zero}) record(kPar, h, 5);
+  for (text::Hash h : fillers) record(kPar, h, 1);
+  std::vector<text::Hash> probes = {last[0], last[1], mid[0],  mid[1],
+                                    zero,    sixteen, 999999};
+  probes.insert(probes.end(), fillers.begin(), fillers.end());
+  const std::vector<SegmentId> segments = {1, 2, 3, 5};
+  expectMatchesModel(db, model, probes, segments);
+
+  const std::vector<text::Hash> grower = hashesHomedAt(31, 20, 6, 1);
+  const std::size_t sixteenSlots = db.memoryBytes();
+  record(kPar, grower[0], 1);  // the 12th hash doubles the table
+  ASSERT_EQ(db.memoryBytes() - sixteenSlots, 16 * 20u);
+  expectMatchesModel(db, model, probes, segments);
+  for (std::size_t i = 1; i < grower.size(); ++i) record(kPar, grower[i], 1);
+  probes.insert(probes.end(), grower.begin(), grower.end());
+  const std::size_t grown = db.memoryBytes();
+
+  db.removeSegment(kPar, 3);
+  model.remove(kPar, 3);
+  ASSERT_EQ(db.compactDead(), model.compact());
+  expectMatchesModel(db, model, probes, segments);
+  EXPECT_EQ(db.memoryBytes(), grown)  // 16 hashes keep 32 slots
+      << "the compaction must walk the table in place";
+  record(kPar, last[0], 6);  // the dropped hash returns
+  expectMatchesModel(db, model, probes, {1, 2, 3, 5, 6});
+}
+
+TEST(HashDbModel, EveryDoublingUpTo65536SlotsKeepsEveryHash) {
+  // Right after each doubling from 16 to 65,536 slots, every hash recorded
+  // so far answers segmentsWith and firstSeen for both kinds as the model
+  // does. A third of the hashes have a second paragraph owner (a spilled
+  // head) and half have a document head.
+  HashDb db;
+  ReferenceHashDb model(HashDb::kDefaultDeadCompactionThreshold);
+  // The k-th new hash grows a table of s slots when k reaches 70% of s.
+  std::set<std::size_t> growthAt;
+  for (std::size_t slots = 16; slots <= 32768; slots *= 2) {
+    growthAt.insert((slots * 7 + 9) / 10);
+  }
+  util::Rng rng(37);
+  std::set<text::Hash> seen;
+  std::vector<text::Hash> hashes;
+  const std::vector<SegmentId> segments = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::size_t checks = 0;
+  while (hashes.size() < *growthAt.rbegin()) {
+    const auto h = static_cast<text::Hash>(rng.next());
+    if (!seen.insert(h).second) continue;
+    hashes.push_back(h);
+    const util::Timestamp ts = hashes.size();
+    const SegmentId owner = 1 + 2 * (h % 3);  // paragraphs are odd
+    db.recordObservation(kPar, h, owner, ts);
+    model.record(kPar, h, owner, ts);
+    if (h % 3 == 0) {
+      db.recordObservation(kPar, h, 7, ts + 1);
+      model.record(kPar, h, 7, ts + 1);
+    }
+    if (h % 2 == 0) {
+      const SegmentId doc = 2 + 2 * (h % 4 / 2);
+      db.recordObservation(kDoc, h, doc, ts);
+      model.record(kDoc, h, doc, ts);
+    }
+    if (growthAt.count(hashes.size()) == 0) continue;
+    ++checks;
+    for (const SegmentKind kind : kKinds) {
+      for (text::Hash probe : hashes) {
+        ASSERT_EQ(db.segmentsWith(kind, probe), model.segmentsWith(kind, probe))
+            << hashes.size() << " " << probe;
+        for (SegmentId s : model.segmentsWith(kind, probe)) {
+          ASSERT_EQ(db.firstSeen(kind, probe, s),
+                    model.find(kind, probe, s)->firstSeen);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checks, 12u);
+  EXPECT_GE(db.memoryBytes(), std::size_t{65536} * 20);
+  EXPECT_EQ(db.distinctHashCount(kPar), hashes.size());
 }
 
 // ---- Batch entry points against the per-hash loops ------------------------

@@ -115,6 +115,56 @@ TEST_F(SnapshotTest, AuthorityOrderSurvivesRoundTrip) {
   EXPECT_EQ(hits[0].sourceName, "old#p0");
 }
 
+TEST_F(SnapshotTest, EqualStampsKeepTheirOwnerOrderAcrossARoundTrip) {
+  // Owners first seen at the same stamp (a wall clock or a restore gives
+  // them; the logical clock does not) stay in arrival order in a history,
+  // so the first to arrive is the oldest owner. Export must write them in
+  // that order, which import re-creates: 40 owners of one stamp per hash
+  // are more than introsort leaves to its stable insertion pass.
+  constexpr SegmentKind kPar = SegmentKind::kParagraph;
+  constexpr SegmentKind kDoc = SegmentKind::kDocument;
+  constexpr SegmentId kOwners = 40;
+  for (SegmentId id = 1; id <= 2 * kOwners; ++id) {
+    SegmentRecord rec;
+    rec.id = id;
+    rec.kind = id <= kOwners ? kPar : kDoc;
+    rec.name = std::to_string(id);
+    rec.document = rec.name;
+    rec.service = "svc";
+    tracker_.restoreSegment(rec);
+  }
+  const std::vector<text::Hash> hashes = {7, 0x10000, 0xfffffff0};
+  for (std::size_t k = 0; k < hashes.size(); ++k) {
+    // Arrival order is a different shuffle of the ids for every hash.
+    std::vector<SegmentId> order;
+    for (SegmentId i = 0; i < kOwners; ++i) {
+      order.push_back(1 + (i * (7 + 2 * k) + 3 * k) % kOwners);
+    }
+    for (SegmentId id : order) {
+      tracker_.restoreAssociation(kPar, hashes[k], id, 500);
+      tracker_.restoreAssociation(kDoc, hashes[k], id + kOwners, 500);
+    }
+    ASSERT_EQ(tracker_.hashDb().oldestSegmentWith(kPar, hashes[k]),
+              order.front());
+  }
+
+  const std::string blob = exportState(tracker_);
+  util::LogicalClock clock2;
+  FlowTracker restored(TrackerConfig{}, &clock2);
+  ASSERT_TRUE(importState(restored, blob).ok());
+  EXPECT_EQ(exportState(restored), blob);
+  for (const SegmentKind kind : {kPar, kDoc}) {
+    for (text::Hash h : hashes) {
+      EXPECT_EQ(restored.hashDb().oldestSegmentWith(kind, h),
+                tracker_.hashDb().oldestSegmentWith(kind, h))
+          << h;
+      EXPECT_EQ(restored.hashDb().segmentsWith(kind, h),
+                tracker_.hashDb().segmentsWith(kind, h))
+          << h;
+    }
+  }
+}
+
 TEST_F(SnapshotTest, NewObservationsAfterImportSortAfterRestored) {
   const std::string shared = gen_.paragraph(8, 8);
   tracker_.observeSegment(SegmentKind::kParagraph, "old#p0", "old", "svc",
@@ -607,12 +657,21 @@ TEST_F(SnapshotTest, ExportBytesArePinned) {
   ASSERT_GT(tracker_.segmentByName("d#p0")->id, kWide);
   ASSERT_EQ(tracker_.hashDb().segmentsWith(kPar, hashes[2]).front(), kWide);
   ASSERT_GE(tracker_.hashDb().segmentsWith(kPar, hashes[2]).size(), 3u);
-  // Pinned at BFSNAPP4. The bytes are the v3 export of the 16-byte-entry
-  // HashDb for this state, with the tenant slots and lastSeen stamps
-  // dropped and the hashes narrowed: 8-byte entries must not change them.
+  // Pinned at BFSNAPP4. The rows of a hash follow its history, so r#p0's
+  // restores stamped 101 come after a#p0's observation at 101 (an order
+  // by stamp alone left them in either order).
   const std::string blob = exportState(tracker_);
   EXPECT_EQ(blob.size(), 2224u);
-  EXPECT_EQ(util::crc32c(blob), 0x74c1a181U);
+  EXPECT_EQ(util::crc32c(blob), 0x831ddb67U);
+  // Import re-creates every history, ties included.
+  util::LogicalClock clock2;
+  FlowTracker restored(TrackerConfig{}, &clock2);
+  ASSERT_TRUE(importState(restored, blob).ok());
+  EXPECT_EQ(exportState(restored), blob);
+  for (text::Hash h : hashes) {
+    EXPECT_EQ(restored.hashDb().segmentsWith(kPar, h),
+              tracker_.hashDb().segmentsWith(kPar, h));
+  }
 }
 
 TEST_F(SnapshotTest, EncryptedSaveBytesArePinned) {

@@ -482,6 +482,35 @@ TEST_F(TrackerTest, QueriesRecordTheirLockWait) {
   EXPECT_EQ(lockWaits(), before + 2);
 }
 
+TEST_F(TrackerTest, DbhashStepsObserveTheirHistograms) {
+  // A DBhash doubling and a dead-segment compaction each stall the caller
+  // under the tracker lock; each observes its histogram once.
+  const auto steps = [](const char* name) {
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const obs::MetricValue* m = snap.find(name);
+    return m == nullptr ? std::uint64_t{0} : m->histogram.count;
+  };
+  const std::uint64_t grows = steps("bf_tracker_dbhash_grow_ms");
+  const std::uint64_t compactions = steps("bf_tracker_dbhash_compact_ms");
+  // 11 hashes stay below 70% of the first table's 16 slots; the 12th
+  // doubles it.
+  observeHashes(tracker_, 1, "s1", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1);
+  EXPECT_EQ(steps("bf_tracker_dbhash_grow_ms"), grows);
+  observeHashes(tracker_, 2, "s2", {12}, 2);
+  EXPECT_EQ(steps("bf_tracker_dbhash_grow_ms"), grows + 1);
+  // The default threshold tolerates 64 dead segments; the 65th removal
+  // compacts.
+  for (SegmentId id = 3; id < 3 + 65; ++id) {
+    observeHashes(tracker_, id, std::to_string(id), {2}, id);
+  }
+  const std::uint64_t grown = steps("bf_tracker_dbhash_grow_ms");
+  for (SegmentId id = 3; id < 3 + 64; ++id) tracker_.removeSegment(id);
+  EXPECT_EQ(steps("bf_tracker_dbhash_compact_ms"), compactions);
+  tracker_.removeSegment(3 + 64);
+  EXPECT_EQ(steps("bf_tracker_dbhash_compact_ms"), compactions + 1);
+  EXPECT_EQ(steps("bf_tracker_dbhash_grow_ms"), grown);
+}
+
 TEST(TrackerBoundTest, SourceWithExactlyTheNeededClaimsIsAHit) {
   // A query skips a source whose claim count cannot meet its threshold.
   // Each case's source needs exactly `need` of its `size` hashes in the
