@@ -15,6 +15,28 @@ namespace bf::flow {
 
 namespace {
 constexpr std::size_t kInitialSlots = 16;  // power of two
+
+struct StepMetrics {
+  obs::Histogram* growMs;
+  obs::Histogram* compactMs;
+};
+
+const StepMetrics& stepMetrics() {
+  static const StepMetrics m = [] {
+    obs::MetricsRegistry& r = obs::registry();
+    StepMetrics out;
+    out.growMs = &r.histogram(
+        "bf_tracker_dbhash_grow_ms",
+        "Wall time of each DBhash slot-table doubling (inside the insert "
+        "that crossed 70% load, under the tracker lock)");
+    out.compactMs = &r.histogram(
+        "bf_tracker_dbhash_compact_ms",
+        "Wall time of each DBhash dead-segment compaction (inside the "
+        "removal that crossed the threshold, under the tracker lock)");
+    return out;
+  }();
+  return m;
+}
 }  // namespace
 
 std::size_t HashDb::homeSlot(text::Hash hash) const noexcept {
@@ -97,7 +119,7 @@ void HashDb::grow() {
   slots_ = {block, 2 * n};
   mask_ = 2 * n - 1;
   replaceClusters(n, [](const Slot&) { return true; });
-  if (growMs_ != nullptr) growMs_->observe(watch.elapsedMillis());
+  stepMetrics().growMs->observe(watch.elapsedMillis());
 }
 
 HashDb::Entry HashDb::HistoryPool::encode(const Association& a) {
@@ -461,7 +483,7 @@ std::size_t HashDb::compactDead() {
     } else if (capacity != slots_.size()) {
       rebuild(capacity);
     }
-    if (compactMs_ != nullptr) compactMs_->observe(watch.elapsedMillis());
+    stepMetrics().compactMs->observe(watch.elapsedMillis());
   }
   dead_.clear();
   deadBits_.fill(0);

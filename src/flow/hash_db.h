@@ -81,10 +81,6 @@
 #include "text/fingerprint.h"
 #include "util/clock.h"
 
-namespace bf::obs {
-class Histogram;
-}  // namespace bf::obs
-
 namespace bf::flow {
 
 class HashDb {
@@ -155,15 +151,6 @@ class HashDb {
   /// Dead segments not yet physically purged.
   [[nodiscard]] std::size_t deadSegmentCount() const noexcept {
     return dead_.size();
-  }
-
-  /// Where every doubling of the slot table and every compactDead() that
-  /// had slots to walk report their wall time in milliseconds. Either may
-  /// be null (the default: nothing is reported).
-  void setStepHistograms(obs::Histogram* growMs,
-                         obs::Histogram* compactMs) noexcept {
-    growMs_ = growMs;
-    compactMs_ = compactMs;
   }
 
   /// Overrides the dead-segment compaction threshold (0 compacts on every
@@ -464,8 +451,6 @@ class HashDb {
   std::size_t deadCompactionThreshold_ = kDefaultDeadCompactionThreshold;
   SegmentId maxRecorded_ = kInvalidSegment;  // largest id any insert recorded
   util::Timestamp scanFloor_ = 0;  // run scans of this record call stop below
-  obs::Histogram* growMs_ = nullptr;
-  obs::Histogram* compactMs_ = nullptr;
 };
 
 }  // namespace bf::flow

@@ -27,8 +27,6 @@ struct TrackerMetrics {
   obs::Gauge* dbhashDocumentHashes;
   obs::Gauge* dbhashBytes;
   obs::Gauge* dbparSegments;
-  obs::Histogram* dbhashGrowMs;
-  obs::Histogram* dbhashCompactMs;
 };
 
 const TrackerMetrics& trackerMetrics() {
@@ -59,14 +57,6 @@ const TrackerMetrics& trackerMetrics() {
                  "run headers, history pool, escapes)");
     out.dbparSegments =
         &r.gauge("bf_tracker_dbpar_segments", "Live segments in DBpar");
-    out.dbhashGrowMs = &r.histogram(
-        "bf_tracker_dbhash_grow_ms",
-        "Wall time of each DBhash slot-table doubling (inside the insert "
-        "that crossed 70% load, under the tracker lock)");
-    out.dbhashCompactMs = &r.histogram(
-        "bf_tracker_dbhash_compact_ms",
-        "Wall time of each DBhash dead-segment compaction (inside the "
-        "removal that crossed the threshold, under the tracker lock)");
     return out;
   }();
   return m;
@@ -75,11 +65,7 @@ const TrackerMetrics& trackerMetrics() {
 }  // namespace
 
 FlowTracker::FlowTracker(TrackerConfig config, util::Clock* clock)
-    : config_(config), clock_(clock) {
-  const TrackerMetrics& m = trackerMetrics();
-  util::MutexLock lock(mutex_);
-  stores_.hashes.setStepHistograms(m.dbhashGrowMs, m.dbhashCompactMs);
-}
+    : config_(config), clock_(clock) {}
 
 void FlowTracker::refreshStoreGauges() const noexcept {
   const TrackerMetrics& m = trackerMetrics();
