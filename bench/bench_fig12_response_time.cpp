@@ -14,7 +14,7 @@
 // heavy workflows (W1/W3) sit above the no-overlap workflow (W2).
 
 // Latencies come from the bf_decision_latency_ms histogram in the obs
-// registry (per-workflow snapshots via DecisionEngine::latencyData), so the
+// registry (what each workflow added, by a snapshot diff around it), so the
 // CDF points are histogram quantile estimates rather than raw samples.
 
 #include <string>
@@ -101,7 +101,7 @@ int main() {
   const std::size_t pageParagraphs = 3;
 
   // W1: creation with overlap — type a page from book 0.
-  engine.resetLatencyStats();
+  obs::MetricsSnapshot before = obs::registry().snapshot();
   {
     const std::string page = pageOf(ebooks.books[0], 10, pageParagraphs);
     std::size_t p = 0;
@@ -109,10 +109,11 @@ int main() {
       typeText(engine, "w1doc#p" + std::to_string(p++), "w1doc", para.text);
     }
   }
-  const auto w1 = engine.latencyData();
+  const obs::HistogramData w1 =
+      bench::histogramSince(before, "bf_decision_latency_ms");
 
   // W2: creation without overlap — type fresh text of the same length.
-  engine.resetLatencyStats();
+  before = obs::registry().snapshot();
   {
     util::Rng rng(4242);
     corpus::TextGenerator gen(&rng);
@@ -121,11 +122,12 @@ int main() {
                gen.paragraph(5, 7));
     }
   }
-  const auto w2 = engine.latencyData();
+  const obs::HistogramData w2 =
+      bench::histogramSince(before, "bf_decision_latency_ms");
 
   // W3: modification — a previously-modified page is edited back to match
   // the original (growing-prefix morph, one keystroke per step).
-  engine.resetLatencyStats();
+  before = obs::registry().snapshot();
   {
     util::Rng rng(77);
     corpus::TextGenerator gen(&rng);
@@ -154,7 +156,8 @@ int main() {
       engine.decide(req);
     }
   }
-  const auto w3 = engine.latencyData();
+  const obs::HistogramData w3 =
+      bench::histogramSince(before, "bf_decision_latency_ms");
 
   printCdf("W1 Creation-with-overlap", w1);
   printCdf("W2 Creation-without-overlap", w2);

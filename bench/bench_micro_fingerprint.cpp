@@ -12,6 +12,7 @@
 #include "corpus/text_generator.h"
 #include "flow/snapshot.h"
 #include "flow/tracker.h"
+#include "obs/metrics.h"
 #include "text/aho_corasick.h"
 #include "text/fingerprint_kernel.h"
 #include "text/normalizer.h"
@@ -317,13 +318,15 @@ void BM_CandidateScoring(benchmark::State& state) {
   while (target.size() < 3400) target += gen.paragraph() + " ";
   const text::Fingerprint fp = tracker.fingerprintOf(target);
 
-  const std::uint64_t before = tracker.stats().candidatesInspected;
+  const obs::Counter& candidates =
+      obs::registry().counter("bf_tracker_candidates_inspected_total");
+  const std::uint64_t before = candidates.value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(tracker.disclosedSources(
         fp, flow::SegmentKind::kParagraph, flow::kInvalidSegment, "probe"));
   }
   state.counters["candidates"] = benchmark::Counter(
-      static_cast<double>(tracker.stats().candidatesInspected - before),
+      static_cast<double>(candidates.value() - before),
       benchmark::Counter::kAvgIterations);
   state.counters["target_hashes"] = static_cast<double>(fp.size());
 }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/export.h"
@@ -50,6 +51,16 @@ inline void printSeries(const char* name,
 /// `json` must be a complete JSON object (the caller formats it).
 inline void result(const std::string& json) {
   std::printf("RESULT %s\n", json.c_str());
+}
+
+/// What histogram `name` recorded since `before`, a registry snapshot taken
+/// when the phase began (empty if the histogram does not exist). Counts,
+/// buckets and sum are the phase's own; min and max are process-wide.
+inline obs::HistogramData histogramSince(const obs::MetricsSnapshot& before,
+                                         std::string_view name) {
+  const obs::MetricsSnapshot delta = obs::registry().snapshot().diff(before);
+  const obs::MetricValue* metric = delta.find(name);
+  return metric != nullptr ? metric->histogram : obs::HistogramData{};
 }
 
 /// When BF_METRICS is set, prints the whole obs registry after the figure:

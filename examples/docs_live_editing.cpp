@@ -12,6 +12,7 @@
 #include "cloud/network.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -75,13 +76,15 @@ int main() {
 
   std::printf("\n4) per-keystroke editing stays fast via the decision "
               "cache:\n");
-  plugin.tracker().resetStats();
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
   docs.typeText(0, " Attendees: sales, legal, product.");
-  const auto& stats = plugin.tracker().stats();
+  const obs::MetricsSnapshot typed = obs::registry().snapshot().diff(before);
+  const std::uint64_t cacheHits =
+      typed.counterValue("bf_tracker_cache_hits_total");
   std::printf("   keystroke decisions: %llu, served from cache: %llu\n",
-              static_cast<unsigned long long>(stats.queries +
-                                              stats.cacheHits),
-              static_cast<unsigned long long>(stats.cacheHits));
+              static_cast<unsigned long long>(
+                  typed.counterValue("bf_tracker_queries_total") + cacheHits),
+              static_cast<unsigned long long>(cacheHits));
 
   std::printf("\nfinal document as the cloud service stored it:\n");
   for (const auto& p : backend.paragraphsOf("notes")) {

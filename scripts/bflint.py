@@ -38,6 +38,11 @@ cannot enforce:
                       writes / fsync failures. A direct stream or syscall
                       would bypass both the seam and the framing that makes
                       crash recovery trustworthy.
+  console-output      printf / fprintf / puts, std::cout / std::cerr and
+                      <iostream> in src/. Library code reports through the
+                      obs registry, the audit log or the flight recorder;
+                      the one exception is util/mutex.cpp's lock-rank
+                      abort message, printed just before the process dies.
   missing-pragma-once Headers must use `#pragma once`.
   include-hygiene     No `#include "../..."` / `#include "./..."` path
                       escapes, no <bits/...> internals, and every quoted
@@ -150,6 +155,15 @@ SIMD_INTRINSICS_PATTERNS = [
      "the scalar fallback stay enforceable"),
 ]
 
+CONSOLE_OUTPUT_ALLOWED = ("src/util/mutex.cpp",)
+
+CONSOLE_OUTPUT_PATTERNS = [
+    (re.compile(r"\b(printf|fprintf|puts)\s*\(|\bstd::(cout|cerr)\b|"
+                r"#\s*include\s*<iostream>"),
+     "console output in library code; report through the obs registry, "
+     "the audit log or the flight recorder"),
+]
+
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+(["<])([^">]+)[">]')
 
 _STRIP_RE = re.compile(
@@ -217,6 +231,10 @@ def lint_file(path: str, fixture_mode: bool = False) -> list[Finding]:
          not fixture_mode and (not rel.startswith(STATE_FILE_IO_DIRS) or
                                rel in STATE_FILE_IO_ALLOWED))
 
+    scan(CONSOLE_OUTPUT_PATTERNS, "console-output",
+         not fixture_mode and (not rel.startswith("src/") or
+                               rel in CONSOLE_OUTPUT_ALLOWED))
+
     if path.endswith((".h", ".hpp")) and not re.search(
             r"^\s*#\s*pragma\s+once\b", code, re.MULTILINE):
         findings.append(Finding(rel, 1, "missing-pragma-once",
@@ -268,8 +286,8 @@ def collect_sources(roots: list[str]) -> list[str]:
 # by no passing fixture: a rule nothing exercises could be dead and nobody
 # would notice.
 RULES = ("raw-mutex", "wall-clock", "raw-timing", "deque-scratch",
-         "simd-intrinsics", "state-file-io", "missing-pragma-once",
-         "include-hygiene")
+         "simd-intrinsics", "state-file-io", "console-output",
+         "missing-pragma-once", "include-hygiene")
 
 EXPECT_RE = re.compile(r"//\s*bflint-expect:\s*([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)")
 
@@ -278,7 +296,11 @@ def selftest() -> int:
     """Every tests/lint fixture must trigger exactly its declared rules, and
     every rule in RULES must be hit by some fixture."""
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint")
-    fixtures = collect_sources([fixture_dir])
+    # tests/lint/taint holds bftaint's fixtures: lexical inputs that carry
+    # log/stream sinks on purpose and are never compiled.
+    taint_dir = os.path.join(fixture_dir, "taint") + os.sep
+    fixtures = [p for p in collect_sources([fixture_dir])
+                if not p.startswith(taint_dir)]
     if not fixtures:
         print(f"bflint: no fixtures under {fixture_dir}", file=sys.stderr)
         return 1

@@ -76,7 +76,6 @@ bool DlpAppliance::inspectText(sec::SensitiveView text) const {
 }
 
 browser::HttpResponse DlpAppliance::handle(const browser::HttpRequest& req) {
-  ++inspected_;
   inspectedCounter().inc();
   if (!config_.trafficEncrypted) {
     // An appliance inspection is an ingress of its own: the request came
@@ -94,10 +93,7 @@ browser::HttpResponse DlpAppliance::handle(const browser::HttpRequest& req) {
       decoded += '\n';
     }
     const bool hit = inspectText(decoded) || inspectText(req.body);
-    if (hit) {
-      ++flagged_;
-      flaggedCounter().inc();
-    }
+    if (hit) flaggedCounter().inc();
     // bf_cloud does not link the engine, so the appliance reports to the
     // flight recorder directly. Unretained inspections still consume an id
     // so decision ids stay globally ordered.

@@ -55,20 +55,13 @@ class DlpAppliance final : public browser::RequestSink {
   /// chunk hashes / fingerprints of the content are retained.
   void registerSensitiveDocument(sec::SensitiveView text);
 
+  /// Inspects (unless trafficEncrypted) and forwards; counts in
+  /// bf_dlp_inspected_total and bf_dlp_flagged_total.
   browser::HttpResponse handle(const browser::HttpRequest& req) override;
 
   /// Inspection primitive, exposed for benches that bypass HTTP: would
   /// this text trip the appliance?
   [[nodiscard]] bool inspectText(sec::SensitiveView text) const;
-
-  [[nodiscard]] std::size_t flaggedCount() const noexcept { return flagged_; }
-  [[nodiscard]] std::size_t inspectedCount() const noexcept {
-    return inspected_;
-  }
-  void resetCounters() noexcept {
-    flagged_ = 0;
-    inspected_ = 0;
-  }
 
  private:
   browser::RequestSink* upstream_;
@@ -78,8 +71,6 @@ class DlpAppliance final : public browser::RequestSink {
   std::unordered_set<std::uint64_t> chunkHashes_;
   // kFingerprint: one fingerprint per registered document.
   std::vector<text::Fingerprint> fingerprints_;
-  std::size_t flagged_ = 0;
-  std::size_t inspected_ = 0;
 };
 
 }  // namespace bf::cloud

@@ -4,6 +4,7 @@
 
 #include "flow/wal.h"
 #include "obs/flight_recorder.h"
+#include "obs/trace_context.h"
 #include "text/fingerprint_kernel.h"
 #include "text/segmenter.h"
 #include "util/clock.h"
@@ -39,12 +40,6 @@ Decision::Action violationAction(EnforcementMode mode) {
       return Decision::Action::kEncrypt;
   }
   return Decision::Action::kWarn;
-}
-
-/// The trace a decision runs under: the request's own if the ingress set
-/// one, else the caller's ambient trace, else a fresh root.
-obs::TraceContext resolveTrace(const obs::TraceContext& requested) {
-  return requested.valid() ? requested : obs::ingressTrace();
 }
 
 /// Stamps `decision` with provenance ids and reports a DecisionTrace to the
@@ -143,7 +138,7 @@ DecisionEngine::DecisionEngine(const BrowserFlowConfig& config,
 }
 
 Decision DecisionEngine::decide(const DecisionRequest& request) {
-  const obs::TraceContext trace = resolveTrace(request.trace);
+  const obs::TraceContext trace = obs::ingressTrace();
   obs::ScopedTraceContext traceScope(trace);
   obs::StageBreakdown stages;
   obs::ScopedStageCollector collector(&stages);
@@ -160,7 +155,7 @@ Decision DecisionEngine::decide(const DecisionRequest& request) {
 }
 
 Decision DecisionEngine::decideText(const DecisionRequest& request) {
-  const obs::TraceContext trace = resolveTrace(request.trace);
+  const obs::TraceContext trace = obs::ingressTrace();
   obs::ScopedTraceContext traceScope(trace);
   const std::vector<text::ParagraphSpan> paragraphs =
       text::segmentParagraphs(request.text.raw());
@@ -234,8 +229,6 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request,
     }
   }
 
-  decision.responseTimeMs = watch.elapsedMillis();
-  latency_->observe(decision.responseTimeMs);
   actionCounters_[static_cast<int>(decision.action)]->inc();
 
   // Durability maintenance, driven from the decision path while stateMutex_
@@ -257,6 +250,10 @@ Decision DecisionEngine::decideLocked(const DecisionRequest& request,
           durable ? kDurabilityRestored : kDurabilityDegraded);
     }
   }
+  // Taken after maintenance: a checkpoint this decision rolled held every
+  // caller for its duration, so it is part of the response time.
+  decision.responseTimeMs = watch.elapsedMillis();
+  latency_->observe(decision.responseTimeMs);
   return decision;
 }
 
@@ -433,24 +430,5 @@ void DecisionEngine::setDurability(flow::DurabilityManager* durability) {
   util::MutexLock lock(stateMutex_);
   durability_ = durability;
 }
-
-DecisionEngine::LatencySummary DecisionEngine::latencySummary() const {
-  const obs::HistogramData data = latency_->data();
-  LatencySummary out;
-  out.count = data.count;
-  out.meanMs = data.mean();
-  out.minMs = data.min;
-  out.maxMs = data.max;
-  out.p50Ms = data.percentile(50.0);
-  out.p95Ms = data.percentile(95.0);
-  out.p99Ms = data.percentile(99.0);
-  return out;
-}
-
-obs::HistogramData DecisionEngine::latencyData() const {
-  return latency_->data();
-}
-
-void DecisionEngine::resetLatencyStats() { latency_->reset(); }
 
 }  // namespace bf::core

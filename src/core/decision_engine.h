@@ -20,7 +20,7 @@
 // recorded, which is what Figs. 12/13 measure. Several threads may decide
 // at once: stateMutex_ (kRankEngineState, outermost in util/mutex.h)
 // serialises them over config_, the text memo and tracker/policy access,
-// and is held above the tracker / obs / logging mutexes, never below them.
+// and is held above the tracker / obs mutexes, never below them.
 #pragma once
 
 #include <array>
@@ -33,7 +33,6 @@
 #include "flow/tracker.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
-#include "obs/trace_context.h"
 #include "sec/sensitive.h"
 #include "tdm/policy.h"
 #include "util/mutex.h"
@@ -83,9 +82,6 @@ struct DecisionRequest {
   /// fingerprint, hash or redact it, but cannot log/audit/export it whole.
   sec::SensitiveText text;
   flow::SegmentKind kind = flow::SegmentKind::kParagraph;
-  /// Causal trace identity. Invalid (default) means the engine adopts the
-  /// caller's ambient trace, or starts a fresh root at this ingress.
-  obs::TraceContext trace;
   /// Ingress label recorded in the flight recorder ("plugin.paragraph",
   /// "dlp.appliance", ...). Must be a string literal.
   const char* ingress = "engine.decide";
@@ -107,7 +103,8 @@ struct Decision {
   /// Names of registered short secrets found verbatim in the text
   /// (paper S4.4's data-equality case).
   std::vector<std::string> secretHits;
-  /// Wall-clock time from request to decision.
+  /// Wall-clock time from request to decision, including any durability
+  /// maintenance (checkpoint roll or repair) the decision ran.
   double responseTimeMs = 0.0;
   /// True when the decision was made while the attached durability manager
   /// was unhealthy (WAL poisoned or last checkpoint failed). The pipeline
@@ -149,29 +146,6 @@ class DecisionEngine {
   /// and secret hit, the violating tags once each, and is
   /// durabilityDegraded if any unit was.
   Decision decideText(const DecisionRequest& request) BF_EXCLUDES(stateMutex_);
-
-  /// Latency statistics over every decision made so far, derived from the
-  /// bf_decision_latency_ms histogram — what Figs. 12/13 measure.
-  /// Percentiles are histogram estimates (linear interpolation within the
-  /// containing bucket). The histogram lives in the process-wide obs
-  /// registry, so concurrent engines in one process share it.
-  struct LatencySummary {
-    std::uint64_t count = 0;
-    double meanMs = 0.0;
-    double minMs = 0.0;
-    double maxMs = 0.0;
-    double p50Ms = 0.0;
-    double p95Ms = 0.0;
-    double p99Ms = 0.0;
-  };
-  [[nodiscard]] LatencySummary latencySummary() const;
-
-  /// Copy of the decision-latency histogram for custom percentile / CDF
-  /// extraction (bench harnesses).
-  [[nodiscard]] obs::HistogramData latencyData() const;
-
-  /// Zeroes the decision-latency histogram (test / bench phase boundary).
-  void resetLatencyStats();
 
   /// Installs the exact-match guard for short secrets (not owned; may be
   /// null). A secret hit attaches the secret's tag to the segment as an
@@ -294,7 +268,7 @@ class DecisionEngine {
   // One mutex serialises tracker/policy access between caller threads; the
   // paper's engine likewise processes decisions one at a time in the
   // extension's background page. Outermost rank: everything the pipeline
-  // touches (tracker, WAL, metrics, logging) nests inside.
+  // touches (tracker, WAL, metrics, flight recorder) nests inside.
   mutable util::Mutex stateMutex_{util::kRankEngineState,
                                   "DecisionEngine.stateMutex_"};
 

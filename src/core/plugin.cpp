@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "util/json_text.h"
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace bf::core {
@@ -126,7 +125,6 @@ void BrowserFlowPlugin::handleMutations(
   docReq.serviceId = hooks.page->origin();
   docReq.text = std::move(docText);
   docReq.kind = flow::SegmentKind::kDocument;
-  docReq.trace = obs::ingressTrace();
   docReq.ingress = "plugin.document";
   const Decision d = engine_.decide(docReq);
   if (d.violation()) recordViolation(url, docReq.serviceId, d, docReq.text);
@@ -153,7 +151,6 @@ void BrowserFlowPlugin::checkParagraphNode(PageHooks& hooks,
   req.documentName = hooks.page->url();
   req.serviceId = hooks.page->origin();
   req.text = paragraph->textContent();
-  req.trace = trace;
   req.ingress = "plugin.paragraph";
   const Decision d = engine_.decide(req);
 
@@ -351,8 +348,6 @@ void BrowserFlowPlugin::recordViolation(const std::string& segmentName,
   appendAudit({tdm::AuditRecord::Kind::kViolationWarned, clock_->now(), "",
                tdm::Tag{}, segmentName, serviceId, sec::redact(content).text});
   warnings_.push_back(Warning{segmentName, serviceId, d});
-  BF_LOG(util::LogLevel::kInfo, "browserflow")
-      << "violation: segment " << segmentName << " -> " << serviceId;
 }
 
 void BrowserFlowPlugin::appendAudit(tdm::AuditRecord record) {

@@ -13,10 +13,10 @@ namespace bf::flow {
 
 namespace {
 
-/// Process-wide tracker metrics, resolved once. Per-tracker counters are
-/// mirrored here; the gauges report the sizes of the most recently updated
-/// tracker's stores (single-tracker processes, the common deployment, see
-/// exact values; multi-tracker benches read per-instance stats()).
+/// Process-wide tracker metrics, resolved once. The counters sum over every
+/// tracker in the process; the gauges report the sizes of the most recently
+/// updated tracker's stores (exact in a single-tracker process, the common
+/// deployment).
 struct TrackerMetrics {
   obs::Counter* queries;
   obs::Counter* cacheHits;
@@ -87,7 +87,6 @@ std::uint64_t FlowTracker::digestOf(const text::Fingerprint& fp) {
 }
 
 text::Fingerprint FlowTracker::fingerprintOf(sec::SensitiveView text) const {
-  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
   return text::fingerprintText(text.raw(), config_.fingerprint);
 }
@@ -95,7 +94,6 @@ text::Fingerprint FlowTracker::fingerprintOf(sec::SensitiveView text) const {
 text::Fingerprint FlowTracker::fingerprintOf(
     sec::SensitiveView text, sec::SensitiveView previous,
     const text::Fingerprint& previousFp, text::SharedEdges shared) const {
-  stats_.fingerprintsComputed.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().fingerprints->inc();
   return text::refingerprint(previous.raw(), previousFp, text.raw(),
                              config_.fingerprint,
@@ -271,7 +269,6 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
     const text::Fingerprint& target, SegmentKind sourceKind, SegmentId self,
     std::string_view selfDocument) const {
   obs::StageTimer lookupTimer(obs::Stage::kTrackerLookup);
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().queries->inc();
   std::vector<DisclosureHit> hits;
   if (target.empty()) return hits;
@@ -371,7 +368,6 @@ std::vector<DisclosureHit> FlowTracker::disclosedSourcesLocked(
       hits.push_back(makeHit(*rec, score, overlap));
     }
   }
-  stats_.candidatesInspected.fetch_add(inspected, std::memory_order_relaxed);
   trackerMetrics().candidates->inc(inspected);
   std::sort(hits.begin(), hits.end(),
             [](const DisclosureHit& a, const DisclosureHit& b) {
@@ -418,12 +414,10 @@ std::vector<DisclosureHit> FlowTracker::sourcesForSegment(SegmentId id) {
     if (config_.enableCache && it != stores_.cache.end() &&
         it->second.valid && it->second.fingerprintDigest == digest &&
         it->second.removalGeneration == removalGen) {
-      stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
       trackerMetrics().cacheHits->inc();
       return it->second.hits;
     }
   }
-  stats_.cacheMisses.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().cacheMisses->inc();
   std::vector<DisclosureHit> hits =
       disclosedSourcesLocked(rec->fingerprint, rec->kind, id, rec->document);
@@ -453,12 +447,10 @@ std::vector<DisclosureHit> FlowTracker::sourcesForProbe(SegmentId id) const {
             stores_.hashes.removalGeneration(rec->kind) &&
         stores_.changeLogs[kindIndex(rec->kind)].newestOutside(rec->document) <=
             it->second.filledAt) {
-      stats_.cacheHits.fetch_add(1, std::memory_order_relaxed);
       trackerMetrics().cacheHits->inc();
       return it->second.hits;
     }
   }
-  stats_.cacheMisses.fetch_add(1, std::memory_order_relaxed);
   trackerMetrics().cacheMisses->inc();
   return disclosedSourcesLocked(rec->fingerprint, rec->kind, kInvalidSegment,
                                 rec->document);

@@ -15,7 +15,6 @@
 //    is linear in the number of segments sharing at least one hash.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -67,18 +66,6 @@ struct DisclosureHit {
   std::size_t sourceFingerprintSize = 0;
   /// The source's threshold that `score` met.
   double threshold = 0.0;
-};
-
-/// Point-in-time view of this tracker's counters, for tests and benches.
-/// The live counters are atomics (stats() reads them without the tracker
-/// mutex) and are mirrored into the process-wide obs registry as
-/// bf_tracker_* metrics.
-struct TrackerStats {
-  std::uint64_t queries = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
-  std::uint64_t candidatesInspected = 0;
-  std::uint64_t fingerprintsComputed = 0;
 };
 
 /// Thread safety — one store, one mutex (DESIGN.md §10). DBhash, DBpar and
@@ -191,7 +178,7 @@ class FlowTracker {
       BF_EXCLUDES(mutex_);
 
   /// Pairwise disclosure score D(source, target) between two registered
-  /// segments (used by effectiveness benches).
+  /// segments (tests check Algorithm 1's scores with it).
   [[nodiscard]] double pairwiseDisclosure(SegmentId source,
                                           SegmentId target) const
       BF_EXCLUDES(mutex_);
@@ -253,37 +240,15 @@ class FlowTracker {
   };
   [[nodiscard]] StoreSizes storeSizes() const BF_EXCLUDES(mutex_);
 
-  /// Snapshot of this tracker's counters (the registry's bf_tracker_*
-  /// metrics keep accumulating process-wide and are not reset by
-  /// resetStats()).
-  [[nodiscard]] TrackerStats stats() const noexcept {
-    TrackerStats out;
-    out.queries = stats_.queries.load(std::memory_order_relaxed);
-    out.cacheHits = stats_.cacheHits.load(std::memory_order_relaxed);
-    out.cacheMisses = stats_.cacheMisses.load(std::memory_order_relaxed);
-    out.candidatesInspected =
-        stats_.candidatesInspected.load(std::memory_order_relaxed);
-    out.fingerprintsComputed =
-        stats_.fingerprintsComputed.load(std::memory_order_relaxed);
-    return out;
-  }
-  void resetStats() noexcept {
-    stats_.queries.store(0, std::memory_order_relaxed);
-    stats_.cacheHits.store(0, std::memory_order_relaxed);
-    stats_.cacheMisses.store(0, std::memory_order_relaxed);
-    stats_.candidatesInspected.store(0, std::memory_order_relaxed);
-    stats_.fingerprintsComputed.store(0, std::memory_order_relaxed);
-  }
-
   /// Fingerprint helper using this tracker's configuration; counts in
-  /// stats().fingerprintsComputed. A declassification gate
+  /// bf_tracker_fingerprints_computed_total. A declassification gate
   /// (sec/sensitive.h): the winnowed hash set is non-invertible.
   [[nodiscard]] text::Fingerprint fingerprintOf(sec::SensitiveView text) const;
   /// fingerprintOf(text), spliced from an earlier text and its fingerprint
   /// (text::refingerprint): `previousFp` must be fingerprintOf(previous)
   /// and `shared` text::sharedEdges(previous, text). Costs about what the
   /// edit between the two texts costs; counts in
-  /// stats().fingerprintsComputed like a full fingerprint.
+  /// bf_tracker_fingerprints_computed_total like a full fingerprint.
   [[nodiscard]] text::Fingerprint fingerprintOf(
       sec::SensitiveView text, sec::SensitiveView previous,
       const text::Fingerprint& previousFp, text::SharedEdges shared) const;
@@ -422,16 +387,6 @@ class FlowTracker {
   /// Pushes the DBhash/DBpar sizes into the registry gauges.
   void refreshStoreGauges() const noexcept BF_REQUIRES(mutex_);
 
-  /// Live per-instance counters behind the TrackerStats view. Relaxed
-  /// atomics, so stats() and resetStats() need not take mutex_.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> cacheHits{0};
-    std::atomic<std::uint64_t> cacheMisses{0};
-    std::atomic<std::uint64_t> candidatesInspected{0};
-    std::atomic<std::uint64_t> fingerprintsComputed{0};
-  };
-
   TrackerConfig config_;  // immutable after construction
   /// Serialises every query and mutation (and the clock and WAL they use).
   /// Ranked below the engine's stateMutex_ in the documented hierarchy.
@@ -442,7 +397,6 @@ class FlowTracker {
   /// Optional durability log; each mutation appends to it while holding
   /// mutex_ (flow/wal.h), so log order is mutation order. Not owned.
   WriteAheadLog* wal_ BF_GUARDED_BY(mutex_) = nullptr;
-  mutable AtomicStats stats_;
 };
 
 }  // namespace bf::flow

@@ -301,26 +301,6 @@ util::Status WriteAheadLog::sync() {
   return {};
 }
 
-bool WriteAheadLog::healthy() const {
-  util::MutexLock lock(mutex_);
-  return healthy_;
-}
-
-std::uint64_t WriteAheadLog::nextSequence() const {
-  util::MutexLock lock(mutex_);
-  return nextSeq_;
-}
-
-std::uint64_t WriteAheadLog::appendedRecords() const {
-  util::MutexLock lock(mutex_);
-  return appended_;
-}
-
-std::uint64_t WriteAheadLog::lostRecords() const {
-  util::MutexLock lock(mutex_);
-  return lost_;
-}
-
 WriteAheadLog::Stats WriteAheadLog::stats() const {
   util::MutexLock lock(mutex_);
   return {healthy_, nextSeq_, appended_, lost_};
@@ -620,7 +600,7 @@ util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
   // and the exported state contains exactly the records up to it — the
   // full in-memory state, including any records the WAL dropped, which is
   // what makes this checkpoint double as the degraded-mode repair.
-  const std::uint64_t seq = wal_.nextSequence() - 1;
+  const std::uint64_t seq = wal_.stats().nextSequence - 1;
   if (util::Status s = saveSnapshot(tracker, checkpointPath(seq),
                                     config_.secret, seq, config_.vfs);
       !s.ok()) {
@@ -706,7 +686,7 @@ util::Status DurabilityManager::maintain(const FlowTracker& tracker) {
 
 bool DurabilityManager::healthy() const {
   return attached_ && health_ == DurabilityHealth::kHealthy &&
-         lastCheckpointOk_ && wal_.healthy();
+         lastCheckpointOk_ && wal_.stats().healthy;
 }
 
 }  // namespace bf::flow

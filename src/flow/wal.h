@@ -46,7 +46,7 @@
 // latches unhealthy, the file is POISONED (closed and abandoned; a
 // partially-written tail is exactly what recovery's CRC/continuity checks
 // are built to discard) and every record that could not be made durable is
-// counted in lostRecords(). Sequences stay MONOTONIC: a dropped record
+// counted in stats().lost. Sequences stay MONOTONIC: a dropped record
 // still consumes its sequence number, so the in-memory tracker and the
 // sequence space never diverge — the repair checkpoint (DurabilityManager)
 // snapshots the full in-memory state at the last assigned sequence, which
@@ -93,10 +93,20 @@ class WriteAheadLog {
 
   /// One-lock view of the log for the decision-path maintenance check.
   struct Stats {
+    /// False after any append/open failure since the last successful
+    /// open/rotate. An unhealthy log keeps accepting (and dropping)
+    /// appends; dropped appends still consume sequence numbers.
     bool healthy = false;
-    std::uint64_t nextSequence = 0;  ///< sequence the NEXT record will get
-    std::uint64_t appended = 0;      ///< records accepted since open/rotate
-    std::uint64_t lost = 0;          ///< records dropped since process start
+    /// Sequence the NEXT appended record will get. Monotonic across
+    /// failures: dropped records consume sequences too.
+    std::uint64_t nextSequence = 0;
+    /// Records appended (successfully) since open/rotate.
+    std::uint64_t appended = 0;
+    /// Records dropped since process start (upper bound: when a buffered
+    /// flush fails, a prefix of the buffer may in fact have reached disk).
+    /// Never reset — this is the process's cumulative durability debt; the
+    /// repair checkpoint re-covers the records but keeps the count.
+    std::uint64_t lost = 0;
   };
 
   /// Creates (or truncates) the log file at `path` and writes the header.
@@ -128,22 +138,8 @@ class WriteAheadLog {
 
   // ---- Introspection ------------------------------------------------------
 
-  /// False after any append/open failure since the last successful
-  /// open/rotate. An unhealthy log keeps accepting (and dropping) appends;
-  /// dropped appends still consume sequence numbers (see lostRecords()).
-  [[nodiscard]] bool healthy() const BF_EXCLUDES(mutex_);
-  /// Sequence the NEXT appended record will get. Monotonic across
-  /// failures: dropped records consume sequences too.
-  [[nodiscard]] std::uint64_t nextSequence() const BF_EXCLUDES(mutex_);
-  /// Records appended (successfully) since open/rotate.
-  [[nodiscard]] std::uint64_t appendedRecords() const BF_EXCLUDES(mutex_);
-  /// Records dropped since process start (upper bound: when a buffered
-  /// flush fails, a prefix of the buffer may in fact have reached disk).
-  /// Never reset — this is the process's cumulative durability debt; the
-  /// repair checkpoint re-covers the records but keeps the count.
-  [[nodiscard]] std::uint64_t lostRecords() const BF_EXCLUDES(mutex_);
-  /// healthy/nextSequence/appendedRecords/lostRecords in one lock
-  /// acquisition — the decision-path maintenance fast path.
+  /// The log's state in one lock acquisition (the decision-path
+  /// maintenance fast path reads it once per decision).
   [[nodiscard]] Stats stats() const BF_EXCLUDES(mutex_);
 
   /// Test hook: force the next `n` appends to fail without touching the

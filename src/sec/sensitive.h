@@ -2,8 +2,8 @@
 //
 // BrowserFlow's premise is that raw document content must not escape
 // through unvetted channels — yet nothing used to stop a PR from dropping
-// a paragraph into BF_LOG, a metrics exemplar, an AuditRecord or a wire
-// payload. SensitiveText / SensitiveView make the data plane's content
+// a paragraph into a log stream, a metrics exemplar, an AuditRecord or a
+// wire payload. SensitiveText / SensitiveView make the data plane's content
 // carriers distinct types that the compiler refuses to convert back into
 // std::string / std::string_view.
 //

@@ -26,7 +26,6 @@
 //   kRankFlightRecorder(88)  obs::FlightRecorder::mutex_ (decision records
 //                            are retained after outer locks are released,
 //                            but explain() may run under engine read locks)
-//   kRankLogging       (95)  util logging sink (innermost: any code may log)
 //
 // Rank checking is compiled in when BF_LOCK_RANK_CHECKS is 1 (the CMake
 // option of the same name, ON by default for every dev/test preset; a
@@ -58,7 +57,6 @@ inline constexpr int kRankFaultInjector = 62;
 inline constexpr int kRankStorageFault = 65;
 inline constexpr int kRankMetrics = 80;
 inline constexpr int kRankFlightRecorder = 88;
-inline constexpr int kRankLogging = 95;
 
 /// Called when a thread acquires a ranked mutex while already holding one
 /// of equal or greater rank. The default handler prints both mutexes and

@@ -4,6 +4,7 @@
 #include "browser/forms.h"
 #include "cloud/dlp_appliance.h"
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 
 namespace bf::cloud {
 namespace {
@@ -76,20 +77,21 @@ TEST_F(DlpApplianceTest, HandleInspectsAndForwards) {
   DlpAppliance dlp(&sink, cfg);
   const std::string doc = gen_.paragraph(6, 8);
   dlp.registerSensitiveDocument(doc);
+  const testutil::CounterDelta delta;
 
   browser::HttpRequest leak;
   leak.url = "https://x.example/post";
   leak.body = "content=" + browser::urlEncodeComponent(doc);
   EXPECT_EQ(dlp.handle(leak).status, 200);
   EXPECT_EQ(sink.count, 1);  // baseline is advisory: traffic still flows
-  EXPECT_EQ(dlp.flaggedCount(), 1u);
+  EXPECT_EQ(delta("bf_dlp_flagged_total"), 1u);
 
   browser::HttpRequest clean;
   clean.url = "https://x.example/post";
   clean.body = "content=" + browser::urlEncodeComponent(gen_.paragraph(6, 8));
   dlp.handle(clean);
-  EXPECT_EQ(dlp.flaggedCount(), 1u);
-  EXPECT_EQ(dlp.inspectedCount(), 2u);
+  EXPECT_EQ(delta("bf_dlp_flagged_total"), 1u);
+  EXPECT_EQ(delta("bf_dlp_inspected_total"), 2u);
 }
 
 TEST_F(DlpApplianceTest, TlsTrafficIsOpaque) {
@@ -102,8 +104,11 @@ TEST_F(DlpApplianceTest, TlsTrafficIsOpaque) {
   dlp.registerSensitiveDocument(doc);
   browser::HttpRequest leak;
   leak.body = "content=" + browser::urlEncodeComponent(doc);
+  const testutil::CounterDelta delta;
   dlp.handle(leak);
-  EXPECT_EQ(dlp.flaggedCount(), 0u) << "appliance must be blind to TLS";
+  EXPECT_EQ(delta("bf_dlp_inspected_total"), 1u);
+  EXPECT_EQ(delta("bf_dlp_flagged_total"), 0u)
+      << "appliance must be blind to TLS";
   EXPECT_EQ(sink.count, 1);
 }
 
@@ -115,15 +120,21 @@ TEST_F(DlpApplianceTest, ShortDocumentsIgnoredByChunker) {
   EXPECT_FALSE(dlp.inspectText("too short"));
 }
 
-TEST_F(DlpApplianceTest, ResetCounters) {
+TEST_F(DlpApplianceTest, AppliancesShareTheRegistryCounters) {
+  // The counts are process-wide: a phase reads what every appliance did in
+  // it, and a new phase starts from zero.
   CountingSink sink;
-  DlpAppliance dlp(&sink, DlpAppliance::Config{});
+  DlpAppliance first(&sink, DlpAppliance::Config{});
+  DlpAppliance second(&sink, DlpAppliance::Config{});
   browser::HttpRequest req;
   req.body = "a=b";
-  dlp.handle(req);
-  dlp.resetCounters();
-  EXPECT_EQ(dlp.inspectedCount(), 0u);
-  EXPECT_EQ(dlp.flaggedCount(), 0u);
+  testutil::CounterDelta delta;
+  first.handle(req);
+  second.handle(req);
+  EXPECT_EQ(delta("bf_dlp_inspected_total"), 2u);
+  delta.restart();
+  EXPECT_EQ(delta("bf_dlp_inspected_total"), 0u);
+  EXPECT_EQ(delta("bf_dlp_flagged_total"), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "core/decision_engine.h"
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "obs/metrics.h"
 #include "util/clock.h"
 
@@ -120,16 +121,19 @@ TEST_F(EngineTest, SuppressionLiftsViolationOnReDecision) {
 
 TEST_F(EngineTest, ResponseTimesRecorded) {
   seedSensitive();
-  engine_.resetLatencyStats();
-  engine_.decide(requestFor(gen_.paragraph(6, 9)));
-  engine_.decide(requestFor(gen_.paragraph(6, 9)));
-  const auto latency = engine_.latencySummary();
-  ASSERT_EQ(latency.count, 2u);
-  EXPECT_GE(latency.minMs, 0.0);
-  EXPECT_LT(latency.maxMs, 1000.0);
-  EXPECT_LE(latency.minMs, latency.maxMs);
-  EXPECT_GE(latency.meanMs, latency.minMs);
-  EXPECT_LE(latency.meanMs, latency.maxMs);
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
+  const Decision a = engine_.decide(requestFor(gen_.paragraph(6, 9)));
+  const Decision b = engine_.decide(requestFor(gen_.paragraph(6, 9)));
+  const obs::MetricValue* latency =
+      obs::registry().snapshot().diff(before).find("bf_decision_latency_ms");
+  ASSERT_NE(latency, nullptr);
+  ASSERT_EQ(latency->histogram.count, 2u);
+  EXPECT_GE(a.responseTimeMs, 0.0);
+  EXPECT_GE(b.responseTimeMs, 0.0);
+  EXPECT_LT(a.responseTimeMs, 1000.0);
+  EXPECT_LT(b.responseTimeMs, 1000.0);
+  EXPECT_DOUBLE_EQ(latency->histogram.sum,
+                   a.responseTimeMs + b.responseTimeMs);
 }
 
 TEST_F(EngineTest, PerKeystrokeDecisionsHitTrackerCache) {
@@ -138,12 +142,12 @@ TEST_F(EngineTest, PerKeystrokeDecisionsHitTrackerCache) {
   const std::string base = gen_.paragraph(8, 8);
   DecisionRequest req = requestFor(base);
   engine_.decide(req);
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   for (char c : std::string(" extra typed text here")) {
     req.text += c;
     engine_.decide(req);
   }
-  EXPECT_GT(tracker_.stats().cacheHits, 5u);
+  EXPECT_GT(delta("bf_tracker_cache_hits_total"), 5u);
 }
 
 DecisionRequest probeFor(const std::string& text,
@@ -243,9 +247,9 @@ TEST_F(EngineTest, ProbeOfRegisteredSegmentReusesItsExactAnswer) {
   const std::string doc = "gdocs/target";
   auto observeTarget = [&] { (void)engine_.decide(requestFor(target)); };
   auto probeIsServedFromCache = [&] {
-    const std::uint64_t before = tracker_.stats().cacheHits;
+    const testutil::CounterDelta delta;
     expectProbeMatchesFreshQuery(engine_, tracker_, target, doc);
-    return tracker_.stats().cacheHits == before + 1;
+    return delta("bf_tracker_cache_hits_total") == 1;
   };
 
   observeTarget();
@@ -340,18 +344,18 @@ TEST_F(EngineTest, MemoRecomputesAOneByteDifferentText) {
   changed[changed.find("Battery")] = 'X';  // same length, secret broken
   const std::string longer = text + "!";   // one extra byte, secret kept
 
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   EXPECT_EQ(engine_.decide(requestFor(text)).secretHits,
             std::vector<std::string>{"vpn-password"});
-  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 1u);
+  EXPECT_EQ(delta("bf_tracker_fingerprints_computed_total"), 1u);
   // The same text again (e.g. the document unit of a one-paragraph page):
   // nothing recomputed.
   EXPECT_EQ(engine_.decide(probeFor(text, "gdocs/other")).secretHits,
             std::vector<std::string>{"vpn-password"});
-  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 1u);
+  EXPECT_EQ(delta("bf_tracker_fingerprints_computed_total"), 1u);
 
   EXPECT_TRUE(engine_.decide(requestFor(changed)).secretHits.empty());
-  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u);
+  EXPECT_EQ(delta("bf_tracker_fingerprints_computed_total"), 2u);
   EXPECT_TRUE(tracker_.segmentByName("gdocs/target#p0")
                   ->fingerprint.sameHashes(tracker_.fingerprintOf(changed)));
 
@@ -403,11 +407,12 @@ TEST_F(EngineTest, KeystrokeFingerprintsEachChangedTextOnce) {
     DecisionRequest para = requestFor(paras[1]);
     para.segmentName = "gdocs/target#p1";
     doc.text = documentText();
-    tracker_.resetStats();
+    const testutil::CounterDelta delta;
     (void)engine_.decide(para);
     (void)engine_.decide(doc);
     (void)engine_.decide(probeFor(paras[1]));
-    EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u) << "keystroke " << k;
+    EXPECT_EQ(delta("bf_tracker_fingerprints_computed_total"), 2u)
+        << "keystroke " << k;
     const std::string step = std::to_string(k);
     expectSameFingerprint(
         tracker_.segmentByName("gdocs/target#p1")->fingerprint,

@@ -20,6 +20,7 @@
 #include "core/decision_engine.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace bf::core {
@@ -82,13 +83,15 @@ class EngineConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
-  // A monitoring thread reads the latency summary while two threads
+  // A monitoring thread reads the latency histogram while two threads
   // decide: the histogram is read concurrently with its writers.
-  const std::uint64_t countBefore = engine_.latencySummary().count;
+  const obs::Histogram& latency =
+      obs::registry().histogram("bf_decision_latency_ms");
+  const std::uint64_t countBefore = latency.count();
   std::atomic<bool> stop{false};
   std::thread poller([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)engine_.latencySummary();
+      (void)latency.data();
     }
   });
   const std::vector<Decision> decisions = decideOnThreads(2, 100);
@@ -101,7 +104,7 @@ TEST_F(EngineConcurrencyTest, ResilienceRetuneAndBreakerPollDuringLoad) {
     EXPECT_EQ(d.action, Decision::Action::kWarn);
     EXPECT_FALSE(d.hits.empty());
   }
-  EXPECT_GE(engine_.latencySummary().count - countBefore, decisions.size());
+  EXPECT_GE(latency.count() - countBefore, decisions.size());
 }
 
 TEST_F(EngineConcurrencyTest, SyncAndAsyncDecisionsInterleaveSafely) {

@@ -6,6 +6,7 @@
 
 #include "core/decision_engine.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace bf::core {
@@ -86,6 +87,7 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
                           "wiki", base);
   policy_.onSegmentObserved("src#p0", "wiki");
 
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
   auto worker = [&](int id) {
     // Thread-local generator: the fixture's rng is not thread-safe.
     util::Rng rng(static_cast<std::uint64_t>(id) * 101);
@@ -118,7 +120,10 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
   const auto hits = tracker_.checkText(base, "probe");
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].sourceName, "src#p0");
-  EXPECT_GE(engine_.latencySummary().count, 75u);
+  const obs::MetricValue* latency =
+      obs::registry().snapshot().diff(before).find("bf_decision_latency_ms");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->histogram.count, 75u);
 }
 
 }  // namespace

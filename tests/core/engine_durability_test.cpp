@@ -97,6 +97,37 @@ TEST_F(EngineDurabilityTest, DecisionPathDrivesPeriodicCheckpoints) {
   EXPECT_TRUE(mgr.healthy());
 }
 
+TEST_F(EngineDurabilityTest, CheckpointRolledByADecisionIsInItsLatency) {
+  // A decision that rolls a checkpoint holds stateMutex_ until the
+  // checkpoint is written, so its response time and the latency histogram
+  // include that write.
+  flow::DurabilityManager mgr(configFor(/*checkpointEvery=*/1));
+  ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+  engine_.setDurability(&mgr);
+  // Logged but not yet checkpointed: only the decision path runs
+  // maintenance, so the next decision's checkpoint exports all of them.
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "wiki/preload" + std::to_string(i);
+    tracker_.observeSegment(flow::SegmentKind::kParagraph, name + "#p0", name,
+                            "wiki", gen_.paragraph(4, 6));
+  }
+
+  const auto before = obs::registry().snapshot();
+  const Decision d = engine_.decide(requestFor("doc", gen_.paragraph(4, 6)));
+  const auto after = obs::registry().snapshot();
+  const auto delta = after.diff(before);
+  ASSERT_EQ(delta.counterValue("bf_checkpoints_total"), 1u);
+  const double checkpointMs = after.gaugeValue("bf_checkpoint_last_ms");
+  ASSERT_GT(checkpointMs, 0.0);
+  EXPECT_GE(d.responseTimeMs, checkpointMs);
+  const obs::MetricValue* latency = delta.find("bf_decision_latency_ms");
+  ASSERT_NE(latency, nullptr);
+  ASSERT_EQ(latency->histogram.count, 1u);
+  EXPECT_DOUBLE_EQ(latency->histogram.sum, d.responseTimeMs);
+  engine_.setDurability(nullptr);
+  tracker_.attachWal(nullptr);
+}
+
 TEST_F(EngineDurabilityTest, StateSurvivesCrashAndAnswersSameDecisions) {
   const std::string secret = gen_.paragraph(6, 9);
   {

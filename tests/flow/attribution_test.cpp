@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/tracker.h"
 #include "util/clock.h"
 
@@ -74,12 +75,12 @@ TEST_F(AttributionTest, SameHashEditMovesTheRanges) {
   const util::Timestamp updatedAt = tracker_.segmentByName("src#p0")->updatedAt;
   const std::size_t associations = tracker_.hashDb().associationCount(
       SegmentKind::kParagraph);
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   EXPECT_EQ(tracker_.observeSegment(SegmentKind::kParagraph, "src#p0", "src",
                                     "svc", edited),
             src);
   (void)tracker_.sourcesForSegment(src);
-  EXPECT_EQ(tracker_.stats().cacheHits, 1u);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 1u);
   EXPECT_EQ(tracker_.segmentByName("src#p0")->updatedAt, updatedAt);
   EXPECT_EQ(tracker_.hashDb().associationCount(SegmentKind::kParagraph),
             associations);

@@ -245,7 +245,7 @@ TEST(RecoveryFuzzTest, RecoveredStateIsAlwaysAPrefixOfHistory) {
       }
       auto due = mgr->maintain(tracker);
       ASSERT_TRUE(due.ok()) << due.errorMessage();
-      oracle[mgr->wal().nextSequence() - 1] = exportState(tracker);
+      oracle[mgr->wal().stats().nextSequence - 1] = exportState(tracker);
     }
 
     // Crash: drop the manager (closes the WAL fd), then corrupt the
@@ -386,11 +386,11 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
       // healthy, repair attempts while degraded. Failures inside the
       // fault window are the point — never assert on its status there.
       (void)mgr->maintain(tracker);
-      oracle[mgr->wal().nextSequence() - 1] = exportState(tracker);
+      oracle[mgr->wal().stats().nextSequence - 1] = exportState(tracker);
     }
 
     if (fault.faultCount() > 0) ++trialsWithFaults;
-    if (mgr->wal().lostRecords() > 0) ++trialsWithLostRecords;
+    if (mgr->wal().stats().lost > 0) ++trialsWithLostRecords;
 
     // The window is closed: the manager must self-heal in a few
     // maintenance rounds (notice → repair, possibly once more after a
@@ -407,14 +407,14 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
       tracker.observeSegment(SegmentKind::kParagraph,
                              "heal#p" + std::to_string(extra), "fuzz", "svc",
                              gen.paragraph(2, 4));
-      oracle[mgr->wal().nextSequence() - 1] = exportState(tracker);
+      oracle[mgr->wal().stats().nextSequence - 1] = exportState(tracker);
     }
     {
       auto final = mgr->checkpoint(tracker);
       ASSERT_TRUE(final.ok()) << final.errorMessage() << " (trial " << trial
                               << ", seed " << seed << ")";
     }
-    const std::uint64_t durableSeq = mgr->wal().nextSequence() - 1;
+    const std::uint64_t durableSeq = mgr->wal().stats().nextSequence - 1;
 
     // Crash, then recover with a CLEAN vfs (the process restarts on a
     // machine whose disk behaves again).

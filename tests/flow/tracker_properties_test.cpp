@@ -6,6 +6,7 @@
 #include <set>
 
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/disclosure.h"
 #include "flow/tracker.h"
 #include "text/segmenter.h"
@@ -216,19 +217,25 @@ TEST(TrackerProperties, ObserveDocumentEquivalentToSegmentLoop) {
 
   util::LogicalClock clockA;
   FlowTracker batched(TrackerConfig{}, &clockA);
+  testutil::CounterDelta fingerprints;
   const auto obs = batched.observeDocument("doc", "svc", doc, 0.3, 0.1);
+  const std::uint64_t batchedFingerprints =
+      fingerprints("bf_tracker_fingerprints_computed_total");
 
   util::LogicalClock clockB;
   FlowTracker looped(TrackerConfig{}, &clockB);
-  looped.observeSegment(SegmentKind::kDocument, "doc", "doc", "svc", doc,
-                        0.1);
   const auto paras = text::segmentParagraphs(doc);
   ASSERT_EQ(obs.paragraphs.size(), paras.size());
+  fingerprints.restart();
+  looped.observeSegment(SegmentKind::kDocument, "doc", "doc", "svc", doc,
+                        0.1);
   for (const auto& para : paras) {
     looped.observeSegment(SegmentKind::kParagraph,
                           "doc#p" + std::to_string(para.index), "doc", "svc",
                           para.text, 0.3);
   }
+  const std::uint64_t loopedFingerprints =
+      fingerprints("bf_tracker_fingerprints_computed_total");
 
   // Identical per-segment state...
   for (std::size_t i = 0; i <= paras.size(); ++i) {
@@ -243,8 +250,7 @@ TEST(TrackerProperties, ObserveDocumentEquivalentToSegmentLoop) {
     EXPECT_DOUBLE_EQ(a->threshold, b->threshold);
     EXPECT_TRUE(a->fingerprint.sameHashes(b->fingerprint)) << a->name;
   }
-  EXPECT_EQ(batched.stats().fingerprintsComputed,
-            looped.stats().fingerprintsComputed);
+  EXPECT_EQ(batchedFingerprints, loopedFingerprints);
 
   // ...and identical query answers for a probe against each paragraph.
   for (const auto& para : paras) {
@@ -301,10 +307,10 @@ TEST(TrackerProperties, ReobserveThresholdChangeOnUnchangedTextDropsCache) {
   EXPECT_FALSE(tracker.sourcesForSegment(probe).empty())
       << "cached empty answer must not survive the threshold change";
   // The same threshold again changes nothing and keeps the cache warm.
-  const std::uint64_t hitsBefore = tracker.stats().cacheHits;
+  const testutil::CounterDelta delta;
   tracker.observeDocument("src", "svc", sensitive, /*paragraphThreshold=*/0.0);
   EXPECT_FALSE(tracker.sourcesForSegment(probe).empty());
-  EXPECT_EQ(tracker.stats().cacheHits, hitsBefore + 1);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 1u);
 }
 
 TEST(TrackerProperties, CacheDisabledStillCorrect) {
@@ -319,10 +325,11 @@ TEST(TrackerProperties, CacheDisabledStillCorrect) {
                          secret);
   const SegmentId dst = tracker.observeSegment(SegmentKind::kParagraph,
                                                "dst#p0", "dst", "svc", secret);
+  const testutil::CounterDelta delta;
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(tracker.sourcesForSegment(dst).size(), 1u);
   }
-  EXPECT_EQ(tracker.stats().cacheHits, 0u);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 0u);
 }
 
 // ---- Candidate scoring agrees with the authoritativeOverlap oracle ---------
@@ -538,10 +545,10 @@ std::size_t expectTrackerMatchesReference(
 
     const ReferenceAnswer selfOnly =
         referenceQuery(tracker, rec.fingerprint, rec.kind, id, {});
-    const std::uint64_t before = tracker.stats().candidatesInspected;
+    const testutil::CounterDelta delta;
     expectSameHits(tracker.disclosedSources(rec.fingerprint, rec.kind, id),
                    selfOnly.hits, at + " (self only)");
-    EXPECT_EQ(tracker.stats().candidatesInspected - before,
+    EXPECT_EQ(delta("bf_tracker_candidates_inspected_total"),
               selfOnly.candidates)
         << at;
   }
@@ -555,11 +562,11 @@ std::size_t expectTrackerMatchesReference(
             " exclude=" + std::string(exclude);
         const ReferenceAnswer expected =
             referenceQuery(tracker, fp, kind, kInvalidSegment, exclude);
-        const std::uint64_t before = tracker.stats().candidatesInspected;
+        const testutil::CounterDelta delta;
         expectSameHits(
             tracker.disclosedSources(fp, kind, kInvalidSegment, exclude),
             expected.hits, at);
-        EXPECT_EQ(tracker.stats().candidatesInspected - before,
+        EXPECT_EQ(delta("bf_tracker_candidates_inspected_total"),
                   expected.candidates)
             << at;
         disclosing += expected.hits.empty() ? 0 : 1;

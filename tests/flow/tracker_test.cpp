@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/disclosure.h"
 #include "flow/tracker.h"
 #include "obs/metrics.h"
@@ -131,14 +132,14 @@ TEST_F(TrackerTest, UnchangedFingerprintServedFromCache) {
                           secret);
   const SegmentId dest = tracker_.observeSegment(
       SegmentKind::kParagraph, "dst#p0", "dst", "svc", secret);
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   (void)tracker_.sourcesForSegment(dest);
-  EXPECT_EQ(tracker_.stats().cacheHits, 0u);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 0u);
   (void)tracker_.sourcesForSegment(dest);
   (void)tracker_.sourcesForSegment(dest);
-  EXPECT_EQ(tracker_.stats().cacheHits, 2u);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 2u);
   // Only the first call actually ran Algorithm 1.
-  EXPECT_EQ(tracker_.stats().queries, 1u);
+  EXPECT_EQ(delta("bf_tracker_queries_total"), 1u);
 }
 
 TEST_F(TrackerTest, KeystrokeRarelyInvalidatesCache) {
@@ -148,7 +149,6 @@ TEST_F(TrackerTest, KeystrokeRarelyInvalidatesCache) {
   const SegmentId id = tracker_.observeSegment(
       SegmentKind::kParagraph, "doc#p0", "doc", "svc", base);
   (void)tracker_.sourcesForSegment(id);
-  tracker_.resetStats();
   std::string text = base;
   std::size_t hits = 0;
   const std::string suffix = " and so it continues onward";
@@ -156,9 +156,9 @@ TEST_F(TrackerTest, KeystrokeRarelyInvalidatesCache) {
     text += c;
     tracker_.observeSegment(SegmentKind::kParagraph, "doc#p0", "doc", "svc",
                             text);
-    const auto before = tracker_.stats().cacheHits;
+    const testutil::CounterDelta delta;
     (void)tracker_.sourcesForSegment(id);
-    if (tracker_.stats().cacheHits > before) ++hits;
+    if (delta("bf_tracker_cache_hits_total") > 0) ++hits;
   }
   // Most keystrokes must be served from cache.
   EXPECT_GT(hits, suffix.size() / 2);
@@ -284,10 +284,10 @@ TEST_F(TrackerTest, HashAuthorityIsPerGranularity) {
   tracker_.removeSegmentByName("src#p2");
   EXPECT_EQ(db.removalGeneration(SegmentKind::kParagraph), paragraphGen + 1);
   EXPECT_EQ(db.removalGeneration(SegmentKind::kDocument), documentGen);
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   const auto cached = tracker_.sourcesForSegment(dst.document);
-  EXPECT_EQ(tracker_.stats().cacheHits, 1u);
-  EXPECT_EQ(tracker_.stats().cacheMisses, 0u);
+  EXPECT_EQ(delta("bf_tracker_cache_hits_total"), 1u);
+  EXPECT_EQ(delta("bf_tracker_cache_misses_total"), 0u);
   ASSERT_EQ(cached.size(), 1u);
   EXPECT_EQ(cached[0].source, src.document);
 }
@@ -421,11 +421,11 @@ TEST_F(TrackerTest, EmptyTargetFingerprintsNeverMatch) {
 }
 
 TEST_F(TrackerTest, StatsCountFingerprints) {
-  tracker_.resetStats();
+  const testutil::CounterDelta delta;
   tracker_.observeSegment(SegmentKind::kParagraph, "a#p0", "a", "svc",
                           paragraph());
   (void)tracker_.checkText(paragraph(), "b");
-  EXPECT_EQ(tracker_.stats().fingerprintsComputed, 2u);
+  EXPECT_EQ(delta("bf_tracker_fingerprints_computed_total"), 2u);
 }
 
 TEST_F(TrackerTest, StaleOwnerCountsOnlyItsCurrentHashes) {
@@ -537,9 +537,11 @@ TEST(TrackerBoundTest, SourceWithExactlyTheNeededClaimsIsAHit) {
         target.push_back(900 + i);
       }
       observeHashes(tracker, 1, "S", source, 1, c.threshold);
+      const testutil::CounterDelta delta;
       const auto hits =
           tracker.disclosedSources(fpOf(target), SegmentKind::kParagraph);
-      EXPECT_EQ(tracker.stats().candidatesInspected, claimed > 0 ? 1u : 0u)
+      EXPECT_EQ(delta("bf_tracker_candidates_inspected_total"),
+                claimed > 0 ? 1u : 0u)
           << at;
       if (claimed < c.need) {
         EXPECT_TRUE(hits.empty()) << at;
@@ -561,11 +563,12 @@ TEST_F(TrackerTest, StaleClaimsClearTheBoundButDoNotScore) {
   observeHashes(tracker_, 1, "S", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 1, 0.3);
   observeHashes(tracker_, 1, "S", {11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
                 2, 0.3);
+  const testutil::CounterDelta delta;
   EXPECT_TRUE(tracker_
                   .disclosedSources(fpOf({1, 2, 3, 4, 5, 11, 12}),
                                     SegmentKind::kParagraph)
                   .empty());
-  EXPECT_EQ(tracker_.stats().candidatesInspected, 1u);
+  EXPECT_EQ(delta("bf_tracker_candidates_inspected_total"), 1u);
 
   const auto hits = tracker_.disclosedSources(
       fpOf({1, 2, 3, 4, 5, 11, 12, 13}), SegmentKind::kParagraph);

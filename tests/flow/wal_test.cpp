@@ -188,14 +188,14 @@ TEST_F(WalTest, ImportIntoAnAttachedTrackerIsRefused) {
   FlowTracker attached(TrackerConfig{}, &clock2);
   DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(attached).ok());
-  const std::uint64_t next = mgr.wal().nextSequence();
+  const std::uint64_t next = mgr.wal().stats().nextSequence;
   const auto result = importState(attached, blob);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.errorMessage().find("WAL"), std::string::npos);
   EXPECT_EQ(attached.segmentDb().size(), 0u);
   EXPECT_EQ(attached.hashDb().distinctHashCount(SegmentKind::kParagraph), 0u);
-  EXPECT_EQ(mgr.wal().nextSequence(), next);
-  EXPECT_EQ(mgr.wal().appendedRecords(), 0u);
+  EXPECT_EQ(mgr.wal().stats().nextSequence, next);
+  EXPECT_EQ(mgr.wal().stats().appended, 0u);
 
   // Detached, the same blob imports with the live answers.
   attached.attachWal(nullptr);
@@ -472,7 +472,7 @@ TEST_F(WalTest, WalFileWithBadMagicIsDiscardedEntirely) {
 TEST_F(WalTest, DroppedAppendsConsumeSequencesAndCountLost) {
   DurabilityManager mgr(configFor());
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
-  const std::uint64_t seqBefore = mgr.wal().nextSequence();
+  const std::uint64_t seqBefore = mgr.wal().stats().nextSequence;
   mgr.wal().failNextAppends(1);
   // The first append drops and latches unhealthy; the two after it drop
   // too (no sequence gap can ever appear inside one segment file).
@@ -481,14 +481,14 @@ TEST_F(WalTest, DroppedAppendsConsumeSequencesAndCountLost) {
                             "l#p" + std::to_string(i), "l", "svc",
                             gen_.paragraph(4, 6));
   }
-  EXPECT_EQ(mgr.wal().lostRecords(), 3u);
-  EXPECT_EQ(mgr.wal().nextSequence(), seqBefore + 3);  // monotonic
-  EXPECT_FALSE(mgr.wal().healthy());
+  EXPECT_EQ(mgr.wal().stats().lost, 3u);
+  EXPECT_EQ(mgr.wal().stats().nextSequence, seqBefore + 3);  // monotonic
+  EXPECT_FALSE(mgr.wal().stats().healthy);
   // The repair checkpoint at nextSequence-1 provably covers the lost
   // records: recovery reproduces the full in-memory state.
   ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
   EXPECT_TRUE(mgr.healthy());
-  EXPECT_EQ(mgr.wal().lostRecords(), 3u);  // durability debt is never reset
+  EXPECT_EQ(mgr.wal().stats().lost, 3u);  // durability debt is never reset
   EXPECT_EQ(recoverFresh(), canon(tracker_));
 }
 
@@ -506,7 +506,7 @@ TEST_F(WalTest, InjectedWriteFaultDegradesAndMaintainSelfHeals) {
   fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   tracker_.observeSegment(SegmentKind::kParagraph, "f#p0", "f", "svc",
                           gen_.paragraph(5, 8));
-  EXPECT_GE(mgr.wal().lostRecords(), 1u);
+  EXPECT_GE(mgr.wal().stats().lost, 1u);
   // maintain() first notices the degradation, then (backoff elapsed,
   // delay 0) repairs with an emergency checkpoint + rotation.
   int spins = 0;
@@ -621,7 +621,7 @@ TEST_F(WalTest, QuotaHoldsWhenRotationFailsAfterSnapshotLands) {
     tracker_.observeSegment(SegmentKind::kParagraph,
                             "r#p" + std::to_string(attempt), "r", "svc",
                             gen_.paragraph(4, 6));
-    const std::uint64_t seq = mgr.wal().nextSequence() - 1;
+    const std::uint64_t seq = mgr.wal().stats().nextSequence - 1;
     fault.failNext("wal-", 1, io::StorageFaultKind::kOpenFail);
     EXPECT_FALSE(mgr.checkpoint(tracker_).ok());
     EXPECT_FALSE(mgr.healthy());
@@ -664,7 +664,7 @@ TEST_F(WalTest, TornAppendWriteIsCaughtByRecoveryCrc) {
   fault.failNext(".bfw", 1, io::StorageFaultKind::kTornWrite);
   tracker_.observeSegment(SegmentKind::kParagraph, "t#p1", "t", "svc",
                           gen_.paragraph(5, 8));
-  EXPECT_TRUE(mgr.wal().healthy());  // the lie holds in-process
+  EXPECT_TRUE(mgr.wal().stats().healthy);  // the lie holds in-process
 
   // Crash now (no checkpoint): recovery lands on the durable prefix.
   tracker_.attachWal(nullptr);

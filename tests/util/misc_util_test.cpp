@@ -1,53 +1,13 @@
-// Coverage for the remaining util pieces: logging, stopwatch, binary IO.
+// Coverage for the remaining util pieces: stopwatch, binary IO.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "util/binary_io.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace bf::util {
 namespace {
-
-TEST(Logging, LevelFilterRoundTrip) {
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kError);
-  EXPECT_EQ(logLevel(), LogLevel::kError);
-  // Filtered messages are simply dropped (no observable side effect to
-  // assert beyond not crashing).
-  logMessage(LogLevel::kDebug, "test", "dropped");
-  BF_LOG(LogLevel::kDebug, "test") << "also dropped " << 42;
-  setLogLevel(LogLevel::kOff);
-  logMessage(LogLevel::kError, "test", "dropped too");
-  setLogLevel(before);
-}
-
-TEST(Logging, FilteredMessagesDoNotEvaluateOperands) {
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kError);
-  int evaluations = 0;
-  auto expensive = [&evaluations] {
-    ++evaluations;
-    return std::string("costly");
-  };
-  BF_LOG(LogLevel::kDebug, "test") << "msg " << expensive();
-  EXPECT_EQ(evaluations, 0);
-  setLogLevel(LogLevel::kDebug);
-  BF_LOG(LogLevel::kDebug, "test") << "msg " << expensive();
-  EXPECT_EQ(evaluations, 1);
-  setLogLevel(before);
-}
-
-TEST(Logging, MacroUsableInUnbracedIf) {
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kOff);
-  if (logLevel() == LogLevel::kOff)
-    BF_LOG(LogLevel::kDebug, "test") << "in if";
-  else
-    BF_LOG(LogLevel::kDebug, "test") << "in else";
-  setLogLevel(before);
-}
 
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;

@@ -84,7 +84,7 @@ class LockRankTest : public ::testing::Test {
 TEST_F(LockRankTest, DescendingTheHierarchyIsClean) {
   Mutex outer(kRankEngineState, "outer");
   Mutex middle(kRankTracker, "middle");
-  Mutex inner(kRankLogging, "inner");
+  Mutex inner(kRankFlightRecorder, "inner");
   {
     MutexLock a(outer);
     MutexLock b(middle);
@@ -118,7 +118,7 @@ TEST_F(LockRankTest, EqualRankAlsoCountsAsInversion) {
 }
 
 TEST_F(LockRankTest, UnrankedMutexesAreExempt) {
-  Mutex ranked(kRankLogging, "ranked");
+  Mutex ranked(kRankFlightRecorder, "ranked");
   Mutex unranked;
   {
     MutexLock a(ranked);
@@ -156,7 +156,7 @@ TEST(LockRankDeathTest, DefaultHandlerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(
       {
-        Mutex inner(kRankLogging, "inner");
+        Mutex inner(kRankFlightRecorder, "inner");
         Mutex outer(kRankEngineState, "outer");
         inner.lock();
         outer.lock();  // inversion with the abort handler installed
