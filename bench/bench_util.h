@@ -7,9 +7,8 @@
 //   BF_SCALE=paper            the paper's dataset sizes (Table 1)
 // Output is plain text: one block per figure/table, with the series the
 // paper plots, so results can be diffed against EXPERIMENTS.md.
-// Set BF_METRICS=1 (Prometheus text) or BF_METRICS=json to append a dump
-// of the process-wide obs registry after each figure, so BENCH_*.json
-// result files can carry registry snapshots alongside the series.
+// Set BF_METRICS=1 to append a Prometheus text dump of the process-wide obs
+// registry after each figure.
 #pragma once
 
 #include <cstdio>
@@ -54,8 +53,8 @@ inline void result(const std::string& json) {
 }
 
 /// What histogram `name` recorded since `before`, a registry snapshot taken
-/// when the phase began (empty if the histogram does not exist). Counts,
-/// buckets and sum are the phase's own; min and max are process-wide.
+/// when the phase began (empty if the histogram does not exist), as
+/// MetricsSnapshot::diff defines it.
 inline obs::HistogramData histogramSince(const obs::MetricsSnapshot& before,
                                          std::string_view name) {
   const obs::MetricsSnapshot delta = obs::registry().snapshot().diff(before);
@@ -63,18 +62,14 @@ inline obs::HistogramData histogramSince(const obs::MetricsSnapshot& before,
   return metric != nullptr ? metric->histogram : obs::HistogramData{};
 }
 
-/// When BF_METRICS is set, prints the whole obs registry after the figure:
-/// BF_METRICS=json emits the JSON exposition, any other non-empty value
-/// the Prometheus text format. Call at the end of each bench main().
+/// When BF_METRICS is set (and not "0"), prints the whole obs registry in
+/// the Prometheus text format after the figure. Call at the end of each
+/// bench main().
 inline void dumpMetrics() {
   const char* env = std::getenv("BF_METRICS");
   if (env == nullptr || *env == '\0' || std::string(env) == "0") return;
-  const obs::MetricsSnapshot snap = obs::registry().snapshot();
-  if (std::string(env) == "json") {
-    std::printf("\n# metrics (json)\n%s\n", obs::toJson(snap).c_str());
-  } else {
-    std::printf("\n# metrics (prometheus)\n%s", obs::toPrometheusText(snap).c_str());
-  }
+  std::printf("\n# metrics (prometheus)\n%s",
+              obs::toPrometheusText(obs::registry().snapshot()).c_str());
 }
 
 }  // namespace bf::bench

@@ -6,8 +6,9 @@
 #   BF_CHECK_PRESETS="default" scripts/check.sh       # subset
 #   BF_CHECK_PRESETS="default asan ubsan tsan release" scripts/check.sh  # full matrix
 #
-# Each preset runs the same steps as its leg in .github/workflows/check.yml.
-# The default and release presets build with -Werror. The tsan preset runs
+# This script is where each step is defined: every build-test leg of
+# .github/workflows/check.yml runs it with one preset. The default and
+# release presets build with -Werror. The tsan preset runs
 # the concurrency-relevant tests under ThreadSanitizer and then the
 # bench_stress_concurrency binary (a short configuration), so the lock
 # migration is exercised under real contention, not just unit load. The

@@ -114,8 +114,8 @@ struct Decision {
   /// (reason kDurabilityDegraded).
   bool durabilityDegraded = false;
   /// Provenance correlation ids (obs/flight_recorder.h): decisionId keys
-  /// FlightRecorder::explain(); traceId links flight-recorder records and
-  /// histogram exemplars. Both 0 when provenance is disabled.
+  /// FlightRecorder::explain(); traceId links the flight-recorder records of
+  /// one causal flow. Both 0 when provenance is disabled.
   std::uint64_t decisionId = 0;
   std::uint64_t traceId = 0;
   /// Policy labels the enforcement check consulted (the segment's

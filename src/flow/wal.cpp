@@ -186,16 +186,14 @@ void WriteAheadLog::append(WalRecordType type, const std::string& body) {
   obs::StageTimer walTimer(obs::Stage::kWalAppend);
   const WalMetrics& m = walMetrics();
   util::MutexLock lock(mutex_);
-  if (failNext_ > 0 || !healthy_ || file_ == nullptr) {
+  if (!healthy_ || file_ == nullptr) {
     // Dropped — but the sequence is still consumed. Sequences are the
     // bridge between the in-memory state and the durable record; keeping
     // them monotonic means the repair checkpoint (taken at the last
     // assigned sequence) provably covers every dropped record, and an
     // already-written prefix never collides with a reused sequence.
-    if (failNext_ > 0) --failNext_;
     healthy_ = false;
     ++nextSeq_;
-    ++lost_;
     m.appendFailures->inc();
     m.recordsLost->inc();
     return;
@@ -231,9 +229,8 @@ void WriteAheadLog::append(WalRecordType type, const std::string& body) {
   if (syncEachAppend_) {
     if (!file_->sync()) {
       // The record reached the kernel but maybe not the device: count it
-      // lost (lost is an upper bound) and poison the file.
+      // lost (the count is an upper bound) and poison the file.
       healthy_ = false;
-      ++lost_;
       m.appendFailures->inc();
       m.recordsLost->inc();
       poisonLocked();
@@ -254,7 +251,6 @@ bool WriteAheadLog::flushLocked() {
     // stay monotonic so the repair checkpoint at the last assigned
     // sequence re-covers everything dropped here.
     healthy_ = false;
-    lost_ += bufferedRecords_;
     walMetrics().appendFailures->inc(bufferedRecords_);
     walMetrics().recordsLost->inc(bufferedRecords_);
     poisonLocked();
@@ -303,12 +299,7 @@ util::Status WriteAheadLog::sync() {
 
 WriteAheadLog::Stats WriteAheadLog::stats() const {
   util::MutexLock lock(mutex_);
-  return {healthy_, nextSeq_, appended_, lost_};
-}
-
-void WriteAheadLog::failNextAppends(int n) {
-  util::MutexLock lock(mutex_);
-  failNext_ = n;
+  return {healthy_, nextSeq_, appended_};
 }
 
 // ---- Replay -----------------------------------------------------------------
@@ -585,7 +576,6 @@ util::Result<RecoveryStats> DurabilityManager::recoverAndAttach(
   attached_ = true;
   lastCheckpointOk_ = true;
   health_ = DurabilityHealth::kHealthy;
-  repairAttempts_ = 0;
   m.health->set(0.0);
 
   stats.replayMillis = watch.elapsedMillis();
@@ -626,7 +616,6 @@ util::Status DurabilityManager::checkpoint(const FlowTracker& tracker) {
   // A successful checkpoint + rotation IS a durable prefix: whatever the
   // WAL lost before is now inside the snapshot, so health is restored.
   health_ = DurabilityHealth::kHealthy;
-  repairAttempts_ = 0;
   m.health->set(0.0);
   m.checkpointLastMs->set(watch.elapsedMillis());
   m.checkpointDurationUs->observe(watch.elapsedMicros());
@@ -637,7 +626,6 @@ void DurabilityManager::enterDegraded() {
   if (health_ == DurabilityHealth::kHealthy) {
     // New degraded episode: fresh backoff sequence.
     repairBackoff_.reset();
-    repairAttempts_ = 0;
   }
   health_ = DurabilityHealth::kDegraded;
   nextRepairDelayMs_ = repairBackoff_.nextDelayMs();
@@ -648,7 +636,6 @@ void DurabilityManager::enterDegraded() {
 util::Status DurabilityManager::attemptRepair(const FlowTracker& tracker) {
   health_ = DurabilityHealth::kRecovering;
   walMetrics().health->set(2.0);
-  ++repairAttempts_;
   // The repair is an emergency checkpoint: snapshot the full in-memory
   // state at the last assigned sequence (covering every lost record) and
   // rotate onto a fresh segment. checkpoint() restores kHealthy on

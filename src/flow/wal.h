@@ -46,12 +46,13 @@
 // latches unhealthy, the file is POISONED (closed and abandoned; a
 // partially-written tail is exactly what recovery's CRC/continuity checks
 // are built to discard) and every record that could not be made durable is
-// counted in stats().lost. Sequences stay MONOTONIC: a dropped record
-// still consumes its sequence number, so the in-memory tracker and the
-// sequence space never diverge — the repair checkpoint (DurabilityManager)
-// snapshots the full in-memory state at the last assigned sequence, which
-// re-covers the lost records and re-establishes a durable prefix. All file
-// I/O flows through the bf::io Vfs seam so storage faults are injectable.
+// counted in bf_wal_records_lost_total (an upper bound, never reset).
+// Sequences stay MONOTONIC: a dropped record still consumes its sequence
+// number, so the in-memory tracker and the sequence space never diverge —
+// the repair checkpoint (DurabilityManager) snapshots the full in-memory
+// state at the last assigned sequence, which re-covers the lost records and
+// re-establishes a durable prefix. All file I/O flows through the bf::io
+// Vfs seam so storage faults are injectable.
 #pragma once
 
 #include <cstdint>
@@ -102,11 +103,6 @@ class WriteAheadLog {
     std::uint64_t nextSequence = 0;
     /// Records appended (successfully) since open/rotate.
     std::uint64_t appended = 0;
-    /// Records dropped since process start (upper bound: when a buffered
-    /// flush fails, a prefix of the buffer may in fact have reached disk).
-    /// Never reset — this is the process's cumulative durability debt; the
-    /// repair checkpoint re-covers the records but keeps the count.
-    std::uint64_t lost = 0;
   };
 
   /// Creates (or truncates) the log file at `path` and writes the header.
@@ -142,10 +138,6 @@ class WriteAheadLog {
   /// maintenance fast path reads it once per decision).
   [[nodiscard]] Stats stats() const BF_EXCLUDES(mutex_);
 
-  /// Test hook: force the next `n` appends to fail without touching the
-  /// file (exercises the unhealthy path deterministically).
-  void failNextAppends(int n) BF_EXCLUDES(mutex_);
-
  private:
   void append(WalRecordType type, const std::string& body)
       BF_EXCLUDES(mutex_);
@@ -165,10 +157,8 @@ class WriteAheadLog {
   std::string path_ BF_GUARDED_BY(mutex_);
   std::uint64_t nextSeq_ BF_GUARDED_BY(mutex_) = 1;
   std::uint64_t appended_ BF_GUARDED_BY(mutex_) = 0;
-  std::uint64_t lost_ BF_GUARDED_BY(mutex_) = 0;
   bool syncEachAppend_ BF_GUARDED_BY(mutex_) = false;
   bool healthy_ BF_GUARDED_BY(mutex_) = false;
-  int failNext_ BF_GUARDED_BY(mutex_) = 0;
   std::string buffer_ BF_GUARDED_BY(mutex_);  ///< frames not yet write()n
   std::uint64_t bufferedRecords_ BF_GUARDED_BY(mutex_) = 0;
 };
@@ -298,11 +288,6 @@ class DurabilityManager {
   /// mutations.
   [[nodiscard]] bool healthy() const;
 
-  /// Repair attempts made in the current degraded episode (0 when healthy).
-  [[nodiscard]] std::uint64_t repairAttempts() const noexcept {
-    return repairAttempts_;
-  }
-
   [[nodiscard]] WriteAheadLog& wal() noexcept { return wal_; }
 
  private:
@@ -328,7 +313,6 @@ class DurabilityManager {
   util::Backoff repairBackoff_;
   util::Stopwatch repairWatch_;
   double nextRepairDelayMs_ = 0.0;
-  std::uint64_t repairAttempts_ = 0;
 };
 
 }  // namespace bf::flow

@@ -119,35 +119,10 @@ void FaultVfs::setDefaults(StorageFaultConfig config) {
   defaults_ = config;
 }
 
-void FaultVfs::setPathFaults(const std::string& substring,
-                             StorageFaultConfig config) {
-  util::MutexLock lock(mutex_);
-  perPath_[substring] = config;
-}
-
 void FaultVfs::failNext(const std::string& substring, int count,
                         StorageFaultKind kind) {
   util::MutexLock lock(mutex_);
   if (count > 0) scheduled_[substring].emplace_back(kind, count);
-}
-
-const StorageFaultConfig& FaultVfs::configForLocked(
-    const std::string& path) const {
-  // Longest matching substring wins; ties break lexicographically so the
-  // choice is deterministic across unordered_map iteration orders.
-  const StorageFaultConfig* best = nullptr;
-  std::size_t bestLen = 0;
-  std::string bestKey;
-  for (const auto& [key, cfg] : perPath_) {
-    if (path.find(key) == std::string::npos) continue;
-    if (best == nullptr || key.size() > bestLen ||
-        (key.size() == bestLen && key < bestKey)) {
-      best = &cfg;
-      bestLen = key.size();
-      bestKey = key;
-    }
-  }
-  return best != nullptr ? *best : defaults_;
 }
 
 StorageFaultKind FaultVfs::pickFault(const std::string& path, OpClass op) {
@@ -190,7 +165,7 @@ StorageFaultKind FaultVfs::pickFaultLocked(const std::string& path,
   //    cumulative intervals over the kinds applicable to this operation
   //    class, so the per-op fault probability is exactly the sum of the
   //    applicable per-kind probabilities.
-  const StorageFaultConfig& cfg = configForLocked(path);
+  const StorageFaultConfig& cfg = defaults_;
   const double u = rng_.uniform01();
   double edge = 0.0;
   if (isWrite) {
@@ -216,7 +191,6 @@ std::uint64_t FaultVfs::uniformBetween(std::uint64_t lo, std::uint64_t hi) {
 
 void FaultVfs::recordFault(StorageFaultKind kind) {
   const StorageFaultMetrics& m = storageFaultMetrics();
-  faults_.fetch_add(1, std::memory_order_relaxed);
   m.injected->inc();
   switch (kind) {
     case StorageFaultKind::kEnospc:

@@ -16,13 +16,12 @@
 //   kOpenFail    openForWrite returns null;
 //   kReadCorrupt readFile succeeds but one byte is flipped.
 //
-// Fault selection is per-operation from a seeded Rng; per-path-substring
-// FaultConfig overrides and deterministic failNext() schedules let tests
-// script exact failure sequences (e.g. "the next 2 fsyncs on any .bfw
-// segment fail"). Everything is metered via bf::obs (bf_storage_fault_*).
+// Fault selection is per-operation from a seeded Rng; deterministic
+// failNext() schedules let tests script exact failure sequences (e.g. "the
+// next 2 fsyncs on any .bfw segment fail"). Everything is metered via
+// bf::obs (bf_storage_fault_*).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -47,8 +46,8 @@ enum class StorageFaultKind : std::uint8_t {
   kReadCorrupt,
 };
 
-/// Per-path-substring (or default) fault probabilities. Kinds are sampled
-/// in declaration order; at most one fault fires per operation.
+/// Fault probabilities per operation. Kinds are sampled in declaration
+/// order; at most one fault fires per operation.
 struct StorageFaultConfig {
   double enospcProb = 0.0;
   double shortWriteProb = 0.0;
@@ -73,15 +72,8 @@ class FaultVfs final : public Vfs {
   /// Wraps `inner` (not owned); `seed` drives fault sampling.
   FaultVfs(Vfs* inner, std::uint64_t seed, StorageFaultConfig defaults = {});
 
-  /// Replaces the default fault profile (applies where no path override
-  /// matches).
+  /// Replaces the fault profile.
   void setDefaults(StorageFaultConfig config) BF_EXCLUDES(mutex_);
-
-  /// Override for any path containing `substring` (longest matching
-  /// substring wins; keys like ".bfw", "checkpoint-", ".tmp"). Pass {} to
-  /// make matching paths fault-free.
-  void setPathFaults(const std::string& substring, StorageFaultConfig config)
-      BF_EXCLUDES(mutex_);
 
   /// Deterministically fails the next `count` operations of `kind`'s class
   /// on paths containing `substring`, ahead of probabilistic sampling. A
@@ -90,11 +82,6 @@ class FaultVfs final : public Vfs {
   /// kReadCorrupt by readFile()). Schedules queue in call order.
   void failNext(const std::string& substring, int count, StorageFaultKind kind)
       BF_EXCLUDES(mutex_);
-
-  /// Faults injected so far (all kinds).
-  [[nodiscard]] std::uint64_t faultCount() const noexcept {
-    return faults_.load(std::memory_order_relaxed);
-  }
 
   // Vfs. Fault selection runs under the decorator's mutex (rank
   // kRankStorageFault, below the WAL mutex); the inner Vfs is dispatched
@@ -124,8 +111,6 @@ class FaultVfs final : public Vfs {
   [[nodiscard]] StorageFaultKind pickFaultLocked(const std::string& path,
                                                  OpClass op)
       BF_REQUIRES(mutex_);
-  [[nodiscard]] const StorageFaultConfig& configForLocked(
-      const std::string& path) const BF_REQUIRES(mutex_);
   /// Uniform draw in [lo, hi] for shaping short/torn prefixes.
   [[nodiscard]] std::uint64_t uniformBetween(std::uint64_t lo,
                                              std::uint64_t hi)
@@ -136,12 +121,9 @@ class FaultVfs final : public Vfs {
   mutable util::Mutex mutex_{util::kRankStorageFault, "FaultVfs.mutex_"};
   util::Rng rng_ BF_GUARDED_BY(mutex_);
   StorageFaultConfig defaults_ BF_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, StorageFaultConfig> perPath_
-      BF_GUARDED_BY(mutex_);
   std::unordered_map<std::string,
                      std::deque<std::pair<StorageFaultKind, int>>>
       scheduled_ BF_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> faults_{0};
 };
 
 }  // namespace bf::io

@@ -118,53 +118,6 @@ std::string toPrometheusText(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-std::string toJson(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"metrics\":[";
-  bool first = true;
-  for (const MetricValue& m : snapshot.metrics) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << util::escapeJsonString(m.name) << "\",\"kind\":\""
-       << kindName(m.kind) << "\"";
-    if (!m.help.empty()) {
-      os << ",\"help\":\"" << util::escapeJsonString(m.help) << "\"";
-    }
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        os << ",\"value\":" << m.counterValue;
-        break;
-      case MetricKind::kGauge:
-        os << ",\"value\":" << formatDouble(m.gaugeValue);
-        break;
-      case MetricKind::kHistogram: {
-        const HistogramData& h = m.histogram;
-        os << ",\"count\":" << h.count << ",\"sum\":" << formatDouble(h.sum)
-           << ",\"min\":" << formatDouble(h.min)
-           << ",\"max\":" << formatDouble(h.max) << ",\"buckets\":[";
-        for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-          if (i > 0) os << ",";
-          os << "{\"le\":" << formatDouble(h.bounds[i])
-             << ",\"count\":" << h.bucketCounts[i];
-          if (i < h.exemplars.size() && h.exemplars[i] != 0) {
-            os << ",\"exemplar\":" << h.exemplars[i];
-          }
-          os << "}";
-        }
-        os << "],\"overflow\":" << h.bucketCounts[h.bounds.size()];
-        if (h.exemplars.size() > h.bounds.size() &&
-            h.exemplars[h.bounds.size()] != 0) {
-          os << ",\"overflow_exemplar\":" << h.exemplars[h.bounds.size()];
-        }
-        break;
-      }
-    }
-    os << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 std::string toJson(const DecisionTrace& trace) {
   std::ostringstream os;
   os << "{\"decision_id\":" << trace.decisionId

@@ -1,11 +1,10 @@
-// bf::obs — snapshot exposition.
+// bf::obs — exposition.
 //
-// Two formats over the same MetricsSnapshot:
-//  - Prometheus text exposition (HELP/TYPE headers, cumulative `_bucket`
-//    lines with `le` labels, `_sum`/`_count` for histograms) so snapshots
-//    can be diffed with standard tooling;
-//  - a JSON document (one object per metric, name-sorted) for the bench
-//    harness, whose BENCH_*.json result files embed registry snapshots.
+// Aggregates have one format: Prometheus text exposition of a
+// MetricsSnapshot (HELP/TYPE headers, cumulative `_bucket` lines with `le`
+// labels, `_sum`/`_count` for histograms), so snapshots can be diffed with
+// standard tooling. Single decisions have one record: the flight
+// recorder's, rendered as JSON for scripts/bf_explain.py.
 #pragma once
 
 #include <string>
@@ -23,7 +22,6 @@ namespace bf::obs {
 [[nodiscard]] std::string escapeHelpText(std::string_view help);
 
 [[nodiscard]] std::string toPrometheusText(const MetricsSnapshot& snapshot);
-[[nodiscard]] std::string toJson(const MetricsSnapshot& snapshot);
 
 /// One flight-recorder decision record as a JSON object.
 [[nodiscard]] std::string toJson(const DecisionTrace& trace);

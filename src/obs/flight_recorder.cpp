@@ -64,18 +64,6 @@ std::optional<DecisionTrace> FlightRecorder::explain(
   return std::nullopt;
 }
 
-std::optional<DecisionTrace> FlightRecorder::explainByTrace(
-    std::uint64_t traceId) const {
-  if (traceId == 0) return std::nullopt;
-  util::MutexLock lock(mutex_);
-  const std::uint64_t kept = retained_ < capacity_ ? retained_ : capacity_;
-  for (std::uint64_t i = 0; i < kept; ++i) {
-    const DecisionTrace& t = ring_[(retained_ - 1 - i) % capacity_];
-    if (t.traceId == traceId) return t;
-  }
-  return std::nullopt;
-}
-
 std::vector<DecisionTrace> FlightRecorder::recent() const {
   util::MutexLock lock(mutex_);
   std::vector<DecisionTrace> out;
@@ -103,11 +91,6 @@ void FlightRecorder::clear() {
 
 std::uint64_t FlightRecorder::lastDecisionId() const noexcept {
   return nextId_.load(std::memory_order_relaxed) - 1;
-}
-
-std::uint64_t FlightRecorder::retainedTotal() const {
-  util::MutexLock lock(mutex_);
-  return retained_;
 }
 
 }  // namespace bf::obs

@@ -37,7 +37,7 @@ struct DecisionTraceHit {
 /// The complete causal record of one decision: ingress → stages → verdict.
 struct DecisionTrace {
   std::uint64_t decisionId = 0;  ///< key for explain(); recorder-assigned
-  std::uint64_t traceId = 0;     ///< links records + histogram exemplars
+  std::uint64_t traceId = 0;     ///< links the records of one causal flow
   bool sampled = false;  ///< head-sampling verdict of the trace
 
   std::string ingress;  ///< "plugin.paragraph", "dlp.appliance", ...
@@ -88,9 +88,6 @@ class FlightRecorder {
   /// The retained record for `decisionId`, if it is still in the ring.
   [[nodiscard]] std::optional<DecisionTrace> explain(
       std::uint64_t decisionId) const;
-  /// The newest retained record belonging to `traceId`, if any.
-  [[nodiscard]] std::optional<DecisionTrace> explainByTrace(
-      std::uint64_t traceId) const;
 
   /// All retained records, oldest first.
   [[nodiscard]] std::vector<DecisionTrace> recent() const;
@@ -101,8 +98,6 @@ class FlightRecorder {
 
   /// Highest decision id handed out so far (0 before the first).
   [[nodiscard]] std::uint64_t lastDecisionId() const noexcept;
-  /// Total records ever retained (including ones since overwritten).
-  [[nodiscard]] std::uint64_t retainedTotal() const;
 
  private:
   // Rank 88: records are written after the engine releases its pipeline

@@ -34,36 +34,6 @@ double HistogramData::percentile(double p) const noexcept {
   return max;
 }
 
-double HistogramData::fractionBelow(double x) const noexcept {
-  if (count == 0) return 0.0;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bucketCounts.size(); ++i) {
-    const double lower = i == 0 ? 0.0 : bounds[i - 1];
-    if (i >= bounds.size()) {
-      // Overflow bucket: interpolate towards the observed maximum.
-      if (x <= lower) break;
-      if (max <= lower || x >= max) cumulative += bucketCounts[i];
-      else {
-        cumulative += static_cast<std::uint64_t>(
-            static_cast<double>(bucketCounts[i]) * (x - lower) /
-            (max - lower));
-      }
-      break;
-    }
-    const double upper = bounds[i];
-    if (x >= upper) {
-      cumulative += bucketCounts[i];
-      continue;
-    }
-    if (x > lower) {
-      cumulative += static_cast<std::uint64_t>(
-          static_cast<double>(bucketCounts[i]) * (x - lower) / (upper - lower));
-    }
-    break;
-  }
-  return static_cast<double>(cumulative) / static_cast<double>(count);
-}
-
 // ---- Histogram -------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> upperBounds)
@@ -72,12 +42,7 @@ Histogram::Histogram(std::vector<double> upperBounds)
       max_(-std::numeric_limits<double>::infinity()) {
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  exemplars_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0);
-    exemplars_[i].store(0);
-  }
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 std::vector<double> Histogram::defaultLatencyBucketsMs() {
@@ -86,14 +51,11 @@ std::vector<double> Histogram::defaultLatencyBucketsMs() {
           25.0,   50.0,  100.0,  250.0, 500.0, 1000.0, 2500.0};
 }
 
-void Histogram::observeImpl(double v, std::uint64_t exemplarTraceId) noexcept {
+void Histogram::observe(double v) noexcept {
   // Prometheus bucket semantics: bucket i counts observations <= bounds[i].
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  if (exemplarTraceId != 0) {
-    exemplars_[idx].store(exemplarTraceId, std::memory_order_relaxed);
-  }
   count_.fetch_add(1, std::memory_order_relaxed);
   detail::atomicAdd(sum_, v);
   detail::atomicMin(min_, v);
@@ -104,10 +66,8 @@ HistogramData Histogram::data() const {
   HistogramData out;
   out.bounds = bounds_;
   out.bucketCounts.resize(bounds_.size() + 1);
-  out.exemplars.resize(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     out.bucketCounts[i] = buckets_[i].load(std::memory_order_relaxed);
-    out.exemplars[i] = exemplars_[i].load(std::memory_order_relaxed);
   }
   out.count = count_.load(std::memory_order_relaxed);
   out.sum = sum_.load(std::memory_order_relaxed);
@@ -116,19 +76,6 @@ HistogramData Histogram::data() const {
     out.max = max_.load(std::memory_order_relaxed);
   }
   return out;
-}
-
-void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-    exemplars_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
 }
 
 // ---- MetricsSnapshot -------------------------------------------------------
@@ -152,6 +99,45 @@ double MetricsSnapshot::gaugeValue(std::string_view name) const noexcept {
   return (m != nullptr && m->kind == MetricKind::kGauge) ? m->gaugeValue : 0.0;
 }
 
+namespace {
+
+/// What a histogram recorded between `before` and `now`. The process-wide
+/// min and max describe the phase only where the phase moved them; else
+/// they fall back to the finite edges of the phase's outermost non-empty
+/// buckets, so one phase's percentiles never report another's extremes.
+HistogramData histogramDiff(const HistogramData& now,
+                            const HistogramData& before) {
+  HistogramData d = now;
+  d.count = now.count - before.count;
+  d.sum = now.sum - before.sum;
+  for (std::size_t i = 0; i < now.bucketCounts.size(); ++i) {
+    d.bucketCounts[i] = now.bucketCounts[i] - before.bucketCounts[i];
+  }
+  if (d.count == 0) {
+    d.min = d.max = 0.0;
+    return d;
+  }
+  if (before.count == 0 || d.bounds.empty()) return d;
+  const auto nonEmpty = [](std::uint64_t n) { return n != 0; };
+  if (now.max <= before.max) {
+    const auto top = std::find_if(d.bucketCounts.rbegin(),
+                                  d.bucketCounts.rend(), nonEmpty);
+    const std::size_t i =
+        static_cast<std::size_t>(d.bucketCounts.rend() - top) - 1;
+    d.max = d.bounds[std::min(i, d.bounds.size() - 1)];
+  }
+  if (now.min >= before.min) {
+    const auto bottom = std::find_if(d.bucketCounts.begin(),
+                                     d.bucketCounts.end(), nonEmpty);
+    const std::size_t i =
+        static_cast<std::size_t>(bottom - d.bucketCounts.begin());
+    d.min = d.bounds[i == 0 ? 0 : i - 1];
+  }
+  return d;
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& earlier) const {
   MetricsSnapshot out;
   out.metrics.reserve(metrics.size());
@@ -161,27 +147,15 @@ MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& earlier) const {
     if (before != nullptr && before->kind == now.kind) {
       switch (now.kind) {
         case MetricKind::kCounter:
-          d.counterValue = now.counterValue >= before->counterValue
-                               ? now.counterValue - before->counterValue
-                               : 0;
+          d.counterValue = now.counterValue - before->counterValue;
           break;
         case MetricKind::kGauge:
           break;  // gauges are levels, not rates
-        case MetricKind::kHistogram: {
-          const HistogramData& a = now.histogram;
-          const HistogramData& b = before->histogram;
-          if (a.bounds == b.bounds && a.count >= b.count) {
-            d.histogram.count = a.count - b.count;
-            d.histogram.sum = a.sum - b.sum;
-            for (std::size_t i = 0; i < a.bucketCounts.size(); ++i) {
-              d.histogram.bucketCounts[i] =
-                  a.bucketCounts[i] >= b.bucketCounts[i]
-                      ? a.bucketCounts[i] - b.bucketCounts[i]
-                      : 0;
-            }
+        case MetricKind::kHistogram:
+          if (now.histogram.bounds == before->histogram.bounds) {
+            d.histogram = histogramDiff(now.histogram, before->histogram);
           }
           break;
-        }
       }
     }
     out.metrics.push_back(std::move(d));
@@ -257,16 +231,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     out.metrics.push_back(std::move(v));
   }
   return out;
-}
-
-void MetricsRegistry::resetAll() {
-  util::MutexLock lock(mutex_);
-  for (auto& [name, entry] : metrics_) {
-    (void)name;
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.histogram) entry.histogram->reset();
-  }
 }
 
 MetricsRegistry& registry() {

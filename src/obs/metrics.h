@@ -63,7 +63,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -72,11 +71,9 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) noexcept { detail::atomicAdd(value_, delta); }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -88,10 +85,6 @@ class Gauge {
 struct HistogramData {
   std::vector<double> bounds;
   std::vector<std::uint64_t> bucketCounts;
-  /// Per bucket (incl. overflow): trace id of the most recent observation
-  /// recorded with observeWithExemplar (0 = no exemplar). Links a slow
-  /// bucket to a concrete flight-recorder trace.
-  std::vector<std::uint64_t> exemplars;
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;  ///< 0 when count == 0
@@ -104,8 +97,6 @@ struct HistogramData {
   /// within the containing bucket. Values in the overflow bucket report
   /// the observed maximum. Returns 0 for an empty histogram.
   [[nodiscard]] double percentile(double p) const noexcept;
-  /// Estimated fraction of observations strictly below `x` in [0,1].
-  [[nodiscard]] double fractionBelow(double x) const noexcept;
 };
 
 class Histogram {
@@ -118,12 +109,7 @@ class Histogram {
   /// millisecond-denominated latencies the pipeline records.
   [[nodiscard]] static std::vector<double> defaultLatencyBucketsMs();
 
-  void observe(double v) noexcept { observeImpl(v, 0); }
-  /// observe() plus: remembers `traceId` as the exemplar of the bucket the
-  /// value lands in (last writer wins; 0 leaves the exemplar untouched).
-  void observeWithExemplar(double v, std::uint64_t traceId) noexcept {
-    observeImpl(v, traceId);
-  }
+  void observe(double v) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -143,14 +129,9 @@ class Histogram {
   /// fine for monitoring).
   [[nodiscard]] HistogramData data() const;
 
-  void reset() noexcept;
-
  private:
-  void observeImpl(double v, std::uint64_t exemplarTraceId) noexcept;
-
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;    // bounds_+1 slots
-  std::unique_ptr<std::atomic<std::uint64_t>[]> exemplars_;  // bounds_+1 slots
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_+1 slots
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
@@ -182,9 +163,12 @@ class MetricsSnapshot {
   [[nodiscard]] double gaugeValue(std::string_view name) const noexcept;
 
   /// Returns this snapshot minus `earlier`: counter values and histogram
-  /// bucket counts/count/sum are subtracted per name (clamped at 0 if the
-  /// metric was reset in between); gauges keep their current level.
-  /// Metrics absent from `earlier` pass through unchanged.
+  /// bucket counts/count/sum are subtracted per name; gauges keep their
+  /// current level. A diffed histogram's min/max are the later snapshot's
+  /// when the phase moved them, else the edges of the phase's lowest and
+  /// highest non-empty buckets. Metrics absent from `earlier` pass through
+  /// unchanged. `earlier` must be a snapshot of the same registry taken
+  /// before this one.
   [[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& earlier) const;
 };
 
@@ -204,10 +188,6 @@ class MetricsRegistry {
                        std::vector<double> upperBounds = {});
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Zeroes every metric (tests / bench phase boundaries). Registered
-  /// metrics and their addresses survive.
-  void resetAll();
 
  private:
   struct Entry {

@@ -73,8 +73,7 @@ void setProvenanceEnabled(bool enabled) noexcept {
 void detail::observeStageDirect(Stage stage, std::uint64_t nanos) noexcept {
   const std::size_t i = static_cast<std::size_t>(stage);
   if (i >= kStageCount) return;
-  stageMetrics().hist[i]->observeWithExemplar(
-      static_cast<double>(nanos) / 1000.0, currentTrace().traceId);
+  stageMetrics().hist[i]->observe(static_cast<double>(nanos) / 1000.0);
 }
 
 ScopedStageCollector::ScopedStageCollector(StageBreakdown* breakdown) noexcept
@@ -86,16 +85,16 @@ ScopedStageCollector::~ScopedStageCollector() {
   detail::t_stageCollector = saved_;
   if (breakdown_ == nullptr || !provenanceEnabled()) return;
   // Head-sample the histogram contribution along with the trace: an
-  // unbiased subsample of decisions, and every attached exemplar points at
-  // a trace the flight recorder retained. Collectors running outside any
-  // trace (tests, tools) always flush.
+  // unbiased subsample of decisions, the same ones the flight recorder
+  // retains. Collectors running outside any trace (tests, tools) always
+  // flush.
   const TraceContext& trace = currentTrace();
   if (trace.valid() && !trace.sampled) return;
   const StageMetrics& metrics = stageMetrics();
   for (std::size_t i = 0; i < kStageCount; ++i) {
     if (breakdown_->nanos[i] == 0) continue;
-    metrics.hist[i]->observeWithExemplar(
-        static_cast<double>(breakdown_->nanos[i]) / 1000.0, trace.traceId);
+    metrics.hist[i]->observe(static_cast<double>(breakdown_->nanos[i]) /
+                             1000.0);
   }
 }
 

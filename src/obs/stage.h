@@ -6,10 +6,8 @@
 // thread's ScopedStageCollector (the per-decision StageBreakdown that ends
 // up in the flight recorder); when the collector scope closes it flushes
 // each touched stage into the matching process-wide `bf_stage_*_us`
-// histogram — attaching the trace id as the bucket's exemplar, so a p99
-// spike points at a concrete recorded trace.
-// Collector flushes are head-sampled along with the trace (an unbiased
-// subsample, and every exemplar then resolves in the flight recorder);
+// histogram. Collector flushes are head-sampled along with the trace (an
+// unbiased subsample of the decisions the flight recorder retains);
 // recordStage() calls made with no collector installed observe their
 // histogram directly.
 //
@@ -139,7 +137,7 @@ class StageTimer {
 /// this thread adds into it. The engine installs one per decision. On
 /// destruction, if the ambient trace is head-sampled (or there is no
 /// ambient trace), each touched stage is flushed into its `bf_stage_*_us`
-/// histogram with the trace id as exemplar.
+/// histogram.
 class ScopedStageCollector {
  public:
   explicit ScopedStageCollector(StageBreakdown* breakdown) noexcept;

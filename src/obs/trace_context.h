@@ -3,8 +3,8 @@
 // A TraceContext is created at every ingress (plugin hooks, the DLP
 // appliance, or DecisionEngine::decide for a caller without one) and
 // propagated explicitly through the decision path. It carries a 64-bit
-// trace id shared by every flight-recorder record and histogram exemplar of
-// one causal flow, and a head-sampling bit decided once at trace start.
+// trace id shared by every flight-recorder record of one causal flow, and a
+// head-sampling bit decided once at trace start.
 #pragma once
 
 #include <cstdint>

@@ -124,8 +124,8 @@ TEST_F(EngineTest, ResponseTimesRecorded) {
   const obs::MetricsSnapshot before = obs::registry().snapshot();
   const Decision a = engine_.decide(requestFor(gen_.paragraph(6, 9)));
   const Decision b = engine_.decide(requestFor(gen_.paragraph(6, 9)));
-  const obs::MetricValue* latency =
-      obs::registry().snapshot().diff(before).find("bf_decision_latency_ms");
+  const obs::MetricsSnapshot delta = obs::registry().snapshot().diff(before);
+  const obs::MetricValue* latency = delta.find("bf_decision_latency_ms");
   ASSERT_NE(latency, nullptr);
   ASSERT_EQ(latency->histogram.count, 2u);
   EXPECT_GE(a.responseTimeMs, 0.0);

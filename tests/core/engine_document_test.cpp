@@ -120,8 +120,8 @@ TEST_F(EngineDocumentTest, ConcurrentAsyncProducersAreSerialised) {
   const auto hits = tracker_.checkText(base, "probe");
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].sourceName, "src#p0");
-  const obs::MetricValue* latency =
-      obs::registry().snapshot().diff(before).find("bf_decision_latency_ms");
+  const obs::MetricsSnapshot delta = obs::registry().snapshot().diff(before);
+  const obs::MetricValue* latency = delta.find("bf_decision_latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->histogram.count, 75u);
 }

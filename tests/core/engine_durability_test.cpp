@@ -13,8 +13,10 @@
 #include "core/decision_engine.h"
 #include "core/plugin.h"
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/snapshot.h"
 #include "flow/wal.h"
+#include "io/fault_vfs.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -51,6 +53,20 @@ class EngineDurabilityTest : public ::testing::Test {
     cfg.directory = dir_;
     cfg.checkpointEveryRecords = checkpointEvery;
     return cfg;
+  }
+
+  /// A config whose storage runs through `fault`, with every append
+  /// synced, so a scheduled WAL write fault fails the append it hits.
+  flow::DurabilityConfig faultyConfig(io::FaultVfs* fault) {
+    flow::DurabilityConfig cfg = configFor(1u << 30);
+    cfg.vfs = fault;
+    cfg.syncEachAppend = true;
+    return cfg;
+  }
+
+  /// Fails the next WAL write, and with it the next append.
+  static void failNextWalWrite(io::FaultVfs& fault) {
+    fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   }
 
   DecisionRequest requestFor(const std::string& name,
@@ -167,16 +183,29 @@ TEST_F(EngineDurabilityTest, StateSurvivesCrashAndAnswersSameDecisions) {
 }
 
 TEST_F(EngineDurabilityTest, WalFailureTurnsUnhealthyButDecisionsContinue) {
-  flow::DurabilityManager mgr(configFor(1u << 30));
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/51);
+  flow::DurabilityConfig cfg = faultyConfig(&fault);
+  cfg.repairBaseDelayMs = 0.0;  // repair on the next decision
+  cfg.repairMaxDelayMs = 0.0;
+  flow::DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   engine_.setDurability(&mgr);
   ASSERT_TRUE(mgr.healthy());
 
-  mgr.wal().failNextAppends(1);
+  const testutil::CounterDelta counted;
+  failNextWalWrite(fault);
   const Decision d =
       engine_.decide(requestFor("doc", gen_.paragraph(4, 6)));
   EXPECT_EQ(d.action, Decision::Action::kAllow);
+  EXPECT_TRUE(d.durabilityDegraded);
   EXPECT_FALSE(mgr.healthy());
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 1u);
+
+  // The next decision's maintenance repairs; its verdict is unchanged.
+  EXPECT_EQ(engine_.decide(requestFor("doc", gen_.paragraph(4, 6))).action,
+            Decision::Action::kAllow);
+  EXPECT_TRUE(mgr.healthy());
+  EXPECT_EQ(counted("bf_wal_repairs_total"), 1u);
 
   // Detaching restores the no-manager default: decisions carry no flag.
   engine_.setDurability(nullptr);
@@ -206,17 +235,20 @@ TEST_F(EngineDurabilityTest, CheckpointDurationHistogramStaysBounded) {
 }
 
 TEST_F(EngineDurabilityTest, DurabilityDegradedFlagAndAuditOnHealthFlips) {
-  flow::DurabilityConfig cfg = configFor(1u << 30);
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/52);
+  flow::DurabilityConfig cfg = faultyConfig(&fault);
   cfg.repairBaseDelayMs = 0.0;  // repair on the next decision
   cfg.repairMaxDelayMs = 0.0;
   flow::DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   engine_.setDurability(&mgr);
 
-  mgr.wal().failNextAppends(1);
+  const testutil::CounterDelta counted;
+  failNextWalWrite(fault);
   const Decision hit = engine_.decide(requestFor("d1", gen_.paragraph(4, 6)));
   EXPECT_TRUE(hit.durabilityDegraded);
   EXPECT_FALSE(mgr.healthy());
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 1u);
 
   // The next decision's maintenance pass repairs (backoff 0) and flips
   // health back; the decision itself reports the restored state.
@@ -224,6 +256,7 @@ TEST_F(EngineDurabilityTest, DurabilityDegradedFlagAndAuditOnHealthFlips) {
       engine_.decide(requestFor("d2", gen_.paragraph(4, 6)));
   EXPECT_FALSE(healed.durabilityDegraded);
   EXPECT_TRUE(mgr.healthy());
+  EXPECT_EQ(counted("bf_wal_repairs_total"), 1u);
 
   // Exactly one audit record per flip, not one per degraded decision.
   const auto degradedAudits =
@@ -237,7 +270,8 @@ TEST_F(EngineDurabilityTest, DurabilityDegradedFlagAndAuditOnHealthFlips) {
 
 TEST_F(EngineDurabilityTest, FlightRecorderRetainsDurabilityDegradedWindow) {
   obs::setTraceSampleEvery(1u << 30);  // head sampling off: keep rule only
-  flow::DurabilityConfig cfg = configFor(1u << 30);
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/53);
+  flow::DurabilityConfig cfg = faultyConfig(&fault);
   cfg.repairBaseDelayMs = 3600000.0;  // stay degraded for the whole test
   cfg.repairMaxDelayMs = 3600000.0;
   flow::DurabilityManager mgr(cfg);
@@ -248,14 +282,19 @@ TEST_F(EngineDurabilityTest, FlightRecorderRetainsDurabilityDegradedWindow) {
   EXPECT_FALSE(
       obs::FlightRecorder::instance().explain(ok.decisionId).has_value());
 
-  mgr.wal().failNextAppends(1);
+  const testutil::CounterDelta counted;
+  failNextWalWrite(fault);
   const Decision bad = engine_.decide(requestFor("bad", gen_.paragraph(4, 6)));
   ASSERT_TRUE(bad.durabilityDegraded);
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 1u);
   const auto record = obs::FlightRecorder::instance().explain(bad.decisionId);
   ASSERT_TRUE(record.has_value())
       << "durability-degraded decisions are always-keep";
   EXPECT_TRUE(record->durabilityDegraded);
   EXPECT_EQ(record->action, "allow");
+  // The checkpoint a repair takes re-covers the lost record.
+  ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
+  EXPECT_TRUE(mgr.healthy());
 
   obs::setTraceSampleEvery(16);  // restore the default for other tests
   engine_.setDurability(nullptr);
@@ -269,16 +308,19 @@ TEST_F(EngineDurabilityTest, XhrUploadCarriesDurabilityDegradedFlag) {
   cloud::SimNetwork network(&rng_);
   cloud::DocsBackend docsBackend;
   network.registerService("https://docs.google.com", &docsBackend);
-  flow::DurabilityConfig cfg = configFor(1u << 30);
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/54);
+  flow::DurabilityConfig cfg = faultyConfig(&fault);
   cfg.repairBaseDelayMs = 3600000.0;  // stay degraded for the whole test
   cfg.repairMaxDelayMs = 3600000.0;
   flow::DurabilityManager mgr(cfg);
   BrowserFlowPlugin plugin(BrowserFlowConfig{}, &clock_);
   ASSERT_TRUE(mgr.recoverAndAttach(plugin.tracker()).ok());
   plugin.engine().setDurability(&mgr);
-  mgr.wal().failNextAppends(1);
+  const testutil::CounterDelta counted;
+  failNextWalWrite(fault);
   plugin.observeServiceDocument("https://itool.corp", "https://itool.corp/a",
                                 gen_.paragraph(4, 6));
+  EXPECT_GE(counted("bf_wal_records_lost_total"), 1u);
   {
     browser::Browser browser(&network);
     browser.addExtension(&plugin);
@@ -298,6 +340,9 @@ TEST_F(EngineDurabilityTest, XhrUploadCarriesDurabilityDegradedFlag) {
     EXPECT_TRUE(record.durabilityDegraded);
   }
   EXPECT_TRUE(found) << "the upload decision must be retained";
+  // The checkpoint a repair takes re-covers the lost records.
+  ASSERT_TRUE(mgr.checkpoint(plugin.tracker()).ok());
+  EXPECT_TRUE(mgr.healthy());
 
   obs::setTraceSampleEvery(16);  // restore the default for other tests
   plugin.engine().setDurability(nullptr);

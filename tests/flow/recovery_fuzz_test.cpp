@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/snapshot.h"
 #include "flow/wal.h"
 #include "io/fault_vfs.h"
@@ -327,6 +328,10 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
     const std::string dir = baseDir + "_" + std::to_string(trial);
     (void)std::system(("rm -rf '" + dir + "'").c_str());
 
+    const testutil::CounterDelta counted;
+    const auto faults = [&counted] {
+      return counted("bf_storage_fault_injected_total");
+    };
     io::FaultVfs fault(&io::defaultVfs(), seed ^ 0x73746f7261676521ull);
     DurabilityConfig cfg;
     cfg.directory = dir;
@@ -389,8 +394,8 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
       oracle[mgr->wal().stats().nextSequence - 1] = exportState(tracker);
     }
 
-    if (fault.faultCount() > 0) ++trialsWithFaults;
-    if (mgr->wal().stats().lost > 0) ++trialsWithLostRecords;
+    if (faults() > 0) ++trialsWithFaults;
+    if (counted("bf_wal_records_lost_total") > 0) ++trialsWithLostRecords;
 
     // The window is closed: the manager must self-heal in a few
     // maintenance rounds (notice → repair, possibly once more after a
@@ -400,7 +405,7 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
     ASSERT_TRUE(mgr->healthy())
         << "manager failed to self-heal after the fault window (trial "
         << trial << ", seed " << seed << ", rate " << rate << ", faults "
-        << fault.faultCount() << ")";
+        << faults() << ")";
 
     // Post-heal mutations must be durable across a crash.
     for (int extra = 0; extra < 3; ++extra) {
@@ -440,7 +445,7 @@ TEST(RecoveryFuzzTest, SelfHealsAfterInjectedStorageFaultWindow) {
     EXPECT_TRUE(exportState(recovered) == oracle[s])
         << "recovered state at sequence " << s << " diverges from history"
         << " (trial " << trial << ", seed " << seed << ", rate " << rate
-        << ", faults " << fault.faultCount() << ")";
+        << ", faults " << faults() << ")";
     expectNoDanglingAssociations(recovered);
 
     if (::testing::Test::HasFailure()) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "corpus/text_generator.h"
+#include "counter_delta.h"
 #include "flow/snapshot.h"
 #include "flow/wal.h"
 #include "io/fault_vfs.h"
@@ -359,17 +360,21 @@ TEST_F(WalTest, CorruptNewestCheckpointFallsBackToOlderGeneration) {
 }
 
 TEST_F(WalTest, AppendFailureLatchesUnhealthyButMutationsSucceed) {
-  DurabilityManager mgr(configFor());
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/40);
+  DurabilityConfig cfg = configFor();
+  cfg.vfs = &fault;
+  cfg.syncEachAppend = true;  // surface the write fault on the append itself
+  DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   EXPECT_TRUE(mgr.healthy());
-  const auto before = obs::registry().snapshot();
-  mgr.wal().failNextAppends(2);
+  const testutil::CounterDelta counted;
+  fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   const SegmentId id = tracker_.observeSegment(
       SegmentKind::kParagraph, "x#p0", "x", "svc", gen_.paragraph(5, 8));
   EXPECT_NE(id, kInvalidSegment);  // the mutation itself never fails
   EXPECT_FALSE(mgr.healthy());
-  const auto delta = obs::registry().snapshot().diff(before);
-  EXPECT_GE(delta.counterValue("bf_wal_append_failures_total"), 1u);
+  EXPECT_EQ(counted("bf_wal_append_failures_total"), 1u);
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 1u);
   // A checkpoint rotation restores health.
   ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
   EXPECT_TRUE(mgr.healthy());
@@ -470,10 +475,15 @@ TEST_F(WalTest, WalFileWithBadMagicIsDiscardedEntirely) {
 // ---- Fault injection + self-healing (ISSUE 7) -----------------------------
 
 TEST_F(WalTest, DroppedAppendsConsumeSequencesAndCountLost) {
-  DurabilityManager mgr(configFor());
+  io::FaultVfs fault(&io::defaultVfs(), /*seed=*/47);
+  DurabilityConfig cfg = configFor();
+  cfg.vfs = &fault;
+  cfg.syncEachAppend = true;
+  DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   const std::uint64_t seqBefore = mgr.wal().stats().nextSequence;
-  mgr.wal().failNextAppends(1);
+  const testutil::CounterDelta counted;
+  fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   // The first append drops and latches unhealthy; the two after it drop
   // too (no sequence gap can ever appear inside one segment file).
   for (int i = 0; i < 3; ++i) {
@@ -481,14 +491,15 @@ TEST_F(WalTest, DroppedAppendsConsumeSequencesAndCountLost) {
                             "l#p" + std::to_string(i), "l", "svc",
                             gen_.paragraph(4, 6));
   }
-  EXPECT_EQ(mgr.wal().stats().lost, 3u);
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 3u);
   EXPECT_EQ(mgr.wal().stats().nextSequence, seqBefore + 3);  // monotonic
   EXPECT_FALSE(mgr.wal().stats().healthy);
   // The repair checkpoint at nextSequence-1 provably covers the lost
   // records: recovery reproduces the full in-memory state.
   ASSERT_TRUE(mgr.checkpoint(tracker_).ok());
   EXPECT_TRUE(mgr.healthy());
-  EXPECT_EQ(mgr.wal().stats().lost, 3u);  // durability debt is never reset
+  // Durability debt is never reset.
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 3u);
   EXPECT_EQ(recoverFresh(), canon(tracker_));
 }
 
@@ -503,17 +514,19 @@ TEST_F(WalTest, InjectedWriteFaultDegradesAndMaintainSelfHeals) {
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
   EXPECT_EQ(mgr.health(), DurabilityHealth::kHealthy);
 
+  const testutil::CounterDelta counted;
   fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   tracker_.observeSegment(SegmentKind::kParagraph, "f#p0", "f", "svc",
                           gen_.paragraph(5, 8));
-  EXPECT_GE(mgr.wal().stats().lost, 1u);
+  EXPECT_EQ(counted("bf_wal_records_lost_total"), 1u);
   // maintain() first notices the degradation, then (backoff elapsed,
   // delay 0) repairs with an emergency checkpoint + rotation.
   int spins = 0;
   while (!mgr.healthy() && spins++ < 16) (void)mgr.maintain(tracker_);
   EXPECT_TRUE(mgr.healthy());
   EXPECT_EQ(mgr.health(), DurabilityHealth::kHealthy);
-  EXPECT_EQ(mgr.repairAttempts(), 0u);  // reset on successful repair
+  EXPECT_EQ(counted("bf_wal_repairs_total"), 1u);  // the first attempt heals
+  EXPECT_EQ(counted("bf_wal_repair_failures_total"), 0u);
 
   // Post-heal mutations are durable again across a clean recovery.
   tracker_.observeSegment(SegmentKind::kParagraph, "post#p0", "post", "svc",
@@ -541,9 +554,9 @@ TEST_F(WalTest, RepairKeepsRetryingWhileStorageStaysBroken) {
   const auto before = obs::registry().snapshot();
   for (int i = 0; i < 4; ++i) (void)mgr.maintain(tracker_);
   EXPECT_FALSE(mgr.healthy());
-  EXPECT_GE(mgr.repairAttempts(), 2u);
   const auto delta = obs::registry().snapshot().diff(before);
   EXPECT_GE(delta.counterValue("bf_wal_repair_failures_total"), 2u);
+  EXPECT_EQ(delta.counterValue("bf_wal_repairs_total"), 0u);
 
   // Mutations keep succeeding the whole time (availability contract).
   const SegmentId id = tracker_.observeSegment(
@@ -568,19 +581,22 @@ TEST_F(WalTest, RepairWaitsForBackoffBeforeRetrying) {
   cfg.repairMaxDelayMs = 3600000.0;
   DurabilityManager mgr(cfg);
   ASSERT_TRUE(mgr.recoverAndAttach(tracker_).ok());
+  const testutil::CounterDelta counted;
   fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   tracker_.observeSegment(SegmentKind::kParagraph, "w#p0", "w", "svc",
                           gen_.paragraph(5, 8));
   for (int i = 0; i < 4; ++i) (void)mgr.maintain(tracker_);
   // Degraded was noticed, but the hour-long backoff gates the attempt.
   EXPECT_EQ(mgr.health(), DurabilityHealth::kDegraded);
-  EXPECT_EQ(mgr.repairAttempts(), 0u);
+  EXPECT_EQ(counted("bf_wal_repairs_total"), 0u);
+  EXPECT_EQ(counted("bf_wal_repair_failures_total"), 0u);
 }
 
 TEST_F(WalTest, HealthGaugeAndLostCounterTrackTheStateMachine) {
   io::FaultVfs fault(&io::defaultVfs(), /*seed=*/44);
   DurabilityConfig cfg = configFor();
   cfg.vfs = &fault;
+  cfg.syncEachAppend = true;
   cfg.repairBaseDelayMs = 0.0;
   cfg.repairMaxDelayMs = 0.0;
   DurabilityManager mgr(cfg);
@@ -588,7 +604,7 @@ TEST_F(WalTest, HealthGaugeAndLostCounterTrackTheStateMachine) {
   EXPECT_EQ(obs::registry().snapshot().gaugeValue("bf_wal_health"), 0.0);
 
   const auto before = obs::registry().snapshot();
-  mgr.wal().failNextAppends(1);
+  fault.failNext(".bfw", 1, io::StorageFaultKind::kEnospc);
   tracker_.observeSegment(SegmentKind::kParagraph, "g#p0", "g", "svc",
                           gen_.paragraph(5, 8));
   (void)mgr.maintain(tracker_);  // notices → kDegraded
@@ -597,8 +613,8 @@ TEST_F(WalTest, HealthGaugeAndLostCounterTrackTheStateMachine) {
   while (!mgr.healthy() && spins++ < 16) (void)mgr.maintain(tracker_);
   EXPECT_EQ(obs::registry().snapshot().gaugeValue("bf_wal_health"), 0.0);
   const auto delta = obs::registry().snapshot().diff(before);
-  EXPECT_GE(delta.counterValue("bf_wal_records_lost_total"), 1u);
-  EXPECT_GE(delta.counterValue("bf_wal_repairs_total"), 1u);
+  EXPECT_EQ(delta.counterValue("bf_wal_records_lost_total"), 1u);
+  EXPECT_EQ(delta.counterValue("bf_wal_repairs_total"), 1u);
 }
 
 TEST_F(WalTest, QuotaHoldsWhenRotationFailsAfterSnapshotLands) {

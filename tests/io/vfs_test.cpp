@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "counter_delta.h"
 #include "io/fault_vfs.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
@@ -92,6 +93,7 @@ TEST_F(VfsTest, PosixOpenForWriteFailsOnBadPath) {
 }
 
 TEST_F(VfsTest, FaultEnospcFailsWriteWithNothingLanded) {
+  const testutil::CounterDelta faults;
   FaultVfs fault(&defaultVfs(), /*seed=*/1);
   fault.failNext(".bfw", 1, StorageFaultKind::kEnospc);
   auto f = fault.openForWrite(path("seg.bfw"));
@@ -105,7 +107,7 @@ TEST_F(VfsTest, FaultEnospcFailsWriteWithNothingLanded) {
   auto f2 = fault.openForWrite(path("seg.bfw"));
   ASSERT_NE(f2, nullptr);
   EXPECT_TRUE(f2->write("0123456789").ok);
-  EXPECT_EQ(fault.faultCount(), 1u);
+  EXPECT_EQ(faults("bf_storage_fault_injected_total"), 1u);
 }
 
 TEST_F(VfsTest, FaultShortWriteLandsStrictPrefixAndReportsFailure) {
@@ -183,26 +185,8 @@ TEST_F(VfsTest, FaultReadCorruptFlipsExactlyOneByte) {
   EXPECT_EQ(clean.value(), std::string(128, 'Z'));
 }
 
-TEST_F(VfsTest, LongestMatchingPathOverrideWins) {
-  FaultVfs fault(&defaultVfs(), /*seed=*/7,
-                 StorageFaultConfig::uniformRate(1.0));  // default: always
-  // The more specific override makes checkpoint temp files fault-free
-  // even though ".bfc" (shorter) says always-fail.
-  StorageFaultConfig always;
-  always.enospcProb = 1.0;
-  fault.setPathFaults(".bfc", always);
-  fault.setPathFaults(".bfc.tmp", StorageFaultConfig{});
-
-  auto safe = fault.openForWrite(path("checkpoint-0.bfc.tmp"));
-  ASSERT_NE(safe, nullptr);
-  EXPECT_TRUE(safe->write("ok").ok);
-
-  auto doomed = fault.openForWrite(path("checkpoint-0.bfc"));
-  ASSERT_NE(doomed, nullptr);
-  EXPECT_FALSE(doomed->write("ok").ok);
-}
-
 TEST_F(VfsTest, UniformRateZeroInjectsNothing) {
+  const testutil::CounterDelta faults;
   FaultVfs fault(&defaultVfs(), /*seed=*/8,
                  StorageFaultConfig::uniformRate(0.0));
   auto f = fault.openForWrite(path("quiet.bin"));
@@ -211,11 +195,12 @@ TEST_F(VfsTest, UniformRateZeroInjectsNothing) {
     ASSERT_TRUE(f->write("0123456789").ok);
   }
   ASSERT_TRUE(f->sync());
-  EXPECT_EQ(fault.faultCount(), 0u);
+  EXPECT_EQ(faults("bf_storage_fault_injected_total"), 0u);
   EXPECT_EQ(defaultVfs().fileSize(path("quiet.bin")), 2000u);
 }
 
 TEST_F(VfsTest, UniformRateInjectsRoughlyThatFraction) {
+  const testutil::CounterDelta faults;
   FaultVfs fault(&defaultVfs(), /*seed=*/9,
                  StorageFaultConfig::uniformRate(0.5));
   auto f = fault.openForWrite(path("noisy.bin"));
@@ -223,8 +208,9 @@ TEST_F(VfsTest, UniformRateInjectsRoughlyThatFraction) {
   const int kWrites = 400;
   for (int i = 0; i < kWrites; ++i) (void)f->write("0123456789");
   // ~50% of writes fault; allow a generous band for the seeded stream.
-  EXPECT_GT(fault.faultCount(), static_cast<std::uint64_t>(kWrites) * 3 / 10);
-  EXPECT_LT(fault.faultCount(), static_cast<std::uint64_t>(kWrites) * 7 / 10);
+  const std::uint64_t injected = faults("bf_storage_fault_injected_total");
+  EXPECT_GT(injected, static_cast<std::uint64_t>(kWrites) * 3 / 10);
+  EXPECT_LT(injected, static_cast<std::uint64_t>(kWrites) * 7 / 10);
 }
 
 TEST_F(VfsTest, FaultMetricsCountInjections) {

@@ -1,4 +1,5 @@
-// bf::obs exposition: golden Prometheus text and JSON for a fixed registry.
+// bf::obs exposition: golden Prometheus text for a fixed registry, and the
+// flight recorder's JSON records.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,35 +41,24 @@ TEST(Export, PrometheusTextGolden) {
   EXPECT_EQ(toPrometheusText(fixtureSnapshot()), expected);
 }
 
-TEST(Export, JsonGolden) {
-  const std::string expected =
-      "{\"metrics\":["
-      "{\"name\":\"bf_test_latency_ms\",\"kind\":\"histogram\","
-      "\"help\":\"Latency\",\"count\":3,\"sum\":11,\"min\":0.5,\"max\":9,"
-      "\"buckets\":[{\"le\":1,\"count\":1},{\"le\":2,\"count\":1}],"
-      "\"overflow\":1},"
-      "{\"name\":\"bf_test_queue_depth\",\"kind\":\"gauge\","
-      "\"help\":\"Queue depth\",\"value\":2.5},"
-      "{\"name\":\"bf_test_requests_total\",\"kind\":\"counter\","
-      "\"help\":\"Requests handled\",\"value\":3}"
-      "]}";
-  EXPECT_EQ(toJson(fixtureSnapshot()), expected);
-}
-
 TEST(Export, JsonStringFieldsScanBack) {
-  // Round-trip through the repo's JSON field scanner: every name/kind/help
-  // written by the exporter must scan back out in order.
-  const std::string json = toJson(fixtureSnapshot());
-  const auto fields = util::scanJsonStringFields(json);
+  // Round-trip through the repo's JSON field scanner: every string field a
+  // decision record writes must scan back out, unescaped, in order.
+  DecisionTrace t;
+  t.ingress = "plugin.paragraph";
+  t.segmentName = "doc#p\"1\"";
+  t.documentName = "C:\\docs\nnotes";
+  t.serviceId = "https://itool.corp";
+  t.action = "warn";
+  t.contentPreview = "We regret…decision (64 chars)";
+  const auto fields = util::scanJsonStringFields(toJson(t));
   std::vector<std::pair<std::string, std::string>> pairs;
   pairs.reserve(fields.size());
   for (const auto& f : fields) pairs.emplace_back(f.key, f.value);
   const std::vector<std::pair<std::string, std::string>> expected = {
-      {"name", "bf_test_latency_ms"},   {"kind", "histogram"},
-      {"help", "Latency"},              {"name", "bf_test_queue_depth"},
-      {"kind", "gauge"},                {"help", "Queue depth"},
-      {"name", "bf_test_requests_total"}, {"kind", "counter"},
-      {"help", "Requests handled"},
+      {"ingress", t.ingress},         {"segment", t.segmentName},
+      {"document", t.documentName},   {"service", t.serviceId},
+      {"action", t.action},           {"content_preview", t.contentPreview},
   };
   EXPECT_EQ(pairs, expected);
 }
@@ -80,9 +70,6 @@ TEST(Export, HelpIsOptional) {
   EXPECT_EQ(text,
             "# TYPE bf_bare_total counter\n"
             "bf_bare_total 1\n");
-  EXPECT_EQ(toJson(reg.snapshot()),
-            "{\"metrics\":[{\"name\":\"bf_bare_total\",\"kind\":\"counter\","
-            "\"value\":1}]}");
 }
 
 TEST(Export, RegistryMetricsAppearInProcessWideExposition) {
@@ -182,23 +169,6 @@ TEST(Export, MetricOrderingIsStableRegardlessOfRegistrationOrder) {
   EXPECT_EQ(toPrometheusText(reg.snapshot()), text);
 }
 
-TEST(Export, HistogramExemplarsAppearInJson) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("bf_exemplar_ms", "", {1.0, 2.0});
-  h.observe(0.5);                     // no exemplar on this bucket
-  h.observeWithExemplar(1.5, 77);     // bucket le=2
-  h.observeWithExemplar(9.0, 88);     // overflow bucket
-  const std::string json = toJson(reg.snapshot());
-  EXPECT_EQ(json.find("{\"le\":1,\"count\":1}") == std::string::npos, false)
-      << json;
-  EXPECT_NE(json.find("{\"le\":2,\"count\":1,\"exemplar\":77}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"overflow\":1,\"overflow_exemplar\":88"),
-            std::string::npos)
-      << json;
-}
-
 TEST(Export, DecisionTraceJsonCarriesFullCausalRecord) {
   DecisionTrace t;
   t.decisionId = 9;
@@ -269,16 +239,6 @@ TEST(Export, WalHealthMetricsGolden) {
       "# TYPE bf_wal_records_lost_total counter\n"
       "bf_wal_records_lost_total 7\n";
   EXPECT_EQ(toPrometheusText(reg.snapshot()), expected);
-  const std::string expectedJson =
-      "{\"metrics\":["
-      "{\"name\":\"bf_wal_health\",\"kind\":\"gauge\","
-      "\"help\":\"Durability health (0 healthy, 1 degraded, 2 recovering)\","
-      "\"value\":1},"
-      "{\"name\":\"bf_wal_records_lost_total\",\"kind\":\"counter\","
-      "\"help\":\"WAL records dropped while storage was failing\","
-      "\"value\":7}"
-      "]}";
-  EXPECT_EQ(toJson(reg.snapshot()), expectedJson);
 }
 
 TEST(Export, WalHealthSeriesAppearInProcessExposition) {

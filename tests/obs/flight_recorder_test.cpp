@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "counter_delta.h"
 #include "obs/trace_context.h"
 
 namespace bf::obs {
@@ -37,6 +38,7 @@ TEST(FlightRecorderTest, AssignsMonotonicDecisionIds) {
 
 TEST(FlightRecorderTest, RetainsSampledViolationAndDegraded) {
   FlightRecorder recorder(8);
+  const testutil::CounterDelta retained;
   const std::uint64_t sampledId = recorder.record(makeTrace(1, true));
   const std::uint64_t violationId =
       recorder.record(makeTrace(2, false, /*violation=*/true));
@@ -45,15 +47,16 @@ TEST(FlightRecorderTest, RetainsSampledViolationAndDegraded) {
   EXPECT_TRUE(recorder.explain(sampledId).has_value());
   EXPECT_TRUE(recorder.explain(violationId).has_value());
   EXPECT_TRUE(recorder.explain(degradedId).has_value());
-  EXPECT_EQ(recorder.retainedTotal(), 3u);
+  EXPECT_EQ(retained("bf_flight_retained_total"), 3u);
 }
 
 TEST(FlightRecorderTest, UnsampledCleanDecisionsConsumeIdOnly) {
   FlightRecorder recorder(8);
+  const testutil::CounterDelta retained;
   const std::uint64_t id = recorder.record(makeTrace(1, false));
   EXPECT_NE(id, 0u);
   EXPECT_FALSE(recorder.explain(id).has_value());
-  EXPECT_EQ(recorder.retainedTotal(), 0u);
+  EXPECT_EQ(retained("bf_flight_retained_total"), 0u);
   // The id was still consumed: the next decision gets a later id.
   EXPECT_GT(recorder.record(makeTrace(2, true)), id);
 }
@@ -83,24 +86,9 @@ TEST(FlightRecorderTest, ExplainReturnsCompleteRecord) {
   EXPECT_EQ(got->stages.nanos[static_cast<int>(Stage::kFingerprint)], 5000u);
 }
 
-TEST(FlightRecorderTest, ExplainByTraceReturnsNewestForTrace) {
-  FlightRecorder recorder(8);
-  DecisionTrace first = makeTrace(7, true);
-  first.segmentName = "doc#p1";
-  recorder.record(std::move(first));
-  DecisionTrace second = makeTrace(7, true);
-  second.segmentName = "doc#p2";
-  const std::uint64_t newestId = recorder.record(std::move(second));
-
-  const std::optional<DecisionTrace> got = recorder.explainByTrace(7);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->decisionId, newestId);
-  EXPECT_EQ(got->segmentName, "doc#p2");
-  EXPECT_FALSE(recorder.explainByTrace(999).has_value());
-}
-
 TEST(FlightRecorderTest, RingEvictsOldestWhenFull) {
   FlightRecorder recorder(4);
+  const testutil::CounterDelta retained;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
     ids.push_back(recorder.record(makeTrace(100 + i, true)));
@@ -116,7 +104,7 @@ TEST(FlightRecorderTest, RingEvictsOldestWhenFull) {
   for (std::size_t i = 1; i < recent.size(); ++i) {
     EXPECT_GT(recent[i].decisionId, recent[i - 1].decisionId);
   }
-  EXPECT_EQ(recorder.retainedTotal(), 6u);
+  EXPECT_EQ(retained("bf_flight_retained_total"), 6u);
 }
 
 TEST(FlightRecorderTest, SetCapacityAndClearResetTheRing) {

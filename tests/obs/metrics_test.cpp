@@ -1,7 +1,8 @@
 // bf::obs metrics: bucket semantics, quantile estimation, concurrency,
-// registry create-or-get, snapshot diff.
+// registry create-or-get, snapshot diff (with per-phase min/max).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,8 +18,6 @@ TEST(Counter, IncrementValueReset) {
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Counter, ConcurrentIncrementsAreLossless) {
@@ -37,12 +36,11 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
 
 TEST(Gauge, SetAddValue) {
   Gauge g;
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(10.0);
   EXPECT_DOUBLE_EQ(g.value(), 10.0);
-  g.add(-2.5);
+  g.set(7.5);  // a level: the last set wins
   EXPECT_DOUBLE_EQ(g.value(), 7.5);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(HistogramTest, BucketUpperBoundsAreInclusive) {
@@ -73,7 +71,6 @@ TEST(HistogramTest, EmptyHistogramIsZeroEverywhere) {
   EXPECT_DOUBLE_EQ(d.max, 0.0);
   EXPECT_DOUBLE_EQ(d.mean(), 0.0);
   EXPECT_DOUBLE_EQ(d.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.fractionBelow(1.0), 0.0);
 }
 
 TEST(HistogramTest, PercentileInterpolatesInsideBucket) {
@@ -83,9 +80,6 @@ TEST(HistogramTest, PercentileInterpolatesInsideBucket) {
   // Rank interpolation inside the (1, 2] bucket: p50 at half the bucket.
   EXPECT_DOUBLE_EQ(d.percentile(50.0), 1.5);
   EXPECT_DOUBLE_EQ(d.percentile(100.0), 2.0);
-  // All mass is <= 2, none strictly below 1.
-  EXPECT_DOUBLE_EQ(d.fractionBelow(2.0), 1.0);
-  EXPECT_DOUBLE_EQ(d.fractionBelow(1.0), 0.0);
 }
 
 TEST(HistogramTest, OverflowBucketReportsObservedMax) {
@@ -93,17 +87,6 @@ TEST(HistogramTest, OverflowBucketReportsObservedMax) {
   h.observe(10.0);
   h.observe(20.0);
   EXPECT_DOUBLE_EQ(h.percentile(99.0), 20.0);
-}
-
-TEST(HistogramTest, FractionBelowWalksCumulativeBuckets) {
-  Histogram h({1.0, 2.0, 5.0});
-  for (int i = 0; i < 5; ++i) h.observe(0.5);
-  for (int i = 0; i < 5; ++i) h.observe(3.0);
-  const HistogramData d = h.data();
-  EXPECT_DOUBLE_EQ(d.fractionBelow(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.fractionBelow(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(d.fractionBelow(5.0), 1.0);
-  EXPECT_DOUBLE_EQ(d.fractionBelow(100.0), 1.0);
 }
 
 TEST(HistogramTest, ConcurrentObservesKeepExactCount) {
@@ -184,19 +167,46 @@ TEST(Registry, DiffSubtractsCountersAndHistogramsKeepsGauges) {
   EXPECT_DOUBLE_EQ(hd.sum, 5.5);
 }
 
-TEST(Registry, ResetAllZeroesButKeepsRegistrations) {
+TEST(Registry, DiffedPercentilesReportOnlyThePhasesOwnExtremes) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("bf_c_total");
-  Histogram& h = reg.histogram("bf_h_ms", "", {1.0});
-  c.inc(10);
-  h.observe(0.5);
-  reg.resetAll();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(&c, &reg.counter("bf_c_total"));  // same object after reset
-  h.observe(2.0);
-  EXPECT_DOUBLE_EQ(h.data().max, 2.0);  // min/max re-arm after reset
-  EXPECT_DOUBLE_EQ(h.data().min, 2.0);
+  Histogram& h = reg.histogram("bf_h_ms", "", {100.0, 250.0, 500.0});
+  const auto phase = [&](std::initializer_list<double> values) {
+    const MetricsSnapshot before = reg.snapshot();
+    for (const double v : values) h.observe(v);
+    return reg.snapshot().diff(before).find("bf_h_ms")->histogram;
+  };
+  h.observe(1000.0);  // phase 1 sets the process-wide max
+
+  // Phase 2 stays below that max: its p99 must not read phase 1's 1000.
+  const HistogramData second = phase({600.0});
+  EXPECT_DOUBLE_EQ(second.percentile(99.0), 500.0);
+  EXPECT_DOUBLE_EQ(second.max, 500.0);  // the overflow bucket's finite edge
+  EXPECT_DOUBLE_EQ(second.min, 600.0);  // phase 2 lowered the min: exact
+
+  // Extremes the phase did not move read its outermost buckets' edges.
+  const HistogramData overflowOnly = phase({700.0, 650.0});
+  EXPECT_DOUBLE_EQ(overflowOnly.min, 500.0);
+  EXPECT_DOUBLE_EQ(overflowOnly.max, 500.0);
+  EXPECT_DOUBLE_EQ(phase({150.0}).min, 150.0);  // lowered: exact
+  const HistogramData finite = phase({200.0, 300.0});
+  EXPECT_DOUBLE_EQ(finite.min, 100.0);
+  EXPECT_DOUBLE_EQ(finite.max, 500.0);
+  EXPECT_DOUBLE_EQ(phase({50.0}).min, 50.0);  // lowered: exact
+  const HistogramData firstBucket = phase({80.0});
+  EXPECT_DOUBLE_EQ(firstBucket.min, 100.0);
+  EXPECT_DOUBLE_EQ(firstBucket.max, 100.0);
+
+  // A phase that moves both extremes reports them exactly.
+  const HistogramData both = phase({2000.0, 10.0});
+  EXPECT_DOUBLE_EQ(both.max, 2000.0);
+  EXPECT_DOUBLE_EQ(both.min, 10.0);
+  EXPECT_DOUBLE_EQ(both.percentile(99.0), 2000.0);
+
+  // A phase with no observations reads zero everywhere.
+  const HistogramData empty = phase({});
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_DOUBLE_EQ(empty.max, 0.0);
+  EXPECT_DOUBLE_EQ(empty.percentile(99.0), 0.0);
 }
 
 TEST(Registry, ProcessWideRegistryIsASingleton) {
